@@ -89,42 +89,3 @@ def scatter_blur_2d(mass, kernel, shift):
     if HAVE_NUMBA:
         return _scatter_blur_2d_jit(mass, kernel, s1, s2)
     return _scatter_blur_2d_np(mass, kernel, s1, s2)
-
-
-@njit(cache=True)
-def _mad_batch_jit(U, Y, P):
-    m = Y.shape[0]
-    d, n_p = U.shape
-    out = np.zeros((m, d))
-    for s in range(m):
-        for q in range(d):
-            acc = 0.0
-            yq = Y[s, q]
-            for i in range(n_p):
-                acc += abs(U[q, i] - yq) * P[s, i]
-            out[s, q] = acc
-    return out
-
-
-def _mad_batch_np(U, Y, P):
-    m, d = Y.shape[0], U.shape[0]
-    out = np.empty((m, d))
-    for q in range(d):
-        # (m, n_p) deviation magnitudes against every sample's center
-        dev = np.abs(U[q][None, :] - Y[:, q][:, None])
-        out[:, q] = np.sum(dev * P, axis=1)
-    return out
-
-
-def mad_batch(U, Y, P):
-    """Mean absolute deviation of each grid axis around per-sample centers.
-
-    U is (d, n_p) cell centers per axis, Y is (m, d) centers, P is (m, n_p)
-    distributions; returns (m, d) with out[s, q] = sum_i |U[q,i]-Y[s,q]| P[s,i].
-    """
-    U = np.ascontiguousarray(U, dtype=np.float64)
-    Y = np.ascontiguousarray(Y, dtype=np.float64)
-    P = np.ascontiguousarray(P, dtype=np.float64)
-    if HAVE_NUMBA:
-        return _mad_batch_jit(U, Y, P)
-    return _mad_batch_np(U, Y, P)

@@ -8,6 +8,7 @@ control law u = sum_l sum_i K_{l,i} (R_i P_l) + K_b is linear in the gains.
 import numpy as np
 
 from .errors import DimensionMismatch
+from .geometry import HalfspaceSet
 
 
 class GainLayout:
@@ -56,16 +57,6 @@ class GainLayout:
         ]
         return gains, np.asarray(theta[self.bias_start():]).copy()
 
-    def names(self):
-        out = []
-        for l in range(self.n_landmarks):
-            for i in range(self.n_k):
-                for m in range(self.n_u):
-                    for s in range(self.d):
-                        out.append("K[%d][%d][%d,%d]" % (l, i, m, s))
-        out.extend("K_b[%d]" % m for m in range(self.n_u))
-        return out
-
 
 class AffineInGains:
     """Vector expression value(theta) = const + coef @ theta."""
@@ -92,13 +83,6 @@ class AffineInGains:
         return AffineInGains(self.const * scalar, self.coef * scalar)
 
     __rmul__ = __mul__
-
-    @staticmethod
-    def concat(parts):
-        return AffineInGains(
-            np.concatenate([p.const for p in parts]),
-            np.vstack([p.coef for p in parts]),
-        )
 
 
 class LinearDynamics:
@@ -195,6 +179,30 @@ def build_cbf_rows(A_h, b_h, dynamics, alpha_h, maps_per_landmark, layout):
         r = _bias_term(w, -alpha_h * float(b_h[j]), layout)
         rows.append(ConstraintRow("cbf", j, c_x, c_p, r, w))
     return rows
+
+
+def build_cell_rows(body, entry, dynamics, alpha_v, alpha_h, maps_per_landmark,
+                    layout, barrier_facets, v_floor=None):
+    """The rows of one cell and the state region each must hold over.
+
+    Row 0 is the CLF row, then one CBF row per barrier facet of body, tagged
+    with that facet. Every region is body itself, except that v_floor, when
+    set, limits the CLF row to where the progress v.(x - o) is at least
+    v_floor."""
+    rows = [build_clf_row(entry, dynamics, alpha_v, maps_per_landmark, layout)]
+    if len(barrier_facets):
+        cbf = build_cbf_rows(-body.A[barrier_facets], -body.b[barrier_facets],
+                             dynamics, alpha_h, maps_per_landmark, layout)
+        for facet, row in zip(barrier_facets, cbf):
+            row.facet = facet
+        rows.extend(cbf)
+    regions = [body for _ in rows]
+    if v_floor is not None:
+        regions[0] = HalfspaceSet(
+            np.vstack([body.A, -entry.v[None, :]]),
+            np.concatenate([body.b, [float(entry.v @ entry.o) + float(v_floor)]]),
+        )
+    return rows, regions
 
 
 def evaluate_row(row, theta, x, P):

@@ -102,17 +102,13 @@ def _validate(lp, x, duals_ub):
 def solve_lp(lp):
     """Solve with the HiGHS backend; deterministic for fixed inputs."""
     c = lp.c if lp.sense == "min" else -lp.c
-    bounds = [
-        (None if not np.isfinite(l) else l, None if not np.isfinite(u) else u)
-        for l, u in zip(lp.lb, lp.ub)
-    ]
     res = linprog(
         c,
         A_ub=lp.A_ub if lp.b_ub.size else None,
         b_ub=lp.b_ub if lp.b_ub.size else None,
         A_eq=lp.A_eq if lp.b_eq.size else None,
         b_eq=lp.b_eq if lp.b_eq.size else None,
-        bounds=bounds,
+        bounds=np.column_stack([lp.lb, lp.ub]),
         method="highs",
     )
     if res.status == 2:

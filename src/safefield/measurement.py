@@ -173,8 +173,8 @@ class UncertaintyBounds:
 
 def mad(U, y, P):
     """Per-axis mean absolute deviation around y."""
-    out = _kernels.mad_batch(U, np.asarray(y, dtype=float)[None, :], np.asarray(P, dtype=float)[None, :])
-    return out[0]
+    y = np.asarray(y, dtype=float)
+    return np.sum(np.abs(U - y[:, None]) * np.asarray(P, dtype=float), axis=1)
 
 
 def check_pmf_feasible(pmf, kernel, bounds, y):
@@ -216,18 +216,6 @@ class ProbabilityBlocks:
     @property
     def n_points(self):
         return self.U.shape[1]
-
-    def mean_rows_value(self, x, P):
-        return self.A_x @ x + self.A_p @ P + self.b_p
-
-    def min_z(self, x):
-        """Adversary-optimal z: elementwise |U_q - (l - x)_q|, (d, n_p)."""
-        y = self.landmark - np.asarray(x, dtype=float)
-        return np.abs(self.U - y[:, None])
-
-
-def assemble_probability_constraints(kernel, bounds, landmark):
-    return ProbabilityBlocks(kernel, bounds, landmark)
 
 
 def save_pmf_csv(pmf, path):

@@ -9,10 +9,10 @@ The LP maximizes the weighted margins; a second pass then picks, among
 margin-optimal gains, the ones closest in l1 distance to a structured target
 so the synthesized fields stay interpretable.
 
-The constraint matrix is assembled along two independent paths: a direct
-transcription of the explicit constraint groups, and a mechanical application
-of the two dualization templates. The mechanical path is authoritative when
-they disagree; a disagreement is surfaced as a warning.
+Synthesis assembles the constraint matrix once, by a direct transcription of
+the explicit constraint groups (_hand_fill). _machine_fill derives the same
+matrices by mechanically applying the two dualization templates; synthesis
+never runs it. It is the oracle the tests hold the transcription to.
 """
 
 import json
@@ -22,13 +22,7 @@ import numpy as np
 import scipy.sparse as sp
 
 from . import measurement, planning
-from .clfcbf import (
-    AffineInGains,
-    GainLayout,
-    LinearDynamics,
-    build_cbf_rows,
-    build_clf_row,
-)
+from .clfcbf import GainLayout, LinearDynamics, build_cell_rows
 from .errors import (
     DimensionMismatch,
     GoalObservationOffGrid,
@@ -38,7 +32,7 @@ from .errors import (
     SolverFailure,
     SynthesisInfeasible,
 )
-from .lp_core import StandardLp, dump_lp, solve_lp
+from .lp_core import StandardLp, solve_lp
 from .measurement import build_expectation_kernel, make_delta_pmf
 
 OMEGA_DEFAULT = {"clf": 1.0, "cbf": 1.0}
@@ -107,8 +101,8 @@ class _Coo:
 
 
 class LpMeta:
-    """Variable and row layout of the per-cell LP, shared by both assembly
-    paths so their matrices are directly comparable.
+    """Variable and row layout of the per-cell LP, shared by _hand_fill and
+    its oracle _machine_fill so their matrices are directly comparable.
 
     Variables: gains theta, margins delta, then per row k the multipliers
     lam_x (region rows) and per landmark lam_s, lam_p, lam_z, rho1, rho2,
@@ -312,7 +306,7 @@ def _robust_row(ub, eq, b_ub, b_eq, ub_row, eq_rows, mult_cols,
 
 
 def _machine_fill(meta, rows, regions, blocks):
-    """Derive the same LP mechanically.
+    """Derive the same LP mechanically; the tests' oracle for _hand_fill.
 
     Stage A (dual of the inner PMF maximization, per landmark): for
     max c_p.P s.t. 1.P = 1, A_p P <= -A'_x x - b_p, z_q.P <= sigma_m, P >= 0
@@ -483,10 +477,7 @@ def stack_landmarks(kernel, bounds, positions):
     concatenation and each landmark keeps its own full constraint set."""
     if len(positions) < 1:
         raise DimensionMismatch("need at least one landmark")
-    return [
-        measurement.assemble_probability_constraints(kernel, bounds, l)
-        for l in positions
-    ]
+    return [measurement.ProbabilityBlocks(kernel, bounds, l) for l in positions]
 
 
 class AssembledCellLp:
@@ -495,7 +486,7 @@ class AssembledCellLp:
 
     def __init__(self, lp, meta, rows, regions, blocks, basis, spec, kernel,
                  omega, caps, dynamics, alpha_v, alpha_h, v_floor=None,
-                 goal=None, paths_agree=True):
+                 goal=None):
         self.lp = lp
         self.meta = meta
         self.rows = rows
@@ -511,7 +502,6 @@ class AssembledCellLp:
         self.alpha_h = alpha_h
         self.v_floor = v_floor
         self.goal = goal
-        self.paths_agree = paths_agree
 
     def header_lines(self):
         m = self.meta
@@ -531,9 +521,6 @@ class AssembledCellLp:
             "eq_rows = sum_k [d + sum_l 3*d*n_p_l] + goal_rows = %d" % m.n_eq,
         ]
 
-    def dump(self):
-        return dump_lp(self.lp, header_lines=self.header_lines())
-
 
 def _check_visibility(cell, landmarks, spec):
     half = np.asarray(spec.width) / 2.0
@@ -546,10 +533,31 @@ def _check_visibility(cell, landmarks, spec):
             )
 
 
+def _fill_goal(eq, meta, spec, maps, positions, goal):
+    """Equilibrium equality u = 0 for the observation snapped at the goal."""
+    layout = meta.layout
+    g0 = meta.row_eq("goal")[0]
+    theta0, _ = meta.var("theta")
+    for l, pos in enumerate(positions):
+        y = np.asarray(pos, dtype=float) - np.asarray(goal, dtype=float)
+        try:
+            pmf = make_delta_pmf(spec, y)
+        except LandmarkOutOfView as exc:
+            raise GoalObservationOffGrid(
+                "goal observation of landmark %d leaves the grid: %s" % (l, exc)
+            ) from None
+        for i, R in enumerate(maps):
+            f = R @ pmf.vector
+            for m in range(layout.n_u):
+                base = layout.gain_index(l, i, m, 0)
+                eq.add(g0 + m, theta0 + base + np.arange(layout.d), f)
+    for m in range(layout.n_u):
+        eq.add(g0 + m, theta0 + layout.bias_start() + m, 1.0)
+
+
 def assemble_robust_lp(cell, entry, dynamics, alpha_v, alpha_h, bounds, spec,
                        positions, basis, omega=None, caps=None,
-                       barrier_facets=None, v_floor=None, goal=None,
-                       method="both"):
+                       barrier_facets=None, v_floor=None, goal=None):
     """Build the per-cell LP.
 
     positions: landmark coordinates observed from this cell. barrier_facets
@@ -567,28 +575,12 @@ def assemble_robust_lp(cell, entry, dynamics, alpha_v, alpha_h, bounds, spec,
     blocks = stack_landmarks(kernel, bounds, positions)
     layout = GainLayout(len(positions), basis.n_k, dynamics.n_u, d)
     maps = basis.matrices(kernel, spec.width)
-    maps_per_landmark = [maps] * len(positions)
 
     if barrier_facets is None:
         barrier_facets = [j for j in range(cell.body.n_rows) if j != entry.exit_face]
-    rows = [build_clf_row(entry, dynamics, alpha_v, maps_per_landmark, layout)]
-    rows += build_cbf_rows(
-        -cell.body.A[barrier_facets],
-        -cell.body.b[barrier_facets],
-        dynamics, alpha_h, maps_per_landmark, layout,
-    )
-    for j, row in enumerate(rows[1:]):
-        row.facet = barrier_facets[j]
-
-    regions = [cell.body for _ in rows]
-    if v_floor is not None:
-        from .geometry import HalfspaceSet
-
-        A_reg = np.vstack([cell.body.A, -entry.v[None, :]])
-        b_reg = np.concatenate(
-            [cell.body.b, [float(entry.v @ entry.o) + float(v_floor)]]
-        )
-        regions[0] = HalfspaceSet(A_reg, b_reg)
+    rows, regions = build_cell_rows(cell.body, entry, dynamics, alpha_v, alpha_h,
+                                    [maps] * len(positions), layout,
+                                    barrier_facets, v_floor)
 
     omega_map = dict(OMEGA_DEFAULT, **(omega or {}))
     caps_map = dict(DELTA_CAP_DEFAULT, **(caps or {}))
@@ -598,109 +590,21 @@ def assemble_robust_lp(cell, entry, dynamics, alpha_v, alpha_h, bounds, spec,
     n_goal = dynamics.n_u if goal is not None else 0
     meta = LpMeta(layout, [r.kind for r in rows], [reg.n_rows for reg in regions],
                   [b.n_points for b in blocks], n_goal_rows=n_goal)
-
-    hand = _hand_fill(meta, rows, regions, blocks)
-    use = hand
-    agree = True
-    if method in ("both", "machine"):
-        machine = _machine_fill(meta, rows, regions, blocks)
-        h_ub = hand[0].matrix((meta.n_ub, meta.n_vars))
-        m_ub = machine[0].matrix((meta.n_ub, meta.n_vars))
-        h_eq = hand[2].matrix((meta.n_eq, meta.n_vars))
-        m_eq = machine[2].matrix((meta.n_eq, meta.n_vars))
-        agree = _matrices_match(h_ub, hand[1], h_eq, hand[3],
-                                m_ub, machine[1], m_eq, machine[3])
-        if not agree:
-            warnings.warn(
-                "hand and mechanical LP assemblies disagree for cell %d; "
-                "using the mechanical one" % cell.id
-            )
-        if method == "machine" or not agree:
-            use = machine
-            A_ub, A_eq = m_ub, m_eq
-        else:
-            A_ub, A_eq = h_ub, h_eq
-    else:
-        A_ub = hand[0].matrix((meta.n_ub, meta.n_vars))
-        A_eq = hand[2].matrix((meta.n_eq, meta.n_vars))
-    b_ub, b_eq = use[1], use[3]
-
+    ub, b_ub, eq, b_eq = _hand_fill(meta, rows, regions, blocks)
     if goal is not None:
-        eq = _Coo()
-        g0 = meta.row_eq("goal")[0]
-        theta0, _ = meta.var("theta")
-        for l, pos in enumerate(positions):
-            try:
-                pmf = make_delta_pmf(spec, np.asarray(pos, dtype=float) - np.asarray(goal, dtype=float))
-            except LandmarkOutOfView as exc:
-                raise GoalObservationOffGrid(
-                    "goal observation of landmark %d leaves the grid: %s" % (l, exc)
-                ) from None
-            feats = [R @ pmf.vector for R in maps]
-            for i, f in enumerate(feats):
-                for m in range(layout.n_u):
-                    base = layout.gain_index(l, i, m, 0)
-                    eq.add(m, theta0 + base + np.arange(d), f)
-        for m in range(layout.n_u):
-            eq.add(m, theta0 + layout.bias_start() + m, 1.0)
-        A_eq = sp.vstack([A_eq[:g0], eq.matrix((dynamics.n_u, meta.n_vars))]).tocsr()
+        _fill_goal(eq, meta, spec, maps, positions, goal)
 
     c = np.zeros(meta.n_vars)
     dstart, _ = meta.var("delta")
     c[dstart:dstart + meta.n_rows] = omega_k
     lb, ub_bounds = meta.default_bounds(caps_k)
-    lp = StandardLp("max", c, A_ub=A_ub, b_ub=b_ub, A_eq=A_eq, b_eq=b_eq,
+    lp = StandardLp("max", c,
+                    A_ub=ub.matrix((meta.n_ub, meta.n_vars)), b_ub=b_ub,
+                    A_eq=eq.matrix((meta.n_eq, meta.n_vars)), b_eq=b_eq,
                     lb=lb, ub=ub_bounds)
     return AssembledCellLp(lp, meta, rows, regions, blocks, basis, spec, kernel,
                            omega_k, caps_k, dynamics, alpha_v, alpha_h,
-                           v_floor=v_floor, goal=goal, paths_agree=agree)
-
-
-def add_goal_constraint(assembled, goal):
-    """Rebuild the LP with the equilibrium equality at the goal observation."""
-    lp = assembled.lp
-    meta = assembled.meta
-    layout = meta.layout
-    d = layout.d
-    maps = assembled.basis.matrices(assembled.kernel, assembled.spec.width)
-    eq = _Coo()
-    theta0, _ = meta.var("theta")
-    pmfs = []
-    for l, blk in enumerate(assembled.blocks):
-        try:
-            pmf = make_delta_pmf(
-                assembled.spec,
-                blk.landmark - np.asarray(goal, dtype=float),
-            )
-        except LandmarkOutOfView as exc:
-            raise GoalObservationOffGrid(
-                "goal observation of landmark %d leaves the grid: %s" % (l, exc)
-            ) from None
-        pmfs.append(pmf)
-        feats = [R @ pmf.vector for R in maps]
-        for i, f in enumerate(feats):
-            for m in range(layout.n_u):
-                base = layout.gain_index(l, i, m, 0)
-                eq.add(m, theta0 + base + np.arange(d), f)
-    for m in range(layout.n_u):
-        eq.add(m, theta0 + layout.bias_start() + m, 1.0)
-    goal_block = eq.matrix((layout.n_u, meta.n_vars))
-    new_meta = LpMeta(layout, meta.kinds, meta.n_reg, meta.n_ps,
-                      n_goal_rows=layout.n_u)
-    new_lp = StandardLp(
-        lp.sense, lp.c,
-        A_ub=lp.A_ub, b_ub=lp.b_ub,
-        A_eq=sp.vstack([lp.A_eq[:meta.n_eq], goal_block]).tocsr(),
-        b_eq=np.concatenate([lp.b_eq[:meta.n_eq], np.zeros(layout.n_u)]),
-        lb=lp.lb, ub=lp.ub,
-    )
-    return AssembledCellLp(new_lp, new_meta, assembled.rows, assembled.regions,
-                           assembled.blocks, assembled.basis, assembled.spec,
-                           assembled.kernel, assembled.omega, assembled.caps,
-                           assembled.dynamics, assembled.alpha_v, assembled.alpha_h,
-                           v_floor=assembled.v_floor,
-                           goal=np.asarray(goal, dtype=float),
-                           paths_agree=assembled.paths_agree)
+                           v_floor=v_floor, goal=goal)
 
 
 def _tiebreak_lp(assembled, z_star, nominal_theta):
@@ -994,7 +898,7 @@ def goal_v_floor(entry, bounds, spec):
 
 def synthesize_environment(env, entries, graph, dynamics, spec, bounds, basis,
                            alpha_v, alpha_h, omega=None, caps=None,
-                           mode="stabilize", use_nominal=True, method="both"):
+                           mode="stabilize"):
     """One controller per plan cell; the goal cell gets the equilibrium
     equality and a floored stability region."""
     caps_map = dict(DELTA_CAP_DEFAULT, **(caps or {}))
@@ -1020,18 +924,15 @@ def synthesize_environment(env, entries, graph, dynamics, spec, bounds, basis,
                 cell, entry, dynamics, alpha_v, alpha_h, bounds, spec,
                 positions, basis, omega=omega, caps=caps,
                 barrier_facets=barrier, v_floor=v_floor, goal=goal,
-                method=method,
             )
-            nominal = None
-            if use_nominal:
-                layout = GainLayout(len(positions), basis.n_k, dynamics.n_u, dynamics.d)
-                if is_goal:
-                    nominal = nominal_goal_theta(layout, basis, positions, spec, env.goal)
-                else:
-                    nominal = nominal_transit_theta(
-                        layout, basis, entry, positions, bounds, spec,
-                        alpha_v, caps_map["clf"],
-                    )
+            layout = assembled.meta.layout
+            if is_goal:
+                nominal = nominal_goal_theta(layout, basis, positions, spec, env.goal)
+            else:
+                nominal = nominal_transit_theta(
+                    layout, basis, entry, positions, bounds, spec,
+                    alpha_v, caps_map["clf"],
+                )
             ctrl = synthesize_cell_controller(
                 assembled, cell, entry, list(cell.landmark_ids), nominal_theta=nominal
             )

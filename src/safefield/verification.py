@@ -10,7 +10,7 @@ whole dual construction end to end.
 import numpy as np
 
 from . import geometry
-from .clfcbf import GainLayout, build_cbf_rows, build_clf_row
+from .clfcbf import build_cell_rows
 from .errors import (
     DegenerateInput,
     InfeasibleMeasurementSet,
@@ -129,31 +129,15 @@ class VerificationReport:
 
 
 def _controller_rows(controller, cell):
-    layout = controller.layout
     maps = controller.feature_matrices(controller.grid)
-    maps_per_landmark = [maps] * len(controller.landmarks)
     entry = PlanEntry(controller.cell_id, controller.exit_face,
                       controller.v, controller.o)
-    rows = [build_clf_row(entry, controller.dynamics, controller.alpha_v,
-                          maps_per_landmark, layout)]
-    cbf_facets = [f for f in controller.facets if f is not None]
-    if cbf_facets:
-        cbf = build_cbf_rows(
-            -cell.body.A[cbf_facets], -cell.body.b[cbf_facets],
-            controller.dynamics, controller.alpha_h, maps_per_landmark, layout,
-        )
-        for j, row in enumerate(cbf):
-            row.facet = cbf_facets[j]
-        rows.extend(cbf)
-    regions = [cell.body for _ in rows]
-    if controller.v_floor is not None:
-        A = np.vstack([cell.body.A, -controller.v[None, :]])
-        b = np.concatenate(
-            [cell.body.b,
-             [float(controller.v @ controller.o) + float(controller.v_floor)]]
-        )
-        regions[0] = geometry.HalfspaceSet(A, b)
-    return rows, regions
+    return build_cell_rows(
+        cell.body, entry, controller.dynamics, controller.alpha_v,
+        controller.alpha_h, [maps] * len(controller.landmarks),
+        controller.layout, [f for f in controller.facets if f is not None],
+        controller.v_floor,
+    )
 
 
 def _sample_states(cell, regions, count, seed):

@@ -1,12 +1,14 @@
 """Shared builders for randomized test cells and small synthesis setups."""
 
 import numpy as np
+import scipy.sparse as sp
 
 from safefield.clfcbf import LinearDynamics
 from safefield.geometry import ConvexCell, Environment, polygon_to_halfspaces
+from safefield.lp_core import StandardLp
 from safefield.measurement import GridSpec, UncertaintyBounds
 from safefield.planning import PlanEntry
-from safefield.synthesis import GainBasis
+from safefield.synthesis import GainBasis, _machine_fill
 
 
 def random_convex_polygon(rng, n_min=4, n_max=7, radius=3.0, center=(0.0, 0.0)):
@@ -41,6 +43,20 @@ def transit_entry_for(cell, exit_face):
     on = [v for v in verts if abs(A[exit_face] @ v + b[exit_face]) <= 1e-9]
     o = np.mean(on, axis=0)
     return PlanEntry(cell.id, exit_face, -A[exit_face], o)
+
+
+def machine_lp(asm):
+    """The assembled LP with its dualized rows rebuilt by the mechanical
+    derivation from the same rows, regions and blocks. The goal equality is
+    not a dualization, so its rows are copied from the assembled LP."""
+    meta, lp = asm.meta, asm.lp
+    ub, b_ub, eq, b_eq = _machine_fill(meta, asm.rows, asm.regions, asm.blocks)
+    g0 = meta.n_eq - meta.n_goal_rows
+    A_eq = sp.vstack([eq.matrix((meta.n_eq, meta.n_vars))[:g0], lp.A_eq[g0:]])
+    b_eq[g0:] = lp.b_eq[g0:]
+    return StandardLp(lp.sense, lp.c,
+                      A_ub=ub.matrix((meta.n_ub, meta.n_vars)), b_ub=b_ub,
+                      A_eq=A_eq, b_eq=b_eq, lb=lp.lb, ub=lp.ub)
 
 
 def small_setup(n=(6, 6), width=(16.0, 16.0), epsilon=2.0, sigma_m=8.0):

@@ -19,7 +19,7 @@ from safefield.synthesis import (assemble_robust_lp,
                                  synthesize_environment)
 from safefield.verification import adversarial_pmf, verify_controller
 
-from helpers import random_cell, small_setup, transit_entry_for
+from helpers import machine_lp, random_cell, small_setup, transit_entry_for
 
 pytestmark = pytest.mark.filterwarnings("ignore:bounds")
 
@@ -98,12 +98,11 @@ def test_inner_duality_and_assembly_routes_agree():
         cell, lm = random_cell(rng, cell_id=k)
         cell.exit_face = 0
         entry = transit_entry_for(cell, 0)
+        asm = assemble_robust_lp(cell, entry, dyn, 1.0, 100.0,
+                                 small_bounds, small, [lm], basis)
         objs = []
-        for method in ("hand", "machine"):
-            asm = assemble_robust_lp(cell, entry, dyn, 1.0, 100.0,
-                                     small_bounds, small, [lm], basis,
-                                     method=method)
-            sol = solve_lp(asm.lp)
+        for lp in (asm.lp, machine_lp(asm)):
+            sol = solve_lp(lp)
             assert sol.status == "Optimal"
             objs.append(sol.objective)
         assert abs(objs[0] - objs[1]) <= 1e-6

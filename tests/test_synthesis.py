@@ -3,7 +3,7 @@ import json
 import numpy as np
 import pytest
 
-from helpers import random_cell, transit_entry_for
+from helpers import machine_lp, random_cell, transit_entry_for
 from safefield.clfcbf import LinearDynamics
 from safefield.errors import GridMismatch, LandmarkNotVisible, SynthesisInfeasible
 from safefield.geometry import ConvexCell, polygon_to_halfspaces
@@ -13,6 +13,7 @@ from safefield.planning import PlanEntry
 from safefield.synthesis import (
     DELTA_CAP_DEFAULT,
     GainBasis,
+    _matrices_match,
     assemble_robust_lp,
     goal_v_floor,
     load_controllers,
@@ -33,14 +34,14 @@ def setup():
     return spec, bounds, GainBasis(), LinearDynamics.single_integrator(2)
 
 
-def assembled_random(rng, spec, bounds, basis, dyn, method="both", positions=None):
+def assembled_random(rng, spec, bounds, basis, dyn, positions=None):
     cell, lm = random_cell(rng)
     cell.exit_face = 0
     entry = transit_entry_for(cell, 0)
     if positions is None:
         positions = [lm]
     asm = assemble_robust_lp(cell, entry, dyn, ALPHA_V, ALPHA_H, bounds, spec,
-                             positions, basis, method=method)
+                             positions, basis)
     return asm, cell, entry, lm
 
 
@@ -84,11 +85,21 @@ def test_lp_dimensions_square():
 
 
 def test_hand_and_machine_assemblies_agree():
+    # _matrices_match compares at MATRIX_MATCH_TOL (1e-12)
     spec, bounds, basis, dyn = setup()
     rng = np.random.default_rng(11)
-    for _ in range(5):
-        asm, _, _, _ = assembled_random(rng, spec, bounds, basis, dyn)
-        assert asm.paths_agree
+    cases = [assembled_random(rng, spec, bounds, basis, dyn)[0] for _ in range(5)]
+    cases.append(goal_square(spec, bounds, basis, dyn)[0])
+    cell, lm = random_cell(rng)
+    cell.exit_face = 0
+    cases.append(assemble_robust_lp(cell, transit_entry_for(cell, 0), dyn,
+                                    ALPHA_V, ALPHA_H, bounds, spec,
+                                    [lm, lm + np.array([1.0, -0.5])], basis))
+    assert cases[-2].meta.n_goal_rows and cases[-1].meta.layout.n_landmarks == 2
+    for asm in cases:
+        lp, ref = asm.lp, machine_lp(asm)
+        assert _matrices_match(lp.A_ub, lp.b_ub, lp.A_eq, lp.b_eq,
+                               ref.A_ub, ref.b_ub, ref.A_eq, ref.b_eq)
 
 
 def test_hand_and_machine_optima_match():
@@ -98,11 +109,11 @@ def test_hand_and_machine_optima_match():
         cell, lm = random_cell(rng)
         cell.exit_face = 0
         entry = transit_entry_for(cell, 0)
+        asm = assemble_robust_lp(cell, entry, dyn, ALPHA_V, ALPHA_H,
+                                 bounds, spec, [lm], basis)
         objs = []
-        for method in ("hand", "machine"):
-            asm = assemble_robust_lp(cell, entry, dyn, ALPHA_V, ALPHA_H,
-                                     bounds, spec, [lm], basis, method=method)
-            sol = solve_lp(asm.lp)
+        for lp in (asm.lp, machine_lp(asm)):
+            sol = solve_lp(lp)
             assert sol.status == "Optimal"
             objs.append(sol.objective)
         assert abs(objs[0] - objs[1]) <= 1e-6 * (1.0 + abs(objs[0]))
