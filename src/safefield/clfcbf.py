@@ -74,16 +74,6 @@ class AffineInGains:
     def evaluate(self, theta):
         return self.const + self.coef @ np.asarray(theta, dtype=float)
 
-    def __add__(self, other):
-        if isinstance(other, AffineInGains):
-            return AffineInGains(self.const + other.const, self.coef + other.coef)
-        return AffineInGains(self.const + np.asarray(other, dtype=float), self.coef)
-
-    def __mul__(self, scalar):
-        return AffineInGains(self.const * scalar, self.coef * scalar)
-
-    __rmul__ = __mul__
-
 
 class LinearDynamics:
     """xdot = A x + B u."""
@@ -113,14 +103,12 @@ class ConstraintRow:
     """One row c_x^T x + c_p^T P_all + r <= 0; k=0 is the stability row, the
     rest are safety rows, one per obstacle facet."""
 
-    def __init__(self, kind, facet, c_x, c_p, r, u_coef):
+    def __init__(self, kind, facet, c_x, c_p, r):
         self.kind = kind
         self.facet = facet
         self.c_x = np.asarray(c_x, dtype=float)
         self.c_p = c_p
         self.r = r
-        # u_coef: the row reads ... + u_coef^T u + ...; kept for diagnostics
-        self.u_coef = np.asarray(u_coef, dtype=float)
 
 
 def _gain_image(w, maps_per_landmark, layout):
@@ -158,7 +146,7 @@ def build_clf_row(entry, dynamics, alpha_v, maps_per_landmark, layout):
     w = dynamics.B.T @ v
     c_p = _gain_image(w, maps_per_landmark, layout)
     r = _bias_term(w, -alpha_v * float(v @ np.asarray(entry.o, dtype=float)), layout)
-    return ConstraintRow("clf", None, c_x, c_p, r, w)
+    return ConstraintRow("clf", None, c_x, c_p, r)
 
 
 def build_cbf_rows(A_h, b_h, dynamics, alpha_h, maps_per_landmark, layout):
@@ -177,7 +165,7 @@ def build_cbf_rows(A_h, b_h, dynamics, alpha_h, maps_per_landmark, layout):
         w = -dynamics.B.T @ a
         c_p = _gain_image(w, maps_per_landmark, layout)
         r = _bias_term(w, -alpha_h * float(b_h[j]), layout)
-        rows.append(ConstraintRow("cbf", j, c_x, c_p, r, w))
+        rows.append(ConstraintRow("cbf", j, c_x, c_p, r))
     return rows
 
 

@@ -1,5 +1,5 @@
 """Standard-form linear programs: container, solver with dual extraction and
-solution validation, mechanical dualization, and a plain-text dump."""
+solution validation, and mechanical dualization."""
 
 import numpy as np
 import scipy.sparse as sp
@@ -25,7 +25,7 @@ class StandardLp:
     lb <= x <= ub. Matrices may be dense or scipy.sparse."""
 
     def __init__(self, sense, c, A_ub=None, b_ub=None, A_eq=None, b_eq=None,
-                 lb=None, ub=None, names=None):
+                 lb=None, ub=None):
         if sense not in ("min", "max"):
             raise DimensionMismatch("sense must be 'min' or 'max'")
         self.sense = sense
@@ -43,13 +43,6 @@ class StandardLp:
             raise DimensionMismatch("equality block shape mismatch")
         if self.lb.shape[0] != n or self.ub.shape[0] != n:
             raise DimensionMismatch("bound length mismatch")
-        if names is not None:
-            names = list(names)
-            if len(names) != n:
-                raise DimensionMismatch("name count mismatch")
-            if len(set(names)) != n:
-                raise DimensionMismatch("variable names must be unique")
-        self.names = names
 
     @property
     def n_vars(self):
@@ -135,16 +128,13 @@ def dualize(lp):
     n = lp.n_vars
     extra_rows = []
     extra_rhs = []
-    extra_names = []
     for j in range(n):
         if np.isfinite(lp.ub[j]):
             extra_rows.append((j, 1.0))
             extra_rhs.append(lp.ub[j])
-            extra_names.append("ub[%d]" % j)
         if np.isfinite(lp.lb[j]):
             extra_rows.append((j, -1.0))
             extra_rhs.append(-lp.lb[j])
-            extra_names.append("lb[%d]" % j)
     m_extra = len(extra_rows)
     if m_extra:
         rows = np.arange(m_extra)
@@ -166,47 +156,8 @@ def dualize(lp):
     b_eq_dual = -c_min
     cost = np.concatenate([b_ub, lp.b_eq])
     lb = np.concatenate([np.zeros(m_ub), np.full(m_eq, -np.inf)])
-    names = ["mu[%d]" % i for i in range(lp.b_ub.shape[0])] + extra_names
-    names += ["y[%d]" % i for i in range(m_eq)]
     if lp.sense == "min":
         # dual: max -b^T mu - e^T y
-        return StandardLp("max", -cost, A_eq=A_eq_dual, b_eq=b_eq_dual, lb=lb, names=names)
+        return StandardLp("max", -cost, A_eq=A_eq_dual, b_eq=b_eq_dual, lb=lb)
     # primal max c^T x = -min(-c): dual min b^T mu + e^T y with A^T mu + E^T y = c
-    return StandardLp("min", cost, A_eq=A_eq_dual, b_eq=b_eq_dual, lb=lb, names=names)
-
-
-def _fmt(v):
-    return "%.17g" % v
-
-
-def dump_lp(lp, header_lines=()):
-    """Stable plain-text listing of the LP for debugging."""
-    out = []
-    for line in header_lines:
-        out.append("# %s" % line)
-    out.append("sense %s" % lp.sense)
-    out.append("vars %d ub_rows %d eq_rows %d" % (lp.n_vars, lp.b_ub.shape[0], lp.b_eq.shape[0]))
-    names = lp.names or ["x[%d]" % j for j in range(lp.n_vars)]
-    out.append("objective " + " ".join(
-        "%s*%s" % (names[j], _fmt(lp.c[j])) for j in np.nonzero(lp.c)[0]
-    ))
-    out.append("bounds")
-    for j in range(lp.n_vars):
-        out.append("  %s in [%s, %s]" % (names[j], _fmt(lp.lb[j]), _fmt(lp.ub[j])))
-    csr_ub = lp.A_ub.tocsr()
-    out.append("ub_rows")
-    for i in range(lp.b_ub.shape[0]):
-        lo, hi = csr_ub.indptr[i], csr_ub.indptr[i + 1]
-        terms = " ".join(
-            "%s*%s" % (names[csr_ub.indices[t]], _fmt(csr_ub.data[t])) for t in range(lo, hi)
-        )
-        out.append("  %s <= %s" % (terms, _fmt(lp.b_ub[i])))
-    csr_eq = lp.A_eq.tocsr()
-    out.append("eq_rows")
-    for i in range(lp.b_eq.shape[0]):
-        lo, hi = csr_eq.indptr[i], csr_eq.indptr[i + 1]
-        terms = " ".join(
-            "%s*%s" % (names[csr_eq.indices[t]], _fmt(csr_eq.data[t])) for t in range(lo, hi)
-        )
-        out.append("  %s = %s" % (terms, _fmt(lp.b_eq[i])))
-    return "\n".join(out) + "\n"
+    return StandardLp("min", cost, A_eq=A_eq_dual, b_eq=b_eq_dual, lb=lb)

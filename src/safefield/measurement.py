@@ -6,12 +6,10 @@ y = landmark - robot. The vectorized view P uses row-major (C) order, axis 0
 slowest, everywhere in the package.
 """
 
-import csv
 import warnings
 
 import numpy as np
 
-from . import _kernels
 from .errors import DimensionMismatch, LandmarkOutOfView
 
 SNAP_TIE_TOL = 1e-9
@@ -145,9 +143,15 @@ def blur_pmf(pmf, drift, variance):
         lo, hi = int(occupied[q].min()), int(occupied[q].max())
         shift[q] = min(max(shift[q], -lo), spec.n[q] - 1 - hi)
     kernel = gaussian_kernel(spec, variance)
-    if kernel.ndim != 2:
-        kernel = kernel.reshape(1, 1)
-    out = _kernels.scatter_blur_2d(pmf.mass, kernel, shift)
+    n, m = spec.n, kernel.shape
+    half = [(m[q] - 1) // 2 for q in range(2)]
+    out = np.zeros(n)
+    # one slice-add per occupied cell: a delta PMF costs one paste
+    for i, j in zip(*occupied):
+        lo = [i + shift[0] - half[0], j + shift[1] - half[1]]
+        dst = tuple(slice(max(lo[q], 0), min(lo[q] + m[q], n[q])) for q in range(2))
+        src = tuple(slice(d.start - lo[q], d.stop - lo[q]) for q, d in enumerate(dst))
+        out[dst] += pmf.mass[i, j] * kernel[src]
     total = out.sum()
     return PmfGrid(spec, out / total)
 
@@ -216,21 +220,3 @@ class ProbabilityBlocks:
     @property
     def n_points(self):
         return self.U.shape[1]
-
-
-def save_pmf_csv(pmf, path):
-    with open(path, "w", newline="") as fh:
-        w = csv.writer(fh)
-        w.writerow(list(pmf.spec.n) + list(pmf.spec.width))
-        for v in pmf.vector:
-            w.writerow([repr(float(v))])
-
-
-def load_pmf_csv(path):
-    with open(path, newline="") as fh:
-        rows = list(csv.reader(fh))
-    head = [float(v) for v in rows[0]]
-    d = len(head) // 2
-    spec = GridSpec([int(v) for v in head[:d]], head[d:])
-    vals = np.array([float(r[0]) for r in rows[1:]])
-    return PmfGrid(spec, vals.reshape(spec.n))

@@ -101,23 +101,11 @@ def build_graph(env):
                 edges.append(best)
     graph = CellGraph([c.id for c in cells], edges)
     if graph.cell_ids:
-        seen = _bfs_order(graph, graph.cell_ids[0])
+        seen = _bfs_distances(graph, graph.cell_ids[0])
         if len(seen) != len(graph.cell_ids):
             missing = sorted(set(graph.cell_ids) - set(seen))
             raise DisconnectedFreeSpace("cells %s unreachable from cell %d" % (missing, graph.cell_ids[0]))
     return graph
-
-
-def _bfs_order(graph, root):
-    seen = [root]
-    queue = [root]
-    while queue:
-        cur = queue.pop(0)
-        for nb in graph.neighbors(cur):
-            if nb not in seen:
-                seen.append(nb)
-                queue.append(nb)
-    return seen
 
 
 def _bfs_distances(graph, target):

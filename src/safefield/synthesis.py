@@ -34,6 +34,7 @@ from .errors import (
 )
 from .lp_core import StandardLp, solve_lp
 from .measurement import build_expectation_kernel, make_delta_pmf
+from .simulation import control_input
 
 OMEGA_DEFAULT = {"clf": 1.0, "cbf": 1.0}
 DELTA_CAP_DEFAULT = {"clf": 0.25, "cbf": 4.0}
@@ -481,12 +482,11 @@ def stack_landmarks(kernel, bounds, positions):
 
 
 class AssembledCellLp:
-    """Phase-one LP plus the ingredients needed for tiebreaking, goal
-    constraints, extraction and dumping."""
+    """Phase-one LP plus the ingredients needed for tiebreaking and
+    extraction."""
 
-    def __init__(self, lp, meta, rows, regions, blocks, basis, spec, kernel,
-                 omega, caps, dynamics, alpha_v, alpha_h, v_floor=None,
-                 goal=None):
+    def __init__(self, lp, meta, rows, regions, blocks, basis, spec,
+                 dynamics, alpha_v, alpha_h, v_floor=None):
         self.lp = lp
         self.meta = meta
         self.rows = rows
@@ -494,32 +494,10 @@ class AssembledCellLp:
         self.blocks = blocks
         self.basis = basis
         self.spec = spec
-        self.kernel = kernel
-        self.omega = omega
-        self.caps = caps
         self.dynamics = dynamics
         self.alpha_v = alpha_v
         self.alpha_h = alpha_h
         self.v_floor = v_floor
-        self.goal = goal
-
-    def header_lines(self):
-        m = self.meta
-        d, L = m.layout.d, len(m.n_ps)
-        core = m.layout.n_gains + m.n_rows
-        for k in range(m.n_rows):
-            core += m.n_reg[k] + sum(
-                1 + 2 * d + d + 4 * d * n_p + n_p * m.n_reg[k] for n_p in m.n_ps
-            )
-        return [
-            "robust cell LP: d=%d n_u=%d L=%d n_p=%s n_k=%d n_rows=%d n_reg=%s goal_rows=%d"
-            % (d, m.layout.n_u, L, m.n_ps, m.layout.n_k, m.n_rows, m.n_reg, m.n_goal_rows),
-            "n_gains = L*n_k*n_u*d + n_u = %d" % m.layout.n_gains,
-            "vars = n_gains + n_rows + sum_k [n_reg_k + sum_l (1 + 2d + d + 4*d*n_p_l"
-            " + n_p_l*n_reg_k)] = %d" % core,
-            "ub_rows = sum_k [1 + sum_l n_p_l] = %d" % m.n_ub,
-            "eq_rows = sum_k [d + sum_l 3*d*n_p_l] + goal_rows = %d" % m.n_eq,
-        ]
 
 
 def _check_visibility(cell, landmarks, spec):
@@ -602,9 +580,8 @@ def assemble_robust_lp(cell, entry, dynamics, alpha_v, alpha_h, bounds, spec,
                     A_ub=ub.matrix((meta.n_ub, meta.n_vars)), b_ub=b_ub,
                     A_eq=eq.matrix((meta.n_eq, meta.n_vars)), b_eq=b_eq,
                     lb=lb, ub=ub_bounds)
-    return AssembledCellLp(lp, meta, rows, regions, blocks, basis, spec, kernel,
-                           omega_k, caps_k, dynamics, alpha_v, alpha_h,
-                           v_floor=v_floor, goal=goal)
+    return AssembledCellLp(lp, meta, rows, regions, blocks, basis, spec,
+                           dynamics, alpha_v, alpha_h, v_floor=v_floor)
 
 
 def _tiebreak_lp(assembled, z_star, nominal_theta):
@@ -832,13 +809,10 @@ def synthesize_cell_controller(assembled, cell, entry, landmark_ids,
 def _saturation_report(ctrl, cell):
     """Worst control magnitude over the cell vertices under exact sensing;
     the input set is not part of the LP, so report it instead."""
-    mats = ctrl.control_matrices(ctrl.grid)
     worst = 0.0
     for x in cell.vertices:
-        u = ctrl.bias.copy()
-        for mat, lm in zip(mats, ctrl.landmarks):
-            pmf = make_delta_pmf(ctrl.grid, lm - x)
-            u = u + mat @ pmf.vector
+        u = control_input(ctrl, [make_delta_pmf(ctrl.grid, lm - x)
+                                 for lm in ctrl.landmarks])
         worst = max(worst, float(np.max(np.abs(u))))
     return {"max_u_vertices": worst}
 

@@ -9,8 +9,8 @@ import pytest
 from safefield import planning, simulation
 from safefield.lp_core import solve_lp
 from safefield.measurement import (GridSpec, PmfGrid, UncertaintyBounds,
-                                   blur_pmf, build_expectation_kernel, mad,
-                                   make_delta_pmf)
+                                   blur_pmf, build_expectation_kernel,
+                                   gaussian_kernel, mad, make_delta_pmf)
 from safefield.geometry import ConvexCell, polygon_to_halfspaces
 from safefield.planning import PlanEntry
 from safefield.simulation import SensorModel, SimConfig, control_input
@@ -153,6 +153,37 @@ def test_goal_cell_pins_the_goal(case_setup):
         assert np.linalg.norm(x - goal) <= GOAL_TOL
 
 
+def _snapped_shift(spec, drift, occupied):
+    """Drift in whole cells, clamped so the occupied index box stays on-grid."""
+    shift = np.floor(np.asarray(drift) / np.asarray(spec.pitch) + 0.5)
+    lo = [min(idx[q] for idx in occupied) for q in range(2)]
+    hi = [max(idx[q] for idx in occupied) for q in range(2)]
+    return [int(np.clip(shift[q], -lo[q], spec.n[q] - 1 - hi[q]))
+            for q in range(2)]
+
+
+def _direct_blur(mass, kernel, shift):
+    """Output entry (i, j) gathers mass[(i, j) - shift - tap] * kernel[tap]
+    over every tap, one product at a time, then the grid is renormalized."""
+    n1, n2 = mass.shape
+    m1, m2 = kernel.shape
+    h1, h2 = (m1 - 1) // 2, (m2 - 1) // 2
+    w, k = mass.tolist(), kernel.tolist()
+    out = np.zeros(mass.shape)
+    for i in range(n1):
+        for j in range(n2):
+            acc = 0.0
+            for a in range(m1):
+                si = i - shift[0] - a + h1
+                if 0 <= si < n1:
+                    for b in range(m2):
+                        sj = j - shift[1] - b + h2
+                        if 0 <= sj < n2:
+                            acc += w[si][sj] * k[a][b]
+            out[i, j] = acc
+    return out / out.sum()
+
+
 def test_measurement_primitives_are_exact():
     spec = GridSpec((30, 30), (40.0, 40.0))
     U = build_expectation_kernel(spec)
@@ -170,10 +201,45 @@ def test_measurement_primitives_are_exact():
                 slow += abs(U[q, j] - y[q]) * P[j]
             assert abs(fast[q] - slow) <= 1e-10
     for _ in range(20):
-        mass = rng.random(spec.n)
+        # dense mass on a random index box, so the shift clamp also binds
+        lo = rng.integers(0, 10, size=2)
+        hi = rng.integers(20, 30, size=2)
+        mass = np.zeros(spec.n)
+        mass[lo[0]:hi[0] + 1, lo[1]:hi[1] + 1] = rng.random(hi - lo + 1)
         pmf = PmfGrid(spec, mass / mass.sum())
-        out = blur_pmf(pmf, rng.uniform(-3.0, 3.0, size=2), rng.uniform(0, 4))
+        drift = rng.uniform(-12.0, 12.0, size=2)
+        variance = rng.uniform(0, 4)
+        out = blur_pmf(pmf, drift, variance)
         assert abs(out.mass.sum() - 1.0) <= 1e-12
+        shift = _snapped_shift(spec, drift, [lo, hi])
+        direct = _direct_blur(pmf.mass, gaussian_kernel(spec, variance), shift)
+        assert np.max(np.abs(out.mass - direct)) <= 1e-15
+    clipped = 0
+    for _ in range(300):
+        # deltas anywhere on the grid, a third of them in a corner box
+        y = rng.uniform(-20.0, 20.0, size=2)
+        if rng.random() < 1.0 / 3.0:
+            y = np.sign(y) * rng.uniform(15.0, 20.0, size=2)
+        drift = rng.uniform(-6.0, 6.0, size=2)
+        variance = rng.uniform(0.5, 12.0)
+        pmf = make_delta_pmf(spec, y)
+        out = blur_pmf(pmf, drift, variance)
+        kernel = gaussian_kernel(spec, variance)
+        idx = spec.snap(y)
+        shift = _snapped_shift(spec, drift, [idx])
+        half = [(m - 1) // 2 for m in kernel.shape]
+        paste = np.zeros(spec.n)
+        placed = 0
+        for a in range(kernel.shape[0]):
+            for b in range(kernel.shape[1]):
+                i = idx[0] + shift[0] + a - half[0]
+                j = idx[1] + shift[1] + b - half[1]
+                if 0 <= i < spec.n[0] and 0 <= j < spec.n[1]:
+                    paste[i, j] = kernel[a, b]
+                    placed += 1
+        clipped += placed < kernel.size
+        assert np.array_equal(out.mass, paste / paste.sum())
+    assert 50 <= clipped <= 250
     for j in range(n_p):
         idx = np.unravel_index(j, spec.n)
         assert spec.snap(pts[j]) == idx

@@ -2,7 +2,7 @@ import numpy as np
 import pytest
 
 from safefield.errors import DimensionMismatch
-from safefield.lp_core import StandardLp, dualize, dump_lp, solve_lp
+from safefield.lp_core import StandardLp, dualize, solve_lp
 
 
 def random_bounded_lp(rng):
@@ -94,14 +94,3 @@ def test_shape_validation():
         StandardLp("min", [1.0, 2.0], A_ub=[[1.0]], b_ub=[1.0])
     with pytest.raises(DimensionMismatch):
         StandardLp("mid", [1.0])
-    with pytest.raises(DimensionMismatch):
-        StandardLp("min", [1.0], names=["a", "b"])
-
-
-def test_dump_is_stable():
-    lp = StandardLp("max", [1.0, 0.0], A_ub=[[1.0, 1.0]], b_ub=[2.0],
-                    lb=[0.0, 0.0], names=["p", "q"])
-    text = dump_lp(lp, header_lines=["demo"])
-    assert text == dump_lp(lp, header_lines=["demo"])
-    assert text.startswith("# demo\nsense max\nvars 2 ub_rows 1 eq_rows 0\n")
-    assert "p*1 q*1 <= 2" in text

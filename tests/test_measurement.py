@@ -10,10 +10,8 @@ from safefield.measurement import (
     blur_pmf,
     build_expectation_kernel,
     check_pmf_feasible,
-    load_pmf_csv,
     mad,
     make_delta_pmf,
-    save_pmf_csv,
 )
 
 
@@ -122,17 +120,6 @@ def test_pmf_validation():
         PmfGrid(spec, np.array([[0.5, 0.5], [0.5, -0.5]]))
     with pytest.raises(ValueError):
         PmfGrid(spec, np.full((2, 2), 0.3))
-
-
-def test_pmf_csv_roundtrip(tmp_path):
-    rng = np.random.default_rng(5)
-    spec = GridSpec((5, 4), (10.0, 8.0))
-    pmf = random_pmf(rng, spec)
-    path = tmp_path / "pmf.csv"
-    save_pmf_csv(pmf, path)
-    back = load_pmf_csv(path)
-    assert back.spec == spec
-    assert np.array_equal(back.mass, pmf.mass)
 
 
 def test_bounds_warn_below_pitch():

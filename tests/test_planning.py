@@ -1,7 +1,7 @@
 import numpy as np
 import pytest
 
-from safefield.errors import NoPath
+from safefield.errors import DisconnectedFreeSpace, NoPath
 from safefield.geometry import ConvexCell, Environment, polygon_to_halfspaces
 from safefield.planning import (
     build_graph,
@@ -21,6 +21,17 @@ def two_squares():
         [[1.0, 0.0], [2.0, 0.0], [2.0, 1.0], [1.0, 1.0]]), [1])
     return Environment([a, b], [[0.0, 0.0], [2.0, 0.0]],
                        [0.5, 0.5], [2.0, 0.0])
+
+
+def test_disconnected_cells_raise():
+    # the second square touches the first at no facet
+    a = ConvexCell(0, polygon_to_halfspaces(
+        [[0.0, 0.0], [1.0, 0.0], [1.0, 1.0], [0.0, 1.0]]), [0])
+    b = ConvexCell(1, polygon_to_halfspaces(
+        [[3.0, 0.0], [4.0, 0.0], [4.0, 1.0], [3.0, 1.0]]), [1])
+    env = Environment([a, b], [[0.0, 0.0], [4.0, 0.0]], [0.5, 0.5], [4.0, 0.0])
+    with pytest.raises(DisconnectedFreeSpace, match=r"cells \[1\] unreachable from cell 0"):
+        build_graph(env)
 
 
 def test_two_square_edge_oracle():

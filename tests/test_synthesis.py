@@ -80,8 +80,6 @@ def test_lp_dimensions_square():
     assert asm.meta.n_eq == 224
     assert asm.lp.A_ub.shape == (40, 494)
     assert asm.lp.A_eq.shape == (224, 494)
-    header = "\n".join(asm.header_lines())
-    assert "= 494" in header and "= 40" in header and "= 224" in header
 
 
 def test_hand_and_machine_assemblies_agree():
