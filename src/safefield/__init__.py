@@ -88,7 +88,7 @@ from .verification import (
     adversarial_pmf,
     verify_controller,
     verify_environment,
-    worst_case_row_value,
+    worst_case_row_values,
 )
 
 __version__ = "0.1.0"

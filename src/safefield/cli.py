@@ -86,6 +86,9 @@ class RunConfig:
         self.field_resolution = tuple(field.get("resolution", (12, 12)))
         self.field_cells = field.get("cells")
         self.verify_count = int(raw.get("verify_count", 200))
+        if self.verify_count < 0:
+            raise ConfigError("verify_count must be non-negative",
+                              path=path, field="verify_count")
         self.out = raw.get("out", "out")
         self.seed = int(raw.get("seed", 0))
 

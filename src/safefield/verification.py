@@ -5,9 +5,18 @@ attacks the original, un-dualized problem instead: at sampled states it
 solves the inner maximization over consistent PMFs directly and checks that
 every row still clears its synthesized margin. Agreement here validates the
 whole dual construction end to end.
+
+adversarial_pmf solves one inner maximization as a full LP. The verifier
+solves all of a controller's instances at once by column generation
+(inner_maxima), which prices every grid column before it accepts a value,
+and keeps adversarial_pmf as its fallback and test oracle.
 """
 
+import itertools
+import logging
+
 import numpy as np
+import scipy.sparse as sp
 
 from . import geometry
 from .clfcbf import build_cell_rows
@@ -23,20 +32,26 @@ from .planning import PlanEntry
 
 SLACK_TOL = 1e-6
 REGION_TOL = 1e-9
+# Column generation in inner_maxima: reduced-cost tolerance relative to
+# 1 + |c|_inf, payoff columns seeded per master, columns added per round.
+PRICE_TOL = 1e-9
+SEED_TOP_K = 8
+COLUMNS_PER_ROUND = 8
+
+log = logging.getLogger("safefield")
 
 
 class AdversaryResult:
     """Worst consistent PMF for one landmark at one state."""
 
-    def __init__(self, worst_pmf, inner_value, kind, x, duality_gap):
+    def __init__(self, worst_pmf, inner_value, x, duality_gap):
         self.worst_pmf = worst_pmf
         self.inner_value = float(inner_value)
-        self.kind = kind
         self.x = np.asarray(x, dtype=float)
         self.duality_gap = float(duality_gap)
 
 
-def adversarial_pmf(c_p, x, spec, bounds, landmark, kind=None):
+def adversarial_pmf(c_p, x, spec, bounds, landmark):
     """Maximize c_p over the PMFs consistent with observing the landmark
     from x: unit mass, mean within epsilon of the true offset, and mean
     absolute deviation (computed against the true offset) within sigma_m."""
@@ -72,23 +87,163 @@ def adversarial_pmf(c_p, x, spec, bounds, landmark, kind=None):
         raise NumericalFailure("adversary LP duality gap %.3g" % gap)
     mass = np.clip(sol.x, 0.0, None)
     pmf = PmfGrid(spec, (mass / mass.sum()).reshape(spec.n))
-    return AdversaryResult(pmf, sol.objective, kind, x, gap)
+    return AdversaryResult(pmf, sol.objective, x, gap)
 
 
-def worst_case_row_value(row, theta, x, spec, bounds, landmarks):
-    """c_x.x + sum of per-landmark inner maxima + r, i.e. the row's value
-    under the worst consistent measurements at x."""
-    c_p = row.c_p.evaluate(theta)
-    value = float(row.c_x @ np.asarray(x, dtype=float) + row.r.evaluate(theta)[0])
-    results = []
-    off = 0
-    for lm in landmarks:
-        n_p = spec.n_points
-        res = adversarial_pmf(c_p[off:off + n_p], x, spec, bounds, lm, kind=row.kind)
-        results.append(res)
-        value += res.inner_value
-        off += n_p
-    return value, results
+def _stencil(spec, Y):
+    """Bilinear stencil of each offset Y[i]: the 2^d grid centers around the
+    point of the centers' hull nearest to Y[i], and the non-negative weights
+    whose mean is that point. Flat indices and weights are (m, 2^d)."""
+    m, d = Y.shape
+    lower, frac = [], []
+    for q in range(d):
+        s = (Y[:, q] - spec.centers(q)[0]) / spec.pitch[q]
+        j = np.clip(np.floor(s), 0, spec.n[q] - 2).astype(int)
+        lower.append(j)
+        frac.append(np.clip(s - j, 0.0, 1.0))
+    idx = np.empty((m, 2 ** d), dtype=int)
+    w = np.ones((m, 2 ** d))
+    for c, corner in enumerate(itertools.product((0, 1), repeat=d)):
+        idx[:, c] = np.ravel_multi_index(
+            [lower[q] + corner[q] for q in range(d)], spec.n)
+        for q in range(d):
+            w[:, c] *= frac[q] if corner[q] else 1.0 - frac[q]
+    return idx, w
+
+
+def _solve_masters(C, Y, member, U, bounds):
+    """Solve the restricted masters of the open instances as one
+    block-diagonal LP: block i keeps the columns member[i] of instance i's
+    adversary LP. Returns each block's objective and its duals (lambda >= 0
+    on the 3d inequality rows, mu on the unit-mass row)."""
+    nb, d = Y.shape
+    inst, col = np.nonzero(member)
+    nv = inst.size
+    n_rows = 3 * d
+    Ucol = U[:, col]
+    coef = np.vstack([Ucol, -Ucol, np.abs(Ucol - Y[inst].T)])
+    A_ub = sp.csr_matrix(
+        (coef.ravel(),
+         ((inst * n_rows + np.arange(n_rows)[:, None]).ravel(),
+          np.tile(np.arange(nv), n_rows))),
+        shape=(nb * n_rows, nv),
+    )
+    b_ub = np.hstack([Y + bounds.epsilon, -Y + bounds.epsilon,
+                      np.full((nb, d), bounds.sigma_m)])
+    c = C[inst, col]
+    lp = StandardLp(
+        "max", c,
+        A_ub=A_ub, b_ub=b_ub.ravel(),
+        A_eq=sp.csr_matrix((np.ones(nv), (inst, np.arange(nv))), shape=(nb, nv)),
+        b_eq=np.ones(nb),
+        lb=np.zeros(nv),
+    )
+    sol = solve_lp(lp)
+    if sol.status != "Optimal":
+        raise NumericalFailure("adversary master LP returned %s" % sol.status)
+    obj = np.bincount(inst, weights=c * sol.x, minlength=nb)
+    lam = np.clip(sol.duals_ub, 0.0, None).reshape(nb, n_rows)
+    dual_obj = np.einsum("ij,ij->i", b_ub, lam) + sol.duals_eq
+    return obj, lam, sol.duals_eq, dual_obj
+
+
+def inner_maxima(C, X, landmarks, spec, bounds):
+    """Batched adversarial_pmf values: entry i is the maximum of C[i] @ P
+    over the PMFs consistent with observing landmarks[i] from X[i], or NaN
+    when no PMF is.
+
+    Exact column generation (Gilmore & Gomory 1961). Each instance's
+    restricted master starts from its SEED_TOP_K largest payoffs and the
+    bilinear stencil around the true offset, whose PMF is checked against
+    the bounds here, so every master is feasible. All open masters are
+    solved as one block-diagonal LP; every grid column is then priced at
+    the block's duals. An instance is accepted only when no reduced cost
+    exceeds PRICE_TOL * (1 + |C[i]|_inf) and the master's objective is
+    within SLACK_TOL of the dual bound b.lambda + mu + max(0, max reduced
+    cost), which is a dual-feasible bound of the full LP; otherwise up to
+    COLUMNS_PER_ROUND positive columns join its master. Instances without
+    an in-bound stencil, or left with no column to add, go to the full LP
+    (adversarial_pmf). Returns (values, stats)."""
+    C = np.asarray(C, dtype=float)
+    X = np.asarray(X, dtype=float)
+    LM = np.asarray(landmarks, dtype=float)
+    Y = LM - X
+    m, n_p = C.shape
+    U = build_expectation_kernel(spec)
+    d = U.shape[0]
+    values = np.full(m, np.nan)
+
+    idx, w = _stencil(spec, Y)
+    U_st = U[:, idx]
+    mean_err = np.abs(np.sum(U_st * w, axis=2).T - Y)
+    dev = np.sum(np.abs(U_st - Y.T[:, :, None]) * w, axis=2).T
+    seeded = (np.all(mean_err <= bounds.epsilon, axis=1)
+              & np.all(dev <= bounds.sigma_m, axis=1))
+
+    open_ = np.flatnonzero(seeded)
+    full_lp = list(np.flatnonzero(~seeded))
+    member = np.zeros((open_.size, n_p), dtype=bool)
+    n_seed, n_add = min(SEED_TOP_K, n_p), min(COLUMNS_PER_ROUND, n_p)
+    top = np.argpartition(-C[open_], n_seed - 1, axis=1)[:, :n_seed]
+    np.put_along_axis(member, top, True, axis=1)
+    np.put_along_axis(member, idx[open_], True, axis=1)
+    rounds = masters = 0
+    while open_.size:
+        rounds += 1
+        masters += open_.size
+        Co, Yo = C[open_], Y[open_]
+        obj, lam, mu, dual_obj = _solve_masters(Co, Yo, member, U, bounds)
+        R = Co - (lam[:, :d] - lam[:, d:2 * d]) @ U - mu[:, None]
+        for q in range(d):
+            R -= lam[:, 2 * d + q, None] * np.abs(U[q] - Yo[:, q, None])
+        r_max = R.max(axis=1)
+        price_tol = PRICE_TOL * (1.0 + np.abs(Co).max(axis=1))
+        gap = np.abs(obj - (dual_obj + np.maximum(r_max, 0.0)))
+        done = ((r_max <= price_tol)
+                & (gap <= SLACK_TOL * np.maximum(1.0, np.abs(obj))))
+        values[open_[done]] = obj[done]
+        R[member] = -np.inf
+        best = np.argpartition(-R, n_add - 1, axis=1)[:, :n_add]
+        gain = np.take_along_axis(R, best, axis=1) > price_tol[:, None]
+        stuck = ~done & ~gain.any(axis=1)
+        full_lp.extend(open_[stuck])
+        keep = ~done & ~stuck
+        rows, picks = np.nonzero(gain & keep[:, None])
+        member[rows, best[rows, picks]] = True
+        open_, member = open_[keep], member[keep]
+
+    for i in full_lp:
+        try:
+            values[i] = adversarial_pmf(C[i], X[i], spec, bounds,
+                                        LM[i]).inner_value
+        except InfeasibleMeasurementSet:
+            pass
+    stats = {"instances": m, "masters": masters, "rounds": rounds,
+             "fallbacks": len(full_lp)}
+    return values, stats
+
+
+def worst_case_row_values(rows, theta, pairs, spec, bounds, landmarks):
+    """For each (k, x) in pairs, the value c_x.x + r + sum over landmarks of
+    the inner maximum of c_p, i.e. rows[k] under the worst consistent
+    measurements at x; NaN where some landmark admits no consistent PMF at
+    x. Every inner maximum is solved in one inner_maxima batch. Returns
+    (values, stats)."""
+    n_p = spec.n_points
+    n_l = len(landmarks)
+    c_p = np.stack([row.c_p.evaluate(theta).reshape(n_l, n_p) for row in rows])
+    r = [row.r.evaluate(theta)[0] for row in rows]
+    k = np.array([j for j, _ in pairs], dtype=int)
+    X = np.array([x for _, x in pairs], dtype=float).reshape(len(pairs), spec.dim)
+    inner, stats = inner_maxima(
+        c_p[k].reshape(-1, n_p), np.repeat(X, n_l, axis=0),
+        np.tile(np.asarray(landmarks, dtype=float), (len(pairs), 1)),
+        spec, bounds,
+    )
+    values = np.array([float(rows[j].c_x @ x + r[j]) for j, x in zip(k, X)])
+    for l in range(n_l):
+        values += inner[l::n_l]
+    return values, stats
 
 
 class VerificationReport:
@@ -168,39 +323,35 @@ def verify_controller(controller, cell, count=200, seed=0, tol=SLACK_TOL,
                       raise_on_fail=True):
     """Sample the cell and check every row against the direct adversary."""
     rows, regions = _controller_rows(controller, cell)
-    theta = controller.theta()
     points = _sample_states(cell, regions, count, seed)
-    skipped = 0
+    pairs = [(k, x) for k in range(len(rows)) for x in points
+             if regions[k].contains(x, tol=REGION_TOL)]
+    values, stats = worst_case_row_values(
+        rows, controller.theta(), pairs, controller.grid, controller.bounds,
+        controller.landmarks,
+    )
+    row_of = np.array([k for k, _ in pairs], dtype=int)
+    skipped = int(np.isnan(values).sum())
     summaries = []
     for k, row in enumerate(rows):
-        worst_slack = -np.inf
-        worst_x = None
-        evaluated = 0
         delta = float(controller.margins[k])
-        for x in points:
-            if not regions[k].contains(x, tol=REGION_TOL):
-                continue
-            try:
-                value, _ = worst_case_row_value(
-                    row, theta, x, controller.grid, controller.bounds,
-                    controller.landmarks,
-                )
-            except InfeasibleMeasurementSet:
-                skipped += 1
-                continue
-            evaluated += 1
-            slack = value + delta
-            if slack > worst_slack:
-                worst_slack = slack
-                worst_x = np.asarray(x, dtype=float)
+        mine = np.flatnonzero(row_of == k)
+        scored = mine[~np.isnan(values[mine])]
+        slack = values[scored] + delta
+        worst = int(np.argmax(slack)) if scored.size else None
         summaries.append({
             "kind": row.kind,
             "facet": row.facet,
             "delta": delta,
-            "worst_slack": None if evaluated == 0 else float(worst_slack),
-            "worst_x": None if worst_x is None else worst_x.tolist(),
-            "evaluated": evaluated,
+            "worst_slack": None if worst is None else float(slack[worst]),
+            "worst_x": None if worst is None
+            else np.asarray(pairs[scored[worst]][1], dtype=float).tolist(),
+            "evaluated": int(scored.size),
         })
+    log.info("verify cell %d: %d adversary instances, %d restricted-master "
+             "solves, %d rounds at most, %d full-LP fallbacks, %d skipped",
+             cell.id, stats["instances"], stats["masters"], stats["rounds"],
+             stats["fallbacks"], skipped)
     report = VerificationReport(cell.id, seed, len(points), tol, summaries, skipped)
     if raise_on_fail and not report.passed:
         bad = report.worst()

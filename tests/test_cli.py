@@ -72,6 +72,16 @@ def test_bad_sensor_kind_exits_config_code(tmp_path):
     assert cli.main(["synth", "--config", str(cfg)]) == 2
 
 
+def test_negative_verify_count_exits_config_code(tmp_path):
+    cfg = write_config(tmp_path, verify_count=-1)
+    with pytest.raises(cli.ConfigError) as info:
+        cli.load_config(str(cfg))
+    assert info.value.field == "verify_count"
+    assert cli.main(["verify", "--config", str(cfg)]) == 2
+    # zero samples is legal: only the cell and region vertices are audited
+    assert cli.load_config(str(write_config(tmp_path, verify_count=0))).verify_count == 0
+
+
 def test_pipeline_outputs(pipeline_dir):
     out = pipeline_dir / "out"
     for name in ("controllers.json", "report.json", "trajectory_0.csv",

@@ -20,8 +20,9 @@ from safefield.synthesis import (
 from safefield.verification import (
     VerificationReport,
     adversarial_pmf,
+    inner_maxima,
     verify_controller,
-    worst_case_row_value,
+    worst_case_row_values,
 )
 
 pytestmark = pytest.mark.filterwarnings("ignore:bounds")
@@ -88,26 +89,95 @@ def test_worst_pmf_is_consistent():
         assert res2.inner_value >= res.inner_value - 1e-9
 
 
-def test_row_value_decomposes_per_landmark():
+def two_landmark_row(spec):
     dyn = LinearDynamics.single_integrator(2)
     layout = GainLayout(2, 3, 2, 2)
-    kernel = build_expectation_kernel(SPEC)
-    maps = GainBasis().matrices(kernel, SPEC.width)
+    maps = GainBasis().matrices(build_expectation_kernel(spec), spec.width)
     entry = PlanEntry(0, 0, np.array([0.0, -1.0]), np.array([0.0, -2.0]))
-    row = build_clf_row(entry, dyn, 1.0, [maps, maps], layout)
+    return build_clf_row(entry, dyn, 1.0, [maps, maps], layout), layout
+
+
+def test_row_value_decomposes_per_landmark():
+    row, layout = two_landmark_row(SPEC)
     rng = np.random.default_rng(11)
     theta = rng.standard_normal(layout.n_gains)
     x = rng.uniform(-1, 1, 2)
     landmarks = [np.array([0.5, 0.5]), np.array([-1.0, 0.25])]
-    value, results = worst_case_row_value(row, theta, x, SPEC, BOUNDS, landmarks)
+    values, stats = worst_case_row_values([row], theta, [(0, x)], SPEC, BOUNDS,
+                                          landmarks)
     c_p = row.c_p.evaluate(theta)
     manual = float(row.c_x @ x + row.r.evaluate(theta)[0])
     n_p = SPEC.n_points
     for l, lm in enumerate(landmarks):
         res = adversarial_pmf(c_p[l * n_p:(l + 1) * n_p], x, SPEC, BOUNDS, lm)
         manual += res.inner_value
-    assert abs(value - manual) <= 1e-9
-    assert len(results) == 2
+    assert abs(values[0] - manual) <= 1e-9
+    assert stats["instances"] == 2
+
+
+@pytest.mark.parametrize("spec, bounds", [
+    # the case study's grid and bounds
+    (GridSpec((30, 30), (40.0, 40.0)), UncertaintyBounds(4.0, 16.0)),
+    # epsilon below half the pitch: no delta PMF is in bounds off the
+    # centers, so the bilinear stencil seeds every master
+    (SPEC, BOUNDS),
+])
+def test_batched_adversary_matches_full_lp(spec, bounds):
+    rng = np.random.default_rng(13)
+    m = 40
+    reach = spec.centers(0)[-1] + 0.8 * bounds.epsilon
+    C = rng.standard_normal((m, spec.n_points)) * rng.uniform(0.1, 100.0, (m, 1))
+    X = rng.uniform(-3.0, 3.0, (m, 2))
+    LM = X + rng.uniform(-reach, reach, (m, 2))
+    values, stats = inner_maxima(C, X, LM, spec, bounds)
+    assert stats["fallbacks"] == 0
+    assert stats["rounds"] > 1
+    for i in range(m):
+        ref = adversarial_pmf(C[i], X[i], spec, bounds, LM[i]).inner_value
+        assert abs(values[i] - ref) <= 1e-9 * max(1.0, abs(ref))
+
+    row, layout = two_landmark_row(spec)
+    theta = rng.standard_normal(layout.n_gains)
+    landmarks = [np.array([0.5, 0.5]), np.array([-1.0, 0.25])]
+    c_p = row.c_p.evaluate(theta)
+    n_p = spec.n_points
+    pairs = [(0, x) for x in X[:8]]
+    values, stats = worst_case_row_values([row], theta, pairs, spec, bounds,
+                                          landmarks)
+    assert stats["instances"] == 2 * len(pairs)
+    for value, (_, x) in zip(values, pairs):
+        ref = float(row.c_x @ x + row.r.evaluate(theta)[0])
+        for l, lm in enumerate(landmarks):
+            ref += adversarial_pmf(c_p[l * n_p:(l + 1) * n_p], x, spec, bounds,
+                                   lm).inner_value
+        assert abs(value - ref) <= 1e-9 * max(1.0, abs(ref))
+
+
+def test_batch_mixes_seeded_unseeded_and_infeasible_instances():
+    # at a center fraction f the stencil's MAD is 2 f (1 - f) pitch, which
+    # breaks sigma 0.35 at f = 0.3, while the nearest center's delta PMF is
+    # in bounds: that instance can only go to the full LP
+    bounds = UncertaintyBounds(0.35, 0.35)
+    LM = np.array([
+        [8.0, 0.0],      # unreachable: no consistent PMF
+        [0.8, 0.5],      # feasible, stencil out of bounds
+        [0.5, 0.5],      # ordinary
+        [-1.4, 2.55],
+        [2.6, -4.4],
+    ])
+    X = np.zeros_like(LM)
+    C = np.random.default_rng(17).standard_normal((len(LM), SPEC.n_points))
+    values, stats = inner_maxima(C, X, LM, SPEC, bounds)
+    assert stats["fallbacks"] == 2
+    assert np.isnan(values[0])
+    with pytest.raises(InfeasibleMeasurementSet):
+        adversarial_pmf(C[0], X[0], SPEC, bounds, LM[0])
+    for i in range(1, len(LM)):
+        ref = adversarial_pmf(C[i], X[i], SPEC, bounds, LM[i]).inner_value
+        assert abs(values[i] - ref) <= 1e-9 * max(1.0, abs(ref))
+    alone, stats = inner_maxima(C[2:], X[2:], LM[2:], SPEC, bounds)
+    assert stats["fallbacks"] == 0
+    assert np.allclose(alone, values[2:], rtol=1e-9, atol=1e-9)
 
 
 def test_synthesized_controller_verifies():
