@@ -46,7 +46,7 @@ from .geometry import (
     environment_from_dict,
     polygon_to_halfspaces,
 )
-from .lp_core import LpSolution, StandardLp, dualize, solve_lp
+from .lp_core import LpSolution, StandardLp, solve_lp
 from .measurement import (
     GridSpec,
     PmfGrid,

@@ -56,13 +56,15 @@ class RunConfig:
                 env_ref = _load_json(fh, env_path)
         self.environment = environment_from_dict(env_ref)
 
-        self.alpha_v = float(raw.get("alpha_v", 1.0))
-        self.alpha_h = float(raw.get("alpha_h", 100.0))
-        if self.alpha_v <= 0 or self.alpha_h <= 0:
-            raise ConfigError("alpha_v and alpha_h must be positive",
-                              path=path, field="alpha_v")
-        self.epsilon = float(raw.get("epsilon", 4.0))
-        self.sigma_m = float(raw.get("sigma_m", 16.0))
+        self.alpha_v = _number(raw, "alpha_v", 1.0, float, path)
+        self.alpha_h = _number(raw, "alpha_h", 100.0, float, path)
+        for name in ("alpha_v", "alpha_h"):
+            if not getattr(self, name) > 0:
+                raise ConfigError("%s must be positive" % name,
+                                  path=path, field=name)
+        self.epsilon = _number(raw, "epsilon", 4.0, float, path)
+        self.sigma_m = _number(raw, "sigma_m", 16.0, float, path)
+        self.check_bounds()
 
         grid = raw.get("grid")
         if not isinstance(grid, dict) or "n" not in grid or "width" not in grid:
@@ -85,16 +87,33 @@ class RunConfig:
         field = raw.get("field") or {}
         self.field_resolution = tuple(field.get("resolution", (12, 12)))
         self.field_cells = field.get("cells")
-        self.verify_count = int(raw.get("verify_count", 200))
+        self.verify_count = _number(raw, "verify_count", 200, int, path)
         if self.verify_count < 0:
             raise ConfigError("verify_count must be non-negative",
                               path=path, field="verify_count")
         self.out = raw.get("out", "out")
-        self.seed = int(raw.get("seed", 0))
+        self.seed = _number(raw, "seed", 0, int, path)
+
+    def check_bounds(self):
+        """The sensing bounds must be non-negative; rechecked after the
+        command-line overrides."""
+        for name in ("epsilon", "sigma_m"):
+            if not getattr(self, name) >= 0:
+                raise ConfigError("%s must be non-negative" % name,
+                                  path=self.path, field=name)
 
     @property
     def bounds(self):
         return UncertaintyBounds(self.epsilon, self.sigma_m)
+
+
+def _number(raw, key, default, kind, path):
+    """raw[key] (or default) converted by kind (float or int)."""
+    try:
+        return kind(raw.get(key, default))
+    except (TypeError, ValueError):
+        raise ConfigError("%s must be a number" % key,
+                          path=path, field=key) from None
 
 
 def _load_json(fh, path):
@@ -123,6 +142,7 @@ def _apply_overrides(cfg, args):
         cfg.epsilon = args.eps
     if args.sigma is not None:
         cfg.sigma_m = args.sigma
+    cfg.check_bounds()
     if args.sensor is not None:
         cfg.sim.sensor = SensorModel(args.sensor, cfg.sim.sensor.drift,
                                      cfg.sim.sensor.variance)

@@ -1,5 +1,5 @@
-"""Standard-form linear programs: container, solver with dual extraction and
-solution validation, and mechanical dualization."""
+"""Standard-form linear programs: the container and a HiGHS solver with dual
+extraction and solution validation."""
 
 import numpy as np
 import scipy.sparse as sp
@@ -55,17 +55,16 @@ class LpSolution:
     duals_ub and duals_eq equal d(objective)/d(rhs) for a max problem and
     the negation of that for a min problem, so duals_ub >= 0 in both senses.
     For a max problem, objective = b_ub.duals_ub + b_eq.duals_eq + bound
-    terms (strong duality). duals_lb/duals_ub_bound are d(objective)/d(bound).
+    terms (strong duality). duals_lb is d(objective)/d(lb).
     """
 
-    def __init__(self, status, x, objective, duals_ub, duals_eq, duals_lb, duals_ub_bound):
+    def __init__(self, status, x, objective, duals_ub, duals_eq, duals_lb):
         self.status = status
         self.x = x
         self.objective = objective
         self.duals_ub = duals_ub
         self.duals_eq = duals_eq
         self.duals_lb = duals_lb
-        self.duals_ub_bound = duals_ub_bound
 
 
 def _validate(lp, x, duals_ub):
@@ -105,9 +104,9 @@ def solve_lp(lp):
         method="highs",
     )
     if res.status == 2:
-        return LpSolution("Infeasible", None, None, None, None, None, None)
+        return LpSolution("Infeasible", None, None, None, None, None)
     if res.status == 3:
-        return LpSolution("Unbounded", None, None, None, None, None, None)
+        return LpSolution("Unbounded", None, None, None, None, None)
     if res.status != 0:
         raise NumericalFailure("solver stopped with status %d: %s" % (res.status, res.message))
     sign = 1.0 if lp.sense == "min" else -1.0
@@ -115,49 +114,6 @@ def solve_lp(lp):
     duals_ub = -np.asarray(res.ineqlin.marginals) if lp.b_ub.size else np.zeros(0)
     duals_eq = -np.asarray(res.eqlin.marginals) if lp.b_eq.size else np.zeros(0)
     duals_lb = sign * np.asarray(res.lower.marginals)
-    duals_ubb = sign * np.asarray(res.upper.marginals)
     _validate(lp, x, duals_ub)
-    return LpSolution("Optimal", x, sign * float(res.fun), duals_ub, duals_eq, duals_lb, duals_ubb)
+    return LpSolution("Optimal", x, sign * float(res.fun), duals_ub, duals_eq, duals_lb)
 
-
-def dualize(lp):
-    """Textbook dual after hoisting finite bounds into inequality rows.
-
-    For a min primal the dual is a max and vice versa; objective values
-    coincide at optimality (strong duality)."""
-    n = lp.n_vars
-    extra_rows = []
-    extra_rhs = []
-    for j in range(n):
-        if np.isfinite(lp.ub[j]):
-            extra_rows.append((j, 1.0))
-            extra_rhs.append(lp.ub[j])
-        if np.isfinite(lp.lb[j]):
-            extra_rows.append((j, -1.0))
-            extra_rhs.append(-lp.lb[j])
-    m_extra = len(extra_rows)
-    if m_extra:
-        rows = np.arange(m_extra)
-        cols = np.array([j for j, _ in extra_rows])
-        vals = np.array([v for _, v in extra_rows])
-        hoist = sp.coo_matrix((vals, (rows, cols)), shape=(m_extra, n)).tocsr()
-        A_ub = sp.vstack([lp.A_ub, hoist]).tocsr()
-        b_ub = np.concatenate([lp.b_ub, np.asarray(extra_rhs)])
-    else:
-        A_ub = lp.A_ub
-        b_ub = lp.b_ub
-    m_ub = b_ub.shape[0]
-    m_eq = lp.b_eq.shape[0]
-    c_min = lp.c if lp.sense == "min" else -lp.c
-
-    # min c^T x, A x <= b, E x = e, x free  <->
-    # opt over mu >= 0, y free of -b^T mu - e^T y with A^T mu + E^T y = -c
-    A_eq_dual = sp.hstack([A_ub.T, lp.A_eq.T]).tocsr() if m_ub + m_eq else sp.csr_matrix((n, 0))
-    b_eq_dual = -c_min
-    cost = np.concatenate([b_ub, lp.b_eq])
-    lb = np.concatenate([np.zeros(m_ub), np.full(m_eq, -np.inf)])
-    if lp.sense == "min":
-        # dual: max -b^T mu - e^T y
-        return StandardLp("max", -cost, A_eq=A_eq_dual, b_eq=b_eq_dual, lb=lb)
-    # primal max c^T x = -min(-c): dual min b^T mu + e^T y with A^T mu + E^T y = c
-    return StandardLp("min", cost, A_eq=A_eq_dual, b_eq=b_eq_dual, lb=lb)

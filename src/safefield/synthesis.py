@@ -2,9 +2,11 @@
 
 Each stability/safety row must hold for every state in its region and every
 measurement PMF consistent with the error bounds at that state. Dualizing
-the inner adversary twice (first over the PMF, then over the state and the
-absolute-deviation auxiliaries) replaces the semi-infinite constraint with
-finitely many linear rows over the gains, the margins and dual multipliers.
+the inner adversary twice replaces the semi-infinite constraint with
+finitely many linear rows over the gains, the margins and dual multipliers:
+first over the PMF, then over the state for the scalar bound row (no
+deviation entry enters it) and over the state and the point's own
+absolute-deviation entries for each per-point feasibility row.
 The LP maximizes the weighted margins; a second pass then picks, among
 margin-optimal gains, the ones closest in l1 distance to a structured target
 so the synthesized fields stay interpretable.
@@ -106,9 +108,9 @@ class LpMeta:
     its oracle _machine_fill so their matrices are directly comparable.
 
     Variables: gains theta, margins delta, then per row k the multipliers
-    lam_x (region rows) and per landmark lam_s, lam_p, lam_z, rho1, rho2,
-    eta1, eta2, beta. rho/eta blocks are (axis, point) row-major; beta blocks
-    are (point, region row) row-major.
+    lam_x (region rows) and per landmark lam_s, lam_p, lam_z, eta1, eta2,
+    beta. eta blocks are (axis, point) row-major; beta blocks are (point,
+    region row) row-major.
     """
 
     def __init__(self, layout, kinds, n_reg, n_ps, n_goal_rows=0):
@@ -135,8 +137,6 @@ class LpMeta:
                 take(("lam_s", k, l), 1)
                 take(("lam_p", k, l), 2 * d)
                 take(("lam_z", k, l), d)
-                take(("rho1", k, l), d * n_p)
-                take(("rho2", k, l), d * n_p)
                 take(("eta1", k, l), d * n_p)
                 take(("eta2", k, l), d * n_p)
                 take(("beta", k, l), n_p * self.n_reg[k])
@@ -158,8 +158,6 @@ class LpMeta:
             self._row_eq[("stat_x", k)] = (pos, d)
             pos += d
             for l, n_p in enumerate(self.n_ps):
-                self._row_eq[("rho0", k, l)] = (pos, d * n_p)
-                pos += d * n_p
                 self._row_eq[("stat_xi", k, l)] = (pos, n_p * d)
                 pos += n_p * d
                 self._row_eq[("stat_z", k, l)] = (pos, d * n_p)
@@ -197,7 +195,7 @@ class LpMeta:
 
 
 def _hand_fill(meta, rows, regions, blocks):
-    """Transcribe the explicit constraint groups (i)-(vi); non-negativity is
+    """Transcribe the explicit constraint groups (i)-(v); non-negativity is
     carried by the variable bounds."""
     d = meta.layout.d
     ub, eq = _Coo(), _Coo()
@@ -225,12 +223,9 @@ def _hand_fill(meta, rows, regions, blocks):
         for l, blk in enumerate(blocks):
             n_p = blk.n_points
             U, lm = blk.U, blk.landmark
-            gap = (lm[:, None] - U).ravel()
             ls0, _ = meta.var("lam_s", k, l)
             lp0, _ = meta.var("lam_p", k, l)
             lz0, _ = meta.var("lam_z", k, l)
-            r10, _ = meta.var("rho1", k, l)
-            r20, _ = meta.var("rho2", k, l)
             e10, _ = meta.var("eta1", k, l)
             e20, _ = meta.var("eta2", k, l)
             bt0, _ = meta.var("beta", k, l)
@@ -238,18 +233,10 @@ def _hand_fill(meta, rows, regions, blocks):
             ub.add(rb, ls0, 1.0)
             ub.add(rb, lp0 + np.arange(2 * d), -blk.b_p)
             ub.add(rb, lz0 + np.arange(d), blk.bounds.sigma_m)
-            ub.add(rb, r10 + np.arange(d * n_p), gap)
-            ub.add(rb, r20 + np.arange(d * n_p), -gap)
             # (ii) per-landmark part
             for s in range(d):
                 eq.add(sx0 + s, lp0 + np.arange(2 * d), blk.A_x[:, s])
-                eq.add(sx0 + s, r10 + s * n_p + np.arange(n_p), 1.0)
-                eq.add(sx0 + s, r20 + s * n_p + np.arange(n_p), -1.0)
-            # (iii) rho1 + rho2 = 0
-            rz0 = meta.row_eq("rho0", k, l)[0]
-            eq.add(rz0 + np.arange(d * n_p), r10 + np.arange(d * n_p), 1.0)
-            eq.add(rz0 + np.arange(d * n_p), r20 + np.arange(d * n_p), 1.0)
-            # (iv) elementwise bound
+            # (iii) elementwise bound
             df0 = meta.row_ub("dualfeas", k, l)[0]
             rows_i = df0 + np.arange(n_p)
             ub.add(
@@ -270,7 +257,7 @@ def _hand_fill(meta, rows, regions, blocks):
             )
             ub.add(rows_i, ls0, -1.0)
             b_ub[rows_i] = -row.c_p.const[off:off + n_p]
-            # (v) stationarity in the state, per point
+            # (iv) stationarity in the state, per point
             sxi0 = meta.row_eq("stat_xi", k, l)[0]
             for s in range(d):
                 ridx = sxi0 + np.arange(n_p) * d + s
@@ -278,7 +265,7 @@ def _hand_fill(meta, rows, regions, blocks):
                     eq.add(ridx, bt0 + np.arange(n_p) * n_reg + reg, A_x[reg, s])
                 eq.add(ridx, e10 + s * n_p + np.arange(n_p), 1.0)
                 eq.add(ridx, e20 + s * n_p + np.arange(n_p), -1.0)
-            # (vi) deviation multiplier split
+            # (v) deviation multiplier split
             sz0 = meta.row_eq("stat_z", k, l)[0]
             for q in range(d):
                 ridx = sz0 + q * n_p + np.arange(n_p)
@@ -315,9 +302,11 @@ def _machine_fill(meta, rows, regions, blocks):
         lam_s + lam_p.(-A'_x x - b_p) + sigma_m sum_q lam_z_q  >=  inner max
     subject to per-point feasibility
         lam_s + (A_p^T lam_p)_i + sum_q lam_z_q z_qi >= c_p_i.
-    Stage B: each certificate row must hold for all states in the region and
-    all deviation vectors z dominating the per-point gaps; that inner
-    maximization is itself dualized by _robust_row.
+    Stage B: each certificate row must hold for all states in the region,
+    and each per-point row also for every deviation vector z dominating the
+    per-point gaps; that inner maximization is itself dualized by
+    _robust_row. The bound row does not involve z, so it is dualized over x
+    alone; a per-point row involves only its own entries z_.i.
     """
     d = meta.layout.d
     ub, eq = _Coo(), _Coo()
@@ -328,50 +317,21 @@ def _machine_fill(meta, rows, regions, blocks):
     for k, row in enumerate(rows):
         A_x, b_x = regions[k].A, regions[k].b
         n_reg = b_x.shape[0]
+        reg_rows = np.repeat(np.arange(n_reg), d)
+        reg_cols = np.tile(np.arange(d), n_reg)
 
-        # ---- bound row: inner variables (x, all z blocks) over the joint
-        # region/epigraph polytope; multipliers are lam_x, rho1, rho2.
-        z_off = [d]
-        for n_p in meta.n_ps:
-            z_off.append(z_off[-1] + d * n_p)
-        g_rows, g_cols, g_vals, h, mult = [], [], [], [], []
-        # region rows: A_x x + b_x <= 0
-        g_rows.append(np.repeat(np.arange(n_reg), d))
-        g_cols.append(np.tile(np.arange(d), n_reg))
-        g_vals.append(A_x.ravel())
-        h.append(-b_x)
-        mult.append(meta.vrange("lam_x", k))
-        base_p = n_reg
+        # ---- bound row: the inner variable is x alone over the region
+        # A_x x + b_x <= 0, multipliers lam_x; no deviation entry enters it.
         obj_outer = []
         rhs_outer = [
             (theta0 + np.arange(meta.layout.n_gains), -row.r.coef[0]),
             (np.array([delta0 + k]), np.array([-1.0])),
         ]
         for l, blk in enumerate(blocks):
-            n_p = blk.n_points
-            gap = (blk.landmark[:, None] - blk.U).ravel()
-            q_idx = np.repeat(np.arange(d), n_p)
-            zc = z_off[l] + np.arange(d * n_p)
-            # epigraph rows:  x_q - z_qi <= gap_qi   and  -x_q - z_qi <= -gap_qi
-            p1 = base_p + np.arange(d * n_p)
-            g_rows.extend([p1, p1])
-            g_cols.extend([q_idx, zc])
-            g_vals.extend([np.ones(d * n_p), -np.ones(d * n_p)])
-            h.append(gap)
-            mult.append(meta.vrange("rho1", k, l))
-            base_p += d * n_p
-            p2 = base_p + np.arange(d * n_p)
-            g_rows.extend([p2, p2])
-            g_cols.extend([q_idx, zc])
-            g_vals.extend([-np.ones(d * n_p), -np.ones(d * n_p)])
-            h.append(-gap)
-            mult.append(meta.vrange("rho2", k, l))
-            base_p += d * n_p
             # certificate objective, state-linear and multiplier parts
-            a2d = np.repeat(np.arange(2 * d), d)
             obj_outer.append((
                 np.tile(np.arange(d), 2 * d),
-                meta.var("lam_p", k, l)[0] + a2d,
+                meta.var("lam_p", k, l)[0] + np.repeat(np.arange(2 * d), d),
                 -blk.A_x.ravel(),
             ))
             rhs_outer.extend([
@@ -379,24 +339,16 @@ def _machine_fill(meta, rows, regions, blocks):
                 (meta.vrange("lam_p", k, l), blk.b_p),
                 (meta.vrange("lam_z", k, l), np.full(d, -blk.bounds.sigma_m)),
             ])
-        eq_rows = np.concatenate(
-            [meta.row_eq("stat_x", k)[0] + np.arange(d)]
-            + [meta.row_eq("rho0", k, l)[0] + np.arange(d * meta.n_ps[l])
-               for l in range(len(blocks))]
-        )
-        obj_const = np.concatenate([row.c_x, np.zeros(z_off[-1] - d)])
         _robust_row(
             ub, eq, b_ub, b_eq,
-            meta.row_ub("bound", k)[0], eq_rows, np.concatenate(mult),
-            np.concatenate(g_rows), np.concatenate(g_cols), np.concatenate(g_vals),
-            np.concatenate(h), obj_const, obj_outer,
+            meta.row_ub("bound", k)[0],
+            meta.row_eq("stat_x", k)[0] + np.arange(d), meta.vrange("lam_x", k),
+            reg_rows, reg_cols, A_x.ravel(), -b_x, row.c_x, obj_outer,
             -row.r.const[0], rhs_outer,
         )
 
         # ---- per-point feasibility rows: inner variables (x, z_.i); the
         # remaining deviation entries are separable and drop out.
-        reg_rows = np.repeat(np.arange(n_reg), d)
-        reg_cols = np.tile(np.arange(d), n_reg)
         off = 0
         for l, blk in enumerate(blocks):
             n_p = blk.n_points
@@ -631,8 +583,7 @@ def _extract_duals(meta, x):
         per_landmark = []
         for l in range(len(meta.n_ps)):
             entry = {}
-            for name in ("lam_s", "lam_p", "lam_z", "rho1", "rho2",
-                         "eta1", "eta2", "beta"):
+            for name in ("lam_s", "lam_p", "lam_z", "eta1", "eta2", "beta"):
                 s, z = meta.var(name, k, l)
                 entry[name] = x[s:s + z].copy()
             per_landmark.append(entry)

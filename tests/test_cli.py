@@ -82,6 +82,17 @@ def test_negative_verify_count_exits_config_code(tmp_path):
     assert cli.load_config(str(write_config(tmp_path, verify_count=0))).verify_count == 0
 
 
+@pytest.mark.parametrize("extra, flags, field", [
+    ({}, ["--eps", "-1"], "epsilon"),
+    ({"sigma_m": -2}, [], "sigma_m"),
+    ({"verify_count": "many"}, [], "verify_count"),
+], ids=["negative-eps-flag", "negative-sigma_m", "non-numeric-verify_count"])
+def test_bad_number_exits_config_code(tmp_path, capsys, extra, flags, field):
+    cfg = write_config(tmp_path, **extra)
+    assert cli.main(["synth", "--config", str(cfg)] + flags) == 2
+    assert "field %s)" % field in capsys.readouterr().err
+
+
 def test_pipeline_outputs(pipeline_dir):
     out = pipeline_dir / "out"
     for name in ("controllers.json", "report.json", "trajectory_0.csv",

@@ -2,7 +2,7 @@ import numpy as np
 import pytest
 
 from safefield.errors import DimensionMismatch
-from safefield.lp_core import StandardLp, dualize, solve_lp
+from safefield.lp_core import StandardLp, solve_lp
 
 
 def random_bounded_lp(rng):
@@ -45,28 +45,6 @@ def test_infeasible_and_unbounded():
     assert solve_lp(bad).status == "Infeasible"
     free = StandardLp("max", [1.0])
     assert solve_lp(free).status == "Unbounded"
-
-
-def test_strong_duality_random():
-    rng = np.random.default_rng(17)
-    for _ in range(100):
-        lp = random_bounded_lp(rng)
-        sol = solve_lp(lp)
-        assert sol.status == "Optimal"
-        dual = dualize(lp)
-        dsol = solve_lp(dual)
-        assert dsol.status == "Optimal"
-        scale = 1.0 + abs(sol.objective)
-        assert abs(sol.objective - dsol.objective) <= 1e-6 * scale
-
-
-def test_dual_of_dual_objective():
-    rng = np.random.default_rng(23)
-    for _ in range(10):
-        lp = random_bounded_lp(rng)
-        sol = solve_lp(lp)
-        ddsol = solve_lp(dualize(dualize(lp)))
-        assert abs(sol.objective - ddsol.objective) <= 1e-6 * (1.0 + abs(sol.objective))
 
 
 def test_complementary_slackness_random():

@@ -45,6 +45,16 @@ def assembled_random(rng, spec, bounds, basis, dyn, positions=None):
     return asm, cell, entry, lm
 
 
+def two_landmark_random(rng, spec, bounds, basis, dyn):
+    """Random transit cell seeing its landmark and a second one offset by
+    (1, -0.5)."""
+    cell, lm = random_cell(rng)
+    cell.exit_face = 0
+    return assemble_robust_lp(cell, transit_entry_for(cell, 0), dyn, ALPHA_V,
+                              ALPHA_H, bounds, spec,
+                              [lm, lm + np.array([1.0, -0.5])], basis)
+
+
 def goal_square(spec, bounds, basis, dyn, goal_bounds=None, v_floor="auto"):
     """Square cell with the goal at a vertex; barriers on the facets away
     from the goal, matching how a planner treats a goal-vertex cell."""
@@ -74,12 +84,38 @@ def test_lp_dimensions_square():
     entry = transit_entry_for(cell, 0)
     asm = assemble_robust_lp(cell, entry, dyn, ALPHA_V, ALPHA_H, bounds, spec,
                              [np.array([0.5, 0.5])], basis)
+    # 4 rows (CLF + 3 CBF), each with n_reg = 4 region rows, n_p = 9, d = 2:
+    # 14 + 4 + 4 * (n_reg + 1 + 2d + d + 2 d n_p + n_p n_reg) = 350 columns,
+    # 4 * (1 + n_p) = 40 inequalities, 4 * (d + 2 d n_p) = 152 equalities.
+    # Dualizing the bound row over the deviations too added 2 d n_p = 36
+    # columns and d n_p = 18 equalities per row (494 and 224).
     assert asm.meta.layout.n_gains == 14
-    assert asm.meta.n_vars == 494
+    assert asm.meta.n_vars == 350
     assert asm.meta.n_ub == 40
-    assert asm.meta.n_eq == 224
-    assert asm.lp.A_ub.shape == (40, 494)
-    assert asm.lp.A_eq.shape == (224, 494)
+    assert asm.meta.n_eq == 152
+    assert asm.lp.A_ub.shape == (40, 350)
+    assert asm.lp.A_eq.shape == (152, 350)
+
+
+def pinned_zero_rows(lp):
+    """Equality rows with rhs 0, coefficients of one sign and only columns
+    bounded below by 0: each forces all of its columns to 0."""
+    A = lp.A_eq.tocsr()
+    n_pos = np.asarray((A > 0).sum(axis=1)).ravel()
+    n_neg = np.asarray((A < 0).sum(axis=1)).ravel()
+    n_free = abs(A) @ (lp.lb < 0).astype(float)
+    one_sign = (n_pos == 0) != (n_neg == 0)
+    return np.nonzero((lp.b_eq == 0) & one_sign & (n_free == 0))[0]
+
+
+def test_no_column_is_pinned_at_zero():
+    spec, bounds, basis, dyn = setup()
+    rng = np.random.default_rng(11)
+    transit = assembled_random(rng, spec, bounds, basis, dyn)[0]
+    goal = goal_square(spec, bounds, basis, dyn)[0]
+    two = two_landmark_random(rng, spec, bounds, basis, dyn)
+    for asm in (transit, goal, two):
+        assert pinned_zero_rows(asm.lp).size == 0
 
 
 def test_hand_and_machine_assemblies_agree():
@@ -88,11 +124,7 @@ def test_hand_and_machine_assemblies_agree():
     rng = np.random.default_rng(11)
     cases = [assembled_random(rng, spec, bounds, basis, dyn)[0] for _ in range(5)]
     cases.append(goal_square(spec, bounds, basis, dyn)[0])
-    cell, lm = random_cell(rng)
-    cell.exit_face = 0
-    cases.append(assemble_robust_lp(cell, transit_entry_for(cell, 0), dyn,
-                                    ALPHA_V, ALPHA_H, bounds, spec,
-                                    [lm, lm + np.array([1.0, -0.5])], basis))
+    cases.append(two_landmark_random(rng, spec, bounds, basis, dyn))
     assert cases[-2].meta.n_goal_rows and cases[-1].meta.layout.n_landmarks == 2
     for asm in cases:
         lp, ref = asm.lp, machine_lp(asm)
