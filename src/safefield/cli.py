@@ -67,10 +67,12 @@ class RunConfig:
         self.check_bounds()
 
         grid = raw.get("grid")
-        if not isinstance(grid, dict) or "n" not in grid or "width" not in grid:
-            raise ConfigError("grid must give n and width",
+        if not isinstance(grid, dict) or not all(
+                isinstance(grid.get(key), list) for key in ("n", "width")):
+            raise ConfigError("grid must give n and width as lists",
                               path=path, field="grid")
-        self.grid = GridSpec(tuple(grid["n"]), tuple(grid["width"]))
+        self.grid = GridSpec(_number(raw, "grid.n", None, int, path),
+                             _number(raw, "grid.width", None, float, path))
 
         self.basis = GainBasis(tuple(raw.get("basis", GainBasis.KNOWN)))
         self.omega = raw.get("omega")
@@ -79,13 +81,14 @@ class RunConfig:
         if self.mode not in ("stabilize", "patrol"):
             raise ConfigError("mode must be stabilize or patrol",
                               path=path, field="mode")
-        self.sim = SimConfig.from_dict(raw.get("sim"))
+        self.sim = SimConfig.from_dict(_sim_section(raw, path))
         starts = raw.get("starts")
         if starts is None:
             starts = [np.asarray(self.environment.start)]
         self.starts = [np.asarray(s, dtype=float) for s in starts]
         field = raw.get("field") or {}
-        self.field_resolution = tuple(field.get("resolution", (12, 12)))
+        self.field_resolution = _number(raw, "field.resolution", (12, 12), int,
+                                        path)
         self.field_cells = field.get("cells")
         self.verify_count = _number(raw, "verify_count", 200, int, path)
         if self.verify_count < 0:
@@ -108,12 +111,39 @@ class RunConfig:
 
 
 def _number(raw, key, default, kind, path):
-    """raw[key] (or default) converted by kind (float or int)."""
+    """raw[key] (or default) converted by kind (float or int), entry by entry
+    for a list. A dotted key names an entry of a nested section."""
+    value = raw
+    for part in key.split("."):
+        value = value.get(part, default) if isinstance(value, dict) else default
     try:
-        return kind(raw.get(key, default))
+        if isinstance(value, (list, tuple)):
+            return tuple(kind(v) for v in value)
+        return kind(value)
     except (TypeError, ValueError):
-        raise ConfigError("%s must be a number" % key,
+        raise ConfigError("%s must be numeric" % key,
                           path=path, field=key) from None
+
+
+SIM_NUMBERS = {"dt": float, "max_time": float, "goal_tol": float, "seed": int}
+SENSOR_NUMBERS = {"drift": float, "variance": float}
+
+
+def _sim_section(raw, path):
+    """The sim section for SimConfig.from_dict, its numbers converted."""
+    sim = raw.get("sim") or {}
+    sensor = (sim.get("sensor") or {}) if isinstance(sim, dict) else None
+    if not isinstance(sensor, dict):
+        raise ConfigError("sim and sim.sensor must be objects",
+                          path=path, field="sim")
+    sim, sensor = dict(sim), dict(sensor)
+    for section, prefix, numbers in ((sim, "sim.", SIM_NUMBERS),
+                                     (sensor, "sim.sensor.", SENSOR_NUMBERS)):
+        for name, kind in numbers.items():
+            if name in section:
+                section[name] = _number(raw, prefix + name, None, kind, path)
+    sim["sensor"] = sensor
+    return sim
 
 
 def _load_json(fh, path):

@@ -82,36 +82,79 @@ def _bounded_2d(A):
     return np.max(gaps) < np.pi - ABS_TOL
 
 
-def cell_vertices(hs):
-    """Vertices of a bounded 2-D halfspace intersection, counterclockwise."""
+def region_points(hs):
+    """Vertices of a bounded 2-D halfspace intersection, without order: none
+    when it is empty, one when it is a point, two when it is a segment."""
     if hs.dim != 2:
         raise DegenerateInput("vertex enumeration implemented for 2-D only")
     if not _bounded_2d(hs.A):
         raise UnboundedPolytope("halfspace normals leave an open direction")
-    pts = []
-    m = hs.n_rows
-    for i in range(m):
-        for j in range(i + 1, m):
-            M = np.stack([hs.A[i], hs.A[j]])
-            det = M[0, 0] * M[1, 1] - M[0, 1] * M[1, 0]
-            if abs(det) < ABS_TOL:
-                continue
-            p = np.linalg.solve(M, -np.array([hs.b[i], hs.b[j]]))
-            if hs.contains(p, tol=ABS_TOL * (1.0 + np.linalg.norm(p))):
-                pts.append(p)
-    if not pts:
+    i, j = np.triu_indices(hs.n_rows, 1)
+    M = np.stack([hs.A[i], hs.A[j]], axis=1)
+    det = M[:, 0, 0] * M[:, 1, 1] - M[:, 0, 1] * M[:, 1, 0]
+    ok = np.abs(det) >= ABS_TOL
+    rhs = -np.stack([hs.b[i], hs.b[j]], axis=1)[ok]
+    pts = np.linalg.solve(M[ok], rhs[:, :, None])[:, :, 0]
+    tol = ABS_TOL * (1.0 + np.linalg.norm(pts, axis=1))
+    pts = pts[np.all(pts @ hs.A.T + hs.b <= tol[:, None], axis=1)]
+    # keep the first of every cluster closer than DEDUP_TOL
+    close = np.linalg.norm(pts[:, None] - pts[None, :], axis=2) < DEDUP_TOL
+    return pts[~np.any(np.tril(close, -1), axis=1)]
+
+
+def cell_vertices(hs):
+    """Vertices of a bounded 2-D halfspace intersection, counterclockwise."""
+    V = region_points(hs)
+    if V.shape[0] == 0:
         raise DegenerateInput("halfspace intersection has no vertices")
-    pts = np.array(pts)
-    keep = []
-    for p in pts:
-        if not any(np.linalg.norm(p - q) < DEDUP_TOL for q in keep):
-            keep.append(p)
-    V = np.array(keep)
     if V.shape[0] < 3:
         raise DegenerateInput("halfspace intersection is lower-dimensional")
     center = V.mean(axis=0)
     order = np.argsort(np.arctan2(V[:, 1] - center[1], V[:, 0] - center[0]))
     return V[order]
+
+
+def deviation_candidates(hs, a):
+    """Per point a[i] of a (n, 2) array, the distinct Pareto-minimal gaps
+    |x - a[i]| over the states x of the region hs.
+
+    For every lam >= 0, sum_q lam_q |x_q - a[i, q]| is linear on each piece
+    of the region cut by the lines x_q = a[i, q], so its minimum over the
+    region lies at a vertex of the region, where an edge crosses one of
+    those lines, or at a[i] when a[i] lies in the region. A candidate whose
+    gap another candidate matches or beats on every axis cannot be the only
+    minimizer and is dropped. Returns (point index, gap) as (m,) and (m, 2)
+    arrays; an empty region yields none."""
+    a = np.atleast_2d(np.asarray(a, dtype=float))
+    n = a.shape[0]
+    A, b = hs.A, hs.b
+    V = region_points(hs)
+    parts = [np.broadcast_to(V, (n,) + V.shape)]
+    for q in range(2):
+        o = 1 - q
+        # edge line A[j].x + b[j] = 0 at x_q = a[i, q], for every (i, j)
+        cross = np.empty((n, hs.n_rows, 2))
+        cross[:, :, q] = a[:, q, None]
+        with np.errstate(divide="ignore", invalid="ignore"):
+            cross[:, :, o] = -(b + A[:, q] * a[:, q, None]) / A[:, o]
+        cross[:, np.abs(A[:, o]) < ABS_TOL] = np.nan
+        parts.append(cross)
+    parts.append(a[:, None, :])
+    C = np.concatenate(parts, axis=1)
+    tol = ABS_TOL * (1.0 + np.linalg.norm(C, axis=2))
+    inside = np.all(C @ A.T + b[None, None, :] <= tol[:, :, None], axis=2)
+    inside[:, :V.shape[0]] = True
+    gap = np.where(inside[:, :, None], np.abs(C - a[:, None, :]), np.inf)
+    # in order of (gap_0, gap_1), a candidate is Pareto-minimal when its
+    # gap_1 is below every gap_1 before it; exact repeats keep the first
+    order = np.lexsort((gap[:, :, 1], gap[:, :, 0]), axis=-1)
+    g1 = np.take_along_axis(gap[:, :, 1], order, axis=1)
+    before = np.minimum.accumulate(g1, axis=1)[:, :-1]
+    minimal = np.c_[np.isfinite(g1[:, 0]), g1[:, 1:] < before]
+    keep = np.zeros(g1.shape, dtype=bool)
+    np.put_along_axis(keep, order, minimal, axis=1)
+    idx, c = np.nonzero(keep)
+    return idx, gap[idx, c]
 
 
 class ConvexCell:
@@ -136,10 +179,6 @@ class ConvexCell:
 
     def contains(self, x, tol=ABS_TOL):
         return self.body.contains(x, tol=tol)
-
-    def obstacle_rows(self):
-        """Row indices that act as barriers (everything except the exit face)."""
-        return [j for j in range(self.body.n_rows) if j != self.exit_face]
 
 
 class Environment:

@@ -2,19 +2,17 @@
 
 Each stability/safety row must hold for every state in its region and every
 measurement PMF consistent with the error bounds at that state. Dualizing
-the inner adversary twice replaces the semi-infinite constraint with
-finitely many linear rows over the gains, the margins and dual multipliers:
-first over the PMF, then over the state for the scalar bound row (no
-deviation entry enters it) and over the state and the point's own
-absolute-deviation entries for each per-point feasibility row.
+the inner maximization over the PMF gives, per landmark, multipliers
+(lam_s, lam_p, lam_z) whose dual bound and per-point feasibility rows must
+then hold for every state in the region. Both inner problems over the state
+have closed forms: the bound row is affine in the state, so it is written
+once per vertex of the region, and each point row is piecewise linear in
+it, so it is written once per deviation candidate of the point
+(geometry.deviation_candidates). The result is finitely many linear rows
+over the gains, the margins and those multipliers.
 The LP maximizes the weighted margins; a second pass then picks, among
 margin-optimal gains, the ones closest in l1 distance to a structured target
 so the synthesized fields stay interpretable.
-
-Synthesis assembles the constraint matrix once, by a direct transcription of
-the explicit constraint groups (_hand_fill). _machine_fill derives the same
-matrices by mechanically applying the two dualization templates; synthesis
-never runs it. It is the oracle the tests hold the transcription to.
 """
 
 import json
@@ -23,7 +21,7 @@ import warnings
 import numpy as np
 import scipy.sparse as sp
 
-from . import measurement, planning
+from . import geometry, measurement, planning
 from .clfcbf import GainLayout, LinearDynamics, build_cell_rows
 from .errors import (
     DimensionMismatch,
@@ -41,7 +39,6 @@ from .simulation import control_input
 OMEGA_DEFAULT = {"clf": 1.0, "cbf": 1.0}
 DELTA_CAP_DEFAULT = {"clf": 0.25, "cbf": 4.0}
 TIEBREAK_TOL = 1e-9
-MATRIX_MATCH_TOL = 1e-12
 
 
 class GainBasis:
@@ -95,31 +92,26 @@ class _Coo:
         self.v.append(vals.ravel())
 
     def matrix(self, shape):
+        """The summed entries as CSR, without stored zeros."""
         if not self.r:
             return sp.csr_matrix(shape)
-        return sp.coo_matrix(
+        out = sp.coo_matrix(
             (np.concatenate(self.v), (np.concatenate(self.r), np.concatenate(self.c))),
             shape=shape,
         ).tocsr()
+        out.eliminate_zeros()
+        return out
 
 
 class LpMeta:
-    """Variable and row layout of the per-cell LP, shared by _hand_fill and
-    its oracle _machine_fill so their matrices are directly comparable.
+    """Variable layout of the per-cell LP: gains theta, margins delta, then
+    per row k and landmark l the PMF-dual multipliers lam_s (unit mass,
+    free), lam_p (2d mean rows) and lam_z (d deviation rows)."""
 
-    Variables: gains theta, margins delta, then per row k the multipliers
-    lam_x (region rows) and per landmark lam_s, lam_p, lam_z, eta1, eta2,
-    beta. eta blocks are (axis, point) row-major; beta blocks are (point,
-    region row) row-major.
-    """
-
-    def __init__(self, layout, kinds, n_reg, n_ps, n_goal_rows=0):
+    def __init__(self, layout, n_rows, n_landmarks):
         self.layout = layout
-        self.kinds = list(kinds)
-        self.n_rows = len(self.kinds)
-        self.n_reg = list(n_reg)
-        self.n_ps = list(n_ps)
-        self.n_goal_rows = int(n_goal_rows)
+        self.n_rows = int(n_rows)
+        self.n_landmarks = int(n_landmarks)
         d = layout.d
         self._var = {}
         pos = 0
@@ -132,53 +124,14 @@ class LpMeta:
         take(("theta",), layout.n_gains)
         take(("delta",), self.n_rows)
         for k in range(self.n_rows):
-            take(("lam_x", k), self.n_reg[k])
-            for l, n_p in enumerate(self.n_ps):
+            for l in range(self.n_landmarks):
                 take(("lam_s", k, l), 1)
                 take(("lam_p", k, l), 2 * d)
                 take(("lam_z", k, l), d)
-                take(("eta1", k, l), d * n_p)
-                take(("eta2", k, l), d * n_p)
-                take(("beta", k, l), n_p * self.n_reg[k])
         self.n_vars = pos
-
-        self._row_ub = {}
-        pos = 0
-        for k in range(self.n_rows):
-            self._row_ub[("bound", k)] = (pos, 1)
-            pos += 1
-            for l, n_p in enumerate(self.n_ps):
-                self._row_ub[("dualfeas", k, l)] = (pos, n_p)
-                pos += n_p
-        self.n_ub = pos
-
-        self._row_eq = {}
-        pos = 0
-        for k in range(self.n_rows):
-            self._row_eq[("stat_x", k)] = (pos, d)
-            pos += d
-            for l, n_p in enumerate(self.n_ps):
-                self._row_eq[("stat_xi", k, l)] = (pos, n_p * d)
-                pos += n_p * d
-                self._row_eq[("stat_z", k, l)] = (pos, d * n_p)
-                pos += d * n_p
-        if self.n_goal_rows:
-            self._row_eq[("goal",)] = (pos, self.n_goal_rows)
-            pos += self.n_goal_rows
-        self.n_eq = pos
 
     def var(self, *key):
         return self._var[key]
-
-    def vrange(self, *key):
-        start, size = self._var[key]
-        return np.arange(start, start + size)
-
-    def row_ub(self, *key):
-        return self._row_ub[key]
-
-    def row_eq(self, *key):
-        return self._row_eq[key]
 
     def default_bounds(self, caps):
         lb = np.zeros(self.n_vars)
@@ -188,241 +141,62 @@ class LpMeta:
         s, z = self.var("delta")
         ub[s:s + z] = caps
         for k in range(self.n_rows):
-            for l in range(len(self.n_ps)):
-                s, _ = self.var("lam_s", k, l)
-                lb[s] = -np.inf
+            for l in range(self.n_landmarks):
+                lb[self.var("lam_s", k, l)[0]] = -np.inf
         return lb, ub
 
 
-def _hand_fill(meta, rows, regions, blocks):
-    """Transcribe the explicit constraint groups (i)-(v); non-negativity is
-    carried by the variable bounds."""
+def _fill_rows(meta, rows, regions, blocks):
+    """Inequality rows of the vertex-form LP, per row k: the bound row at
+    each vertex v of its region, then per landmark the dual-feasibility row
+    of each grid point i at each of its deviation candidates.
+
+    The inner maximum over the PMFs consistent with observing the landmark
+    from x has the dual bound
+        lam_s + lam_p.(-A'_x x - b_p) + sigma_m sum_q lam_z_q
+    under the per-point feasibility
+        lam_s + (A_p^T lam_p)_i + sum_q lam_z_q |x_q - a_qi| >= c_p_i,
+    a_i = landmark - U_i. Both must hold on the whole region. The bound row
+    is affine in x, so its vertices suffice; the point rows need the
+    minimum over the region of their last sum, which is attained at one of
+    geometry.deviation_candidates. An empty region has neither, so its row
+    constrains nothing."""
     d = meta.layout.d
-    ub, eq = _Coo(), _Coo()
-    b_ub = np.zeros(meta.n_ub)
-    b_eq = np.zeros(meta.n_eq)
+    ub = _Coo()
+    b_ub = []
+    n = 0
     theta0, _ = meta.var("theta")
     delta0, _ = meta.var("delta")
     for k, row in enumerate(rows):
-        A_x, b_x = regions[k].A, regions[k].b
-        n_reg = b_x.shape[0]
-        rb = meta.row_ub("bound", k)[0]
-        sx0 = meta.row_eq("stat_x", k)[0]
-        lx0, _ = meta.var("lam_x", k)
-        # (i) scalarized worst-case bound, region and margin part
-        ub.add(rb, lx0 + np.arange(n_reg), -b_x)
-        ub.add(rb, delta0 + k, 1.0)
+        V = geometry.region_points(regions[k])
+        at_v = n + np.arange(V.shape[0])[:, None]
         nz = np.nonzero(row.r.coef[0])[0]
-        ub.add(rb, theta0 + nz, row.r.coef[0][nz])
-        b_ub[rb] = -row.r.const[0]
-        # (ii) stationarity in the state, region part
-        for s in range(d):
-            eq.add(sx0 + s, lx0 + np.arange(n_reg), A_x[:, s])
-            b_eq[sx0 + s] = row.c_x[s]
+        ub.add(at_v, theta0 + nz, row.r.coef[0][nz])
+        ub.add(at_v, delta0 + k, 1.0)
+        for l, blk in enumerate(blocks):
+            ub.add(at_v, meta.var("lam_s", k, l)[0], 1.0)
+            ub.add(at_v, meta.var("lam_p", k, l)[0] + np.arange(2 * d),
+                   -(V @ blk.A_x.T + blk.b_p))
+            ub.add(at_v, meta.var("lam_z", k, l)[0] + np.arange(d),
+                   blk.bounds.sigma_m)
+        b_ub.append(-row.r.const[0] - V @ row.c_x)
+        n += V.shape[0]
         off = 0
         for l, blk in enumerate(blocks):
-            n_p = blk.n_points
-            U, lm = blk.U, blk.landmark
-            ls0, _ = meta.var("lam_s", k, l)
-            lp0, _ = meta.var("lam_p", k, l)
-            lz0, _ = meta.var("lam_z", k, l)
-            e10, _ = meta.var("eta1", k, l)
-            e20, _ = meta.var("eta2", k, l)
-            bt0, _ = meta.var("beta", k, l)
-            # (i) per-landmark part
-            ub.add(rb, ls0, 1.0)
-            ub.add(rb, lp0 + np.arange(2 * d), -blk.b_p)
-            ub.add(rb, lz0 + np.arange(d), blk.bounds.sigma_m)
-            # (ii) per-landmark part
-            for s in range(d):
-                eq.add(sx0 + s, lp0 + np.arange(2 * d), blk.A_x[:, s])
-            # (iii) elementwise bound
-            df0 = meta.row_ub("dualfeas", k, l)[0]
-            rows_i = df0 + np.arange(n_p)
-            ub.add(
-                np.repeat(rows_i, n_reg),
-                bt0 + np.arange(n_p * n_reg),
-                np.tile(-b_x, n_p),
-            )
-            for q in range(d):
-                ub.add(rows_i, e10 + q * n_p + np.arange(n_p), lm[q] - U[q])
-                ub.add(rows_i, e20 + q * n_p + np.arange(n_p), U[q] - lm[q])
-            block = row.c_p.coef[off:off + n_p]
-            ri, ci = np.nonzero(block)
-            ub.add(df0 + ri, theta0 + ci, block[ri, ci])
-            ub.add(
-                np.repeat(rows_i, 2 * d),
-                np.tile(lp0 + np.arange(2 * d), n_p),
-                -blk.A_p.T.ravel(),
-            )
-            ub.add(rows_i, ls0, -1.0)
-            b_ub[rows_i] = -row.c_p.const[off:off + n_p]
-            # (iv) stationarity in the state, per point
-            sxi0 = meta.row_eq("stat_xi", k, l)[0]
-            for s in range(d):
-                ridx = sxi0 + np.arange(n_p) * d + s
-                for reg in range(n_reg):
-                    eq.add(ridx, bt0 + np.arange(n_p) * n_reg + reg, A_x[reg, s])
-                eq.add(ridx, e10 + s * n_p + np.arange(n_p), 1.0)
-                eq.add(ridx, e20 + s * n_p + np.arange(n_p), -1.0)
-            # (v) deviation multiplier split
-            sz0 = meta.row_eq("stat_z", k, l)[0]
-            for q in range(d):
-                ridx = sz0 + q * n_p + np.arange(n_p)
-                eq.add(ridx, lz0 + q, 1.0)
-                eq.add(ridx, e10 + q * n_p + np.arange(n_p), -1.0)
-                eq.add(ridx, e20 + q * n_p + np.arange(n_p), -1.0)
-            off += n_p
-    return ub, b_ub, eq, b_eq
-
-
-def _robust_row(ub, eq, b_ub, b_eq, ub_row, eq_rows, mult_cols,
-                g_rows, g_cols, g_vals, h,
-                obj_const, obj_outer, rhs_const, rhs_outer):
-    """Mechanical counterpart of: max over {w : G w <= h} of obj.w <= rhs,
-    where obj and rhs are affine in the outer LP variables. Introduces the
-    multipliers mu >= 0 at mult_cols and writes G^T mu = obj (one equality
-    per inner variable, at eq_rows) plus the bound row h^T mu <= rhs."""
-    eq.add(eq_rows[g_cols], mult_cols[g_rows], g_vals)
-    for inner_idx, outer_cols, coeffs in obj_outer:
-        eq.add(eq_rows[inner_idx], outer_cols, -np.asarray(coeffs, dtype=float))
-    b_eq[eq_rows] = obj_const
-    ub.add(ub_row, mult_cols, h)
-    for outer_cols, coeffs in rhs_outer:
-        ub.add(ub_row, outer_cols, -np.asarray(coeffs, dtype=float))
-    b_ub[ub_row] = rhs_const
-
-
-def _machine_fill(meta, rows, regions, blocks):
-    """Derive the same LP mechanically; the tests' oracle for _hand_fill.
-
-    Stage A (dual of the inner PMF maximization, per landmark): for
-    max c_p.P s.t. 1.P = 1, A_p P <= -A'_x x - b_p, z_q.P <= sigma_m, P >= 0
-    the dual certificate is
-        lam_s + lam_p.(-A'_x x - b_p) + sigma_m sum_q lam_z_q  >=  inner max
-    subject to per-point feasibility
-        lam_s + (A_p^T lam_p)_i + sum_q lam_z_q z_qi >= c_p_i.
-    Stage B: each certificate row must hold for all states in the region,
-    and each per-point row also for every deviation vector z dominating the
-    per-point gaps; that inner maximization is itself dualized by
-    _robust_row. The bound row does not involve z, so it is dualized over x
-    alone; a per-point row involves only its own entries z_.i.
-    """
-    d = meta.layout.d
-    ub, eq = _Coo(), _Coo()
-    b_ub = np.zeros(meta.n_ub)
-    b_eq = np.zeros(meta.n_eq)
-    theta0, _ = meta.var("theta")
-    delta0, _ = meta.var("delta")
-    for k, row in enumerate(rows):
-        A_x, b_x = regions[k].A, regions[k].b
-        n_reg = b_x.shape[0]
-        reg_rows = np.repeat(np.arange(n_reg), d)
-        reg_cols = np.tile(np.arange(d), n_reg)
-
-        # ---- bound row: the inner variable is x alone over the region
-        # A_x x + b_x <= 0, multipliers lam_x; no deviation entry enters it.
-        obj_outer = []
-        rhs_outer = [
-            (theta0 + np.arange(meta.layout.n_gains), -row.r.coef[0]),
-            (np.array([delta0 + k]), np.array([-1.0])),
-        ]
-        for l, blk in enumerate(blocks):
-            # certificate objective, state-linear and multiplier parts
-            obj_outer.append((
-                np.tile(np.arange(d), 2 * d),
-                meta.var("lam_p", k, l)[0] + np.repeat(np.arange(2 * d), d),
-                -blk.A_x.ravel(),
-            ))
-            rhs_outer.extend([
-                (np.array([meta.var("lam_s", k, l)[0]]), np.array([-1.0])),
-                (meta.vrange("lam_p", k, l), blk.b_p),
-                (meta.vrange("lam_z", k, l), np.full(d, -blk.bounds.sigma_m)),
-            ])
-        _robust_row(
-            ub, eq, b_ub, b_eq,
-            meta.row_ub("bound", k)[0],
-            meta.row_eq("stat_x", k)[0] + np.arange(d), meta.vrange("lam_x", k),
-            reg_rows, reg_cols, A_x.ravel(), -b_x, row.c_x, obj_outer,
-            -row.r.const[0], rhs_outer,
-        )
-
-        # ---- per-point feasibility rows: inner variables (x, z_.i); the
-        # remaining deviation entries are separable and drop out.
-        off = 0
-        for l, blk in enumerate(blocks):
-            n_p = blk.n_points
-            lp0, _ = meta.var("lam_p", k, l)
-            ls0, _ = meta.var("lam_s", k, l)
-            lz0, _ = meta.var("lam_z", k, l)
-            e10, _ = meta.var("eta1", k, l)
-            e20, _ = meta.var("eta2", k, l)
-            bt0, _ = meta.var("beta", k, l)
-            df0 = meta.row_ub("dualfeas", k, l)[0]
-            sxi0 = meta.row_eq("stat_xi", k, l)[0]
-            sz0 = meta.row_eq("stat_z", k, l)[0]
-            qs = np.arange(d)
-            ep_rows = n_reg + np.arange(2 * d)
-            g_rows_i = np.concatenate([reg_rows, ep_rows, ep_rows])
-            g_cols_i = np.concatenate([reg_cols, np.tile(qs, 2), np.tile(d + qs, 2)])
-            for i in range(n_p):
-                gap_i = blk.landmark - blk.U[:, i]
-                g_vals_i = np.concatenate(
-                    [A_x.ravel(), np.ones(d), -np.ones(d), -np.ones(2 * d)]
-                )
-                h_i = np.concatenate([-b_x, gap_i, -gap_i])
-                mult_i = np.concatenate([
-                    bt0 + i * n_reg + np.arange(n_reg),
-                    e10 + qs * n_p + i,
-                    e20 + qs * n_p + i,
-                ])
-                eq_rows_i = np.concatenate([
-                    sxi0 + i * d + qs,
-                    sz0 + qs * n_p + i,
-                ])
-                _robust_row(
-                    ub, eq, b_ub, b_eq,
-                    df0 + i, eq_rows_i, mult_i,
-                    g_rows_i, g_cols_i, g_vals_i, h_i,
-                    np.zeros(2 * d),
-                    [(d + qs, lz0 + qs, -np.ones(d))],
-                    -row.c_p.const[off + i],
-                    [
-                        (np.array([ls0]), np.array([1.0])),
-                        (lp0 + np.arange(2 * d), blk.A_p[:, i]),
-                        (theta0 + np.arange(meta.layout.n_gains), -row.c_p.coef[off + i]),
-                    ],
-                )
-            off += n_p
-    return ub, b_ub, eq, b_eq
-
-
-def _canonical_sign(csr, rhs):
-    """Scale each row (and its rhs) so the first stored nonzero is positive;
-    equality rows are sign-symmetric so this is a no-op mathematically."""
-    csr = csr.copy()
-    csr.sort_indices()
-    rhs = rhs.copy()
-    for i in range(csr.shape[0]):
-        lo, hi = csr.indptr[i], csr.indptr[i + 1]
-        if hi > lo and csr.data[lo] < 0:
-            csr.data[lo:hi] *= -1.0
-            rhs[i] *= -1.0
-    return csr, rhs
-
-
-def _matrices_match(a_ub, b_ub, a_eq, b_eq, m_ub, mb_ub, m_eq, mb_eq):
-    diff = a_ub - m_ub
-    if diff.nnz and np.max(np.abs(diff.data)) > MATRIX_MATCH_TOL:
-        return False
-    if np.max(np.abs(b_ub - mb_ub), initial=0.0) > MATRIX_MATCH_TOL:
-        return False
-    ca, ra = _canonical_sign(a_eq, b_eq)
-    cm, rm = _canonical_sign(m_eq, mb_eq)
-    diff = ca - cm
-    if diff.nnz and np.max(np.abs(diff.data)) > MATRIX_MATCH_TOL:
-        return False
-    return np.max(np.abs(ra - rm), initial=0.0) <= MATRIX_MATCH_TOL
+            idx, gap = geometry.deviation_candidates(
+                regions[k], (blk.landmark[:, None] - blk.U).T)
+            at_i = n + np.arange(idx.size)[:, None]
+            ub.add(at_i, meta.var("lam_s", k, l)[0], -1.0)
+            ub.add(at_i, meta.var("lam_p", k, l)[0] + np.arange(2 * d),
+                   -blk.A_p.T[idx])
+            ub.add(at_i, meta.var("lam_z", k, l)[0] + np.arange(d), -gap)
+            coef = row.c_p.coef[off + idx]
+            ri, ci = np.nonzero(coef)
+            ub.add(n + ri, theta0 + ci, coef[ri, ci])
+            b_ub.append(-row.c_p.const[off + idx])
+            n += idx.size
+            off += blk.n_points
+    return ub, np.concatenate(b_ub)
 
 
 def stack_landmarks(kernel, bounds, positions):
@@ -466,7 +240,6 @@ def _check_visibility(cell, landmarks, spec):
 def _fill_goal(eq, meta, spec, maps, positions, goal):
     """Equilibrium equality u = 0 for the observation snapped at the goal."""
     layout = meta.layout
-    g0 = meta.row_eq("goal")[0]
     theta0, _ = meta.var("theta")
     for l, pos in enumerate(positions):
         y = np.asarray(pos, dtype=float) - np.asarray(goal, dtype=float)
@@ -480,9 +253,9 @@ def _fill_goal(eq, meta, spec, maps, positions, goal):
             f = R @ pmf.vector
             for m in range(layout.n_u):
                 base = layout.gain_index(l, i, m, 0)
-                eq.add(g0 + m, theta0 + base + np.arange(layout.d), f)
+                eq.add(m, theta0 + base + np.arange(layout.d), f)
     for m in range(layout.n_u):
-        eq.add(g0 + m, theta0 + layout.bias_start() + m, 1.0)
+        eq.add(m, theta0 + layout.bias_start() + m, 1.0)
 
 
 def assemble_robust_lp(cell, entry, dynamics, alpha_v, alpha_h, bounds, spec,
@@ -517,10 +290,10 @@ def assemble_robust_lp(cell, entry, dynamics, alpha_v, alpha_h, bounds, spec,
     omega_k = np.array([omega_map[r.kind] for r in rows])
     caps_k = np.array([caps_map[r.kind] for r in rows])
 
+    meta = LpMeta(layout, len(rows), len(blocks))
+    ub, b_ub = _fill_rows(meta, rows, regions, blocks)
+    eq = _Coo()
     n_goal = dynamics.n_u if goal is not None else 0
-    meta = LpMeta(layout, [r.kind for r in rows], [reg.n_rows for reg in regions],
-                  [b.n_points for b in blocks], n_goal_rows=n_goal)
-    ub, b_ub, eq, b_eq = _hand_fill(meta, rows, regions, blocks)
     if goal is not None:
         _fill_goal(eq, meta, spec, maps, positions, goal)
 
@@ -529,8 +302,8 @@ def assemble_robust_lp(cell, entry, dynamics, alpha_v, alpha_h, bounds, spec,
     c[dstart:dstart + meta.n_rows] = omega_k
     lb, ub_bounds = meta.default_bounds(caps_k)
     lp = StandardLp("max", c,
-                    A_ub=ub.matrix((meta.n_ub, meta.n_vars)), b_ub=b_ub,
-                    A_eq=eq.matrix((meta.n_eq, meta.n_vars)), b_eq=b_eq,
+                    A_ub=ub.matrix((b_ub.size, meta.n_vars)), b_ub=b_ub,
+                    A_eq=eq.matrix((n_goal, meta.n_vars)), b_eq=np.zeros(n_goal),
                     lb=lb, ub=ub_bounds)
     return AssembledCellLp(lp, meta, rows, regions, blocks, basis, spec,
                            dynamics, alpha_v, alpha_h, v_floor=v_floor)
@@ -577,27 +350,12 @@ def _tiebreak_lp(assembled, z_star, nominal_theta):
                       lb=lb, ub=ub)
 
 
-def _extract_duals(meta, x):
-    out = []
-    for k in range(meta.n_rows):
-        per_landmark = []
-        for l in range(len(meta.n_ps)):
-            entry = {}
-            for name in ("lam_s", "lam_p", "lam_z", "eta1", "eta2", "beta"):
-                s, z = meta.var(name, k, l)
-                entry[name] = x[s:s + z].copy()
-            per_landmark.append(entry)
-        s, z = meta.var("lam_x", k)
-        out.append({"lam_x": x[s:s + z].copy(), "landmarks": per_landmark})
-    return out
-
-
 class CellController:
     """Synthesized gains and everything needed to run and audit them."""
 
     def __init__(self, cell_id, basis, gains, bias, margins, kinds, facets,
                  grid, bounds, alpha_v, alpha_h, landmark_ids, landmarks,
-                 v, o, exit_face, v_floor, dynamics, duals=None, status="Optimal",
+                 v, o, exit_face, v_floor, dynamics, status="Optimal",
                  saturation=None):
         self.cell_id = cell_id
         self.basis = basis
@@ -617,7 +375,6 @@ class CellController:
         self.exit_face = exit_face
         self.v_floor = v_floor
         self.dynamics = dynamics
-        self.duals = duals
         self.status = status
         self.saturation = saturation
 
@@ -750,7 +507,6 @@ def synthesize_cell_controller(assembled, cell, entry, landmark_ids,
         exit_face=entry.exit_face,
         v_floor=assembled.v_floor,
         dynamics=assembled.dynamics,
-        duals=_extract_duals(meta, x),
         status="Optimal",
     )
     ctrl.saturation = _saturation_report(ctrl, cell)

@@ -1,7 +1,8 @@
 """Independent check of synthesized controllers.
 
-The synthesis LP certifies each row through two dualizations. This module
-attacks the original, un-dualized problem instead: at sampled states it
+The synthesis LP certifies each row through a dualization over the PMF and
+closed-form minima over the state. This module attacks the original,
+un-dualized problem instead: at sampled states it
 solves the inner maximization over consistent PMFs directly and checks that
 every row still clears its synthesized margin. Agreement here validates the
 whole dual construction end to end.

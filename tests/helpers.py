@@ -1,14 +1,14 @@
 """Shared builders for randomized test cells and small synthesis setups."""
 
 import numpy as np
-import scipy.sparse as sp
 
 from safefield.clfcbf import LinearDynamics
-from safefield.geometry import ConvexCell, Environment, polygon_to_halfspaces
-from safefield.lp_core import StandardLp
+from safefield.geometry import (ConvexCell, Environment, deviation_candidates,
+                                polygon_to_halfspaces)
+from safefield.lp_core import StandardLp, solve_lp
 from safefield.measurement import GridSpec, UncertaintyBounds
 from safefield.planning import PlanEntry
-from safefield.synthesis import GainBasis, _machine_fill
+from safefield.synthesis import GainBasis
 
 
 def random_convex_polygon(rng, n_min=4, n_max=7, radius=3.0, center=(0.0, 0.0)):
@@ -45,18 +45,27 @@ def transit_entry_for(cell, exit_face):
     return PlanEntry(cell.id, exit_face, -A[exit_face], o)
 
 
-def machine_lp(asm):
-    """The assembled LP with its dualized rows rebuilt by the mechanical
-    derivation from the same rows, regions and blocks. The goal equality is
-    not a dualization, so its rows are copied from the assembled LP."""
-    meta, lp = asm.meta, asm.lp
-    ub, b_ub, eq, b_eq = _machine_fill(meta, asm.rows, asm.regions, asm.blocks)
-    g0 = meta.n_eq - meta.n_goal_rows
-    A_eq = sp.vstack([eq.matrix((meta.n_eq, meta.n_vars))[:g0], lp.A_eq[g0:]])
-    b_eq[g0:] = lp.b_eq[g0:]
-    return StandardLp(lp.sense, lp.c,
-                      A_ub=ub.matrix((meta.n_ub, meta.n_vars)), b_ub=b_ub,
-                      A_eq=A_eq, b_eq=b_eq, lb=lp.lb, ub=lp.ub)
+def check_candidates_against_lp(hs, a, rng):
+    """For a random weight lam >= 0 per point a[i], some zero, the minimum of
+    lam.|x - a[i]| over deviation_candidates equals the LP minimum over x in
+    hs, with t >= |x - a[i]|; an empty hs has no candidates and an
+    infeasible LP. Returns how many a[i] lie in hs."""
+    idx, gap = deviation_candidates(hs, a)
+    inside = 0
+    for i, ai in enumerate(a):
+        lam = rng.uniform(0.0, 1.0, size=2) * (rng.uniform(size=2) > 0.2)
+        eye, zero = np.eye(2), np.zeros((hs.n_rows, 2))
+        sol = solve_lp(StandardLp(
+            "min", np.r_[0.0, 0.0, lam],
+            A_ub=np.block([[hs.A, zero], [eye, -eye], [-eye, -eye]]),
+            b_ub=np.r_[-hs.b, ai, -ai], lb=np.full(4, -np.inf)))
+        mine = gap[idx == i] @ lam
+        if sol.status == "Infeasible":
+            assert mine.size == 0
+            continue
+        assert abs(mine.min() - sol.objective) <= 1e-9
+        inside += hs.contains(ai)
+    return inside
 
 
 def small_setup(n=(6, 6), width=(16.0, 16.0), epsilon=2.0, sigma_m=8.0):

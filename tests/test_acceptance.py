@@ -19,7 +19,8 @@ from safefield.synthesis import (assemble_robust_lp,
                                  synthesize_environment)
 from safefield.verification import adversarial_pmf, verify_controller
 
-from helpers import machine_lp, random_cell, small_setup, transit_entry_for
+from dual_form import machine_lp
+from helpers import random_cell, small_setup, transit_entry_for
 
 pytestmark = pytest.mark.filterwarnings("ignore:bounds")
 

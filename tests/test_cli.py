@@ -86,7 +86,16 @@ def test_negative_verify_count_exits_config_code(tmp_path):
     ({}, ["--eps", "-1"], "epsilon"),
     ({"sigma_m": -2}, [], "sigma_m"),
     ({"verify_count": "many"}, [], "verify_count"),
-], ids=["negative-eps-flag", "negative-sigma_m", "non-numeric-verify_count"])
+    ({"sim": {"dt": "fast"}}, [], "sim.dt"),
+    ({"sim": {"seed": "s"}}, [], "sim.seed"),
+    ({"sim": {"sensor": {"kind": "gaussian", "drift": "far"}}}, [],
+     "sim.sensor.drift"),
+    ({"grid": {"n": ["a", 4], "width": [6.0, 6.0]}}, [], "grid.n"),
+    ({"field": {"resolution": [5, "x"]}}, [], "field.resolution"),
+], ids=["negative-eps-flag", "negative-sigma_m", "non-numeric-verify_count",
+        "non-numeric-sim.dt", "non-numeric-sim.seed",
+        "non-numeric-sensor.drift", "non-numeric-grid.n",
+        "non-numeric-field.resolution"])
 def test_bad_number_exits_config_code(tmp_path, capsys, extra, flags, field):
     cfg = write_config(tmp_path, **extra)
     assert cli.main(["synth", "--config", str(cfg)] + flags) == 2

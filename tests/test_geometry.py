@@ -1,13 +1,14 @@
 import numpy as np
 import pytest
 
-from helpers import random_convex_polygon
+from helpers import check_candidates_against_lp, random_convex_polygon
 from safefield.errors import DegenerateInput, GoalNotVertex, NonConvexInput
 from safefield.geometry import (
     ConvexCell,
     Environment,
     HalfspaceSet,
     cell_vertices,
+    deviation_candidates,
     polygon_to_halfspaces,
 )
 
@@ -83,10 +84,23 @@ def test_nonconvex_polygon_rejected():
         polygon_to_halfspaces(verts)
 
 
-def test_obstacle_rows_exclude_exit_face():
-    cell = ConvexCell(0, polygon_to_halfspaces(TRIANGLE), [0])
-    cell.exit_face = 1
-    assert cell.obstacle_rows() == [0, 2]
+def test_deviation_candidates_attain_the_lp_minimum():
+    rng = np.random.default_rng(5)
+    inside = outside = 0
+    for _ in range(20):
+        hs = polygon_to_halfspaces(random_convex_polygon(rng))
+        a = rng.uniform(-5.0, 5.0, size=(10, 2))
+        n_in = check_candidates_against_lp(hs, a, rng)
+        inside, outside = inside + n_in, outside + 10 - n_in
+    assert inside and outside
+
+
+def test_deviation_candidates_of_a_box_are_the_clamp():
+    hs = polygon_to_halfspaces([[0.0, 0.0], [2.0, 0.0], [2.0, 1.0], [0.0, 1.0]])
+    a = np.array([[1.0, 0.5], [3.0, 0.5], [-1.0, 4.0], [2.0, 1.0]])
+    idx, gap = deviation_candidates(hs, a)
+    assert idx.tolist() == [0, 1, 2, 3]
+    assert np.allclose(gap, [[0.0, 0.0], [1.0, 0.0], [1.0, 3.0], [0.0, 0.0]])
 
 
 def test_environment_ingest(annulus_env):

@@ -1,19 +1,20 @@
+import copy
 import json
 
 import numpy as np
 import pytest
 
-from helpers import machine_lp, random_cell, transit_entry_for
+from dual_form import lift, machine_lp, violation
+from helpers import check_candidates_against_lp, random_cell, transit_entry_for
 from safefield.clfcbf import LinearDynamics
 from safefield.errors import GridMismatch, LandmarkNotVisible, SynthesisInfeasible
-from safefield.geometry import ConvexCell, polygon_to_halfspaces
+from safefield.geometry import ConvexCell, polygon_to_halfspaces, region_points
 from safefield.lp_core import solve_lp
 from safefield.measurement import GridSpec, UncertaintyBounds, make_delta_pmf
 from safefield.planning import PlanEntry
 from safefield.synthesis import (
     DELTA_CAP_DEFAULT,
     GainBasis,
-    _matrices_match,
     assemble_robust_lp,
     goal_v_floor,
     load_controllers,
@@ -84,17 +85,15 @@ def test_lp_dimensions_square():
     entry = transit_entry_for(cell, 0)
     asm = assemble_robust_lp(cell, entry, dyn, ALPHA_V, ALPHA_H, bounds, spec,
                              [np.array([0.5, 0.5])], basis)
-    # 4 rows (CLF + 3 CBF), each with n_reg = 4 region rows, n_p = 9, d = 2:
-    # 14 + 4 + 4 * (n_reg + 1 + 2d + d + 2 d n_p + n_p n_reg) = 350 columns,
-    # 4 * (1 + n_p) = 40 inequalities, 4 * (d + 2 d n_p) = 152 equalities.
-    # Dualizing the bound row over the deviations too added 2 d n_p = 36
-    # columns and d n_p = 18 equalities per row (494 and 224).
+    # 4 rows (CLF + 3 CBF) over the unit square, n_p = 9, d = 2:
+    # 14 gains + 4 margins + 4 * (1 + 2d + d) multipliers = 46 columns.
+    # Each row holds at the 4 vertices, and each grid point's feasibility row
+    # at one candidate, the square's point nearest to a_i (the square is
+    # axis-aligned): 4 * (4 + 9) = 52 inequalities, and no equality.
     assert asm.meta.layout.n_gains == 14
-    assert asm.meta.n_vars == 350
-    assert asm.meta.n_ub == 40
-    assert asm.meta.n_eq == 152
-    assert asm.lp.A_ub.shape == (40, 350)
-    assert asm.lp.A_eq.shape == (152, 350)
+    assert asm.meta.n_vars == 46
+    assert asm.lp.A_ub.shape == (52, 46)
+    assert asm.lp.A_eq.shape == (0, 46)
 
 
 def pinned_zero_rows(lp):
@@ -118,18 +117,44 @@ def test_no_column_is_pinned_at_zero():
         assert pinned_zero_rows(asm.lp).size == 0
 
 
-def test_hand_and_machine_assemblies_agree():
-    # _matrices_match compares at MATRIX_MATCH_TOL (1e-12)
+def oracle_cases():
+    """Five random transit cells, goal_square and a two-landmark cell."""
     spec, bounds, basis, dyn = setup()
     rng = np.random.default_rng(11)
     cases = [assembled_random(rng, spec, bounds, basis, dyn)[0] for _ in range(5)]
     cases.append(goal_square(spec, bounds, basis, dyn)[0])
     cases.append(two_landmark_random(rng, spec, bounds, basis, dyn))
-    assert cases[-2].meta.n_goal_rows and cases[-1].meta.layout.n_landmarks == 2
-    for asm in cases:
-        lp, ref = asm.lp, machine_lp(asm)
-        assert _matrices_match(lp.A_ub, lp.b_ub, lp.A_eq, lp.b_eq,
-                               ref.A_ub, ref.b_ub, ref.A_eq, ref.b_eq)
+    assert cases[-2].lp.b_eq.size and cases[-1].meta.layout.n_landmarks == 2
+    return cases
+
+
+def uncapped(asm):
+    """asm with its margin caps removed, so none can bind."""
+    out = copy.copy(asm)
+    out.lp = copy.copy(asm.lp)
+    out.lp.ub = asm.lp.ub.copy()
+    s, z = asm.meta.var("delta")
+    out.lp.ub[s:s + z] = np.inf
+    return out
+
+
+def test_vertex_and_dual_forms_share_the_optimum():
+    # without caps some cells' margins grow without bound in both forms
+    optimal = 0
+    for asm in map(uncapped, oracle_cases()):
+        mine, ref = solve_lp(asm.lp), solve_lp(machine_lp(asm))
+        assert mine.status == ref.status
+        if mine.status == "Optimal":
+            optimal += 1
+            assert abs(mine.objective - ref.objective) <= 1e-9 * abs(ref.objective)
+    assert optimal
+
+
+def test_lifted_optimum_is_dual_feasible():
+    for asm in oracle_cases():
+        sol = solve_lp(asm.lp)
+        assert sol.status == "Optimal"
+        assert violation(machine_lp(asm), lift(asm, sol.x)) <= 1e-9
 
 
 def test_hand_and_machine_optima_match():
@@ -147,6 +172,30 @@ def test_hand_and_machine_optima_match():
             assert sol.status == "Optimal"
             objs.append(sol.objective)
         assert abs(objs[0] - objs[1]) <= 1e-6 * (1.0 + abs(objs[0]))
+
+
+def test_deviation_candidates_on_goal_regions():
+    # the floored CLF region of goal_square: as built, cut down to the
+    # corner of largest progress, and empty
+    spec, bounds, basis, dyn = setup()
+    _, cell, entry, _ = goal_square(spec, bounds, basis, dyn)
+    top = max(float(entry.v @ (x - entry.o)) for x in cell.vertices)
+    rng = np.random.default_rng(3)
+    a = rng.uniform(-2.0, 6.0, size=(30, 2))
+    for v_floor, n_points in (("auto", 3), (top, 1), (100.0, 0)):
+        region = goal_square(spec, bounds, basis, dyn, v_floor=v_floor)[0].regions[0]
+        assert region_points(region).shape[0] == n_points
+        check_candidates_against_lp(region, a, rng)
+
+
+def test_empty_clf_region_leaves_the_row_vacuous():
+    # v_floor above every state's progress: the CLF row constrains nothing,
+    # and its margin sits at its cap, 0.25 + 2 * 4.0 in both forms
+    spec, bounds, basis, dyn = setup()
+    asm = goal_square(spec, bounds, basis, dyn, v_floor=100.0)[0]
+    objs = [solve_lp(lp).objective for lp in (asm.lp, machine_lp(asm))]
+    assert objs[0] == pytest.approx(8.25, abs=1e-9)
+    assert objs[1] == pytest.approx(8.25, abs=1e-9)
 
 
 def test_margins_within_caps_and_bookkeeping():
