@@ -40,13 +40,21 @@ EXIT_SOLVER = 3
 
 
 class RunConfig:
-    """Validated run description loaded from a JSON file."""
+    """Validated run description loaded from a JSON file. A key that it
+    does not read is an error, so a misspelt or retired key cannot change a
+    run without a word."""
 
     def __init__(self, raw, base_dir=".", path=None):
         self.path = path
+        if not isinstance(raw, dict):
+            raise ConfigError("a run config must be a JSON object", path=path)
+        _known(raw, "", ("environment", "alpha_v", "alpha_h", "epsilon",
+                         "sigma_m", "grid", "basis", "mode", "sim", "starts",
+                         "field", "verify_count", "out", "seed"), path)
         env_ref = raw.get("environment")
         if env_ref is None:
             raise ConfigError("missing environment", path=path, field="environment")
+        env_path = path
         if isinstance(env_ref, str):
             env_path = os.path.join(base_dir, env_ref)
             if not os.path.exists(env_path):
@@ -54,7 +62,7 @@ class RunConfig:
                                   path=env_path, field="environment")
             with open(env_path) as fh:
                 env_ref = _load_json(fh, env_path)
-        self.environment = environment_from_dict(env_ref)
+        self.environment = environment_from_dict(env_ref, env_path)
 
         self.alpha_v = _number(raw, "alpha_v", 1.0, float, path)
         self.alpha_h = _number(raw, "alpha_h", 100.0, float, path)
@@ -66,29 +74,27 @@ class RunConfig:
         self.sigma_m = _number(raw, "sigma_m", 16.0, float, path)
         self.check_bounds()
 
-        grid = raw.get("grid")
-        if not isinstance(grid, dict) or not all(
-                isinstance(grid.get(key), list) for key in ("n", "width")):
+        grid = _arguments(raw, "grid", path, n=int, width=float)
+        if not all(isinstance(grid.get(key), tuple) for key in ("n", "width")):
             raise ConfigError("grid must give n and width as lists",
                               path=path, field="grid")
-        self.grid = GridSpec(_number(raw, "grid.n", None, int, path),
-                             _number(raw, "grid.width", None, float, path))
+        self.grid = GridSpec(grid["n"], grid["width"])
 
         self.basis = GainBasis(tuple(raw.get("basis", GainBasis.KNOWN)))
-        self.omega = raw.get("omega")
-        self.delta_cap = raw.get("delta_cap")
         self.mode = str(raw.get("mode", "stabilize")).lower()
         if self.mode not in ("stabilize", "patrol"):
             raise ConfigError("mode must be stabilize or patrol",
                               path=path, field="mode")
-        self.sim = SimConfig.from_dict(_sim_section(raw, path))
-        starts = raw.get("starts")
-        if starts is None:
-            starts = [np.asarray(self.environment.start)]
-        self.starts = [np.asarray(s, dtype=float) for s in starts]
-        field = raw.get("field") or {}
-        self.field_resolution = _number(raw, "field.resolution", (12, 12), int,
-                                        path)
+        sim = _arguments(raw, "sim", path, dt=float, max_time=float,
+                         goal_tol=float, seed=int, sensor=None)
+        sensor = _arguments(raw, "sim.sensor", path, kind=str, drift=float,
+                            variance=float)
+        self.sim = SimConfig(sensor=SensorModel(**sensor), **sim)
+        self.starts = [np.asarray(s) for s in _number(
+            raw, "starts", [self.environment.start],
+            lambda point: [float(v) for v in point], path)]
+        field = _arguments(raw, "field", path, resolution=int, cells=int)
+        self.field_resolution = field.get("resolution", (12, 12))
         self.field_cells = field.get("cells")
         self.verify_count = _number(raw, "verify_count", 200, int, path)
         if self.verify_count < 0:
@@ -111,8 +117,8 @@ class RunConfig:
 
 
 def _number(raw, key, default, kind, path):
-    """raw[key] (or default) converted by kind (float or int), entry by entry
-    for a list. A dotted key names an entry of a nested section."""
+    """raw[key] (or default) converted by kind, entry by entry for a list.
+    A dotted key names an entry of a nested section."""
     value = raw
     for part in key.split("."):
         value = value.get(part, default) if isinstance(value, dict) else default
@@ -125,25 +131,26 @@ def _number(raw, key, default, kind, path):
                           path=path, field=key) from None
 
 
-SIM_NUMBERS = {"dt": float, "max_time": float, "goal_tol": float, "seed": int}
-SENSOR_NUMBERS = {"drift": float, "variance": float}
+def _known(section, prefix, keys, path):
+    """Reject any key of section that is not in keys."""
+    for key in section:
+        if key not in keys:
+            raise ConfigError("unknown key", path=path, field=prefix + key)
 
 
-def _sim_section(raw, path):
-    """The sim section for SimConfig.from_dict, its numbers converted."""
-    sim = raw.get("sim") or {}
-    sensor = (sim.get("sensor") or {}) if isinstance(sim, dict) else None
-    if not isinstance(sensor, dict):
-        raise ConfigError("sim and sim.sensor must be objects",
-                          path=path, field="sim")
-    sim, sensor = dict(sim), dict(sensor)
-    for section, prefix, numbers in ((sim, "sim.", SIM_NUMBERS),
-                                     (sensor, "sim.sensor.", SENSOR_NUMBERS)):
-        for name, kind in numbers.items():
-            if name in section:
-                section[name] = _number(raw, prefix + name, None, kind, path)
-    sim["sensor"] = sensor
-    return sim
+def _arguments(raw, name, path, **kinds):
+    """Keyword arguments from the object at dotted name (absent or null:
+    none), each entry converted by its kind, so that an absent entry keeps
+    the constructor's default. A kind of None marks a nested object, read
+    on its own; a key without a kind is rejected."""
+    section = raw
+    for part in name.split("."):
+        section = section.get(part) or {}
+    if not isinstance(section, dict):
+        raise ConfigError("%s must be an object" % name, path=path, field=name)
+    _known(section, name + ".", kinds, path)
+    return {key: _number(raw, "%s.%s" % (name, key), None, kind, path)
+            for key, kind in kinds.items() if kind is not None and key in section}
 
 
 def _load_json(fh, path):
@@ -220,8 +227,7 @@ def cmd_synth(cfg, cells=None):
     dynamics = LinearDynamics.single_integrator(env.dimension)
     controllers = synthesis.synthesize_environment(
         env, entries, graph, dynamics, cfg.grid, cfg.bounds, cfg.basis,
-        cfg.alpha_v, cfg.alpha_h, omega=cfg.omega, caps=cfg.delta_cap,
-        mode=cfg.mode,
+        cfg.alpha_v, cfg.alpha_h, mode=cfg.mode,
     )
     os.makedirs(cfg.out, exist_ok=True)
     synthesis.save_controllers(controllers, _controllers_path(cfg))

@@ -7,6 +7,7 @@ so -(A[j] x + b[j]) is the signed distance of x to facet j (positive inside).
 import numpy as np
 
 from .errors import (
+    ConfigError,
     DegenerateInput,
     GoalNotVertex,
     LandmarkOutOfView,
@@ -158,17 +159,12 @@ def deviation_candidates(hs, a):
 
 
 class ConvexCell:
-    """One convex cell of the decomposition.
-
-    exit_face is the body row index the high-level plan leaves through; it is
-    None until a plan assigns it (and stays None for a goal-vertex cell).
-    """
+    """One convex cell of the decomposition."""
 
     def __init__(self, cell_id, body, landmark_ids):
         self.id = int(cell_id)
         self.body = body
         self.landmark_ids = list(landmark_ids)
-        self.exit_face = None
         self._vertices = None
 
     @property
@@ -213,16 +209,31 @@ class Environment:
         raise KeyError(cell_id)
 
 
-def environment_from_dict(obj):
-    """Build an Environment from its JSON-style dict form."""
+def environment_from_dict(obj, path=None):
+    """Build an Environment from its JSON-style dict form. A missing or
+    malformed entry raises ConfigError naming it, with path as the file."""
+
+    def read(owner, key, field, convert):
+        try:
+            return convert(owner[key])
+        except (KeyError, TypeError, ValueError):
+            raise ConfigError("missing or malformed entry", path=path,
+                              field="environment." + field) from None
+
+    def points(value):
+        return np.asarray(value, dtype=float)
+
     cells = []
-    for i, spec in enumerate(obj["cells"]):
-        body = polygon_to_halfspaces(spec["vertices"])
-        cells.append(ConvexCell(spec.get("id", i), body, spec["landmark_ids"]))
+    for i, spec in enumerate(read(obj, "cells", "cells", list)):
+        body = read(spec, "vertices", "cells.%d.vertices" % i,
+                    polygon_to_halfspaces)
+        ids = read(spec, "landmark_ids", "cells.%d.landmark_ids" % i,
+                   lambda value: [int(j) for j in value])
+        cells.append(ConvexCell(spec.get("id", i), body, ids))
     return Environment(
         cells,
-        obj["landmarks"],
-        obj["start"],
-        obj["goal"],
+        read(obj, "landmarks", "landmarks", points),
+        read(obj, "start", "start", points),
+        read(obj, "goal", "goal", points),
         patrol_cycle=obj.get("patrol_cycle"),
     )

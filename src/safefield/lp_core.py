@@ -55,16 +55,15 @@ class LpSolution:
     duals_ub and duals_eq equal d(objective)/d(rhs) for a max problem and
     the negation of that for a min problem, so duals_ub >= 0 in both senses.
     For a max problem, objective = b_ub.duals_ub + b_eq.duals_eq + bound
-    terms (strong duality). duals_lb is d(objective)/d(lb).
+    terms (strong duality).
     """
 
-    def __init__(self, status, x, objective, duals_ub, duals_eq, duals_lb):
+    def __init__(self, status, x, objective, duals_ub, duals_eq):
         self.status = status
         self.x = x
         self.objective = objective
         self.duals_ub = duals_ub
         self.duals_eq = duals_eq
-        self.duals_lb = duals_lb
 
 
 def _validate(lp, x, duals_ub):
@@ -104,16 +103,15 @@ def solve_lp(lp):
         method="highs",
     )
     if res.status == 2:
-        return LpSolution("Infeasible", None, None, None, None, None)
+        return LpSolution("Infeasible", None, None, None, None)
     if res.status == 3:
-        return LpSolution("Unbounded", None, None, None, None, None)
+        return LpSolution("Unbounded", None, None, None, None)
     if res.status != 0:
         raise NumericalFailure("solver stopped with status %d: %s" % (res.status, res.message))
     sign = 1.0 if lp.sense == "min" else -1.0
     x = np.asarray(res.x, dtype=float)
     duals_ub = -np.asarray(res.ineqlin.marginals) if lp.b_ub.size else np.zeros(0)
     duals_eq = -np.asarray(res.eqlin.marginals) if lp.b_eq.size else np.zeros(0)
-    duals_lb = sign * np.asarray(res.lower.marginals)
     _validate(lp, x, duals_ub)
-    return LpSolution("Optimal", x, sign * float(res.fun), duals_ub, duals_eq, duals_lb)
+    return LpSolution("Optimal", x, sign * float(res.fun), duals_ub, duals_eq)
 

@@ -73,13 +73,10 @@ class GridSpec:
             idx.append(min(max(j, 0), self.n[q] - 1))
         return tuple(idx)
 
-    def same_widths(self, other):
-        return len(self.width) == len(other.width) and all(
-            abs(a - b) <= 1e-12 for a, b in zip(self.width, other.width)
-        )
-
     def __eq__(self, other):
-        return isinstance(other, GridSpec) and self.n == other.n and self.same_widths(other)
+        return (isinstance(other, GridSpec) and self.n == other.n
+                and all(abs(a - b) <= 1e-12
+                        for a, b in zip(self.width, other.width)))
 
 
 class PmfGrid:

@@ -209,8 +209,6 @@ def plan_from_start(env, graph, start=None, mode="stabilize"):
         for idx, cid in enumerate(cycle):
             nxt = cycle[(idx + 1) % len(cycle)]
             entries.append(_transit_entry(env, graph, cid, nxt))
-        for e in entries:
-            env.cell_by_id(e.cell_id).exit_face = e.exit_face
         return HighLevelPlan("patrol", entries)
     ids = [c.id for c in env.cells if c.contains(start)]
     if not ids:
@@ -220,9 +218,6 @@ def plan_from_start(env, graph, start=None, mode="stabilize"):
         _transit_entry(env, graph, path[i], path[i + 1]) for i in range(len(path) - 1)
     ]
     entries.append(goal_entry(env, path[-1]))
-    for e in entries:
-        cell = env.cell_by_id(e.cell_id)
-        cell.exit_face = e.exit_face
     return HighLevelPlan("stabilize", entries, goal=env.goal)
 
 
@@ -239,5 +234,4 @@ def exit_map_to_goal(env, graph):
                 raise NoPath("cell %d cannot reach the goal cell" % cell.id)
             nxt = min(nb for nb in graph.neighbors(cell.id) if dist[nb] == dist[cell.id] - 1)
             entries[cell.id] = _transit_entry(env, graph, cell.id, nxt)
-        cell.exit_face = entries[cell.id].exit_face
     return entries

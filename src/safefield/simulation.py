@@ -50,25 +50,11 @@ class SensorModel:
 
         return sense
 
-    def to_dict(self):
-        out = {"kind": self.kind}
-        if self.kind == "gaussian":
-            out["drift"] = self.drift
-            out["variance"] = self.variance
-        return out
-
-    @classmethod
-    def from_dict(cls, d):
-        d = d or {}
-        return cls(d.get("kind", "delta"), d.get("drift", 0.0),
-                   d.get("variance", 0.0))
-
 
 class SimConfig:
-    def __init__(self, dt=0.01, integrator="rk4", max_time=600.0, goal_tol=0.05,
-                 sensor=None, seed=0):
+    def __init__(self, dt=0.01, max_time=600.0, goal_tol=0.05, sensor=None,
+                 seed=0):
         self.dt = float(dt)
-        self.integrator = str(integrator).lower()
         self.max_time = float(max_time)
         self.goal_tol = float(goal_tol)
         self.sensor = sensor if sensor is not None else SensorModel()
@@ -77,31 +63,6 @@ class SimConfig:
             raise ConfigError("dt must be positive", field="sim.dt")
         if self.goal_tol <= 0:
             raise ConfigError("goal_tol must be positive", field="sim.goal_tol")
-        if self.integrator not in ("rk4", "euler"):
-            raise ConfigError("integrator must be RK4 or Euler",
-                              field="sim.integrator")
-
-    def to_dict(self):
-        return {
-            "dt": self.dt,
-            "integrator": self.integrator,
-            "max_time": self.max_time,
-            "goal_tol": self.goal_tol,
-            "sensor": self.sensor.to_dict(),
-            "seed": self.seed,
-        }
-
-    @classmethod
-    def from_dict(cls, d):
-        d = d or {}
-        return cls(
-            dt=d.get("dt", 0.01),
-            integrator=d.get("integrator", "rk4"),
-            max_time=d.get("max_time", 600.0),
-            goal_tol=d.get("goal_tol", 0.05),
-            sensor=SensorModel.from_dict(d.get("sensor")),
-            seed=d.get("seed", 0),
-        )
 
 
 class Trajectory:
@@ -153,21 +114,18 @@ class Trajectory:
 
 
 def control_input(controller, pmfs):
-    """u = sum over landmarks of K_i (R_i P) plus the bias; the feature maps
-    are evaluated on the PMFs' own grid, so a finer grid than the one used
-    for synthesis is resampled analytically."""
+    """u = sum over landmarks of K_i (R_i P) plus the bias; every PMF must
+    lie on the controller's own grid."""
     if len(pmfs) != len(controller.landmarks):
         raise DimensionMismatch(
             "controller expects %d PMFs, got %d"
             % (len(controller.landmarks), len(pmfs))
         )
-    spec = pmfs[0].spec
-    for p in pmfs[1:]:
-        if p.spec != spec:
-            raise GridMismatch("all PMFs must share one grid spec")
-    mats = controller.control_matrices(spec)
+    for p in pmfs:
+        if p.spec != controller.grid:
+            raise GridMismatch("PMFs must lie on the controller's grid")
     u = controller.bias.copy()
-    for mat, pmf in zip(mats, pmfs):
+    for mat, pmf in zip(controller.control_matrices(), pmfs):
         u = u + mat @ pmf.vector
     return u
 
@@ -181,12 +139,11 @@ def _barrier_values(controller, cell, x):
     return float(vals[j]), facets[j]
 
 
-def _step(dynamics, x, u, dt, integrator):
+def _step(dynamics, x, u, dt):
+    """One classical Runge-Kutta (RK4) step under the held input u."""
     def f(state):
         return dynamics.A @ state + dynamics.B @ u
 
-    if integrator == "euler":
-        return x + dt * f(x)
     k1 = f(x)
     k2 = f(x + 0.5 * dt * k1)
     k3 = f(x + 0.5 * dt * k2)
@@ -253,7 +210,7 @@ def run_trajectory(env, plan, controllers, config, x0=None):
                 return traj
         if t >= config.max_time - 1e-12:
             break
-        x = _step(ctrl.dynamics, x, u, config.dt, config.integrator)
+        x = _step(ctrl.dynamics, x, u, config.dt)
         t += config.dt
         inside = env.cells_containing(x)
         if not inside:

@@ -10,7 +10,7 @@ once per vertex of the region, and each point row is piecewise linear in
 it, so it is written once per deviation candidate of the point
 (geometry.deviation_candidates). The result is finitely many linear rows
 over the gains, the margins and those multipliers.
-The LP maximizes the weighted margins; a second pass then picks, among
+The LP maximizes the sum of the margins; a second pass then picks, among
 margin-optimal gains, the ones closest in l1 distance to a structured target
 so the synthesized fields stay interpretable.
 """
@@ -26,7 +26,6 @@ from .clfcbf import GainLayout, LinearDynamics, build_cell_rows
 from .errors import (
     DimensionMismatch,
     GoalObservationOffGrid,
-    GridMismatch,
     LandmarkNotVisible,
     LandmarkOutOfView,
     SolverFailure,
@@ -36,8 +35,7 @@ from .lp_core import StandardLp, solve_lp
 from .measurement import build_expectation_kernel, make_delta_pmf
 from .simulation import control_input
 
-OMEGA_DEFAULT = {"clf": 1.0, "cbf": 1.0}
-DELTA_CAP_DEFAULT = {"clf": 0.25, "cbf": 4.0}
+DELTA_CAP = {"clf": 0.25, "cbf": 4.0}
 TIEBREAK_TOL = 1e-9
 
 
@@ -62,8 +60,7 @@ class GainBasis:
         return len(self.names)
 
     def matrices(self, kernel, width):
-        """Evaluate every map on the grid behind kernel; resolution enters
-        only through the kernel, so the same gains transfer across grids."""
+        """Evaluate every map on the grid behind kernel."""
         U = np.asarray(kernel, dtype=float)
         half = np.asarray(width, dtype=float)[:, None] / 2.0
         out = []
@@ -167,6 +164,12 @@ def _fill_rows(meta, rows, regions, blocks):
     n = 0
     theta0, _ = meta.var("theta")
     delta0, _ = meta.var("delta")
+    # rows share their region (the cell body) except a floored CLF row
+    candidates = {}
+    for region in regions:
+        if id(region) not in candidates:
+            candidates[id(region)] = [geometry.deviation_candidates(
+                region, (blk.landmark[:, None] - blk.U).T) for blk in blocks]
     for k, row in enumerate(rows):
         V = geometry.region_points(regions[k])
         at_v = n + np.arange(V.shape[0])[:, None]
@@ -183,8 +186,7 @@ def _fill_rows(meta, rows, regions, blocks):
         n += V.shape[0]
         off = 0
         for l, blk in enumerate(blocks):
-            idx, gap = geometry.deviation_candidates(
-                regions[k], (blk.landmark[:, None] - blk.U).T)
+            idx, gap = candidates[id(regions[k])][l]
             at_i = n + np.arange(idx.size)[:, None]
             ub.add(at_i, meta.var("lam_s", k, l)[0], -1.0)
             ub.add(at_i, meta.var("lam_p", k, l)[0] + np.arange(2 * d),
@@ -259,8 +261,8 @@ def _fill_goal(eq, meta, spec, maps, positions, goal):
 
 
 def assemble_robust_lp(cell, entry, dynamics, alpha_v, alpha_h, bounds, spec,
-                       positions, basis, omega=None, caps=None,
-                       barrier_facets=None, v_floor=None, goal=None):
+                       positions, basis, barrier_facets=None, v_floor=None,
+                       goal=None):
     """Build the per-cell LP.
 
     positions: landmark coordinates observed from this cell. barrier_facets
@@ -285,11 +287,6 @@ def assemble_robust_lp(cell, entry, dynamics, alpha_v, alpha_h, bounds, spec,
                                     [maps] * len(positions), layout,
                                     barrier_facets, v_floor)
 
-    omega_map = dict(OMEGA_DEFAULT, **(omega or {}))
-    caps_map = dict(DELTA_CAP_DEFAULT, **(caps or {}))
-    omega_k = np.array([omega_map[r.kind] for r in rows])
-    caps_k = np.array([caps_map[r.kind] for r in rows])
-
     meta = LpMeta(layout, len(rows), len(blocks))
     ub, b_ub = _fill_rows(meta, rows, regions, blocks)
     eq = _Coo()
@@ -299,8 +296,8 @@ def assemble_robust_lp(cell, entry, dynamics, alpha_v, alpha_h, bounds, spec,
 
     c = np.zeros(meta.n_vars)
     dstart, _ = meta.var("delta")
-    c[dstart:dstart + meta.n_rows] = omega_k
-    lb, ub_bounds = meta.default_bounds(caps_k)
+    c[dstart:dstart + meta.n_rows] = 1.0
+    lb, ub_bounds = meta.default_bounds([DELTA_CAP[r.kind] for r in rows])
     lp = StandardLp("max", c,
                     A_ub=ub.matrix((b_ub.size, meta.n_vars)), b_ub=b_ub,
                     A_eq=eq.matrix((n_goal, meta.n_vars)), b_eq=np.zeros(n_goal),
@@ -386,17 +383,13 @@ class CellController:
     def theta(self):
         return self.layout.pack(self.gains, self.bias)
 
-    def feature_matrices(self, spec):
-        if not spec.same_widths(self.grid):
-            raise GridMismatch(
-                "grid widths %s do not match controller widths %s"
-                % (spec.width, self.grid.width)
-            )
-        return self.basis.matrices(build_expectation_kernel(spec), spec.width)
+    def feature_matrices(self):
+        return self.basis.matrices(build_expectation_kernel(self.grid),
+                                   self.grid.width)
 
-    def control_matrices(self, spec):
+    def control_matrices(self):
         """Per-landmark n_u x n_p matrices acting on the vectorized PMF."""
-        maps = self.feature_matrices(spec)
+        maps = self.feature_matrices()
         return [
             sum(K @ R for K, R in zip(per_landmark, maps))
             for per_landmark in self.gains
@@ -525,7 +518,7 @@ def _saturation_report(ctrl, cell):
 
 
 def nominal_transit_theta(layout, basis, entry, positions, bounds, spec,
-                          alpha_v, cap_clf, approach=2.0, lateral=1.0):
+                          alpha_v, approach=2.0, lateral=1.0):
     """Structured target for transit cells: approach the exit facet along its
     normal, center laterally, and keep a constant push through the facet."""
     d = layout.d
@@ -535,7 +528,8 @@ def nominal_transit_theta(layout, basis, entry, positions, bounds, spec,
     o = np.asarray(entry.o, dtype=float)
     proj = np.outer(v, v)
     M = approach * proj + lateral * (np.eye(d) - proj)
-    push = alpha_v * (bounds.epsilon + max(spec.pitch)) * np.sum(np.abs(v)) + cap_clf + 1.0
+    push = (alpha_v * (bounds.epsilon + max(spec.pitch)) * np.sum(np.abs(v))
+            + DELTA_CAP["clf"] + 1.0)
     L = len(positions)
     i_mean = basis.names.index("mean")
     gains = [[np.zeros((d, d)) for _ in range(layout.n_k)] for _ in range(L)]
@@ -578,11 +572,9 @@ def goal_v_floor(entry, bounds, spec):
 
 
 def synthesize_environment(env, entries, graph, dynamics, spec, bounds, basis,
-                           alpha_v, alpha_h, omega=None, caps=None,
-                           mode="stabilize"):
+                           alpha_v, alpha_h, mode="stabilize"):
     """One controller per plan cell; the goal cell gets the equilibrium
     equality and a floored stability region."""
-    caps_map = dict(DELTA_CAP_DEFAULT, **(caps or {}))
     goal_id = planning.goal_cell_id(env) if mode == "stabilize" else None
     controllers = []
     for cell_id in sorted(entries):
@@ -603,17 +595,14 @@ def synthesize_environment(env, entries, graph, dynamics, spec, bounds, basis,
         try:
             assembled = assemble_robust_lp(
                 cell, entry, dynamics, alpha_v, alpha_h, bounds, spec,
-                positions, basis, omega=omega, caps=caps,
-                barrier_facets=barrier, v_floor=v_floor, goal=goal,
+                positions, basis, barrier_facets=barrier, v_floor=v_floor, goal=goal,
             )
             layout = assembled.meta.layout
             if is_goal:
                 nominal = nominal_goal_theta(layout, basis, positions, spec, env.goal)
             else:
                 nominal = nominal_transit_theta(
-                    layout, basis, entry, positions, bounds, spec,
-                    alpha_v, caps_map["clf"],
-                )
+                    layout, basis, entry, positions, bounds, spec, alpha_v)
             ctrl = synthesize_cell_controller(
                 assembled, cell, entry, list(cell.landmark_ids), nominal_theta=nominal
             )

@@ -285,7 +285,7 @@ class VerificationReport:
 
 
 def _controller_rows(controller, cell):
-    maps = controller.feature_matrices(controller.grid)
+    maps = controller.feature_matrices()
     entry = PlanEntry(controller.cell_id, controller.exit_face,
                       controller.v, controller.o)
     return build_cell_rows(

@@ -66,7 +66,6 @@ def test_random_cells_hold_margins_against_adversary():
     _, _, basis, dyn = small_setup()
     for k in range(20):
         cell, lm = random_cell(rng, cell_id=k)
-        cell.exit_face = 0
         entry = transit_entry_for(cell, 0)
         asm = assemble_robust_lp(cell, entry, dyn, 1.0, 100.0, bounds, spec,
                                  [lm], basis)
@@ -97,7 +96,6 @@ def test_inner_duality_and_assembly_routes_agree():
     rng = np.random.default_rng(29)
     for k in range(20):
         cell, lm = random_cell(rng, cell_id=k)
-        cell.exit_face = 0
         entry = transit_entry_for(cell, 0)
         asm = assemble_robust_lp(cell, entry, dyn, 1.0, 100.0,
                                  small_bounds, small, [lm], basis)
@@ -121,7 +119,6 @@ def test_tighter_bounds_never_lower_the_optimum():
         verts = np.array([[-w / 2, -h / 2], [w / 2, -h / 2],
                           [w / 2, h / 2], [-w / 2, h / 2]])
         cell = ConvexCell(k, polygon_to_halfspaces(verts), [0])
-        cell.exit_face = 0
         entry = transit_entry_for(cell, 0)
         lm = rng.uniform(-0.25, 0.25, size=2) * np.array([w, h])
         vals = []

@@ -79,8 +79,7 @@ def test_cbf_rows_direct_substitution():
     rng = np.random.default_rng(3)
     for _ in range(10):
         spec, basis, dynamics, cell, landmark, entry, maps, layout = make_row_setup(rng)
-        cell.exit_face = entry.exit_face
-        obstacle = [j for j in range(cell.body.n_rows) if j != cell.exit_face]
+        obstacle = [j for j in range(cell.body.n_rows) if j != entry.exit_face]
         A_h = -cell.body.A[obstacle]
         b_h = -cell.body.b[obstacle]
         rows = build_cbf_rows(A_h, b_h, dynamics, 50.0, maps, layout)

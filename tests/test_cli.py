@@ -1,4 +1,5 @@
 import json
+import os
 
 import numpy as np
 import pytest
@@ -34,8 +35,7 @@ def write_config(tmp, mode="stabilize", **extra):
         "sigma_m": 0.2,
         "grid": {"n": [16, 16], "width": [6.0, 6.0]},
         "mode": mode,
-        "sim": {"dt": 0.01, "integrator": "rk4", "max_time": 30.0,
-                "goal_tol": 0.05},
+        "sim": {"dt": 0.01, "max_time": 30.0, "goal_tol": 0.05},
         "starts": [[0.4, 1.6]] if mode == "stabilize" else [[0.5, 0.5]],
         "field": {"resolution": [5, 5], "cells": [0]},
         "verify_count": 8,
@@ -92,14 +92,61 @@ def test_negative_verify_count_exits_config_code(tmp_path):
      "sim.sensor.drift"),
     ({"grid": {"n": ["a", 4], "width": [6.0, 6.0]}}, [], "grid.n"),
     ({"field": {"resolution": [5, "x"]}}, [], "field.resolution"),
+    ({"starts": [["a", 1]]}, [], "starts"),
+    ({"starts": [0.4, 1.6]}, [], "starts"),
 ], ids=["negative-eps-flag", "negative-sigma_m", "non-numeric-verify_count",
         "non-numeric-sim.dt", "non-numeric-sim.seed",
         "non-numeric-sensor.drift", "non-numeric-grid.n",
-        "non-numeric-field.resolution"])
+        "non-numeric-field.resolution", "non-numeric-starts",
+        "starts-not-a-list-of-points"])
 def test_bad_number_exits_config_code(tmp_path, capsys, extra, flags, field):
     cfg = write_config(tmp_path, **extra)
     assert cli.main(["synth", "--config", str(cfg)] + flags) == 2
     assert "field %s)" % field in capsys.readouterr().err
+
+
+@pytest.mark.parametrize("env, field", [
+    (dict(ENV, landmarks=[["a", 1.0]] * 3), "environment.landmarks"),
+    ({k: v for k, v in ENV.items() if k != "goal"}, "environment.goal"),
+    (dict(ENV, cells=[{"id": 0, "landmark_ids": [0]}]),
+     "environment.cells.0.vertices"),
+], ids=["non-numeric-landmarks", "no-goal", "cell-without-vertices"])
+def test_bad_environment_exits_config_code(tmp_path, capsys, env, field):
+    cfg = write_config(tmp_path, environment=env)
+    assert cli.main(["synth", "--config", str(cfg)]) == 2
+    assert "field %s)" % field in capsys.readouterr().err
+
+
+@pytest.mark.parametrize("extra, field", [
+    ({"omega": {"clf": 2.0}}, "omega"),
+    ({"delta_cap": {"cbf": 1.0}}, "delta_cap"),
+    ({"sim": {"integrator": "euler"}}, "sim.integrator"),
+    ({"verfy_count": 8}, "verfy_count"),
+    ({"grid": {"n": [16, 16], "width": [6.0, 6.0], "pitch": 0.4}},
+     "grid.pitch"),
+    ({"sim": {"sensor": {"kind": "gaussian", "varaince": 1.0}}},
+     "sim.sensor.varaince"),
+    ({"field": {"cels": [0]}}, "field.cels"),
+], ids=["omega", "delta_cap", "sim.integrator", "top-level-typo",
+        "grid-typo", "sensor-typo", "field-typo"])
+def test_unknown_key_exits_config_code(tmp_path, capsys, extra, field):
+    # a key that nothing reads would otherwise leave the run unchanged
+    # without a word
+    cfg = write_config(tmp_path, **extra)
+    assert cli.main(["synth", "--config", str(cfg)]) == 2
+    assert "unknown key (file %s, field %s)" % (cfg, field) in \
+        capsys.readouterr().err
+
+
+def test_packaged_run_configs_load():
+    data = os.path.join(os.path.dirname(cli.__file__), "data")
+    loaded = []
+    for name in sorted(os.listdir(data)):
+        with open(os.path.join(data, name)) as fh:
+            if "environment" in json.load(fh):
+                cli.load_config(os.path.join(data, name))
+                loaded.append(name)
+    assert {"case_study.json", "patrol.json"} <= set(loaded)
 
 
 def test_pipeline_outputs(pipeline_dir):

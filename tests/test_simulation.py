@@ -63,10 +63,6 @@ def test_sensor_validation_and_roundtrip():
         SensorModel("lidar")
     with pytest.raises(ConfigError):
         SensorModel("gaussian", drift=-1.0)
-    delta = SensorModel.from_dict(SensorModel().to_dict())
-    assert delta.kind == "delta" and delta.to_dict() == {"kind": "delta"}
-    g = SensorModel.from_dict(SensorModel("gaussian", 0.3, 0.05).to_dict())
-    assert (g.kind, g.drift, g.variance) == ("gaussian", 0.3, 0.05)
 
 
 def test_delta_sensor_matches_snap():
@@ -86,12 +82,9 @@ def test_gaussian_sensor_is_seeded_and_normalized():
 
 
 def test_sim_config_validation_and_roundtrip():
-    for bad in (dict(dt=0.0), dict(goal_tol=-1.0), dict(integrator="verlet")):
+    for bad in (dict(dt=0.0), dict(goal_tol=-1.0)):
         with pytest.raises(ConfigError):
             SimConfig(**bad)
-    cfg = SimConfig(dt=0.02, integrator="euler", max_time=5.0, goal_tol=0.1,
-                    sensor=SensorModel("gaussian", 1.0, 2.0), seed=3)
-    assert SimConfig.from_dict(cfg.to_dict()).to_dict() == cfg.to_dict()
 
 
 def test_step_matches_closed_form():
@@ -101,14 +94,8 @@ def test_step_matches_closed_form():
     u = np.array([0.25, 0.5])
     dt = 0.05
     exact = 2 * u + (x0 - 2 * u) * np.exp(-dt / 2.0)
-    rk4 = _step(dyn, x0, u, dt, "rk4")
+    rk4 = _step(dyn, x0, u, dt)
     assert float(np.max(np.abs(rk4 - exact))) <= 1e-9
-    x = x0.copy()
-    for _ in range(10):
-        x = _step(dyn, x, u, dt / 10.0, "euler")
-    euler_err = float(np.max(np.abs(x - exact)))
-    assert euler_err <= 1e-3
-    assert float(np.max(np.abs(rk4 - exact))) < euler_err
 
 
 def test_control_input_zero_gains_returns_bias():
@@ -127,6 +114,11 @@ def test_control_input_rejects_mismatches():
     other = make_delta_pmf(GridSpec((8, 8), (6.0, 6.0)), np.zeros(2))
     with pytest.raises(GridMismatch):
         control_input(ctrl, [pmf, other])
+    # one grid for both PMFs is not enough: it must be the controller's
+    for n, width in (((8, 8), (6.0, 6.0)), ((16, 16), (12.0, 12.0))):
+        pmf = make_delta_pmf(GridSpec(n, width), np.zeros(2))
+        with pytest.raises(GridMismatch):
+            control_input(ctrl, [pmf, pmf])
 
 
 def test_stabilize_run_reaches_goal(rig):

@@ -7,13 +7,13 @@ import pytest
 from dual_form import lift, machine_lp, violation
 from helpers import check_candidates_against_lp, random_cell, transit_entry_for
 from safefield.clfcbf import LinearDynamics
-from safefield.errors import GridMismatch, LandmarkNotVisible, SynthesisInfeasible
+from safefield.errors import LandmarkNotVisible, SynthesisInfeasible
 from safefield.geometry import ConvexCell, polygon_to_halfspaces, region_points
 from safefield.lp_core import solve_lp
 from safefield.measurement import GridSpec, UncertaintyBounds, make_delta_pmf
 from safefield.planning import PlanEntry
 from safefield.synthesis import (
-    DELTA_CAP_DEFAULT,
+    DELTA_CAP,
     GainBasis,
     assemble_robust_lp,
     goal_v_floor,
@@ -37,7 +37,6 @@ def setup():
 
 def assembled_random(rng, spec, bounds, basis, dyn, positions=None):
     cell, lm = random_cell(rng)
-    cell.exit_face = 0
     entry = transit_entry_for(cell, 0)
     if positions is None:
         positions = [lm]
@@ -50,7 +49,6 @@ def two_landmark_random(rng, spec, bounds, basis, dyn):
     """Random transit cell seeing its landmark and a second one offset by
     (1, -0.5)."""
     cell, lm = random_cell(rng)
-    cell.exit_face = 0
     return assemble_robust_lp(cell, transit_entry_for(cell, 0), dyn, ALPHA_V,
                               ALPHA_H, bounds, spec,
                               [lm, lm + np.array([1.0, -0.5])], basis)
@@ -81,7 +79,6 @@ def test_lp_dimensions_square():
     _, bounds, basis, dyn = setup()
     verts = np.array([[0.0, 0.0], [1.0, 0.0], [1.0, 1.0], [0.0, 1.0]])
     cell = ConvexCell(0, polygon_to_halfspaces(verts), [0])
-    cell.exit_face = 0
     entry = transit_entry_for(cell, 0)
     asm = assemble_robust_lp(cell, entry, dyn, ALPHA_V, ALPHA_H, bounds, spec,
                              [np.array([0.5, 0.5])], basis)
@@ -162,7 +159,6 @@ def test_hand_and_machine_optima_match():
     rng = np.random.default_rng(13)
     for _ in range(3):
         cell, lm = random_cell(rng)
-        cell.exit_face = 0
         entry = transit_entry_for(cell, 0)
         asm = assemble_robust_lp(cell, entry, dyn, ALPHA_V, ALPHA_H,
                                  bounds, spec, [lm], basis)
@@ -207,7 +203,7 @@ def test_margins_within_caps_and_bookkeeping():
     assert ctrl.facets[0] is None
     assert ctrl.facets[1:] == [j for j in range(cell.body.n_rows) if j != 0]
     assert np.all(ctrl.margins >= -1e-9)
-    caps = np.array([DELTA_CAP_DEFAULT[k] for k in ctrl.kinds])
+    caps = np.array([DELTA_CAP[k] for k in ctrl.kinds])
     assert np.all(ctrl.margins <= caps + 1e-9)
     assert ctrl.status == "Optimal"
     assert ctrl.saturation["max_u_vertices"] >= 0.0
@@ -217,7 +213,6 @@ def test_tighter_bounds_cannot_lower_the_optimum():
     spec, _, basis, dyn = setup()
     rng = np.random.default_rng(19)
     cell, lm = random_cell(rng)
-    cell.exit_face = 0
     entry = transit_entry_for(cell, 0)
     objs = []
     for eps, sig in ((0.125, 0.5), (0.25, 1.0)):
@@ -234,7 +229,6 @@ def test_second_landmark_cannot_lower_the_optimum():
     spec, bounds, basis, dyn = setup()
     rng = np.random.default_rng(23)
     cell, lm = random_cell(rng)
-    cell.exit_face = 0
     entry = transit_entry_for(cell, 0)
     objs = []
     for positions in ([lm], [lm, lm + np.array([1.0, -0.5])]):
@@ -251,7 +245,7 @@ def test_goal_observation_is_an_equilibrium():
     asm, cell, entry, goal = goal_square(spec, bounds, basis, dyn)
     ctrl = synthesize_cell_controller(asm, cell, entry, [0])
     u = ctrl.bias.copy()
-    for mat, lm in zip(ctrl.control_matrices(spec), ctrl.landmarks):
+    for mat, lm in zip(ctrl.control_matrices(), ctrl.landmarks):
         u = u + mat @ make_delta_pmf(spec, lm - goal).vector
     assert float(np.max(np.abs(u))) <= 1e-8
 
@@ -271,7 +265,6 @@ def test_landmark_not_visible():
     spec, bounds, basis, dyn = setup()
     rng = np.random.default_rng(29)
     cell, _ = random_cell(rng)
-    cell.exit_face = 0
     entry = transit_entry_for(cell, 0)
     with pytest.raises(LandmarkNotVisible):
         assemble_robust_lp(cell, entry, dyn, ALPHA_V, ALPHA_H, bounds, spec,
@@ -299,12 +292,3 @@ def test_controller_json_roundtrip(tmp_path):
     assert back.progress(x) == ctrl.progress(x)
     # a valid json document, not just readable by our loader
     json.loads(p1.read_text())
-
-
-def test_feature_matrices_grid_mismatch():
-    spec, bounds, basis, dyn = setup()
-    rng = np.random.default_rng(37)
-    asm, cell, entry, _ = assembled_random(rng, spec, bounds, basis, dyn)
-    ctrl = synthesize_cell_controller(asm, cell, entry, list(cell.landmark_ids))
-    with pytest.raises(GridMismatch):
-        ctrl.feature_matrices(GridSpec((10, 10), (12.0, 12.0)))

@@ -34,7 +34,6 @@ BOUNDS = UncertaintyBounds(0.125, 0.5)
 def square_controller():
     verts = np.array([[-2.0, -2.0], [2.0, -2.0], [2.0, 2.0], [-2.0, 2.0]])
     cell = ConvexCell(0, polygon_to_halfspaces(verts), [0])
-    cell.exit_face = 0
     entry = transit_entry_for(cell, 0)
     dyn = LinearDynamics.single_integrator(2)
     asm = assemble_robust_lp(cell, entry, dyn, 1.0, 100.0, BOUNDS, SPEC,
