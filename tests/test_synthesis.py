@@ -7,7 +7,7 @@ import pytest
 from dual_form import lift, machine_lp, violation
 from helpers import check_candidates_against_lp, random_cell, transit_entry_for
 from safefield.clfcbf import LinearDynamics
-from safefield.errors import LandmarkNotVisible, SynthesisInfeasible
+from safefield.errors import GridMismatch, LandmarkNotVisible, SynthesisInfeasible
 from safefield.geometry import ConvexCell, polygon_to_halfspaces, region_points
 from safefield.lp_core import solve_lp
 from safefield.measurement import GridSpec, UncertaintyBounds, make_delta_pmf
@@ -21,6 +21,7 @@ from safefield.synthesis import (
     save_controllers,
     synthesize_cell_controller,
 )
+from safefield.simulation import control_input
 
 # test scale keeps eps below the grid pitch on purpose; silence the advisory
 pytestmark = pytest.mark.filterwarnings("ignore:bounds")
@@ -292,3 +293,21 @@ def test_controller_json_roundtrip(tmp_path):
     assert back.progress(x) == ctrl.progress(x)
     # a valid json document, not just readable by our loader
     json.loads(p1.read_text())
+
+
+def test_feature_matrices_grid_mismatch():
+    """The feature maps are built on the controller's own grid: a PMF on a
+    grid of the same shape but another width is refused, not mis-read."""
+    spec, bounds, basis, dyn = setup()
+    rng = np.random.default_rng(37)
+    asm, cell, entry, _ = assembled_random(rng, spec, bounds, basis, dyn)
+    ctrl = synthesize_cell_controller(asm, cell, entry, list(cell.landmark_ids))
+    assert ctrl.grid == spec
+    n_p = int(np.prod(spec.n))
+    assert all(m.shape[-1] == n_p for m in ctrl.control_matrices())
+    y = np.zeros(2)
+    u = control_input(ctrl, [make_delta_pmf(spec, y) for _ in ctrl.landmarks])
+    assert u.shape == ctrl.bias.shape
+    other = GridSpec((10, 10), (12.0, 12.0))
+    with pytest.raises(GridMismatch):
+        control_input(ctrl, [make_delta_pmf(other, y) for _ in ctrl.landmarks])
