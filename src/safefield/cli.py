@@ -93,6 +93,12 @@ class RunConfig:
         self.starts = [np.asarray(s) for s in _number(
             raw, "starts", [self.environment.start],
             lambda point: [float(v) for v in point], path)]
+        for k, start in enumerate(self.starts):
+            if start.shape != (self.environment.dimension,):
+                raise ConfigError(
+                    "start %d has %d coordinates in a %d-D environment"
+                    % (k, start.size, self.environment.dimension),
+                    path=path, field="starts")
         field = _arguments(raw, "field", path, resolution=int, cells=int)
         self.field_resolution = field.get("resolution", (12, 12))
         self.field_cells = field.get("cells")
@@ -101,6 +107,9 @@ class RunConfig:
             raise ConfigError("verify_count must be non-negative",
                               path=path, field="verify_count")
         self.out = raw.get("out", "out")
+        if not isinstance(self.out, str):
+            raise ConfigError("out must be a directory path",
+                              path=path, field="out")
         self.seed = _number(raw, "seed", 0, int, path)
 
     def check_bounds(self):

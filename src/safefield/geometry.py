@@ -229,11 +229,16 @@ def environment_from_dict(obj, path=None):
                     polygon_to_halfspaces)
         ids = read(spec, "landmark_ids", "cells.%d.landmark_ids" % i,
                    lambda value: [int(j) for j in value])
-        cells.append(ConvexCell(spec.get("id", i), body, ids))
+        cell_id = read(spec, "id", "cells.%d.id" % i, int) if "id" in spec else i
+        cells.append(ConvexCell(cell_id, body, ids))
+    cycle = None
+    if obj.get("patrol_cycle") is not None:
+        cycle = read(obj, "patrol_cycle", "patrol_cycle",
+                     lambda value: [int(c) for c in value])
     return Environment(
         cells,
         read(obj, "landmarks", "landmarks", points),
         read(obj, "start", "start", points),
         read(obj, "goal", "goal", points),
-        patrol_cycle=obj.get("patrol_cycle"),
+        patrol_cycle=cycle,
     )

@@ -8,7 +8,7 @@ when the plan terminates there).
 
 import numpy as np
 
-from .errors import DisconnectedFreeSpace, GoalNotVertex, NoPath
+from .errors import ConfigError, DisconnectedFreeSpace, GoalNotVertex, NoPath
 
 FACE_MATCH_TOL = 1e-8
 OVERLAP_TOL = 1e-8
@@ -208,6 +208,11 @@ def plan_from_start(env, graph, start=None, mode="stabilize"):
         entries = []
         for idx, cid in enumerate(cycle):
             nxt = cycle[(idx + 1) % len(cycle)]
+            if frozenset((cid, nxt)) not in graph.edges:
+                raise ConfigError(
+                    "patrol cycle steps from cell %r to cell %r, which are "
+                    "not two distinct cells sharing a facet" % (cid, nxt),
+                    field="environment.patrol_cycle")
             entries.append(_transit_entry(env, graph, cid, nxt))
         return HighLevelPlan("patrol", entries)
     ids = [c.id for c in env.cells if c.contains(start)]

@@ -114,8 +114,9 @@ class Trajectory:
 
 
 def control_input(controller, pmfs):
-    """u = sum over landmarks of K_i (R_i P) plus the bias; every PMF must
-    lie on the controller's own grid."""
+    """u = K_b + sum over landmarks l of M_l P_l, where M_l = sum_i K_li R_i
+    are the controller's fixed control matrices; every PMF must lie on the
+    controller's own grid."""
     if len(pmfs) != len(controller.landmarks):
         raise DimensionMismatch(
             "controller expects %d PMFs, got %d"
@@ -130,19 +131,27 @@ def control_input(controller, pmfs):
     return u
 
 
-def _barrier_values(controller, cell, x):
+def _barriers(controller, cell):
+    """The controller's barrier facets with their rows of the cell body."""
     facets = [f for f in controller.facets if f is not None]
+    return facets, cell.body.A[facets], cell.body.b[facets]
+
+
+def _barrier_values(barriers, x):
+    facets, A, b = barriers
     if not facets:
         return np.inf, None
-    vals = -(cell.body.A[facets] @ x + cell.body.b[facets])
+    vals = -(A @ x + b)
     j = int(np.argmin(vals))
     return float(vals[j]), facets[j]
 
 
 def _step(dynamics, x, u, dt):
     """One classical Runge-Kutta (RK4) step under the held input u."""
+    Bu = dynamics.B @ u
+
     def f(state):
-        return dynamics.A @ state + dynamics.B @ u
+        return dynamics.A @ state + Bu
 
     k1 = f(x)
     k2 = f(x + 0.5 * dt * k1)
@@ -164,6 +173,7 @@ def run_trajectory(env, plan, controllers, config, x0=None):
     state landed in, whose controller funnels it back toward the goal.
     """
     ctrl_by_id = {c.cell_id: c for c in controllers}
+    barriers = {}
     sense = config.sensor.make(config.seed)
     x = np.asarray(env.start if x0 is None else x0, dtype=float).copy()
     traj = Trajectory(plan.mode)
@@ -194,8 +204,10 @@ def run_trajectory(env, plan, controllers, config, x0=None):
             raise ConfigError("no controller for cell %d" % active_id,
                               field="controllers")
         cell = env.cell_by_id(active_id)
+        if active_id not in barriers:
+            barriers[active_id] = _barriers(ctrl, cell)
         u = control_input(ctrl, observe(ctrl))
-        min_h, facet = _barrier_values(ctrl, cell, x)
+        min_h, facet = _barrier_values(barriers[active_id], x)
         traj.append(t, x, u, active_id, ctrl.progress(x), min_h)
         if min_h < -SAFETY_TOL:
             raise SafetyViolation(

@@ -348,20 +348,26 @@ def _tiebreak_lp(assembled, z_star, nominal_theta):
 
 
 class CellController:
-    """Synthesized gains and everything needed to run and audit them."""
+    """Synthesized gains and everything needed to run and audit them.
+
+    The gains, bias, basis and grid are fixed at construction, and so are
+    the feature maps and per-landmark control matrices built from them: a
+    controller is a constant of the closed loop, so a different law is a
+    new controller."""
 
     def __init__(self, cell_id, basis, gains, bias, margins, kinds, facets,
                  grid, bounds, alpha_v, alpha_h, landmark_ids, landmarks,
                  v, o, exit_face, v_floor, dynamics, status="Optimal",
                  saturation=None):
         self.cell_id = cell_id
-        self.basis = basis
-        self.gains = gains
-        self.bias = np.asarray(bias, dtype=float)
+        self._basis = basis
+        self._grid = grid
+        self._gains = tuple(tuple(_frozen(Ki) for Ki in per_l)
+                            for per_l in gains)
+        self._bias = _frozen(bias)
         self.margins = np.asarray(margins, dtype=float)
         self.kinds = list(kinds)
         self.facets = list(facets)
-        self.grid = grid
         self.bounds = bounds
         self.alpha_v = float(alpha_v)
         self.alpha_h = float(alpha_h)
@@ -374,6 +380,30 @@ class CellController:
         self.dynamics = dynamics
         self.status = status
         self.saturation = saturation
+        self._features = tuple(
+            _frozen(R) for R in basis.matrices(build_expectation_kernel(grid),
+                                               grid.width))
+        self._control = tuple(
+            _frozen(sum(K @ R for K, R in zip(per_landmark, self._features)))
+            for per_landmark in self._gains
+        )
+
+    @property
+    def basis(self):
+        return self._basis
+
+    @property
+    def grid(self):
+        return self._grid
+
+    @property
+    def gains(self):
+        """gains[l][i]: the n_u x d gain of landmark l on feature map i."""
+        return self._gains
+
+    @property
+    def bias(self):
+        return self._bias
 
     @property
     def layout(self):
@@ -384,16 +414,13 @@ class CellController:
         return self.layout.pack(self.gains, self.bias)
 
     def feature_matrices(self):
-        return self.basis.matrices(build_expectation_kernel(self.grid),
-                                   self.grid.width)
+        """The d x n_p feature maps R_i on the controller's grid."""
+        return self._features
 
     def control_matrices(self):
-        """Per-landmark n_u x n_p matrices acting on the vectorized PMF."""
-        maps = self.feature_matrices()
-        return [
-            sum(K @ R for K, R in zip(per_landmark, maps))
-            for per_landmark in self.gains
-        ]
+        """Per-landmark n_u x n_p matrices sum_i K_li R_i acting on the
+        vectorized PMF."""
+        return self._control
 
     def progress(self, x):
         return float(self.v @ (np.asarray(x, dtype=float) - self.o))
@@ -428,7 +455,7 @@ class CellController:
         return cls(
             cell_id=d["id"],
             basis=GainBasis(d["basis"]),
-            gains=[[np.asarray(Ki, dtype=float) for Ki in per_l] for per_l in d["K"]],
+            gains=d["K"],
             bias=d["K_b"],
             margins=d["delta"],
             kinds=d["kinds"],
@@ -447,6 +474,13 @@ class CellController:
             status=d.get("status", "Optimal"),
             saturation=d.get("saturation"),
         )
+
+
+def _frozen(a):
+    """A read-only float copy of a."""
+    out = np.array(a, dtype=float)
+    out.setflags(write=False)
+    return out
 
 
 def synthesize_cell_controller(assembled, cell, entry, landmark_ids,

@@ -94,11 +94,14 @@ def test_negative_verify_count_exits_config_code(tmp_path):
     ({"field": {"resolution": [5, "x"]}}, [], "field.resolution"),
     ({"starts": [["a", 1]]}, [], "starts"),
     ({"starts": [0.4, 1.6]}, [], "starts"),
+    ({"starts": [[0.4, 1.6, 0.0]]}, [], "starts"),
+    ({"out": 5}, [], "out"),
 ], ids=["negative-eps-flag", "negative-sigma_m", "non-numeric-verify_count",
         "non-numeric-sim.dt", "non-numeric-sim.seed",
         "non-numeric-sensor.drift", "non-numeric-grid.n",
         "non-numeric-field.resolution", "non-numeric-starts",
-        "starts-not-a-list-of-points"])
+        "starts-not-a-list-of-points", "start-of-wrong-dimension",
+        "non-string-out"])
 def test_bad_number_exits_config_code(tmp_path, capsys, extra, flags, field):
     cfg = write_config(tmp_path, **extra)
     assert cli.main(["synth", "--config", str(cfg)] + flags) == 2
@@ -110,11 +113,37 @@ def test_bad_number_exits_config_code(tmp_path, capsys, extra, flags, field):
     ({k: v for k, v in ENV.items() if k != "goal"}, "environment.goal"),
     (dict(ENV, cells=[{"id": 0, "landmark_ids": [0]}]),
      "environment.cells.0.vertices"),
-], ids=["non-numeric-landmarks", "no-goal", "cell-without-vertices"])
+    (dict(ENV, cells=[dict(ENV["cells"][0], id="x")] + ENV["cells"][1:]),
+     "environment.cells.0.id"),
+], ids=["non-numeric-landmarks", "no-goal", "cell-without-vertices",
+        "non-integer-cell-id"])
 def test_bad_environment_exits_config_code(tmp_path, capsys, env, field):
     cfg = write_config(tmp_path, environment=env)
     assert cli.main(["synth", "--config", str(cfg)]) == 2
     assert "field %s)" % field in capsys.readouterr().err
+
+
+# a fourth cell right of cells 1 and 2, sharing no facet with cell 0
+FOUR_CELLS = ENV["cells"] + [
+    {"id": 3, "vertices": [[2.0, 0.0], [3.0, 0.0], [3.0, 2.0], [2.0, 2.0]],
+     "landmark_ids": [1]},
+]
+
+
+@pytest.mark.parametrize("cells, cycle, message", [
+    (ENV["cells"], [0, 7], "from cell 0 to cell 7"),
+    (ENV["cells"], [0, 0], "from cell 0 to cell 0"),
+    (FOUR_CELLS, [0, 3], "from cell 0 to cell 3"),
+    (ENV["cells"], ["a", 1], "malformed"),
+], ids=["unknown-cell", "repeated-cell", "not-adjacent", "non-integer"])
+def test_bad_patrol_cycle_exits_config_code(tmp_path, capsys, cells, cycle,
+                                            message):
+    env = dict(ENV, cells=cells, patrol_cycle=cycle)
+    cfg = write_config(tmp_path, mode="patrol", environment=env)
+    assert cli.main(["synth", "--config", str(cfg)]) == 2
+    err = capsys.readouterr().err
+    assert message in err
+    assert "field environment.patrol_cycle)" in err
 
 
 @pytest.mark.parametrize("extra, field", [

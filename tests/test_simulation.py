@@ -9,7 +9,12 @@ from safefield.errors import (
     GridMismatch,
     SafetyViolation,
 )
-from safefield.measurement import GridSpec, UncertaintyBounds, make_delta_pmf
+from safefield.measurement import (
+    GridSpec,
+    UncertaintyBounds,
+    build_expectation_kernel,
+    make_delta_pmf,
+)
 from safefield.planning import build_graph, exit_map_to_goal, plan_from_start
 from safefield.simulation import (
     SensorModel,
@@ -56,6 +61,29 @@ def zero_gain_controller(n_landmarks=2):
         alpha_v=1.0, alpha_h=100.0, landmark_ids=list(range(n_landmarks)),
         landmarks=landmarks, v=[0.0, 1.0], o=[0.0, 0.0], exit_face=None,
         v_floor=None, dynamics=LinearDynamics.single_integrator(2))
+
+
+def uncached_input(ctrl, pmfs):
+    """bias + sum_l (sum_k K_lk R_k) @ P_l, with the feature maps R_k built
+    afresh from the controller's basis and grid."""
+    maps = GainBasis(ctrl.basis.names).matrices(
+        build_expectation_kernel(ctrl.grid), ctrl.grid.width)
+    u = np.array(ctrl.bias)
+    for per_landmark, pmf in zip(ctrl.gains, pmfs):
+        u = u + sum(K @ R for K, R in zip(per_landmark, maps)) @ pmf.vector
+    return u
+
+
+def replay_matches_uncached(traj, ctrls, config):
+    """Every logged u equals the uncached law on the PMFs the run sensed:
+    the sensor is replayed with the run's seed, one reading per landmark
+    and logged row, in the run's order."""
+    by_id = {c.cell_id: c for c in ctrls}
+    sense = config.sensor.make(config.seed)
+    for x, u, cid in zip(traj.x, traj.u, traj.cell_id):
+        ctrl = by_id[cid]
+        pmfs = [sense(ctrl.grid, lm - x) for lm in ctrl.landmarks]
+        assert np.array_equal(u, uncached_input(ctrl, pmfs))
 
 
 def test_sensor_validation_and_roundtrip():
@@ -119,6 +147,46 @@ def test_control_input_rejects_mismatches():
         pmf = make_delta_pmf(GridSpec(n, width), np.zeros(2))
         with pytest.raises(GridMismatch):
             control_input(ctrl, [pmf, pmf])
+
+
+def test_control_input_equals_uncached_law(rig):
+    rng = np.random.default_rng(4)
+    gaussian = SensorModel("gaussian", 0.3, 0.05).make(11)
+    for ctrl in rig["ctrls"]:
+        cell = rig["env"].cell_by_id(ctrl.cell_id)
+        lo, hi = cell.vertices.min(axis=0), cell.vertices.max(axis=0)
+        for _ in range(4):
+            x = rng.uniform(lo, hi)
+            for sense in (make_delta_pmf, gaussian):
+                pmfs = [sense(ctrl.grid, lm - x) for lm in ctrl.landmarks]
+                assert np.array_equal(control_input(ctrl, pmfs),
+                                      uncached_input(ctrl, pmfs))
+
+
+def test_controller_law_is_fixed(rig):
+    ctrl = rig["ctrls"][0]
+    with pytest.raises(AttributeError):
+        ctrl.gains = [[np.zeros((2, 2))] * 3] * len(ctrl.landmarks)
+    with pytest.raises(AttributeError):
+        ctrl.bias = np.zeros(2)
+    with pytest.raises(ValueError):
+        ctrl.gains[0][0][0, 0] = 1.0
+    with pytest.raises(ValueError):
+        ctrl.bias[0] = 1.0
+    with pytest.raises(ValueError):
+        ctrl.control_matrices()[0][0, 0] = 1.0
+
+
+def test_runs_log_the_uncached_law(rig):
+    patrol = SimConfig(dt=0.01, max_time=5.0)
+    traj = run_trajectory(rig["env"], rig["plan_p"], rig["ctrls_p"], patrol,
+                          x0=[0.5, 0.5])
+    replay_matches_uncached(traj, rig["ctrls_p"], patrol)
+    gaussian = SimConfig(dt=0.01, max_time=30.0, goal_tol=0.05,
+                         sensor=SensorModel("gaussian", 0.3, 0.05), seed=9)
+    traj = run_trajectory(rig["env"], rig["plan"], rig["ctrls"], gaussian)
+    assert traj.reached
+    replay_matches_uncached(traj, rig["ctrls"], gaussian)
 
 
 def test_stabilize_run_reaches_goal(rig):

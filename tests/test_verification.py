@@ -13,6 +13,7 @@ from safefield.measurement import (
 )
 from safefield.planning import PlanEntry
 from safefield.synthesis import (
+    CellController,
     GainBasis,
     assemble_robust_lp,
     synthesize_cell_controller,
@@ -195,10 +196,15 @@ def test_synthesized_controller_verifies():
 
 def test_tampered_controller_fails():
     # constant push out through a barrier facet, no measurement feedback
-    ctrl, cell = square_controller()
-    wall = ctrl.facets[1]
-    ctrl.gains = [[np.zeros_like(Ki) for Ki in per_l] for per_l in ctrl.gains]
-    ctrl.bias = cell.body.A[wall].copy()
+    # gains and bias are fixed at construction, so the tampered law is a
+    # new controller built from the edited serialized form
+    synthesized, cell = square_controller()
+    data = synthesized.to_dict()
+    wall = synthesized.facets[1]
+    data["K"] = [[np.zeros_like(Ki).tolist() for Ki in per_l]
+                 for per_l in synthesized.gains]
+    data["K_b"] = cell.body.A[wall].tolist()
+    ctrl = CellController.from_dict(data)
     with pytest.raises(VerificationFailed):
         verify_controller(ctrl, cell, count=10, seed=1)
     report = verify_controller(ctrl, cell, count=10, seed=1,
