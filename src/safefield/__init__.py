@@ -8,13 +8,10 @@ duality at synthesis time and re-checked by an independent adversarial LP.
 """
 
 from .clfcbf import (
-    AffineInGains,
     ConstraintRow,
-    GainLayout,
     LinearDynamics,
     build_cbf_rows,
     build_clf_row,
-    evaluate_row,
 )
 from .errors import (
     ConfigError,

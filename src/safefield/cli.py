@@ -100,7 +100,15 @@ class RunConfig:
                     % (k, start.size, self.environment.dimension),
                     path=path, field="starts")
         field = _arguments(raw, "field", path, resolution=int, cells=int)
-        self.field_resolution = field.get("resolution", (12, 12))
+        dim = self.environment.dimension
+        resolution = field.get("resolution", 12)
+        if not isinstance(resolution, tuple):
+            resolution = (resolution,) * dim
+        if len(resolution) != dim:
+            raise ConfigError("resolution has %d entries in a %d-D environment"
+                              % (len(resolution), dim),
+                              path=path, field="field.resolution")
+        self.field_resolution = resolution
         self.field_cells = field.get("cells")
         self.verify_count = _number(raw, "verify_count", 200, int, path)
         if self.verify_count < 0:
@@ -332,6 +340,28 @@ def cmd_pipeline(cfg, cells=None):
     return EXIT_OK
 
 
+# beyond --config and --out, each subcommand takes only the flags it reads
+FLAGS = {
+    "seed": dict(type=int, help="seed override: verification sampling, "
+                                "field and simulation sensor noise"),
+    "cells": dict(help="comma-separated cell id subset"),
+    "sensor": dict(choices=("delta", "gaussian"), help="sensor kind override"),
+    "eps": dict(type=float, help="support half-width override"),
+    "sigma": dict(type=float, help="deviation bound override"),
+}
+SUBCOMMANDS = (
+    ("synth", "synthesize controllers and write controllers.json",
+     ("cells", "eps", "sigma")),
+    ("verify", "re-check controllers adversarially, write report.json",
+     ("seed",)),
+    ("simulate", "run closed-loop trajectories, write CSVs",
+     ("seed", "sensor")),
+    ("field", "sample per-cell vector fields, write CSVs",
+     ("seed", "cells", "sensor")),
+    ("pipeline", "synth, verify, simulate and field in order", tuple(FLAGS)),
+)
+
+
 def build_parser():
     parser = argparse.ArgumentParser(
         prog="safefield",
@@ -339,23 +369,13 @@ def build_parser():
                     "per-cell feedback controllers.",
     )
     sub = parser.add_subparsers(dest="command", required=True)
-    for name, text in (
-        ("synth", "synthesize controllers and write controllers.json"),
-        ("verify", "re-check controllers adversarially, write report.json"),
-        ("simulate", "run closed-loop trajectories, write CSVs"),
-        ("field", "sample per-cell vector fields, write CSVs"),
-        ("pipeline", "synth, verify, simulate and field in order"),
-    ):
+    for name, text, flags in SUBCOMMANDS:
         sp = sub.add_parser(name, help=text)
         sp.add_argument("--config", required=True, help="run config JSON")
         sp.add_argument("--out", help="output directory override")
-        sp.add_argument("--seed", type=int, help="seed override")
-        sp.add_argument("--cells", help="comma-separated cell id subset")
-        sp.add_argument("--sensor", choices=("delta", "gaussian"),
-                        help="sensor kind override")
-        sp.add_argument("--eps", type=float, help="support half-width override")
-        sp.add_argument("--sigma", type=float,
-                        help="deviation bound override")
+        for flag in flags:
+            sp.add_argument("--" + flag, **FLAGS[flag])
+        sp.set_defaults(**{flag: None for flag in FLAGS if flag not in flags})
     return parser
 
 

@@ -235,10 +235,14 @@ def environment_from_dict(obj, path=None):
     if obj.get("patrol_cycle") is not None:
         cycle = read(obj, "patrol_cycle", "patrol_cycle",
                      lambda value: [int(c) for c in value])
-    return Environment(
-        cells,
-        read(obj, "landmarks", "landmarks", points),
-        read(obj, "start", "start", points),
-        read(obj, "goal", "goal", points),
-        patrol_cycle=cycle,
-    )
+    landmarks = read(obj, "landmarks", "landmarks", points)
+    dim = np.atleast_2d(landmarks).shape[1]
+    ends = []
+    for key in ("start", "goal"):
+        point = read(obj, key, key, points)
+        if point.shape != (dim,):
+            raise ConfigError("%s has %d coordinates in a %d-D environment"
+                              % (key, point.size, dim), path=path,
+                              field="environment." + key)
+        ends.append(point)
+    return Environment(cells, landmarks, *ends, patrol_cycle=cycle)

@@ -9,7 +9,10 @@ have closed forms: the bound row is affine in the state, so it is written
 once per vertex of the region, and each point row is piecewise linear in
 it, so it is written once per deviation candidate of the point
 (geometry.deviation_candidates). The result is finitely many linear rows
-over the gains, the margins and those multipliers.
+over the gains, the margins and those multipliers. This module alone knows
+the flat layout of the gains in that LP (GainLayout): each row's control
+coefficient w is expanded over the gains here, as w[m] R_i[s, j] on gain
+K_{l,i}[m, s] and PMF entry P_l[j], and w itself on the bias.
 The LP maximizes the sum of the margins; a second pass then picks, among
 margin-optimal gains, the ones closest in l1 distance to a structured target
 so the synthesized fields stay interpretable.
@@ -22,8 +25,9 @@ import numpy as np
 import scipy.sparse as sp
 
 from . import geometry, measurement, planning
-from .clfcbf import GainLayout, LinearDynamics, build_cell_rows
+from .clfcbf import LinearDynamics, build_cell_rows
 from .errors import (
+    ConfigError,
     DimensionMismatch,
     GoalObservationOffGrid,
     LandmarkNotVisible,
@@ -72,6 +76,43 @@ class GainBasis:
             else:
                 out.append(np.cos(np.pi * U / half))
         return out
+
+
+class GainLayout:
+    """Flat ordering of the gain decision vector: for each landmark, each
+    feature map contributes an n_u x d block stored row-major; the bias K_b
+    occupies the last n_u slots."""
+
+    def __init__(self, n_landmarks, n_k, n_u, d):
+        self.n_landmarks = int(n_landmarks)
+        self.n_k = int(n_k)
+        self.n_u = int(n_u)
+        self.d = int(d)
+
+    @property
+    def n_gains(self):
+        return self.n_landmarks * self.n_k * self.n_u * self.d + self.n_u
+
+    def gain_index(self, landmark, i, m, s):
+        return ((landmark * self.n_k + i) * self.n_u + m) * self.d + s
+
+    def block_start(self, landmark, i):
+        return self.gain_index(landmark, i, 0, 0)
+
+    def bias_start(self):
+        return self.n_landmarks * self.n_k * self.n_u * self.d
+
+    def pack(self, gains, bias):
+        """gains[l][i] is the n_u x d matrix for landmark l, map i."""
+        return np.concatenate([np.asarray(gains, dtype=float).ravel(),
+                               np.asarray(bias, dtype=float)])
+
+    def unpack(self, theta):
+        """(gains, bias), gains as an array indexed [l, i, m, s]."""
+        theta = np.array(theta, dtype=float)
+        start = self.bias_start()
+        return (theta[:start].reshape(self.n_landmarks, self.n_k, self.n_u, self.d),
+                theta[start:])
 
 
 class _Coo:
@@ -143,27 +184,33 @@ class LpMeta:
         return lb, ub
 
 
-def _fill_rows(meta, rows, regions, blocks):
+def _fill_rows(meta, rows, regions, blocks, maps):
     """Inequality rows of the vertex-form LP, per row k: the bound row at
     each vertex v of its region, then per landmark the dual-feasibility row
     of each grid point i at each of its deviation candidates.
 
-    The inner maximum over the PMFs consistent with observing the landmark
-    from x has the dual bound
+    Row k reads c_x.x + w.u + r <= -delta_k, and u = K_b + sum_l M_l P_l
+    with M_l = sum_i K_li R_i (maps[i] = R_i), so its PMF coefficient on
+    landmark l is c_i = (w^T M_l)_i, linear in the gains. The inner maximum
+    of c.P over the PMFs consistent with observing the landmark from x has
+    the dual bound
         lam_s + lam_p.(-A'_x x - b_p) + sigma_m sum_q lam_z_q
     under the per-point feasibility
-        lam_s + (A_p^T lam_p)_i + sum_q lam_z_q |x_q - a_qi| >= c_p_i,
+        lam_s + (A_p^T lam_p)_i + sum_q lam_z_q |x_q - a_qi| >= c_i,
     a_i = landmark - U_i. Both must hold on the whole region. The bound row
     is affine in x, so its vertices suffice; the point rows need the
     minimum over the region of their last sum, which is attained at one of
     geometry.deviation_candidates. An empty region has neither, so its row
     constrains nothing."""
-    d = meta.layout.d
+    layout = meta.layout
+    d = layout.d
+    features = np.stack(maps)
     ub = _Coo()
     b_ub = []
     n = 0
     theta0, _ = meta.var("theta")
     delta0, _ = meta.var("delta")
+    bias = theta0 + layout.bias_start() + np.arange(layout.n_u)
     # rows share their region (the cell body) except a floored CLF row
     candidates = {}
     for region in regions:
@@ -173,8 +220,7 @@ def _fill_rows(meta, rows, regions, blocks):
     for k, row in enumerate(rows):
         V = geometry.region_points(regions[k])
         at_v = n + np.arange(V.shape[0])[:, None]
-        nz = np.nonzero(row.r.coef[0])[0]
-        ub.add(at_v, theta0 + nz, row.r.coef[0][nz])
+        ub.add(at_v, bias, row.w)
         ub.add(at_v, delta0 + k, 1.0)
         for l, blk in enumerate(blocks):
             ub.add(at_v, meta.var("lam_s", k, l)[0], 1.0)
@@ -182,9 +228,12 @@ def _fill_rows(meta, rows, regions, blocks):
                    -(V @ blk.A_x.T + blk.b_p))
             ub.add(at_v, meta.var("lam_z", k, l)[0] + np.arange(d),
                    blk.bounds.sigma_m)
-        b_ub.append(-row.r.const[0] - V @ row.c_x)
+        b_ub.append(-row.r - V @ row.c_x)
         n += V.shape[0]
-        off = 0
+        # image[(i n_u + m) d + s, j] = w[m] R_i[s, j]: the coefficient of
+        # K_{l,i}[m, s] on P_l[j], in each landmark's block of theta
+        image = (row.w[None, :, None, None] * features[:, None]).reshape(
+            -1, features.shape[2])
         for l, blk in enumerate(blocks):
             idx, gap = candidates[id(regions[k])][l]
             at_i = n + np.arange(idx.size)[:, None]
@@ -192,12 +241,10 @@ def _fill_rows(meta, rows, regions, blocks):
             ub.add(at_i, meta.var("lam_p", k, l)[0] + np.arange(2 * d),
                    -blk.A_p.T[idx])
             ub.add(at_i, meta.var("lam_z", k, l)[0] + np.arange(d), -gap)
-            coef = row.c_p.coef[off + idx]
-            ri, ci = np.nonzero(coef)
-            ub.add(n + ri, theta0 + ci, coef[ri, ci])
-            b_ub.append(-row.c_p.const[off + idx])
+            ub.add(at_i, theta0 + layout.block_start(l, 0)
+                   + np.arange(image.shape[0]), image[:, idx].T)
+            b_ub.append(np.zeros(idx.size))
             n += idx.size
-            off += blk.n_points
     return ub, np.concatenate(b_ub)
 
 
@@ -284,11 +331,10 @@ def assemble_robust_lp(cell, entry, dynamics, alpha_v, alpha_h, bounds, spec,
     if barrier_facets is None:
         barrier_facets = [j for j in range(cell.body.n_rows) if j != entry.exit_face]
     rows, regions = build_cell_rows(cell.body, entry, dynamics, alpha_v, alpha_h,
-                                    [maps] * len(positions), layout,
                                     barrier_facets, v_floor)
 
     meta = LpMeta(layout, len(rows), len(blocks))
-    ub, b_ub = _fill_rows(meta, rows, regions, blocks)
+    ub, b_ub = _fill_rows(meta, rows, regions, blocks, maps)
     eq = _Coo()
     n_goal = dynamics.n_u if goal is not None else 0
     if goal is not None:
@@ -351,9 +397,8 @@ class CellController:
     """Synthesized gains and everything needed to run and audit them.
 
     The gains, bias, basis and grid are fixed at construction, and so are
-    the feature maps and per-landmark control matrices built from them: a
-    controller is a constant of the closed loop, so a different law is a
-    new controller."""
+    the per-landmark control matrices built from them: a controller is a
+    constant of the closed loop, so a different law is a new controller."""
 
     def __init__(self, cell_id, basis, gains, bias, margins, kinds, facets,
                  grid, bounds, alpha_v, alpha_h, landmark_ids, landmarks,
@@ -380,11 +425,17 @@ class CellController:
         self.dynamics = dynamics
         self.status = status
         self.saturation = saturation
-        self._features = tuple(
-            _frozen(R) for R in basis.matrices(build_expectation_kernel(grid),
-                                               grid.width))
+        if (len(self._gains) != len(self.landmarks)
+                or any(len(per_l) != basis.n_k for per_l in self._gains)
+                or any(K.shape != (dynamics.n_u, dynamics.d)
+                       for per_l in self._gains for K in per_l)
+                or self._bias.shape != (dynamics.n_u,)
+                or not len(self.margins) == len(self.kinds) == len(self.facets)):
+            raise DimensionMismatch(
+                "cell %s: gains, bias, landmarks and rows disagree" % cell_id)
+        features = basis.matrices(build_expectation_kernel(grid), grid.width)
         self._control = tuple(
-            _frozen(sum(K @ R for K, R in zip(per_landmark, self._features)))
+            _frozen(sum(K @ R for K, R in zip(per_landmark, features)))
             for per_landmark in self._gains
         )
 
@@ -404,18 +455,6 @@ class CellController:
     @property
     def bias(self):
         return self._bias
-
-    @property
-    def layout(self):
-        d = self.v.shape[0]
-        return GainLayout(len(self.landmarks), self.basis.n_k, self.bias.shape[0], d)
-
-    def theta(self):
-        return self.layout.pack(self.gains, self.bias)
-
-    def feature_matrices(self):
-        """The d x n_p feature maps R_i on the controller's grid."""
-        return self._features
 
     def control_matrices(self):
         """Per-landmark n_u x n_p matrices sum_i K_li R_i acting on the
@@ -653,6 +692,25 @@ def save_controllers(controllers, path):
 
 
 def load_controllers(path):
+    """The controllers that save_controllers wrote to path. A file that is
+    not such a list raises ConfigError naming the file and the entry."""
     with open(path) as fh:
-        data = json.load(fh)
-    return [CellController.from_dict(d) for d in data]
+        try:
+            data = json.load(fh)
+        except ValueError as exc:
+            raise ConfigError("invalid JSON: %s" % exc, path=path,
+                              field="controllers") from None
+    if not isinstance(data, list):
+        raise ConfigError("controllers must be a list", path=path,
+                          field="controllers")
+    controllers = []
+    for k, entry in enumerate(data):
+        try:
+            controllers.append(CellController.from_dict(entry))
+        except KeyError as exc:
+            raise ConfigError("controller lacks key %s" % exc, path=path,
+                              field="controllers.%d" % k) from None
+        except (TypeError, ValueError, DimensionMismatch) as exc:
+            raise ConfigError("malformed controller: %s" % exc, path=path,
+                              field="controllers.%d" % k) from None
+    return controllers

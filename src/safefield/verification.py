@@ -2,10 +2,14 @@
 
 The synthesis LP certifies each row through a dualization over the PMF and
 closed-form minima over the state. This module attacks the original,
-un-dualized problem instead: at sampled states it
-solves the inner maximization over consistent PMFs directly and checks that
-every row still clears its synthesized margin. Agreement here validates the
-whole dual construction end to end.
+un-dualized problem instead: at sampled states it solves the inner
+maximization over consistent PMFs directly and checks that every row still
+clears its synthesized margin. A row c_x.x + w.u + r meets the PMF only
+through the controller's law u = K_b + sum_l M_l P_l, so its coefficient on
+landmark l is w^T M_l and its constant w.K_b + r, both read from the
+matrices the simulator applies; the flat gain vector of the synthesis LP
+is never rebuilt here. Agreement validates the whole dual construction end
+to end.
 
 adversarial_pmf solves one inner maximization as a full LP. The verifier
 solves all of a controller's instances at once by column generation
@@ -224,16 +228,17 @@ def inner_maxima(C, X, landmarks, spec, bounds):
     return values, stats
 
 
-def worst_case_row_values(rows, theta, pairs, spec, bounds, landmarks):
-    """For each (k, x) in pairs, the value c_x.x + r + sum over landmarks of
-    the inner maximum of c_p, i.e. rows[k] under the worst consistent
-    measurements at x; NaN where some landmark admits no consistent PMF at
+def worst_case_row_values(rows, control, bias, pairs, spec, bounds, landmarks):
+    """For each (k, x) in pairs, rows[k] under the worst consistent
+    measurements at x for the control law u = bias + sum_l control[l] P_l:
+    c_x.x + w.bias + r plus, over landmarks l, the inner maximum of
+    (w^T control[l]).P; NaN where some landmark admits no consistent PMF at
     x. Every inner maximum is solved in one inner_maxima batch. Returns
     (values, stats)."""
     n_p = spec.n_points
     n_l = len(landmarks)
-    c_p = np.stack([row.c_p.evaluate(theta).reshape(n_l, n_p) for row in rows])
-    r = [row.r.evaluate(theta)[0] for row in rows]
+    c_p = np.stack([[row.w @ M for M in control] for row in rows])
+    r = [float(row.w @ bias) + row.r for row in rows]
     k = np.array([j for j, _ in pairs], dtype=int)
     X = np.array([x for _, x in pairs], dtype=float).reshape(len(pairs), spec.dim)
     inner, stats = inner_maxima(
@@ -285,13 +290,11 @@ class VerificationReport:
 
 
 def _controller_rows(controller, cell):
-    maps = controller.feature_matrices()
     entry = PlanEntry(controller.cell_id, controller.exit_face,
                       controller.v, controller.o)
     return build_cell_rows(
         cell.body, entry, controller.dynamics, controller.alpha_v,
-        controller.alpha_h, [maps] * len(controller.landmarks),
-        controller.layout, [f for f in controller.facets if f is not None],
+        controller.alpha_h, [f for f in controller.facets if f is not None],
         controller.v_floor,
     )
 
@@ -328,8 +331,8 @@ def verify_controller(controller, cell, count=200, seed=0, tol=SLACK_TOL,
     pairs = [(k, x) for k in range(len(rows)) for x in points
              if regions[k].contains(x, tol=REGION_TOL)]
     values, stats = worst_case_row_values(
-        rows, controller.theta(), pairs, controller.grid, controller.bounds,
-        controller.landmarks,
+        rows, controller.control_matrices(), controller.bias, pairs,
+        controller.grid, controller.bounds, controller.landmarks,
     )
     row_of = np.array([k for k, _ in pairs], dtype=int)
     skipped = int(np.isnan(values).sum())

@@ -7,13 +7,47 @@ multipliers beta (region rows) and eta1, eta2 (deviation rows). Its
 projection onto theta, delta, lam_s, lam_p and lam_z is the vertex form's
 feasible set, so the two LPs share their optimum; lift maps a vertex-form
 point into the dual form.
+
+A row c_x.x + w.u + r <= 0 enters both forms through its image over the
+flat gains. The oracle builds that image on its own, densely, with one
+Kronecker product per feature map (gain_image).
 """
 
 import numpy as np
 import scipy.sparse as sp
 
 from safefield.lp_core import StandardLp, solve_lp
+from safefield.measurement import build_expectation_kernel
 from safefield.synthesis import _Coo
+
+
+def feature_maps(asm):
+    """The feature maps R_i of an assembled cell, on its grid."""
+    return asm.basis.matrices(build_expectation_kernel(asm.spec), asm.spec.width)
+
+
+def gain_image(w, maps_per_landmark, layout):
+    """Coefficients over the flat gains of a row whose control term is
+    w^T u, one row per entry of the stacked PMF vector: the coefficient of
+    K_{l,i}[m, s] on P_l[j] is w[m] R_i[s, j]."""
+    n_p_total = sum(maps[0].shape[1] for maps in maps_per_landmark)
+    coef = np.zeros((n_p_total, layout.n_gains))
+    off = 0
+    for l, maps in enumerate(maps_per_landmark):
+        n_p = maps[0].shape[1]
+        for i, R in enumerate(maps):
+            base = layout.block_start(l, i)
+            coef[off:off + n_p, base:base + layout.n_u * layout.d] = np.kron(
+                w[None, :], np.asarray(R, dtype=float).T)
+        off += n_p
+    return coef
+
+
+def bias_image(w, layout):
+    """Coefficients over the flat gains of w^T K_b."""
+    coef = np.zeros(layout.n_gains)
+    coef[layout.bias_start():layout.bias_start() + layout.n_u] = w
+    return coef
 
 
 class DualFormMeta:
@@ -120,8 +154,8 @@ def robust_row(ub, eq, b_ub, b_eq, ub_row, eq_rows, mult_cols,
     b_ub[ub_row] = rhs_const
 
 
-def machine_fill(meta, rows, regions, blocks):
-    """Derive the dual form mechanically.
+def machine_fill(meta, rows, regions, blocks, maps):
+    """Derive the dual form mechanically; maps are the feature maps R_i.
 
     Stage A (dual of the inner PMF maximization, per landmark): for
     max c_p.P s.t. 1.P = 1, A_p P <= -A'_x x - b_p, z_q.P <= sigma_m, P >= 0
@@ -136,6 +170,7 @@ def machine_fill(meta, rows, regions, blocks):
     alone; a per-point row involves only its own entries z_.i.
     """
     d = meta.layout.d
+    G = meta.layout.n_gains
     ub, eq = _Coo(), _Coo()
     b_ub = np.zeros(meta.n_ub)
     b_eq = np.zeros(meta.n_eq)
@@ -151,7 +186,7 @@ def machine_fill(meta, rows, regions, blocks):
         # A_x x + b_x <= 0, multipliers lam_x; no deviation entry enters it.
         obj_outer = []
         rhs_outer = [
-            (theta0 + np.arange(meta.layout.n_gains), -row.r.coef[0]),
+            (theta0 + np.arange(G), -bias_image(row.w, meta.layout)),
             (np.array([delta0 + k]), np.array([-1.0])),
         ]
         for l, blk in enumerate(blocks):
@@ -171,11 +206,12 @@ def machine_fill(meta, rows, regions, blocks):
             meta.row_ub("bound", k)[0],
             meta.row_eq("stat_x", k)[0] + np.arange(d), meta.vrange("lam_x", k),
             reg_rows, reg_cols, A_x.ravel(), -b_x, row.c_x, obj_outer,
-            -row.r.const[0], rhs_outer,
+            -row.r, rhs_outer,
         )
 
         # ---- per-point feasibility rows: inner variables (x, z_.i); the
         # remaining deviation entries are separable and drop out.
+        image = gain_image(row.w, [maps] * len(blocks), meta.layout)
         off = 0
         for l, blk in enumerate(blocks):
             n_p = blk.n_points
@@ -213,11 +249,11 @@ def machine_fill(meta, rows, regions, blocks):
                     g_rows_i, g_cols_i, g_vals_i, h_i,
                     np.zeros(2 * d),
                     [(d + qs, lz0 + qs, -np.ones(d))],
-                    -row.c_p.const[off + i],
+                    0.0,
                     [
                         (np.array([ls0]), np.array([1.0])),
                         (lp0 + np.arange(2 * d), blk.A_p[:, i]),
-                        (theta0 + np.arange(meta.layout.n_gains), -row.c_p.coef[off + i]),
+                        (theta0 + np.arange(G), -image[off + i]),
                     ],
                 )
             off += n_p
@@ -236,7 +272,8 @@ def machine_lp(asm):
     blocks, weights and caps. The goal equality is not a dualization; its
     rows touch theta alone and are copied from the assembled LP."""
     meta, lp = dual_meta(asm), asm.lp
-    ub, b_ub, eq, b_eq = machine_fill(meta, asm.rows, asm.regions, asm.blocks)
+    ub, b_ub, eq, b_eq = machine_fill(meta, asm.rows, asm.regions, asm.blocks,
+                                      feature_maps(asm))
     g0 = meta.n_eq - meta.n_goal_rows
     G = meta.layout.n_gains
     goal = sp.hstack([lp.A_eq[:, :G], sp.csr_matrix((meta.n_goal_rows, meta.n_vars - G))])

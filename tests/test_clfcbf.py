@@ -2,122 +2,113 @@ import numpy as np
 import pytest
 
 from helpers import random_cell, small_setup, transit_entry_for
-from safefield.clfcbf import (
-    AffineInGains,
-    GainLayout,
-    LinearDynamics,
-    build_cbf_rows,
-    build_clf_row,
-    evaluate_row,
-)
+from safefield.clfcbf import LinearDynamics, build_cbf_rows, build_clf_row
 from safefield.errors import DimensionMismatch
 from safefield.measurement import PmfGrid, build_expectation_kernel
 
 
 def make_row_setup(rng, n=(4, 4)):
-    spec, bounds, basis, dynamics = small_setup(n=n)
+    """A random cell and plan entry under random linear dynamics, with
+    random gains and bias for one landmark; control[l] = sum_i K_li R_i."""
+    spec, bounds, basis, _ = small_setup(n=n)
+    dynamics = LinearDynamics(rng.standard_normal((2, 2)),
+                              rng.standard_normal((2, 2)))
     cell, landmark = random_cell(rng)
     entry = transit_entry_for(cell, 0)
-    maps = [basis.matrices(build_expectation_kernel(spec), spec.width)]
-    layout = GainLayout(1, basis.n_k, dynamics.n_u, dynamics.d)
-    return spec, basis, dynamics, cell, landmark, entry, maps, layout
+    maps = basis.matrices(build_expectation_kernel(spec), spec.width)
+    gains = rng.standard_normal((1, basis.n_k, dynamics.n_u, dynamics.d))
+    bias = rng.standard_normal(dynamics.n_u)
+    return spec, maps, dynamics, cell, entry, gains, bias
 
 
-def control_by_hand(theta, layout, maps, P_per_landmark, basis):
-    gains, bias = layout.unpack(theta)
+def control_by_hand(gains, bias, maps, P_per_landmark):
+    """u = K_b + sum_l sum_i K_li (R_i P_l), feature by feature."""
     u = bias.copy()
-    for l, maps_l in enumerate(maps):
-        for i, R in enumerate(maps_l):
-            u = u + gains[l][i] @ (R @ P_per_landmark[l])
+    for l, P in enumerate(P_per_landmark):
+        for i, R in enumerate(maps):
+            u = u + gains[l][i] @ (R @ P)
     return u
 
 
-def test_layout_counts_and_roundtrip():
-    layout = GainLayout(2, 3, 2, 2)
-    assert layout.n_gains == 2 * 3 * 2 * 2 + 2
-    rng = np.random.default_rng(0)
-    theta = rng.standard_normal(layout.n_gains)
-    gains, bias = layout.unpack(theta)
-    assert np.array_equal(layout.pack(gains, bias), theta)
-    assert layout.bias_start() == 24
-    # flat index walks (landmark, map, row, col) in row-major order
-    assert layout.gain_index(0, 0, 0, 0) == 0
-    assert layout.gain_index(0, 0, 0, 1) == 1
-    assert layout.gain_index(0, 0, 1, 0) == 2
-    assert layout.gain_index(0, 1, 0, 0) == 4
-    assert layout.gain_index(1, 0, 0, 0) == 12
+def random_pmf(rng, spec):
+    mass = rng.uniform(0.0, 1.0, size=spec.n)
+    return PmfGrid(spec, mass / mass.sum()).vector
 
 
-def test_affine_in_gains_is_affine():
-    rng = np.random.default_rng(1)
-    term = AffineInGains(rng.standard_normal(3), rng.standard_normal((3, 5)))
-    t1 = rng.standard_normal(5)
-    t2 = rng.standard_normal(5)
-    # second difference of an affine map vanishes
-    lhs = term.evaluate(t1 + t2) + term.evaluate(np.zeros(5))
-    rhs = term.evaluate(t1) + term.evaluate(t2)
-    assert np.allclose(lhs, rhs, atol=1e-12)
+def row_value(row, x, u):
+    return float(row.c_x @ x + row.w @ u + row.r)
+
+
+def pmf_form(row, x, gains, bias, maps, P):
+    """The row at (x, P) as the verifier reads it: c_x.x + (w^T M).P +
+    w.K_b + r, with M = sum_i K_i R_i."""
+    M = sum(K @ R for K, R in zip(gains[0], maps))
+    return float(row.c_x @ x + (row.w @ M) @ P + row.w @ bias + row.r)
 
 
 def test_clf_row_direct_substitution():
     rng = np.random.default_rng(2)
     for _ in range(10):
-        spec, basis, dynamics, cell, landmark, entry, maps, layout = make_row_setup(rng)
-        row = build_clf_row(entry, dynamics, 1.7, maps, layout)
-        theta = rng.standard_normal(layout.n_gains)
+        spec, maps, dynamics, cell, entry, gains, bias = make_row_setup(rng)
+        row = build_clf_row(entry, dynamics, 1.7)
         x = rng.uniform(-2.0, 2.0, size=2)
-        mass = rng.uniform(0.0, 1.0, size=spec.n)
-        P = PmfGrid(spec, mass / mass.sum()).vector
-        u = control_by_hand(theta, layout, maps, [P], basis)
+        P = random_pmf(rng, spec)
+        u = control_by_hand(gains, bias, maps, [P])
         xdot = dynamics.A @ x + dynamics.B @ u
         v, o = np.asarray(entry.v), np.asarray(entry.o)
         direct = v @ xdot + 1.7 * (v @ (x - o))
-        assert abs(evaluate_row(row, theta, x, P) - direct) <= 1e-10
+        assert abs(row_value(row, x, u) - direct) <= 1e-10
+        assert abs(pmf_form(row, x, gains, bias, maps, P) - direct) <= 1e-10
+        assert row.kind == "clf" and row.facet is None
 
 
 def test_cbf_rows_direct_substitution():
     rng = np.random.default_rng(3)
     for _ in range(10):
-        spec, basis, dynamics, cell, landmark, entry, maps, layout = make_row_setup(rng)
+        spec, maps, dynamics, cell, entry, gains, bias = make_row_setup(rng)
         obstacle = [j for j in range(cell.body.n_rows) if j != entry.exit_face]
         A_h = -cell.body.A[obstacle]
         b_h = -cell.body.b[obstacle]
-        rows = build_cbf_rows(A_h, b_h, dynamics, 50.0, maps, layout)
+        rows = build_cbf_rows(A_h, b_h, dynamics, 50.0)
         assert len(rows) == cell.body.n_rows - 1
-        theta = rng.standard_normal(layout.n_gains)
         x = rng.uniform(-2.0, 2.0, size=2)
-        mass = rng.uniform(0.0, 1.0, size=spec.n)
-        P = PmfGrid(spec, mass / mass.sum()).vector
-        u = control_by_hand(theta, layout, maps, [P], basis)
+        P = random_pmf(rng, spec)
+        u = control_by_hand(gains, bias, maps, [P])
         xdot = dynamics.A @ x + dynamics.B @ u
         for j, row in enumerate(rows):
             h = A_h[j] @ x + b_h[j]
             hdot = A_h[j] @ xdot
-            assert abs(evaluate_row(row, theta, x, P) - (-(hdot + 50.0 * h))) <= 1e-10
+            assert abs(row_value(row, x, u) - (-(hdot + 50.0 * h))) <= 1e-10
+            assert abs(pmf_form(row, x, gains, bias, maps, P)
+                       - (-(hdot + 50.0 * h))) <= 1e-10
             assert row.kind == "cbf" and row.facet == j
 
 
 def test_zero_gain_rows_reduce_to_bias():
+    # with every gain zero the PMF drops out: the row is c_x.x + w.K_b + r
     rng = np.random.default_rng(4)
-    spec, basis, dynamics, cell, landmark, entry, maps, layout = make_row_setup(rng)
-    row = build_clf_row(entry, dynamics, 1.0, maps, layout)
-    theta = np.zeros(layout.n_gains)
-    bias = rng.standard_normal(2)
-    theta[layout.bias_start():] = bias
+    spec, maps, _, cell, entry, gains, bias = make_row_setup(rng)
+    dynamics = LinearDynamics.single_integrator(2)
+    row = build_clf_row(entry, dynamics, 1.0)
+    gains = np.zeros_like(gains)
     x = np.zeros(2)
     P = np.full(spec.n_points, 1.0 / spec.n_points)
+    u = control_by_hand(gains, bias, maps, [P])
+    assert np.array_equal(u, bias)
     v, o = np.asarray(entry.v), np.asarray(entry.o)
     expect = v @ bias - 1.0 * (v @ o)
-    assert abs(evaluate_row(row, theta, x, P) - expect) <= 1e-12
+    assert abs(row_value(row, x, u) - expect) <= 1e-12
+    assert abs(pmf_form(row, x, gains, bias, maps, random_pmf(rng, spec))
+               - expect) <= 1e-12
 
 
 def test_positive_rate_required():
     rng = np.random.default_rng(5)
-    spec, basis, dynamics, cell, landmark, entry, maps, layout = make_row_setup(rng)
+    _, _, dynamics, _, entry, _, _ = make_row_setup(rng)
     with pytest.raises(DimensionMismatch):
-        build_clf_row(entry, dynamics, 0.0, maps, layout)
+        build_clf_row(entry, dynamics, 0.0)
     with pytest.raises(DimensionMismatch):
-        build_cbf_rows(np.eye(2), np.zeros(2), dynamics, -1.0, maps, layout)
+        build_cbf_rows(np.eye(2), np.zeros(2), dynamics, -1.0)
 
 
 def test_dynamics_validation():

@@ -92,6 +92,7 @@ def test_negative_verify_count_exits_config_code(tmp_path):
      "sim.sensor.drift"),
     ({"grid": {"n": ["a", 4], "width": [6.0, 6.0]}}, [], "grid.n"),
     ({"field": {"resolution": [5, "x"]}}, [], "field.resolution"),
+    ({"field": {"resolution": [10, 10, 10]}}, [], "field.resolution"),
     ({"starts": [["a", 1]]}, [], "starts"),
     ({"starts": [0.4, 1.6]}, [], "starts"),
     ({"starts": [[0.4, 1.6, 0.0]]}, [], "starts"),
@@ -99,7 +100,8 @@ def test_negative_verify_count_exits_config_code(tmp_path):
 ], ids=["negative-eps-flag", "negative-sigma_m", "non-numeric-verify_count",
         "non-numeric-sim.dt", "non-numeric-sim.seed",
         "non-numeric-sensor.drift", "non-numeric-grid.n",
-        "non-numeric-field.resolution", "non-numeric-starts",
+        "non-numeric-field.resolution", "field.resolution-of-wrong-length",
+        "non-numeric-starts",
         "starts-not-a-list-of-points", "start-of-wrong-dimension",
         "non-string-out"])
 def test_bad_number_exits_config_code(tmp_path, capsys, extra, flags, field):
@@ -115,8 +117,11 @@ def test_bad_number_exits_config_code(tmp_path, capsys, extra, flags, field):
      "environment.cells.0.vertices"),
     (dict(ENV, cells=[dict(ENV["cells"][0], id="x")] + ENV["cells"][1:]),
      "environment.cells.0.id"),
+    (dict(ENV, start=[0.4, 1.6, 0.0]), "environment.start"),
+    (dict(ENV, goal=[1.0, 1.0, 0.0]), "environment.goal"),
 ], ids=["non-numeric-landmarks", "no-goal", "cell-without-vertices",
-        "non-integer-cell-id"])
+        "non-integer-cell-id", "start-of-wrong-dimension",
+        "goal-of-wrong-dimension"])
 def test_bad_environment_exits_config_code(tmp_path, capsys, env, field):
     cfg = write_config(tmp_path, environment=env)
     assert cli.main(["synth", "--config", str(cfg)]) == 2
@@ -165,6 +170,37 @@ def test_unknown_key_exits_config_code(tmp_path, capsys, extra, field):
     assert cli.main(["synth", "--config", str(cfg)]) == 2
     assert "unknown key (file %s, field %s)" % (cfg, field) in \
         capsys.readouterr().err
+
+
+@pytest.mark.parametrize("argv", [
+    ["verify", "--eps", "1"],
+    ["simulate", "--cells", "0"],
+    ["synth", "--sensor", "gaussian"],
+    ["synth", "--seed", "3"],
+], ids=["verify-eps", "simulate-cells", "synth-sensor", "synth-seed"])
+def test_flag_the_subcommand_does_not_read_exits_2(tmp_path, capsys, argv):
+    # verify audits each controller against its own saved bounds, and
+    # synthesis draws no samples: such a flag would change nothing
+    cfg = write_config(tmp_path)
+    with pytest.raises(SystemExit) as info:
+        cli.main(argv[:1] + ["--config", str(cfg)] + argv[1:])
+    assert info.value.code == 2
+    assert "unrecognized arguments: %s" % " ".join(argv[1:]) in \
+        capsys.readouterr().err
+
+
+@pytest.mark.parametrize("text, field", [
+    (json.dumps([{"id": 0}]), "controllers.0"),
+    ('[{"id": 0, "basis": ["mean"', "controllers"),
+], ids=["entry-without-basis", "truncated"])
+def test_malformed_controllers_exit_config_code(tmp_path, capsys, text, field):
+    cfg = write_config(tmp_path)
+    path = tmp_path / "out" / "controllers.json"
+    path.parent.mkdir()
+    path.write_text(text)
+    for command in ("verify", "simulate", "field"):
+        assert cli.main([command, "--config", str(cfg)]) == 2
+        assert "(file %s, field %s)" % (path, field) in capsys.readouterr().err
 
 
 def test_packaged_run_configs_load():

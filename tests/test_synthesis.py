@@ -4,17 +4,20 @@ import json
 import numpy as np
 import pytest
 
-from dual_form import lift, machine_lp, violation
+from dual_form import (bias_image, feature_maps, gain_image, lift, machine_lp,
+                       violation)
 from helpers import check_candidates_against_lp, random_cell, transit_entry_for
 from safefield.clfcbf import LinearDynamics
 from safefield.errors import GridMismatch, LandmarkNotVisible, SynthesisInfeasible
-from safefield.geometry import ConvexCell, polygon_to_halfspaces, region_points
+from safefield.geometry import (ConvexCell, deviation_candidates,
+                                polygon_to_halfspaces, region_points)
 from safefield.lp_core import solve_lp
 from safefield.measurement import GridSpec, UncertaintyBounds, make_delta_pmf
 from safefield.planning import PlanEntry
 from safefield.synthesis import (
     DELTA_CAP,
     GainBasis,
+    GainLayout,
     assemble_robust_lp,
     goal_v_floor,
     load_controllers,
@@ -74,6 +77,22 @@ def goal_square(spec, bounds, basis, dyn, goal_bounds=None, v_floor="auto"):
     return asm, cell, entry, goal
 
 
+def test_layout_counts_and_roundtrip():
+    layout = GainLayout(2, 3, 2, 2)
+    assert layout.n_gains == 2 * 3 * 2 * 2 + 2
+    rng = np.random.default_rng(0)
+    theta = rng.standard_normal(layout.n_gains)
+    gains, bias = layout.unpack(theta)
+    assert np.array_equal(layout.pack(gains, bias), theta)
+    assert layout.bias_start() == 24
+    # flat index walks (landmark, map, row, col) in row-major order
+    assert layout.gain_index(0, 0, 0, 0) == 0
+    assert layout.gain_index(0, 0, 0, 1) == 1
+    assert layout.gain_index(0, 0, 1, 0) == 2
+    assert layout.gain_index(0, 1, 0, 0) == 4
+    assert layout.gain_index(1, 0, 0, 0) == 12
+
+
 def test_lp_dimensions_square():
     # d=2, 4 facets (1 exit), 9 grid points, 3 basis kinds, 1 landmark
     spec = GridSpec((3, 3), (8.0, 8.0))
@@ -124,6 +143,33 @@ def oracle_cases():
     cases.append(two_landmark_random(rng, spec, bounds, basis, dyn))
     assert cases[-2].lp.b_eq.size and cases[-1].meta.layout.n_landmarks == 2
     return cases
+
+
+def test_gain_coefficients_match_the_oracle_image():
+    """Every row's gain coefficients in the assembled LP are, bit for bit,
+    the oracle's dense Kronecker image of its w: at each point row the
+    image's row for that grid point, at each bound row w on the bias."""
+    for asm in oracle_cases():
+        A = asm.lp.A_ub.toarray()
+        theta0, G = asm.meta.var("theta")
+        maps = [feature_maps(asm)] * len(asm.blocks)
+        n = 0
+        for k, row in enumerate(asm.rows):
+            n_v = region_points(asm.regions[k]).shape[0]
+            bias = bias_image(row.w, asm.meta.layout)
+            assert np.array_equal(A[n:n + n_v, theta0:theta0 + G],
+                                  np.tile(bias, (n_v, 1)))
+            n += n_v
+            image = gain_image(row.w, maps, asm.meta.layout)
+            off = 0
+            for blk in asm.blocks:
+                idx, _ = deviation_candidates(asm.regions[k],
+                                              (blk.landmark[:, None] - blk.U).T)
+                assert np.array_equal(A[n:n + idx.size, theta0:theta0 + G],
+                                      image[off + idx])
+                n += idx.size
+                off += blk.n_points
+        assert n == A.shape[0]
 
 
 def uncapped(asm):

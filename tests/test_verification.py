@@ -1,8 +1,9 @@
 import numpy as np
 import pytest
 
+from dual_form import bias_image, gain_image
 from helpers import transit_entry_for
-from safefield.clfcbf import GainLayout, LinearDynamics, build_clf_row
+from safefield.clfcbf import LinearDynamics, build_clf_row
 from safefield.errors import InfeasibleMeasurementSet, VerificationFailed
 from safefield.geometry import ConvexCell, polygon_to_halfspaces
 from safefield.measurement import (
@@ -15,6 +16,7 @@ from safefield.planning import PlanEntry
 from safefield.synthesis import (
     CellController,
     GainBasis,
+    GainLayout,
     assemble_robust_lp,
     synthesize_cell_controller,
 )
@@ -89,24 +91,33 @@ def test_worst_pmf_is_consistent():
         assert res2.inner_value >= res.inner_value - 1e-9
 
 
-def two_landmark_row(spec):
+def two_landmark_law(spec, rng):
+    """The CLF row of a cell that sees two landmarks, under random gains
+    and bias. Returns the row, the control matrices M_l and bias the
+    verifier reads, and the row's PMF coefficients and constant from the
+    oracle's dense image of the flat gains, a route that shares nothing
+    with the verifier's w^T M_l."""
     dyn = LinearDynamics.single_integrator(2)
     layout = GainLayout(2, 3, 2, 2)
     maps = GainBasis().matrices(build_expectation_kernel(spec), spec.width)
     entry = PlanEntry(0, 0, np.array([0.0, -1.0]), np.array([0.0, -2.0]))
-    return build_clf_row(entry, dyn, 1.0, [maps, maps], layout), layout
+    row = build_clf_row(entry, dyn, 1.0)
+    theta = rng.standard_normal(layout.n_gains)
+    gains, bias = layout.unpack(theta)
+    control = [sum(K @ R for K, R in zip(per_l, maps)) for per_l in gains]
+    c_p = gain_image(row.w, [maps, maps], layout) @ theta
+    const = bias_image(row.w, layout) @ theta + row.r
+    return row, control, bias, c_p, const
 
 
 def test_row_value_decomposes_per_landmark():
-    row, layout = two_landmark_row(SPEC)
     rng = np.random.default_rng(11)
-    theta = rng.standard_normal(layout.n_gains)
+    row, control, bias, c_p, const = two_landmark_law(SPEC, rng)
     x = rng.uniform(-1, 1, 2)
     landmarks = [np.array([0.5, 0.5]), np.array([-1.0, 0.25])]
-    values, stats = worst_case_row_values([row], theta, [(0, x)], SPEC, BOUNDS,
-                                          landmarks)
-    c_p = row.c_p.evaluate(theta)
-    manual = float(row.c_x @ x + row.r.evaluate(theta)[0])
+    values, stats = worst_case_row_values([row], control, bias, [(0, x)], SPEC,
+                                          BOUNDS, landmarks)
+    manual = float(row.c_x @ x + const)
     n_p = SPEC.n_points
     for l, lm in enumerate(landmarks):
         res = adversarial_pmf(c_p[l * n_p:(l + 1) * n_p], x, SPEC, BOUNDS, lm)
@@ -136,17 +147,15 @@ def test_batched_adversary_matches_full_lp(spec, bounds):
         ref = adversarial_pmf(C[i], X[i], spec, bounds, LM[i]).inner_value
         assert abs(values[i] - ref) <= 1e-9 * max(1.0, abs(ref))
 
-    row, layout = two_landmark_row(spec)
-    theta = rng.standard_normal(layout.n_gains)
+    row, control, bias, c_p, const = two_landmark_law(spec, rng)
     landmarks = [np.array([0.5, 0.5]), np.array([-1.0, 0.25])]
-    c_p = row.c_p.evaluate(theta)
     n_p = spec.n_points
     pairs = [(0, x) for x in X[:8]]
-    values, stats = worst_case_row_values([row], theta, pairs, spec, bounds,
-                                          landmarks)
+    values, stats = worst_case_row_values([row], control, bias, pairs, spec,
+                                          bounds, landmarks)
     assert stats["instances"] == 2 * len(pairs)
     for value, (_, x) in zip(values, pairs):
-        ref = float(row.c_x @ x + row.r.evaluate(theta)[0])
+        ref = float(row.c_x @ x + const)
         for l, lm in enumerate(landmarks):
             ref += adversarial_pmf(c_p[l * n_p:(l + 1) * n_p], x, spec, bounds,
                                    lm).inner_value
