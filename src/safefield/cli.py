@@ -293,6 +293,11 @@ def cmd_simulate(cfg):
         try:
             traj = simulation.run_trajectory(env, plan, controllers, cfg.sim,
                                              x0=start)
+        except ConfigError as exc:
+            # the simulator names the cell without a controller; the file
+            # the controllers came from is known only here
+            raise ConfigError(exc.reason, path=_controllers_path(cfg),
+                              field=exc.field) from None
         except (SafetyViolation, LeftFreeSpace) as exc:
             if exc.trajectory is not None:
                 exc.trajectory.to_csv(path)

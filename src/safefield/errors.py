@@ -102,6 +102,7 @@ class ConfigError(SafeFieldError):
     """Bad or missing field in a run configuration."""
 
     def __init__(self, message, path=None, field=None):
+        self.reason = message
         if path is not None or field is not None:
             message = "%s (file %s, field %s)" % (message, path, field)
         super().__init__(message)

@@ -198,9 +198,17 @@ class Environment:
             np.linalg.norm(v - self.goal) <= 1e-9 for c in self.cells for v in c.vertices
         ):
             raise GoalNotVertex("goal does not coincide with any cell vertex")
+        # every cell's halfspaces in one stack; cell k owns the rows from
+        # _first_row[k] up to the next cell's first row
+        self._A = np.vstack([c.body.A for c in self.cells])
+        self._b = np.concatenate([c.body.b for c in self.cells])
+        self._first_row = np.cumsum([0] + [c.body.n_rows for c in self.cells[:-1]])
 
     def cells_containing(self, x, tol=ABS_TOL):
-        return [c for c in self.cells if c.contains(x, tol=tol)]
+        """The cells whose every row value is at most tol at x, in order."""
+        values = self._A @ np.asarray(x, dtype=float) + self._b
+        worst = np.maximum.reduceat(values, self._first_row)
+        return [c for c, v in zip(self.cells, worst.tolist()) if v <= tol]
 
     def cell_by_id(self, cell_id):
         for c in self.cells:

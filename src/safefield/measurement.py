@@ -6,6 +6,8 @@ y = landmark - robot. The vectorized view P uses row-major (C) order, axis 0
 slowest, everywhere in the package.
 """
 
+import functools
+import math
 import warnings
 
 import numpy as np
@@ -57,20 +59,24 @@ class GridSpec:
     def snap(self, y):
         """Grid index of the cell center nearest to y, ties to the lower index."""
         y = np.asarray(y, dtype=float)
+        # Python floats: the same IEEE double arithmetic, without a NumPy
+        # call per scalar
+        ys = y.tolist()
         idx = []
-        for q in range(self.dim):
-            if abs(y[q]) > self.width[q] / 2.0 + SNAP_TIE_TOL:
+        for q, (n, w) in enumerate(zip(self.n, self.width)):
+            v = ys[q]
+            if abs(v) > w / 2.0 + SNAP_TIE_TOL:
                 raise LandmarkOutOfView(
-                    "offset %r outside grid support +-%.6g on axis %d" % (y, self.width[q] / 2.0, q)
+                    "offset %r outside grid support +-%.6g on axis %d" % (y, w / 2.0, q)
                 )
             # boundary coordinate: cell j spans s in [j, j+1)
-            s = (y[q] + self.width[q] / 2.0) * self.n[q] / self.width[q]
+            s = (v + w / 2.0) * n / w
             r = round(s)
             if abs(s - r) <= SNAP_TIE_TOL:
-                j = int(r) - 1
+                j = r - 1
             else:
-                j = int(np.floor(s))
-            idx.append(min(max(j, 0), self.n[q] - 1))
+                j = math.floor(s)
+            idx.append(min(max(j, 0), n - 1))
         return tuple(idx)
 
     def __eq__(self, other):
@@ -87,12 +93,13 @@ class PmfGrid:
         mass = np.asarray(mass, dtype=float)
         if mass.shape != spec.n:
             mass = mass.reshape(spec.n)
-        if np.any(mass < -1e-15):
-            raise ValueError("negative PMF mass")
+        # written as not (... >= / <= ...) so that a NaN fails both checks
+        if not mass.min() >= -1e-15:
+            raise ValueError("negative or NaN PMF mass")
         total = float(mass.sum())
-        if abs(total - 1.0) > 1e-12:
+        if not abs(total - 1.0) <= 1e-12:
             raise ValueError("PMF mass sums to %.17g, expected 1" % total)
-        self.mass = np.clip(mass, 0.0, None)
+        self.mass = np.maximum(mass, 0.0)
 
     @property
     def vector(self):
@@ -112,17 +119,27 @@ def make_delta_pmf(spec, y):
 
 
 def gaussian_kernel(spec, variance):
-    """Discretized isotropic Gaussian truncated at 3 sigma, normalized to 1."""
+    """Discretized isotropic Gaussian truncated at 3 sigma, normalized to 1.
+    Built once per (grid n, width, variance) and returned read-only."""
+    return _gaussian_kernel(spec.n, spec.width, float(variance))
+
+
+@functools.lru_cache(maxsize=64)
+def _gaussian_kernel(n, width, variance):
+    spec = GridSpec(n, width)
     if variance <= 1e-18:
-        return np.ones((1,) * spec.dim)
-    sigma = float(np.sqrt(variance))
-    pitch = spec.pitch
-    half = [int(np.ceil(3.0 * sigma / p)) for p in pitch]
-    axes = [np.arange(-h, h + 1) * p for h, p in zip(half, pitch)]
-    mesh = np.meshgrid(*axes, indexing="ij")
-    r2 = sum(m * m for m in mesh)
-    k = np.exp(-r2 / (2.0 * sigma * sigma))
-    return k / k.sum()
+        k = np.ones((1,) * spec.dim)
+    else:
+        sigma = float(np.sqrt(variance))
+        pitch = spec.pitch
+        half = [int(np.ceil(3.0 * sigma / p)) for p in pitch]
+        axes = [np.arange(-h, h + 1) * p for h, p in zip(half, pitch)]
+        mesh = np.meshgrid(*axes, indexing="ij")
+        r2 = sum(m * m for m in mesh)
+        k = np.exp(-r2 / (2.0 * sigma * sigma))
+        k = k / k.sum()
+    k.setflags(write=False)
+    return k
 
 
 def blur_pmf(pmf, drift, variance):

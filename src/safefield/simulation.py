@@ -94,9 +94,10 @@ class Trajectory:
                 np.asarray(self.min_h))
 
     def to_csv(self, path):
-        t, x, u, cid, V, mh = self.arrays()
-        d = x.shape[1] if x.size else 0
-        n_u = u.shape[1] if u.size else 0
+        """One line per recorded step, written as it is formatted; repr of
+        a Python float is the shortest string that reads back to it."""
+        d = len(self.x[0]) if self.x else 0
+        n_u = len(self.u[0]) if self.u else 0
         header = (
             ["t"]
             + ["x%d" % (i + 1) for i in range(d)]
@@ -105,12 +106,10 @@ class Trajectory:
         )
         with open(path, "w") as fh:
             fh.write(",".join(header) + "\n")
-            for i in range(t.shape[0]):
-                cols = [repr(float(t[i]))]
-                cols += [repr(float(v)) for v in x[i]]
-                cols += [repr(float(v)) for v in u[i]]
-                cols += [str(cid[i]), repr(float(V[i])), repr(float(mh[i]))]
-                fh.write(",".join(cols) + "\n")
+            for t, x, u, cid, V, mh in zip(self.t, self.x, self.u,
+                                           self.cell_id, self.V, self.min_h):
+                cols = [t] + x.tolist() + u.tolist() + [cid, V, mh]
+                fh.write(",".join(map(repr, cols)) + "\n")
 
 
 def control_input(controller, pmfs):

@@ -203,6 +203,18 @@ def test_malformed_controllers_exit_config_code(tmp_path, capsys, text, field):
         assert "(file %s, field %s)" % (path, field) in capsys.readouterr().err
 
 
+def test_missing_controller_names_the_controllers_file(tmp_path, capsys):
+    patrol = os.path.join(os.path.dirname(cli.__file__), "data", "patrol.json")
+    out = str(tmp_path / "out")
+    assert cli.main(["synth", "--config", patrol, "--cells", "0",
+                     "--out", out]) == 0
+    capsys.readouterr()
+    assert cli.main(["simulate", "--config", patrol, "--out", out]) == 2
+    err = capsys.readouterr().err
+    assert "no controller for cell 1" in err
+    assert "(file %s, field controllers)" % os.path.join(out, "controllers.json") in err
+
+
 def test_packaged_run_configs_load():
     data = os.path.join(os.path.dirname(cli.__file__), "data")
     loaded = []

@@ -4,6 +4,7 @@ import pytest
 from helpers import check_candidates_against_lp, random_convex_polygon
 from safefield.errors import DegenerateInput, GoalNotVertex, NonConvexInput
 from safefield.geometry import (
+    ABS_TOL,
     ConvexCell,
     Environment,
     HalfspaceSet,
@@ -110,6 +111,39 @@ def test_environment_ingest(annulus_env):
     assert np.allclose(env.goal, [40.0, 10.0])
     both = env.cells_containing([20.0, 5.0])
     assert {c.id for c in both} == {0, 1}
+
+
+def _facet_points(env, offsets):
+    """Points along every cell facet, each pushed off it along the outward
+    normal by every offset."""
+    pts = []
+    for cell in env.cells:
+        V = cell.vertices
+        for a, b in zip(V, np.roll(V, -1, axis=0)):
+            normal = np.array([b[1] - a[1], a[0] - b[0]])
+            normal /= np.linalg.norm(normal)
+            for s in (0.0, 0.25, 0.5, 1.0):
+                for off in offsets:
+                    pts.append(a + s * (b - a) + off * normal)
+    return pts
+
+
+@pytest.mark.parametrize("env_name", ["annulus_env", "patrol_env"])
+@pytest.mark.parametrize("tol", [ABS_TOL, 0.0, 1e-3])
+def test_cells_containing_equals_each_cells_own_test(env_name, tol, request):
+    env = request.getfixturevalue(env_name)
+    rng = np.random.default_rng(5)
+    V = np.vstack([c.vertices for c in env.cells])
+    lo, hi = V.min(axis=0), V.max(axis=0)
+    near = [k * tol for k in (-2.0, -1.0, -0.5, 0.0, 0.5, 1.0, 2.0)]
+    points = (list(rng.uniform(lo - 1.0, hi + 1.0, size=(500, 2))) + list(V)
+              + _facet_points(env, near + [-3e-9, 3e-9]))
+    hits = 0
+    for x in points:
+        got = env.cells_containing(x, tol=tol)
+        assert got == [c for c in env.cells if c.contains(x, tol=tol)]
+        hits += len(got) > 1
+    assert hits > 0  # some points lie on a facet that two cells share
 
 
 def test_goal_must_be_vertex():

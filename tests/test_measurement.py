@@ -10,6 +10,7 @@ from safefield.measurement import (
     blur_pmf,
     build_expectation_kernel,
     check_pmf_feasible,
+    gaussian_kernel,
     mad,
     make_delta_pmf,
 )
@@ -98,6 +99,46 @@ def test_blur_preserves_normalization():
         assert np.all(out.vector >= 0.0)
 
 
+def test_gaussian_kernel_is_built_once_and_read_only():
+    def fresh(spec, variance):
+        sigma = np.sqrt(variance)
+        axes = [np.arange(-h, h + 1) * p for h, p in
+                zip([int(np.ceil(3.0 * sigma / p)) for p in spec.pitch],
+                    spec.pitch)]
+        a, b = np.meshgrid(*axes, indexing="ij")
+        k = np.exp(-(a * a + b * b) / (2.0 * sigma * sigma))
+        return k / k.sum()
+
+    spec = GridSpec((30, 20), (40.0, 30.0))
+    for variance in (12.0, 0.7):
+        first = gaussian_kernel(spec, variance)
+        again = gaussian_kernel(GridSpec((30, 20), (40.0, 30.0)), variance)
+        assert again is first
+        assert np.array_equal(first, fresh(spec, variance))
+        with pytest.raises(ValueError):
+            first[0, 0] = 1.0
+    assert gaussian_kernel(spec, 0.7).shape != gaussian_kernel(spec, 12.0).shape
+    assert gaussian_kernel(spec, 12.0).shape == (17, 15)
+    assert gaussian_kernel(GridSpec((15, 20), (40.0, 30.0)), 12.0).shape == (9, 15)
+    assert np.array_equal(gaussian_kernel(spec, 0.0), np.ones((1, 1)))
+
+
+def test_snap_matches_nearest_center():
+    spec = GridSpec((8, 5), (4.0, 10.0))
+    rng = np.random.default_rng(3)
+    # every cell boundary is a tie and goes to the lower index
+    for q, n, w in ((0, 8, 4.0), (1, 5, 10.0)):
+        for j in range(1, n):
+            y = np.zeros(2)
+            y[q] = w * j / n - w / 2.0
+            assert spec.snap(y)[q] == j - 1
+    for y in rng.uniform(-2.0, 2.0, size=(200, 2)) * [1.0, 2.5]:
+        d = [np.abs(spec.centers(q) - y[q]) for q in range(2)]
+        assert spec.snap(y) == tuple(int(np.argmin(v)) for v in d)
+    with pytest.raises(LandmarkOutOfView):
+        spec.snap([0.0, 5.1])
+
+
 def test_blur_identity_at_zero():
     spec = GridSpec((7, 7), (7.0, 7.0))
     pmf = make_delta_pmf(spec, [0.9, -1.4])
@@ -120,6 +161,11 @@ def test_pmf_validation():
         PmfGrid(spec, np.array([[0.5, 0.5], [0.5, -0.5]]))
     with pytest.raises(ValueError):
         PmfGrid(spec, np.full((2, 2), 0.3))
+    # a non-finite mass fails the sign check or the sum check
+    for bad in ([[np.nan, 0.0], [0.0, 0.0]], [[np.nan, 1.0], [0.0, 0.0]],
+                [[np.inf, 0.0], [0.0, 0.0]], [[-np.inf, 1.0], [0.0, 0.0]]):
+        with pytest.raises(ValueError):
+            PmfGrid(GridSpec((2, 2), (1.0, 1.0)), bad)
 
 
 def test_bounds_warn_below_pitch():

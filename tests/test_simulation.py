@@ -1,3 +1,5 @@
+import tracemalloc
+
 import numpy as np
 import pytest
 
@@ -237,6 +239,48 @@ def test_trajectory_csv_roundtrip(tmp_path):
     assert np.array_equal(data[:, 1:3], x)
     assert np.array_equal(data[:, 3:5], u)
     assert np.array_equal(data[:, 5], cid.astype(float))
+
+
+def test_trajectory_csv_reads_back_the_recorded_floats(tmp_path):
+    rng = np.random.default_rng(2)
+    traj = Trajectory("patrol")
+    awkward = [1.0 / 3.0, -0.0, 5e-324, 1e300, -2.5e-17, 0.1 + 0.2]
+    for k in range(300):
+        x = rng.standard_normal(2) * 10.0 ** rng.integers(-20, 20)
+        u = [awkward[k % 6], rng.standard_normal()]
+        traj.append(k * 0.01, x, u, k % 3, rng.random(),
+                    np.inf if k == 7 else -rng.random())
+    path = tmp_path / "traj.csv"
+    traj.to_csv(str(path))
+    lines = path.read_text().splitlines()
+    assert lines[0] == "t,x1,x2,u1,u2,cell_id,V,min_h"
+    assert len(lines) == 301
+    for k, line in enumerate(lines[1:]):
+        cols = line.split(",")
+        assert int(cols[5]) == traj.cell_id[k]
+        got = [float(v) for v in cols[:5] + cols[6:]]
+        want = ([traj.t[k]] + traj.x[k].tolist() + traj.u[k].tolist()
+                + [traj.V[k], traj.min_h[k]])
+        # bit for bit, the sign of zero included
+        assert np.array_equal(np.array(got).view(np.int64),
+                              np.array(want).view(np.int64))
+
+
+def test_trajectory_csv_is_written_row_by_row(tmp_path):
+    traj = Trajectory("patrol")
+    for k in range(20000):
+        traj.append(k * 0.01, [k / 7.0, -k / 3.0], [1.0 / (k + 1), 2.0], 0,
+                    k / 11.0, -k / 13.0)
+    path = tmp_path / "traj.csv"
+    tracemalloc.start()
+    try:
+        traj.to_csv(str(path))
+        _, peak = tracemalloc.get_traced_memory()
+    finally:
+        tracemalloc.stop()
+    # the file is about 2 MB; one formatted row at a time stays far below
+    assert path.stat().st_size > 1_000_000
+    assert peak < 200_000
 
 
 def test_field_samples_push_through_the_exit(rig):
