@@ -28,6 +28,7 @@ from .errors import (
     NoPath,
     NonConvexInput,
     NumericalFailure,
+    OffPlanCrossing,
     SafeFieldError,
     SafetyViolation,
     SolverFailure,

@@ -20,6 +20,7 @@ from .errors import (
     ConfigError,
     LeftFreeSpace,
     NumericalFailure,
+    OffPlanCrossing,
     SafeFieldError,
     SafetyViolation,
     SolverFailure,
@@ -294,11 +295,12 @@ def cmd_simulate(cfg):
             traj = simulation.run_trajectory(env, plan, controllers, cfg.sim,
                                              x0=start)
         except ConfigError as exc:
-            # the simulator names the cell without a controller; the file
-            # the controllers came from is known only here
-            raise ConfigError(exc.reason, path=_controllers_path(cfg),
-                              field=exc.field) from None
-        except (SafetyViolation, LeftFreeSpace) as exc:
+            # the simulator names a cell without a controller or a start off
+            # the patrol cycle; the file they came from is known only here
+            source = (_controllers_path(cfg) if exc.field == "controllers"
+                      else cfg.path)
+            raise ConfigError(exc.reason, path=source, field=exc.field) from None
+        except (SafetyViolation, LeftFreeSpace, OffPlanCrossing) as exc:
             if exc.trajectory is not None:
                 exc.trajectory.to_csv(path)
             print("start %d: FAIL (%s)" % (k, exc))

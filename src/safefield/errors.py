@@ -98,6 +98,20 @@ class LeftFreeSpace(SafeFieldError):
         self.trajectory = trajectory
 
 
+class OffPlanCrossing(SafeFieldError):
+    """Simulated patrol crossed its exit facet into a cell other than the
+    planned successor."""
+
+    def __init__(self, message, t=None, x=None, cell_id=None, planned=None,
+                 trajectory=None):
+        super().__init__(message)
+        self.t = t
+        self.x = x
+        self.cell_id = cell_id
+        self.planned = planned
+        self.trajectory = trajectory
+
+
 class ConfigError(SafeFieldError):
     """Bad or missing field in a run configuration."""
 

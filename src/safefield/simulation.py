@@ -9,6 +9,7 @@ from .errors import (
     DimensionMismatch,
     GridMismatch,
     LeftFreeSpace,
+    OffPlanCrossing,
     SafetyViolation,
 )
 from .measurement import blur_pmf, make_delta_pmf
@@ -163,8 +164,10 @@ def run_trajectory(env, plan, controllers, config, x0=None):
     """Integrate under the plan; u is recomputed every step from freshly
     sensed PMFs (zero-order hold within a step).
 
-    Patrol mode steps a pointer through the plan entries, advancing when
-    the state crosses the active exit face into the successor cell.
+    Patrol mode starts at the first cycle entry whose cell contains the
+    start and steps a pointer through the plan entries, advancing when the
+    state crosses the active exit face; a crossing that does not land in
+    the planned successor cell is an OffPlanCrossing.
     Stabilize mode always drives with the controller of the cell that
     contains the state: crossing an exit face hands over to the cell on
     the far side, and drifting out through a shared non-exit face (legal,
@@ -181,7 +184,15 @@ def run_trajectory(env, plan, controllers, config, x0=None):
     next_on_plan = {plan.entries[i].cell_id: plan.entries[i + 1].cell_id
                     for i in range(n_entries - 1)}
     active_id = plan.entries[0].cell_id
-    if not env.cell_by_id(active_id).contains(x):
+    if plan.mode == "patrol":
+        on_cycle = [i for i, e in enumerate(plan.entries)
+                    if env.cell_by_id(e.cell_id).contains(x)]
+        if not on_cycle:
+            raise ConfigError("start %s lies in no cell of the patrol cycle %s"
+                              % (x.tolist(), [e.cell_id for e in plan.entries]),
+                              field="starts")
+        active = on_cycle[0]
+    elif not env.cell_by_id(active_id).contains(x):
         inside = env.cells_containing(x)
         if inside:
             active_id = min(c.id for c in inside)
@@ -232,6 +243,15 @@ def run_trajectory(env, plan, controllers, config, x0=None):
         if plan.mode == "patrol":
             if ctrl.progress(x) <= 0.0:
                 active = (active + 1) % n_entries
+                planned = plan.entries[active].cell_id
+                ids = {c.id for c in inside}
+                if planned not in ids:
+                    raise OffPlanCrossing(
+                        "left cell %d for %s, not planned cell %d at t=%.3f"
+                        % (active_id, sorted(ids - {active_id}), planned, t),
+                        t=t, x=x.copy(), cell_id=active_id, planned=planned,
+                        trajectory=traj,
+                    )
                 traj.crossings += 1
             continue
         ids = {c.id for c in inside}

@@ -12,16 +12,15 @@ is never rebuilt here. Agreement validates the whole dual construction end
 to end.
 
 adversarial_pmf solves one inner maximization as a full LP. The verifier
-solves all of a controller's instances at once by column generation
-(inner_maxima), which prices every grid column before it accepts a value,
-and keeps adversarial_pmf as its fallback and test oracle.
+solves all of a controller's instances at once with a batched revised
+simplex in NumPy (inner_maxima), which prices every grid column before it
+accepts a value, and keeps adversarial_pmf as its fallback and test oracle.
 """
 
 import itertools
 import logging
 
 import numpy as np
-import scipy.sparse as sp
 
 from . import geometry
 from .clfcbf import build_cell_rows
@@ -37,11 +36,13 @@ from .planning import PlanEntry
 
 SLACK_TOL = 1e-6
 REGION_TOL = 1e-9
-# Column generation in inner_maxima: reduced-cost tolerance relative to
-# 1 + |c|_inf, payoff columns seeded per master, columns added per round.
+# inner_maxima's simplex: price (and feasibility) tolerance relative to
+# 1 + |c|_inf (1 + |b|_inf), least pivot element, pivots per instance, and
+# degenerate pivots in a row before Dantzig's rule gives way to Bland's.
 PRICE_TOL = 1e-9
-SEED_TOP_K = 8
-COLUMNS_PER_ROUND = 8
+PIVOT_TOL = 1e-9
+MAX_PIVOTS = 100
+STALL_PIVOTS = 10
 
 log = logging.getLogger("safefield")
 
@@ -116,58 +117,22 @@ def _stencil(spec, Y):
     return idx, w
 
 
-def _solve_masters(C, Y, member, U, bounds):
-    """Solve the restricted masters of the open instances as one
-    block-diagonal LP: block i keeps the columns member[i] of instance i's
-    adversary LP. Returns each block's objective and its duals (lambda >= 0
-    on the 3d inequality rows, mu on the unit-mass row)."""
-    nb, d = Y.shape
-    inst, col = np.nonzero(member)
-    nv = inst.size
-    n_rows = 3 * d
-    Ucol = U[:, col]
-    coef = np.vstack([Ucol, -Ucol, np.abs(Ucol - Y[inst].T)])
-    A_ub = sp.csr_matrix(
-        (coef.ravel(),
-         ((inst * n_rows + np.arange(n_rows)[:, None]).ravel(),
-          np.tile(np.arange(nv), n_rows))),
-        shape=(nb * n_rows, nv),
-    )
-    b_ub = np.hstack([Y + bounds.epsilon, -Y + bounds.epsilon,
-                      np.full((nb, d), bounds.sigma_m)])
-    c = C[inst, col]
-    lp = StandardLp(
-        "max", c,
-        A_ub=A_ub, b_ub=b_ub.ravel(),
-        A_eq=sp.csr_matrix((np.ones(nv), (inst, np.arange(nv))), shape=(nb, nv)),
-        b_eq=np.ones(nb),
-        lb=np.zeros(nv),
-    )
-    sol = solve_lp(lp)
-    if sol.status != "Optimal":
-        raise NumericalFailure("adversary master LP returned %s" % sol.status)
-    obj = np.bincount(inst, weights=c * sol.x, minlength=nb)
-    lam = np.clip(sol.duals_ub, 0.0, None).reshape(nb, n_rows)
-    dual_obj = np.einsum("ij,ij->i", b_ub, lam) + sol.duals_eq
-    return obj, lam, sol.duals_eq, dual_obj
-
-
 def inner_maxima(C, X, landmarks, spec, bounds):
     """Batched adversarial_pmf values: entry i is the maximum of C[i] @ P
     over the PMFs consistent with observing landmarks[i] from X[i], or NaN
     when no PMF is.
 
-    Exact column generation (Gilmore & Gomory 1961). Each instance's
-    restricted master starts from its SEED_TOP_K largest payoffs and the
-    bilinear stencil around the true offset, whose PMF is checked against
-    the bounds here, so every master is feasible. All open masters are
-    solved as one block-diagonal LP; every grid column is then priced at
-    the block's duals. An instance is accepted only when no reduced cost
-    exceeds PRICE_TOL * (1 + |C[i]|_inf) and the master's objective is
-    within SLACK_TOL of the dual bound b.lambda + mu + max(0, max reduced
-    cost), which is a dual-feasible bound of the full LP; otherwise up to
-    COLUMNS_PER_ROUND positive columns join its master. Instances without
-    an in-bound stencil, or left with no column to add, go to the full LP
+    A revised simplex on every instance's 3d + 1 rows in lockstep, started
+    from the 3d slacks and the bilinear stencil PMF around the true offset,
+    a convex combination of grid columns that is checked here against the
+    bounds. Each round inverts every open basis afresh and prices all grid
+    and slack columns at its duals pi. A value counts when no reduced cost
+    exceeds PRICE_TOL * (1 + |C[i]|_inf), the basis is feasible and the
+    objective is within SLACK_TOL of the dual bound b.pi + max(0, max
+    reduced cost). Else the largest reduced cost enters, or after
+    STALL_PIVOTS degenerate pivots in a row the first improving column
+    (Bland 1977). Instances without an in-bound stencil, with no column to
+    enter, an unbounded ratio or MAX_PIVOTS pivots go to the full LP
     (adversarial_pmf). Returns (values, stats)."""
     C = np.asarray(C, dtype=float)
     X = np.asarray(X, dtype=float)
@@ -176,46 +141,81 @@ def inner_maxima(C, X, landmarks, spec, bounds):
     m, n_p = C.shape
     U = build_expectation_kernel(spec)
     d = U.shape[0]
+    n_r = 3 * d + 1
     values = np.full(m, np.nan)
 
     idx, w = _stencil(spec, Y)
     U_st = U[:, idx]
-    mean_err = np.abs(np.sum(U_st * w, axis=2).T - Y)
+    mean = np.sum(U_st * w, axis=2).T
     dev = np.sum(np.abs(U_st - Y.T[:, :, None]) * w, axis=2).T
-    seeded = (np.all(mean_err <= bounds.epsilon, axis=1)
-              & np.all(dev <= bounds.sigma_m, axis=1))
+    A_s = np.hstack([mean, -mean, dev])
+    rhs = np.hstack([Y + bounds.epsilon, -Y + bounds.epsilon,
+                     np.full((m, d), bounds.sigma_m), np.ones((m, 1))])
+    seeded = np.all(A_s <= rhs[:, :-1], axis=1)
+    price_tol = PRICE_TOL * (1.0 + np.abs(C).max(axis=1))
+    feas_tol = PRICE_TOL * (1.0 + np.abs(rhs).max(axis=1))
 
+    B = np.tile(np.eye(n_r), (m, 1, 1))
+    B[:, :-1, -1] = A_s
+    basis = np.tile(np.arange(n_p, n_p + n_r), (m, 1))
+    c_B = np.zeros((m, n_r))
+    c_B[:, -1] = np.sum(np.take_along_axis(C, idx, axis=1) * w, axis=1)
+    pivots, stall = np.zeros((2, m), dtype=int)
     open_ = np.flatnonzero(seeded)
     full_lp = list(np.flatnonzero(~seeded))
-    member = np.zeros((open_.size, n_p), dtype=bool)
-    n_seed, n_add = min(SEED_TOP_K, n_p), min(COLUMNS_PER_ROUND, n_p)
-    top = np.argpartition(-C[open_], n_seed - 1, axis=1)[:, :n_seed]
-    np.put_along_axis(member, top, True, axis=1)
-    np.put_along_axis(member, idx[open_], True, axis=1)
-    rounds = masters = 0
+    rounds = n_pivots = 0
     while open_.size:
         rounds += 1
-        masters += open_.size
-        Co, Yo = C[open_], Y[open_]
-        obj, lam, mu, dual_obj = _solve_masters(Co, Yo, member, U, bounds)
-        R = Co - (lam[:, :d] - lam[:, d:2 * d]) @ U - mu[:, None]
+        Co, Yo, b, tol = C[open_], Y[open_], rhs[open_], price_tol[open_]
+        B_inv = np.linalg.inv(B[open_])
+        x_B = np.einsum("kij,kj->ki", B_inv, b)
+        pi = np.einsum("kj,kji->ki", c_B[open_], B_inv)
+        obj = np.einsum("ki,ki->k", c_B[open_], x_B)
+        # grid reduced costs: pi.a_j sums one term per axis, in j's center
+        # on that axis; the slacks' are S = -pi
+        R = Co.reshape((-1,) + spec.n) - pi[:, -1].reshape((-1,) + (1,) * d)
         for q in range(d):
-            R -= lam[:, 2 * d + q, None] * np.abs(U[q] - Yo[:, q, None])
-        r_max = R.max(axis=1)
-        price_tol = PRICE_TOL * (1.0 + np.abs(Co).max(axis=1))
-        gap = np.abs(obj - (dual_obj + np.maximum(r_max, 0.0)))
-        done = ((r_max <= price_tol)
-                & (gap <= SLACK_TOL * np.maximum(1.0, np.abs(obj))))
+            c_q = spec.centers(q)
+            g = ((pi[:, q, None] - pi[:, d + q, None]) * c_q
+                 + pi[:, 2 * d + q, None] * np.abs(c_q - Yo[:, q, None]))
+            R -= g.reshape((-1,) + (1,) * q + (spec.n[q],) + (1,) * (d - 1 - q))
+        R, S = R.reshape(-1, n_p), -pi[:, :-1]
+        enter = R.argmax(axis=1)
+        r_max = np.take_along_axis(R, enter[:, None], axis=1)[:, 0]
+        enter = np.where(S.max(axis=1) > r_max, n_p + S.argmax(axis=1), enter)
+        improving = np.maximum(r_max, S.max(axis=1)) > tol
+        gap = np.abs(obj - np.einsum("ki,ki->k", b, pi) - np.maximum(r_max, 0))
+        done = (~improving & (gap <= SLACK_TOL * np.maximum(1.0, np.abs(obj)))
+                & (x_B.min(axis=1) >= -feas_tol[open_]))
         values[open_[done]] = obj[done]
-        R[member] = -np.inf
-        best = np.argpartition(-R, n_add - 1, axis=1)[:, :n_add]
-        gain = np.take_along_axis(R, best, axis=1) > price_tol[:, None]
-        stuck = ~done & ~gain.any(axis=1)
-        full_lp.extend(open_[stuck])
-        keep = ~done & ~stuck
-        rows, picks = np.nonzero(gain & keep[:, None])
-        member[rows, best[rows, picks]] = True
-        open_, member = open_[keep], member[keep]
+        go = improving & (pivots[open_] < MAX_PIVOTS)
+        full_lp.extend(open_[~done & ~go])
+        live = np.flatnonzero(go)
+        ids = open_[live]
+        bland = stall[ids] >= STALL_PIVOTS
+        lb, enter = live[bland], enter[live]
+        enter[bland] = np.argmax(np.hstack([R[lb], S[lb]]) > tol[lb, None], 1)
+        col = np.eye(n_r)[np.clip(enter - n_p, 0, n_r - 1)]
+        grid = enter < n_p
+        Uq = U[:, enter[grid]].T
+        col[grid] = np.hstack([Uq, -Uq, np.abs(Uq - Yo[live[grid]]),
+                               np.ones((Uq.shape[0], 1))])
+        step = np.einsum("kij,kj->ki", B_inv[live], col)
+        ratio = np.divide(np.maximum(x_B[live], 0.0), step, where=step > PIVOT_TOL,
+                          out=np.full(step.shape, np.inf))
+        theta = ratio.min(axis=1)
+        tied = np.where(ratio == theta[:, None], basis[ids], n_p + n_r)
+        leave = np.where(bland, tied.argmin(axis=1), ratio.argmin(axis=1))
+        B[ids, :, leave] = col
+        basis[ids, leave] = enter
+        c_B[ids, leave] = np.where(grid, Co[live, np.minimum(enter, n_p - 1)], 0)
+        stall[ids] = np.where(theta <= feas_tol[ids], stall[ids] + 1, 0)
+        pivots[ids] += 1
+        # no row bounds an unbounded ratio test: the full LP takes over
+        ok = np.isfinite(theta)
+        full_lp.extend(ids[~ok])
+        open_ = ids[ok]
+        n_pivots += open_.size
 
     for i in full_lp:
         try:
@@ -223,7 +223,7 @@ def inner_maxima(C, X, landmarks, spec, bounds):
                                         LM[i]).inner_value
         except InfeasibleMeasurementSet:
             pass
-    stats = {"instances": m, "masters": masters, "rounds": rounds,
+    stats = {"instances": m, "pivots": n_pivots, "rounds": rounds,
              "fallbacks": len(full_lp)}
     return values, stats
 
@@ -352,9 +352,9 @@ def verify_controller(controller, cell, count=200, seed=0, tol=SLACK_TOL,
             else np.asarray(pairs[scored[worst]][1], dtype=float).tolist(),
             "evaluated": int(scored.size),
         })
-    log.info("verify cell %d: %d adversary instances, %d restricted-master "
-             "solves, %d rounds at most, %d full-LP fallbacks, %d skipped",
-             cell.id, stats["instances"], stats["masters"], stats["rounds"],
+    log.info("verify cell %d: %d adversary instances, %d simplex pivots, "
+             "%d pricing rounds, %d full-LP fallbacks, %d skipped",
+             cell.id, stats["instances"], stats["pivots"], stats["rounds"],
              stats["fallbacks"], skipped)
     report = VerificationReport(cell.id, seed, len(points), tol, summaries, skipped)
     if raise_on_fail and not report.passed:

@@ -3,10 +3,15 @@ eight-cell environment at the published operating point; the property tests
 pin the robustness claims (margin soundness, duality, conservatism
 monotonicity, measurement exactness) on randomized instances."""
 
+import json
+import os
+
 import numpy as np
 import pytest
 
 from safefield import planning, simulation
+from safefield.errors import OffPlanCrossing
+from safefield.geometry import environment_from_dict
 from safefield.lp_core import solve_lp
 from safefield.measurement import (GridSpec, PmfGrid, UncertaintyBounds,
                                    blur_pmf, build_expectation_kernel,
@@ -267,3 +272,26 @@ def test_patrol_cycle_crosses_and_stays_safe(patrol_env, case_setup):
     traj = simulation.run_trajectory(env, plan, ctrls, cfg)
     assert traj.crossings >= 5
     assert min(traj.min_h) >= -1e-6
+
+
+def test_patrol_crossing_off_the_plan_fails(case_setup):
+    # annulus8's cell 0 exits through x = 20, which it shares with cell 1
+    # below y = 10 and with cell 2 above; on the second lap cell 0's
+    # controller crosses into cell 2 while the cycle plans cell 1
+    data = os.path.join(os.path.dirname(simulation.__file__), "data")
+    with open(os.path.join(data, "annulus8.json")) as fh:
+        raw = json.load(fh)
+    raw["patrol_cycle"] = [0, 1, 3, 4, 5, 6, 7]
+    env = environment_from_dict(raw)
+    graph = planning.build_graph(env)
+    plan = planning.plan_from_start(env, graph, mode="patrol")
+    ctrls = synthesize_environment(
+        env, {e.cell_id: e for e in plan.entries}, graph,
+        case_setup["dynamics"], case_setup["spec"], case_setup["bounds"],
+        case_setup["basis"], alpha_v=1.0, alpha_h=100.0, mode="patrol")
+    cfg = SimConfig(dt=0.01, max_time=120.0, sensor=SensorModel(), seed=0)
+    with pytest.raises(OffPlanCrossing) as err:
+        simulation.run_trajectory(env, plan, ctrls, cfg, x0=[10.0, 10.0])
+    assert "left cell 0 for [2], not planned cell 1 at t=6.560" in str(err.value)
+    assert (err.value.cell_id, err.value.planned) == (0, 1)
+    assert min(err.value.trajectory.min_h) >= -1e-6

@@ -215,6 +215,16 @@ def test_missing_controller_names_the_controllers_file(tmp_path, capsys):
     assert "(file %s, field controllers)" % os.path.join(out, "controllers.json") in err
 
 
+def test_patrol_start_off_the_cycle_names_starts(tmp_path, capsys):
+    # cell 2 is not on the patrol cycle [0, 1]
+    cfg = write_config(tmp_path, mode="patrol", starts=[[1.0, 1.6]],
+                       sim={"dt": 0.01, "max_time": 1.0})
+    assert cli.main(["pipeline", "--config", str(cfg)]) == 2
+    err = capsys.readouterr().err
+    assert "lies in no cell of the patrol cycle" in err
+    assert "(file %s, field starts)" % cfg in err
+
+
 def test_packaged_run_configs_load():
     data = os.path.join(os.path.dirname(cli.__file__), "data")
     loaded = []

@@ -219,6 +219,19 @@ def test_patrol_run_keeps_crossing(rig):
     assert set(traj.cell_id) == {0, 1}
 
 
+def test_patrol_starts_in_the_cycle_cell_of_the_start(rig):
+    cfg = SimConfig(dt=0.01, max_time=0.5)
+    traj = run_trajectory(rig["env"], rig["plan_p"], rig["ctrls_p"], cfg,
+                          x0=[1.5, 0.5])
+    assert traj.cell_id[0] == 1
+    assert min(traj.min_h) > 0.0
+    # cell 2 is not on the cycle [0, 1]
+    with pytest.raises(ConfigError) as err:
+        run_trajectory(rig["env"], rig["plan_p"], rig["ctrls_p"], cfg,
+                       x0=[1.0, 1.6])
+    assert err.value.field == "starts"
+
+
 def test_start_outside_cells_is_a_violation(rig):
     with pytest.raises(SafetyViolation):
         run_trajectory(rig["env"], rig["plan"], rig["ctrls"],

@@ -1,8 +1,11 @@
+import re
+
 import numpy as np
 import pytest
 
 from dual_form import bias_image, gain_image
 from helpers import transit_entry_for
+from safefield import verification
 from safefield.clfcbf import LinearDynamics, build_clf_row
 from safefield.errors import InfeasibleMeasurementSet, VerificationFailed
 from safefield.geometry import ConvexCell, polygon_to_halfspaces
@@ -187,6 +190,92 @@ def test_batch_mixes_seeded_unseeded_and_infeasible_instances():
     alone, stats = inner_maxima(C[2:], X[2:], LM[2:], SPEC, bounds)
     assert stats["fallbacks"] == 0
     assert np.allclose(alone, values[2:], rtol=1e-9, atol=1e-9)
+
+
+def reachable_instances(spec, bounds, m, rng):
+    """m states with landmarks whose offsets lie within 0.8 epsilon of the
+    grid's hull of centers, so that every instance has a consistent PMF."""
+    reach = spec.centers(0)[-1] + 0.8 * bounds.epsilon
+    X = rng.uniform(-3.0, 3.0, (m, 2))
+    return X, X + rng.uniform(-reach, reach, (m, 2))
+
+
+@pytest.mark.parametrize("stall", [verification.STALL_PIVOTS, 0],
+                         ids=["dantzig-then-bland", "bland"])
+@pytest.mark.parametrize("payoff", ["integer", "constant", "one-hot"])
+@pytest.mark.parametrize("spec, bounds", [
+    (GridSpec((30, 30), (40.0, 40.0)), UncertaintyBounds(4.0, 16.0)),
+    (SPEC, BOUNDS),
+])
+def test_degenerate_payoffs_match_full_lp(spec, bounds, payoff, stall,
+                                          monkeypatch):
+    # ties everywhere: many optimal vertices and degenerate pivots; with
+    # no stall allowed, every pivot follows Bland's rule, which may need
+    # more than MAX_PIVOTS pivots and leave the value to the full LP
+    monkeypatch.setattr(verification, "STALL_PIVOTS", stall)
+    rng = np.random.default_rng(19)
+    m = 30
+    X, LM = reachable_instances(spec, bounds, m, rng)
+    if payoff == "integer":
+        C = rng.integers(-1, 2, (m, spec.n_points)).astype(float)
+    elif payoff == "constant":
+        C = np.repeat(rng.uniform(-5.0, 5.0, (m, 1)), spec.n_points, axis=1)
+    else:
+        C = np.zeros((m, spec.n_points))
+        C[np.arange(m), rng.integers(spec.n_points, size=m)] = 1.0
+    values, stats = inner_maxima(C, X, LM, spec, bounds)
+    assert stats["instances"] == m
+    if stall:
+        assert stats["fallbacks"] == 0
+    for i in range(m):
+        ref = adversarial_pmf(C[i], X[i], spec, bounds, LM[i]).inner_value
+        assert abs(values[i] - ref) <= 1e-9 * max(1.0, abs(ref))
+
+
+def test_pivot_cap_sends_longer_runs_to_full_lp(monkeypatch):
+    spec = GridSpec((30, 30), (40.0, 40.0))
+    bounds = UncertaintyBounds(4.0, 16.0)
+    rng = np.random.default_rng(29)
+    m = 24
+    X, LM = reachable_instances(spec, bounds, m, rng)
+    C = rng.standard_normal((m, spec.n_points))
+    C[:4] = 1.0  # optimal at the start: no pivot
+    needed = np.array([
+        inner_maxima(C[i:i + 1], X[i:i + 1], LM[i:i + 1], spec, bounds)[1]
+        ["pivots"] for i in range(m)])
+    assert 0 < np.sum(needed > 1) < m
+    monkeypatch.setattr(verification, "MAX_PIVOTS", 1)
+    values, stats = inner_maxima(C, X, LM, spec, bounds)
+    assert stats["fallbacks"] == np.sum(needed > 1)
+    assert stats["pivots"] == np.sum(np.minimum(needed, 1))
+    # no admissible pivot element: every ratio test is unbounded
+    monkeypatch.setattr(verification, "PIVOT_TOL", np.inf)
+    unbounded, stats = inner_maxima(C, X, LM, spec, bounds)
+    assert stats["fallbacks"] == np.sum(needed > 0)
+    assert stats["pivots"] == 0
+    for i in range(m):
+        ref = adversarial_pmf(C[i], X[i], spec, bounds, LM[i]).inner_value
+        assert abs(values[i] - ref) <= 1e-9 * max(1.0, abs(ref))
+        assert abs(unbounded[i] - ref) <= 1e-9 * max(1.0, abs(ref))
+
+
+def test_verify_logs_the_simplex_counts(caplog):
+    ctrl, cell = square_controller()
+    with caplog.at_level("INFO", logger="safefield"):
+        report = verify_controller(ctrl, cell, count=12, seed=2)
+    lines = [r.getMessage() for r in caplog.records
+             if r.getMessage().startswith("verify cell 0:")]
+    assert len(lines) == 1
+    match = re.fullmatch(
+        r"verify cell 0: (\d+) adversary instances, (\d+) simplex pivots, "
+        r"(\d+) pricing rounds, (\d+) full-LP fallbacks, (\d+) skipped",
+        lines[0])
+    assert match, lines[0]
+    instances, pivots, rounds, fallbacks, skipped = map(int, match.groups())
+    evaluated = sum(r["evaluated"] for r in report.rows)
+    assert instances == evaluated + report.skipped
+    assert skipped == report.skipped
+    assert pivots > 0 and rounds > 1 and fallbacks == 0
 
 
 def test_synthesized_controller_verifies():
