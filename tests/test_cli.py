@@ -223,6 +223,8 @@ def test_patrol_start_off_the_cycle_names_starts(tmp_path, capsys):
     err = capsys.readouterr().err
     assert "lies in no cell of the patrol cycle" in err
     assert "(file %s, field starts)" % cfg in err
+    # rejected when the config loads, before synthesis writes anything
+    assert not (tmp_path / "out" / "controllers.json").exists()
 
 
 def test_packaged_run_configs_load():

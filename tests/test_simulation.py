@@ -13,7 +13,9 @@ from safefield.errors import (
 )
 from safefield.measurement import (
     GridSpec,
+    PmfGrid,
     UncertaintyBounds,
+    blur_pmf,
     build_expectation_kernel,
     make_delta_pmf,
 )
@@ -109,6 +111,83 @@ def test_gaussian_sensor_is_seeded_and_normalized():
     assert np.array_equal(a.mass, b.mass)
     assert abs(a.mass.sum() - 1.0) <= 1e-12
     assert np.all(a.mass >= 0.0)
+
+
+def unbanked_sensor(model, seed):
+    """The sensor as a recipe with no bank: a fresh delta PMF per reading,
+    blurred by blur_pmf along the same seeded stream of directions."""
+    if model.kind == "delta":
+        return make_delta_pmf
+    rng = np.random.default_rng(seed)
+
+    def sense(spec, y):
+        pmf = make_delta_pmf(spec, y)
+        direction = rng.standard_normal(spec.dim)
+        norm = np.linalg.norm(direction)
+        if norm < 1e-12:
+            direction, norm = np.array([1.0, 0.0]), 1.0
+        return blur_pmf(pmf, model.drift * direction / norm, model.variance)
+
+    return sense
+
+
+@pytest.mark.parametrize("model", [
+    SensorModel(),
+    SensorModel("gaussian", 0.5, 0.1),
+    SensorModel("gaussian", 3.0, 12.0),
+    SensorModel("gaussian", 1.0, 0.0),
+    SensorModel("gaussian", 30.0, 2.0),
+], ids=["delta", "gaussian", "case-study-scale", "variance-0", "clamp-binds"])
+def test_banked_readings_equal_the_unbanked_recipe(model):
+    # two grids read alternately by one closure, a third of the offsets in
+    # the corner boxes, where the clamp and the clipped paste both bind
+    grids = [SPEC, GridSpec((30, 30), (40.0, 40.0))]
+    sense, recipe = model.make(3), unbanked_sensor(model, 3)
+    rng = np.random.default_rng(17)
+    readings = 0
+    built = {}
+    for _ in range(1500):
+        unit = rng.uniform(-1.0, 1.0, size=2)
+        if rng.random() < 1.0 / 3.0:
+            unit = np.sign(unit) * rng.uniform(0.85, 1.0, size=2)
+        for spec in grids:
+            y = unit * np.array(spec.width) / 2.0
+            got, want = sense(spec, y), recipe(spec, y)
+            assert got.spec == spec
+            assert np.array_equal(got.mass, want.mass)
+            readings += 1
+            built[id(got)] = got
+    # the bank holds at most one PMF per grid cell
+    assert len(built) <= sum(spec.n_points for spec in grids) < readings
+
+
+def test_a_recurring_cell_returns_the_same_pmf():
+    # a drift under half a pitch rounds to no shift, so both offsets land
+    # on the same cell whatever direction is drawn
+    y, nearby = np.array([0.3, 0.4]), np.array([0.31, 0.41])
+    for model in (SensorModel(), SensorModel("gaussian", 0.1, 0.1)):
+        sense = model.make(0)
+        first = sense(SPEC, y)
+        assert sense(SPEC, nearby) is first
+        assert sense(GridSpec((8, 8), (6.0, 6.0)), y) is not first
+        # the bank belongs to the closure: a new closure builds its own
+        assert model.make(0)(SPEC, y) is not first
+
+
+def test_pmf_mass_is_read_only():
+    y = np.array([0.3, -0.4])
+    fresh = np.full(SPEC.n, 1.0 / SPEC.n_points)
+    pmfs = [make_delta_pmf(SPEC, y), blur_pmf(make_delta_pmf(SPEC, y), y, 0.1),
+            SensorModel().make(0)(SPEC, y),
+            SensorModel("gaussian", 0.5, 0.1).make(0)(SPEC, y),
+            PmfGrid(SPEC, fresh)]
+    for pmf in pmfs:
+        with pytest.raises(ValueError):
+            pmf.mass[0, 0] = 0.5
+        with pytest.raises(ValueError):
+            pmf.vector[0] = 0.5
+    # the caller's array is copied, not frozen
+    assert fresh.flags.writeable
 
 
 def test_sim_config_validation_and_roundtrip():
