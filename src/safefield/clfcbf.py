@@ -16,15 +16,19 @@ from .geometry import HalfspaceSet
 
 
 class LinearDynamics:
-    """xdot = A x + B u."""
+    """xdot = A x + B u. A and B are read-only copies, so drift_free (A is
+    all zero) holds for the life of the dynamics."""
 
     def __init__(self, A, B):
-        self.A = np.asarray(A, dtype=float)
-        self.B = np.asarray(B, dtype=float)
+        self.A = np.array(A, dtype=float)
+        self.B = np.array(B, dtype=float)
         if self.A.ndim != 2 or self.A.shape[0] != self.A.shape[1]:
             raise DimensionMismatch("A must be square")
         if self.B.ndim != 2 or self.B.shape[0] != self.A.shape[0]:
             raise DimensionMismatch("B must have d rows")
+        self.A.setflags(write=False)
+        self.B.setflags(write=False)
+        self.drift_free = not self.A.any()
 
     @property
     def d(self):

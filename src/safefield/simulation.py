@@ -150,10 +150,37 @@ def control_input(controller, pmfs):
     for p in pmfs:
         if p.spec != controller.grid:
             raise GridMismatch("PMFs must lie on the controller's grid")
-    u = controller.bias.copy()
-    for mat, pmf in zip(controller.control_matrices(), pmfs):
-        u = u + mat @ pmf.vector
+    return _control_law(controller.bias, [
+        mat @ pmf.vector
+        for mat, pmf in zip(controller.control_matrices(), pmfs)])
+
+
+def _control_law(bias, terms):
+    """u = K_b + sum_l M_l P_l from the terms M_l P_l, added in landmark
+    order."""
+    u = bias.copy()
+    for term in terms:
+        u = u + term
     return u
+
+
+def _banked_terms(controller):
+    """The terms M_l P_l of one controller's readings, banked by the PMF they
+    come from. A sensing closure hands back the same read-only PmfGrid
+    whenever a grid cell recurs, so each term is computed once per cell a
+    landmark is read on."""
+    banks = [({}, mat) for mat in controller.control_matrices()]
+
+    def terms(pmfs):
+        out = []
+        for (bank, mat), pmf in zip(banks, pmfs):
+            term = bank.get(pmf)
+            if term is None:
+                term = bank[pmf] = mat @ pmf.vector
+            out.append(term)
+        return out
+
+    return terms
 
 
 def _barriers(controller, cell):
@@ -167,13 +194,25 @@ def _barrier_values(barriers, x):
     if not facets:
         return np.inf, None
     vals = -(A @ x + b)
-    j = int(np.argmin(vals))
+    j = int(vals.argmin())
     return float(vals[j]), facets[j]
 
 
 def _step(dynamics, x, u, dt):
-    """One classical Runge-Kutta (RK4) step under the held input u."""
+    """One classical Runge-Kutta (RK4) step under the held input u.
+
+    Without drift every stage slope A s + B u is B u, so the step takes
+    that one slope through RK4's own operations, on Python floats (cheaper
+    than NumPy calls for a few entries, and rounded the same): the staged
+    step bit for bit. A zero entry of B u is the exception, since the
+    staged slope takes its sign from A s there; such a step is staged."""
     Bu = dynamics.B @ u
+    if dynamics.drift_free:
+        slope = Bu.tolist()
+        if all(slope):
+            h = dt / 6.0
+            return np.array([xi + h * (k + 2.0 * k + 2.0 * k + k)
+                             for xi, k in zip(x.tolist(), slope)])
 
     def f(state):
         return dynamics.A @ state + Bu
@@ -187,7 +226,10 @@ def _step(dynamics, x, u, dt):
 
 def run_trajectory(env, plan, controllers, config, x0=None):
     """Integrate under the plan; u is recomputed every step from freshly
-    sensed PMFs (zero-order hold within a step).
+    sensed PMFs (zero-order hold within a step). What a controller's steps
+    share is built at its first step: its barrier rows and its bank of
+    control terms. That step's input comes from control_input, which checks
+    the count and grid of the reading; no later reading changes them.
 
     Patrol mode starts at the first cycle entry whose cell contains the
     start and steps a pointer through the plan entries, advancing when the
@@ -200,7 +242,7 @@ def run_trajectory(env, plan, controllers, config, x0=None):
     state landed in, whose controller funnels it back toward the goal.
     """
     ctrl_by_id = {c.cell_id: c for c in controllers}
-    barriers = {}
+    loops = {}  # cell id -> (cell, barrier rows, banked control terms)
     sense = config.sensor.make(config.seed)
     x = np.asarray(env.start if x0 is None else x0, dtype=float).copy()
     traj = Trajectory(plan.mode)
@@ -238,11 +280,17 @@ def run_trajectory(env, plan, controllers, config, x0=None):
         if ctrl is None:
             raise ConfigError("no controller for cell %d" % active_id,
                               field="controllers")
-        cell = env.cell_by_id(active_id)
-        if active_id not in barriers:
-            barriers[active_id] = _barriers(ctrl, cell)
-        u = control_input(ctrl, observe(ctrl))
-        min_h, facet = _barrier_values(barriers[active_id], x)
+        pmfs = observe(ctrl)
+        loop = loops.get(active_id)
+        if loop is None:
+            cell = env.cell_by_id(active_id)
+            loop = loops[active_id] = (cell, _barriers(ctrl, cell),
+                                       _banked_terms(ctrl))
+            u = control_input(ctrl, pmfs)
+        else:
+            u = _control_law(ctrl.bias, loop[2](pmfs))
+        cell, barriers, _ = loop
+        min_h, facet = _barrier_values(barriers, x)
         traj.append(t, x, u, active_id, ctrl.progress(x), min_h)
         if min_h < -SAFETY_TOL:
             raise SafetyViolation(

@@ -74,7 +74,10 @@ class GainBasis:
             elif name == "quadratic":
                 out.append(U * U)
             else:
-                out.append(np.cos(np.pi * U / half))
+                R = np.cos(np.pi * U / half)
+                # cos(+-pi/2) rounds to 6.1e-17: store the exact zeros
+                R[np.abs(R) <= 1e-15] = 0.0
+                out.append(R)
         return out
 
 

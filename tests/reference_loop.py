@@ -1,0 +1,123 @@
+"""The closed loop stepped the plain way: the test oracle for the banked,
+drift-aware loop of simulation.run_trajectory.
+
+Every step takes the four staged RK4 slopes A s + B u, calls
+control_input on freshly sensed PMFs, and evaluates the progress wherever
+it is needed. The simulator must log the same rows, bit for bit, and count
+the same crossings.
+"""
+
+import numpy as np
+
+from safefield.errors import (
+    ConfigError,
+    LeftFreeSpace,
+    OffPlanCrossing,
+    SafetyViolation,
+)
+from safefield.simulation import (
+    SAFETY_TOL,
+    Trajectory,
+    _barrier_values,
+    _barriers,
+    control_input,
+)
+
+
+def staged_step(dynamics, x, u, dt):
+    """One classical Runge-Kutta (RK4) step under the held input u, every
+    stage slope evaluated in full."""
+    Bu = dynamics.B @ u
+
+    def f(state):
+        return dynamics.A @ state + Bu
+
+    k1 = f(x)
+    k2 = f(x + 0.5 * dt * k1)
+    k3 = f(x + 0.5 * dt * k2)
+    k4 = f(x + dt * k3)
+    return x + (dt / 6.0) * (k1 + 2.0 * k2 + 2.0 * k3 + k4)
+
+
+def reference_trajectory(env, plan, controllers, config, x0=None):
+    """run_trajectory's contract, one full sense, control and RK4 pass per
+    step."""
+    ctrl_by_id = {c.cell_id: c for c in controllers}
+    barriers = {}
+    sense = config.sensor.make(config.seed)
+    x = np.asarray(env.start if x0 is None else x0, dtype=float).copy()
+    traj = Trajectory(plan.mode)
+    active = 0
+    n_entries = len(plan.entries)
+    next_on_plan = {plan.entries[i].cell_id: plan.entries[i + 1].cell_id
+                    for i in range(n_entries - 1)}
+    active_id = plan.entries[0].cell_id
+    if plan.mode == "patrol":
+        on_cycle = [i for i, e in enumerate(plan.entries)
+                    if env.cell_by_id(e.cell_id).contains(x)]
+        if not on_cycle:
+            raise ConfigError("start lies in no cell of the patrol cycle",
+                              field="starts")
+        active = on_cycle[0]
+    elif not env.cell_by_id(active_id).contains(x):
+        inside = env.cells_containing(x)
+        if inside:
+            active_id = min(c.id for c in inside)
+    t = 0.0
+    n_steps = int(round(config.max_time / config.dt))
+
+    def handover(ids):
+        nxt = next_on_plan.get(active_id)
+        return nxt if nxt in ids else min(ids)
+
+    for _ in range(n_steps + 1):
+        if plan.mode == "patrol":
+            active_id = plan.entries[active].cell_id
+        ctrl = ctrl_by_id.get(active_id)
+        if ctrl is None:
+            raise ConfigError("no controller for cell %d" % active_id,
+                              field="controllers")
+        cell = env.cell_by_id(active_id)
+        if active_id not in barriers:
+            barriers[active_id] = _barriers(ctrl, cell)
+        pmfs = [sense(ctrl.grid, lm - x) for lm in ctrl.landmarks]
+        u = control_input(ctrl, pmfs)
+        min_h, facet = _barrier_values(barriers[active_id], x)
+        traj.append(t, x, u, active_id, ctrl.progress(x), min_h)
+        if min_h < -SAFETY_TOL:
+            raise SafetyViolation("barrier violated", t=t, x=x.copy(),
+                                  cell_id=active_id, facet=facet,
+                                  trajectory=traj)
+        if plan.mode == "stabilize" and plan.goal is not None:
+            if np.linalg.norm(x - plan.goal) <= config.goal_tol:
+                traj.reached = True
+                return traj
+        if t >= config.max_time - 1e-12:
+            break
+        x = staged_step(ctrl.dynamics, x, u, config.dt)
+        t += config.dt
+        inside = env.cells_containing(x)
+        if not inside:
+            raise LeftFreeSpace("left every cell", t=t, x=x.copy(),
+                                trajectory=traj)
+        if plan.mode == "patrol":
+            if ctrl.progress(x) <= 0.0:
+                active = (active + 1) % n_entries
+                planned = plan.entries[active].cell_id
+                if planned not in {c.id for c in inside}:
+                    raise OffPlanCrossing("off the plan", t=t, x=x.copy(),
+                                          cell_id=active_id, planned=planned,
+                                          trajectory=traj)
+                traj.crossings += 1
+            continue
+        ids = {c.id for c in inside}
+        if (ctrl.exit_face is not None and ctrl.progress(x) <= 0.0
+                and ids - {active_id}):
+            active_id = handover(ids - {active_id})
+            traj.crossings += 1
+        elif active_id not in ids:
+            depth = float(np.max(cell.body.values(x)))
+            if depth > np.linalg.norm(u) * config.dt + 1e-9:
+                active_id = handover(ids)
+    traj.reached = False if plan.mode == "stabilize" else None
+    return traj

@@ -1,9 +1,12 @@
+import os
 import tracemalloc
 
 import numpy as np
 import pytest
 
 from helpers import three_cell_env
+from reference_loop import reference_trajectory, staged_step
+from safefield import cli
 from safefield.clfcbf import LinearDynamics
 from safefield.errors import (
     ConfigError,
@@ -19,6 +22,7 @@ from safefield.measurement import (
     build_expectation_kernel,
     make_delta_pmf,
 )
+from safefield.geometry import ConvexCell, Environment
 from safefield.planning import build_graph, exit_map_to_goal, plan_from_start
 from safefield.simulation import (
     SensorModel,
@@ -56,8 +60,11 @@ def rig():
             "by_id": {c.cell_id: c for c in ctrls}}
 
 
-def zero_gain_controller(n_landmarks=2):
-    gains = [[np.zeros((2, 2)) for _ in range(3)] for _ in range(n_landmarks)]
+def zero_gain_controller(n_landmarks=2, gains=None):
+    """A controller whose law is its bias, unless gains are given."""
+    if gains is None:
+        gains = [[np.zeros((2, 2)) for _ in range(3)]
+                 for _ in range(n_landmarks)]
     landmarks = [[0.0, 0.0], [1.0, 0.0]][:n_landmarks]
     return CellController(
         cell_id=0, basis=GainBasis(), gains=gains, bias=[1.5, -2.0],
@@ -207,12 +214,122 @@ def test_step_matches_closed_form():
     assert float(np.max(np.abs(rk4 - exact))) <= 1e-9
 
 
+def same_bits(a, b):
+    a, b = np.asarray(a), np.asarray(b)
+    return (a.dtype == b.dtype and a.shape == b.shape
+            and a.tobytes() == b.tobytes())
+
+
+def test_drift_free_step_equals_the_staged_step():
+    rng = np.random.default_rng(21)
+    drift_free = [LinearDynamics.single_integrator(2),
+                  LinearDynamics(-np.zeros((2, 2)), np.eye(2)),
+                  LinearDynamics(np.zeros((2, 2)), [[0.5, -2.0], [1.5, 0.25]]),
+                  LinearDynamics(np.zeros((3, 3)), rng.standard_normal((3, 2)))]
+    assert all(dyn.drift_free for dyn in drift_free)
+    assert not LinearDynamics([[0.0, 1e-300], [0.0, 0.0]], np.eye(2)).drift_free
+    closed = staged = 0
+    for _ in range(4000):
+        dyn = drift_free[rng.integers(len(drift_free))]
+        x = rng.standard_normal(dyn.d) * 10.0 ** rng.integers(-3, 4)
+        u = rng.standard_normal(dyn.n_u) * 10.0 ** rng.integers(-3, 4)
+        for v in (x, u):
+            v[rng.random(v.shape) < 0.3] = 0.0
+            v[rng.random(v.shape) < 0.3] = -0.0
+        dt = float(rng.choice([0.01, 0.05, rng.uniform(1e-4, 1.0)]))
+        assert same_bits(_step(dyn, x, u, dt), staged_step(dyn, x, u, dt))
+        if (dyn.B @ u).all():
+            closed += 1
+        else:
+            staged += 1
+    # both branches ran, each many times
+    assert closed > 1000 and staged > 1000
+
+
+def test_dynamics_are_read_only():
+    dyn = LinearDynamics.single_integrator(2)
+    with pytest.raises(ValueError):
+        dyn.A[0, 1] = 1.0
+    with pytest.raises(ValueError):
+        dyn.B[0, 0] = 2.0
+
+
+def packaged_patrol_run():
+    data = os.path.join(os.path.dirname(cli.__file__), "data")
+    cfg = cli.load_config(os.path.join(data, "patrol.json"))
+    env = cfg.environment
+    graph = build_graph(env)
+    plan = plan_from_start(env, graph, start=cfg.starts[0], mode="patrol")
+    ctrls = synthesize_environment(
+        env, {e.cell_id: e for e in plan.entries}, graph,
+        LinearDynamics.single_integrator(2), cfg.grid, cfg.bounds, cfg.basis,
+        cfg.alpha_v, cfg.alpha_h, mode="patrol")
+    return env, plan, ctrls, cfg.sim, cfg.starts[0]
+
+
+def case_study_run(case_setup, sensor, start):
+    env = case_setup["env"]
+    plan = plan_from_start(env, case_setup["graph"], start=start)
+    cfg = SimConfig(dt=0.01, max_time=60.0, goal_tol=0.05, sensor=sensor,
+                    seed=1)
+    return env, plan, case_setup["controllers"], cfg, start
+
+
+def two_landmark_run():
+    """The three-cell rig with two landmarks read in every cell."""
+    base = three_cell_env()
+    cells = [ConvexCell(c.id, c.body, ids)
+             for c, ids in zip(base.cells, [[0, 1], [1, 0], [2, 0]])]
+    env = Environment(cells, base.landmarks, base.start, base.goal)
+    graph = build_graph(env)
+    ctrls = synthesize_environment(env, exit_map_to_goal(env, graph), graph,
+                                   LinearDynamics.single_integrator(2), SPEC,
+                                   BOUNDS, GainBasis(), 1.0, 100.0)
+    cfg = SimConfig(dt=0.01, max_time=30.0, goal_tol=0.05,
+                    sensor=SensorModel("gaussian", 0.3, 0.05), seed=9)
+    return env, plan_from_start(env, graph), ctrls, cfg, None
+
+
+@pytest.mark.parametrize("run", ["patrol", "case-study", "gaussian",
+                                 "two-landmarks"])
+def test_the_loop_logs_the_reference_loop(run, case_setup):
+    if run == "patrol":
+        args = packaged_patrol_run()
+    elif run == "case-study":
+        args = case_study_run(case_setup, SensorModel(), [10.0, 50.0])
+    elif run == "gaussian":
+        args = case_study_run(case_setup, SensorModel("gaussian", 3.0, 12.0),
+                              [50.0, 50.0])
+    else:
+        args = two_landmark_run()
+    env, plan, ctrls, cfg, start = args
+    traj = run_trajectory(env, plan, ctrls, cfg, x0=start)
+    ref = reference_trajectory(env, plan, ctrls, cfg, x0=start)
+    assert all(same_bits(a, b) for a, b in zip(traj.arrays(), ref.arrays()))
+    assert (traj.crossings, traj.reached) == (ref.crossings, ref.reached)
+    # the runs switch controllers: thousands of patrol crossings, and
+    # stabilize runs handing over between cells
+    assert traj.crossings >= (2000 if run == "patrol" else 3)
+
+
 def test_control_input_zero_gains_returns_bias():
     ctrl = zero_gain_controller()
     rng = np.random.default_rng(2)
     for _ in range(5):
         pmfs = [make_delta_pmf(SPEC, rng.uniform(-2, 2, 2)) for _ in range(2)]
         assert np.array_equal(control_input(ctrl, pmfs), ctrl.bias)
+
+
+def test_control_input_adds_the_landmarks_in_order():
+    rng = np.random.default_rng(8)
+    ctrl = zero_gain_controller(gains=rng.standard_normal((2, 3, 2, 2)))
+    for _ in range(50):
+        pmfs = []
+        for _ in range(2):
+            mass = rng.uniform(0.0, 1.0, SPEC.n)
+            pmfs.append(PmfGrid(SPEC, mass / mass.sum()))
+        assert np.array_equal(control_input(ctrl, pmfs),
+                              uncached_input(ctrl, pmfs))
 
 
 def test_control_input_rejects_mismatches():

@@ -12,7 +12,8 @@ from safefield.errors import GridMismatch, LandmarkNotVisible, SynthesisInfeasib
 from safefield.geometry import (ConvexCell, deviation_candidates,
                                 polygon_to_halfspaces, region_points)
 from safefield.lp_core import solve_lp
-from safefield.measurement import GridSpec, UncertaintyBounds, make_delta_pmf
+from safefield.measurement import (GridSpec, UncertaintyBounds,
+                                   build_expectation_kernel, make_delta_pmf)
 from safefield.planning import PlanEntry
 from safefield.synthesis import (
     DELTA_CAP,
@@ -75,6 +76,19 @@ def goal_square(spec, bounds, basis, dyn, goal_bounds=None, v_floor="auto"):
                              spec, [np.array([2.0, 2.0])], basis,
                              barrier_facets=walls, v_floor=v_floor, goal=goal)
     return asm, cell, entry, goal
+
+
+def test_cosine_map_stores_exact_zeros():
+    # on the case-study grid (30 cells a side) the two centers a quarter of
+    # the width from the middle put cos at +-pi/2, which rounds to 6.1e-17:
+    # two centers per axis, times the 30 grid points on each
+    spec = GridSpec((30, 30), (40.0, 40.0))
+    U = build_expectation_kernel(spec)
+    R = GainBasis(("mean", "cosine")).matrices(U, spec.width)[1]
+    assert np.count_nonzero(R == 0.0) == 2 * 2 * 30
+    assert np.all((R == 0.0) | (np.abs(R) > 0.05))
+    unrounded = np.cos(np.pi * U / (np.asarray(spec.width)[:, None] / 2.0))
+    assert np.array_equal(R[R != 0.0], unrounded[R != 0.0])
 
 
 def test_layout_counts_and_roundtrip():
