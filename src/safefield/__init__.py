@@ -59,10 +59,8 @@ from .planning import (
     HighLevelPlan,
     PlanEntry,
     build_graph,
-    exit_map_to_goal,
     goal_cell_id,
-    plan_from_start,
-    shortest_cell_path,
+    make_plan,
 )
 from .simulation import (
     SensorModel,

@@ -100,7 +100,7 @@ class RunConfig:
                     "start %d has %d coordinates in a %d-D environment"
                     % (k, start.size, self.environment.dimension),
                     path=path, field="starts")
-        self._check_patrol_starts()
+        self._check_starts()
         field = _arguments(raw, "field", path, resolution=int, cells=int)
         dim = self.environment.dimension
         resolution = field.get("resolution", 12)
@@ -122,20 +122,24 @@ class RunConfig:
                               path=path, field="out")
         self.seed = _number(raw, "seed", 0, int, path)
 
-    def _check_patrol_starts(self):
-        """A patrol run begins in a cycle cell that holds its start, so a
-        start in none is rejected before any synthesis. A cycle that names
-        an unknown cell is left to planning, which reports the cycle."""
-        env, cycle = self.environment, self.environment.patrol_cycle
-        if (self.mode != "patrol" or not cycle
-                or not set(cycle) <= {c.id for c in env.cells}):
-            return
+    def _check_starts(self):
+        """A run begins in a plan cell that holds its start: any cell in
+        stabilize mode, a cycle cell in patrol mode. So a start in none is
+        rejected before any synthesis. A cycle that names an unknown cell is
+        left to planning, which reports the cycle."""
+        env = self.environment
+        cell_ids = [c.id for c in env.cells]
+        if self.mode == "patrol":
+            cycle = env.patrol_cycle
+            if not cycle or not set(cycle) <= set(cell_ids):
+                return
+            cell_ids = cycle
         for k, start in enumerate(self.starts):
-            if not any(env.cell_by_id(cid).contains(start) for cid in cycle):
-                raise ConfigError(
-                    "start %d %s lies in no cell of the patrol cycle %s"
-                    % (k, start.tolist(), cycle), path=self.path,
-                    field="starts")
+            try:
+                simulation.start_cell(env, self.mode, cell_ids, start)
+            except ConfigError as exc:
+                raise ConfigError("%s (start %d)" % (exc.reason, k),
+                                  path=self.path, field="starts") from None
 
     def check_bounds(self):
         """The sensing bounds must be non-negative; rechecked after the
@@ -229,14 +233,6 @@ def _parse_cells(arg):
                           field="cells")
 
 
-def _entries(cfg, graph):
-    env = cfg.environment
-    if cfg.mode == "patrol":
-        plan = planning.plan_from_start(env, graph, mode="patrol")
-        return {e.cell_id: e for e in plan.entries}
-    return planning.exit_map_to_goal(env, graph)
-
-
 def _controllers_path(cfg):
     return os.path.join(cfg.out, "controllers.json")
 
@@ -252,7 +248,7 @@ def _load_controllers(cfg):
 def cmd_synth(cfg, cells=None):
     env = cfg.environment
     graph = planning.build_graph(env)
-    entries = _entries(cfg, graph)
+    entries = planning.make_plan(env, graph, cfg.mode).entries
     if cells is not None:
         missing = [c for c in cells if c not in entries]
         if missing:
@@ -261,7 +257,7 @@ def cmd_synth(cfg, cells=None):
     dynamics = LinearDynamics.single_integrator(env.dimension)
     controllers = synthesis.synthesize_environment(
         env, entries, graph, dynamics, cfg.grid, cfg.bounds, cfg.basis,
-        cfg.alpha_v, cfg.alpha_h, mode=cfg.mode,
+        cfg.alpha_v, cfg.alpha_h,
     )
     os.makedirs(cfg.out, exist_ok=True)
     synthesis.save_controllers(controllers, _controllers_path(cfg))
@@ -301,18 +297,17 @@ def cmd_verify(cfg):
 def cmd_simulate(cfg):
     env = cfg.environment
     controllers = _load_controllers(cfg)
-    graph = planning.build_graph(env)
+    plan = planning.make_plan(env, planning.build_graph(env), cfg.mode)
     os.makedirs(cfg.out, exist_ok=True)
     code = EXIT_OK
     for k, start in enumerate(cfg.starts):
-        plan = planning.plan_from_start(env, graph, start=start, mode=cfg.mode)
         path = os.path.join(cfg.out, "trajectory_%d.csv" % k)
         try:
             traj = simulation.run_trajectory(env, plan, controllers, cfg.sim,
                                              x0=start)
         except ConfigError as exc:
-            # the simulator names a cell without a controller or a start off
-            # the patrol cycle; the file they came from is known only here
+            # the simulator names a cell without a controller or a start in
+            # no plan cell; the file they came from is known only here
             source = (_controllers_path(cfg) if exc.field == "controllers"
                       else cfg.path)
             raise ConfigError(exc.reason, path=source, field=exc.field) from None

@@ -1,4 +1,4 @@
-"""Cell adjacency, shortest cell paths and exit-face assignment.
+"""Cell adjacency and the exit map: one exit facet per planned cell.
 
 Each plan entry fixes, for one cell, the facet the robot should leave
 through and the linear progress function V(x) = v . (x - o), built so that
@@ -120,43 +120,30 @@ def _bfs_distances(graph, target):
     return dist
 
 
-def shortest_cell_path(graph, src, dst):
-    """Shortest path by cell count; ties broken toward the smallest cell id."""
-    dist = _bfs_distances(graph, dst)
-    if src not in dist:
-        raise NoPath("no cell path from %s to %s" % (src, dst))
-    path = [src]
-    cur = src
-    while cur != dst:
-        nxt = min(nb for nb in graph.neighbors(cur) if dist.get(nb, np.inf) == dist[cur] - 1)
-        path.append(nxt)
-        cur = nxt
-    return path
-
-
 class PlanEntry:
-    """Exit assignment for one cell: leave through exit_face with progress
-    v . (x - o), or stabilize at o when exit_face is None."""
+    """Exit assignment for one cell: leave through exit_face into cell
+    next_id with progress v . (x - o), or stabilize at o when exit_face
+    (and next_id) is None."""
 
-    def __init__(self, cell_id, exit_face, v, o):
+    def __init__(self, cell_id, exit_face, v, o, next_id=None):
         self.cell_id = cell_id
         self.exit_face = exit_face
         self.v = np.asarray(v, dtype=float)
         self.o = np.asarray(o, dtype=float)
+        self.next_id = next_id
 
     def progress(self, x):
         return float(self.v @ (np.asarray(x, dtype=float) - self.o))
 
 
 class HighLevelPlan:
+    """The exit map of one run: entries maps each planned cell id to its
+    PlanEntry, in cycle order for patrol and in id order for stabilize."""
+
     def __init__(self, mode, entries, goal=None):
         self.mode = mode
-        self.entries = list(entries)
+        self.entries = dict(entries)
         self.goal = None if goal is None else np.asarray(goal, dtype=float)
-
-    @property
-    def cell_ids(self):
-        return [e.cell_id for e in self.entries]
 
 
 def _transit_entry(env, graph, cell_id, next_id):
@@ -164,7 +151,7 @@ def _transit_entry(env, graph, cell_id, next_id):
     row = edge.row_for(cell_id)
     cell = env.cell_by_id(cell_id)
     v = -cell.body.A[row]
-    return PlanEntry(cell_id, row, v, edge.midpoint)
+    return PlanEntry(cell_id, row, v, edge.midpoint, next_id)
 
 
 def goal_entry(env, cell_id, tol=1e-9):
@@ -194,18 +181,21 @@ def goal_cell_id(env, tol=1e-9):
     return min(ids)
 
 
-def plan_from_start(env, graph, start=None, mode="stabilize"):
-    """Plan the cell sequence from the start point.
+def make_plan(env, graph, mode="stabilize"):
+    """The one plan of a run, which synthesis solves for and the simulator
+    follows.
 
-    stabilize: shortest path to the goal cell, terminal entry at the goal.
-    patrol: the environment's patrol cycle, every entry a transit entry.
+    stabilize: every cell, in id order, exits one BFS hop closer to the
+    goal cell (ties toward the smallest cell id; build_graph has checked
+    that every cell reaches it); the goal cell stabilizes at the goal.
+    patrol: the environment's patrol cycle, each cell exiting into the
+    next; a cycle must visit each cell once.
     """
-    start = env.start if start is None else np.asarray(start, dtype=float)
     if mode == "patrol":
         cycle = env.patrol_cycle
         if not cycle:
             raise NoPath("patrol mode requires a patrol cycle")
-        entries = []
+        entries = {}
         for idx, cid in enumerate(cycle):
             nxt = cycle[(idx + 1) % len(cycle)]
             if frozenset((cid, nxt)) not in graph.edges:
@@ -213,30 +203,20 @@ def plan_from_start(env, graph, start=None, mode="stabilize"):
                     "patrol cycle steps from cell %r to cell %r, which are "
                     "not two distinct cells sharing a facet" % (cid, nxt),
                     field="environment.patrol_cycle")
-            entries.append(_transit_entry(env, graph, cid, nxt))
+            if cid in entries:
+                raise ConfigError(
+                    "patrol cycle visits cell %r twice; a cell has one "
+                    "exit facet" % cid, field="environment.patrol_cycle")
+            entries[cid] = _transit_entry(env, graph, cid, nxt)
         return HighLevelPlan("patrol", entries)
-    ids = [c.id for c in env.cells if c.contains(start)]
-    if not ids:
-        raise NoPath("start point is not inside any cell")
-    path = shortest_cell_path(graph, min(ids), goal_cell_id(env))
-    entries = [
-        _transit_entry(env, graph, path[i], path[i + 1]) for i in range(len(path) - 1)
-    ]
-    entries.append(goal_entry(env, path[-1]))
-    return HighLevelPlan("stabilize", entries, goal=env.goal)
-
-
-def exit_map_to_goal(env, graph):
-    """One plan entry per cell, each pointing one BFS hop closer to the goal."""
     gid = goal_cell_id(env)
     dist = _bfs_distances(graph, gid)
     entries = {}
-    for cell in env.cells:
-        if cell.id == gid:
-            entries[cell.id] = goal_entry(env, cell.id)
+    for cid in sorted(c.id for c in env.cells):
+        if cid == gid:
+            entries[cid] = goal_entry(env, cid)
         else:
-            if cell.id not in dist:
-                raise NoPath("cell %d cannot reach the goal cell" % cell.id)
-            nxt = min(nb for nb in graph.neighbors(cell.id) if dist[nb] == dist[cell.id] - 1)
-            entries[cell.id] = _transit_entry(env, graph, cell.id, nxt)
-    return entries
+            nxt = min(nb for nb in graph.neighbors(cid)
+                      if dist[nb] == dist[cid] - 1)
+            entries[cid] = _transit_entry(env, graph, cid, nxt)
+    return HighLevelPlan("stabilize", entries, goal=env.goal)

@@ -224,6 +224,21 @@ def _step(dynamics, x, u, dt):
     return x + (dt / 6.0) * (k1 + 2.0 * k2 + 2.0 * k3 + k4)
 
 
+def start_cell(env, mode, cell_ids, x):
+    """The cell a run from x begins in: the first of the plan's cells
+    cell_ids, in plan order, that contains x. Stabilize mode plans every
+    cell in id order, so there it is the smallest-id cell that holds x. A
+    start in none of them is a ConfigError with field starts."""
+    for cid in cell_ids:
+        if env.cell_by_id(cid).contains(x):
+            return cid
+    where = (" of the patrol cycle %s" % list(cell_ids)
+             if mode == "patrol" else "")
+    raise ConfigError("start %s lies in no cell%s"
+                      % (np.asarray(x, dtype=float).tolist(), where),
+                      field="starts")
+
+
 def run_trajectory(env, plan, controllers, config, x0=None):
     """Integrate under the plan; u is recomputed every step from freshly
     sensed PMFs (zero-order hold within a step). What a controller's steps
@@ -231,38 +246,22 @@ def run_trajectory(env, plan, controllers, config, x0=None):
     control terms. That step's input comes from control_input, which checks
     the count and grid of the reading; no later reading changes them.
 
-    Patrol mode starts at the first cycle entry whose cell contains the
-    start and steps a pointer through the plan entries, advancing when the
-    state crosses the active exit face; a crossing that does not land in
-    the planned successor cell is an OffPlanCrossing.
-    Stabilize mode always drives with the controller of the cell that
-    contains the state: crossing an exit face hands over to the cell on
-    the far side, and drifting out through a shared non-exit face (legal,
-    since shared faces carry no barrier) hands over to whichever cell the
-    state landed in, whose controller funnels it back toward the goal.
+    The run begins in start_cell and follows the plan's exit map: crossing
+    the active exit face hands over to the entry's next_id. In patrol mode
+    a crossing that does not land in that cell is an OffPlanCrossing.
+    Stabilize mode always drives with the controller of a cell that holds
+    the state: a crossing that lands elsewhere, or a drift out through a
+    shared non-exit face (legal, since shared faces carry no barrier),
+    hands over to next_id if it holds the state and otherwise to the
+    smallest-id cell that does, whose controller funnels it back toward
+    the goal.
     """
     ctrl_by_id = {c.cell_id: c for c in controllers}
     loops = {}  # cell id -> (cell, barrier rows, banked control terms)
     sense = config.sensor.make(config.seed)
     x = np.asarray(env.start if x0 is None else x0, dtype=float).copy()
     traj = Trajectory(plan.mode)
-    active = 0
-    n_entries = len(plan.entries)
-    next_on_plan = {plan.entries[i].cell_id: plan.entries[i + 1].cell_id
-                    for i in range(n_entries - 1)}
-    active_id = plan.entries[0].cell_id
-    if plan.mode == "patrol":
-        on_cycle = [i for i, e in enumerate(plan.entries)
-                    if env.cell_by_id(e.cell_id).contains(x)]
-        if not on_cycle:
-            raise ConfigError("start %s lies in no cell of the patrol cycle %s"
-                              % (x.tolist(), [e.cell_id for e in plan.entries]),
-                              field="starts")
-        active = on_cycle[0]
-    elif not env.cell_by_id(active_id).contains(x):
-        inside = env.cells_containing(x)
-        if inside:
-            active_id = min(c.id for c in inside)
+    active_id = start_cell(env, plan.mode, plan.entries, x)
     t = 0.0
     n_steps = int(round(config.max_time / config.dt))
 
@@ -270,12 +269,10 @@ def run_trajectory(env, plan, controllers, config, x0=None):
         return [sense(ctrl.grid, lm - x) for lm in ctrl.landmarks]
 
     def handover(ids):
-        nxt = next_on_plan.get(active_id)
+        nxt = plan.entries[active_id].next_id
         return nxt if nxt in ids else min(ids)
 
     for _ in range(n_steps + 1):
-        if plan.mode == "patrol":
-            active_id = plan.entries[active].cell_id
         ctrl = ctrl_by_id.get(active_id)
         if ctrl is None:
             raise ConfigError("no controller for cell %d" % active_id,
@@ -315,8 +312,7 @@ def run_trajectory(env, plan, controllers, config, x0=None):
             )
         if plan.mode == "patrol":
             if ctrl.progress(x) <= 0.0:
-                active = (active + 1) % n_entries
-                planned = plan.entries[active].cell_id
+                planned = plan.entries[active_id].next_id
                 ids = {c.id for c in inside}
                 if planned not in ids:
                     raise OffPlanCrossing(
@@ -325,6 +321,7 @@ def run_trajectory(env, plan, controllers, config, x0=None):
                         t=t, x=x.copy(), cell_id=active_id, planned=planned,
                         trajectory=traj,
                     )
+                active_id = planned
                 traj.crossings += 1
             continue
         ids = {c.id for c in inside}

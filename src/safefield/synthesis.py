@@ -24,7 +24,7 @@ import warnings
 import numpy as np
 import scipy.sparse as sp
 
-from . import geometry, measurement, planning
+from . import geometry, measurement
 from .clfcbf import LinearDynamics, build_cell_rows
 from .errors import (
     ConfigError,
@@ -648,16 +648,16 @@ def goal_v_floor(entry, bounds, spec):
 
 
 def synthesize_environment(env, entries, graph, dynamics, spec, bounds, basis,
-                           alpha_v, alpha_h, mode="stabilize"):
-    """One controller per plan cell; the goal cell gets the equilibrium
-    equality and a floored stability region."""
-    goal_id = planning.goal_cell_id(env) if mode == "stabilize" else None
+                           alpha_v, alpha_h):
+    """One controller per plan entry (a dict keyed by cell id, as in
+    HighLevelPlan.entries); the goal cell, whose entry has no exit facet,
+    gets the equilibrium equality and a floored stability region."""
     controllers = []
     for cell_id in sorted(entries):
         entry = entries[cell_id]
         cell = env.cell_by_id(cell_id)
         positions = [env.landmarks[j] for j in cell.landmark_ids]
-        is_goal = mode == "stabilize" and cell_id == goal_id
+        is_goal = entry.exit_face is None
         barrier = None
         v_floor = None
         goal = None

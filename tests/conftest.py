@@ -34,19 +34,19 @@ def case_setup(annulus_env):
     """Case-study hyperparameters and the synthesized controllers."""
     env = annulus_env
     graph = planning.build_graph(env)
-    entries = planning.exit_map_to_goal(env, graph)
+    plan = planning.make_plan(env, graph)
     spec = GridSpec((30, 30), (40.0, 40.0))
     bounds = UncertaintyBounds(4.0, 16.0)
     basis = GainBasis()
     dynamics = LinearDynamics.single_integrator(2)
     controllers = synthesis.synthesize_environment(
-        env, entries, graph, dynamics, spec, bounds, basis,
+        env, plan.entries, graph, dynamics, spec, bounds, basis,
         alpha_v=1.0, alpha_h=100.0,
     )
     return {
         "env": env,
         "graph": graph,
-        "entries": entries,
+        "plan": plan,
         "spec": spec,
         "bounds": bounds,
         "basis": basis,

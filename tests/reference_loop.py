@@ -3,8 +3,11 @@ drift-aware loop of simulation.run_trajectory.
 
 Every step takes the four staged RK4 slopes A s + B u, calls
 control_input on freshly sensed PMFs, and evaluates the progress wherever
-it is needed. The simulator must log the same rows, bit for bit, and count
-the same crossings.
+it is needed. Patrol steps an index through the cycle. Stabilize hands over
+only along the start's own path to the goal, and to the smallest-id cell
+holding the state elsewhere, as when each start had a plan of its own. The
+simulator must log the same rows, bit for bit, and count the same
+crossings.
 """
 
 import numpy as np
@@ -47,32 +50,31 @@ def reference_trajectory(env, plan, controllers, config, x0=None):
     sense = config.sensor.make(config.seed)
     x = np.asarray(env.start if x0 is None else x0, dtype=float).copy()
     traj = Trajectory(plan.mode)
-    active = 0
-    n_entries = len(plan.entries)
-    next_on_plan = {plan.entries[i].cell_id: plan.entries[i + 1].cell_id
-                    for i in range(n_entries - 1)}
-    active_id = plan.entries[0].cell_id
-    if plan.mode == "patrol":
-        on_cycle = [i for i, e in enumerate(plan.entries)
-                    if env.cell_by_id(e.cell_id).contains(x)]
-        if not on_cycle:
-            raise ConfigError("start lies in no cell of the patrol cycle",
-                              field="starts")
-        active = on_cycle[0]
-    elif not env.cell_by_id(active_id).contains(x):
-        inside = env.cells_containing(x)
-        if inside:
-            active_id = min(c.id for c in inside)
+    entries = list(plan.entries.values())
+    n_entries = len(entries)
+    on_plan = [i for i, e in enumerate(entries)
+               if env.cell_by_id(e.cell_id).contains(x)]
+    if not on_plan:
+        raise ConfigError("start lies in no plan cell", field="starts")
+    active = on_plan[0]
+    active_id = entries[active].cell_id
+    # stabilize hands over the way a plan made for this start alone did: to
+    # the successor on the start's own path, and elsewhere to the smallest id
+    next_on_path = {}
+    if plan.mode == "stabilize":
+        cur = active_id
+        while plan.entries[cur].next_id is not None:
+            cur = next_on_path[cur] = plan.entries[cur].next_id
     t = 0.0
     n_steps = int(round(config.max_time / config.dt))
 
     def handover(ids):
-        nxt = next_on_plan.get(active_id)
+        nxt = next_on_path.get(active_id)
         return nxt if nxt in ids else min(ids)
 
     for _ in range(n_steps + 1):
         if plan.mode == "patrol":
-            active_id = plan.entries[active].cell_id
+            active_id = entries[active].cell_id
         ctrl = ctrl_by_id.get(active_id)
         if ctrl is None:
             raise ConfigError("no controller for cell %d" % active_id,
@@ -103,7 +105,7 @@ def reference_trajectory(env, plan, controllers, config, x0=None):
         if plan.mode == "patrol":
             if ctrl.progress(x) <= 0.0:
                 active = (active + 1) % n_entries
-                planned = plan.entries[active].cell_id
+                planned = entries[active].cell_id
                 if planned not in {c.id for c in inside}:
                     raise OffPlanCrossing("off the plan", t=t, x=x.copy(),
                                           cell_id=active_id, planned=planned,

@@ -41,8 +41,7 @@ def case_config(sensor, seed=3):
 @pytest.fixture(scope="module")
 def delta_runs(case_setup):
     """Delta-sensor case-study trajectories, one per start point."""
-    env, graph = case_setup["env"], case_setup["graph"]
-    plan = planning.plan_from_start(env, graph)
+    env, plan = case_setup["env"], case_setup["plan"]
     cfg = case_config(SensorModel())
     ctrls = case_setup["controllers"]
     return [simulation.run_trajectory(env, plan, ctrls, cfg, x0=s)
@@ -51,8 +50,7 @@ def delta_runs(case_setup):
 
 def test_case_study_reaches_goal_from_all_starts(case_setup, delta_runs):
     assert all(c.status == "Optimal" for c in case_setup["controllers"])
-    env, graph = case_setup["env"], case_setup["graph"]
-    plan = planning.plan_from_start(env, graph)
+    env, plan = case_setup["env"], case_setup["plan"]
     gauss = SensorModel("gaussian", drift=3.0, variance=12.0)
     runs = list(delta_runs)
     for s in STARTS:
@@ -263,9 +261,9 @@ def test_progress_decreases_along_delta_runs(case_setup, delta_runs):
 def test_patrol_cycle_crosses_and_stays_safe(patrol_env, case_setup):
     env = patrol_env
     graph = planning.build_graph(env)
-    plan = planning.plan_from_start(env, graph, mode="patrol")
+    plan = planning.make_plan(env, graph, mode="patrol")
     ctrls = synthesize_environment(
-        env, {e.cell_id: e for e in plan.entries}, graph,
+        env, plan.entries, graph,
         case_setup["dynamics"], case_setup["spec"], case_setup["bounds"],
         case_setup["basis"], alpha_v=1.0, alpha_h=100.0)
     cfg = SimConfig(dt=0.01, max_time=10.0, sensor=SensorModel(), seed=0)
@@ -284,11 +282,11 @@ def test_patrol_crossing_off_the_plan_fails(case_setup):
     raw["patrol_cycle"] = [0, 1, 3, 4, 5, 6, 7]
     env = environment_from_dict(raw)
     graph = planning.build_graph(env)
-    plan = planning.plan_from_start(env, graph, mode="patrol")
+    plan = planning.make_plan(env, graph, mode="patrol")
     ctrls = synthesize_environment(
-        env, {e.cell_id: e for e in plan.entries}, graph,
+        env, plan.entries, graph,
         case_setup["dynamics"], case_setup["spec"], case_setup["bounds"],
-        case_setup["basis"], alpha_v=1.0, alpha_h=100.0, mode="patrol")
+        case_setup["basis"], alpha_v=1.0, alpha_h=100.0)
     cfg = SimConfig(dt=0.01, max_time=120.0, sensor=SensorModel(), seed=0)
     with pytest.raises(OffPlanCrossing) as err:
         simulation.run_trajectory(env, plan, ctrls, cfg, x0=[10.0, 10.0])

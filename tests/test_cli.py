@@ -140,7 +140,10 @@ FOUR_CELLS = ENV["cells"] + [
     (ENV["cells"], [0, 0], "from cell 0 to cell 0"),
     (FOUR_CELLS, [0, 3], "from cell 0 to cell 3"),
     (ENV["cells"], ["a", 1], "malformed"),
-], ids=["unknown-cell", "repeated-cell", "not-adjacent", "non-integer"])
+    # cell 0 borders cells 1 and 2, but one controller has one exit facet
+    (ENV["cells"], [0, 1, 0, 2], "visits cell 0 twice"),
+], ids=["unknown-cell", "repeated-cell", "not-adjacent", "non-integer",
+        "revisited-cell"])
 def test_bad_patrol_cycle_exits_config_code(tmp_path, capsys, cells, cycle,
                                             message):
     env = dict(ENV, cells=cells, patrol_cycle=cycle)
@@ -149,6 +152,7 @@ def test_bad_patrol_cycle_exits_config_code(tmp_path, capsys, cells, cycle,
     err = capsys.readouterr().err
     assert message in err
     assert "field environment.patrol_cycle)" in err
+    assert not (tmp_path / "out" / "controllers.json").exists()
 
 
 @pytest.mark.parametrize("extra, field", [
@@ -222,6 +226,17 @@ def test_patrol_start_off_the_cycle_names_starts(tmp_path, capsys):
     assert cli.main(["pipeline", "--config", str(cfg)]) == 2
     err = capsys.readouterr().err
     assert "lies in no cell of the patrol cycle" in err
+    assert "(file %s, field starts)" % cfg in err
+    # rejected when the config loads, before synthesis writes anything
+    assert not (tmp_path / "out" / "controllers.json").exists()
+
+
+def test_stabilize_start_outside_every_cell_names_starts(tmp_path, capsys):
+    # ENV covers [0, 2] x [0, 2]
+    cfg = write_config(tmp_path, starts=[[0.4, 1.6], [5.0, 5.0]])
+    assert cli.main(["pipeline", "--config", str(cfg)]) == 2
+    err = capsys.readouterr().err
+    assert "start [5.0, 5.0] lies in no cell (start 1)" in err
     assert "(file %s, field starts)" % cfg in err
     # rejected when the config loads, before synthesis writes anything
     assert not (tmp_path / "out" / "controllers.json").exists()

@@ -1,16 +1,15 @@
 import numpy as np
 import pytest
 
-from safefield.errors import DisconnectedFreeSpace, NoPath
+from safefield.errors import ConfigError, DisconnectedFreeSpace
 from safefield.geometry import ConvexCell, Environment, polygon_to_halfspaces
 from safefield.planning import (
     build_graph,
-    exit_map_to_goal,
     goal_cell_id,
     goal_entry,
-    plan_from_start,
-    shortest_cell_path,
+    make_plan,
 )
+from safefield.simulation import SimConfig, run_trajectory
 
 
 def two_squares():
@@ -49,9 +48,10 @@ def test_two_square_edge_oracle():
 
 def test_transit_entry_oracle():
     env = two_squares()
-    plan = plan_from_start(env, build_graph(env))
+    plan = make_plan(env, build_graph(env))
     assert plan.mode == "stabilize"
-    assert plan.cell_ids == [0, 1]
+    assert list(plan.entries) == [0, 1]
+    assert [e.next_id for e in plan.entries.values()] == [1, None]
     first = plan.entries[0]
     # exit direction is the inward normal of the shared facet of cell 0
     assert np.allclose(first.v, [-1.0, 0.0])
@@ -75,18 +75,41 @@ def test_goal_cell_id(annulus_env):
     assert goal_cell_id(annulus_env) == 1
 
 
+def bfs_hops(graph, target):
+    """Hop count from every cell to target: the oracle the exit map must
+    descend."""
+    hops = {target: 0}
+    queue = [target]
+    for cur in queue:
+        for nb in graph.neighbors(cur):
+            if nb not in hops:
+                hops[nb] = hops[cur] + 1
+                queue.append(nb)
+    return hops
+
+
+def next_chain(plan, src):
+    """The cells a stabilize run from cell src is handed through."""
+    chain = [src]
+    while plan.entries[chain[-1]].next_id is not None:
+        chain.append(plan.entries[chain[-1]].next_id)
+    return chain
+
+
 def test_annulus_shortest_paths(annulus_env):
-    graph = build_graph(annulus_env)
-    assert shortest_cell_path(graph, 7, 1) == [7, 0, 1]
-    assert shortest_cell_path(graph, 6, 1) == [6, 7, 0, 1]
-    assert shortest_cell_path(graph, 5, 1) == [5, 4, 3, 1]
-    assert shortest_cell_path(graph, 1, 1) == [1]
+    plan = make_plan(annulus_env, build_graph(annulus_env))
+    assert next_chain(plan, 7) == [7, 0, 1]
+    assert next_chain(plan, 6) == [6, 7, 0, 1]
+    assert next_chain(plan, 5) == [5, 4, 3, 1]
+    assert next_chain(plan, 1) == [1]
+    assert plan.entries[1].next_id is None
 
 
 def test_bfs_path_properties(annulus_env):
     graph = build_graph(annulus_env)
+    plan = make_plan(annulus_env, graph)
     for src in range(8):
-        path = shortest_cell_path(graph, src, 1)
+        path = next_chain(plan, src)
         assert path[0] == src and path[-1] == 1
         assert len(set(path)) == len(path)
         for a, b in zip(path, path[1:]):
@@ -95,49 +118,62 @@ def test_bfs_path_properties(annulus_env):
 
 def test_exit_map(annulus_env):
     graph = build_graph(annulus_env)
-    entries = exit_map_to_goal(annulus_env, graph)
-    assert set(entries) == set(range(8))
-    assert entries[1].exit_face is None
-    for cid, entry in entries.items():
+    plan = make_plan(annulus_env, graph)
+    assert list(plan.entries) == list(range(8))
+    assert plan.entries[1].exit_face is None
+    assert np.array_equal(plan.goal, annulus_env.goal)
+    for cid, entry in plan.entries.items():
+        assert entry.cell_id == cid
         if cid == 1:
             continue
-        edge = graph.edge(cid, _successor(annulus_env, graph, entry))
+        # next_id lies across the entry's exit facet
+        edge = graph.edge(cid, entry.next_id)
         assert edge.row_for(cid) == entry.exit_face
-
-
-def _successor(env, graph, entry):
-    # the neighbor across the exit facet one hop closer to the goal
-    best = None
-    for nb in graph.neighbors(entry.cell_id):
-        if graph.edge(entry.cell_id, nb).row_for(entry.cell_id) == entry.exit_face:
-            best = nb if best is None else min(best, nb)
-    assert best is not None
-    return best
 
 
 def test_exit_map_descends_to_goal(annulus_env):
     graph = build_graph(annulus_env)
-    entries = exit_map_to_goal(annulus_env, graph)
-    hops = {cid: len(shortest_cell_path(graph, cid, 1)) for cid in range(8)}
-    for cid in range(8):
+    plan = make_plan(annulus_env, graph)
+    hops = bfs_hops(graph, 1)
+    for cid, entry in plan.entries.items():
         if cid == 1:
             continue
-        nxt = _successor(annulus_env, graph, entries[cid])
-        assert hops[nxt] == hops[cid] - 1
+        assert hops[entry.next_id] == hops[cid] - 1
+        # ties go to the smallest cell id
+        assert entry.next_id == min(nb for nb in graph.neighbors(cid)
+                                    if hops[nb] == hops[cid] - 1)
 
 
 def test_patrol_plan(patrol_env):
     graph = build_graph(patrol_env)
-    plan = plan_from_start(patrol_env, graph, mode="patrol")
+    plan = make_plan(patrol_env, graph, mode="patrol")
     assert plan.mode == "patrol"
-    assert plan.cell_ids == [0, 1]
-    for entry in plan.entries:
+    assert list(plan.entries) == [0, 1]
+    assert plan.goal is None
+    for cid, entry in plan.entries.items():
         assert entry.exit_face is not None
+        assert entry.next_id == 1 - cid
     # both entries exit through the shared facet, in opposite directions
     assert np.allclose(plan.entries[0].v, -plan.entries[1].v)
 
 
+@pytest.mark.parametrize("cycle", [[7, 6, 5, 4, 3, 1, 0], [3, 4, 5, 6, 7, 0, 1]])
+def test_patrol_plan_follows_the_cycle_order(annulus_env, cycle):
+    env = Environment(annulus_env.cells, annulus_env.landmarks,
+                      annulus_env.start, annulus_env.goal, patrol_cycle=cycle)
+    plan = make_plan(env, build_graph(env), mode="patrol")
+    assert list(plan.entries) == cycle
+    assert [e.next_id for e in plan.entries.values()] == cycle[1:] + cycle[:1]
+
+
 def test_start_outside_free_space(annulus_env):
-    graph = build_graph(annulus_env)
-    with pytest.raises(NoPath):
-        plan_from_start(annulus_env, graph, start=np.array([-5.0, -5.0]))
+    # no plan cell holds the start, in either mode, so the run stops before
+    # it needs a controller
+    patrol = Environment(annulus_env.cells, annulus_env.landmarks,
+                         annulus_env.start, annulus_env.goal,
+                         patrol_cycle=[0, 1, 3, 4, 5, 6, 7])
+    for env, mode in ((annulus_env, "stabilize"), (patrol, "patrol")):
+        plan = make_plan(env, build_graph(env), mode)
+        with pytest.raises(ConfigError, match="lies in no cell") as err:
+            run_trajectory(env, plan, [], SimConfig(), x0=[-5.0, -5.0])
+        assert err.value.field == "starts"

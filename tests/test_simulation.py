@@ -12,7 +12,6 @@ from safefield.errors import (
     ConfigError,
     DimensionMismatch,
     GridMismatch,
-    SafetyViolation,
 )
 from safefield.measurement import (
     GridSpec,
@@ -23,7 +22,7 @@ from safefield.measurement import (
     make_delta_pmf,
 )
 from safefield.geometry import ConvexCell, Environment
-from safefield.planning import build_graph, exit_map_to_goal, plan_from_start
+from safefield.planning import build_graph, make_plan
 from safefield.simulation import (
     SensorModel,
     SimConfig,
@@ -48,13 +47,12 @@ def rig():
     graph = build_graph(env)
     basis = GainBasis()
     dyn = LinearDynamics.single_integrator(2)
-    ctrls = synthesize_environment(env, exit_map_to_goal(env, graph), graph,
+    plan = make_plan(env, graph, mode="stabilize")
+    ctrls = synthesize_environment(env, plan.entries, graph,
                                    dyn, SPEC, BOUNDS, basis, 1.0, 100.0)
-    plan = plan_from_start(env, graph, mode="stabilize")
-    plan_p = plan_from_start(env, graph, mode="patrol")
+    plan_p = make_plan(env, graph, mode="patrol")
     ctrls_p = synthesize_environment(
-        env, {e.cell_id: e for e in plan_p.entries}, graph, dyn, SPEC, BOUNDS,
-        basis, 1.0, 100.0, mode="patrol")
+        env, plan_p.entries, graph, dyn, SPEC, BOUNDS, basis, 1.0, 100.0)
     return {"env": env, "plan": plan, "ctrls": ctrls,
             "plan_p": plan_p, "ctrls_p": ctrls_p,
             "by_id": {c.cell_id: c for c in ctrls}}
@@ -259,17 +257,17 @@ def packaged_patrol_run():
     cfg = cli.load_config(os.path.join(data, "patrol.json"))
     env = cfg.environment
     graph = build_graph(env)
-    plan = plan_from_start(env, graph, start=cfg.starts[0], mode="patrol")
+    plan = make_plan(env, graph, mode="patrol")
     ctrls = synthesize_environment(
-        env, {e.cell_id: e for e in plan.entries}, graph,
+        env, plan.entries, graph,
         LinearDynamics.single_integrator(2), cfg.grid, cfg.bounds, cfg.basis,
-        cfg.alpha_v, cfg.alpha_h, mode="patrol")
+        cfg.alpha_v, cfg.alpha_h)
     return env, plan, ctrls, cfg.sim, cfg.starts[0]
 
 
 def case_study_run(case_setup, sensor, start):
     env = case_setup["env"]
-    plan = plan_from_start(env, case_setup["graph"], start=start)
+    plan = case_setup["plan"]
     cfg = SimConfig(dt=0.01, max_time=60.0, goal_tol=0.05, sensor=sensor,
                     seed=1)
     return env, plan, case_setup["controllers"], cfg, start
@@ -282,12 +280,13 @@ def two_landmark_run():
              for c, ids in zip(base.cells, [[0, 1], [1, 0], [2, 0]])]
     env = Environment(cells, base.landmarks, base.start, base.goal)
     graph = build_graph(env)
-    ctrls = synthesize_environment(env, exit_map_to_goal(env, graph), graph,
+    plan = make_plan(env, graph)
+    ctrls = synthesize_environment(env, plan.entries, graph,
                                    LinearDynamics.single_integrator(2), SPEC,
                                    BOUNDS, GainBasis(), 1.0, 100.0)
     cfg = SimConfig(dt=0.01, max_time=30.0, goal_tol=0.05,
                     sensor=SensorModel("gaussian", 0.3, 0.05), seed=9)
-    return env, plan_from_start(env, graph), ctrls, cfg, None
+    return env, plan, ctrls, cfg, None
 
 
 @pytest.mark.parametrize("run", ["patrol", "case-study", "gaussian",
@@ -426,12 +425,6 @@ def test_patrol_starts_in_the_cycle_cell_of_the_start(rig):
         run_trajectory(rig["env"], rig["plan_p"], rig["ctrls_p"], cfg,
                        x0=[1.0, 1.6])
     assert err.value.field == "starts"
-
-
-def test_start_outside_cells_is_a_violation(rig):
-    with pytest.raises(SafetyViolation):
-        run_trajectory(rig["env"], rig["plan"], rig["ctrls"],
-                       SimConfig(max_time=1.0), x0=[-0.5, 0.5])
 
 
 def test_trajectory_csv_roundtrip(tmp_path):
