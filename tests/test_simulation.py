@@ -427,6 +427,16 @@ def test_patrol_starts_in_the_cycle_cell_of_the_start(rig):
     assert err.value.field == "starts"
 
 
+def test_start_outside_cells_is_a_violation(rig):
+    # a start in no cell is refused before the first step, in either mode
+    for plan, ctrls in ((rig["plan"], rig["ctrls"]),
+                        (rig["plan_p"], rig["ctrls_p"])):
+        with pytest.raises(ConfigError) as err:
+            run_trajectory(rig["env"], plan, ctrls, SimConfig(max_time=1.0),
+                           x0=[-0.5, 0.5])
+        assert err.value.field == "starts"
+
+
 def test_trajectory_csv_roundtrip(tmp_path):
     traj = Trajectory("stabilize")
     traj.append(0.0, [0.25, 0.5], [1.0, -1.0], 0, 0.75, 0.25)
