@@ -25,7 +25,6 @@ from .errors import (
     LandmarkNotVisible,
     LandmarkOutOfView,
     LeftFreeSpace,
-    NoPath,
     NonConvexInput,
     NumericalFailure,
     OffPlanCrossing,

@@ -84,19 +84,19 @@ def build_cbf_rows(A_h, b_h, dynamics, alpha_h):
     return rows
 
 
-def build_cell_rows(body, entry, dynamics, alpha_v, alpha_h, barrier_facets,
-                    v_floor=None):
+def build_cell_rows(body, entry, dynamics, alpha_v, alpha_h, v_floor=None):
     """The rows of one cell and the state region each must hold over.
 
-    Row 0 is the CLF row, then one CBF row per barrier facet of body, tagged
-    with that facet. Every region is body itself, except that v_floor, when
-    set, limits the CLF row to where the progress v.(x - o) is at least
-    v_floor."""
+    Row 0 is the CLF row of the plan entry, then one CBF row per facet of
+    body in entry.barriers, tagged with that facet. Every region is body
+    itself, except that v_floor, when set, limits the CLF row to where the
+    progress v.(x - o) is at least v_floor."""
     rows = [build_clf_row(entry, dynamics, alpha_v)]
-    if len(barrier_facets):
-        cbf = build_cbf_rows(-body.A[barrier_facets], -body.b[barrier_facets],
+    barriers = entry.barriers
+    if barriers:
+        cbf = build_cbf_rows(-body.A[barriers], -body.b[barriers],
                              dynamics, alpha_h)
-        for facet, row in zip(barrier_facets, cbf):
+        for facet, row in zip(barriers, cbf):
             row.facet = facet
         rows.extend(cbf)
     regions = [body for _ in rows]

@@ -64,6 +64,7 @@ class RunConfig:
             with open(env_path) as fh:
                 env_ref = _load_json(fh, env_path)
         self.environment = environment_from_dict(env_ref, env_path)
+        self.environment_path = env_path  # this config, when inline
 
         self.alpha_v = _number(raw, "alpha_v", 1.0, float, path)
         self.alpha_h = _number(raw, "alpha_h", 100.0, float, path)
@@ -112,6 +113,11 @@ class RunConfig:
                               path=path, field="field.resolution")
         self.field_resolution = resolution
         self.field_cells = field.get("cells")
+        if self.field_cells is not None and not (
+                isinstance(self.field_cells, tuple)
+                and set(self.field_cells) <= {c.id for c in self.environment.cells}):
+            raise ConfigError("cells must be a list of the environment's cell ids",
+                              path=path, field="field.cells")
         self.verify_count = _number(raw, "verify_count", 200, int, path)
         if self.verify_count < 0:
             raise ConfigError("verify_count must be non-negative",
@@ -124,14 +130,18 @@ class RunConfig:
 
     def _check_starts(self):
         """A run begins in a plan cell that holds its start: any cell in
-        stabilize mode, a cycle cell in patrol mode. So a start in none is
-        rejected before any synthesis. A cycle that names an unknown cell is
-        left to planning, which reports the cycle."""
+        stabilize mode, a cycle cell in patrol mode. So a start in none, or a
+        patrol run without a cycle, is rejected before any synthesis. A
+        cycle that names an unknown cell is left to planning to report."""
         env = self.environment
         cell_ids = [c.id for c in env.cells]
         if self.mode == "patrol":
             cycle = env.patrol_cycle
-            if not cycle or not set(cycle) <= set(cell_ids):
+            if not cycle:
+                raise ConfigError("patrol mode requires a patrol cycle",
+                                  path=self.environment_path,
+                                  field="environment.patrol_cycle")
+            if not set(cycle) <= set(cell_ids):
                 return
             cell_ids = cycle
         for k, start in enumerate(self.starts):
@@ -245,10 +255,19 @@ def _load_controllers(cfg):
     return synthesis.load_controllers(path)
 
 
+def _plan(cfg):
+    """The run's plan; a plan error names the environment file."""
+    env = cfg.environment
+    try:
+        return planning.make_plan(env, planning.build_graph(env), cfg.mode)
+    except ConfigError as exc:
+        raise ConfigError(exc.reason, path=cfg.environment_path,
+                          field=exc.field) from None
+
+
 def cmd_synth(cfg, cells=None):
     env = cfg.environment
-    graph = planning.build_graph(env)
-    entries = planning.make_plan(env, graph, cfg.mode).entries
+    entries = _plan(cfg).entries
     if cells is not None:
         missing = [c for c in cells if c not in entries]
         if missing:
@@ -256,7 +275,7 @@ def cmd_synth(cfg, cells=None):
         entries = {c: entries[c] for c in cells}
     dynamics = LinearDynamics.single_integrator(env.dimension)
     controllers = synthesis.synthesize_environment(
-        env, entries, graph, dynamics, cfg.grid, cfg.bounds, cfg.basis,
+        env, entries, dynamics, cfg.grid, cfg.bounds, cfg.basis,
         cfg.alpha_v, cfg.alpha_h,
     )
     os.makedirs(cfg.out, exist_ok=True)
@@ -297,7 +316,7 @@ def cmd_verify(cfg):
 def cmd_simulate(cfg):
     env = cfg.environment
     controllers = _load_controllers(cfg)
-    plan = planning.make_plan(env, planning.build_graph(env), cfg.mode)
+    plan = _plan(cfg)
     os.makedirs(cfg.out, exist_ok=True)
     code = EXIT_OK
     for k, start in enumerate(cfg.starts):

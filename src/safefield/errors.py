@@ -21,10 +21,6 @@ class DisconnectedFreeSpace(SafeFieldError):
     """Cell adjacency graph is not connected."""
 
 
-class NoPath(SafeFieldError):
-    """No cell path exists between the requested endpoints."""
-
-
 class GoalNotVertex(SafeFieldError):
     """Goal point is not placed on the cell decomposition as required."""
 

@@ -8,10 +8,11 @@ when the plan terminates there).
 
 import numpy as np
 
-from .errors import ConfigError, DisconnectedFreeSpace, GoalNotVertex, NoPath
+from .errors import ConfigError, DisconnectedFreeSpace, GoalNotVertex
 
 FACE_MATCH_TOL = 1e-8
 OVERLAP_TOL = 1e-8
+GOAL_TOL = 1e-9  # goal-to-centroid distance, and progress dip at a vertex
 
 
 class EdgeInfo:
@@ -121,16 +122,17 @@ def _bfs_distances(graph, target):
 
 
 class PlanEntry:
-    """Exit assignment for one cell: leave through exit_face into cell
-    next_id with progress v . (x - o), or stabilize at o when exit_face
-    (and next_id) is None."""
+    """What one cell's controller must certify: leave through exit_face into
+    cell next_id with progress v . (x - o), or stabilize at o when exit_face
+    (and next_id) is None, and never cross a facet row in barriers."""
 
-    def __init__(self, cell_id, exit_face, v, o, next_id=None):
+    def __init__(self, cell_id, exit_face, v, o, next_id=None, barriers=()):
         self.cell_id = cell_id
         self.exit_face = exit_face
         self.v = np.asarray(v, dtype=float)
         self.o = np.asarray(o, dtype=float)
         self.next_id = next_id
+        self.barriers = list(barriers)
 
     def progress(self, x):
         return float(self.v @ (np.asarray(x, dtype=float) - self.o))
@@ -147,35 +149,41 @@ class HighLevelPlan:
 
 
 def _transit_entry(env, graph, cell_id, next_id):
+    """Leave through the facet shared with next_id, guarding all others."""
     edge = graph.edge(cell_id, next_id)
     row = edge.row_for(cell_id)
     cell = env.cell_by_id(cell_id)
     v = -cell.body.A[row]
-    return PlanEntry(cell_id, row, v, edge.midpoint, next_id)
+    barriers = [j for j in range(cell.body.n_rows) if j != row]
+    return PlanEntry(cell_id, row, v, edge.midpoint, next_id, barriers)
 
 
-def goal_entry(env, cell_id, tol=1e-9):
+def goal_entry(env, graph, cell_id):
     """Terminal entry for the cell carrying the goal vertex: o is the goal,
     v points from the goal toward the vertex centroid, and the progress
-    function v.(x - o) must be non-negative on the whole cell."""
+    function v.(x - o) must be non-negative on the whole cell. Its barriers
+    are the facets that no neighbour shares."""
     cell = env.cell_by_id(cell_id)
     verts = cell.vertices
     v = verts.mean(axis=0) - env.goal
     nv = np.linalg.norm(v)
-    if nv < tol:
+    if nv < GOAL_TOL:
         raise GoalNotVertex("goal coincides with the centroid of cell %d" % cell_id)
-    entry = PlanEntry(cell_id, None, v / nv, env.goal)
+    shared = {graph.edge(cell_id, nb).row_for(cell_id)
+              for nb in graph.neighbors(cell_id)}
+    barriers = [j for j in range(cell.body.n_rows) if j not in shared]
+    entry = PlanEntry(cell_id, None, v / nv, env.goal, barriers=barriers)
     worst = min(entry.progress(vx) for vx in verts)
-    if worst < -1e-9:
+    if worst < -GOAL_TOL:
         raise GoalNotVertex(
             "progress function dips to %.3g at a vertex of goal cell %d" % (worst, cell_id)
         )
     return entry
 
 
-def goal_cell_id(env, tol=1e-9):
+def goal_cell_id(env):
     """Smallest-id cell containing the goal."""
-    ids = [c.id for c in env.cells if c.contains(env.goal, tol=tol)]
+    ids = [c.id for c in env.cells if c.contains(env.goal)]
     if not ids:
         raise GoalNotVertex("goal is not inside any cell")
     return min(ids)
@@ -194,7 +202,8 @@ def make_plan(env, graph, mode="stabilize"):
     if mode == "patrol":
         cycle = env.patrol_cycle
         if not cycle:
-            raise NoPath("patrol mode requires a patrol cycle")
+            raise ConfigError("patrol mode requires a patrol cycle",
+                              field="environment.patrol_cycle")
         entries = {}
         for idx, cid in enumerate(cycle):
             nxt = cycle[(idx + 1) % len(cycle)]
@@ -214,7 +223,7 @@ def make_plan(env, graph, mode="stabilize"):
     entries = {}
     for cid in sorted(c.id for c in env.cells):
         if cid == gid:
-            entries[cid] = goal_entry(env, cid)
+            entries[cid] = goal_entry(env, graph, cid)
         else:
             nxt = min(nb for nb in graph.neighbors(cid)
                       if dist[nb] == dist[cid] - 1)

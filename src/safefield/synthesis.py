@@ -10,9 +10,10 @@ once per vertex of the region, and each point row is piecewise linear in
 it, so it is written once per deviation candidate of the point
 (geometry.deviation_candidates). The result is finitely many linear rows
 over the gains, the margins and those multipliers. This module alone knows
-the flat layout of the gains in that LP (GainLayout): each row's control
-coefficient w is expanded over the gains here, as w[m] R_i[s, j] on gain
-K_{l,i}[m, s] and PMF entry P_l[j], and w itself on the bias.
+the columns of that LP (LpColumns): each row's control coefficient w is
+expanded over the gains here, as w[m] R_i[s, j] on gain K_{l,i}[m, s] and
+PMF entry P_l[j], and w itself on the bias. Which rows a cell carries, and
+whether it stops at its goal, is read from its plan entry.
 The LP maximizes the sum of the margins; a second pass then picks, among
 margin-optimal gains, the ones closest in l1 distance to a structured target
 so the synthesized fields stay interpretable.
@@ -81,43 +82,6 @@ class GainBasis:
         return out
 
 
-class GainLayout:
-    """Flat ordering of the gain decision vector: for each landmark, each
-    feature map contributes an n_u x d block stored row-major; the bias K_b
-    occupies the last n_u slots."""
-
-    def __init__(self, n_landmarks, n_k, n_u, d):
-        self.n_landmarks = int(n_landmarks)
-        self.n_k = int(n_k)
-        self.n_u = int(n_u)
-        self.d = int(d)
-
-    @property
-    def n_gains(self):
-        return self.n_landmarks * self.n_k * self.n_u * self.d + self.n_u
-
-    def gain_index(self, landmark, i, m, s):
-        return ((landmark * self.n_k + i) * self.n_u + m) * self.d + s
-
-    def block_start(self, landmark, i):
-        return self.gain_index(landmark, i, 0, 0)
-
-    def bias_start(self):
-        return self.n_landmarks * self.n_k * self.n_u * self.d
-
-    def pack(self, gains, bias):
-        """gains[l][i] is the n_u x d matrix for landmark l, map i."""
-        return np.concatenate([np.asarray(gains, dtype=float).ravel(),
-                               np.asarray(bias, dtype=float)])
-
-    def unpack(self, theta):
-        """(gains, bias), gains as an array indexed [l, i, m, s]."""
-        theta = np.array(theta, dtype=float)
-        start = self.bias_start()
-        return (theta[:start].reshape(self.n_landmarks, self.n_k, self.n_u, self.d),
-                theta[start:])
-
-
 class _Coo:
     def __init__(self):
         self.r, self.c, self.v = [], [], []
@@ -144,50 +108,30 @@ class _Coo:
         return out
 
 
-class LpMeta:
-    """Variable layout of the per-cell LP: gains theta, margins delta, then
-    per row k and landmark l the PMF-dual multipliers lam_s (unit mass,
-    free), lam_p (2d mean rows) and lam_z (d deviation rows)."""
+class LpColumns:
+    """Column index of the per-cell LP, one slice of range(n_vars) per
+    block: the gains gain[l, i, m, s] (K_{l,i}[m, s], landmark l, feature
+    map i) and the bias, which together are theta; the margins delta, one
+    per row; then per row k and landmark l the PMF-dual multipliers
+    lam[k, l] = (lam_s (unit mass, free) | lam_p (2d mean rows) | lam_z (d
+    deviation rows))."""
 
-    def __init__(self, layout, n_rows, n_landmarks):
-        self.layout = layout
-        self.n_rows = int(n_rows)
-        self.n_landmarks = int(n_landmarks)
-        d = layout.d
-        self._var = {}
-        pos = 0
-
-        def take(key, size):
-            nonlocal pos
-            self._var[key] = (pos, int(size))
-            pos += int(size)
-
-        take(("theta",), layout.n_gains)
-        take(("delta",), self.n_rows)
-        for k in range(self.n_rows):
-            for l in range(self.n_landmarks):
-                take(("lam_s", k, l), 1)
-                take(("lam_p", k, l), 2 * d)
-                take(("lam_z", k, l), d)
-        self.n_vars = pos
-
-    def var(self, *key):
-        return self._var[key]
-
-    def default_bounds(self, caps):
-        lb = np.zeros(self.n_vars)
-        ub = np.full(self.n_vars, np.inf)
-        s, z = self.var("theta")
-        lb[s:s + z] = -np.inf
-        s, z = self.var("delta")
-        ub[s:s + z] = caps
-        for k in range(self.n_rows):
-            for l in range(self.n_landmarks):
-                lb[self.var("lam_s", k, l)[0]] = -np.inf
-        return lb, ub
+    def __init__(self, n_landmarks, n_k, n_u, d, n_rows):
+        self.d = d
+        shapes = [(n_landmarks, n_k, n_u, d), (n_u,), (n_rows,),
+                  (n_rows, n_landmarks, 3 * d + 1)]
+        ends = np.cumsum([np.prod(shape, dtype=int) for shape in shapes])
+        self.n_vars = int(ends[-1])
+        self.gain, self.bias, self.delta, self.lam = (
+            block.reshape(shape) for block, shape
+            in zip(np.split(np.arange(self.n_vars), ends[:-1]), shapes))
+        self.theta = np.arange(ends[1])
+        self.lam_s = self.lam[..., 0]
+        self.lam_p = self.lam[..., 1:2 * d + 1]
+        self.lam_z = self.lam[..., 2 * d + 1:]
 
 
-def _fill_rows(meta, rows, regions, blocks, maps):
+def _fill_rows(cols, rows, regions, blocks, maps):
     """Inequality rows of the vertex-form LP, per row k: the bound row at
     each vertex v of its region, then per landmark the dual-feasibility row
     of each grid point i at each of its deviation candidates.
@@ -205,15 +149,10 @@ def _fill_rows(meta, rows, regions, blocks, maps):
     minimum over the region of their last sum, which is attained at one of
     geometry.deviation_candidates. An empty region has neither, so its row
     constrains nothing."""
-    layout = meta.layout
-    d = layout.d
     features = np.stack(maps)
     ub = _Coo()
     b_ub = []
     n = 0
-    theta0, _ = meta.var("theta")
-    delta0, _ = meta.var("delta")
-    bias = theta0 + layout.bias_start() + np.arange(layout.n_u)
     # rows share their region (the cell body) except a floored CLF row
     candidates = {}
     for region in regions:
@@ -223,50 +162,38 @@ def _fill_rows(meta, rows, regions, blocks, maps):
     for k, row in enumerate(rows):
         V = geometry.region_points(regions[k])
         at_v = n + np.arange(V.shape[0])[:, None]
-        ub.add(at_v, bias, row.w)
-        ub.add(at_v, delta0 + k, 1.0)
+        ub.add(at_v, cols.bias, row.w)
+        ub.add(at_v, cols.delta[k], 1.0)
         for l, blk in enumerate(blocks):
-            ub.add(at_v, meta.var("lam_s", k, l)[0], 1.0)
-            ub.add(at_v, meta.var("lam_p", k, l)[0] + np.arange(2 * d),
-                   -(V @ blk.A_x.T + blk.b_p))
-            ub.add(at_v, meta.var("lam_z", k, l)[0] + np.arange(d),
-                   blk.bounds.sigma_m)
+            ub.add(at_v, cols.lam_s[k, l], 1.0)
+            ub.add(at_v, cols.lam_p[k, l], -(V @ blk.A_x.T + blk.b_p))
+            ub.add(at_v, cols.lam_z[k, l], blk.bounds.sigma_m)
         b_ub.append(-row.r - V @ row.c_x)
         n += V.shape[0]
         # image[(i n_u + m) d + s, j] = w[m] R_i[s, j]: the coefficient of
-        # K_{l,i}[m, s] on P_l[j], in each landmark's block of theta
+        # K_{l,i}[m, s] on P_l[j], laid out as cols.gain[l].ravel()
         image = (row.w[None, :, None, None] * features[:, None]).reshape(
             -1, features.shape[2])
         for l, blk in enumerate(blocks):
             idx, gap = candidates[id(regions[k])][l]
             at_i = n + np.arange(idx.size)[:, None]
-            ub.add(at_i, meta.var("lam_s", k, l)[0], -1.0)
-            ub.add(at_i, meta.var("lam_p", k, l)[0] + np.arange(2 * d),
-                   -blk.A_p.T[idx])
-            ub.add(at_i, meta.var("lam_z", k, l)[0] + np.arange(d), -gap)
-            ub.add(at_i, theta0 + layout.block_start(l, 0)
-                   + np.arange(image.shape[0]), image[:, idx].T)
+            ub.add(at_i, cols.lam_s[k, l], -1.0)
+            ub.add(at_i, cols.lam_p[k, l], -blk.A_p.T[idx])
+            ub.add(at_i, cols.lam_z[k, l], -gap)
+            ub.add(at_i, cols.gain[l].ravel(), image[:, idx].T)
             b_ub.append(np.zeros(idx.size))
             n += idx.size
     return ub, np.concatenate(b_ub)
-
-
-def stack_landmarks(kernel, bounds, positions):
-    """Per-landmark constraint blocks; the stacked PMF vector is their
-    concatenation and each landmark keeps its own full constraint set."""
-    if len(positions) < 1:
-        raise DimensionMismatch("need at least one landmark")
-    return [measurement.ProbabilityBlocks(kernel, bounds, l) for l in positions]
 
 
 class AssembledCellLp:
     """Phase-one LP plus the ingredients needed for tiebreaking and
     extraction."""
 
-    def __init__(self, lp, meta, rows, regions, blocks, basis, spec,
+    def __init__(self, lp, cols, rows, regions, blocks, basis, spec,
                  dynamics, alpha_v, alpha_h, v_floor=None):
         self.lp = lp
-        self.meta = meta
+        self.cols = cols
         self.rows = rows
         self.regions = regions
         self.blocks = blocks
@@ -289,10 +216,9 @@ def _check_visibility(cell, landmarks, spec):
             )
 
 
-def _fill_goal(eq, meta, spec, maps, positions, goal):
+def _fill_goal(eq, cols, spec, maps, positions, goal):
     """Equilibrium equality u = 0 for the observation snapped at the goal."""
-    layout = meta.layout
-    theta0, _ = meta.var("theta")
+    at_u = np.arange(cols.bias.size)
     for l, pos in enumerate(positions):
         y = np.asarray(pos, dtype=float) - np.asarray(goal, dtype=float)
         try:
@@ -302,24 +228,19 @@ def _fill_goal(eq, meta, spec, maps, positions, goal):
                 "goal observation of landmark %d leaves the grid: %s" % (l, exc)
             ) from None
         for i, R in enumerate(maps):
-            f = R @ pmf.vector
-            for m in range(layout.n_u):
-                base = layout.gain_index(l, i, m, 0)
-                eq.add(m, theta0 + base + np.arange(layout.d), f)
-    for m in range(layout.n_u):
-        eq.add(m, theta0 + layout.bias_start() + m, 1.0)
+            eq.add(at_u[:, None], cols.gain[l, i], R @ pmf.vector)
+    eq.add(at_u, cols.bias, 1.0)
 
 
 def assemble_robust_lp(cell, entry, dynamics, alpha_v, alpha_h, bounds, spec,
-                       positions, basis, barrier_facets=None, v_floor=None,
-                       goal=None):
-    """Build the per-cell LP.
+                       positions, basis, v_floor=None):
+    """Build the per-cell LP for the plan entry: a CBF row per facet in
+    entry.barriers and, for an entry without an exit facet, the equilibrium
+    equality for the observation snapped at its goal entry.o.
 
-    positions: landmark coordinates observed from this cell. barrier_facets
-    defaults to every facet except the exit facet. v_floor, when set, limits
-    the stability row to the part of the cell where the progress function is
-    at least that value. goal, when set, appends the equilibrium equality for
-    the observation snapped at the goal point.
+    positions: landmark coordinates observed from this cell. v_floor, when
+    set, limits the stability row to the part of the cell where the progress
+    function is at least that value.
     """
     d = dynamics.d
     if cell.body.dim != d:
@@ -327,63 +248,54 @@ def assemble_robust_lp(cell, entry, dynamics, alpha_v, alpha_h, bounds, spec,
     _check_visibility(cell, positions, spec)
     bounds.warn_if_below_pitch(spec)
     kernel = build_expectation_kernel(spec)
-    blocks = stack_landmarks(kernel, bounds, positions)
-    layout = GainLayout(len(positions), basis.n_k, dynamics.n_u, d)
+    if not len(positions):
+        raise DimensionMismatch("need at least one landmark")
+    # per-landmark constraint blocks: each landmark keeps its own full set
+    blocks = [measurement.ProbabilityBlocks(kernel, bounds, l) for l in positions]
     maps = basis.matrices(kernel, spec.width)
-
-    if barrier_facets is None:
-        barrier_facets = [j for j in range(cell.body.n_rows) if j != entry.exit_face]
     rows, regions = build_cell_rows(cell.body, entry, dynamics, alpha_v, alpha_h,
-                                    barrier_facets, v_floor)
+                                    v_floor)
 
-    meta = LpMeta(layout, len(rows), len(blocks))
-    ub, b_ub = _fill_rows(meta, rows, regions, blocks, maps)
+    cols = LpColumns(len(blocks), basis.n_k, dynamics.n_u, d, len(rows))
+    ub, b_ub = _fill_rows(cols, rows, regions, blocks, maps)
     eq = _Coo()
-    n_goal = dynamics.n_u if goal is not None else 0
-    if goal is not None:
-        _fill_goal(eq, meta, spec, maps, positions, goal)
+    n_goal = 0
+    if entry.exit_face is None:
+        _fill_goal(eq, cols, spec, maps, positions, entry.o)
+        n_goal = dynamics.n_u
 
-    c = np.zeros(meta.n_vars)
-    dstart, _ = meta.var("delta")
-    c[dstart:dstart + meta.n_rows] = 1.0
-    lb, ub_bounds = meta.default_bounds([DELTA_CAP[r.kind] for r in rows])
+    c = np.zeros(cols.n_vars)
+    c[cols.delta] = 1.0
+    lb = np.zeros(cols.n_vars)
+    ub_bounds = np.full(cols.n_vars, np.inf)
+    lb[cols.theta] = -np.inf
+    ub_bounds[cols.delta] = [DELTA_CAP[r.kind] for r in rows]
+    lb[cols.lam_s] = -np.inf
     lp = StandardLp("max", c,
-                    A_ub=ub.matrix((b_ub.size, meta.n_vars)), b_ub=b_ub,
-                    A_eq=eq.matrix((n_goal, meta.n_vars)), b_eq=np.zeros(n_goal),
+                    A_ub=ub.matrix((b_ub.size, cols.n_vars)), b_ub=b_ub,
+                    A_eq=eq.matrix((n_goal, cols.n_vars)), b_eq=np.zeros(n_goal),
                     lb=lb, ub=ub_bounds)
-    return AssembledCellLp(lp, meta, rows, regions, blocks, basis, spec,
+    return AssembledCellLp(lp, cols, rows, regions, blocks, basis, spec,
                            dynamics, alpha_v, alpha_h, v_floor=v_floor)
 
 
 def _tiebreak_lp(assembled, z_star, nominal_theta):
     """Among margin-optimal solutions, minimize the l1 distance of the gains
-    to the structured target."""
+    to the structured target: new columns t >= |theta - target| and, below
+    the margin LP's rows, the objective floor and +-theta - t <= +-target."""
     lp = assembled.lp
-    meta = assembled.meta
-    G = meta.layout.n_gains
+    theta = assembled.cols.theta
+    G = theta.size
     n = lp.n_vars
-    theta0, _ = meta.var("theta")
     pad_ub = sp.hstack([lp.A_ub, sp.csr_matrix((lp.b_ub.shape[0], G))])
     obj_cols = np.nonzero(lp.c)[0]
-    floor = sp.csr_matrix(
-        (-lp.c[obj_cols], (np.zeros(obj_cols.shape[0], dtype=np.int64), obj_cols)),
-        shape=(1, n + G),
-    )
+    extra = _Coo()
+    extra.add(0, obj_cols, -lp.c[obj_cols])
+    rows = 1 + np.arange(2 * G)
+    extra.add(rows, np.tile(theta, 2), np.repeat([1.0, -1.0], G))
+    extra.add(rows, n + np.tile(np.arange(G), 2), -1.0)
     tol = TIEBREAK_TOL * max(1.0, abs(z_star))
-    rows = np.arange(G)
-    plus = sp.coo_matrix(
-        (np.concatenate([np.ones(G), -np.ones(G)]),
-         (np.concatenate([rows, rows]),
-          np.concatenate([theta0 + rows, n + rows]))),
-        shape=(G, n + G),
-    )
-    minus = sp.coo_matrix(
-        (np.concatenate([-np.ones(G), -np.ones(G)]),
-         (np.concatenate([rows, rows]),
-          np.concatenate([theta0 + rows, n + rows]))),
-        shape=(G, n + G),
-    )
-    A_ub = sp.vstack([pad_ub, floor, plus, minus]).tocsr()
+    A_ub = sp.vstack([pad_ub, extra.matrix((1 + 2 * G, n + G))]).tocsr()
     b_ub = np.concatenate([
         lp.b_ub, [-(z_star - tol)], nominal_theta, -np.asarray(nominal_theta),
     ])
@@ -549,20 +461,13 @@ def synthesize_cell_controller(assembled, cell, entry, landmark_ids,
                 "tiebreak pass returned %s for cell %d; keeping the margin-pass gains"
                 % (sol2.status, cell.id)
             )
-    meta = assembled.meta
-    n_core = meta.n_vars
-    x = final.x[:n_core]
-    theta0, G = meta.var("theta")
-    d0, _ = meta.var("delta")
-    theta = x[theta0:theta0 + G]
-    margins = x[d0:d0 + meta.n_rows]
-    gains, bias = meta.layout.unpack(theta)
+    cols = assembled.cols
     ctrl = CellController(
         cell_id=cell.id,
         basis=assembled.basis,
-        gains=gains,
-        bias=bias,
-        margins=margins,
+        gains=final.x[cols.gain],
+        bias=final.x[cols.bias],
+        margins=final.x[cols.delta],
         kinds=[r.kind for r in assembled.rows],
         facets=[r.facet for r in assembled.rows],
         grid=assembled.spec,
@@ -593,51 +498,44 @@ def _saturation_report(ctrl, cell):
     return {"max_u_vertices": worst}
 
 
-def nominal_transit_theta(layout, basis, entry, positions, bounds, spec,
-                          alpha_v, approach=2.0, lateral=1.0):
-    """Structured target for transit cells: approach the exit facet along its
-    normal, center laterally, and keep a constant push through the facet."""
-    d = layout.d
-    if layout.n_u != d:
-        return np.zeros(layout.n_gains)
-    v = np.asarray(entry.v, dtype=float)
-    o = np.asarray(entry.o, dtype=float)
-    proj = np.outer(v, v)
-    M = approach * proj + lateral * (np.eye(d) - proj)
-    push = (alpha_v * (bounds.epsilon + max(spec.pitch)) * np.sum(np.abs(v))
-            + DELTA_CAP["clf"] + 1.0)
-    L = len(positions)
-    i_mean = basis.names.index("mean")
-    gains = [[np.zeros((d, d)) for _ in range(layout.n_k)] for _ in range(L)]
-    bias = -push * v
-    for l, pos in enumerate(positions):
-        gains[l][i_mean] = M / L
-        bias = bias - (M / L) @ (np.asarray(pos, dtype=float) - o)
-    return layout.pack(gains, bias)
+def nominal_theta(cols, basis, entry, positions, bounds, spec, alpha_v):
+    """Structured target of the tiebreak pass: gain M / L on the mean map of
+    each of the L landmarks and a bias b, so that u is about b + M (o - x)
+    under exact sensing. Zero where n_u != d.
 
-
-def nominal_goal_theta(layout, basis, positions, spec, goal,
-                       kappa=2.4, shear=0.25):
-    """Structured target for the goal cell: a contraction toward the snapped
-    goal observation with a small cross-axis shear so quantization plateaus
-    are crossed by sliding along the grid lines through the goal."""
-    d = layout.d
-    if layout.n_u != d:
-        return np.zeros(layout.n_gains)
-    M = kappa * np.eye(d)
-    if d == 2:
-        M = M - shear * np.array([[0.0, 1.0], [1.0, 0.0]])
+    Transit (o the exit midpoint): M approaches the exit facet along its
+    normal v with gain 2 and centers laterally with gain 1; b pushes through
+    the facet by the CLF cost of the worst sensing error, the CLF margin cap
+    and one. Goal (o the goal): M contracts toward the snapped goal
+    observation with gain 2.4, less a cross-axis shear of 0.25 in 2-D so
+    quantization plateaus are crossed by sliding along the grid lines
+    through the goal."""
+    out = np.zeros(cols.theta.size)
+    d = cols.d
+    if cols.bias.size != d:
+        return out
+    if entry.exit_face is None:
+        M = 2.4 * np.eye(d)
+        if d == 2:
+            M = M - 0.25 * np.array([[0.0, 1.0], [1.0, 0.0]])
+        bias = np.zeros(d)
+        pts = spec.points()
+        ys = [pts[spec.flat_index(spec.snap(np.asarray(pos, dtype=float) - entry.o))]
+              for pos in positions]
+    else:
+        v = entry.v
+        proj = np.outer(v, v)
+        M = 2.0 * proj + (np.eye(d) - proj)
+        push = (alpha_v * (bounds.epsilon + max(spec.pitch)) * np.sum(np.abs(v))
+                + DELTA_CAP["clf"] + 1.0)
+        bias = -push * v
+        ys = [np.asarray(pos, dtype=float) - entry.o for pos in positions]
     L = len(positions)
-    i_mean = basis.names.index("mean")
-    gains = [[np.zeros((d, d)) for _ in range(layout.n_k)] for _ in range(L)]
-    bias = np.zeros(d)
-    pts = spec.points()
-    for l, pos in enumerate(positions):
-        y = np.asarray(pos, dtype=float) - np.asarray(goal, dtype=float)
-        center = pts[spec.flat_index(spec.snap(y))]
-        gains[l][i_mean] = M / L
-        bias = bias - (M / L) @ center
-    return layout.pack(gains, bias)
+    for l, y in enumerate(ys):
+        out[cols.gain[l, basis.names.index("mean")]] = M / L
+        bias = bias - (M / L) @ y
+    out[cols.bias] = bias
+    return out
 
 
 def goal_v_floor(entry, bounds, spec):
@@ -647,38 +545,26 @@ def goal_v_floor(entry, bounds, spec):
     return 2.0 * np.sum(np.abs(entry.v)) * (bounds.epsilon + max(spec.pitch))
 
 
-def synthesize_environment(env, entries, graph, dynamics, spec, bounds, basis,
+def synthesize_environment(env, entries, dynamics, spec, bounds, basis,
                            alpha_v, alpha_h):
     """One controller per plan entry (a dict keyed by cell id, as in
-    HighLevelPlan.entries); the goal cell, whose entry has no exit facet,
-    gets the equilibrium equality and a floored stability region."""
+    HighLevelPlan.entries), each certifying what its entry asks; the goal
+    cell, whose entry has no exit facet, also gets a floored stability
+    region."""
     controllers = []
     for cell_id in sorted(entries):
         entry = entries[cell_id]
         cell = env.cell_by_id(cell_id)
         positions = [env.landmarks[j] for j in cell.landmark_ids]
-        is_goal = entry.exit_face is None
-        barrier = None
-        v_floor = None
-        goal = None
-        if is_goal:
-            shared = set()
-            for nb in graph.neighbors(cell_id):
-                shared.add(graph.edge(cell_id, nb).row_for(cell_id))
-            barrier = [j for j in range(cell.body.n_rows) if j not in shared]
-            v_floor = goal_v_floor(entry, bounds, spec)
-            goal = env.goal
+        v_floor = (goal_v_floor(entry, bounds, spec)
+                   if entry.exit_face is None else None)
         try:
             assembled = assemble_robust_lp(
                 cell, entry, dynamics, alpha_v, alpha_h, bounds, spec,
-                positions, basis, barrier_facets=barrier, v_floor=v_floor, goal=goal,
+                positions, basis, v_floor=v_floor,
             )
-            layout = assembled.meta.layout
-            if is_goal:
-                nominal = nominal_goal_theta(layout, basis, positions, spec, env.goal)
-            else:
-                nominal = nominal_transit_theta(
-                    layout, basis, entry, positions, bounds, spec, alpha_v)
+            nominal = nominal_theta(assembled.cols, basis, entry, positions,
+                                    bounds, spec, alpha_v)
             ctrl = synthesize_cell_controller(
                 assembled, cell, entry, list(cell.landmark_ids), nominal_theta=nominal
             )

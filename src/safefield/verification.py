@@ -35,7 +35,6 @@ from .measurement import PmfGrid, build_expectation_kernel
 from .planning import PlanEntry
 
 SLACK_TOL = 1e-6
-REGION_TOL = 1e-9
 # inner_maxima's simplex: price (and feasibility) tolerance relative to
 # 1 + |c|_inf (1 + |b|_inf), least pivot element, pivots per instance, and
 # degenerate pivots in a row before Dantzig's rule gives way to Bland's.
@@ -290,12 +289,13 @@ class VerificationReport:
 
 
 def _controller_rows(controller, cell):
+    """The rows the controller was synthesized for; facets[0] is the CLF's."""
     entry = PlanEntry(controller.cell_id, controller.exit_face,
-                      controller.v, controller.o)
+                      controller.v, controller.o,
+                      barriers=controller.facets[1:])
     return build_cell_rows(
         cell.body, entry, controller.dynamics, controller.alpha_v,
-        controller.alpha_h, [f for f in controller.facets if f is not None],
-        controller.v_floor,
+        controller.alpha_h, controller.v_floor,
     )
 
 
@@ -323,13 +323,12 @@ def _sample_states(cell, regions, count, seed):
     return points
 
 
-def verify_controller(controller, cell, count=200, seed=0, tol=SLACK_TOL,
-                      raise_on_fail=True):
+def verify_controller(controller, cell, count=200, seed=0, raise_on_fail=True):
     """Sample the cell and check every row against the direct adversary."""
     rows, regions = _controller_rows(controller, cell)
     points = _sample_states(cell, regions, count, seed)
     pairs = [(k, x) for k in range(len(rows)) for x in points
-             if regions[k].contains(x, tol=REGION_TOL)]
+             if regions[k].contains(x)]
     values, stats = worst_case_row_values(
         rows, controller.control_matrices(), controller.bias, pairs,
         controller.grid, controller.bounds, controller.landmarks,
@@ -356,7 +355,8 @@ def verify_controller(controller, cell, count=200, seed=0, tol=SLACK_TOL,
              "%d pricing rounds, %d full-LP fallbacks, %d skipped",
              cell.id, stats["instances"], stats["pivots"], stats["rounds"],
              stats["fallbacks"], skipped)
-    report = VerificationReport(cell.id, seed, len(points), tol, summaries, skipped)
+    report = VerificationReport(cell.id, seed, len(points), SLACK_TOL,
+                                summaries, skipped)
     if raise_on_fail and not report.passed:
         bad = report.worst()
         raise VerificationFailed(
@@ -368,14 +368,13 @@ def verify_controller(controller, cell, count=200, seed=0, tol=SLACK_TOL,
     return report
 
 
-def verify_environment(controllers, env, count=200, seed=0, tol=SLACK_TOL,
-                       raise_on_fail=True):
+def verify_environment(controllers, env, count=200, seed=0, raise_on_fail=True):
     """Verify every controller against its own cell; one report each."""
     reports = []
     for ctrl in controllers:
         cell = env.cell_by_id(ctrl.cell_id)
         reports.append(
-            verify_controller(ctrl, cell, count=count, seed=seed, tol=tol,
+            verify_controller(ctrl, cell, count=count, seed=seed,
                               raise_on_fail=raise_on_fail)
         )
     return reports

@@ -40,7 +40,7 @@ def case_setup(annulus_env):
     basis = GainBasis()
     dynamics = LinearDynamics.single_integrator(2)
     controllers = synthesis.synthesize_environment(
-        env, plan.entries, graph, dynamics, spec, bounds, basis,
+        env, plan.entries, dynamics, spec, bounds, basis,
         alpha_v=1.0, alpha_h=100.0,
     )
     return {

@@ -26,27 +26,26 @@ def feature_maps(asm):
     return asm.basis.matrices(build_expectation_kernel(asm.spec), asm.spec.width)
 
 
-def gain_image(w, maps_per_landmark, layout):
+def gain_image(w, maps_per_landmark, cols):
     """Coefficients over the flat gains of a row whose control term is
     w^T u, one row per entry of the stacked PMF vector: the coefficient of
     K_{l,i}[m, s] on P_l[j] is w[m] R_i[s, j]."""
     n_p_total = sum(maps[0].shape[1] for maps in maps_per_landmark)
-    coef = np.zeros((n_p_total, layout.n_gains))
+    coef = np.zeros((n_p_total, cols.theta.size))
     off = 0
     for l, maps in enumerate(maps_per_landmark):
         n_p = maps[0].shape[1]
         for i, R in enumerate(maps):
-            base = layout.block_start(l, i)
-            coef[off:off + n_p, base:base + layout.n_u * layout.d] = np.kron(
+            coef[off:off + n_p, cols.gain[l, i].ravel()] = np.kron(
                 w[None, :], np.asarray(R, dtype=float).T)
         off += n_p
     return coef
 
 
-def bias_image(w, layout):
+def bias_image(w, cols):
     """Coefficients over the flat gains of w^T K_b."""
-    coef = np.zeros(layout.n_gains)
-    coef[layout.bias_start():layout.bias_start() + layout.n_u] = w
+    coef = np.zeros(cols.theta.size)
+    coef[cols.bias] = w
     return coef
 
 
@@ -60,13 +59,13 @@ class DualFormMeta:
     them.
     """
 
-    def __init__(self, layout, n_rows, n_reg, n_ps, n_goal_rows=0):
-        self.layout = layout
+    def __init__(self, cols, n_rows, n_reg, n_ps, n_goal_rows=0):
+        self.cols = cols
         self.n_rows = int(n_rows)
         self.n_reg = list(n_reg)
         self.n_ps = list(n_ps)
         self.n_goal_rows = int(n_goal_rows)
-        d = layout.d
+        d = cols.d
         self._var = {}
         pos = 0
 
@@ -75,7 +74,7 @@ class DualFormMeta:
             self._var[key] = (pos, int(size))
             pos += int(size)
 
-        take(("theta",), layout.n_gains)
+        take(("theta",), cols.theta.size)
         take(("delta",), self.n_rows)
         for k in range(self.n_rows):
             take(("lam_x", k), self.n_reg[k])
@@ -169,8 +168,8 @@ def machine_fill(meta, rows, regions, blocks, maps):
     robust_row. The bound row does not involve z, so it is dualized over x
     alone; a per-point row involves only its own entries z_.i.
     """
-    d = meta.layout.d
-    G = meta.layout.n_gains
+    d = meta.cols.d
+    G = meta.cols.theta.size
     ub, eq = _Coo(), _Coo()
     b_ub = np.zeros(meta.n_ub)
     b_eq = np.zeros(meta.n_eq)
@@ -186,7 +185,7 @@ def machine_fill(meta, rows, regions, blocks, maps):
         # A_x x + b_x <= 0, multipliers lam_x; no deviation entry enters it.
         obj_outer = []
         rhs_outer = [
-            (theta0 + np.arange(G), -bias_image(row.w, meta.layout)),
+            (theta0 + np.arange(G), -bias_image(row.w, meta.cols)),
             (np.array([delta0 + k]), np.array([-1.0])),
         ]
         for l, blk in enumerate(blocks):
@@ -211,7 +210,7 @@ def machine_fill(meta, rows, regions, blocks, maps):
 
         # ---- per-point feasibility rows: inner variables (x, z_.i); the
         # remaining deviation entries are separable and drop out.
-        image = gain_image(row.w, [maps] * len(blocks), meta.layout)
+        image = gain_image(row.w, [maps] * len(blocks), meta.cols)
         off = 0
         for l, blk in enumerate(blocks):
             n_p = blk.n_points
@@ -261,7 +260,7 @@ def machine_fill(meta, rows, regions, blocks, maps):
 
 
 def dual_meta(asm):
-    return DualFormMeta(asm.meta.layout, asm.meta.n_rows,
+    return DualFormMeta(asm.cols, asm.cols.delta.size,
                         [reg.n_rows for reg in asm.regions],
                         [blk.n_points for blk in asm.blocks],
                         n_goal_rows=asm.lp.b_eq.shape[0])
@@ -275,14 +274,14 @@ def machine_lp(asm):
     ub, b_ub, eq, b_eq = machine_fill(meta, asm.rows, asm.regions, asm.blocks,
                                       feature_maps(asm))
     g0 = meta.n_eq - meta.n_goal_rows
-    G = meta.layout.n_gains
+    G = meta.cols.theta.size
     goal = sp.hstack([lp.A_eq[:, :G], sp.csr_matrix((meta.n_goal_rows, meta.n_vars - G))])
     A_eq = sp.vstack([eq.matrix((meta.n_eq, meta.n_vars))[:g0], goal])
     b_eq[g0:] = lp.b_eq
-    d0, K = asm.meta.var("delta")
+    delta = asm.cols.delta
     c = np.zeros(meta.n_vars)
-    c[d0:d0 + K] = lp.c[d0:d0 + K]
-    lb, ub_bounds = meta.default_bounds(lp.ub[d0:d0 + K])
+    c[delta] = lp.c[delta]
+    lb, ub_bounds = meta.default_bounds(lp.ub[delta])
     return StandardLp(lp.sense, c,
                       A_ub=ub.matrix((meta.n_ub, meta.n_vars)), b_ub=b_ub,
                       A_eq=A_eq, b_eq=b_eq, lb=lb, ub=ub_bounds)
@@ -298,10 +297,10 @@ def lift(asm, x):
     """A vertex-form point in dual-form coordinates: theta, delta and the
     PMF multipliers are copied; lam_x solves each bound row's inner LP over
     the region, and beta, eta1, eta2 solve each point row's inner LP."""
-    vmeta, meta = asm.meta, dual_meta(asm)
-    d = vmeta.layout.d
+    cols, meta = asm.cols, dual_meta(asm)
+    d = cols.d
     out = np.zeros(meta.n_vars)
-    n_head = vmeta.layout.n_gains + vmeta.n_rows
+    n_head = cols.theta.size + cols.delta.size
     out[:n_head] = x[:n_head]
     for k, row in enumerate(asm.rows):
         A, b = asm.regions[k].A, asm.regions[k].b
@@ -309,10 +308,8 @@ def lift(asm, x):
         target = row.c_x.copy()
         for l, blk in enumerate(asm.blocks):
             for name in ("lam_s", "lam_p", "lam_z"):
-                s, z = vmeta.var(name, k, l)
-                out[meta.vrange(name, k, l)] = x[s:s + z]
-            s, z = vmeta.var("lam_p", k, l)
-            target -= blk.A_x.T @ x[s:s + z]
+                out[meta.vrange(name, k, l)] = x[getattr(cols, name)[k, l]]
+            target -= blk.A_x.T @ x[cols.lam_p[k, l]]
         # bound row: min -b.lam_x over A^T lam_x = target, lam_x >= 0
         out[meta.vrange("lam_x", k)] = _solved(StandardLp(
             "min", -b, A_eq=A.T, b_eq=target, lb=np.zeros(n_reg)))
@@ -324,8 +321,7 @@ def lift(asm, x):
                           [np.zeros((d, n_reg)), eye, eye]])
         for l, blk in enumerate(asm.blocks):
             n_p = blk.n_points
-            s, _ = vmeta.var("lam_z", k, l)
-            lam_z = x[s:s + d]
+            lam_z = x[cols.lam_z[k, l]]
             a = (blk.landmark[:, None] - blk.U).T
             cost = np.hstack([np.tile(-b, (n_p, 1)), a, -a]).ravel()
             rhs = np.tile(np.concatenate([np.zeros(d), lam_z]), n_p)

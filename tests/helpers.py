@@ -36,13 +36,15 @@ def random_cell(rng, cell_id=0, n_min=4, n_max=7, radius=3.0):
 
 
 def transit_entry_for(cell, exit_face):
-    """Plan entry for one facet of a cell: inward normal, facet midpoint."""
+    """Plan entry for one facet of a cell: inward normal, facet midpoint,
+    and every other facet a barrier."""
     A = cell.body.A
     b = cell.body.b
     verts = cell.vertices
     on = [v for v in verts if abs(A[exit_face] @ v + b[exit_face]) <= 1e-9]
     o = np.mean(on, axis=0)
-    return PlanEntry(cell.id, exit_face, -A[exit_face], o)
+    barriers = [j for j in range(cell.body.n_rows) if j != exit_face]
+    return PlanEntry(cell.id, exit_face, -A[exit_face], o, barriers=barriers)
 
 
 def check_candidates_against_lp(hs, a, rng):

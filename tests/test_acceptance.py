@@ -263,7 +263,7 @@ def test_patrol_cycle_crosses_and_stays_safe(patrol_env, case_setup):
     graph = planning.build_graph(env)
     plan = planning.make_plan(env, graph, mode="patrol")
     ctrls = synthesize_environment(
-        env, plan.entries, graph,
+        env, plan.entries,
         case_setup["dynamics"], case_setup["spec"], case_setup["bounds"],
         case_setup["basis"], alpha_v=1.0, alpha_h=100.0)
     cfg = SimConfig(dt=0.01, max_time=10.0, sensor=SensorModel(), seed=0)
@@ -284,7 +284,7 @@ def test_patrol_crossing_off_the_plan_fails(case_setup):
     graph = planning.build_graph(env)
     plan = planning.make_plan(env, graph, mode="patrol")
     ctrls = synthesize_environment(
-        env, plan.entries, graph,
+        env, plan.entries,
         case_setup["dynamics"], case_setup["spec"], case_setup["bounds"],
         case_setup["basis"], alpha_v=1.0, alpha_h=100.0)
     cfg = SimConfig(dt=0.01, max_time=120.0, sensor=SensorModel(), seed=0)

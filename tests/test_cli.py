@@ -151,7 +151,27 @@ def test_bad_patrol_cycle_exits_config_code(tmp_path, capsys, cells, cycle,
     assert cli.main(["synth", "--config", str(cfg)]) == 2
     err = capsys.readouterr().err
     assert message in err
-    assert "field environment.patrol_cycle)" in err
+    # the environment is inline, so the run config is its file
+    assert "(file %s, field environment.patrol_cycle)" % cfg in err
+    assert not (tmp_path / "out" / "controllers.json").exists()
+
+
+@pytest.mark.parametrize("cycle, message", [
+    ([0, 1, 0, 2], "visits cell 0 twice"),
+    (None, "patrol mode requires a patrol cycle"),
+], ids=["revisited-cell", "no-cycle"])
+def test_patrol_cycle_error_names_the_environment_file(tmp_path, capsys,
+                                                       cycle, message):
+    cfg = write_config(tmp_path, mode="patrol")
+    env = {k: v for k, v in ENV.items() if k != "patrol_cycle"}
+    if cycle is not None:
+        env["patrol_cycle"] = cycle
+    (tmp_path / "env.json").write_text(json.dumps(env))
+    assert cli.main(["pipeline", "--config", str(cfg)]) == 2
+    err = capsys.readouterr().err
+    assert message in err
+    assert "(file %s, field environment.patrol_cycle)" % os.path.join(
+        str(tmp_path), "env.json") in err
     assert not (tmp_path / "out" / "controllers.json").exists()
 
 
@@ -239,6 +259,22 @@ def test_stabilize_start_outside_every_cell_names_starts(tmp_path, capsys):
     assert "start [5.0, 5.0] lies in no cell (start 1)" in err
     assert "(file %s, field starts)" % cfg in err
     # rejected when the config loads, before synthesis writes anything
+    assert not (tmp_path / "out" / "controllers.json").exists()
+
+
+@pytest.mark.parametrize("cells", [1, [7]], ids=["not-a-list", "unknown-cell"])
+def test_bad_field_cells_exit_at_load(tmp_path, capsys, cells):
+    # patrol2.json has cells 0 and 1; the field stage runs last, but the
+    # config is refused before synthesis writes anything
+    data = os.path.join(os.path.dirname(cli.__file__), "data")
+    with open(os.path.join(data, "patrol.json")) as fh:
+        raw = json.load(fh)
+    raw.update(environment=os.path.join(data, raw["environment"]),
+               field={"cells": cells}, out=str(tmp_path / "out"))
+    cfg = tmp_path / "run.json"
+    cfg.write_text(json.dumps(raw))
+    assert cli.main(["pipeline", "--config", str(cfg)]) == 2
+    assert "(file %s, field field.cells)" % cfg in capsys.readouterr().err
     assert not (tmp_path / "out" / "controllers.json").exists()
 
 

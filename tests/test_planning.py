@@ -63,12 +63,37 @@ def test_transit_entry_oracle():
 
 def test_goal_entry_nonnegative_over_cell():
     env = two_squares()
-    entry = goal_entry(env, 1)
+    entry = goal_entry(env, build_graph(env), 1)
     assert entry.exit_face is None
     cell = env.cell_by_id(1)
     vals = [entry.progress(v) for v in cell.vertices]
     assert min(vals) >= -1e-9
     assert abs(entry.progress(env.goal)) <= 1e-9
+
+
+@pytest.mark.parametrize("name", ["annulus8", "two_squares"])
+def test_plan_entries_carry_their_barriers(annulus_env, name):
+    # a transit entry guards every facet but its exit; the goal entry
+    # guards exactly the facets that no neighbour shares
+    env = annulus_env if name == "annulus8" else two_squares()
+    graph = build_graph(env)
+    plan = make_plan(env, graph)
+    goals = 0
+    for cid, entry in plan.entries.items():
+        rows = range(env.cell_by_id(cid).body.n_rows)
+        if entry.exit_face is not None:
+            assert entry.barriers == [j for j in rows if j != entry.exit_face]
+            continue
+        goals += 1
+        shared = {graph.edge(cid, nb).row_for(cid)
+                  for nb in graph.neighbors(cid)}
+        assert entry.barriers == [j for j in rows if j not in shared]
+        assert entry.barriers and shared
+    assert goals == 1
+    if name == "two_squares":
+        # the goal square shares only its left facet, x = 1
+        walls = env.cell_by_id(1).body.A[plan.entries[1].barriers]
+        assert len(walls) == 3 and [-1.0, 0.0] not in walls.tolist()
 
 
 def test_goal_cell_id(annulus_env):

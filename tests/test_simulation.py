@@ -48,11 +48,11 @@ def rig():
     basis = GainBasis()
     dyn = LinearDynamics.single_integrator(2)
     plan = make_plan(env, graph, mode="stabilize")
-    ctrls = synthesize_environment(env, plan.entries, graph,
-                                   dyn, SPEC, BOUNDS, basis, 1.0, 100.0)
+    ctrls = synthesize_environment(env, plan.entries, dyn, SPEC, BOUNDS,
+                                   basis, 1.0, 100.0)
     plan_p = make_plan(env, graph, mode="patrol")
     ctrls_p = synthesize_environment(
-        env, plan_p.entries, graph, dyn, SPEC, BOUNDS, basis, 1.0, 100.0)
+        env, plan_p.entries, dyn, SPEC, BOUNDS, basis, 1.0, 100.0)
     return {"env": env, "plan": plan, "ctrls": ctrls,
             "plan_p": plan_p, "ctrls_p": ctrls_p,
             "by_id": {c.cell_id: c for c in ctrls}}
@@ -259,9 +259,8 @@ def packaged_patrol_run():
     graph = build_graph(env)
     plan = make_plan(env, graph, mode="patrol")
     ctrls = synthesize_environment(
-        env, plan.entries, graph,
-        LinearDynamics.single_integrator(2), cfg.grid, cfg.bounds, cfg.basis,
-        cfg.alpha_v, cfg.alpha_h)
+        env, plan.entries, LinearDynamics.single_integrator(2), cfg.grid,
+        cfg.bounds, cfg.basis, cfg.alpha_v, cfg.alpha_h)
     return env, plan, ctrls, cfg.sim, cfg.starts[0]
 
 
@@ -281,7 +280,7 @@ def two_landmark_run():
     env = Environment(cells, base.landmarks, base.start, base.goal)
     graph = build_graph(env)
     plan = make_plan(env, graph)
-    ctrls = synthesize_environment(env, plan.entries, graph,
+    ctrls = synthesize_environment(env, plan.entries,
                                    LinearDynamics.single_integrator(2), SPEC,
                                    BOUNDS, GainBasis(), 1.0, 100.0)
     cfg = SimConfig(dt=0.01, max_time=30.0, goal_tol=0.05,

@@ -18,7 +18,7 @@ from safefield.planning import PlanEntry
 from safefield.synthesis import (
     DELTA_CAP,
     GainBasis,
-    GainLayout,
+    LpColumns,
     assemble_robust_lp,
     goal_v_floor,
     load_controllers,
@@ -66,15 +66,15 @@ def goal_square(spec, bounds, basis, dyn, goal_bounds=None, v_floor="auto"):
     cell = ConvexCell(9, polygon_to_halfspaces(verts), [0])
     goal = np.array([0.0, 0.0])
     v = verts.mean(axis=0) - goal
-    entry = PlanEntry(9, None, v / np.linalg.norm(v), goal)
     walls = [j for j in range(cell.body.n_rows)
              if abs(cell.body.A[j] @ goal + cell.body.b[j]) > 1e-9]
+    entry = PlanEntry(9, None, v / np.linalg.norm(v), goal, barriers=walls)
     use_bounds = goal_bounds or bounds
     if v_floor == "auto":
         v_floor = goal_v_floor(entry, use_bounds, spec)
     asm = assemble_robust_lp(cell, entry, dyn, ALPHA_V, ALPHA_H, use_bounds,
                              spec, [np.array([2.0, 2.0])], basis,
-                             barrier_facets=walls, v_floor=v_floor, goal=goal)
+                             v_floor=v_floor)
     return asm, cell, entry, goal
 
 
@@ -91,20 +91,28 @@ def test_cosine_map_stores_exact_zeros():
     assert np.array_equal(R[R != 0.0], unrounded[R != 0.0])
 
 
-def test_layout_counts_and_roundtrip():
-    layout = GainLayout(2, 3, 2, 2)
-    assert layout.n_gains == 2 * 3 * 2 * 2 + 2
-    rng = np.random.default_rng(0)
-    theta = rng.standard_normal(layout.n_gains)
-    gains, bias = layout.unpack(theta)
-    assert np.array_equal(layout.pack(gains, bias), theta)
-    assert layout.bias_start() == 24
-    # flat index walks (landmark, map, row, col) in row-major order
-    assert layout.gain_index(0, 0, 0, 0) == 0
-    assert layout.gain_index(0, 0, 0, 1) == 1
-    assert layout.gain_index(0, 0, 1, 0) == 2
-    assert layout.gain_index(0, 1, 0, 0) == 4
-    assert layout.gain_index(1, 0, 0, 0) == 12
+def test_columns_cover_every_variable_once():
+    # 2 landmarks, 3 maps, n_u = d = 2, 4 rows
+    cols = LpColumns(2, 3, 2, 2, 4)
+    blocks = [cols.gain, cols.bias, cols.delta, cols.lam]
+    flat = np.concatenate([b.ravel() for b in blocks])
+    assert cols.n_vars == 2 * 3 * 2 * 2 + 2 + 4 + 4 * 2 * (1 + 4 + 2)
+    # each column once, in the order listed; theta is the gains, then the bias
+    assert np.array_equal(flat, np.arange(cols.n_vars))
+    assert np.array_equal(cols.theta, np.r_[cols.gain.ravel(), cols.bias])
+    assert np.array_equal(cols.bias, [24, 25])
+    # lam[k, l] splits into lam_s, lam_p (2d) and lam_z (d)
+    parts = np.concatenate([cols.lam_s[..., None], cols.lam_p, cols.lam_z],
+                           axis=-1)
+    assert np.array_equal(parts, cols.lam)
+    assert cols.lam_p.shape == (4, 2, 4) and cols.lam_z.shape == (4, 2, 2)
+    # gain walks (landmark, map, row, col) in row-major order
+    assert cols.gain.shape == (2, 3, 2, 2)
+    assert cols.gain[0, 0, 0, 0] == 0
+    assert cols.gain[0, 0, 0, 1] == 1
+    assert cols.gain[0, 0, 1, 0] == 2
+    assert cols.gain[0, 1, 0, 0] == 4
+    assert cols.gain[1, 0, 0, 0] == 12
 
 
 def test_lp_dimensions_square():
@@ -121,8 +129,8 @@ def test_lp_dimensions_square():
     # Each row holds at the 4 vertices, and each grid point's feasibility row
     # at one candidate, the square's point nearest to a_i (the square is
     # axis-aligned): 4 * (4 + 9) = 52 inequalities, and no equality.
-    assert asm.meta.layout.n_gains == 14
-    assert asm.meta.n_vars == 46
+    assert asm.cols.theta.size == 14
+    assert asm.cols.n_vars == 46
     assert asm.lp.A_ub.shape == (52, 46)
     assert asm.lp.A_eq.shape == (0, 46)
 
@@ -155,7 +163,7 @@ def oracle_cases():
     cases = [assembled_random(rng, spec, bounds, basis, dyn)[0] for _ in range(5)]
     cases.append(goal_square(spec, bounds, basis, dyn)[0])
     cases.append(two_landmark_random(rng, spec, bounds, basis, dyn))
-    assert cases[-2].lp.b_eq.size and cases[-1].meta.layout.n_landmarks == 2
+    assert cases[-2].lp.b_eq.size and cases[-1].cols.gain.shape[0] == 2
     return cases
 
 
@@ -165,21 +173,21 @@ def test_gain_coefficients_match_the_oracle_image():
     image's row for that grid point, at each bound row w on the bias."""
     for asm in oracle_cases():
         A = asm.lp.A_ub.toarray()
-        theta0, G = asm.meta.var("theta")
+        theta = asm.cols.theta
         maps = [feature_maps(asm)] * len(asm.blocks)
         n = 0
         for k, row in enumerate(asm.rows):
             n_v = region_points(asm.regions[k]).shape[0]
-            bias = bias_image(row.w, asm.meta.layout)
-            assert np.array_equal(A[n:n + n_v, theta0:theta0 + G],
+            bias = bias_image(row.w, asm.cols)
+            assert np.array_equal(A[n:n + n_v, theta],
                                   np.tile(bias, (n_v, 1)))
             n += n_v
-            image = gain_image(row.w, maps, asm.meta.layout)
+            image = gain_image(row.w, maps, asm.cols)
             off = 0
             for blk in asm.blocks:
                 idx, _ = deviation_candidates(asm.regions[k],
                                               (blk.landmark[:, None] - blk.U).T)
-                assert np.array_equal(A[n:n + idx.size, theta0:theta0 + G],
+                assert np.array_equal(A[n:n + idx.size, theta],
                                       image[off + idx])
                 n += idx.size
                 off += blk.n_points
@@ -191,8 +199,7 @@ def uncapped(asm):
     out = copy.copy(asm)
     out.lp = copy.copy(asm.lp)
     out.lp.ub = asm.lp.ub.copy()
-    s, z = asm.meta.var("delta")
-    out.lp.ub[s:s + z] = np.inf
+    out.lp.ub[asm.cols.delta] = np.inf
     return out
 
 

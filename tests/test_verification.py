@@ -19,7 +19,7 @@ from safefield.planning import PlanEntry
 from safefield.synthesis import (
     CellController,
     GainBasis,
-    GainLayout,
+    LpColumns,
     assemble_robust_lp,
     synthesize_cell_controller,
 )
@@ -101,15 +101,15 @@ def two_landmark_law(spec, rng):
     oracle's dense image of the flat gains, a route that shares nothing
     with the verifier's w^T M_l."""
     dyn = LinearDynamics.single_integrator(2)
-    layout = GainLayout(2, 3, 2, 2)
+    cols = LpColumns(2, 3, 2, 2, 0)
     maps = GainBasis().matrices(build_expectation_kernel(spec), spec.width)
     entry = PlanEntry(0, 0, np.array([0.0, -1.0]), np.array([0.0, -2.0]))
     row = build_clf_row(entry, dyn, 1.0)
-    theta = rng.standard_normal(layout.n_gains)
-    gains, bias = layout.unpack(theta)
+    theta = rng.standard_normal(cols.theta.size)
+    gains, bias = theta[cols.gain], theta[cols.bias]
     control = [sum(K @ R for K, R in zip(per_l, maps)) for per_l in gains]
-    c_p = gain_image(row.w, [maps, maps], layout) @ theta
-    const = bias_image(row.w, layout) @ theta + row.r
+    c_p = gain_image(row.w, [maps, maps], cols) @ theta
+    const = bias_image(row.w, cols) @ theta + row.r
     return row, control, bias, c_p, const
 
 
