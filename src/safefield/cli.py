@@ -166,17 +166,28 @@ class RunConfig:
 
 def _number(raw, key, default, kind, path):
     """raw[key] (or default) converted by kind, entry by entry for a list.
-    A dotted key names an entry of a nested section."""
+    A dotted key names an entry of a nested section. An entry read as int
+    must be integral, so that 0.7 is refused rather than read as 0."""
     value = raw
     for part in key.split("."):
         value = value.get(part, default) if isinstance(value, dict) else default
+    convert = _integer if kind is int else kind
     try:
         if isinstance(value, (list, tuple)):
-            return tuple(kind(v) for v in value)
-        return kind(value)
-    except (TypeError, ValueError):
-        raise ConfigError("%s must be numeric" % key,
+            return tuple(convert(v) for v in value)
+        return convert(value)
+    except (TypeError, ValueError, OverflowError):
+        raise ConfigError("%s must be %s" % (key, "integral" if kind is int
+                                             else "numeric"),
                           path=path, field=key) from None
+
+
+def _integer(value):
+    """int(value) for an integral value; int alone truncates."""
+    out = int(value)
+    if out != float(value):
+        raise ValueError("%r is not integral" % (value,))
+    return out
 
 
 def _known(section, prefix, keys, path):
@@ -356,7 +367,8 @@ def cmd_field(cfg, cells=None):
     os.makedirs(cfg.out, exist_ok=True)
     for cid in wanted:
         if cid not in controllers:
-            raise ConfigError("no controller for cell %d" % cid, field="cells")
+            raise ConfigError("no controller for cell %d" % cid,
+                              path=_controllers_path(cfg), field="controllers")
         cell = env.cell_by_id(cid)
         arr = simulation.sample_vector_field(
             cell, controllers[cid], cfg.field_resolution,

@@ -14,9 +14,11 @@ the columns of that LP (LpColumns): each row's control coefficient w is
 expanded over the gains here, as w[m] R_i[s, j] on gain K_{l,i}[m, s] and
 PMF entry P_l[j], and w itself on the bias. Which rows a cell carries, and
 whether it stops at its goal, is read from its plan entry.
-The LP maximizes the sum of the margins; a second pass then picks, among
+The LP maximizes the sum of the margins; a tiebreak pass then picks, among
 margin-optimal gains, the ones closest in l1 distance to a structured target
-so the synthesized fields stay interpretable.
+so the synthesized fields stay interpretable. When every margin can reach
+its cap, the tiebreak floored at the sum of the caps is the only solve;
+otherwise the margin pass runs first and floors the tiebreak at its optimum.
 """
 
 import json
@@ -437,37 +439,54 @@ def _frozen(a):
     return out
 
 
-def synthesize_cell_controller(assembled, cell, entry, landmark_ids,
-                               nominal_theta=None):
-    """Solve the assembled LP (margin pass, then the tiebreak pass) and wrap
-    the result."""
+def _solve_cell(assembled, cell_id, nominal_theta):
+    """The solution of the cell's LP that the controller is read from.
+
+    With a nominal target, the tiebreak LP floored at the sum of the margin
+    caps is solved first. The margin LP's optimum z* is at most that sum, and
+    a feasible floor proves z* >= sum - tol, so when every margin can reach
+    its cap this is the tiebreak LP of the margin-first path, and the margin
+    pass is skipped. (Only a z* that HiGHS reports inside [sum - tol, sum)
+    would floor that path's tiebreak differently.) Otherwise, or without a
+    target, the margin pass runs and, with a target, the tiebreak from z*
+    follows; a failed tiebreak keeps the margin-pass gains."""
+    if nominal_theta is not None:
+        cap_sum = float(np.sum(assembled.lp.ub[assembled.cols.delta]))
+        sol = solve_lp(_tiebreak_lp(assembled, cap_sum, nominal_theta))
+        if sol.status == "Optimal":
+            return sol.x
     sol = solve_lp(assembled.lp)
     if sol.status == "Infeasible":
         raise SynthesisInfeasible(
-            "no stabilizing safe gains for cell %d under these bounds" % cell.id
+            "no stabilizing safe gains for cell %d under these bounds" % cell_id
         )
     if sol.status == "Unbounded":
         raise SolverFailure(
-            "margin program for cell %d is unbounded; margin caps missing" % cell.id
+            "margin program for cell %d is unbounded; margin caps missing" % cell_id
         )
-    final = sol
-    if nominal_theta is not None:
-        lp2 = _tiebreak_lp(assembled, sol.objective, nominal_theta)
-        sol2 = solve_lp(lp2)
-        if sol2.status == "Optimal":
-            final = sol2
-        else:
-            warnings.warn(
-                "tiebreak pass returned %s for cell %d; keeping the margin-pass gains"
-                % (sol2.status, cell.id)
-            )
+    if nominal_theta is None:
+        return sol.x
+    tiebreak = solve_lp(_tiebreak_lp(assembled, sol.objective, nominal_theta))
+    if tiebreak.status == "Optimal":
+        return tiebreak.x
+    warnings.warn(
+        "tiebreak pass returned %s for cell %d; keeping the margin-pass gains"
+        % (tiebreak.status, cell_id)
+    )
+    return sol.x
+
+
+def synthesize_cell_controller(assembled, cell, entry, landmark_ids,
+                               nominal_theta=None):
+    """Solve the assembled LP (see _solve_cell) and wrap the result."""
+    x = _solve_cell(assembled, cell.id, nominal_theta)
     cols = assembled.cols
     ctrl = CellController(
         cell_id=cell.id,
         basis=assembled.basis,
-        gains=final.x[cols.gain],
-        bias=final.x[cols.bias],
-        margins=final.x[cols.delta],
+        gains=x[cols.gain],
+        bias=x[cols.bias],
+        margins=x[cols.delta],
         kinds=[r.kind for r in assembled.rows],
         facets=[r.facet for r in assembled.rows],
         grid=assembled.spec,

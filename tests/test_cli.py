@@ -91,6 +91,8 @@ def test_negative_verify_count_exits_config_code(tmp_path):
     ({"sim": {"sensor": {"kind": "gaussian", "drift": "far"}}}, [],
      "sim.sensor.drift"),
     ({"grid": {"n": ["a", 4], "width": [6.0, 6.0]}}, [], "grid.n"),
+    ({"grid": {"n": [20.9, 20], "width": [6.0, 6.0]}}, [], "grid.n"),
+    ({"field": {"cells": [0.7]}}, [], "field.cells"),
     ({"field": {"resolution": [5, "x"]}}, [], "field.resolution"),
     ({"field": {"resolution": [10, 10, 10]}}, [], "field.resolution"),
     ({"starts": [["a", 1]]}, [], "starts"),
@@ -100,6 +102,7 @@ def test_negative_verify_count_exits_config_code(tmp_path):
 ], ids=["negative-eps-flag", "negative-sigma_m", "non-numeric-verify_count",
         "non-numeric-sim.dt", "non-numeric-sim.seed",
         "non-numeric-sensor.drift", "non-numeric-grid.n",
+        "non-integral-grid.n", "non-integral-field.cells",
         "non-numeric-field.resolution", "field.resolution-of-wrong-length",
         "non-numeric-starts",
         "starts-not-a-list-of-points", "start-of-wrong-dimension",
@@ -234,6 +237,24 @@ def test_missing_controller_names_the_controllers_file(tmp_path, capsys):
                      "--out", out]) == 0
     capsys.readouterr()
     assert cli.main(["simulate", "--config", patrol, "--out", out]) == 2
+    err = capsys.readouterr().err
+    assert "no controller for cell 1" in err
+    assert "(file %s, field controllers)" % os.path.join(out, "controllers.json") in err
+
+
+def test_field_of_a_missing_controller_names_the_controllers_file(
+        tmp_path, capsys):
+    data = os.path.join(os.path.dirname(cli.__file__), "data")
+    with open(os.path.join(data, "patrol.json")) as fh:
+        raw = json.load(fh)
+    out = str(tmp_path / "out")
+    raw.update(environment=os.path.join(data, raw["environment"]),
+               field={"cells": [1]}, out=out)
+    cfg = tmp_path / "run.json"
+    cfg.write_text(json.dumps(raw))
+    assert cli.main(["synth", "--config", str(cfg), "--cells", "0"]) == 0
+    capsys.readouterr()
+    assert cli.main(["field", "--config", str(cfg)]) == 2
     err = capsys.readouterr().err
     assert "no controller for cell 1" in err
     assert "(file %s, field controllers)" % os.path.join(out, "controllers.json") in err

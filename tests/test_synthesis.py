@@ -7,21 +7,24 @@ import pytest
 from dual_form import (bias_image, feature_maps, gain_image, lift, machine_lp,
                        violation)
 from helpers import check_candidates_against_lp, random_cell, transit_entry_for
+from safefield import synthesis
 from safefield.clfcbf import LinearDynamics
 from safefield.errors import GridMismatch, LandmarkNotVisible, SynthesisInfeasible
 from safefield.geometry import (ConvexCell, deviation_candidates,
                                 polygon_to_halfspaces, region_points)
-from safefield.lp_core import solve_lp
+from safefield.lp_core import LpSolution, solve_lp
 from safefield.measurement import (GridSpec, UncertaintyBounds,
                                    build_expectation_kernel, make_delta_pmf)
-from safefield.planning import PlanEntry
+from safefield.planning import PlanEntry, build_graph, make_plan
 from safefield.synthesis import (
     DELTA_CAP,
     GainBasis,
     LpColumns,
     assemble_robust_lp,
+    _tiebreak_lp,
     goal_v_floor,
     load_controllers,
+    nominal_theta,
     save_controllers,
     synthesize_cell_controller,
 )
@@ -378,3 +381,115 @@ def test_feature_matrices_grid_mismatch():
     other = GridSpec((10, 10), (12.0, 12.0))
     with pytest.raises(GridMismatch):
         control_input(ctrl, [make_delta_pmf(other, y) for _ in ctrl.landmarks])
+
+
+def packaged_cell(env, mode, cell_id, spec, bounds):
+    """Assembled LP, cell, plan entry and tiebreak target of one cell of a
+    packaged environment, built as synthesize_environment builds them."""
+    _, _, basis, dyn = setup()
+    entry = make_plan(env, build_graph(env), mode).entries[cell_id]
+    cell = env.cell_by_id(cell_id)
+    positions = [env.landmarks[j] for j in cell.landmark_ids]
+    v_floor = (goal_v_floor(entry, bounds, spec)
+               if entry.exit_face is None else None)
+    asm = assemble_robust_lp(cell, entry, dyn, ALPHA_V, ALPHA_H, bounds, spec,
+                             positions, basis, v_floor=v_floor)
+    nominal = nominal_theta(asm.cols, basis, entry, positions, bounds, spec,
+                            ALPHA_V)
+    return asm, cell, entry, nominal
+
+
+def margin_first(asm, nominal):
+    """The solution of the margin LP, then of the tiebreak floored at its
+    optimum."""
+    sol = solve_lp(asm.lp)
+    return solve_lp(_tiebreak_lp(asm, sol.objective, nominal)).x
+
+
+def assert_read_from(ctrl, asm, x):
+    """ctrl's gains, bias and margins are those of the LP solution x."""
+    cols = asm.cols
+    expected = dict(ctrl.to_dict(), K=x[cols.gain].tolist(),
+                    K_b=x[cols.bias].tolist(), delta=x[cols.delta].tolist())
+    assert ctrl.to_dict() == expected
+
+
+def recorded_solves(monkeypatch, solve=solve_lp):
+    """Route synthesis's LP solves through solve, recording each LP's sense
+    and the status it returned."""
+    calls = []
+
+    def recorded(lp):
+        sol = solve(lp)
+        calls.append((lp.sense, sol.status))
+        return sol
+
+    monkeypatch.setattr(synthesis, "solve_lp", recorded)
+    return calls
+
+
+def test_reachable_caps_take_one_solve(patrol_env, monkeypatch):
+    # patrol.json's bounds and grid: every margin of cell 0 reaches its cap,
+    # so the tiebreak floored at the sum of the caps is the only solve
+    spec = GridSpec((20, 20), (60.0, 60.0))
+    asm, cell, entry, nominal = packaged_cell(
+        patrol_env, "patrol", 0, spec, UncertaintyBounds(4.0, 16.0))
+    expected = margin_first(asm, nominal)
+    calls = recorded_solves(monkeypatch)
+    ctrl = synthesize_cell_controller(asm, cell, entry, list(cell.landmark_ids),
+                                      nominal_theta=nominal)
+    assert calls == [("min", "Optimal")]
+    assert np.array_equal(ctrl.margins, [DELTA_CAP[k] for k in ctrl.kinds])
+    assert_read_from(ctrl, asm, expected)
+
+
+def test_unreachable_caps_fall_back_to_margin_first(annulus_env, monkeypatch):
+    # case-study cell 1 at eps 12 reaches a margin sum of 0.25 of its 4.25:
+    # the floored tiebreak is infeasible, and the margin pass floors it anew
+    spec = GridSpec((30, 30), (40.0, 40.0))
+    asm, cell, entry, nominal = packaged_cell(
+        annulus_env, "stabilize", 1, spec, UncertaintyBounds(12.0, 16.0))
+    expected = margin_first(asm, nominal)
+    calls = recorded_solves(monkeypatch)
+    ctrl = synthesize_cell_controller(asm, cell, entry, list(cell.landmark_ids),
+                                      nominal_theta=nominal)
+    assert calls == [("min", "Infeasible"), ("max", "Optimal"),
+                     ("min", "Optimal")]
+    assert ctrl.margins.sum() < np.sum(asm.lp.ub[asm.cols.delta]) - 1.0
+    assert_read_from(ctrl, asm, expected)
+
+
+def test_infeasible_cell_with_a_target_is_infeasible(monkeypatch):
+    spec, bounds, basis, dyn = setup()
+    spoofed = UncertaintyBounds(1e3, 1e6)
+    asm, cell, entry, _ = goal_square(spec, bounds, basis, dyn,
+                                      goal_bounds=spoofed, v_floor=None)
+    nominal = nominal_theta(asm.cols, basis, entry, [np.array([2.0, 2.0])],
+                            spoofed, spec, ALPHA_V)
+    calls = recorded_solves(monkeypatch)
+    with pytest.raises(SynthesisInfeasible):
+        synthesize_cell_controller(asm, cell, entry, [0], nominal_theta=nominal)
+    assert calls == [("min", "Infeasible"), ("max", "Infeasible")]
+
+
+def test_failed_tiebreak_warns_and_keeps_the_margin_gains(patrol_env,
+                                                          monkeypatch):
+    spec = GridSpec((20, 20), (60.0, 60.0))
+    asm, cell, entry, nominal = packaged_cell(
+        patrol_env, "patrol", 1, spec, UncertaintyBounds(4.0, 16.0))
+    margin = solve_lp(asm.lp).x
+
+    def no_tiebreak(lp):
+        if lp.sense == "min":
+            return LpSolution("Infeasible", None, None, None, None)
+        return solve_lp(lp)
+
+    calls = recorded_solves(monkeypatch, no_tiebreak)
+    with pytest.warns(UserWarning, match="tiebreak pass returned Infeasible "
+                                         "for cell 1"):
+        ctrl = synthesize_cell_controller(asm, cell, entry,
+                                          list(cell.landmark_ids),
+                                          nominal_theta=nominal)
+    assert calls == [("min", "Infeasible"), ("max", "Optimal"),
+                     ("min", "Infeasible")]
+    assert_read_from(ctrl, asm, margin)
