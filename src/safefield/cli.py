@@ -18,6 +18,7 @@ from . import planning, simulation, synthesis, verification
 from .clfcbf import LinearDynamics
 from .errors import (
     ConfigError,
+    DimensionMismatch,
     LeftFreeSpace,
     NumericalFailure,
     OffPlanCrossing,
@@ -82,7 +83,10 @@ class RunConfig:
                               path=path, field="grid")
         self.grid = GridSpec(grid["n"], grid["width"])
 
-        self.basis = GainBasis(tuple(raw.get("basis", GainBasis.KNOWN)))
+        try:
+            self.basis = GainBasis(raw.get("basis", GainBasis.KNOWN))
+        except DimensionMismatch as exc:
+            raise ConfigError(str(exc), path=path, field="basis") from None
         self.mode = str(raw.get("mode", "stabilize")).lower()
         if self.mode not in ("stabilize", "patrol"):
             raise ConfigError("mode must be stabilize or patrol",
@@ -258,12 +262,31 @@ def _controllers_path(cfg):
     return os.path.join(cfg.out, "controllers.json")
 
 
-def _load_controllers(cfg):
+def _load_controllers(cfg, plan):
+    """The controllers of controllers.json, each checked against the plan
+    entry of its cell: a controller solved for another plan (an edited
+    environment or mode, or an edited file) is a ConfigError naming it."""
     path = _controllers_path(cfg)
     if not os.path.exists(path):
         raise ConfigError("controllers.json not found; run synth first",
                           path=path, field="controllers")
-    return synthesis.load_controllers(path)
+    controllers = synthesis.load_controllers(path)
+    for k, ctrl in enumerate(controllers):
+        saved, planned = ctrl.entry, plan.entries.get(ctrl.cell_id)
+        if planned is None:
+            reason = "the run's plan has no cell %d" % ctrl.cell_id
+        else:
+            differ = [name for name, same in (
+                ("exit_face", saved.exit_face == planned.exit_face),
+                ("barriers", saved.barriers == planned.barriers),
+                ("v", np.array_equal(saved.v, planned.v)),
+                ("o", np.array_equal(saved.o, planned.o))) if not same]
+            if not differ:
+                continue
+            reason = ("cell %d was synthesized for another plan (%s differ); "
+                      "run synth again" % (ctrl.cell_id, ", ".join(differ)))
+        raise ConfigError(reason, path=path, field="controllers.%d" % k)
+    return controllers
 
 
 def _plan(cfg):
@@ -301,7 +324,7 @@ def cmd_synth(cfg, cells=None):
 
 def cmd_verify(cfg):
     env = cfg.environment
-    controllers = _load_controllers(cfg)
+    controllers = _load_controllers(cfg, _plan(cfg))
     reports = verification.verify_environment(
         controllers, env, count=cfg.verify_count, seed=cfg.seed,
         raise_on_fail=False,
@@ -326,8 +349,8 @@ def cmd_verify(cfg):
 
 def cmd_simulate(cfg):
     env = cfg.environment
-    controllers = _load_controllers(cfg)
     plan = _plan(cfg)
+    controllers = _load_controllers(cfg, plan)
     os.makedirs(cfg.out, exist_ok=True)
     code = EXIT_OK
     for k, start in enumerate(cfg.starts):
@@ -360,7 +383,7 @@ def cmd_simulate(cfg):
 
 def cmd_field(cfg, cells=None):
     env = cfg.environment
-    controllers = {c.cell_id: c for c in _load_controllers(cfg)}
+    controllers = {c.cell_id: c for c in _load_controllers(cfg, _plan(cfg))}
     wanted = cells if cells is not None else cfg.field_cells
     if wanted is None:
         wanted = sorted(controllers)

@@ -58,48 +58,53 @@ class CellGraph:
 
 def _facet_segment(cell, row):
     V = cell.vertices
-    on = [v for v in V if abs(cell.body.A[row] @ v + cell.body.b[row]) <= FACE_MATCH_TOL]
-    if len(on) < 2:
+    pts = V[np.abs(V @ cell.body.A[row] + cell.body.b[row]) <= FACE_MATCH_TOL]
+    if len(pts) < 2:
         return None
-    pts = np.array(on)
     t = np.array([-cell.body.A[row, 1], cell.body.A[row, 0]])
     s = pts @ t
     return pts[np.argmin(s)], pts[np.argmax(s)], float(np.min(s)), float(np.max(s)), t
 
 
 def build_graph(env):
-    """Adjacency graph over cells sharing a facet segment of positive length."""
-    edges = []
+    """Adjacency graph over cells sharing a facet segment of positive length.
+
+    Only facet rows of two cells on one line with opposite normals can share
+    one; those row pairs are found for all cells at once, in cell-pair and
+    then row-pair order, and each facet's segment is computed once."""
     cells = env.cells
-    for ia in range(len(cells)):
-        for ib in range(ia + 1, len(cells)):
-            a, b = cells[ia], cells[ib]
-            best = None
-            for ra in range(a.body.n_rows):
-                for rb in range(b.body.n_rows):
-                    if np.linalg.norm(a.body.A[ra] + b.body.A[rb]) > FACE_MATCH_TOL:
-                        continue
-                    if abs(a.body.b[ra] + b.body.b[rb]) > FACE_MATCH_TOL:
-                        continue
-                    sa = _facet_segment(a, ra)
-                    sb = _facet_segment(b, rb)
-                    if sa is None or sb is None:
-                        continue
-                    t = sa[4]
-                    lo = max(sa[2], min(sb[0] @ t, sb[1] @ t))
-                    hi = min(sa[3], max(sb[0] @ t, sb[1] @ t))
-                    if hi - lo <= OVERLAP_TOL:
-                        continue
-                    n = a.body.A[ra]
-                    base = sa[0] - (sa[0] @ t) * t
-                    seg = np.stack([base + lo * t, base + hi * t])
-                    # re-project onto the facet line to kill drift from base choice
-                    seg = seg - ((seg @ n + a.body.b[ra])[:, None]) * n[None, :]
-                    cand = EdgeInfo(a.id, ra, b.id, rb, seg)
-                    if best is None or hi - lo > np.linalg.norm(best.segment[1] - best.segment[0]):
-                        best = cand
-            if best is not None:
-                edges.append(best)
+    facets = [(i, r) for i, c in enumerate(cells) for r in range(c.body.n_rows)]
+    owner = np.array([i for i, _ in facets])
+    A = np.vstack([c.body.A for c in cells])
+    b = np.concatenate([c.body.b for c in cells])
+    opposite = ((np.linalg.norm(A[:, None] + A[None], axis=2) <= FACE_MATCH_TOL)
+                & (np.abs(b[:, None] + b[None]) <= FACE_MATCH_TOL)
+                & (owner[:, None] < owner[None]))
+    segments = {}
+    best = {}
+    for p, q in zip(*(k.tolist() for k in np.nonzero(opposite))):
+        for k in (p, q):
+            if k not in segments:
+                segments[k] = _facet_segment(cells[facets[k][0]], facets[k][1])
+        (ia, ra), (ib, rb) = facets[p], facets[q]
+        sa, sb = segments[p], segments[q]
+        if sa is None or sb is None:
+            continue
+        t = sa[4]
+        lo = max(sa[2], min(sb[0] @ t, sb[1] @ t))
+        hi = min(sa[3], max(sb[0] @ t, sb[1] @ t))
+        if hi - lo <= OVERLAP_TOL:
+            continue
+        a = cells[ia]
+        n = a.body.A[ra]
+        base = sa[0] - (sa[0] @ t) * t
+        seg = np.stack([base + lo * t, base + hi * t])
+        # re-project onto the facet line to kill drift from base choice
+        seg = seg - ((seg @ n + a.body.b[ra])[:, None]) * n[None, :]
+        prev = best.get((ia, ib))
+        if prev is None or hi - lo > np.linalg.norm(prev.segment[1] - prev.segment[0]):
+            best[ia, ib] = EdgeInfo(a.id, ra, cells[ib].id, rb, seg)
+    edges = [best[pair] for pair in sorted(best)]
     graph = CellGraph([c.id for c in cells], edges)
     if graph.cell_ids:
         seen = _bfs_distances(graph, graph.cell_ids[0])

@@ -185,7 +185,7 @@ def _banked_terms(controller):
 
 def _barriers(controller, cell):
     """The controller's barrier facets with their rows of the cell body."""
-    facets = [f for f in controller.facets if f is not None]
+    facets = controller.entry.barriers
     return facets, cell.body.A[facets], cell.body.b[facets]
 
 
@@ -288,7 +288,7 @@ def run_trajectory(env, plan, controllers, config, x0=None):
             u = _control_law(ctrl.bias, loop[2](pmfs))
         cell, barriers, _ = loop
         min_h, facet = _barrier_values(barriers, x)
-        traj.append(t, x, u, active_id, ctrl.progress(x), min_h)
+        traj.append(t, x, u, active_id, ctrl.entry.progress(x), min_h)
         if min_h < -SAFETY_TOL:
             raise SafetyViolation(
                 "barrier %s of cell %d reached %.3g at t=%.3f"
@@ -311,7 +311,7 @@ def run_trajectory(env, plan, controllers, config, x0=None):
                 t=t, x=x.copy(), trajectory=traj,
             )
         if plan.mode == "patrol":
-            if ctrl.progress(x) <= 0.0:
+            if ctrl.entry.progress(x) <= 0.0:
                 planned = plan.entries[active_id].next_id
                 ids = {c.id for c in inside}
                 if planned not in ids:
@@ -325,8 +325,8 @@ def run_trajectory(env, plan, controllers, config, x0=None):
                 traj.crossings += 1
             continue
         ids = {c.id for c in inside}
-        if (ctrl.exit_face is not None and ctrl.progress(x) <= 0.0
-                and ids - {active_id}):
+        if (ctrl.entry.exit_face is not None
+                and ctrl.entry.progress(x) <= 0.0 and ids - {active_id}):
             active_id = handover(ids - {active_id})
             traj.crossings += 1
         elif active_id not in ids:

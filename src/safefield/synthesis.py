@@ -13,7 +13,10 @@ over the gains, the margins and those multipliers. This module alone knows
 the columns of that LP (LpColumns): each row's control coefficient w is
 expanded over the gains here, as w[m] R_i[s, j] on gain K_{l,i}[m, s] and
 PMF entry P_l[j], and w itself on the bias. Which rows a cell carries, and
-whether it stops at its goal, is read from its plan entry.
+whether it stops at its goal, is read from its plan entry, which the
+assembled LP and the controller solved from it keep (CellController.entry):
+a saved controller names the rows it certifies, so a reader can check it
+against the run's plan.
 The LP maximizes the sum of the margins; a tiebreak pass then picks, among
 margin-optimal gains, the ones closest in l1 distance to a structured target
 so the synthesized fields stay interpretable. When every margin can reach
@@ -40,6 +43,7 @@ from .errors import (
 )
 from .lp_core import StandardLp, solve_lp
 from .measurement import build_expectation_kernel, make_delta_pmf
+from .planning import PlanEntry
 from .simulation import control_input
 
 DELTA_CAP = {"clf": 0.25, "cbf": 4.0}
@@ -54,6 +58,9 @@ class GainBasis:
     KNOWN = ("mean", "quadratic", "cosine")
 
     def __init__(self, names=("mean", "quadratic", "cosine")):
+        if not isinstance(names, (list, tuple)):
+            raise DimensionMismatch("feature maps must be a list of names, "
+                                    "not %r" % (names,))
         names = tuple(names)
         bad = [n for n in names if n not in self.KNOWN]
         if bad:
@@ -192,8 +199,10 @@ class AssembledCellLp:
     """Phase-one LP plus the ingredients needed for tiebreaking and
     extraction."""
 
-    def __init__(self, lp, cols, rows, regions, blocks, basis, spec,
-                 dynamics, alpha_v, alpha_h, v_floor=None):
+    def __init__(self, cell, entry, lp, cols, rows, regions, blocks, basis,
+                 spec, dynamics, alpha_v, alpha_h, v_floor=None):
+        self.cell = cell
+        self.entry = entry
         self.lp = lp
         self.cols = cols
         self.rows = rows
@@ -277,8 +286,9 @@ def assemble_robust_lp(cell, entry, dynamics, alpha_v, alpha_h, bounds, spec,
                     A_ub=ub.matrix((b_ub.size, cols.n_vars)), b_ub=b_ub,
                     A_eq=eq.matrix((n_goal, cols.n_vars)), b_eq=np.zeros(n_goal),
                     lb=lb, ub=ub_bounds)
-    return AssembledCellLp(lp, cols, rows, regions, blocks, basis, spec,
-                           dynamics, alpha_v, alpha_h, v_floor=v_floor)
+    return AssembledCellLp(cell, entry, lp, cols, rows, regions, blocks,
+                           basis, spec, dynamics, alpha_v, alpha_h,
+                           v_floor=v_floor)
 
 
 def _tiebreak_lp(assembled, z_star, nominal_theta):
@@ -311,33 +321,29 @@ def _tiebreak_lp(assembled, z_star, nominal_theta):
 
 
 class CellController:
-    """Synthesized gains and everything needed to run and audit them.
+    """Synthesized gains, the plan entry they certify and everything else
+    needed to run and audit them.
 
     The gains, bias, basis and grid are fixed at construction, and so are
     the per-landmark control matrices built from them: a controller is a
     constant of the closed loop, so a different law is a new controller."""
 
-    def __init__(self, cell_id, basis, gains, bias, margins, kinds, facets,
-                 grid, bounds, alpha_v, alpha_h, landmark_ids, landmarks,
-                 v, o, exit_face, v_floor, dynamics, status="Optimal",
-                 saturation=None):
-        self.cell_id = cell_id
+    def __init__(self, entry, basis, gains, bias, margins, grid, bounds,
+                 alpha_v, alpha_h, landmark_ids, landmarks, v_floor, dynamics,
+                 status="Optimal", saturation=None):
+        self.entry = entry
+        self.cell_id = entry.cell_id
         self._basis = basis
         self._grid = grid
         self._gains = tuple(tuple(_frozen(Ki) for Ki in per_l)
                             for per_l in gains)
         self._bias = _frozen(bias)
         self.margins = np.asarray(margins, dtype=float)
-        self.kinds = list(kinds)
-        self.facets = list(facets)
         self.bounds = bounds
         self.alpha_v = float(alpha_v)
         self.alpha_h = float(alpha_h)
         self.landmark_ids = list(landmark_ids)
         self.landmarks = [np.asarray(p, dtype=float) for p in landmarks]
-        self.v = np.asarray(v, dtype=float)
-        self.o = np.asarray(o, dtype=float)
-        self.exit_face = exit_face
         self.v_floor = v_floor
         self.dynamics = dynamics
         self.status = status
@@ -347,9 +353,10 @@ class CellController:
                 or any(K.shape != (dynamics.n_u, dynamics.d)
                        for per_l in self._gains for K in per_l)
                 or self._bias.shape != (dynamics.n_u,)
-                or not len(self.margins) == len(self.kinds) == len(self.facets)):
+                or len(self.margins) != 1 + len(entry.barriers)):
             raise DimensionMismatch(
-                "cell %s: gains, bias, landmarks and rows disagree" % cell_id)
+                "cell %s: gains, bias, landmarks and rows disagree"
+                % self.cell_id)
         features = basis.matrices(build_expectation_kernel(grid), grid.width)
         self._control = tuple(
             _frozen(sum(K @ R for K, R in zip(per_landmark, features)))
@@ -378,9 +385,6 @@ class CellController:
         vectorized PMF."""
         return self._control
 
-    def progress(self, x):
-        return float(self.v @ (np.asarray(x, dtype=float) - self.o))
-
     def to_dict(self):
         return {
             "id": self.cell_id,
@@ -395,11 +399,11 @@ class CellController:
             "grid": {"n": list(self.grid.n), "width": list(self.grid.width)},
             "landmark_ids": self.landmark_ids,
             "landmarks": [p.tolist() for p in self.landmarks],
-            "kinds": self.kinds,
-            "facets": self.facets,
-            "v": self.v.tolist(),
-            "o": self.o.tolist(),
-            "exit_face": self.exit_face,
+            "kinds": ["clf"] + ["cbf"] * len(self.entry.barriers),
+            "facets": [None] + self.entry.barriers,
+            "v": self.entry.v.tolist(),
+            "o": self.entry.o.tolist(),
+            "exit_face": self.entry.exit_face,
             "v_floor": self.v_floor,
             "dynamics": {"A": self.dynamics.A.tolist(), "B": self.dynamics.B.tolist()},
             "status": self.status,
@@ -408,23 +412,28 @@ class CellController:
 
     @classmethod
     def from_dict(cls, d):
+        """The controller to_dict wrote, its entry rebuilt from id,
+        exit_face, v, o and the barriers facets[1:]."""
+        if type(d["id"]) is not int:
+            raise ValueError("id must be an integer")
+        facets = list(d["facets"])
+        if (facets[:1] != [None]
+                or d["kinds"] != ["clf"] + ["cbf"] * (len(facets) - 1)):
+            raise ValueError("kinds and facets must be one clf row with a "
+                             "null facet, then one cbf row per barrier facet")
         return cls(
-            cell_id=d["id"],
+            entry=PlanEntry(d["id"], d["exit_face"], d["v"], d["o"],
+                            barriers=facets[1:]),
             basis=GainBasis(d["basis"]),
             gains=d["K"],
             bias=d["K_b"],
             margins=d["delta"],
-            kinds=d["kinds"],
-            facets=d["facets"],
             grid=measurement.GridSpec(d["grid"]["n"], d["grid"]["width"]),
             bounds=measurement.UncertaintyBounds(d["epsilon"], d["sigma_m"]),
             alpha_v=d["alpha_v"],
             alpha_h=d["alpha_h"],
             landmark_ids=d["landmark_ids"],
             landmarks=d["landmarks"],
-            v=d["v"],
-            o=d["o"],
-            exit_face=d["exit_face"],
             v_floor=d["v_floor"],
             dynamics=LinearDynamics(d["dynamics"]["A"], d["dynamics"]["B"]),
             status=d.get("status", "Optimal"),
@@ -476,33 +485,27 @@ def _solve_cell(assembled, cell_id, nominal_theta):
     return sol.x
 
 
-def synthesize_cell_controller(assembled, cell, entry, landmark_ids,
-                               nominal_theta=None):
+def synthesize_cell_controller(assembled, nominal_theta=None):
     """Solve the assembled LP (see _solve_cell) and wrap the result."""
-    x = _solve_cell(assembled, cell.id, nominal_theta)
+    x = _solve_cell(assembled, assembled.cell.id, nominal_theta)
     cols = assembled.cols
     ctrl = CellController(
-        cell_id=cell.id,
+        entry=assembled.entry,
         basis=assembled.basis,
         gains=x[cols.gain],
         bias=x[cols.bias],
         margins=x[cols.delta],
-        kinds=[r.kind for r in assembled.rows],
-        facets=[r.facet for r in assembled.rows],
         grid=assembled.spec,
         bounds=assembled.blocks[0].bounds,
         alpha_v=assembled.alpha_v,
         alpha_h=assembled.alpha_h,
-        landmark_ids=landmark_ids,
+        landmark_ids=assembled.cell.landmark_ids,
         landmarks=[blk.landmark for blk in assembled.blocks],
-        v=entry.v,
-        o=entry.o,
-        exit_face=entry.exit_face,
         v_floor=assembled.v_floor,
         dynamics=assembled.dynamics,
         status="Optimal",
     )
-    ctrl.saturation = _saturation_report(ctrl, cell)
+    ctrl.saturation = _saturation_report(ctrl, assembled.cell)
     return ctrl
 
 
@@ -517,10 +520,10 @@ def _saturation_report(ctrl, cell):
     return {"max_u_vertices": worst}
 
 
-def nominal_theta(cols, basis, entry, positions, bounds, spec, alpha_v):
-    """Structured target of the tiebreak pass: gain M / L on the mean map of
-    each of the L landmarks and a bias b, so that u is about b + M (o - x)
-    under exact sensing. Zero where n_u != d.
+def nominal_theta(assembled):
+    """Structured target of the tiebreak pass for assembled's entry: gain
+    M / L on the mean map of each of the L landmarks and a bias b, so that u
+    is about b + M (o - x) under exact sensing. Zero where n_u != d.
 
     Transit (o the exit midpoint): M approaches the exit facet along its
     normal v with gain 2 and centers laterally with gain 1; b pushes through
@@ -529,6 +532,8 @@ def nominal_theta(cols, basis, entry, positions, bounds, spec, alpha_v):
     observation with gain 2.4, less a cross-axis shear of 0.25 in 2-D so
     quantization plateaus are crossed by sliding along the grid lines
     through the goal."""
+    cols, entry, spec = assembled.cols, assembled.entry, assembled.spec
+    positions = [blk.landmark for blk in assembled.blocks]
     out = np.zeros(cols.theta.size)
     d = cols.d
     if cols.bias.size != d:
@@ -539,19 +544,20 @@ def nominal_theta(cols, basis, entry, positions, bounds, spec, alpha_v):
             M = M - 0.25 * np.array([[0.0, 1.0], [1.0, 0.0]])
         bias = np.zeros(d)
         pts = spec.points()
-        ys = [pts[spec.flat_index(spec.snap(np.asarray(pos, dtype=float) - entry.o))]
+        ys = [pts[spec.flat_index(spec.snap(pos - entry.o))]
               for pos in positions]
     else:
         v = entry.v
         proj = np.outer(v, v)
         M = 2.0 * proj + (np.eye(d) - proj)
-        push = (alpha_v * (bounds.epsilon + max(spec.pitch)) * np.sum(np.abs(v))
-                + DELTA_CAP["clf"] + 1.0)
+        push = (assembled.alpha_v
+                * (assembled.blocks[0].bounds.epsilon + max(spec.pitch))
+                * np.sum(np.abs(v)) + DELTA_CAP["clf"] + 1.0)
         bias = -push * v
-        ys = [np.asarray(pos, dtype=float) - entry.o for pos in positions]
+        ys = [pos - entry.o for pos in positions]
     L = len(positions)
     for l, y in enumerate(ys):
-        out[cols.gain[l, basis.names.index("mean")]] = M / L
+        out[cols.gain[l, assembled.basis.names.index("mean")]] = M / L
         bias = bias - (M / L) @ y
     out[cols.bias] = bias
     return out
@@ -582,11 +588,8 @@ def synthesize_environment(env, entries, dynamics, spec, bounds, basis,
                 cell, entry, dynamics, alpha_v, alpha_h, bounds, spec,
                 positions, basis, v_floor=v_floor,
             )
-            nominal = nominal_theta(assembled.cols, basis, entry, positions,
-                                    bounds, spec, alpha_v)
             ctrl = synthesize_cell_controller(
-                assembled, cell, entry, list(cell.landmark_ids), nominal_theta=nominal
-            )
+                assembled, nominal_theta=nominal_theta(assembled))
         except (SynthesisInfeasible, SolverFailure) as exc:
             raise type(exc)("cell %d: %s" % (cell_id, exc)) from exc
         controllers.append(ctrl)

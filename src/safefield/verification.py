@@ -32,7 +32,6 @@ from .errors import (
 )
 from .lp_core import StandardLp, solve_lp
 from .measurement import PmfGrid, build_expectation_kernel
-from .planning import PlanEntry
 
 SLACK_TOL = 1e-6
 # inner_maxima's simplex: price (and feasibility) tolerance relative to
@@ -289,12 +288,9 @@ class VerificationReport:
 
 
 def _controller_rows(controller, cell):
-    """The rows the controller was synthesized for; facets[0] is the CLF's."""
-    entry = PlanEntry(controller.cell_id, controller.exit_face,
-                      controller.v, controller.o,
-                      barriers=controller.facets[1:])
+    """The rows of the plan entry the controller was synthesized for."""
     return build_cell_rows(
-        cell.body, entry, controller.dynamics, controller.alpha_v,
+        cell.body, controller.entry, controller.dynamics, controller.alpha_v,
         controller.alpha_h, controller.v_floor,
     )
 

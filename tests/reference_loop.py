@@ -85,7 +85,7 @@ def reference_trajectory(env, plan, controllers, config, x0=None):
         pmfs = [sense(ctrl.grid, lm - x) for lm in ctrl.landmarks]
         u = control_input(ctrl, pmfs)
         min_h, facet = _barrier_values(barriers[active_id], x)
-        traj.append(t, x, u, active_id, ctrl.progress(x), min_h)
+        traj.append(t, x, u, active_id, ctrl.entry.progress(x), min_h)
         if min_h < -SAFETY_TOL:
             raise SafetyViolation("barrier violated", t=t, x=x.copy(),
                                   cell_id=active_id, facet=facet,
@@ -103,7 +103,7 @@ def reference_trajectory(env, plan, controllers, config, x0=None):
             raise LeftFreeSpace("left every cell", t=t, x=x.copy(),
                                 trajectory=traj)
         if plan.mode == "patrol":
-            if ctrl.progress(x) <= 0.0:
+            if ctrl.entry.progress(x) <= 0.0:
                 active = (active + 1) % n_entries
                 planned = entries[active].cell_id
                 if planned not in {c.id for c in inside}:
@@ -113,7 +113,8 @@ def reference_trajectory(env, plan, controllers, config, x0=None):
                 traj.crossings += 1
             continue
         ids = {c.id for c in inside}
-        if (ctrl.exit_face is not None and ctrl.progress(x) <= 0.0
+        if (ctrl.entry.exit_face is not None
+                and ctrl.entry.progress(x) <= 0.0
                 and ids - {active_id}):
             active_id = handover(ids - {active_id})
             traj.crossings += 1

@@ -72,8 +72,7 @@ def test_random_cells_hold_margins_against_adversary():
         entry = transit_entry_for(cell, 0)
         asm = assemble_robust_lp(cell, entry, dyn, 1.0, 100.0, bounds, spec,
                                  [lm], basis)
-        ctrl = synthesize_cell_controller(asm, cell, entry,
-                                          list(cell.landmark_ids))
+        ctrl = synthesize_cell_controller(asm)
         report = verify_controller(ctrl, cell, count=200, seed=k)
         assert report.passed
         worst = report.worst()

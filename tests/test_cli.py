@@ -1,3 +1,4 @@
+import copy
 import json
 import os
 
@@ -228,6 +229,57 @@ def test_malformed_controllers_exit_config_code(tmp_path, capsys, text, field):
     for command in ("verify", "simulate", "field"):
         assert cli.main([command, "--config", str(cfg)]) == 2
         assert "(file %s, field %s)" % (path, field) in capsys.readouterr().err
+
+
+def move_goal(env, ctrls):
+    # a corner of cell 2 only: cell 0, the old goal cell, now exits into 2
+    env["goal"] = [2.0, 2.0]
+
+
+def unknown_barrier(env, ctrls):
+    ctrls[1]["facets"][1] = 99
+
+
+def unknown_cell(env, ctrls):
+    ctrls[2]["id"] = 42
+
+
+@pytest.mark.parametrize("tamper, field, message", [
+    (move_goal, "controllers.0", "cell 0 was synthesized for another plan"),
+    (unknown_barrier, "controllers.1", "(barriers differ)"),
+    (unknown_cell, "controllers.2", "the run's plan has no cell 42"),
+], ids=["moved-goal", "unknown-barrier", "unknown-cell"])
+def test_controllers_of_another_plan_exit_config_code(
+        pipeline_dir, tmp_path, capsys, tamper, field, message):
+    # each reader checks every controller against its cell's plan entry:
+    # at a moved goal the old controllers would run on and miss it, and an
+    # unknown facet or cell would end in a traceback
+    env = copy.deepcopy(ENV)
+    ctrls = json.loads((pipeline_dir / "out" / "controllers.json").read_text())
+    tamper(env, ctrls)
+    cfg = write_config(tmp_path, environment=env)
+    path = tmp_path / "out" / "controllers.json"
+    path.parent.mkdir()
+    path.write_text(json.dumps(ctrls))
+    for command in ("verify", "simulate", "field"):
+        assert cli.main([command, "--config", str(cfg)]) == 2
+        err = capsys.readouterr().err
+        assert message in err
+        assert "(file %s, field %s)" % (path, field) in err
+
+
+@pytest.mark.parametrize("basis, message", [
+    (5, "must be a list of names"),
+    ("mean", "must be a list of names"),
+    (["mean", 3], "unknown feature maps [3]"),
+    (["quadratic"], "the mean map is required"),
+], ids=["number", "string", "non-string-name", "without-mean"])
+def test_bad_basis_exits_config_code(tmp_path, capsys, basis, message):
+    cfg = write_config(tmp_path, basis=basis)
+    assert cli.main(["synth", "--config", str(cfg)]) == 2
+    err = capsys.readouterr().err
+    assert message in err
+    assert "(file %s, field basis)" % cfg in err
 
 
 def test_missing_controller_names_the_controllers_file(tmp_path, capsys):

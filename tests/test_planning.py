@@ -46,6 +46,82 @@ def test_two_square_edge_oracle():
     assert np.allclose(env.cells[1].body.A[r1], [-1.0, 0.0])
 
 
+def loop_edges(env):
+    """The facet-sharing edges found pair by pair and row by row, each
+    segment from the facet's vertices taken one at a time: the reference
+    for build_graph's all-rows-at-once search."""
+    edges = []
+    cells = env.cells
+
+    def segment(cell, row):
+        A, b = cell.body.A, cell.body.b
+        on = [v for v in cell.vertices if abs(A[row] @ v + b[row]) <= 1e-8]
+        if len(on) < 2:
+            return None
+        pts = np.array(on)
+        t = np.array([-A[row, 1], A[row, 0]])
+        s = pts @ t
+        return (pts[np.argmin(s)], pts[np.argmax(s)], float(np.min(s)),
+                float(np.max(s)), t)
+
+    for ia in range(len(cells)):
+        for ib in range(ia + 1, len(cells)):
+            a, b = cells[ia], cells[ib]
+            best = None
+            for ra in range(a.body.n_rows):
+                for rb in range(b.body.n_rows):
+                    if (np.linalg.norm(a.body.A[ra] + b.body.A[rb]) > 1e-8
+                            or abs(a.body.b[ra] + b.body.b[rb]) > 1e-8):
+                        continue
+                    sa, sb = segment(a, ra), segment(b, rb)
+                    if sa is None or sb is None:
+                        continue
+                    t = sa[4]
+                    lo = max(sa[2], min(sb[0] @ t, sb[1] @ t))
+                    hi = min(sa[3], max(sb[0] @ t, sb[1] @ t))
+                    if hi - lo <= 1e-8:
+                        continue
+                    n = a.body.A[ra]
+                    base = sa[0] - (sa[0] @ t) * t
+                    seg = np.stack([base + lo * t, base + hi * t])
+                    seg = seg - ((seg @ n + a.body.b[ra])[:, None]) * n[None, :]
+                    if best is None or hi - lo > np.linalg.norm(best[4][1] - best[4][0]):
+                        best = (a.id, ra, b.id, rb, seg)
+            if best is not None:
+                edges.append(best)
+    return edges
+
+
+def grid_env(rng):
+    """Random rectangles on a jittered grid, some split along a diagonal."""
+    xs, ys = (np.cumsum(np.r_[0.0, rng.uniform(0.5, 2.0, n)])
+              for n in rng.integers(2, 5, size=2))
+    cells = []
+    for x0, x1 in zip(xs, xs[1:]):
+        for y0, y1 in zip(ys, ys[1:]):
+            corners = [[x0, y0], [x1, y0], [x1, y1], [x0, y1]]
+            parts = ([corners[:3], [corners[0]] + corners[2:]]
+                     if rng.random() < 0.3 else [corners])
+            cells += [ConvexCell(len(cells) + k, polygon_to_halfspaces(p), [0])
+                      for k, p in enumerate(parts)]
+    return Environment(cells, [[0.0, 0.0]], [0.1, 0.1], [0.0, 0.0])
+
+
+def test_build_graph_matches_the_pairwise_loop(annulus_env, patrol_env):
+    rng = np.random.default_rng(0)
+    envs = [annulus_env, patrol_env, two_squares()] + [
+        grid_env(rng) for _ in range(10)]
+    for env in envs:
+        edges = list(build_graph(env).edges.values())
+        expected = loop_edges(env)
+        assert [(e.cell_a, e.row_a, e.cell_b, e.row_b) for e in edges] == [
+            e[:4] for e in expected]
+        assert all(type(e.row_a) is int and type(e.row_b) is int
+                   for e in edges)
+        for e, ref in zip(edges, expected):
+            assert np.array_equal(e.segment, ref[4])
+
+
 def test_transit_entry_oracle():
     env = two_squares()
     plan = make_plan(env, build_graph(env))

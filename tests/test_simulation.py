@@ -22,7 +22,7 @@ from safefield.measurement import (
     make_delta_pmf,
 )
 from safefield.geometry import ConvexCell, Environment
-from safefield.planning import build_graph, make_plan
+from safefield.planning import PlanEntry, build_graph, make_plan
 from safefield.simulation import (
     SensorModel,
     SimConfig,
@@ -65,11 +65,11 @@ def zero_gain_controller(n_landmarks=2, gains=None):
                  for _ in range(n_landmarks)]
     landmarks = [[0.0, 0.0], [1.0, 0.0]][:n_landmarks]
     return CellController(
-        cell_id=0, basis=GainBasis(), gains=gains, bias=[1.5, -2.0],
-        margins=[0.1], kinds=["clf"], facets=[None], grid=SPEC, bounds=BOUNDS,
+        entry=PlanEntry(0, None, [0.0, 1.0], [0.0, 0.0]), basis=GainBasis(),
+        gains=gains, bias=[1.5, -2.0], margins=[0.1], grid=SPEC, bounds=BOUNDS,
         alpha_v=1.0, alpha_h=100.0, landmark_ids=list(range(n_landmarks)),
-        landmarks=landmarks, v=[0.0, 1.0], o=[0.0, 0.0], exit_face=None,
-        v_floor=None, dynamics=LinearDynamics.single_integrator(2))
+        landmarks=landmarks, v_floor=None,
+        dynamics=LinearDynamics.single_integrator(2))
 
 
 def uncached_input(ctrl, pmfs):
@@ -502,7 +502,7 @@ def test_field_samples_push_through_the_exit(rig):
     assert arr.shape[0] > 0
     for row in arr:
         assert cell.contains(row[:2])
-        assert float(ctrl.v @ row[2:]) < 0.0
+        assert float(ctrl.entry.v @ row[2:]) < 0.0
 
 
 def test_field_resolution_validation(rig):

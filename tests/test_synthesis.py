@@ -9,7 +9,8 @@ from dual_form import (bias_image, feature_maps, gain_image, lift, machine_lp,
 from helpers import check_candidates_against_lp, random_cell, transit_entry_for
 from safefield import synthesis
 from safefield.clfcbf import LinearDynamics
-from safefield.errors import GridMismatch, LandmarkNotVisible, SynthesisInfeasible
+from safefield.errors import (ConfigError, DimensionMismatch, GridMismatch,
+                              LandmarkNotVisible, SynthesisInfeasible)
 from safefield.geometry import (ConvexCell, deviation_candidates,
                                 polygon_to_halfspaces, region_points)
 from safefield.lp_core import LpSolution, solve_lp
@@ -269,12 +270,14 @@ def test_margins_within_caps_and_bookkeeping():
     spec, bounds, basis, dyn = setup()
     rng = np.random.default_rng(17)
     asm, cell, entry, _ = assembled_random(rng, spec, bounds, basis, dyn)
-    ctrl = synthesize_cell_controller(asm, cell, entry, list(cell.landmark_ids))
-    assert ctrl.kinds[0] == "clf" and all(k == "cbf" for k in ctrl.kinds[1:])
-    assert ctrl.facets[0] is None
-    assert ctrl.facets[1:] == [j for j in range(cell.body.n_rows) if j != 0]
+    ctrl = synthesize_cell_controller(asm)
+    assert ctrl.entry is asm.entry
+    kinds = ctrl.to_dict()["kinds"]
+    assert kinds[0] == "clf" and all(k == "cbf" for k in kinds[1:])
+    assert ctrl.to_dict()["facets"] == [None] + [
+        j for j in range(cell.body.n_rows) if j != 0]
     assert np.all(ctrl.margins >= -1e-9)
-    caps = np.array([DELTA_CAP[k] for k in ctrl.kinds])
+    caps = np.array([DELTA_CAP[k] for k in kinds])
     assert np.all(ctrl.margins <= caps + 1e-9)
     assert ctrl.status == "Optimal"
     assert ctrl.saturation["max_u_vertices"] >= 0.0
@@ -314,7 +317,7 @@ def test_second_landmark_cannot_lower_the_optimum():
 def test_goal_observation_is_an_equilibrium():
     spec, bounds, basis, dyn = setup()
     asm, cell, entry, goal = goal_square(spec, bounds, basis, dyn)
-    ctrl = synthesize_cell_controller(asm, cell, entry, [0])
+    ctrl = synthesize_cell_controller(asm)
     u = ctrl.bias.copy()
     for mat, lm in zip(ctrl.control_matrices(), ctrl.landmarks):
         u = u + mat @ make_delta_pmf(spec, lm - goal).vector
@@ -329,7 +332,7 @@ def test_goal_with_unbounded_spoofing_is_infeasible():
         spec, bounds, basis, dyn,
         goal_bounds=UncertaintyBounds(1e3, 1e6), v_floor=None)
     with pytest.raises(SynthesisInfeasible):
-        synthesize_cell_controller(asm, cell, entry, [0])
+        synthesize_cell_controller(asm)
 
 
 def test_landmark_not_visible():
@@ -346,7 +349,7 @@ def test_controller_json_roundtrip(tmp_path):
     spec, bounds, basis, dyn = setup()
     rng = np.random.default_rng(31)
     asm, cell, entry, _ = assembled_random(rng, spec, bounds, basis, dyn)
-    ctrl = synthesize_cell_controller(asm, cell, entry, list(cell.landmark_ids))
+    ctrl = synthesize_cell_controller(asm)
     p1 = tmp_path / "a.json"
     p2 = tmp_path / "b.json"
     save_controllers([ctrl], str(p1))
@@ -360,9 +363,39 @@ def test_controller_json_roundtrip(tmp_path):
         for ai, bi in zip(a, b):
             assert np.array_equal(ai, bi)
     x = np.array([0.3, -0.7])
-    assert back.progress(x) == ctrl.progress(x)
+    assert back.entry.progress(x) == ctrl.entry.progress(x)
     # a valid json document, not just readable by our loader
     json.loads(p1.read_text())
+
+
+@pytest.mark.parametrize("key, value", [
+    ("kinds", lambda kinds: ["clf"] * len(kinds)),
+    ("facets", lambda facets: [0] + facets[1:]),
+], ids=["second-clf-row", "clf-row-on-a-facet"])
+def test_load_refuses_rows_other_than_the_entry(tmp_path, key, value):
+    # the entry is rebuilt from facets[1:], so kinds and facets must be its
+    # rows: one clf row without a facet, then one cbf row per barrier
+    spec, bounds, basis, dyn = setup()
+    asm, _, _, _ = assembled_random(np.random.default_rng(31), spec, bounds,
+                                    basis, dyn)
+    data = [synthesize_cell_controller(asm).to_dict()] * 2
+    data[1] = dict(data[1], **{key: value(data[1][key])})
+    path = tmp_path / "controllers.json"
+    path.write_text(json.dumps(data))
+    with pytest.raises(ConfigError) as info:
+        load_controllers(str(path))
+    assert info.value.field == "controllers.1"
+    assert "one clf row" in str(info.value)
+
+
+def test_margins_must_match_the_entry_rows():
+    spec, bounds, basis, dyn = setup()
+    asm, _, _, _ = assembled_random(np.random.default_rng(31), spec, bounds,
+                                    basis, dyn)
+    data = synthesize_cell_controller(asm).to_dict()
+    data["delta"] = data["delta"][:-1]
+    with pytest.raises(DimensionMismatch, match="rows disagree"):
+        synthesis.CellController.from_dict(data)
 
 
 def test_feature_matrices_grid_mismatch():
@@ -371,7 +404,7 @@ def test_feature_matrices_grid_mismatch():
     spec, bounds, basis, dyn = setup()
     rng = np.random.default_rng(37)
     asm, cell, entry, _ = assembled_random(rng, spec, bounds, basis, dyn)
-    ctrl = synthesize_cell_controller(asm, cell, entry, list(cell.landmark_ids))
+    ctrl = synthesize_cell_controller(asm)
     assert ctrl.grid == spec
     n_p = int(np.prod(spec.n))
     assert all(m.shape[-1] == n_p for m in ctrl.control_matrices())
@@ -394,9 +427,7 @@ def packaged_cell(env, mode, cell_id, spec, bounds):
                if entry.exit_face is None else None)
     asm = assemble_robust_lp(cell, entry, dyn, ALPHA_V, ALPHA_H, bounds, spec,
                              positions, basis, v_floor=v_floor)
-    nominal = nominal_theta(asm.cols, basis, entry, positions, bounds, spec,
-                            ALPHA_V)
-    return asm, cell, entry, nominal
+    return asm, cell, entry, nominal_theta(asm)
 
 
 def margin_first(asm, nominal):
@@ -436,10 +467,10 @@ def test_reachable_caps_take_one_solve(patrol_env, monkeypatch):
         patrol_env, "patrol", 0, spec, UncertaintyBounds(4.0, 16.0))
     expected = margin_first(asm, nominal)
     calls = recorded_solves(monkeypatch)
-    ctrl = synthesize_cell_controller(asm, cell, entry, list(cell.landmark_ids),
-                                      nominal_theta=nominal)
+    ctrl = synthesize_cell_controller(asm, nominal_theta=nominal)
     assert calls == [("min", "Optimal")]
-    assert np.array_equal(ctrl.margins, [DELTA_CAP[k] for k in ctrl.kinds])
+    assert np.array_equal(ctrl.margins,
+                          [DELTA_CAP[k] for k in ctrl.to_dict()["kinds"]])
     assert_read_from(ctrl, asm, expected)
 
 
@@ -451,8 +482,7 @@ def test_unreachable_caps_fall_back_to_margin_first(annulus_env, monkeypatch):
         annulus_env, "stabilize", 1, spec, UncertaintyBounds(12.0, 16.0))
     expected = margin_first(asm, nominal)
     calls = recorded_solves(monkeypatch)
-    ctrl = synthesize_cell_controller(asm, cell, entry, list(cell.landmark_ids),
-                                      nominal_theta=nominal)
+    ctrl = synthesize_cell_controller(asm, nominal_theta=nominal)
     assert calls == [("min", "Infeasible"), ("max", "Optimal"),
                      ("min", "Optimal")]
     assert ctrl.margins.sum() < np.sum(asm.lp.ub[asm.cols.delta]) - 1.0
@@ -464,11 +494,10 @@ def test_infeasible_cell_with_a_target_is_infeasible(monkeypatch):
     spoofed = UncertaintyBounds(1e3, 1e6)
     asm, cell, entry, _ = goal_square(spec, bounds, basis, dyn,
                                       goal_bounds=spoofed, v_floor=None)
-    nominal = nominal_theta(asm.cols, basis, entry, [np.array([2.0, 2.0])],
-                            spoofed, spec, ALPHA_V)
+    nominal = nominal_theta(asm)
     calls = recorded_solves(monkeypatch)
     with pytest.raises(SynthesisInfeasible):
-        synthesize_cell_controller(asm, cell, entry, [0], nominal_theta=nominal)
+        synthesize_cell_controller(asm, nominal_theta=nominal)
     assert calls == [("min", "Infeasible"), ("max", "Infeasible")]
 
 
@@ -487,9 +516,7 @@ def test_failed_tiebreak_warns_and_keeps_the_margin_gains(patrol_env,
     calls = recorded_solves(monkeypatch, no_tiebreak)
     with pytest.warns(UserWarning, match="tiebreak pass returned Infeasible "
                                          "for cell 1"):
-        ctrl = synthesize_cell_controller(asm, cell, entry,
-                                          list(cell.landmark_ids),
-                                          nominal_theta=nominal)
+        ctrl = synthesize_cell_controller(asm, nominal_theta=nominal)
     assert calls == [("min", "Infeasible"), ("max", "Optimal"),
                      ("min", "Infeasible")]
     assert_read_from(ctrl, asm, margin)

@@ -44,7 +44,7 @@ def square_controller():
     dyn = LinearDynamics.single_integrator(2)
     asm = assemble_robust_lp(cell, entry, dyn, 1.0, 100.0, BOUNDS, SPEC,
                              [np.zeros(2)], GainBasis())
-    return synthesize_cell_controller(asm, cell, entry, [0]), cell
+    return synthesize_cell_controller(asm), cell
 
 
 def test_vacuous_bounds_reduce_to_simplex_max():
@@ -298,7 +298,7 @@ def test_tampered_controller_fails():
     # new controller built from the edited serialized form
     synthesized, cell = square_controller()
     data = synthesized.to_dict()
-    wall = synthesized.facets[1]
+    wall = synthesized.entry.barriers[0]
     data["K"] = [[np.zeros_like(Ki).tolist() for Ki in per_l]
                  for per_l in synthesized.gains]
     data["K_b"] = cell.body.A[wall].tolist()
