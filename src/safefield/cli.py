@@ -28,7 +28,7 @@ from .errors import (
     SynthesisInfeasible,
     VerificationFailed,
 )
-from .geometry import environment_from_dict
+from .geometry import environment_from_dict, integral, known_keys
 from .measurement import GridSpec, UncertaintyBounds
 from .simulation import SensorModel, SimConfig
 from .synthesis import GainBasis
@@ -50,9 +50,10 @@ class RunConfig:
         self.path = path
         if not isinstance(raw, dict):
             raise ConfigError("a run config must be a JSON object", path=path)
-        _known(raw, "", ("environment", "alpha_v", "alpha_h", "epsilon",
-                         "sigma_m", "grid", "basis", "mode", "sim", "starts",
-                         "field", "verify_count", "out", "seed"), path)
+        known_keys(raw, "", ("environment", "alpha_v", "alpha_h", "epsilon",
+                             "sigma_m", "grid", "basis", "mode", "sim",
+                             "starts", "field", "verify_count", "out",
+                             "seed"), path)
         env_ref = raw.get("environment")
         if env_ref is None:
             raise ConfigError("missing environment", path=path, field="environment")
@@ -175,7 +176,7 @@ def _number(raw, key, default, kind, path):
     value = raw
     for part in key.split("."):
         value = value.get(part, default) if isinstance(value, dict) else default
-    convert = _integer if kind is int else kind
+    convert = integral if kind is int else kind
     try:
         if isinstance(value, (list, tuple)):
             return tuple(convert(v) for v in value)
@@ -184,21 +185,6 @@ def _number(raw, key, default, kind, path):
         raise ConfigError("%s must be %s" % (key, "integral" if kind is int
                                              else "numeric"),
                           path=path, field=key) from None
-
-
-def _integer(value):
-    """int(value) for an integral value; int alone truncates."""
-    out = int(value)
-    if out != float(value):
-        raise ValueError("%r is not integral" % (value,))
-    return out
-
-
-def _known(section, prefix, keys, path):
-    """Reject any key of section that is not in keys."""
-    for key in section:
-        if key not in keys:
-            raise ConfigError("unknown key", path=path, field=prefix + key)
 
 
 def _arguments(raw, name, path, **kinds):
@@ -211,7 +197,7 @@ def _arguments(raw, name, path, **kinds):
         section = section.get(part) or {}
     if not isinstance(section, dict):
         raise ConfigError("%s must be an object" % name, path=path, field=name)
-    _known(section, name + ".", kinds, path)
+    known_keys(section, name + ".", kinds, path)
     return {key: _number(raw, "%s.%s" % (name, key), None, kind, path)
             for key, kind in kinds.items() if kind is not None and key in section}
 
@@ -263,30 +249,13 @@ def _controllers_path(cfg):
 
 
 def _load_controllers(cfg, plan):
-    """The controllers of controllers.json, each checked against the plan
-    entry of its cell: a controller solved for another plan (an edited
-    environment or mode, or an edited file) is a ConfigError naming it."""
+    """The controllers of controllers.json, bound to the run's plan and
+    environment (synthesis.load_controllers)."""
     path = _controllers_path(cfg)
     if not os.path.exists(path):
         raise ConfigError("controllers.json not found; run synth first",
                           path=path, field="controllers")
-    controllers = synthesis.load_controllers(path)
-    for k, ctrl in enumerate(controllers):
-        saved, planned = ctrl.entry, plan.entries.get(ctrl.cell_id)
-        if planned is None:
-            reason = "the run's plan has no cell %d" % ctrl.cell_id
-        else:
-            differ = [name for name, same in (
-                ("exit_face", saved.exit_face == planned.exit_face),
-                ("barriers", saved.barriers == planned.barriers),
-                ("v", np.array_equal(saved.v, planned.v)),
-                ("o", np.array_equal(saved.o, planned.o))) if not same]
-            if not differ:
-                continue
-            reason = ("cell %d was synthesized for another plan (%s differ); "
-                      "run synth again" % (ctrl.cell_id, ", ".join(differ)))
-        raise ConfigError(reason, path=path, field="controllers.%d" % k)
-    return controllers
+    return synthesis.load_controllers(path, cfg.environment, plan)
 
 
 def _plan(cfg):
@@ -314,9 +283,9 @@ def cmd_synth(cfg, cells=None):
     )
     os.makedirs(cfg.out, exist_ok=True)
     synthesis.save_controllers(controllers, _controllers_path(cfg))
-    for ctrl in controllers:
+    for cell_id, ctrl in controllers.items():
         print("cell %d: %s, min margin %.6g, max |u| %.6g"
-              % (ctrl.cell_id, ctrl.status, ctrl.margins.min(),
+              % (cell_id, ctrl.status, ctrl.margins.min(),
                  ctrl.saturation["max_u_vertices"]))
     print("wrote %s" % _controllers_path(cfg))
     return EXIT_OK
@@ -383,7 +352,7 @@ def cmd_simulate(cfg):
 
 def cmd_field(cfg, cells=None):
     env = cfg.environment
-    controllers = {c.cell_id: c for c in _load_controllers(cfg, _plan(cfg))}
+    controllers = _load_controllers(cfg, _plan(cfg))
     wanted = cells if cells is not None else cfg.field_cells
     if wanted is None:
         wanted = sorted(controllers)

@@ -217,34 +217,65 @@ class Environment:
         raise KeyError(cell_id)
 
 
+def integral(value):
+    """int(value) for an integral value; int alone truncates."""
+    out = int(value)
+    if out != float(value):
+        raise ValueError("%r is not integral" % (value,))
+    return out
+
+
+def known_keys(section, prefix, keys, path):
+    """Reject any key of section that is not in keys."""
+    for key in section:
+        if key not in keys:
+            raise ConfigError("unknown key", path=path, field=prefix + key)
+
+
 def environment_from_dict(obj, path=None):
-    """Build an Environment from its JSON-style dict form. A missing or
-    malformed entry raises ConfigError naming it, with path as the file."""
+    """Build an Environment from its JSON-style dict form. A missing,
+    malformed or unknown entry, a cell id that is not integral or repeats
+    another, and a dimension other than the landmarks' raise ConfigError
+    naming the entry, with path as the file."""
 
     def read(owner, key, field, convert):
         try:
             return convert(owner[key])
-        except (KeyError, TypeError, ValueError):
+        except (KeyError, TypeError, ValueError, OverflowError):
             raise ConfigError("missing or malformed entry", path=path,
                               field="environment." + field) from None
 
     def points(value):
         return np.asarray(value, dtype=float)
 
+    def integers(value):
+        return [integral(j) for j in value]
+
     cells = []
     for i, spec in enumerate(read(obj, "cells", "cells", list)):
-        body = read(spec, "vertices", "cells.%d.vertices" % i,
+        field = "cells.%d." % i
+        body = read(spec, "vertices", field + "vertices",
                     polygon_to_halfspaces)
-        ids = read(spec, "landmark_ids", "cells.%d.landmark_ids" % i,
-                   lambda value: [int(j) for j in value])
-        cell_id = read(spec, "id", "cells.%d.id" % i, int) if "id" in spec else i
+        known_keys(spec, "environment." + field,
+                   ("id", "vertices", "landmark_ids"), path)
+        ids = read(spec, "landmark_ids", field + "landmark_ids", integers)
+        cell_id = (read(spec, "id", field + "id", integral) if "id" in spec
+                   else i)
+        if cell_id in [c.id for c in cells]:
+            raise ConfigError("cell id %d repeats an earlier cell's" % cell_id,
+                              path=path, field="environment." + field + "id")
         cells.append(ConvexCell(cell_id, body, ids))
+    known_keys(obj, "environment.", ("dimension", "cells", "landmarks",
+                                     "start", "goal", "patrol_cycle"), path)
     cycle = None
     if obj.get("patrol_cycle") is not None:
-        cycle = read(obj, "patrol_cycle", "patrol_cycle",
-                     lambda value: [int(c) for c in value])
+        cycle = read(obj, "patrol_cycle", "patrol_cycle", integers)
     landmarks = read(obj, "landmarks", "landmarks", points)
     dim = np.atleast_2d(landmarks).shape[1]
+    if "dimension" in obj and read(obj, "dimension", "dimension",
+                                   integral) != dim:
+        raise ConfigError("dimension differs from the landmarks' %d" % dim,
+                          path=path, field="environment.dimension")
     ends = []
     for key in ("start", "goal"):
         point = read(obj, key, key, points)

@@ -240,11 +240,12 @@ def start_cell(env, mode, cell_ids, x):
 
 
 def run_trajectory(env, plan, controllers, config, x0=None):
-    """Integrate under the plan; u is recomputed every step from freshly
-    sensed PMFs (zero-order hold within a step). What a controller's steps
-    share is built at its first step: its barrier rows and its bank of
-    control terms. That step's input comes from control_input, which checks
-    the count and grid of the reading; no later reading changes them.
+    """Integrate under the plan with controllers, a dict keyed by cell id;
+    u is recomputed every step from freshly sensed PMFs (zero-order hold
+    within a step). What a controller's steps share is built at its first
+    step: its barrier rows and its bank of control terms. That step's
+    input comes from control_input, which checks the count and grid of the
+    reading; no later reading changes them.
 
     The run begins in start_cell and follows the plan's exit map: crossing
     the active exit face hands over to the entry's next_id. In patrol mode
@@ -256,7 +257,6 @@ def run_trajectory(env, plan, controllers, config, x0=None):
     smallest-id cell that does, whose controller funnels it back toward
     the goal.
     """
-    ctrl_by_id = {c.cell_id: c for c in controllers}
     loops = {}  # cell id -> (cell, barrier rows, banked control terms)
     sense = config.sensor.make(config.seed)
     x = np.asarray(env.start if x0 is None else x0, dtype=float).copy()
@@ -273,7 +273,7 @@ def run_trajectory(env, plan, controllers, config, x0=None):
         return nxt if nxt in ids else min(ids)
 
     for _ in range(n_steps + 1):
-        ctrl = ctrl_by_id.get(active_id)
+        ctrl = controllers.get(active_id)
         if ctrl is None:
             raise ConfigError("no controller for cell %d" % active_id,
                               field="controllers")

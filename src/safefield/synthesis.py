@@ -15,8 +15,8 @@ expanded over the gains here, as w[m] R_i[s, j] on gain K_{l,i}[m, s] and
 PMF entry P_l[j], and w itself on the bias. Which rows a cell carries, and
 whether it stops at its goal, is read from its plan entry, which the
 assembled LP and the controller solved from it keep (CellController.entry):
-a saved controller names the rows it certifies, so a reader can check it
-against the run's plan.
+a saved controller names the rows it certifies and the landmarks it reads,
+so load_controllers checks it against the run's plan and environment.
 The LP maximizes the sum of the margins; a tiebreak pass then picks, among
 margin-optimal gains, the ones closest in l1 distance to a structured target
 so the synthesized fields stay interpretable. When every margin can reach
@@ -43,7 +43,6 @@ from .errors import (
 )
 from .lp_core import StandardLp, solve_lp
 from .measurement import build_expectation_kernel, make_delta_pmf
-from .planning import PlanEntry
 from .simulation import control_input
 
 DELTA_CAP = {"clf": 0.25, "cbf": 4.0}
@@ -332,7 +331,6 @@ class CellController:
                  alpha_v, alpha_h, landmark_ids, landmarks, v_floor, dynamics,
                  status="Optimal", saturation=None):
         self.entry = entry
-        self.cell_id = entry.cell_id
         self._basis = basis
         self._grid = grid
         self._gains = tuple(tuple(_frozen(Ki) for Ki in per_l)
@@ -356,7 +354,7 @@ class CellController:
                 or len(self.margins) != 1 + len(entry.barriers)):
             raise DimensionMismatch(
                 "cell %s: gains, bias, landmarks and rows disagree"
-                % self.cell_id)
+                % entry.cell_id)
         features = basis.matrices(build_expectation_kernel(grid), grid.width)
         self._control = tuple(
             _frozen(sum(K @ R for K, R in zip(per_landmark, features)))
@@ -386,8 +384,9 @@ class CellController:
         return self._control
 
     def to_dict(self):
+        run = _run_fields(self.entry, self.landmark_ids, self.landmarks)
         return {
-            "id": self.cell_id,
+            "id": run.pop("id"),
             "basis": list(self.basis.names),
             "K": [[Ki.tolist() for Ki in per_l] for per_l in self.gains],
             "K_b": self.bias.tolist(),
@@ -397,13 +396,7 @@ class CellController:
             "epsilon": self.bounds.epsilon,
             "sigma_m": self.bounds.sigma_m,
             "grid": {"n": list(self.grid.n), "width": list(self.grid.width)},
-            "landmark_ids": self.landmark_ids,
-            "landmarks": [p.tolist() for p in self.landmarks],
-            "kinds": ["clf"] + ["cbf"] * len(self.entry.barriers),
-            "facets": [None] + self.entry.barriers,
-            "v": self.entry.v.tolist(),
-            "o": self.entry.o.tolist(),
-            "exit_face": self.entry.exit_face,
+            **run,
             "v_floor": self.v_floor,
             "dynamics": {"A": self.dynamics.A.tolist(), "B": self.dynamics.B.tolist()},
             "status": self.status,
@@ -411,19 +404,11 @@ class CellController:
         }
 
     @classmethod
-    def from_dict(cls, d):
-        """The controller to_dict wrote, its entry rebuilt from id,
-        exit_face, v, o and the barriers facets[1:]."""
-        if type(d["id"]) is not int:
-            raise ValueError("id must be an integer")
-        facets = list(d["facets"])
-        if (facets[:1] != [None]
-                or d["kinds"] != ["clf"] + ["cbf"] * (len(facets) - 1)):
-            raise ValueError("kinds and facets must be one clf row with a "
-                             "null facet, then one cbf row per barrier facet")
+    def from_dict(cls, d, entry, landmarks):
+        """The controller to_dict wrote as d, bound to the plan entry and
+        landmark coordinates of a run whose run fields d has."""
         return cls(
-            entry=PlanEntry(d["id"], d["exit_face"], d["v"], d["o"],
-                            barriers=facets[1:]),
+            entry=entry,
             basis=GainBasis(d["basis"]),
             gains=d["K"],
             bias=d["K_b"],
@@ -433,12 +418,27 @@ class CellController:
             alpha_v=d["alpha_v"],
             alpha_h=d["alpha_h"],
             landmark_ids=d["landmark_ids"],
-            landmarks=d["landmarks"],
+            landmarks=landmarks,
             v_floor=d["v_floor"],
             dynamics=LinearDynamics(d["dynamics"]["A"], d["dynamics"]["B"]),
             status=d.get("status", "Optimal"),
             saturation=d.get("saturation"),
         )
+
+
+def _run_fields(entry, landmark_ids, landmarks):
+    """The fields of a saved controller that its run decides: its cell's
+    plan entry and landmarks. to_dict writes id first, the rest after grid."""
+    return {
+        "id": entry.cell_id,
+        "landmark_ids": list(landmark_ids),
+        "landmarks": [p.tolist() for p in landmarks],
+        "kinds": ["clf"] + ["cbf"] * len(entry.barriers),
+        "facets": [None] + entry.barriers,
+        "v": entry.v.tolist(),
+        "o": entry.o.tolist(),
+        "exit_face": entry.exit_face,
+    }
 
 
 def _frozen(a):
@@ -573,10 +573,10 @@ def goal_v_floor(entry, bounds, spec):
 def synthesize_environment(env, entries, dynamics, spec, bounds, basis,
                            alpha_v, alpha_h):
     """One controller per plan entry (a dict keyed by cell id, as in
-    HighLevelPlan.entries), each certifying what its entry asks; the goal
-    cell, whose entry has no exit facet, also gets a floored stability
-    region."""
-    controllers = []
+    HighLevelPlan.entries), each certifying what its entry asks, keyed by
+    cell id in id order; the goal cell, whose entry has no exit facet, also
+    gets a floored stability region."""
+    controllers = {}
     for cell_id in sorted(entries):
         entry = entries[cell_id]
         cell = env.cell_by_id(cell_id)
@@ -588,23 +588,25 @@ def synthesize_environment(env, entries, dynamics, spec, bounds, basis,
                 cell, entry, dynamics, alpha_v, alpha_h, bounds, spec,
                 positions, basis, v_floor=v_floor,
             )
-            ctrl = synthesize_cell_controller(
+            controllers[cell_id] = synthesize_cell_controller(
                 assembled, nominal_theta=nominal_theta(assembled))
         except (SynthesisInfeasible, SolverFailure) as exc:
             raise type(exc)("cell %d: %s" % (cell_id, exc)) from exc
-        controllers.append(ctrl)
     return controllers
 
 
 def save_controllers(controllers, path):
     with open(path, "w") as fh:
-        json.dump([c.to_dict() for c in controllers], fh, indent=2)
+        json.dump([c.to_dict() for c in controllers.values()], fh, indent=2)
         fh.write("\n")
 
 
-def load_controllers(path):
-    """The controllers that save_controllers wrote to path. A file that is
-    not such a list raises ConfigError naming the file and the entry."""
+def load_controllers(path, env, plan):
+    """The controllers save_controllers wrote to path, keyed by cell id in
+    file order, each carrying its cell's entry of plan and landmarks of env.
+    A file that is not such a list, a cell that plan lacks or that the file
+    lists twice, and a run field (_run_fields) that differs from the run's
+    raise ConfigError naming the file and the controller."""
     with open(path) as fh:
         try:
             data = json.load(fh)
@@ -614,14 +616,31 @@ def load_controllers(path):
     if not isinstance(data, list):
         raise ConfigError("controllers must be a list", path=path,
                           field="controllers")
-    controllers = []
-    for k, entry in enumerate(data):
+    controllers = {}
+    for k, saved in enumerate(data):
         try:
-            controllers.append(CellController.from_dict(entry))
+            cell_id = saved["id"]
+            entry = plan.entries.get(cell_id)
+            if entry is None:
+                reason = "the run's plan has no cell %r" % (cell_id,)
+            elif cell_id in controllers:
+                reason = "cell %d is listed twice" % cell_id
+            else:
+                ids = env.cell_by_id(cell_id).landmark_ids
+                landmarks = [env.landmarks[j] for j in ids]
+                differ = [key for key, value
+                          in _run_fields(entry, ids, landmarks).items()
+                          if saved[key] != value]
+                if not differ:
+                    controllers[cell_id] = CellController.from_dict(
+                        saved, entry, landmarks)
+                    continue
+                reason = ("cell %d was synthesized for another plan or "
+                          "environment (%s differ); run synth again"
+                          % (cell_id, ", ".join(differ)))
         except KeyError as exc:
-            raise ConfigError("controller lacks key %s" % exc, path=path,
-                              field="controllers.%d" % k) from None
+            reason = "controller lacks key %s" % exc
         except (TypeError, ValueError, DimensionMismatch) as exc:
-            raise ConfigError("malformed controller: %s" % exc, path=path,
-                              field="controllers.%d" % k) from None
+            reason = "malformed controller: %s" % exc
+        raise ConfigError(reason, path=path, field="controllers.%d" % k)
     return controllers

@@ -365,12 +365,8 @@ def verify_controller(controller, cell, count=200, seed=0, raise_on_fail=True):
 
 
 def verify_environment(controllers, env, count=200, seed=0, raise_on_fail=True):
-    """Verify every controller against its own cell; one report each."""
-    reports = []
-    for ctrl in controllers:
-        cell = env.cell_by_id(ctrl.cell_id)
-        reports.append(
-            verify_controller(ctrl, cell, count=count, seed=seed,
-                              raise_on_fail=raise_on_fail)
-        )
-    return reports
+    """Verify every controller of a dict keyed by cell id against its own
+    cell; one report each, in the dict's order."""
+    return [verify_controller(ctrl, env.cell_by_id(cell_id), count=count,
+                              seed=seed, raise_on_fail=raise_on_fail)
+            for cell_id, ctrl in controllers.items()]

@@ -54,5 +54,4 @@ def case_setup(annulus_env):
         "alpha_v": 1.0,
         "alpha_h": 100.0,
         "controllers": controllers,
-        "by_id": {c.cell_id: c for c in controllers},
     }

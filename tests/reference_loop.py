@@ -45,7 +45,6 @@ def staged_step(dynamics, x, u, dt):
 def reference_trajectory(env, plan, controllers, config, x0=None):
     """run_trajectory's contract, one full sense, control and RK4 pass per
     step."""
-    ctrl_by_id = {c.cell_id: c for c in controllers}
     barriers = {}
     sense = config.sensor.make(config.seed)
     x = np.asarray(env.start if x0 is None else x0, dtype=float).copy()
@@ -75,7 +74,7 @@ def reference_trajectory(env, plan, controllers, config, x0=None):
     for _ in range(n_steps + 1):
         if plan.mode == "patrol":
             active_id = entries[active].cell_id
-        ctrl = ctrl_by_id.get(active_id)
+        ctrl = controllers.get(active_id)
         if ctrl is None:
             raise ConfigError("no controller for cell %d" % active_id,
                               field="controllers")

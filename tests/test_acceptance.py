@@ -49,7 +49,8 @@ def delta_runs(case_setup):
 
 
 def test_case_study_reaches_goal_from_all_starts(case_setup, delta_runs):
-    assert all(c.status == "Optimal" for c in case_setup["controllers"])
+    assert all(c.status == "Optimal"
+               for c in case_setup["controllers"].values())
     env, plan = case_setup["env"], case_setup["plan"]
     gauss = SensorModel("gaussian", drift=3.0, variance=12.0)
     runs = list(delta_runs)
@@ -140,7 +141,7 @@ def test_tighter_bounds_never_lower_the_optimum():
 def test_goal_cell_pins_the_goal(case_setup):
     env = case_setup["env"]
     goal = np.asarray(env.goal, dtype=float)
-    ctrl = case_setup["by_id"][planning.goal_cell_id(env)]
+    ctrl = case_setup["controllers"][planning.goal_cell_id(env)]
     sense = SensorModel().make(0)
     pmfs = [sense(ctrl.grid, lm - goal) for lm in ctrl.landmarks]
     assert np.max(np.abs(control_input(ctrl, pmfs))) <= 1e-8

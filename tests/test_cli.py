@@ -123,9 +123,25 @@ def test_bad_number_exits_config_code(tmp_path, capsys, extra, flags, field):
      "environment.cells.0.id"),
     (dict(ENV, start=[0.4, 1.6, 0.0]), "environment.start"),
     (dict(ENV, goal=[1.0, 1.0, 0.0]), "environment.goal"),
+    # an entry read as an integer must be integral, not truncated
+    (dict(ENV, cells=[ENV["cells"][0], dict(ENV["cells"][1], id=1.5),
+                      ENV["cells"][2]]), "environment.cells.1.id"),
+    (dict(ENV, cells=[dict(ENV["cells"][0], landmark_ids=[0.7])]
+          + ENV["cells"][1:]), "environment.cells.0.landmark_ids"),
+    (dict(ENV, patrol_cycle=[0, 1.9]), "environment.patrol_cycle"),
+    (dict(ENV, cells=[ENV["cells"][0], dict(ENV["cells"][1], id=0),
+                      ENV["cells"][2]]), "environment.cells.1.id"),
+    # a key that nothing reads, or a dimension the landmarks do not have
+    (dict(ENV, goals=[1.0, 1.0]), "environment.goals"),
+    (dict(ENV, cells=[dict(ENV["cells"][0], landmark_id=[0])]
+          + ENV["cells"][1:]), "environment.cells.0.landmark_id"),
+    (dict(ENV, dimension=3), "environment.dimension"),
 ], ids=["non-numeric-landmarks", "no-goal", "cell-without-vertices",
         "non-integer-cell-id", "start-of-wrong-dimension",
-        "goal-of-wrong-dimension"])
+        "goal-of-wrong-dimension", "non-integral-cell-id",
+        "non-integral-landmark_ids", "non-integral-patrol_cycle",
+        "repeated-cell-id", "unknown-top-level-key", "unknown-cell-key",
+        "dimension-other-than-the-landmarks"])
 def test_bad_environment_exits_config_code(tmp_path, capsys, env, field):
     cfg = write_config(tmp_path, environment=env)
     assert cli.main(["synth", "--config", str(cfg)]) == 2
@@ -244,16 +260,32 @@ def unknown_cell(env, ctrls):
     ctrls[2]["id"] = 42
 
 
+def repeated_cell(env, ctrls):
+    # cell 2 again, pushing out of the free space
+    ctrls.append(dict(ctrls[2], K_b=[50.0, 50.0]))
+
+
+def moved_landmark(env, ctrls):
+    # cell 0 reads landmark 0, which its saved controller still places at
+    # [1.0, 1.0]
+    env["landmarks"][0] = [0.5, 0.5]
+
+
 @pytest.mark.parametrize("tamper, field, message", [
     (move_goal, "controllers.0", "cell 0 was synthesized for another plan"),
-    (unknown_barrier, "controllers.1", "(barriers differ)"),
+    (unknown_barrier, "controllers.1", "(facets differ)"),
     (unknown_cell, "controllers.2", "the run's plan has no cell 42"),
-], ids=["moved-goal", "unknown-barrier", "unknown-cell"])
+    (repeated_cell, "controllers.3", "cell 2 is listed twice"),
+    (moved_landmark, "controllers.0", "(landmarks differ)"),
+], ids=["moved-goal", "unknown-barrier", "unknown-cell", "repeated-cell",
+        "moved-landmark"])
 def test_controllers_of_another_plan_exit_config_code(
         pipeline_dir, tmp_path, capsys, tamper, field, message):
-    # each reader checks every controller against its cell's plan entry:
-    # at a moved goal the old controllers would run on and miss it, and an
-    # unknown facet or cell would end in a traceback
+    # each reader checks every controller against its cell's plan entry and
+    # the environment's landmarks: at a moved goal the old controllers
+    # would run on and miss it, an unknown facet or cell would end in a
+    # traceback, a repeated cell would be audited twice and driven by its
+    # later copy, and a moved landmark would be sensed where it was
     env = copy.deepcopy(ENV)
     ctrls = json.loads((pipeline_dir / "out" / "controllers.json").read_text())
     tamper(env, ctrls)

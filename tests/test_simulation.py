@@ -54,8 +54,7 @@ def rig():
     ctrls_p = synthesize_environment(
         env, plan_p.entries, dyn, SPEC, BOUNDS, basis, 1.0, 100.0)
     return {"env": env, "plan": plan, "ctrls": ctrls,
-            "plan_p": plan_p, "ctrls_p": ctrls_p,
-            "by_id": {c.cell_id: c for c in ctrls}}
+            "plan_p": plan_p, "ctrls_p": ctrls_p}
 
 
 def zero_gain_controller(n_landmarks=2, gains=None):
@@ -87,10 +86,9 @@ def replay_matches_uncached(traj, ctrls, config):
     """Every logged u equals the uncached law on the PMFs the run sensed:
     the sensor is replayed with the run's seed, one reading per landmark
     and logged row, in the run's order."""
-    by_id = {c.cell_id: c for c in ctrls}
     sense = config.sensor.make(config.seed)
     for x, u, cid in zip(traj.x, traj.u, traj.cell_id):
-        ctrl = by_id[cid]
+        ctrl = ctrls[cid]
         pmfs = [sense(ctrl.grid, lm - x) for lm in ctrl.landmarks]
         assert np.array_equal(u, uncached_input(ctrl, pmfs))
 
@@ -348,8 +346,8 @@ def test_control_input_rejects_mismatches():
 def test_control_input_equals_uncached_law(rig):
     rng = np.random.default_rng(4)
     gaussian = SensorModel("gaussian", 0.3, 0.05).make(11)
-    for ctrl in rig["ctrls"]:
-        cell = rig["env"].cell_by_id(ctrl.cell_id)
+    for cell_id, ctrl in rig["ctrls"].items():
+        cell = rig["env"].cell_by_id(cell_id)
         lo, hi = cell.vertices.min(axis=0), cell.vertices.max(axis=0)
         for _ in range(4):
             x = rng.uniform(lo, hi)
@@ -496,7 +494,7 @@ def test_trajectory_csv_is_written_row_by_row(tmp_path):
 
 def test_field_samples_push_through_the_exit(rig):
     cell = rig["env"].cell_by_id(2)
-    ctrl = rig["by_id"][2]
+    ctrl = rig["ctrls"][2]
     arr = sample_vector_field(cell, ctrl, (8, 8))
     assert arr.shape[1] == 4
     assert arr.shape[0] > 0
@@ -507,11 +505,11 @@ def test_field_samples_push_through_the_exit(rig):
 
 def test_field_resolution_validation(rig):
     with pytest.raises(ConfigError):
-        sample_vector_field(rig["env"].cell_by_id(2), rig["by_id"][2], (1, 8))
+        sample_vector_field(rig["env"].cell_by_id(2), rig["ctrls"][2], (1, 8))
 
 
 def test_field_csv_header(tmp_path, rig):
-    arr = sample_vector_field(rig["env"].cell_by_id(2), rig["by_id"][2], (3, 3))
+    arr = sample_vector_field(rig["env"].cell_by_id(2), rig["ctrls"][2], (3, 3))
     path = tmp_path / "field.csv"
     save_field_csv(arr, 2, str(path))
     lines = path.read_text().splitlines()

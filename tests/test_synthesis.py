@@ -345,25 +345,29 @@ def test_landmark_not_visible():
                            [np.array([100.0, 0.0])], basis)
 
 
-def test_controller_json_roundtrip(tmp_path):
-    spec, bounds, basis, dyn = setup()
-    rng = np.random.default_rng(31)
-    asm, cell, entry, _ = assembled_random(rng, spec, bounds, basis, dyn)
-    ctrl = synthesize_cell_controller(asm)
+def test_controller_json_roundtrip(case_setup, tmp_path):
+    # a loaded controller is bound to the run: it carries its cell's own
+    # plan entry and the environment's landmark coordinates, and saving
+    # the loaded controllers writes the bytes they were read from
+    env, plan = case_setup["env"], case_setup["plan"]
+    ctrls = case_setup["controllers"]
     p1 = tmp_path / "a.json"
     p2 = tmp_path / "b.json"
-    save_controllers([ctrl], str(p1))
-    loaded = load_controllers(str(p1))
+    save_controllers(ctrls, str(p1))
+    loaded = load_controllers(str(p1), env, plan)
     save_controllers(loaded, str(p2))
     assert p1.read_bytes() == p2.read_bytes()
-    back = loaded[0]
-    assert back.cell_id == ctrl.cell_id
-    assert np.array_equal(back.bias, ctrl.bias)
-    for a, b in zip(back.gains, ctrl.gains):
-        for ai, bi in zip(a, b):
-            assert np.array_equal(ai, bi)
-    x = np.array([0.3, -0.7])
-    assert back.entry.progress(x) == ctrl.entry.progress(x)
+    assert list(loaded) == list(ctrls) == sorted(plan.entries)
+    for cell_id, back in loaded.items():
+        ctrl = ctrls[cell_id]
+        assert back.entry is plan.entries[cell_id]
+        ids = env.cell_by_id(cell_id).landmark_ids
+        assert back.landmark_ids == ids
+        assert np.array_equal(back.landmarks, env.landmarks[ids])
+        assert np.array_equal(back.bias, ctrl.bias)
+        for a, b in zip(back.gains, ctrl.gains):
+            for ai, bi in zip(a, b):
+                assert np.array_equal(ai, bi)
     # a valid json document, not just readable by our loader
     json.loads(p1.read_text())
 
@@ -372,30 +376,30 @@ def test_controller_json_roundtrip(tmp_path):
     ("kinds", lambda kinds: ["clf"] * len(kinds)),
     ("facets", lambda facets: [0] + facets[1:]),
 ], ids=["second-clf-row", "clf-row-on-a-facet"])
-def test_load_refuses_rows_other_than_the_entry(tmp_path, key, value):
-    # the entry is rebuilt from facets[1:], so kinds and facets must be its
-    # rows: one clf row without a facet, then one cbf row per barrier
-    spec, bounds, basis, dyn = setup()
-    asm, _, _, _ = assembled_random(np.random.default_rng(31), spec, bounds,
-                                    basis, dyn)
-    data = [synthesize_cell_controller(asm).to_dict()] * 2
+def test_load_refuses_rows_other_than_the_entry(case_setup, tmp_path, key,
+                                                value):
+    # a loaded controller carries its cell's plan entry, so kinds and facets
+    # must be that entry's rows: one clf row without a facet, then one cbf
+    # row per barrier
+    data = [c.to_dict() for c in case_setup["controllers"].values()]
     data[1] = dict(data[1], **{key: value(data[1][key])})
     path = tmp_path / "controllers.json"
     path.write_text(json.dumps(data))
     with pytest.raises(ConfigError) as info:
-        load_controllers(str(path))
+        load_controllers(str(path), case_setup["env"], case_setup["plan"])
     assert info.value.field == "controllers.1"
-    assert "one clf row" in str(info.value)
+    assert "(%s differ)" % key in str(info.value)
 
 
 def test_margins_must_match_the_entry_rows():
     spec, bounds, basis, dyn = setup()
     asm, _, _, _ = assembled_random(np.random.default_rng(31), spec, bounds,
                                     basis, dyn)
-    data = synthesize_cell_controller(asm).to_dict()
+    ctrl = synthesize_cell_controller(asm)
+    data = ctrl.to_dict()
     data["delta"] = data["delta"][:-1]
     with pytest.raises(DimensionMismatch, match="rows disagree"):
-        synthesis.CellController.from_dict(data)
+        synthesis.CellController.from_dict(data, ctrl.entry, ctrl.landmarks)
 
 
 def test_feature_matrices_grid_mismatch():

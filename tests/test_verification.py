@@ -302,7 +302,8 @@ def test_tampered_controller_fails():
     data["K"] = [[np.zeros_like(Ki).tolist() for Ki in per_l]
                  for per_l in synthesized.gains]
     data["K_b"] = cell.body.A[wall].tolist()
-    ctrl = CellController.from_dict(data)
+    ctrl = CellController.from_dict(data, synthesized.entry,
+                                    synthesized.landmarks)
     with pytest.raises(VerificationFailed):
         verify_controller(ctrl, cell, count=10, seed=1)
     report = verify_controller(ctrl, cell, count=10, seed=1,
