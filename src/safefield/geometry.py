@@ -4,6 +4,8 @@ A halfspace set stores rows (A, b) meaning A x + b <= 0 with unit row norms,
 so -(A[j] x + b[j]) is the signed distance of x to facet j (positive inside).
 """
 
+import numbers
+
 import numpy as np
 
 from .errors import (
@@ -218,7 +220,10 @@ class Environment:
 
 
 def integral(value):
-    """int(value) for an integral value; int alone truncates."""
+    """int(value) for a number of integral value. int alone truncates, and
+    it also reads numeric strings and booleans, which are refused here."""
+    if isinstance(value, bool) or not isinstance(value, numbers.Real):
+        raise TypeError("%r is not a number" % (value,))
     out = int(value)
     if out != float(value):
         raise ValueError("%r is not integral" % (value,))

@@ -22,6 +22,11 @@ margin-optimal gains, the ones closest in l1 distance to a structured target
 so the synthesized fields stay interpretable. When every margin can reach
 its cap, the tiebreak floored at the sum of the caps is the only solve;
 otherwise the margin pass runs first and floors the tiebreak at its optimum.
+Only a few of the thousands of point rows bind, so they are marked lazy:
+each solve hands HiGHS the bound rows, the goal equalities, the tiebreak
+rows and a seed of point rows, and adds the point rows that its optimum
+violates until none is (lp_core.solve_lp). Each solve's result is optimal
+for its whole LP.
 """
 
 import json
@@ -156,10 +161,15 @@ def _fill_rows(cols, rows, regions, blocks, maps):
     is affine in x, so its vertices suffice; the point rows need the
     minimum over the region of their last sum, which is attained at one of
     geometry.deviation_candidates. An empty region has neither, so its row
-    constrains nothing."""
+    constrains nothing.
+
+    Returns the rows, their right-hand sides and the lazy mask: few of the
+    point rows bind at the optimum, so they enter the solve only when
+    violated (lp_core.solve_lp); the bound rows are always in."""
     features = np.stack(maps)
     ub = _Coo()
     b_ub = []
+    lazy = []
     n = 0
     # rows share their region (the cell body) except a floored CLF row
     candidates = {}
@@ -177,6 +187,7 @@ def _fill_rows(cols, rows, regions, blocks, maps):
             ub.add(at_v, cols.lam_p[k, l], -(V @ blk.A_x.T + blk.b_p))
             ub.add(at_v, cols.lam_z[k, l], blk.bounds.sigma_m)
         b_ub.append(-row.r - V @ row.c_x)
+        lazy.append(np.zeros(V.shape[0], dtype=bool))
         n += V.shape[0]
         # image[(i n_u + m) d + s, j] = w[m] R_i[s, j]: the coefficient of
         # K_{l,i}[m, s] on P_l[j], laid out as cols.gain[l].ravel()
@@ -190,8 +201,9 @@ def _fill_rows(cols, rows, regions, blocks, maps):
             ub.add(at_i, cols.lam_z[k, l], -gap)
             ub.add(at_i, cols.gain[l].ravel(), image[:, idx].T)
             b_ub.append(np.zeros(idx.size))
+            lazy.append(np.ones(idx.size, dtype=bool))
             n += idx.size
-    return ub, np.concatenate(b_ub)
+    return ub, np.concatenate(b_ub), np.concatenate(lazy)
 
 
 class AssembledCellLp:
@@ -267,7 +279,7 @@ def assemble_robust_lp(cell, entry, dynamics, alpha_v, alpha_h, bounds, spec,
                                     v_floor)
 
     cols = LpColumns(len(blocks), basis.n_k, dynamics.n_u, d, len(rows))
-    ub, b_ub = _fill_rows(cols, rows, regions, blocks, maps)
+    ub, b_ub, lazy = _fill_rows(cols, rows, regions, blocks, maps)
     eq = _Coo()
     n_goal = 0
     if entry.exit_face is None:
@@ -284,7 +296,7 @@ def assemble_robust_lp(cell, entry, dynamics, alpha_v, alpha_h, bounds, spec,
     lp = StandardLp("max", c,
                     A_ub=ub.matrix((b_ub.size, cols.n_vars)), b_ub=b_ub,
                     A_eq=eq.matrix((n_goal, cols.n_vars)), b_eq=np.zeros(n_goal),
-                    lb=lb, ub=ub_bounds)
+                    lb=lb, ub=ub_bounds, lazy=lazy)
     return AssembledCellLp(cell, entry, lp, cols, rows, regions, blocks,
                            basis, spec, dynamics, alpha_v, alpha_h,
                            v_floor=v_floor)
@@ -293,7 +305,8 @@ def assemble_robust_lp(cell, entry, dynamics, alpha_v, alpha_h, bounds, spec,
 def _tiebreak_lp(assembled, z_star, nominal_theta):
     """Among margin-optimal solutions, minimize the l1 distance of the gains
     to the structured target: new columns t >= |theta - target| and, below
-    the margin LP's rows, the objective floor and +-theta - t <= +-target."""
+    the margin LP's rows, the objective floor and +-theta - t <= +-target.
+    The margin LP's rows stay lazy where they were; the new rows are not."""
     lp = assembled.lp
     theta = assembled.cols.theta
     G = theta.size
@@ -315,8 +328,9 @@ def _tiebreak_lp(assembled, z_star, nominal_theta):
     c[n:] = 1.0
     lb = np.concatenate([lp.lb, np.zeros(G)])
     ub = np.concatenate([lp.ub, np.full(G, np.inf)])
+    lazy = np.concatenate([lp.lazy, np.zeros(1 + 2 * G, dtype=bool)])
     return StandardLp("min", c, A_ub=A_ub, b_ub=b_ub, A_eq=A_eq, b_eq=lp.b_eq,
-                      lb=lb, ub=ub)
+                      lb=lb, ub=ub, lazy=lazy)
 
 
 class CellController:
@@ -458,7 +472,9 @@ def _solve_cell(assembled, cell_id, nominal_theta):
     pass is skipped. (Only a z* that HiGHS reports inside [sum - tol, sum)
     would floor that path's tiebreak differently.) Otherwise, or without a
     target, the margin pass runs and, with a target, the tiebreak from z*
-    follows; a failed tiebreak keeps the margin-pass gains."""
+    follows; a failed tiebreak keeps the margin-pass gains. Each solve adds
+    the lazy point rows as its optimum violates them, and returns an optimum
+    of its whole LP, checked against every row."""
     if nominal_theta is not None:
         cap_sum = float(np.sum(assembled.lp.ub[assembled.cols.delta]))
         sol = solve_lp(_tiebreak_lp(assembled, cap_sum, nominal_theta))

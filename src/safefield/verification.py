@@ -150,7 +150,11 @@ def inner_maxima(C, X, landmarks, spec, bounds):
     rhs = np.hstack([Y + bounds.epsilon, -Y + bounds.epsilon,
                      np.full((m, d), bounds.sigma_m), np.ones((m, 1))])
     seeded = np.all(A_s <= rhs[:, :-1], axis=1)
-    price_tol = PRICE_TOL * (1.0 + np.abs(C).max(axis=1))
+    # one m x n_p buffer holds |C| here and each round's grid reduced costs:
+    # a fresh array of that size each round can be mapped, and page-faulted
+    # in, anew
+    buf = np.empty_like(C)
+    price_tol = PRICE_TOL * (1.0 + np.abs(C, out=buf).max(axis=1))
     feas_tol = PRICE_TOL * (1.0 + np.abs(rhs).max(axis=1))
 
     B = np.tile(np.eye(n_r), (m, 1, 1))
@@ -164,14 +168,17 @@ def inner_maxima(C, X, landmarks, spec, bounds):
     rounds = n_pivots = 0
     while open_.size:
         rounds += 1
-        Co, Yo, b, tol = C[open_], Y[open_], rhs[open_], price_tol[open_]
+        Yo, b, tol = Y[open_], rhs[open_], price_tol[open_]
         B_inv = np.linalg.inv(B[open_])
         x_B = np.einsum("kij,kj->ki", B_inv, b)
         pi = np.einsum("kj,kji->ki", c_B[open_], B_inv)
         obj = np.einsum("ki,ki->k", c_B[open_], x_B)
         # grid reduced costs: pi.a_j sums one term per axis, in j's center
         # on that axis; the slacks' are S = -pi
-        R = Co.reshape((-1,) + spec.n) - pi[:, -1].reshape((-1,) + (1,) * d)
+        # mode "clip" writes into buf directly; "raise" buffers the output
+        R = np.take(C, open_, axis=0, out=buf[:open_.size], mode="clip")
+        R = R.reshape((-1,) + spec.n)
+        R -= pi[:, -1].reshape((-1,) + (1,) * d)
         for q in range(d):
             c_q = spec.centers(q)
             g = ((pi[:, q, None] - pi[:, d + q, None]) * c_q
@@ -206,7 +213,7 @@ def inner_maxima(C, X, landmarks, spec, bounds):
         leave = np.where(bland, tied.argmin(axis=1), ratio.argmin(axis=1))
         B[ids, :, leave] = col
         basis[ids, leave] = enter
-        c_B[ids, leave] = np.where(grid, Co[live, np.minimum(enter, n_p - 1)], 0)
+        c_B[ids, leave] = np.where(grid, C[ids, np.minimum(enter, n_p - 1)], 0)
         stall[ids] = np.where(theta <= feas_tol[ids], stall[ids] + 1, 0)
         pivots[ids] += 1
         # no row bounds an unbounded ratio test: the full LP takes over

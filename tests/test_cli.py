@@ -394,6 +394,56 @@ def test_packaged_run_configs_load():
     assert {"case_study.json", "patrol.json"} <= set(loaded)
 
 
+def packaged_patrol(tmp_path, edit):
+    """The packaged patrol.json with its environment inline, after
+    edit(config, environment), written to tmp_path."""
+    data = os.path.join(os.path.dirname(cli.__file__), "data")
+    with open(os.path.join(data, "patrol.json")) as fh:
+        raw = json.load(fh)
+    with open(os.path.join(data, raw["environment"])) as fh:
+        raw["environment"] = json.load(fh)
+    edit(raw, raw["environment"])
+    path = tmp_path / "patrol.json"
+    path.write_text(json.dumps(raw))
+    return str(path)
+
+
+@pytest.mark.parametrize("edit, field", [
+    (lambda cfg, env: cfg["grid"].update(n=["20", 20]), "grid.n"),
+    (lambda cfg, env: cfg["grid"].update(n=[True, 20]), "grid.n"),
+    (lambda cfg, env: cfg.update(verify_count="40"), "verify_count"),
+    (lambda cfg, env: env["cells"][1].update(id="1"),
+     "environment.cells.1.id"),
+    (lambda cfg, env: env["cells"][0].update(landmark_ids=[False]),
+     "environment.cells.0.landmark_ids"),
+    (lambda cfg, env: env.update(patrol_cycle=["0", True]),
+     "environment.patrol_cycle"),
+    (lambda cfg, env: env.update(dimension="2"), "environment.dimension"),
+], ids=["string-grid.n", "boolean-grid.n", "string-verify_count",
+        "string-cell-id", "boolean-landmark_ids", "string-patrol_cycle",
+        "string-dimension"])
+def test_integers_must_be_json_numbers(tmp_path, edit, field):
+    path = packaged_patrol(tmp_path, edit)
+    with pytest.raises(cli.ConfigError) as info:
+        cli.load_config(path)
+    assert info.value.field == field
+    assert cli.main(["synth", "--config", path]) == 2
+
+
+def test_integral_floats_read_as_integers(tmp_path):
+    def edit(cfg, env):
+        cfg["grid"]["n"] = [20.0, 20]
+        env["cells"][1]["id"] = 1.0
+        env["patrol_cycle"] = [0.0, 1]
+
+    cfg = cli.load_config(packaged_patrol(tmp_path, edit))
+    assert cfg.grid.n == (20, 20)
+    assert [c.id for c in cfg.environment.cells] == [0, 1]
+    assert cfg.environment.patrol_cycle == [0, 1]
+    assert all(type(v) is int
+               for v in cfg.grid.n + (cfg.environment.cells[1].id,))
+
+
 def test_pipeline_outputs(pipeline_dir):
     out = pipeline_dir / "out"
     for name in ("controllers.json", "report.json", "trajectory_0.csv",

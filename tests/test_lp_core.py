@@ -1,8 +1,9 @@
 import numpy as np
 import pytest
 
+from safefield import lp_core
 from safefield.errors import DimensionMismatch
-from safefield.lp_core import StandardLp, solve_lp
+from safefield.lp_core import FEAS_TOL, StandardLp, solve_lp
 
 
 def random_bounded_lp(rng):
@@ -65,8 +66,98 @@ def test_determinism():
     assert np.array_equal(a.duals_ub, b.duals_ub)
 
 
+def tall_lp(rng, m=2000, n=6):
+    """Box-bounded max over m random rows through an interior point; every
+    row past the first n is lazy."""
+    A = rng.standard_normal((m, n))
+    x0 = rng.uniform(1.0, 3.0, size=n)
+    b = A @ x0 + rng.uniform(0.5, 2.0, size=m)
+    return StandardLp("max", rng.standard_normal(n), A_ub=A, b_ub=b,
+                      lb=np.zeros(n), ub=np.full(n, 10.0),
+                      lazy=np.arange(m) >= n)
+
+
+def without_mask(lp):
+    return StandardLp(lp.sense, lp.c, A_ub=lp.A_ub, b_ub=lp.b_ub,
+                      A_eq=lp.A_eq, b_eq=lp.b_eq, lb=lp.lb, ub=lp.ub)
+
+
+def recorded_rows(monkeypatch):
+    """The inequality-row masks that solve_lp hands HiGHS, call by call,
+    each with the status HiGHS returned."""
+    calls = []
+    highs = lp_core._highs
+
+    def record(lp, rows):
+        res = highs(lp, rows)
+        calls.append((rows.copy(), res.status))
+        return res
+
+    monkeypatch.setattr(lp_core, "_highs", record)
+    return calls
+
+
+def test_lazy_rows_reach_the_full_optimum(monkeypatch):
+    rng = np.random.default_rng(37)
+    for _ in range(5):
+        lp = tall_lp(rng)
+        full = solve_lp(without_mask(lp))
+        calls = recorded_rows(monkeypatch)
+        sol = solve_lp(lp)
+        monkeypatch.undo()
+        assert sol.status == "Optimal"
+        assert abs(sol.objective - full.objective) <= 1e-9 * (
+            1.0 + abs(full.objective))
+        scale = 1.0 + max(np.max(np.abs(lp.b_ub)), np.max(np.abs(sol.x)))
+        assert np.max(lp.A_ub @ sol.x - lp.b_ub) <= FEAS_TOL * scale
+        seen = calls[-1][0]
+        # HiGHS saw every kept row and a small share of the lazy ones
+        assert seen[~lp.lazy].all() and seen.sum() < lp.b_ub.size // 4
+        assert np.all(sol.duals_ub[~seen] == 0.0)
+        assert sol.duals_ub.shape == lp.b_ub.shape
+
+
+def test_infeasible_through_a_lazy_row():
+    # x0 >= 11 against the box x0 <= 10: only the lazy last row says so
+    lp = tall_lp(np.random.default_rng(41))
+    A = np.vstack([lp.A_ub.toarray(), -np.eye(lp.n_vars)[:1]])
+    b = np.concatenate([lp.b_ub, [-11.0]])
+    bad = StandardLp("max", lp.c, A_ub=A, b_ub=b, lb=lp.lb, ub=lp.ub,
+                     lazy=np.concatenate([lp.lazy, [True]]))
+    assert solve_lp(lp).status == "Optimal"
+    assert solve_lp(bad).status == "Infeasible"
+
+
+def test_unbounded_seed_rows_fall_back_to_every_row(monkeypatch):
+    # max x0 over free x: every row but the lazy row 1 (x0 <= 5) lets x0
+    # grow, and no seed holds row 1, so the first subset is unbounded
+    rng = np.random.default_rng(43)
+    A = np.column_stack([-np.ones(500), rng.standard_normal(500)])
+    A[1] = [1.0, 0.0]
+    b = rng.uniform(0.5, 2.0, size=500)
+    b[1] = 5.0
+    lp = StandardLp("max", [1.0, 0.0], A_ub=A, b_ub=b,
+                    lazy=np.ones(500, dtype=bool))
+    calls = recorded_rows(monkeypatch)
+    sol = solve_lp(lp)
+    assert [status for _, status in calls] == [3, 0]
+    assert calls[-1][0].all()
+    assert sol.status == "Optimal"
+    assert abs(sol.objective - solve_lp(without_mask(lp)).objective) <= 1e-9
+
+
+def test_lazy_solves_are_deterministic():
+    lp = tall_lp(np.random.default_rng(47))
+    a, b = solve_lp(lp), solve_lp(lp)
+    assert np.array_equal(a.x, b.x)
+    assert a.objective == b.objective
+    assert np.array_equal(a.duals_ub, b.duals_ub)
+
+
 def test_shape_validation():
     with pytest.raises(DimensionMismatch):
         StandardLp("min", [1.0, 2.0], A_ub=[[1.0]], b_ub=[1.0])
     with pytest.raises(DimensionMismatch):
         StandardLp("mid", [1.0])
+    with pytest.raises(DimensionMismatch):
+        StandardLp("min", [1.0], A_ub=[[1.0]], b_ub=[1.0], lazy=[True, False])
