@@ -28,7 +28,7 @@ from .errors import (
     SynthesisInfeasible,
     VerificationFailed,
 )
-from .geometry import environment_from_dict, integral, known_keys
+from .geometry import environment_from_dict, integral, known_keys, real
 from .measurement import GridSpec, UncertaintyBounds
 from .simulation import SensorModel, SimConfig
 from .synthesis import GainBasis
@@ -99,7 +99,7 @@ class RunConfig:
         self.sim = SimConfig(sensor=SensorModel(**sensor), **sim)
         self.starts = [np.asarray(s) for s in _number(
             raw, "starts", [self.environment.start],
-            lambda point: [float(v) for v in point], path)]
+            lambda point: [real(v) for v in point], path)]
         for k, start in enumerate(self.starts):
             if start.shape != (self.environment.dimension,):
                 raise ConfigError(
@@ -171,12 +171,14 @@ class RunConfig:
 
 def _number(raw, key, default, kind, path):
     """raw[key] (or default) converted by kind, entry by entry for a list.
-    A dotted key names an entry of a nested section. An entry read as int
-    must be integral, so that 0.7 is refused rather than read as 0."""
+    A dotted key names an entry of a nested section. An entry read as float
+    must be a number (geometry.real), so that "4" and true are refused; one
+    read as int must also be integral, so that 0.7 is refused rather than
+    read as 0."""
     value = raw
     for part in key.split("."):
         value = value.get(part, default) if isinstance(value, dict) else default
-    convert = integral if kind is int else kind
+    convert = {int: integral, float: real}.get(kind, kind)
     try:
         if isinstance(value, (list, tuple)):
             return tuple(convert(v) for v in value)

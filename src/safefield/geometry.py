@@ -219,13 +219,19 @@ class Environment:
         raise KeyError(cell_id)
 
 
-def integral(value):
-    """int(value) for a number of integral value. int alone truncates, and
-    it also reads numeric strings and booleans, which are refused here."""
+def real(value):
+    """float(value) for a number. float alone also reads numeric strings
+    and booleans, which are refused here."""
     if isinstance(value, bool) or not isinstance(value, numbers.Real):
         raise TypeError("%r is not a number" % (value,))
+    return float(value)
+
+
+def integral(value):
+    """int(value) for a number (see real) of integral value: int alone
+    truncates."""
     out = int(value)
-    if out != float(value):
+    if out != real(value):
         raise ValueError("%r is not integral" % (value,))
     return out
 

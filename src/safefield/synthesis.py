@@ -22,6 +22,8 @@ margin-optimal gains, the ones closest in l1 distance to a structured target
 so the synthesized fields stay interpretable. When every margin can reach
 its cap, the tiebreak floored at the sum of the caps is the only solve;
 otherwise the margin pass runs first and floors the tiebreak at its optimum.
+These solves share one matrix, assembled once with the tiebreak's rows and
+columns in it, and differ only in sense, cost and right-hand side.
 Only a few of the thousands of point rows bind, so they are marked lazy:
 each solve hands HiGHS the bound rows, the goal equalities, the tiebreak
 rows and a seed of point rows, and adds the point rows that its optimum
@@ -127,15 +129,17 @@ class LpColumns:
     map i) and the bias, which together are theta; the margins delta, one
     per row; then per row k and landmark l the PMF-dual multipliers
     lam[k, l] = (lam_s (unit mass, free) | lam_p (2d mean rows) | lam_z (d
-    deviation rows))."""
+    deviation rows)); last t, one per entry of theta, the tiebreak's bound
+    on |theta - target|."""
 
     def __init__(self, n_landmarks, n_k, n_u, d, n_rows):
         self.d = d
         shapes = [(n_landmarks, n_k, n_u, d), (n_u,), (n_rows,),
-                  (n_rows, n_landmarks, 3 * d + 1)]
+                  (n_rows, n_landmarks, 3 * d + 1),
+                  (n_landmarks * n_k * n_u * d + n_u,)]
         ends = np.cumsum([np.prod(shape, dtype=int) for shape in shapes])
         self.n_vars = int(ends[-1])
-        self.gain, self.bias, self.delta, self.lam = (
+        self.gain, self.bias, self.delta, self.lam, self.t = (
             block.reshape(shape) for block, shape
             in zip(np.split(np.arange(self.n_vars), ends[:-1]), shapes))
         self.theta = np.arange(ends[1])
@@ -161,11 +165,13 @@ def _fill_rows(cols, rows, regions, blocks, maps):
     is affine in x, so its vertices suffice; the point rows need the
     minimum over the region of their last sum, which is attained at one of
     geometry.deviation_candidates. An empty region has neither, so its row
-    constrains nothing.
+    constrains nothing. Last comes the tiebreak block, the floor -sum(delta)
+    <= -z and +-theta - t <= +-target, at right-hand side 0, where it
+    constrains nothing (delta >= 0, t is free above); _tiebreak_lp sets it.
 
     Returns the rows, their right-hand sides and the lazy mask: few of the
     point rows bind at the optimum, so they enter the solve only when
-    violated (lp_core.solve_lp); the bound rows are always in."""
+    violated (lp_core.solve_lp); the other rows are always in."""
     features = np.stack(maps)
     ub = _Coo()
     b_ub = []
@@ -203,12 +209,19 @@ def _fill_rows(cols, rows, regions, blocks, maps):
             b_ub.append(np.zeros(idx.size))
             lazy.append(np.ones(idx.size, dtype=bool))
             n += idx.size
+    G = cols.t.size
+    ub.add(n, cols.delta, -1.0)
+    at_t = n + 1 + np.arange(2 * G)
+    ub.add(at_t, np.tile(cols.theta, 2), np.repeat([1.0, -1.0], G))
+    ub.add(at_t, np.tile(cols.t, 2), -1.0)
+    b_ub.append(np.zeros(1 + 2 * G))
+    lazy.append(np.zeros(1 + 2 * G, dtype=bool))
     return ub, np.concatenate(b_ub), np.concatenate(lazy)
 
 
 class AssembledCellLp:
-    """Phase-one LP plus the ingredients needed for tiebreaking and
-    extraction."""
+    """The cell's margin LP, whose matrix every solve of the cell shares,
+    plus the ingredients needed for tiebreaking and extraction."""
 
     def __init__(self, cell, entry, lp, cols, rows, regions, blocks, basis,
                  spec, dynamics, alpha_v, alpha_h, v_floor=None):
@@ -302,35 +315,20 @@ def assemble_robust_lp(cell, entry, dynamics, alpha_v, alpha_h, bounds, spec,
                            v_floor=v_floor)
 
 
-def _tiebreak_lp(assembled, z_star, nominal_theta):
-    """Among margin-optimal solutions, minimize the l1 distance of the gains
-    to the structured target: new columns t >= |theta - target| and, below
-    the margin LP's rows, the objective floor and +-theta - t <= +-target.
-    The margin LP's rows stay lazy where they were; the new rows are not."""
-    lp = assembled.lp
-    theta = assembled.cols.theta
-    G = theta.size
-    n = lp.n_vars
-    pad_ub = sp.hstack([lp.A_ub, sp.csr_matrix((lp.b_ub.shape[0], G))])
-    obj_cols = np.nonzero(lp.c)[0]
-    extra = _Coo()
-    extra.add(0, obj_cols, -lp.c[obj_cols])
-    rows = 1 + np.arange(2 * G)
-    extra.add(rows, np.tile(theta, 2), np.repeat([1.0, -1.0], G))
-    extra.add(rows, n + np.tile(np.arange(G), 2), -1.0)
-    tol = TIEBREAK_TOL * max(1.0, abs(z_star))
-    A_ub = sp.vstack([pad_ub, extra.matrix((1 + 2 * G, n + G))]).tocsr()
-    b_ub = np.concatenate([
-        lp.b_ub, [-(z_star - tol)], nominal_theta, -np.asarray(nominal_theta),
-    ])
-    A_eq = sp.hstack([lp.A_eq, sp.csr_matrix((lp.b_eq.shape[0], G))]).tocsr()
-    c = np.zeros(n + G)
-    c[n:] = 1.0
-    lb = np.concatenate([lp.lb, np.zeros(G)])
-    ub = np.concatenate([lp.ub, np.full(G, np.inf)])
-    lazy = np.concatenate([lp.lazy, np.zeros(1 + 2 * G, dtype=bool)])
-    return StandardLp("min", c, A_ub=A_ub, b_ub=b_ub, A_eq=A_eq, b_eq=lp.b_eq,
-                      lb=lb, ub=ub, lazy=lazy)
+def _tiebreak_lp(assembled, z, target):
+    """Among solutions whose margins sum to at least z (less a relative
+    TIEBREAK_TOL), minimize the l1 distance sum(t) of theta to target. It is
+    the margin LP with cost 1 on t and the tiebreak block's right-hand sides
+    set (see _fill_rows): no matrix is built, and the matrices, bounds and
+    lazy mask are the margin LP's own."""
+    lp, cols = assembled.lp, assembled.cols
+    c = np.zeros(lp.n_vars)
+    c[cols.t] = 1.0
+    tol = TIEBREAK_TOL * max(1.0, abs(z))
+    b_ub = lp.b_ub.copy()
+    b_ub[-(1 + 2 * cols.t.size):] = np.r_[-(z - tol), target, -target]
+    return StandardLp("min", c, A_ub=lp.A_ub, b_ub=b_ub, A_eq=lp.A_eq,
+                      b_eq=lp.b_eq, lb=lp.lb, ub=lp.ub, lazy=lp.lazy)
 
 
 class CellController:
@@ -462,24 +460,26 @@ def _frozen(a):
     return out
 
 
-def _solve_cell(assembled, cell_id, nominal_theta):
-    """The solution of the cell's LP that the controller is read from.
+def _solve_cell(assembled):
+    """The solution of the cell's LP that the controller is read from: the
+    gains nearest nominal_theta(assembled) among margin-optimal ones.
 
-    With a nominal target, the tiebreak LP floored at the sum of the margin
-    caps is solved first. The margin LP's optimum z* is at most that sum, and
-    a feasible floor proves z* >= sum - tol, so when every margin can reach
-    its cap this is the tiebreak LP of the margin-first path, and the margin
-    pass is skipped. (Only a z* that HiGHS reports inside [sum - tol, sum)
-    would floor that path's tiebreak differently.) Otherwise, or without a
-    target, the margin pass runs and, with a target, the tiebreak from z*
-    follows; a failed tiebreak keeps the margin-pass gains. Each solve adds
-    the lazy point rows as its optimum violates them, and returns an optimum
-    of its whole LP, checked against every row."""
-    if nominal_theta is not None:
-        cap_sum = float(np.sum(assembled.lp.ub[assembled.cols.delta]))
-        sol = solve_lp(_tiebreak_lp(assembled, cap_sum, nominal_theta))
-        if sol.status == "Optimal":
-            return sol.x
+    The tiebreak LP floored at the sum of the margin caps is solved first.
+    The margin LP's optimum z* is at most that sum, and a feasible floor
+    proves z* >= sum - tol, so when every margin can reach its cap this is
+    the tiebreak LP of the margin-first path, and the margin pass is
+    skipped. (Only a z* that HiGHS reports inside [sum - tol, sum) would
+    floor that path's tiebreak differently.) Otherwise the margin pass runs
+    and the tiebreak from z* follows; a failed tiebreak keeps the
+    margin-pass gains. All three read the one matrix assembled for the
+    cell. Each adds the lazy point rows as its optimum violates them, and
+    returns an optimum of its whole LP, checked against every row."""
+    cell_id = assembled.cell.id
+    target = nominal_theta(assembled)
+    cap_sum = float(np.sum(assembled.lp.ub[assembled.cols.delta]))
+    sol = solve_lp(_tiebreak_lp(assembled, cap_sum, target))
+    if sol.status == "Optimal":
+        return sol.x
     sol = solve_lp(assembled.lp)
     if sol.status == "Infeasible":
         raise SynthesisInfeasible(
@@ -489,9 +489,7 @@ def _solve_cell(assembled, cell_id, nominal_theta):
         raise SolverFailure(
             "margin program for cell %d is unbounded; margin caps missing" % cell_id
         )
-    if nominal_theta is None:
-        return sol.x
-    tiebreak = solve_lp(_tiebreak_lp(assembled, sol.objective, nominal_theta))
+    tiebreak = solve_lp(_tiebreak_lp(assembled, sol.objective, target))
     if tiebreak.status == "Optimal":
         return tiebreak.x
     warnings.warn(
@@ -501,9 +499,9 @@ def _solve_cell(assembled, cell_id, nominal_theta):
     return sol.x
 
 
-def synthesize_cell_controller(assembled, nominal_theta=None):
+def synthesize_cell_controller(assembled):
     """Solve the assembled LP (see _solve_cell) and wrap the result."""
-    x = _solve_cell(assembled, assembled.cell.id, nominal_theta)
+    x = _solve_cell(assembled)
     cols = assembled.cols
     ctrl = CellController(
         entry=assembled.entry,
@@ -604,8 +602,7 @@ def synthesize_environment(env, entries, dynamics, spec, bounds, basis,
                 cell, entry, dynamics, alpha_v, alpha_h, bounds, spec,
                 positions, basis, v_floor=v_floor,
             )
-            controllers[cell_id] = synthesize_cell_controller(
-                assembled, nominal_theta=nominal_theta(assembled))
+            controllers[cell_id] = synthesize_cell_controller(assembled)
         except (SynthesisInfeasible, SolverFailure) as exc:
             raise type(exc)("cell %d: %s" % (cell_id, exc)) from exc
     return controllers

@@ -430,6 +430,38 @@ def test_integers_must_be_json_numbers(tmp_path, edit, field):
     assert cli.main(["synth", "--config", path]) == 2
 
 
+@pytest.mark.parametrize("edit, field", [
+    (lambda cfg, env: cfg.update(epsilon="4"), "epsilon"),
+    (lambda cfg, env: cfg.update(alpha_v=True), "alpha_v"),
+    (lambda cfg, env: cfg["sim"].update(dt="0.01"), "sim.dt"),
+    (lambda cfg, env: cfg["grid"].update(width=["60", 60.0]), "grid.width"),
+    (lambda cfg, env: cfg.update(starts=[["10", 10]]), "starts"),
+    (lambda cfg, env: cfg.update(starts=[[10, False]]), "starts"),
+], ids=["string-epsilon", "boolean-alpha_v", "string-sim.dt",
+        "string-grid.width", "string-start", "boolean-start"])
+def test_floats_must_be_json_numbers(tmp_path, edit, field):
+    path = packaged_patrol(tmp_path, edit)
+    with pytest.raises(cli.ConfigError) as info:
+        cli.load_config(path)
+    assert info.value.field == field
+    assert cli.main(["synth", "--config", path]) == 2
+
+
+def test_integers_read_as_floats(tmp_path):
+    def edit(cfg, env):
+        cfg.update(epsilon=4, alpha_v=1, starts=[[10, 10]])
+        cfg["sim"]["dt"] = 1
+        cfg["grid"]["width"] = [60, 60.0]
+
+    cfg = cli.load_config(packaged_patrol(tmp_path, edit))
+    assert (cfg.epsilon, cfg.alpha_v, cfg.sim.dt) == (4.0, 1.0, 1.0)
+    assert cfg.grid.width == (60.0, 60.0)
+    assert np.array_equal(cfg.starts, [[10.0, 10.0]])
+    assert all(type(v) is float for v in (cfg.epsilon, cfg.alpha_v)
+               + cfg.grid.width)
+    assert cfg.starts[0].dtype == float
+
+
 def test_integral_floats_read_as_integers(tmp_path):
     def edit(cfg, env):
         cfg["grid"]["n"] = [20.0, 20]

@@ -3,6 +3,7 @@ import json
 
 import numpy as np
 import pytest
+import scipy.sparse as sp
 
 from dual_form import (bias_image, feature_maps, gain_image, lift, machine_lp,
                        violation)
@@ -13,7 +14,7 @@ from safefield.errors import (ConfigError, DimensionMismatch, GridMismatch,
                               LandmarkNotVisible, SynthesisInfeasible)
 from safefield.geometry import (ConvexCell, deviation_candidates,
                                 polygon_to_halfspaces, region_points)
-from safefield.lp_core import LpSolution, solve_lp
+from safefield.lp_core import LpSolution, StandardLp, solve_lp
 from safefield.measurement import (GridSpec, UncertaintyBounds,
                                    build_expectation_kernel, make_delta_pmf)
 from safefield.planning import PlanEntry, build_graph, make_plan
@@ -98,13 +99,16 @@ def test_cosine_map_stores_exact_zeros():
 def test_columns_cover_every_variable_once():
     # 2 landmarks, 3 maps, n_u = d = 2, 4 rows
     cols = LpColumns(2, 3, 2, 2, 4)
-    blocks = [cols.gain, cols.bias, cols.delta, cols.lam]
+    blocks = [cols.gain, cols.bias, cols.delta, cols.lam, cols.t]
     flat = np.concatenate([b.ravel() for b in blocks])
-    assert cols.n_vars == 2 * 3 * 2 * 2 + 2 + 4 + 4 * 2 * (1 + 4 + 2)
-    # each column once, in the order listed; theta is the gains, then the bias
+    assert cols.n_vars == (2 * 3 * 2 * 2 + 2 + 4 + 4 * 2 * (1 + 4 + 2)
+                           + 2 * 3 * 2 * 2 + 2)
+    # each column once, in the order listed; theta is the gains, then the
+    # bias, and t holds one column per entry of theta
     assert np.array_equal(flat, np.arange(cols.n_vars))
     assert np.array_equal(cols.theta, np.r_[cols.gain.ravel(), cols.bias])
     assert np.array_equal(cols.bias, [24, 25])
+    assert np.array_equal(cols.t, 86 + np.arange(26))
     # lam[k, l] splits into lam_s, lam_p (2d) and lam_z (d)
     parts = np.concatenate([cols.lam_s[..., None], cols.lam_p, cols.lam_z],
                            axis=-1)
@@ -129,14 +133,16 @@ def test_lp_dimensions_square():
     asm = assemble_robust_lp(cell, entry, dyn, ALPHA_V, ALPHA_H, bounds, spec,
                              [np.array([0.5, 0.5])], basis)
     # 4 rows (CLF + 3 CBF) over the unit square, n_p = 9, d = 2:
-    # 14 gains + 4 margins + 4 * (1 + 2d + d) multipliers = 46 columns.
-    # Each row holds at the 4 vertices, and each grid point's feasibility row
-    # at one candidate, the square's point nearest to a_i (the square is
-    # axis-aligned): 4 * (4 + 9) = 52 inequalities, and no equality.
+    # 14 gains + 4 margins + 4 * (1 + 2d + d) multipliers + 14 tiebreak
+    # bounds t = 60 columns. Each row holds at the 4 vertices, and each grid
+    # point's feasibility row at one candidate, the square's point nearest to
+    # a_i (the square is axis-aligned): 4 * (4 + 9) = 52 inequalities; the
+    # tiebreak block adds the floor and +-theta - t, 1 + 2 * 14 = 29 more.
+    # No equality.
     assert asm.cols.theta.size == 14
-    assert asm.cols.n_vars == 46
-    assert asm.lp.A_ub.shape == (52, 46)
-    assert asm.lp.A_eq.shape == (0, 46)
+    assert asm.cols.n_vars == 60
+    assert asm.lp.A_ub.shape == (81, 60)
+    assert asm.lp.A_eq.shape == (0, 60)
 
 
 def pinned_zero_rows(lp):
@@ -174,7 +180,9 @@ def oracle_cases():
 def test_gain_coefficients_match_the_oracle_image():
     """Every row's gain coefficients in the assembled LP are, bit for bit,
     the oracle's dense Kronecker image of its w: at each point row the
-    image's row for that grid point, at each bound row w on the bias."""
+    image's row for that grid point, at each bound row w on the bias. The
+    last 1 + 2G rows are the tiebreak block: the floor -sum(delta), then
+    theta - t and -theta - t."""
     for asm in oracle_cases():
         A = asm.lp.A_ub.toarray()
         theta = asm.cols.theta
@@ -195,7 +203,13 @@ def test_gain_coefficients_match_the_oracle_image():
                                       image[off + idx])
                 n += idx.size
                 off += blk.n_points
-        assert n == A.shape[0]
+        G = theta.size
+        block = np.zeros((1 + 2 * G, asm.cols.n_vars))
+        block[0, asm.cols.delta] = -1.0
+        at_t = 1 + np.arange(2 * G)
+        block[at_t, np.tile(theta, 2)] = np.repeat([1.0, -1.0], G)
+        block[at_t, np.tile(asm.cols.t, 2)] = -1.0
+        assert np.array_equal(A[n:], block)
 
 
 def uncapped(asm):
@@ -471,7 +485,7 @@ def test_reachable_caps_take_one_solve(patrol_env, monkeypatch):
         patrol_env, "patrol", 0, spec, UncertaintyBounds(4.0, 16.0))
     expected = margin_first(asm, nominal)
     calls = recorded_solves(monkeypatch)
-    ctrl = synthesize_cell_controller(asm, nominal_theta=nominal)
+    ctrl = synthesize_cell_controller(asm)
     assert calls == [("min", "Optimal")]
     assert np.array_equal(ctrl.margins,
                           [DELTA_CAP[k] for k in ctrl.to_dict()["kinds"]])
@@ -486,7 +500,7 @@ def test_unreachable_caps_fall_back_to_margin_first(annulus_env, monkeypatch):
         annulus_env, "stabilize", 1, spec, UncertaintyBounds(12.0, 16.0))
     expected = margin_first(asm, nominal)
     calls = recorded_solves(monkeypatch)
-    ctrl = synthesize_cell_controller(asm, nominal_theta=nominal)
+    ctrl = synthesize_cell_controller(asm)
     assert calls == [("min", "Infeasible"), ("max", "Optimal"),
                      ("min", "Optimal")]
     assert ctrl.margins.sum() < np.sum(asm.lp.ub[asm.cols.delta]) - 1.0
@@ -498,10 +512,9 @@ def test_infeasible_cell_with_a_target_is_infeasible(monkeypatch):
     spoofed = UncertaintyBounds(1e3, 1e6)
     asm, cell, entry, _ = goal_square(spec, bounds, basis, dyn,
                                       goal_bounds=spoofed, v_floor=None)
-    nominal = nominal_theta(asm)
     calls = recorded_solves(monkeypatch)
     with pytest.raises(SynthesisInfeasible):
-        synthesize_cell_controller(asm, nominal_theta=nominal)
+        synthesize_cell_controller(asm)
     assert calls == [("min", "Infeasible"), ("max", "Infeasible")]
 
 
@@ -520,10 +533,90 @@ def test_failed_tiebreak_warns_and_keeps_the_margin_gains(patrol_env,
     calls = recorded_solves(monkeypatch, no_tiebreak)
     with pytest.warns(UserWarning, match="tiebreak pass returned Infeasible "
                                          "for cell 1"):
-        ctrl = synthesize_cell_controller(asm, nominal_theta=nominal)
+        ctrl = synthesize_cell_controller(asm)
     assert calls == [("min", "Infeasible"), ("max", "Optimal"),
                      ("min", "Infeasible")]
     assert_read_from(ctrl, asm, margin)
+
+
+def margin_only(asm):
+    """asm's margin LP without the tiebreak block: its last 1 + 2G
+    inequality rows and its G columns t sliced off."""
+    lp, G = asm.lp, asm.cols.t.size
+    n, m = lp.n_vars - G, lp.b_ub.size - (1 + 2 * G)
+    return StandardLp(lp.sense, lp.c[:n], A_ub=lp.A_ub[:m, :n],
+                      b_ub=lp.b_ub[:m], A_eq=lp.A_eq[:, :n], b_eq=lp.b_eq,
+                      lb=lp.lb[:n], ub=lp.ub[:n], lazy=lp.lazy[:m])
+
+
+def stacked_tiebreak_lp(asm, z_star, nominal):
+    """Oracle for _tiebreak_lp: the tiebreak LP stacked onto margin_only(asm)
+    by sparse hstack and vstack, new columns t >= |theta - target| and,
+    below the margin rows, the objective floor and +-theta - t <=
+    +-target."""
+    lp = margin_only(asm)
+    theta = asm.cols.theta
+    G = theta.size
+    n = lp.n_vars
+    pad_ub = sp.hstack([lp.A_ub, sp.csr_matrix((lp.b_ub.shape[0], G))])
+    obj_cols = np.nonzero(lp.c)[0]
+    extra = synthesis._Coo()
+    extra.add(0, obj_cols, -lp.c[obj_cols])
+    rows = 1 + np.arange(2 * G)
+    extra.add(rows, np.tile(theta, 2), np.repeat([1.0, -1.0], G))
+    extra.add(rows, n + np.tile(np.arange(G), 2), -1.0)
+    tol = synthesis.TIEBREAK_TOL * max(1.0, abs(z_star))
+    A_ub = sp.vstack([pad_ub, extra.matrix((1 + 2 * G, n + G))]).tocsr()
+    b_ub = np.concatenate([
+        lp.b_ub, [-(z_star - tol)], nominal, -np.asarray(nominal),
+    ])
+    A_eq = sp.hstack([lp.A_eq, sp.csr_matrix((lp.b_eq.shape[0], G))]).tocsr()
+    c = np.zeros(n + G)
+    c[n:] = 1.0
+    lb = np.concatenate([lp.lb, np.zeros(G)])
+    ub = np.concatenate([lp.ub, np.full(G, np.inf)])
+    lazy = np.concatenate([lp.lazy, np.zeros(1 + 2 * G, dtype=bool)])
+    return StandardLp("min", c, A_ub=A_ub, b_ub=b_ub, A_eq=A_eq, b_eq=lp.b_eq,
+                      lb=lb, ub=ub, lazy=lazy)
+
+
+def assert_same_lp(a, b):
+    """a and b are the same LP, array for array, down to the CSR layout."""
+    assert a.sense == b.sense
+    for name in ("c", "b_ub", "b_eq", "lb", "ub", "lazy"):
+        assert np.array_equal(getattr(a, name), getattr(b, name)), name
+    for name in ("A_ub", "A_eq"):
+        A, B = getattr(a, name), getattr(b, name)
+        assert A.shape == B.shape, name
+        for part in ("indptr", "indices", "data"):
+            assert np.array_equal(getattr(A, part), getattr(B, part)), (
+                name, part)
+
+
+@pytest.mark.parametrize("env_name, mode, spec, eps", [
+    ("annulus_env", "stabilize", GridSpec((30, 30), (40.0, 40.0)), 4.0),
+    ("annulus_env", "stabilize", GridSpec((30, 30), (40.0, 40.0)), 12.0),
+    ("patrol_env", "patrol", GridSpec((20, 20), (60.0, 60.0)), 4.0),
+], ids=["case-study", "case-study-eps-12", "patrol"])
+def test_tiebreak_lp_is_the_stacked_lp_on_the_assembled_matrix(
+        request, env_name, mode, spec, eps):
+    # the cap-floor tiebreak of every cell, and at eps 12, where every cell
+    # falls back to the margin pass, the tiebreak from its optimum: the
+    # margin LP's own matrices, and the margin optimum is that of the LP
+    # without the tiebreak block, bit for bit
+    env = request.getfixturevalue(env_name)
+    for cell in env.cells:
+        asm, _, _, nominal = packaged_cell(env, mode, cell.id, spec,
+                                           UncertaintyBounds(eps, 16.0))
+        floors = [float(np.sum(asm.lp.ub[asm.cols.delta]))]
+        if eps == 12.0:
+            margin = solve_lp(asm.lp).objective
+            assert margin == solve_lp(margin_only(asm)).objective
+            floors.append(margin)
+        for z in floors:
+            tb = _tiebreak_lp(asm, z, nominal)
+            assert tb.A_ub is asm.lp.A_ub and tb.A_eq is asm.lp.A_eq
+            assert_same_lp(tb, stacked_tiebreak_lp(asm, z, nominal))
 
 
 def full_solve(asm):
@@ -539,11 +632,10 @@ def lazy_and_full(env, mode, spec, bounds):
     solved from every row of the same LP."""
     out = {}
     for cell in env.cells:
-        asm, _, _, nominal = packaged_cell(env, mode, cell.id, spec, bounds)
+        asm = packaged_cell(env, mode, cell.id, spec, bounds)[0]
         assert asm.lp.lazy.any()
         out[cell.id] = tuple(
-            synthesize_cell_controller(lp, nominal_theta=nominal)
-            for lp in (asm, full_solve(asm)))
+            synthesize_cell_controller(lp) for lp in (asm, full_solve(asm)))
     return out
 
 
