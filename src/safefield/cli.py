@@ -12,8 +12,6 @@ import logging
 import os
 import sys
 
-import numpy as np
-
 from . import planning, simulation, synthesis, verification
 from .clfcbf import LinearDynamics
 from .errors import (
@@ -28,7 +26,17 @@ from .errors import (
     SynthesisInfeasible,
     VerificationFailed,
 )
-from .geometry import environment_from_dict, integral, known_keys, real
+from .geometry import (
+    environment_from_dict,
+    integers,
+    integral,
+    known_keys,
+    load_json,
+    point,
+    read,
+    real,
+    reals,
+)
 from .measurement import GridSpec, UncertaintyBounds
 from .simulation import SensorModel, SimConfig
 from .synthesis import GainBasis
@@ -60,29 +68,32 @@ class RunConfig:
         env_path = path
         if isinstance(env_ref, str):
             env_path = os.path.join(base_dir, env_ref)
-            if not os.path.exists(env_path):
-                raise ConfigError("environment file not found",
-                                  path=env_path, field="environment")
-            with open(env_path) as fh:
-                env_ref = _load_json(fh, env_path)
+            env_ref = load_json(env_path, "environment")
         self.environment = environment_from_dict(env_ref, env_path)
         self.environment_path = env_path  # this config, when inline
+        dim = self.environment.dimension
 
-        self.alpha_v = _number(raw, "alpha_v", 1.0, float, path)
-        self.alpha_h = _number(raw, "alpha_h", 100.0, float, path)
-        for name in ("alpha_v", "alpha_h"):
-            if not getattr(self, name) > 0:
-                raise ConfigError("%s must be positive" % name,
-                                  path=path, field=name)
-        self.epsilon = _number(raw, "epsilon", 4.0, float, path)
-        self.sigma_m = _number(raw, "sigma_m", 16.0, float, path)
-        self.check_bounds()
+        self.alpha_v = read(raw, "alpha_v", real, path, "", 1.0)
+        self.alpha_h = read(raw, "alpha_h", real, path, "", 100.0)
+        self.epsilon = read(raw, "epsilon", real, path, "", 4.0)
+        self.sigma_m = read(raw, "sigma_m", real, path, "", 16.0)
+        self.verify_count = read(raw, "verify_count", integral, path, "", 200)
+        self.seed = read(raw, "seed", integral, path, "", 0)
+        for key, ok, need in (
+                ("alpha_v", self.alpha_v > 0, "positive"),
+                ("alpha_h", self.alpha_h > 0, "positive"),
+                ("epsilon", self.epsilon >= 0, "non-negative"),
+                ("sigma_m", self.sigma_m >= 0, "non-negative"),
+                ("verify_count", self.verify_count >= 0, "non-negative")):
+            if not ok:
+                raise ConfigError("%s must be %s" % (key, need), path=path,
+                                  field=key)
 
-        grid = _arguments(raw, "grid", path, n=int, width=float)
-        if not all(isinstance(grid.get(key), tuple) for key in ("n", "width")):
-            raise ConfigError("grid must give n and width as lists",
-                              path=path, field="grid")
-        self.grid = GridSpec(grid["n"], grid["width"])
+        grid = _arguments(raw, "grid", path, n=integers, width=reals)
+        if len(grid) != 2:
+            raise ConfigError("grid must give n and width", path=path,
+                              field="grid")
+        self.grid = GridSpec(**grid)
 
         try:
             self.basis = GainBasis(raw.get("basis", GainBasis.KNOWN))
@@ -92,61 +103,46 @@ class RunConfig:
         if self.mode not in ("stabilize", "patrol"):
             raise ConfigError("mode must be stabilize or patrol",
                               path=path, field="mode")
-        sim = _arguments(raw, "sim", path, dt=float, max_time=float,
-                         goal_tol=float, seed=int, sensor=None)
-        sensor = _arguments(raw, "sim.sensor", path, kind=str, drift=float,
-                            variance=float)
-        self.sim = SimConfig(sensor=SensorModel(**sensor), **sim)
-        self.starts = [np.asarray(s) for s in _number(
-            raw, "starts", [self.environment.start],
-            lambda point: [real(v) for v in point], path)]
-        for k, start in enumerate(self.starts):
-            if start.shape != (self.environment.dimension,):
-                raise ConfigError(
-                    "start %d has %d coordinates in a %d-D environment"
-                    % (k, start.size, self.environment.dimension),
-                    path=path, field="starts")
+        sim = _arguments(raw, "sim", path, dt=real, max_time=real,
+                         goal_tol=real, seed=integral, sensor=None)
+        sensor = _arguments(raw, "sim.sensor", path, kind=str, drift=real,
+                            variance=real)
+        try:
+            self.sim = SimConfig(sensor=SensorModel(**sensor), **sim)
+        except ConfigError as exc:  # it knows the field, not the file
+            raise ConfigError(exc.reason, path=path, field=exc.field) from None
+        to_point = point(dim)
+        self.starts = read(raw, "starts", lambda v: [to_point(s) for s in v],
+                           path, "", [self.environment.start])
         self._check_starts()
-        field = _arguments(raw, "field", path, resolution=int, cells=int)
-        dim = self.environment.dimension
-        resolution = field.get("resolution", 12)
-        if not isinstance(resolution, tuple):
-            resolution = (resolution,) * dim
-        if len(resolution) != dim:
+        field = _arguments(
+            raw, "field", path, cells=integers, resolution=lambda value:
+            integers(value if isinstance(value, list) else [value] * dim))
+        self.field_resolution = tuple(field.get("resolution", (12,) * dim))
+        if len(self.field_resolution) != dim:
             raise ConfigError("resolution has %d entries in a %d-D environment"
-                              % (len(resolution), dim),
+                              % (len(self.field_resolution), dim),
                               path=path, field="field.resolution")
-        self.field_resolution = resolution
         self.field_cells = field.get("cells")
         if self.field_cells is not None and not (
-                isinstance(self.field_cells, tuple)
-                and set(self.field_cells) <= {c.id for c in self.environment.cells}):
+                set(self.field_cells) <= {c.id for c in self.environment.cells}):
             raise ConfigError("cells must be a list of the environment's cell ids",
                               path=path, field="field.cells")
-        self.verify_count = _number(raw, "verify_count", 200, int, path)
-        if self.verify_count < 0:
-            raise ConfigError("verify_count must be non-negative",
-                              path=path, field="verify_count")
         self.out = raw.get("out", "out")
         if not isinstance(self.out, str):
             raise ConfigError("out must be a directory path",
                               path=path, field="out")
-        self.seed = _number(raw, "seed", 0, int, path)
 
     def _check_starts(self):
         """A run begins in a plan cell that holds its start: any cell in
-        stabilize mode, a cycle cell in patrol mode. So a start in none, or a
-        patrol run without a cycle, is rejected before any synthesis. A
-        cycle that names an unknown cell is left to planning to report."""
+        stabilize mode, a cycle cell in patrol mode. So a start in none is
+        rejected before any synthesis. A missing cycle, or one that names
+        an unknown cell, is left to planning to report."""
         env = self.environment
         cell_ids = [c.id for c in env.cells]
         if self.mode == "patrol":
             cycle = env.patrol_cycle
-            if not cycle:
-                raise ConfigError("patrol mode requires a patrol cycle",
-                                  path=self.environment_path,
-                                  field="environment.patrol_cycle")
-            if not set(cycle) <= set(cell_ids):
+            if not cycle or not set(cycle) <= set(cell_ids):
                 return
             cell_ids = cycle
         for k, start in enumerate(self.starts):
@@ -156,84 +152,45 @@ class RunConfig:
                 raise ConfigError("%s (start %d)" % (exc.reason, k),
                                   path=self.path, field="starts") from None
 
-    def check_bounds(self):
-        """The sensing bounds must be non-negative; rechecked after the
-        command-line overrides."""
-        for name in ("epsilon", "sigma_m"):
-            if not getattr(self, name) >= 0:
-                raise ConfigError("%s must be non-negative" % name,
-                                  path=self.path, field=name)
-
     @property
     def bounds(self):
         return UncertaintyBounds(self.epsilon, self.sigma_m)
 
 
-def _number(raw, key, default, kind, path):
-    """raw[key] (or default) converted by kind, entry by entry for a list.
-    A dotted key names an entry of a nested section. An entry read as float
-    must be a number (geometry.real), so that "4" and true are refused; one
-    read as int must also be integral, so that 0.7 is refused rather than
-    read as 0."""
-    value = raw
-    for part in key.split("."):
-        value = value.get(part, default) if isinstance(value, dict) else default
-    convert = {int: integral, float: real}.get(kind, kind)
-    try:
-        if isinstance(value, (list, tuple)):
-            return tuple(convert(v) for v in value)
-        return convert(value)
-    except (TypeError, ValueError, OverflowError):
-        raise ConfigError("%s must be %s" % (key, "integral" if kind is int
-                                             else "numeric"),
-                          path=path, field=key) from None
-
-
 def _arguments(raw, name, path, **kinds):
     """Keyword arguments from the object at dotted name (absent or null:
-    none), each entry converted by its kind, so that an absent entry keeps
-    the constructor's default. A kind of None marks a nested object, read
-    on its own; a key without a kind is rejected."""
+    none), each entry present read by its converter (geometry.read), so that
+    an absent entry keeps the constructor's default. A converter of None
+    marks a nested object, read on its own; a key without one is rejected."""
     section = raw
     for part in name.split("."):
-        section = section.get(part) or {}
+        section = section.get(part)
+        section = {} if section is None else section
     if not isinstance(section, dict):
         raise ConfigError("%s must be an object" % name, path=path, field=name)
     known_keys(section, name + ".", kinds, path)
-    return {key: _number(raw, "%s.%s" % (name, key), None, kind, path)
-            for key, kind in kinds.items() if kind is not None and key in section}
+    return {key: read(section, key, convert, path, name + ".")
+            for key, convert in kinds.items()
+            if convert is not None and key in section}
 
 
-def _load_json(fh, path):
-    try:
-        return json.load(fh)
-    except ValueError as exc:
-        raise ConfigError("invalid JSON: %s" % exc, path=path)
-
-
-def load_config(path):
-    if not os.path.exists(path):
-        raise ConfigError("config file not found", path=path, field="config")
-    with open(path) as fh:
-        raw = _load_json(fh, path)
+def load_config(path, overrides=()):
+    """The run config at path, each (dotted key, value) of overrides written
+    into it before RunConfig checks it, so that a flag gets its entry's
+    checks. A section that is not an object is left for RunConfig to refuse."""
+    raw = load_json(path, "config")
+    for key, value in overrides:
+        *parents, last = key.split(".")
+        section = raw
+        for part in parents:
+            if isinstance(section, dict):
+                if section.get(part) is None:
+                    section[part] = {}
+                section = section[part]
+        if isinstance(section, dict):
+            section[last] = value
     return RunConfig(raw, base_dir=os.path.dirname(os.path.abspath(path)),
                      path=path)
-
-
-def _apply_overrides(cfg, args):
-    if args.out is not None:
-        cfg.out = args.out
-    if args.seed is not None:
-        cfg.seed = args.seed
-        cfg.sim.seed = args.seed
-    if args.eps is not None:
-        cfg.epsilon = args.eps
-    if args.sigma is not None:
-        cfg.sigma_m = args.sigma
-    cfg.check_bounds()
-    if args.sensor is not None:
-        cfg.sim.sensor = SensorModel(args.sensor, cfg.sim.sensor.drift,
-                                     cfg.sim.sensor.variance)
 
 
 def _parse_cells(arg):
@@ -248,16 +205,6 @@ def _parse_cells(arg):
 
 def _controllers_path(cfg):
     return os.path.join(cfg.out, "controllers.json")
-
-
-def _load_controllers(cfg, plan):
-    """The controllers of controllers.json, bound to the run's plan and
-    environment (synthesis.load_controllers)."""
-    path = _controllers_path(cfg)
-    if not os.path.exists(path):
-        raise ConfigError("controllers.json not found; run synth first",
-                          path=path, field="controllers")
-    return synthesis.load_controllers(path, cfg.environment, plan)
 
 
 def _plan(cfg):
@@ -295,7 +242,8 @@ def cmd_synth(cfg, cells=None):
 
 def cmd_verify(cfg):
     env = cfg.environment
-    controllers = _load_controllers(cfg, _plan(cfg))
+    controllers = synthesis.load_controllers(_controllers_path(cfg), env,
+                                             _plan(cfg))
     reports = verification.verify_environment(
         controllers, env, count=cfg.verify_count, seed=cfg.seed,
         raise_on_fail=False,
@@ -321,7 +269,7 @@ def cmd_verify(cfg):
 def cmd_simulate(cfg):
     env = cfg.environment
     plan = _plan(cfg)
-    controllers = _load_controllers(cfg, plan)
+    controllers = synthesis.load_controllers(_controllers_path(cfg), env, plan)
     os.makedirs(cfg.out, exist_ok=True)
     code = EXIT_OK
     for k, start in enumerate(cfg.starts):
@@ -354,7 +302,8 @@ def cmd_simulate(cfg):
 
 def cmd_field(cfg, cells=None):
     env = cfg.environment
-    controllers = _load_controllers(cfg, _plan(cfg))
+    controllers = synthesis.load_controllers(_controllers_path(cfg), env,
+                                             _plan(cfg))
     wanted = cells if cells is not None else cfg.field_cells
     if wanted is None:
         wanted = sorted(controllers)
@@ -428,8 +377,10 @@ def main(argv=None):
     parser = build_parser()
     args = parser.parse_args(argv)
     try:
-        cfg = load_config(args.config)
-        _apply_overrides(cfg, args)
+        cfg = load_config(args.config, [(key, value) for key, value in (
+            ("out", args.out), ("seed", args.seed), ("sim.seed", args.seed),
+            ("epsilon", args.eps), ("sigma_m", args.sigma),
+            ("sim.sensor.kind", args.sensor)) if value is not None])
         cells = _parse_cells(args.cells)
         if args.command == "synth":
             return cmd_synth(cfg, cells)

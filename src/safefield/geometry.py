@@ -4,6 +4,7 @@ A halfspace set stores rows (A, b) meaning A x + b <= 0 with unit row norms,
 so -(A[j] x + b[j]) is the signed distance of x to facet j (positive inside).
 """
 
+import json
 import numbers
 
 import numpy as np
@@ -222,7 +223,9 @@ class Environment:
 def real(value):
     """float(value) for a number. float alone also reads numeric strings
     and booleans, which are refused here."""
-    if isinstance(value, bool) or not isinstance(value, numbers.Real):
+    kind = type(value)
+    if kind is not float and kind is not int and (
+            kind is bool or not isinstance(value, numbers.Real)):
         raise TypeError("%r is not a number" % (value,))
     return float(value)
 
@@ -230,10 +233,67 @@ def real(value):
 def integral(value):
     """int(value) for a number (see real) of integral value: int alone
     truncates."""
-    out = int(value)
-    if out != real(value):
+    out = int(real(value))
+    if out != value:
         raise ValueError("%r is not integral" % (value,))
     return out
+
+
+def integers(value):
+    """A list of integral numbers (see integral) as a list of ints."""
+    return [integral(v) for v in value]
+
+
+def reals(value):
+    """A number, or lists of them nested to any depth, as one float array;
+    each entry must be a number (see real), checked in one pass by type."""
+    entries = np.array(value, dtype=object)
+    if not set(map(type, entries.flat)) <= {float, int}:
+        for entry in entries.flat:
+            real(entry)
+    return entries.astype(float)
+
+
+def point(dim):
+    """Converter of a list of dim numbers (see reals) to a float array."""
+    def convert(value):
+        out = reals(value)
+        if out.shape != (dim,):
+            raise ValueError("%d coordinates in a %d-D environment"
+                             % (out.size, dim))
+        return out
+    return convert
+
+
+_REQUIRED = object()
+
+
+def read(section, key, convert, path, prefix, default=_REQUIRED):
+    """convert(section[key]), or default where section has no key and a
+    default is given. A missing entry, one that convert refuses and a
+    section that is not an object raise ConfigError naming the file path
+    and the field prefix + key."""
+    try:
+        if default is not _REQUIRED and key not in section:
+            return default
+        return convert(section[key])
+    except (KeyError, TypeError, ValueError, OverflowError) as exc:
+        reason = ("missing entry" if isinstance(exc, KeyError)
+                  else "malformed entry (%s)" % exc)
+        raise ConfigError(reason, path=path, field=prefix + key) from None
+
+
+def load_json(path, field):
+    """The JSON document in the file at path; an unreadable file or one
+    that is not JSON raises ConfigError naming path and field."""
+    try:
+        with open(path) as fh:
+            return json.load(fh)
+    except OSError as exc:
+        raise ConfigError(exc.strerror, path=path, field=field) from None
+    except ValueError as exc:
+        raise ConfigError("invalid JSON: %s" % exc, path=path,
+                          field=field) from None
 
 
 def known_keys(section, prefix, keys, path):
@@ -248,51 +308,28 @@ def environment_from_dict(obj, path=None):
     malformed or unknown entry, a cell id that is not integral or repeats
     another, and a dimension other than the landmarks' raise ConfigError
     naming the entry, with path as the file."""
-
-    def read(owner, key, field, convert):
-        try:
-            return convert(owner[key])
-        except (KeyError, TypeError, ValueError, OverflowError):
-            raise ConfigError("missing or malformed entry", path=path,
-                              field="environment." + field) from None
-
-    def points(value):
-        return np.asarray(value, dtype=float)
-
-    def integers(value):
-        return [integral(j) for j in value]
-
     cells = []
-    for i, spec in enumerate(read(obj, "cells", "cells", list)):
-        field = "cells.%d." % i
-        body = read(spec, "vertices", field + "vertices",
-                    polygon_to_halfspaces)
-        known_keys(spec, "environment." + field,
-                   ("id", "vertices", "landmark_ids"), path)
-        ids = read(spec, "landmark_ids", field + "landmark_ids", integers)
-        cell_id = (read(spec, "id", field + "id", integral) if "id" in spec
-                   else i)
+    for i, spec in enumerate(read(obj, "cells", list, path, "environment.")):
+        prefix = "environment.cells.%d." % i
+        body = polygon_to_halfspaces(read(spec, "vertices", reals, path, prefix))
+        known_keys(spec, prefix, ("id", "vertices", "landmark_ids"), path)
+        ids = read(spec, "landmark_ids", integers, path, prefix)
+        cell_id = read(spec, "id", integral, path, prefix, i)
         if cell_id in [c.id for c in cells]:
             raise ConfigError("cell id %d repeats an earlier cell's" % cell_id,
-                              path=path, field="environment." + field + "id")
+                              path=path, field=prefix + "id")
         cells.append(ConvexCell(cell_id, body, ids))
-    known_keys(obj, "environment.", ("dimension", "cells", "landmarks",
-                                     "start", "goal", "patrol_cycle"), path)
-    cycle = None
-    if obj.get("patrol_cycle") is not None:
-        cycle = read(obj, "patrol_cycle", "patrol_cycle", integers)
-    landmarks = read(obj, "landmarks", "landmarks", points)
+    prefix = "environment."
+    known_keys(obj, prefix, ("dimension", "cells", "landmarks", "start",
+                             "goal", "patrol_cycle"), path)
+    cycle = read(obj, "patrol_cycle",
+                 lambda v: None if v is None else integers(v), path, prefix,
+                 None)
+    landmarks = read(obj, "landmarks", reals, path, prefix)
     dim = np.atleast_2d(landmarks).shape[1]
-    if "dimension" in obj and read(obj, "dimension", "dimension",
-                                   integral) != dim:
+    if read(obj, "dimension", integral, path, prefix, dim) != dim:
         raise ConfigError("dimension differs from the landmarks' %d" % dim,
-                          path=path, field="environment.dimension")
-    ends = []
-    for key in ("start", "goal"):
-        point = read(obj, key, key, points)
-        if point.shape != (dim,):
-            raise ConfigError("%s has %d coordinates in a %d-D environment"
-                              % (key, point.size, dim), path=path,
-                              field="environment." + key)
-        ends.append(point)
-    return Environment(cells, landmarks, *ends, patrol_cycle=cycle)
+                          path=path, field=prefix + "dimension")
+    start, goal = (read(obj, key, point(dim), path, prefix)
+                   for key in ("start", "goal"))
+    return Environment(cells, landmarks, start, goal, patrol_cycle=cycle)

@@ -251,9 +251,5 @@ class ProbabilityBlocks:
         self.b_p = np.concatenate([-l - eps, l - eps])
 
     @property
-    def dim(self):
-        return self.U.shape[0]
-
-    @property
     def n_points(self):
         return self.U.shape[1]

@@ -27,13 +27,13 @@ class SensorModel:
     def __init__(self, kind="delta", drift=0.0, variance=0.0):
         kind = str(kind).lower()
         if kind not in ("delta", "gaussian"):
-            raise ConfigError("unknown sensor kind %r" % kind, field="sensor.kind")
+            raise ConfigError("unknown sensor kind %r" % kind, field="sim.sensor.kind")
         self.kind = kind
         self.drift = float(drift)
         self.variance = float(variance)
         if self.kind == "gaussian" and (self.drift < 0 or self.variance < 0):
             raise ConfigError("drift and variance must be non-negative",
-                              field="sensor")
+                              field="sim.sensor")
 
     def make(self, seed):
         """Seeded sensing closure (spec, true offset) -> PmfGrid.

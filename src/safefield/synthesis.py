@@ -418,21 +418,32 @@ class CellController:
     @classmethod
     def from_dict(cls, d, entry, landmarks):
         """The controller to_dict wrote as d, bound to the plan entry and
-        landmark coordinates of a run whose run fields d has."""
+        landmark coordinates of a run whose run fields d has. A malformed
+        number raises ConfigError naming its key (geometry.read)."""
+        def read(key, convert=geometry.reals, section=d, prefix=""):
+            return geometry.read(section, key, convert, None, prefix)
+
+        real = geometry.real
+        grid, dynamics = d["grid"], d["dynamics"]
         return cls(
             entry=entry,
             basis=GainBasis(d["basis"]),
-            gains=d["K"],
-            bias=d["K_b"],
-            margins=d["delta"],
-            grid=measurement.GridSpec(d["grid"]["n"], d["grid"]["width"]),
-            bounds=measurement.UncertaintyBounds(d["epsilon"], d["sigma_m"]),
-            alpha_v=d["alpha_v"],
-            alpha_h=d["alpha_h"],
+            gains=read("K"),
+            bias=read("K_b"),
+            margins=read("delta"),
+            grid=measurement.GridSpec(
+                read("n", geometry.integers, grid, "grid."),
+                read("width", section=grid, prefix="grid.")),
+            bounds=measurement.UncertaintyBounds(read("epsilon", real),
+                                                 read("sigma_m", real)),
+            alpha_v=read("alpha_v", real),
+            alpha_h=read("alpha_h", real),
             landmark_ids=d["landmark_ids"],
             landmarks=landmarks,
-            v_floor=d["v_floor"],
-            dynamics=LinearDynamics(d["dynamics"]["A"], d["dynamics"]["B"]),
+            v_floor=read("v_floor", lambda v: v if v is None else real(v)),
+            dynamics=LinearDynamics(
+                read("A", section=dynamics, prefix="dynamics."),
+                read("B", section=dynamics, prefix="dynamics.")),
             status=d.get("status", "Optimal"),
             saturation=d.get("saturation"),
         )
@@ -618,19 +629,16 @@ def load_controllers(path, env, plan):
     """The controllers save_controllers wrote to path, keyed by cell id in
     file order, each carrying its cell's entry of plan and landmarks of env.
     A file that is not such a list, a cell that plan lacks or that the file
-    lists twice, and a run field (_run_fields) that differs from the run's
-    raise ConfigError naming the file and the controller."""
-    with open(path) as fh:
-        try:
-            data = json.load(fh)
-        except ValueError as exc:
-            raise ConfigError("invalid JSON: %s" % exc, path=path,
-                              field="controllers") from None
+    lists twice, a run field (_run_fields) that differs from the run's and
+    a malformed entry raise ConfigError naming the file and the controller
+    (controllers.<k>, or controllers.<k>.<key> for a malformed number)."""
+    data = geometry.load_json(path, "controllers")
     if not isinstance(data, list):
         raise ConfigError("controllers must be a list", path=path,
                           field="controllers")
     controllers = {}
     for k, saved in enumerate(data):
+        field = "controllers.%d" % k
         try:
             cell_id = saved["id"]
             entry = plan.entries.get(cell_id)
@@ -651,9 +659,11 @@ def load_controllers(path, env, plan):
                 reason = ("cell %d was synthesized for another plan or "
                           "environment (%s differ); run synth again"
                           % (cell_id, ", ".join(differ)))
+        except ConfigError as exc:
+            reason, field = exc.reason, "%s.%s" % (field, exc.field)
         except KeyError as exc:
             reason = "controller lacks key %s" % exc
         except (TypeError, ValueError, DimensionMismatch) as exc:
             reason = "malformed controller: %s" % exc
-        raise ConfigError(reason, path=path, field="controllers.%d" % k)
+        raise ConfigError(reason, path=path, field=field)
     return controllers

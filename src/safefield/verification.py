@@ -115,17 +115,17 @@ def _stencil(spec, Y):
     return idx, w
 
 
-def inner_maxima(C, X, landmarks, spec, bounds):
-    """Batched adversarial_pmf values: entry i is the maximum of C[i] @ P
-    over the PMFs consistent with observing landmarks[i] from X[i], or NaN
-    when no PMF is.
+def inner_maxima(C, which, X, landmarks, spec, bounds):
+    """Batched adversarial_pmf values: entry i is the maximum of c_i @ P,
+    c_i = C[which[i]], over the PMFs consistent with observing landmarks[i]
+    from X[i], or NaN when no PMF is. Instances share the rows of C.
 
     A revised simplex on every instance's 3d + 1 rows in lockstep, started
     from the 3d slacks and the bilinear stencil PMF around the true offset,
     a convex combination of grid columns that is checked here against the
     bounds. Each round inverts every open basis afresh and prices all grid
     and slack columns at its duals pi. A value counts when no reduced cost
-    exceeds PRICE_TOL * (1 + |C[i]|_inf), the basis is feasible and the
+    exceeds PRICE_TOL * (1 + |c_i|_inf), the basis is feasible and the
     objective is within SLACK_TOL of the dual bound b.pi + max(0, max
     reduced cost). Else the largest reduced cost enters, or after
     STALL_PIVOTS degenerate pivots in a row the first improving column
@@ -136,7 +136,7 @@ def inner_maxima(C, X, landmarks, spec, bounds):
     X = np.asarray(X, dtype=float)
     LM = np.asarray(landmarks, dtype=float)
     Y = LM - X
-    m, n_p = C.shape
+    m, n_p = X.shape[0], C.shape[1]
     U = build_expectation_kernel(spec)
     d = U.shape[0]
     n_r = 3 * d + 1
@@ -150,18 +150,17 @@ def inner_maxima(C, X, landmarks, spec, bounds):
     rhs = np.hstack([Y + bounds.epsilon, -Y + bounds.epsilon,
                      np.full((m, d), bounds.sigma_m), np.ones((m, 1))])
     seeded = np.all(A_s <= rhs[:, :-1], axis=1)
-    # one m x n_p buffer holds |C| here and each round's grid reduced costs:
-    # a fresh array of that size each round can be mapped, and page-faulted
-    # in, anew
-    buf = np.empty_like(C)
-    price_tol = PRICE_TOL * (1.0 + np.abs(C, out=buf).max(axis=1))
+    # one m x n_p buffer holds each round's grid reduced costs: a fresh
+    # array of that size each round can be mapped, and page-faulted in, anew
+    buf = np.empty((m, n_p))
+    price_tol = PRICE_TOL * (1.0 + np.abs(C).max(axis=1))[which]
     feas_tol = PRICE_TOL * (1.0 + np.abs(rhs).max(axis=1))
 
     B = np.tile(np.eye(n_r), (m, 1, 1))
     B[:, :-1, -1] = A_s
     basis = np.tile(np.arange(n_p, n_p + n_r), (m, 1))
     c_B = np.zeros((m, n_r))
-    c_B[:, -1] = np.sum(np.take_along_axis(C, idx, axis=1) * w, axis=1)
+    c_B[:, -1] = np.sum(C[which[:, None], idx] * w, axis=1)
     pivots, stall = np.zeros((2, m), dtype=int)
     open_ = np.flatnonzero(seeded)
     full_lp = list(np.flatnonzero(~seeded))
@@ -176,7 +175,8 @@ def inner_maxima(C, X, landmarks, spec, bounds):
         # grid reduced costs: pi.a_j sums one term per axis, in j's center
         # on that axis; the slacks' are S = -pi
         # mode "clip" writes into buf directly; "raise" buffers the output
-        R = np.take(C, open_, axis=0, out=buf[:open_.size], mode="clip")
+        R = np.take(C, which[open_], axis=0, out=buf[:open_.size],
+                    mode="clip")
         R = R.reshape((-1,) + spec.n)
         R -= pi[:, -1].reshape((-1,) + (1,) * d)
         for q in range(d):
@@ -213,7 +213,8 @@ def inner_maxima(C, X, landmarks, spec, bounds):
         leave = np.where(bland, tied.argmin(axis=1), ratio.argmin(axis=1))
         B[ids, :, leave] = col
         basis[ids, leave] = enter
-        c_B[ids, leave] = np.where(grid, C[ids, np.minimum(enter, n_p - 1)], 0)
+        c_B[ids, leave] = np.where(
+            grid, C[which[ids], np.minimum(enter, n_p - 1)], 0)
         stall[ids] = np.where(theta <= feas_tol[ids], stall[ids] + 1, 0)
         pivots[ids] += 1
         # no row bounds an unbounded ratio test: the full LP takes over
@@ -224,7 +225,7 @@ def inner_maxima(C, X, landmarks, spec, bounds):
 
     for i in full_lp:
         try:
-            values[i] = adversarial_pmf(C[i], X[i], spec, bounds,
+            values[i] = adversarial_pmf(C[which[i]], X[i], spec, bounds,
                                         LM[i]).inner_value
         except InfeasibleMeasurementSet:
             pass
@@ -246,8 +247,10 @@ def worst_case_row_values(rows, control, bias, pairs, spec, bounds, landmarks):
     r = [float(row.w @ bias) + row.r for row in rows]
     k = np.array([j for j, _ in pairs], dtype=int)
     X = np.array([x for _, x in pairs], dtype=float).reshape(len(pairs), spec.dim)
+    # instance (pair j, landmark l) reads row k_j n_l + l of the flat c_p
     inner, stats = inner_maxima(
-        c_p[k].reshape(-1, n_p), np.repeat(X, n_l, axis=0),
+        c_p.reshape(-1, n_p), (k[:, None] * n_l + np.arange(n_l)).ravel(),
+        np.repeat(X, n_l, axis=0),
         np.tile(np.asarray(landmarks, dtype=float), (len(pairs), 1)),
         spec, bounds,
     )

@@ -100,6 +100,9 @@ def test_negative_verify_count_exits_config_code(tmp_path):
     ({"starts": [0.4, 1.6]}, [], "starts"),
     ({"starts": [[0.4, 1.6, 0.0]]}, [], "starts"),
     ({"out": 5}, [], "out"),
+    # a section that is not an object, and a bad value a constructor finds
+    ({"sim": 0}, [], "sim"),
+    ({"sim": {"sensor": {"kind": "lidar"}}}, [], "sim.sensor.kind"),
 ], ids=["negative-eps-flag", "negative-sigma_m", "non-numeric-verify_count",
         "non-numeric-sim.dt", "non-numeric-sim.seed",
         "non-numeric-sensor.drift", "non-numeric-grid.n",
@@ -107,7 +110,7 @@ def test_negative_verify_count_exits_config_code(tmp_path):
         "non-numeric-field.resolution", "field.resolution-of-wrong-length",
         "non-numeric-starts",
         "starts-not-a-list-of-points", "start-of-wrong-dimension",
-        "non-string-out"])
+        "non-string-out", "falsy-sim-section", "unknown-sensor-kind"])
 def test_bad_number_exits_config_code(tmp_path, capsys, extra, flags, field):
     cfg = write_config(tmp_path, **extra)
     assert cli.main(["synth", "--config", str(cfg)] + flags) == 2
@@ -277,8 +280,18 @@ def moved_landmark(env, ctrls):
     (unknown_cell, "controllers.2", "the run's plan has no cell 42"),
     (repeated_cell, "controllers.3", "cell 2 is listed twice"),
     (moved_landmark, "controllers.0", "(landmarks differ)"),
+    # a saved number must be a JSON number, and a count integral
+    (lambda env, ctrls: ctrls[0].update(K_b=[str(v) for v in ctrls[0]["K_b"]]),
+     "controllers.0.K_b", "malformed entry"),
+    (lambda env, ctrls: ctrls[0].update(alpha_v=True),
+     "controllers.0.alpha_v", "malformed entry"),
+    (lambda env, ctrls: ctrls[0]["grid"].update(n=[30.7, 30.2]),
+     "controllers.0.grid.n", "malformed entry"),
+    (lambda env, ctrls: ctrls[0].update(epsilon="4"),
+     "controllers.0.epsilon", "malformed entry"),
 ], ids=["moved-goal", "unknown-barrier", "unknown-cell", "repeated-cell",
-        "moved-landmark"])
+        "moved-landmark", "string-K_b", "boolean-alpha_v",
+        "non-integral-grid.n", "string-epsilon"])
 def test_controllers_of_another_plan_exit_config_code(
         pipeline_dir, tmp_path, capsys, tamper, field, message):
     # each reader checks every controller against its cell's plan entry and
@@ -437,8 +450,17 @@ def test_integers_must_be_json_numbers(tmp_path, edit, field):
     (lambda cfg, env: cfg["grid"].update(width=["60", 60.0]), "grid.width"),
     (lambda cfg, env: cfg.update(starts=[["10", 10]]), "starts"),
     (lambda cfg, env: cfg.update(starts=[[10, False]]), "starts"),
+    (lambda cfg, env: env.update(landmarks=[["0", 0], [40, 0]]),
+     "environment.landmarks"),
+    (lambda cfg, env: env.update(start=[10, True]), "environment.start"),
+    (lambda cfg, env: env["cells"][0].update(
+        vertices=[["0", 0], [20, 0], [20, 20], [0, 20]]),
+     "environment.cells.0.vertices"),
+    (lambda cfg, env: env.update(goal=["20", 0]), "environment.goal"),
 ], ids=["string-epsilon", "boolean-alpha_v", "string-sim.dt",
-        "string-grid.width", "string-start", "boolean-start"])
+        "string-grid.width", "string-start", "boolean-start",
+        "string-landmark", "boolean-environment-start", "string-vertex",
+        "string-goal"])
 def test_floats_must_be_json_numbers(tmp_path, edit, field):
     path = packaged_patrol(tmp_path, edit)
     with pytest.raises(cli.ConfigError) as info:

@@ -143,7 +143,7 @@ def test_batched_adversary_matches_full_lp(spec, bounds):
     C = rng.standard_normal((m, spec.n_points)) * rng.uniform(0.1, 100.0, (m, 1))
     X = rng.uniform(-3.0, 3.0, (m, 2))
     LM = X + rng.uniform(-reach, reach, (m, 2))
-    values, stats = inner_maxima(C, X, LM, spec, bounds)
+    values, stats = inner_maxima(C, np.arange(m), X, LM, spec, bounds)
     assert stats["fallbacks"] == 0
     assert stats["rounds"] > 1
     for i in range(m):
@@ -179,7 +179,7 @@ def test_batch_mixes_seeded_unseeded_and_infeasible_instances():
     ])
     X = np.zeros_like(LM)
     C = np.random.default_rng(17).standard_normal((len(LM), SPEC.n_points))
-    values, stats = inner_maxima(C, X, LM, SPEC, bounds)
+    values, stats = inner_maxima(C, np.arange(len(LM)), X, LM, SPEC, bounds)
     assert stats["fallbacks"] == 2
     assert np.isnan(values[0])
     with pytest.raises(InfeasibleMeasurementSet):
@@ -187,7 +187,8 @@ def test_batch_mixes_seeded_unseeded_and_infeasible_instances():
     for i in range(1, len(LM)):
         ref = adversarial_pmf(C[i], X[i], SPEC, bounds, LM[i]).inner_value
         assert abs(values[i] - ref) <= 1e-9 * max(1.0, abs(ref))
-    alone, stats = inner_maxima(C[2:], X[2:], LM[2:], SPEC, bounds)
+    alone, stats = inner_maxima(C[2:], np.arange(len(LM) - 2), X[2:], LM[2:],
+                                SPEC, bounds)
     assert stats["fallbacks"] == 0
     assert np.allclose(alone, values[2:], rtol=1e-9, atol=1e-9)
 
@@ -223,7 +224,7 @@ def test_degenerate_payoffs_match_full_lp(spec, bounds, payoff, stall,
     else:
         C = np.zeros((m, spec.n_points))
         C[np.arange(m), rng.integers(spec.n_points, size=m)] = 1.0
-    values, stats = inner_maxima(C, X, LM, spec, bounds)
+    values, stats = inner_maxima(C, np.arange(m), X, LM, spec, bounds)
     assert stats["instances"] == m
     if stall:
         assert stats["fallbacks"] == 0
@@ -241,16 +242,17 @@ def test_pivot_cap_sends_longer_runs_to_full_lp(monkeypatch):
     C = rng.standard_normal((m, spec.n_points))
     C[:4] = 1.0  # optimal at the start: no pivot
     needed = np.array([
-        inner_maxima(C[i:i + 1], X[i:i + 1], LM[i:i + 1], spec, bounds)[1]
+        inner_maxima(C[i:i + 1], np.arange(1), X[i:i + 1], LM[i:i + 1], spec,
+                     bounds)[1]
         ["pivots"] for i in range(m)])
     assert 0 < np.sum(needed > 1) < m
     monkeypatch.setattr(verification, "MAX_PIVOTS", 1)
-    values, stats = inner_maxima(C, X, LM, spec, bounds)
+    values, stats = inner_maxima(C, np.arange(m), X, LM, spec, bounds)
     assert stats["fallbacks"] == np.sum(needed > 1)
     assert stats["pivots"] == np.sum(np.minimum(needed, 1))
     # no admissible pivot element: every ratio test is unbounded
     monkeypatch.setattr(verification, "PIVOT_TOL", np.inf)
-    unbounded, stats = inner_maxima(C, X, LM, spec, bounds)
+    unbounded, stats = inner_maxima(C, np.arange(m), X, LM, spec, bounds)
     assert stats["fallbacks"] == np.sum(needed > 0)
     assert stats["pivots"] == 0
     for i in range(m):
