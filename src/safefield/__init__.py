@@ -47,7 +47,6 @@ from .lp_core import LpSolution, StandardLp, solve_lp
 from .measurement import (
     GridSpec,
     PmfGrid,
-    ProbabilityBlocks,
     UncertaintyBounds,
     blur_pmf,
     build_expectation_kernel,

@@ -162,19 +162,15 @@ def deviation_candidates(hs, a):
 
 
 class ConvexCell:
-    """One convex cell of the decomposition."""
+    """One convex cell of the decomposition, given by its counterclockwise
+    vertices, which it keeps (read-only) beside its halfspace form body."""
 
-    def __init__(self, cell_id, body, landmark_ids):
+    def __init__(self, cell_id, vertices, landmark_ids):
         self.id = int(cell_id)
-        self.body = body
+        self.vertices = np.array(vertices, dtype=float)
+        self.vertices.setflags(write=False)
+        self.body = polygon_to_halfspaces(self.vertices)
         self.landmark_ids = list(landmark_ids)
-        self._vertices = None
-
-    @property
-    def vertices(self):
-        if self._vertices is None:
-            self._vertices = cell_vertices(self.body)
-        return self._vertices
 
     def contains(self, x, tol=ABS_TOL):
         return self.body.contains(x, tol=tol)
@@ -311,14 +307,14 @@ def environment_from_dict(obj, path=None):
     cells = []
     for i, spec in enumerate(read(obj, "cells", list, path, "environment.")):
         prefix = "environment.cells.%d." % i
-        body = polygon_to_halfspaces(read(spec, "vertices", reals, path, prefix))
+        vertices = read(spec, "vertices", reals, path, prefix)
         known_keys(spec, prefix, ("id", "vertices", "landmark_ids"), path)
         ids = read(spec, "landmark_ids", integers, path, prefix)
         cell_id = read(spec, "id", integral, path, prefix, i)
         if cell_id in [c.id for c in cells]:
             raise ConfigError("cell id %d repeats an earlier cell's" % cell_id,
                               path=path, field=prefix + "id")
-        cells.append(ConvexCell(cell_id, body, ids))
+        cells.append(ConvexCell(cell_id, vertices, ids))
     prefix = "environment."
     known_keys(obj, prefix, ("dimension", "cells", "landmarks", "start",
                              "goal", "patrol_cycle"), path)

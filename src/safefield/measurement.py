@@ -1,5 +1,5 @@
-"""PMF grid model: expectation kernel, error-bound constraint blocks and
-synthetic PMF generators.
+"""PMF grid model: expectation kernel, the error-bound set and synthetic
+PMF generators.
 
 Measurements live on a robot-centered grid: a PMF over displacement
 y = landmark - robot. The vectorized view P uses row-major (C) order, axis 0
@@ -194,13 +194,37 @@ def _paste(spec, centers, weights, variance):
 
 
 class UncertaintyBounds:
-    """Componentwise mean-error radius and MAD cap, workspace units."""
+    """Componentwise mean-error radius and MAD cap, workspace units.
+
+    They state the set of measurement PMFs that the certificate covers:
+    P >= 0 with unit mass, read at the true offset y, whose mean is within
+    epsilon of y and whose mean absolute deviation around y is at most
+    sigma_m on every axis. Beside the mass rows, that is rows(U^T, y)^T P
+    <= rhs(y) for the expectation kernel U: synthesis dualizes this set,
+    the verifier solves over it and check_pmf_feasible tests a PMF
+    against it, each through these two methods."""
 
     def __init__(self, epsilon, sigma_m):
         if epsilon < 0 or sigma_m < 0:
             raise ValueError("bounds must be non-negative")
         self.epsilon = float(epsilon)
         self.sigma_m = float(sigma_m)
+
+    @staticmethod
+    def rows(u, y):
+        """The 3d row coefficients [u, -u, |u - y|] of mass on grid points
+        u (..., d), read at offsets y that broadcast against u."""
+        u = np.asarray(u, dtype=float)
+        dev = np.abs(u - y)
+        u = np.broadcast_to(u, dev.shape)
+        return np.concatenate([u, -u, dev], axis=-1)
+
+    def rhs(self, y):
+        """The right-hand sides [y + eps, eps - y, sigma_m] of rows at
+        offsets y (..., d)."""
+        y = np.asarray(y, dtype=float)
+        return np.concatenate([y + self.epsilon, self.epsilon - y,
+                               np.full(y.shape, self.sigma_m)], axis=-1)
 
     def warn_if_below_pitch(self, spec):
         pmax = max(spec.pitch)
@@ -212,44 +236,10 @@ class UncertaintyBounds:
             )
 
 
-def mad(U, y, P):
-    """Per-axis mean absolute deviation around y."""
-    y = np.asarray(y, dtype=float)
-    return np.sum(np.abs(U - y[:, None]) * np.asarray(P, dtype=float), axis=1)
-
-
 def check_pmf_feasible(pmf, kernel, bounds, y):
     """Report whether a PMF satisfies the error bounds around truth y."""
-    P = pmf.vector
-    mean_error = kernel @ P - np.asarray(y, dtype=float)
-    dev = mad(kernel, y, P)
-    feasible = bool(
-        np.all(np.abs(mean_error) <= bounds.epsilon + 1e-12)
-        and np.all(dev <= bounds.sigma_m + 1e-12)
-    )
-    return {"mean_error": mean_error, "mad": dev, "feasible": feasible}
-
-
-class ProbabilityBlocks:
-    """Affine blocks of the feasible-measurement set at unknown state x.
-
-    Mean rows: A_x x + A_p P + b_p <= 0 (2d rows).
-    MAD rows, per axis q: z_q^T P <= sigma_m with the couplings
-    U_q - (l - x)_q 1 <= z_q and -(U_q - (l - x)_q 1) <= z_q.
-    """
-
-    def __init__(self, kernel, bounds, landmark):
-        self.U = np.asarray(kernel, dtype=float)
-        d, n_p = self.U.shape
-        self.landmark = np.asarray(landmark, dtype=float)
-        if self.landmark.shape != (d,):
-            raise DimensionMismatch("landmark dimension mismatch")
-        self.bounds = bounds
-        l, eps = self.landmark, bounds.epsilon
-        self.A_p = np.vstack([self.U, -self.U])
-        self.A_x = np.vstack([np.eye(d), -np.eye(d)])
-        self.b_p = np.concatenate([-l - eps, l - eps])
-
-    @property
-    def n_points(self):
-        return self.U.shape[1]
+    y = np.asarray(y, dtype=float)
+    values = bounds.rows(np.asarray(kernel, dtype=float).T, y).T @ pmf.vector
+    d = y.size
+    return {"mean_error": values[:d] - y, "mad": values[2 * d:],
+            "feasible": bool(np.all(values <= bounds.rhs(y) + 1e-12))}

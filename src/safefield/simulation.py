@@ -87,6 +87,8 @@ class SimConfig:
         self.seed = int(seed)
         if self.dt <= 0:
             raise ConfigError("dt must be positive", field="sim.dt")
+        if self.max_time <= 0:
+            raise ConfigError("max_time must be positive", field="sim.max_time")
         if self.goal_tol <= 0:
             raise ConfigError("goal_tol must be positive", field="sim.goal_tol")
 
@@ -243,9 +245,10 @@ def run_trajectory(env, plan, controllers, config, x0=None):
     """Integrate under the plan with controllers, a dict keyed by cell id;
     u is recomputed every step from freshly sensed PMFs (zero-order hold
     within a step). What a controller's steps share is built at its first
-    step: its barrier rows and its bank of control terms. That step's
-    input comes from control_input, which checks the count and grid of the
-    reading; no later reading changes them.
+    step: its barrier rows and its bank of control terms. Every step adds
+    banked terms (_control_law): each step senses exactly the controller's
+    landmarks on its own grid, so the checks of control_input cannot fail
+    here.
 
     The run begins in start_cell and follows the plan's exit map: crossing
     the active exit face hands over to the entry's next_id. In patrol mode
@@ -265,9 +268,6 @@ def run_trajectory(env, plan, controllers, config, x0=None):
     t = 0.0
     n_steps = int(round(config.max_time / config.dt))
 
-    def observe(ctrl):
-        return [sense(ctrl.grid, lm - x) for lm in ctrl.landmarks]
-
     def handover(ids):
         nxt = plan.entries[active_id].next_id
         return nxt if nxt in ids else min(ids)
@@ -277,16 +277,14 @@ def run_trajectory(env, plan, controllers, config, x0=None):
         if ctrl is None:
             raise ConfigError("no controller for cell %d" % active_id,
                               field="controllers")
-        pmfs = observe(ctrl)
+        pmfs = [sense(ctrl.grid, lm - x) for lm in ctrl.landmarks]
         loop = loops.get(active_id)
         if loop is None:
             cell = env.cell_by_id(active_id)
             loop = loops[active_id] = (cell, _barriers(ctrl, cell),
                                        _banked_terms(ctrl))
-            u = control_input(ctrl, pmfs)
-        else:
-            u = _control_law(ctrl.bias, loop[2](pmfs))
-        cell, barriers, _ = loop
+        cell, barriers, terms = loop
+        u = _control_law(ctrl.bias, terms(pmfs))
         min_h, facet = _barrier_values(barriers, x)
         traj.append(t, x, u, active_id, ctrl.entry.progress(x), min_h)
         if min_h < -SAFETY_TOL:

@@ -148,7 +148,7 @@ class LpColumns:
         self.lam_z = self.lam[..., 2 * d + 1:]
 
 
-def _fill_rows(cols, rows, regions, blocks, maps):
+def _fill_rows(cols, rows, regions, landmarks, bounds, points, maps):
     """Inequality rows of the vertex-form LP, per row k: the bound row at
     each vertex v of its region, then per landmark the dual-feasibility row
     of each grid point i at each of its deviation candidates.
@@ -156,14 +156,16 @@ def _fill_rows(cols, rows, regions, blocks, maps):
     Row k reads c_x.x + w.u + r <= -delta_k, and u = K_b + sum_l M_l P_l
     with M_l = sum_i K_li R_i (maps[i] = R_i), so its PMF coefficient on
     landmark l is c_i = (w^T M_l)_i, linear in the gains. The inner maximum
-    of c.P over the PMFs consistent with observing the landmark from x has
-    the dual bound
-        lam_s + lam_p.(-A'_x x - b_p) + sigma_m sum_q lam_z_q
+    of c.P over the PMFs consistent with observing the landmark from x
+    (unit mass and bounds.rows(u, y)^T P <= bounds.rhs(y) at the offset y =
+    landmark - x, u the grid points) has the dual bound
+        lam_s + (lam_p, lam_z).rhs(landmark - x)
     under the per-point feasibility
-        lam_s + (A_p^T lam_p)_i + sum_q lam_z_q |x_q - a_qi| >= c_i,
-    a_i = landmark - U_i. Both must hold on the whole region. The bound row
-    is affine in x, so its vertices suffice; the point rows need the
-    minimum over the region of their last sum, which is attained at one of
+        lam_s + (lam_p, lam_z).rows(u_i, landmark - x) >= c_i.
+    Both must hold on the whole region. The bound row is affine in x, so
+    its vertices suffice. In a point row, rows splits into the mean part
+    [u_i, -u_i] on lam_p and the deviation |x - a_i| on lam_z, a_i =
+    landmark - u_i, whose minimum over the region is attained at one of
     geometry.deviation_candidates. An empty region has neither, so its row
     constrains nothing. Last comes the tiebreak block, the floor -sum(delta)
     <= -z and +-theta - t <= +-target, at right-hand side 0, where it
@@ -182,16 +184,15 @@ def _fill_rows(cols, rows, regions, blocks, maps):
     for region in regions:
         if id(region) not in candidates:
             candidates[id(region)] = [geometry.deviation_candidates(
-                region, (blk.landmark[:, None] - blk.U).T) for blk in blocks]
+                region, landmark - points) for landmark in landmarks]
     for k, row in enumerate(rows):
         V = geometry.region_points(regions[k])
         at_v = n + np.arange(V.shape[0])[:, None]
         ub.add(at_v, cols.bias, row.w)
         ub.add(at_v, cols.delta[k], 1.0)
-        for l, blk in enumerate(blocks):
+        for l, landmark in enumerate(landmarks):
             ub.add(at_v, cols.lam_s[k, l], 1.0)
-            ub.add(at_v, cols.lam_p[k, l], -(V @ blk.A_x.T + blk.b_p))
-            ub.add(at_v, cols.lam_z[k, l], blk.bounds.sigma_m)
+            ub.add(at_v, cols.lam[k, l, 1:], bounds.rhs(landmark - V))
         b_ub.append(-row.r - V @ row.c_x)
         lazy.append(np.zeros(V.shape[0], dtype=bool))
         n += V.shape[0]
@@ -199,11 +200,12 @@ def _fill_rows(cols, rows, regions, blocks, maps):
         # K_{l,i}[m, s] on P_l[j], laid out as cols.gain[l].ravel()
         image = (row.w[None, :, None, None] * features[:, None]).reshape(
             -1, features.shape[2])
-        for l, blk in enumerate(blocks):
+        for l in range(len(landmarks)):
             idx, gap = candidates[id(regions[k])][l]
             at_i = n + np.arange(idx.size)[:, None]
             ub.add(at_i, cols.lam_s[k, l], -1.0)
-            ub.add(at_i, cols.lam_p[k, l], -blk.A_p.T[idx])
+            ub.add(at_i, cols.lam_p[k, l],
+                   np.hstack([-points[idx], points[idx]]))
             ub.add(at_i, cols.lam_z[k, l], -gap)
             ub.add(at_i, cols.gain[l].ravel(), image[:, idx].T)
             b_ub.append(np.zeros(idx.size))
@@ -223,15 +225,16 @@ class AssembledCellLp:
     """The cell's margin LP, whose matrix every solve of the cell shares,
     plus the ingredients needed for tiebreaking and extraction."""
 
-    def __init__(self, cell, entry, lp, cols, rows, regions, blocks, basis,
-                 spec, dynamics, alpha_v, alpha_h, v_floor=None):
+    def __init__(self, cell, entry, lp, cols, rows, regions, landmarks,
+                 bounds, basis, spec, dynamics, alpha_v, alpha_h, v_floor=None):
         self.cell = cell
         self.entry = entry
         self.lp = lp
         self.cols = cols
         self.rows = rows
         self.regions = regions
-        self.blocks = blocks
+        self.landmarks = landmarks
+        self.bounds = bounds
         self.basis = basis
         self.spec = spec
         self.dynamics = dynamics
@@ -280,19 +283,21 @@ def assemble_robust_lp(cell, entry, dynamics, alpha_v, alpha_h, bounds, spec,
     d = dynamics.d
     if cell.body.dim != d:
         raise DimensionMismatch("cell dimension does not match dynamics")
-    _check_visibility(cell, positions, spec)
+    landmarks = [np.asarray(l, dtype=float) for l in positions]
+    if any(l.shape != (spec.dim,) for l in landmarks):
+        raise DimensionMismatch("landmark dimension mismatch")
+    _check_visibility(cell, landmarks, spec)
     bounds.warn_if_below_pitch(spec)
     kernel = build_expectation_kernel(spec)
-    if not len(positions):
+    if not landmarks:
         raise DimensionMismatch("need at least one landmark")
-    # per-landmark constraint blocks: each landmark keeps its own full set
-    blocks = [measurement.ProbabilityBlocks(kernel, bounds, l) for l in positions]
     maps = basis.matrices(kernel, spec.width)
     rows, regions = build_cell_rows(cell.body, entry, dynamics, alpha_v, alpha_h,
                                     v_floor)
 
-    cols = LpColumns(len(blocks), basis.n_k, dynamics.n_u, d, len(rows))
-    ub, b_ub, lazy = _fill_rows(cols, rows, regions, blocks, maps)
+    cols = LpColumns(len(landmarks), basis.n_k, dynamics.n_u, d, len(rows))
+    ub, b_ub, lazy = _fill_rows(cols, rows, regions, landmarks, bounds,
+                                kernel.T, maps)
     eq = _Coo()
     n_goal = 0
     if entry.exit_face is None:
@@ -310,8 +315,8 @@ def assemble_robust_lp(cell, entry, dynamics, alpha_v, alpha_h, bounds, spec,
                     A_ub=ub.matrix((b_ub.size, cols.n_vars)), b_ub=b_ub,
                     A_eq=eq.matrix((n_goal, cols.n_vars)), b_eq=np.zeros(n_goal),
                     lb=lb, ub=ub_bounds, lazy=lazy)
-    return AssembledCellLp(cell, entry, lp, cols, rows, regions, blocks,
-                           basis, spec, dynamics, alpha_v, alpha_h,
+    return AssembledCellLp(cell, entry, lp, cols, rows, regions, landmarks,
+                           bounds, basis, spec, dynamics, alpha_v, alpha_h,
                            v_floor=v_floor)
 
 
@@ -337,11 +342,15 @@ class CellController:
 
     The gains, bias, basis and grid are fixed at construction, and so are
     the per-landmark control matrices built from them: a controller is a
-    constant of the closed loop, so a different law is a new controller."""
+    constant of the closed loop, so a different law is a new controller.
+    Synthesis raises before it could build a controller from any LP status
+    but Optimal, so that is every controller's status."""
+
+    status = "Optimal"
 
     def __init__(self, entry, basis, gains, bias, margins, grid, bounds,
                  alpha_v, alpha_h, landmark_ids, landmarks, v_floor, dynamics,
-                 status="Optimal", saturation=None):
+                 saturation=None):
         self.entry = entry
         self._basis = basis
         self._grid = grid
@@ -356,7 +365,6 @@ class CellController:
         self.landmarks = [np.asarray(p, dtype=float) for p in landmarks]
         self.v_floor = v_floor
         self.dynamics = dynamics
-        self.status = status
         self.saturation = saturation
         if (len(self._gains) != len(self.landmarks)
                 or any(len(per_l) != basis.n_k for per_l in self._gains)
@@ -419,12 +427,21 @@ class CellController:
     def from_dict(cls, d, entry, landmarks):
         """The controller to_dict wrote as d, bound to the plan entry and
         landmark coordinates of a run whose run fields d has. A malformed
-        number raises ConfigError naming its key (geometry.read)."""
+        number, and a status other than the class's, raise ConfigError
+        naming its key (geometry.read)."""
         def read(key, convert=geometry.reals, section=d, prefix=""):
             return geometry.read(section, key, convert, None, prefix)
 
+        def status(value):
+            if value != cls.status:
+                raise ValueError("%r is not %r" % (value, cls.status))
+
         real = geometry.real
-        grid, dynamics = d["grid"], d["dynamics"]
+        read("status", status)
+        grid, dynamics, saturation = d["grid"], d["dynamics"], d["saturation"]
+        if saturation is not None:
+            saturation = {"max_u_vertices": read(
+                "max_u_vertices", real, saturation, "saturation.")}
         return cls(
             entry=entry,
             basis=GainBasis(d["basis"]),
@@ -444,8 +461,7 @@ class CellController:
             dynamics=LinearDynamics(
                 read("A", section=dynamics, prefix="dynamics."),
                 read("B", section=dynamics, prefix="dynamics.")),
-            status=d.get("status", "Optimal"),
-            saturation=d.get("saturation"),
+            saturation=saturation,
         )
 
 
@@ -521,14 +537,13 @@ def synthesize_cell_controller(assembled):
         bias=x[cols.bias],
         margins=x[cols.delta],
         grid=assembled.spec,
-        bounds=assembled.blocks[0].bounds,
+        bounds=assembled.bounds,
         alpha_v=assembled.alpha_v,
         alpha_h=assembled.alpha_h,
         landmark_ids=assembled.cell.landmark_ids,
-        landmarks=[blk.landmark for blk in assembled.blocks],
+        landmarks=assembled.landmarks,
         v_floor=assembled.v_floor,
         dynamics=assembled.dynamics,
-        status="Optimal",
     )
     ctrl.saturation = _saturation_report(ctrl, assembled.cell)
     return ctrl
@@ -558,7 +573,7 @@ def nominal_theta(assembled):
     quantization plateaus are crossed by sliding along the grid lines
     through the goal."""
     cols, entry, spec = assembled.cols, assembled.entry, assembled.spec
-    positions = [blk.landmark for blk in assembled.blocks]
+    positions = assembled.landmarks
     out = np.zeros(cols.theta.size)
     d = cols.d
     if cols.bias.size != d:
@@ -576,7 +591,7 @@ def nominal_theta(assembled):
         proj = np.outer(v, v)
         M = 2.0 * proj + (np.eye(d) - proj)
         push = (assembled.alpha_v
-                * (assembled.blocks[0].bounds.epsilon + max(spec.pitch))
+                * (assembled.bounds.epsilon + max(spec.pitch))
                 * np.sum(np.abs(v)) + DELTA_CAP["clf"] + 1.0)
         bias = -push * v
         ys = [pos - entry.o for pos in positions]

@@ -31,7 +31,7 @@ from .errors import (
     VerificationFailed,
 )
 from .lp_core import StandardLp, solve_lp
-from .measurement import PmfGrid, build_expectation_kernel
+from .measurement import PmfGrid
 
 SLACK_TOL = 1e-6
 # inner_maxima's simplex: price (and feasibility) tolerance relative to
@@ -61,16 +61,10 @@ def adversarial_pmf(c_p, x, spec, bounds, landmark):
     absolute deviation (computed against the true offset) within sigma_m."""
     c_p = np.asarray(c_p, dtype=float)
     x = np.asarray(x, dtype=float)
-    U = build_expectation_kernel(spec)
     y = np.asarray(landmark, dtype=float) - x
-    d, n_p = U.shape
-    dev = np.abs(U - y[:, None])
-    A_ub = np.vstack([U, -U, dev])
-    b_ub = np.concatenate([
-        y + bounds.epsilon,
-        -y + bounds.epsilon,
-        np.full(d, bounds.sigma_m),
-    ])
+    n_p = spec.n_points
+    A_ub = bounds.rows(spec.points(), y).T
+    b_ub = bounds.rhs(y)
     lp = StandardLp(
         "max", c_p,
         A_ub=A_ub, b_ub=b_ub,
@@ -137,18 +131,14 @@ def inner_maxima(C, which, X, landmarks, spec, bounds):
     LM = np.asarray(landmarks, dtype=float)
     Y = LM - X
     m, n_p = X.shape[0], C.shape[1]
-    U = build_expectation_kernel(spec)
-    d = U.shape[0]
+    points = spec.points()
+    d = spec.dim
     n_r = 3 * d + 1
     values = np.full(m, np.nan)
 
     idx, w = _stencil(spec, Y)
-    U_st = U[:, idx]
-    mean = np.sum(U_st * w, axis=2).T
-    dev = np.sum(np.abs(U_st - Y.T[:, :, None]) * w, axis=2).T
-    A_s = np.hstack([mean, -mean, dev])
-    rhs = np.hstack([Y + bounds.epsilon, -Y + bounds.epsilon,
-                     np.full((m, d), bounds.sigma_m), np.ones((m, 1))])
+    A_s = np.sum(bounds.rows(points[idx], Y[:, None]) * w[:, :, None], axis=1)
+    rhs = np.hstack([bounds.rhs(Y), np.ones((m, 1))])
     seeded = np.all(A_s <= rhs[:, :-1], axis=1)
     # one m x n_p buffer holds each round's grid reduced costs: a fresh
     # array of that size each round can be mapped, and page-faulted in, anew
@@ -173,7 +163,8 @@ def inner_maxima(C, which, X, landmarks, spec, bounds):
         pi = np.einsum("kj,kji->ki", c_B[open_], B_inv)
         obj = np.einsum("ki,ki->k", c_B[open_], x_B)
         # grid reduced costs: pi.a_j sums one term per axis, in j's center
-        # on that axis; the slacks' are S = -pi
+        # on that axis, so bounds.rows is priced one axis at a time and no
+        # m x n_p x 3d product is formed; the slacks' are S = -pi
         # mode "clip" writes into buf directly; "raise" buffers the output
         R = np.take(C, which[open_], axis=0, out=buf[:open_.size],
                     mode="clip")
@@ -202,9 +193,8 @@ def inner_maxima(C, which, X, landmarks, spec, bounds):
         enter[bland] = np.argmax(np.hstack([R[lb], S[lb]]) > tol[lb, None], 1)
         col = np.eye(n_r)[np.clip(enter - n_p, 0, n_r - 1)]
         grid = enter < n_p
-        Uq = U[:, enter[grid]].T
-        col[grid] = np.hstack([Uq, -Uq, np.abs(Uq - Yo[live[grid]]),
-                               np.ones((Uq.shape[0], 1))])
+        rows = bounds.rows(points[enter[grid]], Yo[live[grid]])
+        col[grid] = np.hstack([rows, np.ones((rows.shape[0], 1))])
         step = np.einsum("kij,kj->ki", B_inv[live], col)
         ratio = np.divide(np.maximum(x_B[live], 0.0), step, where=step > PIVOT_TOL,
                           out=np.full(step.shape, np.inf))

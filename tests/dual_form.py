@@ -21,6 +21,32 @@ from safefield.measurement import build_expectation_kernel
 from safefield.synthesis import _Coo
 
 
+class AffineBlocks:
+    """The error-bound set of one landmark in x-affine form, written here
+    apart from the code it checks: the mean rows A_x x + A_p P + b_p <= 0
+    (2d rows) and, per axis q, z_q.P <= sigma_m with the couplings
+    U_q - (landmark - x)_q 1 <= z_q and -(U_q - (landmark - x)_q 1) <= z_q."""
+
+    def __init__(self, spec, bounds, landmark):
+        self.U = build_expectation_kernel(spec)
+        d = self.U.shape[0]
+        self.landmark = np.asarray(landmark, dtype=float)
+        self.sigma_m = bounds.sigma_m
+        eps = bounds.epsilon
+        self.A_p = np.vstack([self.U, -self.U])
+        self.A_x = np.vstack([np.eye(d), -np.eye(d)])
+        self.b_p = np.concatenate([-self.landmark - eps, self.landmark - eps])
+
+    @property
+    def n_points(self):
+        return self.U.shape[1]
+
+
+def affine_blocks(asm):
+    """One AffineBlocks per landmark of an assembled cell."""
+    return [AffineBlocks(asm.spec, asm.bounds, l) for l in asm.landmarks]
+
+
 def feature_maps(asm):
     """The feature maps R_i of an assembled cell, on its grid."""
     return asm.basis.matrices(build_expectation_kernel(asm.spec), asm.spec.width)
@@ -198,7 +224,7 @@ def machine_fill(meta, rows, regions, blocks, maps):
             rhs_outer.extend([
                 (np.array([meta.var("lam_s", k, l)[0]]), np.array([-1.0])),
                 (meta.vrange("lam_p", k, l), blk.b_p),
-                (meta.vrange("lam_z", k, l), np.full(d, -blk.bounds.sigma_m)),
+                (meta.vrange("lam_z", k, l), np.full(d, -blk.sigma_m)),
             ])
         robust_row(
             ub, eq, b_ub, b_eq,
@@ -262,17 +288,18 @@ def machine_fill(meta, rows, regions, blocks, maps):
 def dual_meta(asm):
     return DualFormMeta(asm.cols, asm.cols.delta.size,
                         [reg.n_rows for reg in asm.regions],
-                        [blk.n_points for blk in asm.blocks],
+                        [blk.n_points for blk in affine_blocks(asm)],
                         n_goal_rows=asm.lp.b_eq.shape[0])
 
 
 def machine_lp(asm):
     """The assembled cell's LP in dual form, from the same rows, regions,
-    blocks, weights and caps. The goal equality is not a dualization; its
-    rows touch theta alone and are copied from the assembled LP."""
+    bound set (affine_blocks), weights and caps. The goal equality is not a
+    dualization; its rows touch theta alone and are copied from the
+    assembled LP."""
     meta, lp = dual_meta(asm), asm.lp
-    ub, b_ub, eq, b_eq = machine_fill(meta, asm.rows, asm.regions, asm.blocks,
-                                      feature_maps(asm))
+    ub, b_ub, eq, b_eq = machine_fill(meta, asm.rows, asm.regions,
+                                      affine_blocks(asm), feature_maps(asm))
     g0 = meta.n_eq - meta.n_goal_rows
     G = meta.cols.theta.size
     goal = sp.hstack([lp.A_eq[:, :G], sp.csr_matrix((meta.n_goal_rows, meta.n_vars - G))])
@@ -302,11 +329,12 @@ def lift(asm, x):
     out = np.zeros(meta.n_vars)
     n_head = cols.theta.size + cols.delta.size
     out[:n_head] = x[:n_head]
+    blocks = affine_blocks(asm)
     for k, row in enumerate(asm.rows):
         A, b = asm.regions[k].A, asm.regions[k].b
         n_reg = b.shape[0]
         target = row.c_x.copy()
-        for l, blk in enumerate(asm.blocks):
+        for l, blk in enumerate(blocks):
             for name in ("lam_s", "lam_p", "lam_z"):
                 out[meta.vrange(name, k, l)] = x[getattr(cols, name)[k, l]]
             target -= blk.A_x.T @ x[cols.lam_p[k, l]]
@@ -319,7 +347,7 @@ def lift(asm, x):
         eye = np.eye(d)
         block = np.block([[A.T, eye, -eye],
                           [np.zeros((d, n_reg)), eye, eye]])
-        for l, blk in enumerate(asm.blocks):
+        for l, blk in enumerate(blocks):
             n_p = blk.n_points
             lam_z = x[cols.lam_z[k, l]]
             a = (blk.landmark[:, None] - blk.U).T

@@ -3,8 +3,7 @@
 import numpy as np
 
 from safefield.clfcbf import LinearDynamics
-from safefield.geometry import (ConvexCell, Environment, deviation_candidates,
-                                polygon_to_halfspaces)
+from safefield.geometry import ConvexCell, Environment, deviation_candidates
 from safefield.lp_core import StandardLp, solve_lp
 from safefield.measurement import GridSpec, UncertaintyBounds
 from safefield.planning import PlanEntry
@@ -28,8 +27,7 @@ def random_convex_polygon(rng, n_min=4, n_max=7, radius=3.0, center=(0.0, 0.0)):
 def random_cell(rng, cell_id=0, n_min=4, n_max=7, radius=3.0):
     """Random convex cell with the landmark drawn near the centroid."""
     verts = random_convex_polygon(rng, n_min, n_max, radius)
-    body = polygon_to_halfspaces(verts)
-    cell = ConvexCell(cell_id, body, [0])
+    cell = ConvexCell(cell_id, verts, [0])
     centroid = verts.mean(axis=0)
     landmark = centroid + rng.uniform(-0.3, 0.3, size=2) * radius
     return cell, landmark
@@ -85,12 +83,9 @@ def three_cell_env():
     goal so its observation snaps tie-to-lower and the resulting idle
     plateau lies outside the cell."""
     cells = [
-        ConvexCell(0, polygon_to_halfspaces(
-            [[0.0, 0.0], [1.0, 0.0], [1.0, 1.0], [0.0, 1.0]]), [0]),
-        ConvexCell(1, polygon_to_halfspaces(
-            [[1.0, 0.0], [2.0, 0.0], [2.0, 1.0], [1.0, 1.0]]), [1]),
-        ConvexCell(2, polygon_to_halfspaces(
-            [[0.0, 1.0], [2.0, 1.0], [2.0, 2.0], [0.0, 2.0]]), [2]),
+        ConvexCell(0, [[0.0, 0.0], [1.0, 0.0], [1.0, 1.0], [0.0, 1.0]], [0]),
+        ConvexCell(1, [[1.0, 0.0], [2.0, 0.0], [2.0, 1.0], [1.0, 1.0]], [1]),
+        ConvexCell(2, [[0.0, 1.0], [2.0, 1.0], [2.0, 2.0], [0.0, 2.0]], [2]),
     ]
     return Environment(cells, [[1.0, 1.0], [1.5, 0.5], [1.0, 1.5]],
                        [0.4, 1.6], [1.0, 1.0], patrol_cycle=[0, 1])

@@ -15,8 +15,8 @@ from safefield.geometry import environment_from_dict
 from safefield.lp_core import solve_lp
 from safefield.measurement import (GridSpec, PmfGrid, UncertaintyBounds,
                                    blur_pmf, build_expectation_kernel,
-                                   gaussian_kernel, mad, make_delta_pmf)
-from safefield.geometry import ConvexCell, polygon_to_halfspaces
+                                   gaussian_kernel, make_delta_pmf)
+from safefield.geometry import ConvexCell
 from safefield.planning import PlanEntry
 from safefield.simulation import SensorModel, SimConfig, control_input
 from safefield.synthesis import (assemble_robust_lp,
@@ -121,7 +121,7 @@ def test_tighter_bounds_never_lower_the_optimum():
         h = rng.uniform(5.0, 20.0)
         verts = np.array([[-w / 2, -h / 2], [w / 2, -h / 2],
                           [w / 2, h / 2], [-w / 2, h / 2]])
-        cell = ConvexCell(k, polygon_to_halfspaces(verts), [0])
+        cell = ConvexCell(k, verts, [0])
         entry = transit_entry_for(cell, 0)
         lm = rng.uniform(-0.25, 0.25, size=2) * np.array([w, h])
         vals = []
@@ -195,7 +195,8 @@ def test_measurement_primitives_are_exact():
         P = rng.random(n_p)
         P /= P.sum()
         y = rng.uniform(-20.0, 20.0, size=2)
-        fast = mad(U, y, P)
+        # the deviation rows of the bound set: the MAD of P around y
+        fast = (UncertaintyBounds.rows(U.T, y).T @ P)[4:]
         for q in range(2):
             slow = 0.0
             for j in range(n_p):

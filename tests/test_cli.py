@@ -88,6 +88,7 @@ def test_negative_verify_count_exits_config_code(tmp_path):
     ({"sigma_m": -2}, [], "sigma_m"),
     ({"verify_count": "many"}, [], "verify_count"),
     ({"sim": {"dt": "fast"}}, [], "sim.dt"),
+    ({"sim": {"max_time": -5.0}}, [], "sim.max_time"),
     ({"sim": {"seed": "s"}}, [], "sim.seed"),
     ({"sim": {"sensor": {"kind": "gaussian", "drift": "far"}}}, [],
      "sim.sensor.drift"),
@@ -104,7 +105,8 @@ def test_negative_verify_count_exits_config_code(tmp_path):
     ({"sim": 0}, [], "sim"),
     ({"sim": {"sensor": {"kind": "lidar"}}}, [], "sim.sensor.kind"),
 ], ids=["negative-eps-flag", "negative-sigma_m", "non-numeric-verify_count",
-        "non-numeric-sim.dt", "non-numeric-sim.seed",
+        "non-numeric-sim.dt", "non-positive-sim.max_time",
+        "non-numeric-sim.seed",
         "non-numeric-sensor.drift", "non-numeric-grid.n",
         "non-integral-grid.n", "non-integral-field.cells",
         "non-numeric-field.resolution", "field.resolution-of-wrong-length",
@@ -289,9 +291,15 @@ def moved_landmark(env, ctrls):
      "controllers.0.grid.n", "malformed entry"),
     (lambda env, ctrls: ctrls[0].update(epsilon="4"),
      "controllers.0.epsilon", "malformed entry"),
+    # synthesis writes no status but Optimal, and a number as the saturation
+    (lambda env, ctrls: ctrls[0].update(status=5),
+     "controllers.0.status", "malformed entry"),
+    (lambda env, ctrls: ctrls[0]["saturation"].update(max_u_vertices="3"),
+     "controllers.0.saturation.max_u_vertices", "malformed entry"),
 ], ids=["moved-goal", "unknown-barrier", "unknown-cell", "repeated-cell",
         "moved-landmark", "string-K_b", "boolean-alpha_v",
-        "non-integral-grid.n", "string-epsilon"])
+        "non-integral-grid.n", "string-epsilon", "numeric-status",
+        "string-max_u_vertices"])
 def test_controllers_of_another_plan_exit_config_code(
         pipeline_dir, tmp_path, capsys, tamper, field, message):
     # each reader checks every controller against its cell's plan entry and

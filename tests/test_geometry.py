@@ -147,6 +147,6 @@ def test_cells_containing_equals_each_cells_own_test(env_name, tol, request):
 
 
 def test_goal_must_be_vertex():
-    cells = [ConvexCell(0, polygon_to_halfspaces(TRIANGLE), [0])]
+    cells = [ConvexCell(0, TRIANGLE, [0])]
     with pytest.raises(GoalNotVertex):
         Environment(cells, [[0.2, 0.2]], [0.2, 0.2], [0.5, 0.25])

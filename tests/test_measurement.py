@@ -5,13 +5,11 @@ from safefield.errors import DimensionMismatch, LandmarkOutOfView
 from safefield.measurement import (
     GridSpec,
     PmfGrid,
-    ProbabilityBlocks,
     UncertaintyBounds,
     blur_pmf,
     build_expectation_kernel,
     check_pmf_feasible,
     gaussian_kernel,
-    mad,
     make_delta_pmf,
 )
 
@@ -74,8 +72,24 @@ def test_delta_pmf_snaps_exactly():
     assert np.all(np.abs(snapped - y) <= max(spec.pitch) / 2.0 + 1e-12)
 
 
+def check_bound_rows(bounds, U, y, P, mad):
+    """bounds' rows at offset y hold U P, -U P and the MAD mad of P, and its
+    right-hand sides are [y + eps, eps - y, sigma_m] bit for bit."""
+    d, n_p = U.shape
+    rows = bounds.rows(U.T, y)
+    assert rows.shape == (n_p, 3 * d)
+    mean = U @ P
+    assert np.allclose(rows.T @ P, np.concatenate([mean, -mean, mad]),
+                       rtol=0.0, atol=1e-10)
+    rhs = bounds.rhs(y)
+    assert rhs.shape == (3 * d,)
+    assert np.array_equal(rhs, np.concatenate([
+        y + bounds.epsilon, bounds.epsilon - y, np.full(d, bounds.sigma_m)]))
+
+
 def test_mad_matches_brute_force():
     rng = np.random.default_rng(7)
+    bounds = UncertaintyBounds(0.3, 1.7)
     for _ in range(500):
         n = (int(rng.integers(2, 6)), int(rng.integers(2, 6)))
         spec = GridSpec(n, (4.0, 4.0))
@@ -86,7 +100,7 @@ def test_mad_matches_brute_force():
             sum(abs(U[q, i] - y[q]) * P[i] for i in range(spec.n_points))
             for q in range(2)
         ])
-        assert np.all(np.abs(mad(U, y, P) - direct) <= 1e-10)
+        check_bound_rows(bounds, U, y, P, direct)
 
 
 def test_blur_preserves_normalization():
@@ -185,13 +199,17 @@ def test_feasibility_report():
     assert not far["feasible"]
 
 
-def test_probability_blocks_shapes():
+def test_bound_rows_and_rhs_shapes():
     spec = GridSpec((3, 3), (6.0, 6.0))
     U = build_expectation_kernel(spec)
     bounds = UncertaintyBounds(1.0, 4.0)
-    blocks = ProbabilityBlocks(U, bounds, np.array([2.0, -1.0]))
-    n_p, d = spec.n_points, 2
-    assert blocks.n_points == n_p
-    assert blocks.U.shape == (d, n_p)
-    assert blocks.A_p.shape == (2 * d, n_p)
-    assert np.allclose(blocks.A_p, np.vstack([U, -U]))
+    y = np.array([2.0, -1.0])
+    assert np.array_equal(bounds.rows(U.T, y)[:, :4], np.vstack([U, -U]).T)
+    P = make_delta_pmf(spec, [0.0, 2.0]).vector
+    check_bound_rows(bounds, U, y, P, np.abs(U @ P - y))
+    # offsets broadcast against the points: one row block per offset
+    Y = np.array([y, -y, 0.5 * y])
+    assert bounds.rows(U.T, Y[:, None]).shape == (3, spec.n_points, 6)
+    assert np.array_equal(bounds.rows(U.T, Y[:, None])[1],
+                          bounds.rows(U.T, -y))
+    assert np.array_equal(bounds.rhs(Y)[2], bounds.rhs(0.5 * y))

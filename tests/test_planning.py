@@ -2,7 +2,7 @@ import numpy as np
 import pytest
 
 from safefield.errors import ConfigError, DisconnectedFreeSpace
-from safefield.geometry import ConvexCell, Environment, polygon_to_halfspaces
+from safefield.geometry import ConvexCell, Environment
 from safefield.planning import (
     build_graph,
     goal_cell_id,
@@ -14,20 +14,16 @@ from safefield.simulation import SimConfig, run_trajectory
 
 def two_squares():
     """Unit squares side by side; goal at the far bottom-right vertex."""
-    a = ConvexCell(0, polygon_to_halfspaces(
-        [[0.0, 0.0], [1.0, 0.0], [1.0, 1.0], [0.0, 1.0]]), [0])
-    b = ConvexCell(1, polygon_to_halfspaces(
-        [[1.0, 0.0], [2.0, 0.0], [2.0, 1.0], [1.0, 1.0]]), [1])
+    a = ConvexCell(0, [[0.0, 0.0], [1.0, 0.0], [1.0, 1.0], [0.0, 1.0]], [0])
+    b = ConvexCell(1, [[1.0, 0.0], [2.0, 0.0], [2.0, 1.0], [1.0, 1.0]], [1])
     return Environment([a, b], [[0.0, 0.0], [2.0, 0.0]],
                        [0.5, 0.5], [2.0, 0.0])
 
 
 def test_disconnected_cells_raise():
     # the second square touches the first at no facet
-    a = ConvexCell(0, polygon_to_halfspaces(
-        [[0.0, 0.0], [1.0, 0.0], [1.0, 1.0], [0.0, 1.0]]), [0])
-    b = ConvexCell(1, polygon_to_halfspaces(
-        [[3.0, 0.0], [4.0, 0.0], [4.0, 1.0], [3.0, 1.0]]), [1])
+    a = ConvexCell(0, [[0.0, 0.0], [1.0, 0.0], [1.0, 1.0], [0.0, 1.0]], [0])
+    b = ConvexCell(1, [[3.0, 0.0], [4.0, 0.0], [4.0, 1.0], [3.0, 1.0]], [1])
     env = Environment([a, b], [[0.0, 0.0], [4.0, 0.0]], [0.5, 0.5], [4.0, 0.0])
     with pytest.raises(DisconnectedFreeSpace, match=r"cells \[1\] unreachable from cell 0"):
         build_graph(env)
@@ -102,7 +98,7 @@ def grid_env(rng):
             corners = [[x0, y0], [x1, y0], [x1, y1], [x0, y1]]
             parts = ([corners[:3], [corners[0]] + corners[2:]]
                      if rng.random() < 0.3 else [corners])
-            cells += [ConvexCell(len(cells) + k, polygon_to_halfspaces(p), [0])
+            cells += [ConvexCell(len(cells) + k, p, [0])
                       for k, p in enumerate(parts)]
     return Environment(cells, [[0.0, 0.0]], [0.1, 0.1], [0.0, 0.0])
 

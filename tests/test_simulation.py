@@ -194,7 +194,7 @@ def test_pmf_mass_is_read_only():
 
 
 def test_sim_config_validation_and_roundtrip():
-    for bad in (dict(dt=0.0), dict(goal_tol=-1.0)):
+    for bad in (dict(dt=0.0), dict(max_time=0.0), dict(goal_tol=-1.0)):
         with pytest.raises(ConfigError):
             SimConfig(**bad)
 
@@ -273,7 +273,7 @@ def case_study_run(case_setup, sensor, start):
 def two_landmark_run():
     """The three-cell rig with two landmarks read in every cell."""
     base = three_cell_env()
-    cells = [ConvexCell(c.id, c.body, ids)
+    cells = [ConvexCell(c.id, c.vertices, ids)
              for c, ids in zip(base.cells, [[0, 1], [1, 0], [2, 0]])]
     env = Environment(cells, base.landmarks, base.start, base.goal)
     graph = build_graph(env)

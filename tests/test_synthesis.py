@@ -5,15 +5,14 @@ import numpy as np
 import pytest
 import scipy.sparse as sp
 
-from dual_form import (bias_image, feature_maps, gain_image, lift, machine_lp,
-                       violation)
+from dual_form import (affine_blocks, bias_image, feature_maps, gain_image,
+                       lift, machine_lp, violation)
 from helpers import check_candidates_against_lp, random_cell, transit_entry_for
 from safefield import synthesis, verification
 from safefield.clfcbf import LinearDynamics
 from safefield.errors import (ConfigError, DimensionMismatch, GridMismatch,
                               LandmarkNotVisible, SynthesisInfeasible)
-from safefield.geometry import (ConvexCell, deviation_candidates,
-                                polygon_to_halfspaces, region_points)
+from safefield.geometry import ConvexCell, deviation_candidates, region_points
 from safefield.lp_core import LpSolution, StandardLp, solve_lp
 from safefield.measurement import (GridSpec, UncertaintyBounds,
                                    build_expectation_kernel, make_delta_pmf)
@@ -68,7 +67,7 @@ def goal_square(spec, bounds, basis, dyn, goal_bounds=None, v_floor="auto"):
     """Square cell with the goal at a vertex; barriers on the facets away
     from the goal, matching how a planner treats a goal-vertex cell."""
     verts = np.array([[0.0, 0.0], [4.0, 0.0], [4.0, 4.0], [0.0, 4.0]])
-    cell = ConvexCell(9, polygon_to_halfspaces(verts), [0])
+    cell = ConvexCell(9, verts, [0])
     goal = np.array([0.0, 0.0])
     v = verts.mean(axis=0) - goal
     walls = [j for j in range(cell.body.n_rows)
@@ -128,7 +127,7 @@ def test_lp_dimensions_square():
     spec = GridSpec((3, 3), (8.0, 8.0))
     _, bounds, basis, dyn = setup()
     verts = np.array([[0.0, 0.0], [1.0, 0.0], [1.0, 1.0], [0.0, 1.0]])
-    cell = ConvexCell(0, polygon_to_halfspaces(verts), [0])
+    cell = ConvexCell(0, verts, [0])
     entry = transit_entry_for(cell, 0)
     asm = assemble_robust_lp(cell, entry, dyn, ALPHA_V, ALPHA_H, bounds, spec,
                              [np.array([0.5, 0.5])], basis)
@@ -186,7 +185,7 @@ def test_gain_coefficients_match_the_oracle_image():
     for asm in oracle_cases():
         A = asm.lp.A_ub.toarray()
         theta = asm.cols.theta
-        maps = [feature_maps(asm)] * len(asm.blocks)
+        maps = [feature_maps(asm)] * len(asm.landmarks)
         n = 0
         for k, row in enumerate(asm.rows):
             n_v = region_points(asm.regions[k]).shape[0]
@@ -196,7 +195,7 @@ def test_gain_coefficients_match_the_oracle_image():
             n += n_v
             image = gain_image(row.w, maps, asm.cols)
             off = 0
-            for blk in asm.blocks:
+            for blk in affine_blocks(asm):
                 idx, _ = deviation_candidates(asm.regions[k],
                                               (blk.landmark[:, None] - blk.U).T)
                 assert np.array_equal(A[n:n + idx.size, theta],
@@ -357,6 +356,19 @@ def test_landmark_not_visible():
     with pytest.raises(LandmarkNotVisible):
         assemble_robust_lp(cell, entry, dyn, ALPHA_V, ALPHA_H, bounds, spec,
                            [np.array([100.0, 0.0])], basis)
+
+
+@pytest.mark.parametrize("n, width, landmark", [
+    ((4, 4, 4), (16.0, 16.0, 16.0), [2.0, 2.0]),
+    ((6, 6), (16.0, 16.0), [2.0]),
+], ids=["2-D-landmark-on-3-D-grid", "one-coordinate-landmark"])
+def test_landmark_of_another_dimension_than_the_grid(n, width, landmark):
+    _, bounds, basis, dyn = setup()
+    cell, _ = random_cell(np.random.default_rng(29))
+    entry = transit_entry_for(cell, 0)
+    with pytest.raises(DimensionMismatch, match="landmark dimension"):
+        assemble_robust_lp(cell, entry, dyn, ALPHA_V, ALPHA_H, bounds,
+                           GridSpec(n, width), [np.array(landmark)], basis)
 
 
 def test_controller_json_roundtrip(case_setup, tmp_path):

@@ -8,12 +8,11 @@ from helpers import transit_entry_for
 from safefield import verification
 from safefield.clfcbf import LinearDynamics, build_clf_row
 from safefield.errors import InfeasibleMeasurementSet, VerificationFailed
-from safefield.geometry import ConvexCell, polygon_to_halfspaces
+from safefield.geometry import ConvexCell
 from safefield.measurement import (
     GridSpec,
     UncertaintyBounds,
     build_expectation_kernel,
-    mad,
 )
 from safefield.planning import PlanEntry
 from safefield.synthesis import (
@@ -39,7 +38,7 @@ BOUNDS = UncertaintyBounds(0.125, 0.5)
 
 def square_controller():
     verts = np.array([[-2.0, -2.0], [2.0, -2.0], [2.0, 2.0], [-2.0, 2.0]])
-    cell = ConvexCell(0, polygon_to_halfspaces(verts), [0])
+    cell = ConvexCell(0, verts, [0])
     entry = transit_entry_for(cell, 0)
     dyn = LinearDynamics.single_integrator(2)
     asm = assemble_robust_lp(cell, entry, dyn, 1.0, 100.0, BOUNDS, SPEC,
@@ -87,7 +86,8 @@ def test_worst_pmf_is_consistent():
         assert abs(P.sum() - 1.0) <= 1e-7
         assert np.all(P >= -1e-9)
         assert np.all(np.abs(U @ P - y) <= BOUNDS.epsilon + 1e-7)
-        assert np.all(mad(U, y, P) <= BOUNDS.sigma_m + 1e-7)
+        assert np.all(BOUNDS.rows(U.T, y)[:, 4:].T @ P
+                      <= BOUNDS.sigma_m + 1e-7)
         # a larger consistent set can only raise the maximum
         wide = UncertaintyBounds(2 * BOUNDS.epsilon, 2 * BOUNDS.sigma_m)
         res2 = adversarial_pmf(c_p, x, SPEC, wide, lm)
