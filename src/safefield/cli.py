@@ -89,11 +89,19 @@ class RunConfig:
                 raise ConfigError("%s must be %s" % (key, need), path=path,
                                   field=key)
 
-        grid = _arguments(raw, "grid", path, n=integers, width=reals)
+        grid = _arguments(raw, "grid", path, n=integers,
+                          width=lambda value: list(reals(value)))
         if len(grid) != 2:
             raise ConfigError("grid must give n and width", path=path,
                               field="grid")
-        self.grid = GridSpec(**grid)
+        try:
+            self.grid = GridSpec(**grid)
+        except DimensionMismatch as exc:
+            raise ConfigError(str(exc), path=path, field="grid") from None
+        if self.grid.dim != dim:
+            raise ConfigError("grid has %d axes in a %d-D environment"
+                              % (self.grid.dim, dim), path=path,
+                              field="grid.n")
 
         try:
             self.basis = GainBasis(raw.get("basis", GainBasis.KNOWN))
@@ -122,6 +130,9 @@ class RunConfig:
         if len(self.field_resolution) != dim:
             raise ConfigError("resolution has %d entries in a %d-D environment"
                               % (len(self.field_resolution), dim),
+                              path=path, field="field.resolution")
+        if min(self.field_resolution) < 2:
+            raise ConfigError("resolution must be at least 2 per axis",
                               path=path, field="field.resolution")
         self.field_cells = field.get("cells")
         if self.field_cells is not None and not (
@@ -245,7 +256,7 @@ def cmd_verify(cfg):
     controllers = synthesis.load_controllers(_controllers_path(cfg), env,
                                              _plan(cfg))
     reports = verification.verify_environment(
-        controllers, env, count=cfg.verify_count, seed=cfg.seed,
+        controllers, count=cfg.verify_count, seed=cfg.seed,
         raise_on_fail=False,
     )
     os.makedirs(cfg.out, exist_ok=True)
@@ -312,9 +323,8 @@ def cmd_field(cfg, cells=None):
         if cid not in controllers:
             raise ConfigError("no controller for cell %d" % cid,
                               path=_controllers_path(cfg), field="controllers")
-        cell = env.cell_by_id(cid)
         arr = simulation.sample_vector_field(
-            cell, controllers[cid], cfg.field_resolution,
+            controllers[cid], cfg.field_resolution,
             sensor=cfg.sim.sensor, seed=cfg.seed,
         )
         path = os.path.join(cfg.out, "field_cell%d.csv" % cid)

@@ -109,12 +109,16 @@ class OffPlanCrossing(SafeFieldError):
 
 
 class ConfigError(SafeFieldError):
-    """Bad or missing field in a run configuration."""
+    """Bad or missing field in a run configuration. The message names the
+    file and the field, each where it is known."""
 
     def __init__(self, message, path=None, field=None):
         self.reason = message
-        if path is not None or field is not None:
-            message = "%s (file %s, field %s)" % (message, path, field)
+        where = ", ".join("%s %s" % (part, value) for part, value
+                          in (("file", path), ("field", field))
+                          if value is not None)
+        if where:
+            message = "%s (%s)" % (message, where)
         super().__init__(message)
         self.path = path
         self.field = field

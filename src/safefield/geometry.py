@@ -302,8 +302,10 @@ def known_keys(section, prefix, keys, path):
 def environment_from_dict(obj, path=None):
     """Build an Environment from its JSON-style dict form. A missing,
     malformed or unknown entry, a cell id that is not integral or repeats
-    another, and a dimension other than the landmarks' raise ConfigError
-    naming the entry, with path as the file."""
+    another, a dimension other than the landmarks', and the refusals of
+    ConvexCell (its vertices) and Environment (a landmark id out of range, a
+    goal off every vertex) raise ConfigError naming the entry, with path as
+    the file."""
     cells = []
     for i, spec in enumerate(read(obj, "cells", list, path, "environment.")):
         prefix = "environment.cells.%d." % i
@@ -314,7 +316,11 @@ def environment_from_dict(obj, path=None):
         if cell_id in [c.id for c in cells]:
             raise ConfigError("cell id %d repeats an earlier cell's" % cell_id,
                               path=path, field=prefix + "id")
-        cells.append(ConvexCell(cell_id, vertices, ids))
+        try:
+            cells.append(ConvexCell(cell_id, vertices, ids))
+        except (DegenerateInput, NonConvexInput) as exc:
+            raise ConfigError(str(exc), path=path,
+                              field=prefix + "vertices") from None
     prefix = "environment."
     known_keys(obj, prefix, ("dimension", "cells", "landmarks", "start",
                              "goal", "patrol_cycle"), path)
@@ -328,4 +334,14 @@ def environment_from_dict(obj, path=None):
                           path=path, field=prefix + "dimension")
     start, goal = (read(obj, key, point(dim), path, prefix)
                    for key in ("start", "goal"))
-    return Environment(cells, landmarks, start, goal, patrol_cycle=cycle)
+    try:
+        return Environment(cells, landmarks, start, goal, patrol_cycle=cycle)
+    except LandmarkOutOfView as exc:
+        # Environment refused the first cell, in order, naming one
+        n_l = np.atleast_2d(landmarks).shape[0]
+        i = next(i for i, c in enumerate(cells)
+                 if not set(c.landmark_ids) <= set(range(n_l)))
+        reason, field = str(exc), "cells.%d.landmark_ids" % i
+    except GoalNotVertex as exc:
+        reason, field = str(exc), "goal"
+    raise ConfigError(reason, path=path, field=prefix + field)

@@ -185,10 +185,11 @@ def _banked_terms(controller):
     return terms
 
 
-def _barriers(controller, cell):
-    """The controller's barrier facets with their rows of the cell body."""
+def _barriers(controller):
+    """The controller's barrier facets with their rows of its cell body."""
     facets = controller.entry.barriers
-    return facets, cell.body.A[facets], cell.body.b[facets]
+    body = controller.cell.body
+    return facets, body.A[facets], body.b[facets]
 
 
 def _barrier_values(barriers, x):
@@ -260,7 +261,7 @@ def run_trajectory(env, plan, controllers, config, x0=None):
     smallest-id cell that does, whose controller funnels it back toward
     the goal.
     """
-    loops = {}  # cell id -> (cell, barrier rows, banked control terms)
+    loops = {}  # cell id -> (barrier rows, banked control terms)
     sense = config.sensor.make(config.seed)
     x = np.asarray(env.start if x0 is None else x0, dtype=float).copy()
     traj = Trajectory(plan.mode)
@@ -280,10 +281,8 @@ def run_trajectory(env, plan, controllers, config, x0=None):
         pmfs = [sense(ctrl.grid, lm - x) for lm in ctrl.landmarks]
         loop = loops.get(active_id)
         if loop is None:
-            cell = env.cell_by_id(active_id)
-            loop = loops[active_id] = (cell, _barriers(ctrl, cell),
-                                       _banked_terms(ctrl))
-        cell, barriers, terms = loop
+            loop = loops[active_id] = (_barriers(ctrl), _banked_terms(ctrl))
+        barriers, terms = loop
         u = _control_law(ctrl.bias, terms(pmfs))
         min_h, facet = _barrier_values(barriers, x)
         traj.append(t, x, u, active_id, ctrl.entry.progress(x), min_h)
@@ -331,15 +330,16 @@ def run_trajectory(env, plan, controllers, config, x0=None):
             # one integration step can overshoot a barrier-free shared
             # face by at most |u| dt; only a deeper excursion counts as
             # having left the cell
-            depth = float(np.max(cell.body.values(x)))
+            depth = float(np.max(ctrl.cell.body.values(x)))
             if depth > np.linalg.norm(u) * config.dt + 1e-9:
                 active_id = handover(ids)
     traj.reached = False if plan.mode == "stabilize" else None
     return traj
 
 
-def sample_vector_field(cell, controller, resolution, sensor=None, seed=0):
-    """Control inputs on an in-cell lattice; rows are (x, u)."""
+def sample_vector_field(controller, resolution, sensor=None, seed=0):
+    """Control inputs on a lattice over the controller's cell; rows (x, u)."""
+    cell = controller.cell
     res = np.broadcast_to(np.asarray(resolution, dtype=int),
                           (cell.body.dim,)).copy()
     if np.any(res < 2):

@@ -337,8 +337,8 @@ def _tiebreak_lp(assembled, z, target):
 
 
 class CellController:
-    """Synthesized gains, the plan entry they certify and everything else
-    needed to run and audit them.
+    """Synthesized gains, the cell and plan entry they certify and
+    everything else needed to run and audit them.
 
     The gains, bias, basis and grid are fixed at construction, and so are
     the per-landmark control matrices built from them: a controller is a
@@ -348,9 +348,10 @@ class CellController:
 
     status = "Optimal"
 
-    def __init__(self, entry, basis, gains, bias, margins, grid, bounds,
-                 alpha_v, alpha_h, landmark_ids, landmarks, v_floor, dynamics,
+    def __init__(self, cell, entry, basis, gains, bias, margins, grid,
+                 bounds, alpha_v, alpha_h, landmarks, v_floor, dynamics,
                  saturation=None):
+        self.cell = cell
         self.entry = entry
         self._basis = basis
         self._grid = grid
@@ -361,20 +362,21 @@ class CellController:
         self.bounds = bounds
         self.alpha_v = float(alpha_v)
         self.alpha_h = float(alpha_h)
-        self.landmark_ids = list(landmark_ids)
         self.landmarks = [np.asarray(p, dtype=float) for p in landmarks]
         self.v_floor = v_floor
         self.dynamics = dynamics
         self.saturation = saturation
-        if (len(self._gains) != len(self.landmarks)
+        if (cell.id != entry.cell_id
+                or len(self.landmarks) != len(cell.landmark_ids)
+                or len(self._gains) != len(self.landmarks)
                 or any(len(per_l) != basis.n_k for per_l in self._gains)
                 or any(K.shape != (dynamics.n_u, dynamics.d)
                        for per_l in self._gains for K in per_l)
                 or self._bias.shape != (dynamics.n_u,)
                 or len(self.margins) != 1 + len(entry.barriers)):
             raise DimensionMismatch(
-                "cell %s: gains, bias, landmarks and rows disagree"
-                % entry.cell_id)
+                "cell %s: entry, gains, bias, landmarks and rows disagree"
+                % cell.id)
         features = basis.matrices(build_expectation_kernel(grid), grid.width)
         self._control = tuple(
             _frozen(sum(K @ R for K, R in zip(per_landmark, features)))
@@ -404,7 +406,7 @@ class CellController:
         return self._control
 
     def to_dict(self):
-        run = _run_fields(self.entry, self.landmark_ids, self.landmarks)
+        run = _run_fields(self.cell, self.entry, self.landmarks)
         return {
             "id": run.pop("id"),
             "basis": list(self.basis.names),
@@ -424,9 +426,9 @@ class CellController:
         }
 
     @classmethod
-    def from_dict(cls, d, entry, landmarks):
-        """The controller to_dict wrote as d, bound to the plan entry and
-        landmark coordinates of a run whose run fields d has. A malformed
+    def from_dict(cls, d, cell, entry, landmarks):
+        """The controller to_dict wrote as d, bound to the cell, plan entry
+        and landmark coordinates of a run whose run fields d has. A malformed
         number, and a status other than the class's, raise ConfigError
         naming its key (geometry.read)."""
         def read(key, convert=geometry.reals, section=d, prefix=""):
@@ -443,6 +445,7 @@ class CellController:
             saturation = {"max_u_vertices": read(
                 "max_u_vertices", real, saturation, "saturation.")}
         return cls(
+            cell=cell,
             entry=entry,
             basis=GainBasis(d["basis"]),
             gains=read("K"),
@@ -455,7 +458,6 @@ class CellController:
                                                  read("sigma_m", real)),
             alpha_v=read("alpha_v", real),
             alpha_h=read("alpha_h", real),
-            landmark_ids=d["landmark_ids"],
             landmarks=landmarks,
             v_floor=read("v_floor", lambda v: v if v is None else real(v)),
             dynamics=LinearDynamics(
@@ -465,12 +467,12 @@ class CellController:
         )
 
 
-def _run_fields(entry, landmark_ids, landmarks):
+def _run_fields(cell, entry, landmarks):
     """The fields of a saved controller that its run decides: its cell's
     plan entry and landmarks. to_dict writes id first, the rest after grid."""
     return {
-        "id": entry.cell_id,
-        "landmark_ids": list(landmark_ids),
+        "id": cell.id,
+        "landmark_ids": list(cell.landmark_ids),
         "landmarks": [p.tolist() for p in landmarks],
         "kinds": ["clf"] + ["cbf"] * len(entry.barriers),
         "facets": [None] + entry.barriers,
@@ -531,6 +533,7 @@ def synthesize_cell_controller(assembled):
     x = _solve_cell(assembled)
     cols = assembled.cols
     ctrl = CellController(
+        cell=assembled.cell,
         entry=assembled.entry,
         basis=assembled.basis,
         gains=x[cols.gain],
@@ -540,20 +543,19 @@ def synthesize_cell_controller(assembled):
         bounds=assembled.bounds,
         alpha_v=assembled.alpha_v,
         alpha_h=assembled.alpha_h,
-        landmark_ids=assembled.cell.landmark_ids,
         landmarks=assembled.landmarks,
         v_floor=assembled.v_floor,
         dynamics=assembled.dynamics,
     )
-    ctrl.saturation = _saturation_report(ctrl, assembled.cell)
+    ctrl.saturation = _saturation_report(ctrl)
     return ctrl
 
 
-def _saturation_report(ctrl, cell):
-    """Worst control magnitude over the cell vertices under exact sensing;
+def _saturation_report(ctrl):
+    """Worst control magnitude over its cell's vertices under exact sensing;
     the input set is not part of the LP, so report it instead."""
     worst = 0.0
-    for x in cell.vertices:
+    for x in ctrl.cell.vertices:
         u = control_input(ctrl, [make_delta_pmf(ctrl.grid, lm - x)
                                  for lm in ctrl.landmarks])
         worst = max(worst, float(np.max(np.abs(u))))
@@ -642,7 +644,8 @@ def save_controllers(controllers, path):
 
 def load_controllers(path, env, plan):
     """The controllers save_controllers wrote to path, keyed by cell id in
-    file order, each carrying its cell's entry of plan and landmarks of env.
+    file order, each carrying its cell of env, that cell's entry of plan
+    and its landmarks of env.
     A file that is not such a list, a cell that plan lacks or that the file
     lists twice, a run field (_run_fields) that differs from the run's and
     a malformed entry raise ConfigError naming the file and the controller
@@ -662,14 +665,14 @@ def load_controllers(path, env, plan):
             elif cell_id in controllers:
                 reason = "cell %d is listed twice" % cell_id
             else:
-                ids = env.cell_by_id(cell_id).landmark_ids
-                landmarks = [env.landmarks[j] for j in ids]
+                cell = env.cell_by_id(cell_id)
+                landmarks = [env.landmarks[j] for j in cell.landmark_ids]
                 differ = [key for key, value
-                          in _run_fields(entry, ids, landmarks).items()
+                          in _run_fields(cell, entry, landmarks).items()
                           if saved[key] != value]
                 if not differ:
                     controllers[cell_id] = CellController.from_dict(
-                        saved, entry, landmarks)
+                        saved, cell, entry, landmarks)
                     continue
                 reason = ("cell %d was synthesized for another plan or "
                           "environment (%s differ); run synth again"

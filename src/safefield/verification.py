@@ -287,14 +287,6 @@ class VerificationReport:
         }
 
 
-def _controller_rows(controller, cell):
-    """The rows of the plan entry the controller was synthesized for."""
-    return build_cell_rows(
-        cell.body, controller.entry, controller.dynamics, controller.alpha_v,
-        controller.alpha_h, controller.v_floor,
-    )
-
-
 def _sample_states(cell, regions, count, seed):
     points = [v for v in cell.vertices]
     for region in regions:
@@ -319,9 +311,13 @@ def _sample_states(cell, regions, count, seed):
     return points
 
 
-def verify_controller(controller, cell, count=200, seed=0, raise_on_fail=True):
-    """Sample the cell and check every row against the direct adversary."""
-    rows, regions = _controller_rows(controller, cell)
+def verify_controller(controller, count=200, seed=0, raise_on_fail=True):
+    """Sample the controller's cell and check every row of its plan entry
+    against the direct adversary."""
+    cell = controller.cell
+    rows, regions = build_cell_rows(
+        cell.body, controller.entry, controller.dynamics, controller.alpha_v,
+        controller.alpha_h, controller.v_floor)
     points = _sample_states(cell, regions, count, seed)
     pairs = [(k, x) for k in range(len(rows)) for x in points
              if regions[k].contains(x)]
@@ -364,9 +360,9 @@ def verify_controller(controller, cell, count=200, seed=0, raise_on_fail=True):
     return report
 
 
-def verify_environment(controllers, env, count=200, seed=0, raise_on_fail=True):
-    """Verify every controller of a dict keyed by cell id against its own
-    cell; one report each, in the dict's order."""
-    return [verify_controller(ctrl, env.cell_by_id(cell_id), count=count,
-                              seed=seed, raise_on_fail=raise_on_fail)
-            for cell_id, ctrl in controllers.items()]
+def verify_environment(controllers, count=200, seed=0, raise_on_fail=True):
+    """Verify every controller of a dict keyed by cell id on its own cell;
+    one report each, in the dict's order."""
+    return [verify_controller(ctrl, count=count, seed=seed,
+                              raise_on_fail=raise_on_fail)
+            for ctrl in controllers.values()]

@@ -80,7 +80,7 @@ def reference_trajectory(env, plan, controllers, config, x0=None):
                               field="controllers")
         cell = env.cell_by_id(active_id)
         if active_id not in barriers:
-            barriers[active_id] = _barriers(ctrl, cell)
+            barriers[active_id] = _barriers(ctrl)
         pmfs = [sense(ctrl.grid, lm - x) for lm in ctrl.landmarks]
         u = control_input(ctrl, pmfs)
         min_h, facet = _barrier_values(barriers[active_id], x)

@@ -74,7 +74,7 @@ def test_random_cells_hold_margins_against_adversary():
         asm = assemble_robust_lp(cell, entry, dyn, 1.0, 100.0, bounds, spec,
                                  [lm], basis)
         ctrl = synthesize_cell_controller(asm)
-        report = verify_controller(ctrl, cell, count=200, seed=k)
+        report = verify_controller(ctrl, count=200, seed=k)
         assert report.passed
         worst = report.worst()
         assert worst is None or worst["worst_slack"] <= 1e-6

@@ -94,9 +94,17 @@ def test_negative_verify_count_exits_config_code(tmp_path):
      "sim.sensor.drift"),
     ({"grid": {"n": ["a", 4], "width": [6.0, 6.0]}}, [], "grid.n"),
     ({"grid": {"n": [20.9, 20], "width": [6.0, 6.0]}}, [], "grid.n"),
+    # GridSpec's refusals, and a grid of another dimension than the
+    # environment's, are found when the config loads
+    ({"grid": {"n": [1, 20], "width": [6.0, 6.0]}}, [], "grid"),
+    ({"grid": {"n": [16, 16], "width": [0.0, 6.0]}}, [], "grid"),
+    ({"grid": {"n": [16, 16, 16], "width": [6.0, 6.0]}}, [], "grid"),
+    ({"grid": {"n": [16, 16, 16], "width": [6.0, 6.0, 6.0]}}, [], "grid.n"),
+    ({"grid": {"n": [16, 16], "width": 6.0}}, [], "grid.width"),
     ({"field": {"cells": [0.7]}}, [], "field.cells"),
     ({"field": {"resolution": [5, "x"]}}, [], "field.resolution"),
     ({"field": {"resolution": [10, 10, 10]}}, [], "field.resolution"),
+    ({"field": {"resolution": 1}}, [], "field.resolution"),
     ({"starts": [["a", 1]]}, [], "starts"),
     ({"starts": [0.4, 1.6]}, [], "starts"),
     ({"starts": [[0.4, 1.6, 0.0]]}, [], "starts"),
@@ -108,8 +116,11 @@ def test_negative_verify_count_exits_config_code(tmp_path):
         "non-numeric-sim.dt", "non-positive-sim.max_time",
         "non-numeric-sim.seed",
         "non-numeric-sensor.drift", "non-numeric-grid.n",
-        "non-integral-grid.n", "non-integral-field.cells",
+        "non-integral-grid.n", "grid.n-below-2", "zero-grid.width",
+        "grid.n-and-width-of-different-lengths", "grid-of-wrong-dimension",
+        "grid.width-not-a-list", "non-integral-field.cells",
         "non-numeric-field.resolution", "field.resolution-of-wrong-length",
+        "field.resolution-below-2",
         "non-numeric-starts",
         "starts-not-a-list-of-points", "start-of-wrong-dimension",
         "non-string-out", "falsy-sim-section", "unknown-sensor-kind"])
@@ -141,16 +152,41 @@ def test_bad_number_exits_config_code(tmp_path, capsys, extra, flags, field):
     (dict(ENV, cells=[dict(ENV["cells"][0], landmark_id=[0])]
           + ENV["cells"][1:]), "environment.cells.0.landmark_id"),
     (dict(ENV, dimension=3), "environment.dimension"),
+    # what ConvexCell and Environment refuse names its entry too
+    (dict(ENV, cells=[dict(ENV["cells"][0], vertices=[[0.0, 0.0]] * 2
+                           + ENV["cells"][0]["vertices"][1:])]
+          + ENV["cells"][1:]), "environment.cells.0.vertices"),
+    (dict(ENV, cells=[ENV["cells"][0], dict(
+        ENV["cells"][1], vertices=ENV["cells"][1]["vertices"][::-1]),
+        ENV["cells"][2]]), "environment.cells.1.vertices"),
+    (dict(ENV, cells=ENV["cells"][:2] + [dict(ENV["cells"][2],
+                                              landmark_ids=[5])]),
+     "environment.cells.2.landmark_ids"),
+    (dict(ENV, goal=[0.5, 0.5]), "environment.goal"),
 ], ids=["non-numeric-landmarks", "no-goal", "cell-without-vertices",
         "non-integer-cell-id", "start-of-wrong-dimension",
         "goal-of-wrong-dimension", "non-integral-cell-id",
         "non-integral-landmark_ids", "non-integral-patrol_cycle",
         "repeated-cell-id", "unknown-top-level-key", "unknown-cell-key",
-        "dimension-other-than-the-landmarks"])
+        "dimension-other-than-the-landmarks", "repeated-vertex",
+        "clockwise-vertices", "landmark-id-out-of-range",
+        "goal-not-a-vertex"])
 def test_bad_environment_exits_config_code(tmp_path, capsys, env, field):
     cfg = write_config(tmp_path, environment=env)
     assert cli.main(["synth", "--config", str(cfg)]) == 2
     assert "field %s)" % field in capsys.readouterr().err
+
+
+@pytest.mark.parametrize("argv", [
+    ["synth", "--cells", "9"],
+    ["field", "--cells", "x"],
+], ids=["unknown-cell", "malformed-cells"])
+def test_flag_error_names_no_file(tmp_path, capsys, argv):
+    # a flag comes from no file: the message names only the field
+    cfg = write_config(tmp_path)
+    assert cli.main(argv + ["--config", str(cfg)]) == 2
+    err = capsys.readouterr().err
+    assert "(field cells)" in err and "None" not in err
 
 
 # a fourth cell right of cells 1 and 2, sharing no facet with cell 0

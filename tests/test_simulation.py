@@ -63,10 +63,12 @@ def zero_gain_controller(n_landmarks=2, gains=None):
         gains = [[np.zeros((2, 2)) for _ in range(3)]
                  for _ in range(n_landmarks)]
     landmarks = [[0.0, 0.0], [1.0, 0.0]][:n_landmarks]
+    cell = ConvexCell(0, [[-1.0, -1.0], [1.0, -1.0], [1.0, 1.0], [-1.0, 1.0]],
+                      range(n_landmarks))
     return CellController(
-        entry=PlanEntry(0, None, [0.0, 1.0], [0.0, 0.0]), basis=GainBasis(),
-        gains=gains, bias=[1.5, -2.0], margins=[0.1], grid=SPEC, bounds=BOUNDS,
-        alpha_v=1.0, alpha_h=100.0, landmark_ids=list(range(n_landmarks)),
+        cell=cell, entry=PlanEntry(0, None, [0.0, 1.0], [0.0, 0.0]),
+        basis=GainBasis(), gains=gains, bias=[1.5, -2.0], margins=[0.1],
+        grid=SPEC, bounds=BOUNDS, alpha_v=1.0, alpha_h=100.0,
         landmarks=landmarks, v_floor=None,
         dynamics=LinearDynamics.single_integrator(2))
 
@@ -495,7 +497,7 @@ def test_trajectory_csv_is_written_row_by_row(tmp_path):
 def test_field_samples_push_through_the_exit(rig):
     cell = rig["env"].cell_by_id(2)
     ctrl = rig["ctrls"][2]
-    arr = sample_vector_field(cell, ctrl, (8, 8))
+    arr = sample_vector_field(ctrl, (8, 8))
     assert arr.shape[1] == 4
     assert arr.shape[0] > 0
     for row in arr:
@@ -505,11 +507,11 @@ def test_field_samples_push_through_the_exit(rig):
 
 def test_field_resolution_validation(rig):
     with pytest.raises(ConfigError):
-        sample_vector_field(rig["env"].cell_by_id(2), rig["ctrls"][2], (1, 8))
+        sample_vector_field(rig["ctrls"][2], (1, 8))
 
 
 def test_field_csv_header(tmp_path, rig):
-    arr = sample_vector_field(rig["env"].cell_by_id(2), rig["ctrls"][2], (3, 3))
+    arr = sample_vector_field(rig["ctrls"][2], (3, 3))
     path = tmp_path / "field.csv"
     save_field_csv(arr, 2, str(path))
     lines = path.read_text().splitlines()

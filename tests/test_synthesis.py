@@ -372,8 +372,9 @@ def test_landmark_of_another_dimension_than_the_grid(n, width, landmark):
 
 
 def test_controller_json_roundtrip(case_setup, tmp_path):
-    # a loaded controller is bound to the run: it carries its cell's own
-    # plan entry and the environment's landmark coordinates, and saving
+    # a loaded controller is bound to the run: it carries the environment's
+    # cell, that cell's own plan entry and the environment's landmark
+    # coordinates, and saving
     # the loaded controllers writes the bytes they were read from
     env, plan = case_setup["env"], case_setup["plan"]
     ctrls = case_setup["controllers"]
@@ -386,10 +387,10 @@ def test_controller_json_roundtrip(case_setup, tmp_path):
     assert list(loaded) == list(ctrls) == sorted(plan.entries)
     for cell_id, back in loaded.items():
         ctrl = ctrls[cell_id]
+        assert back.cell is env.cell_by_id(cell_id)
         assert back.entry is plan.entries[cell_id]
-        ids = env.cell_by_id(cell_id).landmark_ids
-        assert back.landmark_ids == ids
-        assert np.array_equal(back.landmarks, env.landmarks[ids])
+        assert np.array_equal(back.landmarks,
+                              env.landmarks[back.cell.landmark_ids])
         assert np.array_equal(back.bias, ctrl.bias)
         for a, b in zip(back.gains, ctrl.gains):
             for ai, bi in zip(a, b):
@@ -425,7 +426,24 @@ def test_margins_must_match_the_entry_rows():
     data = ctrl.to_dict()
     data["delta"] = data["delta"][:-1]
     with pytest.raises(DimensionMismatch, match="rows disagree"):
-        synthesis.CellController.from_dict(data, ctrl.entry, ctrl.landmarks)
+        synthesis.CellController.from_dict(data, ctrl.cell, ctrl.entry,
+                                           ctrl.landmarks)
+
+
+@pytest.mark.parametrize("other", [
+    lambda cell: ConvexCell(cell.id + 1, cell.vertices, cell.landmark_ids),
+    lambda cell: ConvexCell(cell.id, cell.vertices, cell.landmark_ids * 2),
+], ids=["another-cell-id", "another-landmark-count"])
+def test_controller_refuses_a_cell_its_entry_does_not_name(other):
+    # a controller is paired with its cell where it is built: the cell must
+    # be the one its plan entry names, with one landmark per gain block
+    spec, bounds, basis, dyn = setup()
+    asm, _, _, _ = assembled_random(np.random.default_rng(31), spec, bounds,
+                                    basis, dyn)
+    ctrl = synthesize_cell_controller(asm)
+    with pytest.raises(DimensionMismatch, match="entry, gains, bias"):
+        synthesis.CellController.from_dict(ctrl.to_dict(), other(ctrl.cell),
+                                           ctrl.entry, ctrl.landmarks)
 
 
 def test_feature_matrices_grid_mismatch():
@@ -677,6 +695,6 @@ def test_lazy_rows_match_the_full_solve_where_caps_are_missed(annulus_env):
     for lazy, full in pairs.values():
         assert np.max(np.abs(lazy.margins - full.margins)) <= 1e-8
     reports = verification.verify_environment(
-        {cell_id: lazy for cell_id, (lazy, _) in pairs.items()}, annulus_env,
+        {cell_id: lazy for cell_id, (lazy, _) in pairs.items()},
         count=50, seed=0, raise_on_fail=False)
     assert len(reports) == 8 and all(r.passed for r in reports)

@@ -43,7 +43,7 @@ def square_controller():
     dyn = LinearDynamics.single_integrator(2)
     asm = assemble_robust_lp(cell, entry, dyn, 1.0, 100.0, BOUNDS, SPEC,
                              [np.zeros(2)], GainBasis())
-    return synthesize_cell_controller(asm), cell
+    return synthesize_cell_controller(asm)
 
 
 def test_vacuous_bounds_reduce_to_simplex_max():
@@ -262,9 +262,9 @@ def test_pivot_cap_sends_longer_runs_to_full_lp(monkeypatch):
 
 
 def test_verify_logs_the_simplex_counts(caplog):
-    ctrl, cell = square_controller()
+    ctrl = square_controller()
     with caplog.at_level("INFO", logger="safefield"):
-        report = verify_controller(ctrl, cell, count=12, seed=2)
+        report = verify_controller(ctrl, count=12, seed=2)
     lines = [r.getMessage() for r in caplog.records
              if r.getMessage().startswith("verify cell 0:")]
     assert len(lines) == 1
@@ -281,8 +281,8 @@ def test_verify_logs_the_simplex_counts(caplog):
 
 
 def test_synthesized_controller_verifies():
-    ctrl, cell = square_controller()
-    report = verify_controller(ctrl, cell, count=30, seed=1)
+    ctrl = square_controller()
+    report = verify_controller(ctrl, count=30, seed=1)
     assert report.passed
     worst = report.worst()
     assert worst["worst_slack"] <= 1e-6
@@ -298,17 +298,18 @@ def test_tampered_controller_fails():
     # constant push out through a barrier facet, no measurement feedback
     # gains and bias are fixed at construction, so the tampered law is a
     # new controller built from the edited serialized form
-    synthesized, cell = square_controller()
+    synthesized = square_controller()
+    cell = synthesized.cell
     data = synthesized.to_dict()
     wall = synthesized.entry.barriers[0]
     data["K"] = [[np.zeros_like(Ki).tolist() for Ki in per_l]
                  for per_l in synthesized.gains]
     data["K_b"] = cell.body.A[wall].tolist()
-    ctrl = CellController.from_dict(data, synthesized.entry,
+    ctrl = CellController.from_dict(data, cell, synthesized.entry,
                                     synthesized.landmarks)
     with pytest.raises(VerificationFailed):
-        verify_controller(ctrl, cell, count=10, seed=1)
-    report = verify_controller(ctrl, cell, count=10, seed=1,
+        verify_controller(ctrl, count=10, seed=1)
+    report = verify_controller(ctrl, count=10, seed=1,
                                raise_on_fail=False)
     assert not report.passed
     assert report.worst()["worst_slack"] > 0
