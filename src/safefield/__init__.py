@@ -70,6 +70,7 @@ from .simulation import (
 )
 from .synthesis import (
     CellController,
+    CellProblem,
     GainBasis,
     assemble_robust_lp,
     load_controllers,

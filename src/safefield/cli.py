@@ -17,6 +17,8 @@ from .clfcbf import LinearDynamics
 from .errors import (
     ConfigError,
     DimensionMismatch,
+    GoalObservationOffGrid,
+    LandmarkNotVisible,
     LeftFreeSpace,
     NumericalFailure,
     OffPlanCrossing,
@@ -237,10 +239,15 @@ def cmd_synth(cfg, cells=None):
             raise ConfigError("unknown cell ids %s" % missing, field="cells")
         entries = {c: entries[c] for c in cells}
     dynamics = LinearDynamics.single_integrator(env.dimension)
-    controllers = synthesis.synthesize_environment(
-        env, entries, dynamics, cfg.grid, cfg.bounds, cfg.basis,
-        cfg.alpha_v, cfg.alpha_h,
-    )
+    try:
+        controllers = synthesis.synthesize_environment(
+            env, entries, dynamics, cfg.grid, cfg.bounds, cfg.basis,
+            cfg.alpha_v, cfg.alpha_h,
+        )
+    except (LandmarkNotVisible, GoalObservationOffGrid) as exc:
+        # the grid is too narrow for a landmark's offsets, seen from
+        # some point of its cell or from the goal
+        raise ConfigError(str(exc), path=cfg.path, field="grid.width") from None
     os.makedirs(cfg.out, exist_ok=True)
     synthesis.save_controllers(controllers, _controllers_path(cfg))
     for cell_id, ctrl in controllers.items():

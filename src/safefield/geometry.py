@@ -301,17 +301,20 @@ def known_keys(section, prefix, keys, path):
 
 def environment_from_dict(obj, path=None):
     """Build an Environment from its JSON-style dict form. A missing,
-    malformed or unknown entry, a cell id that is not integral or repeats
-    another, a dimension other than the landmarks', and the refusals of
-    ConvexCell (its vertices) and Environment (a landmark id out of range, a
-    goal off every vertex) raise ConfigError naming the entry, with path as
-    the file."""
+    malformed or unknown entry, a cell without landmarks, a cell id that is
+    not integral or repeats another, a dimension other than the landmarks',
+    and the refusals of ConvexCell (its vertices) and Environment (a
+    landmark id out of range, a goal off every vertex) raise ConfigError
+    naming the entry, with path as the file."""
     cells = []
     for i, spec in enumerate(read(obj, "cells", list, path, "environment.")):
         prefix = "environment.cells.%d." % i
         vertices = read(spec, "vertices", reals, path, prefix)
         known_keys(spec, prefix, ("id", "vertices", "landmark_ids"), path)
         ids = read(spec, "landmark_ids", integers, path, prefix)
+        if not ids:
+            raise ConfigError("a cell must read at least one landmark",
+                              path=path, field=prefix + "landmark_ids")
         cell_id = read(spec, "id", integral, path, prefix, i)
         if cell_id in [c.id for c in cells]:
             raise ConfigError("cell id %d repeats an earlier cell's" % cell_id,

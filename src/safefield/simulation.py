@@ -144,13 +144,14 @@ def control_input(controller, pmfs):
     """u = K_b + sum over landmarks l of M_l P_l, where M_l = sum_i K_li R_i
     are the controller's fixed control matrices; every PMF must lie on the
     controller's own grid."""
-    if len(pmfs) != len(controller.landmarks):
+    problem = controller.problem
+    if len(pmfs) != len(problem.landmarks):
         raise DimensionMismatch(
             "controller expects %d PMFs, got %d"
-            % (len(controller.landmarks), len(pmfs))
+            % (len(problem.landmarks), len(pmfs))
         )
     for p in pmfs:
-        if p.spec != controller.grid:
+        if p.spec != problem.grid:
             raise GridMismatch("PMFs must lie on the controller's grid")
     return _control_law(controller.bias, [
         mat @ pmf.vector
@@ -187,8 +188,8 @@ def _banked_terms(controller):
 
 def _barriers(controller):
     """The controller's barrier facets with their rows of its cell body."""
-    facets = controller.entry.barriers
-    body = controller.cell.body
+    facets = controller.problem.entry.barriers
+    body = controller.problem.cell.body
     return facets, body.A[facets], body.b[facets]
 
 
@@ -278,14 +279,15 @@ def run_trajectory(env, plan, controllers, config, x0=None):
         if ctrl is None:
             raise ConfigError("no controller for cell %d" % active_id,
                               field="controllers")
-        pmfs = [sense(ctrl.grid, lm - x) for lm in ctrl.landmarks]
+        problem = ctrl.problem
+        pmfs = [sense(problem.grid, lm - x) for lm in problem.landmarks]
         loop = loops.get(active_id)
         if loop is None:
             loop = loops[active_id] = (_barriers(ctrl), _banked_terms(ctrl))
         barriers, terms = loop
         u = _control_law(ctrl.bias, terms(pmfs))
         min_h, facet = _barrier_values(barriers, x)
-        traj.append(t, x, u, active_id, ctrl.entry.progress(x), min_h)
+        traj.append(t, x, u, active_id, problem.entry.progress(x), min_h)
         if min_h < -SAFETY_TOL:
             raise SafetyViolation(
                 "barrier %s of cell %d reached %.3g at t=%.3f"
@@ -299,7 +301,7 @@ def run_trajectory(env, plan, controllers, config, x0=None):
                 return traj
         if t >= config.max_time - 1e-12:
             break
-        x = _step(ctrl.dynamics, x, u, config.dt)
+        x = _step(problem.dynamics, x, u, config.dt)
         t += config.dt
         inside = env.cells_containing(x)
         if not inside:
@@ -308,7 +310,7 @@ def run_trajectory(env, plan, controllers, config, x0=None):
                 t=t, x=x.copy(), trajectory=traj,
             )
         if plan.mode == "patrol":
-            if ctrl.entry.progress(x) <= 0.0:
+            if problem.entry.progress(x) <= 0.0:
                 planned = plan.entries[active_id].next_id
                 ids = {c.id for c in inside}
                 if planned not in ids:
@@ -322,15 +324,15 @@ def run_trajectory(env, plan, controllers, config, x0=None):
                 traj.crossings += 1
             continue
         ids = {c.id for c in inside}
-        if (ctrl.entry.exit_face is not None
-                and ctrl.entry.progress(x) <= 0.0 and ids - {active_id}):
+        if (problem.entry.exit_face is not None
+                and problem.entry.progress(x) <= 0.0 and ids - {active_id}):
             active_id = handover(ids - {active_id})
             traj.crossings += 1
         elif active_id not in ids:
             # one integration step can overshoot a barrier-free shared
             # face by at most |u| dt; only a deeper excursion counts as
             # having left the cell
-            depth = float(np.max(ctrl.cell.body.values(x)))
+            depth = float(np.max(problem.cell.body.values(x)))
             if depth > np.linalg.norm(u) * config.dt + 1e-9:
                 active_id = handover(ids)
     traj.reached = False if plan.mode == "stabilize" else None
@@ -339,7 +341,8 @@ def run_trajectory(env, plan, controllers, config, x0=None):
 
 def sample_vector_field(controller, resolution, sensor=None, seed=0):
     """Control inputs on a lattice over the controller's cell; rows (x, u)."""
-    cell = controller.cell
+    problem = controller.problem
+    cell = problem.cell
     res = np.broadcast_to(np.asarray(resolution, dtype=int),
                           (cell.body.dim,)).copy()
     if np.any(res < 2):
@@ -355,7 +358,7 @@ def sample_vector_field(controller, resolution, sensor=None, seed=0):
     for x in points:
         if not cell.contains(x):
             continue
-        pmfs = [sense(controller.grid, lm - x) for lm in controller.landmarks]
+        pmfs = [sense(problem.grid, lm - x) for lm in problem.landmarks]
         rows.append(np.concatenate([x, control_input(controller, pmfs)]))
     if not rows:
         return np.zeros((0, 2 * cell.body.dim))

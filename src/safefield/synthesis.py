@@ -12,11 +12,13 @@ it, so it is written once per deviation candidate of the point
 over the gains, the margins and those multipliers. This module alone knows
 the columns of that LP (LpColumns): each row's control coefficient w is
 expanded over the gains here, as w[m] R_i[s, j] on gain K_{l,i}[m, s] and
-PMF entry P_l[j], and w itself on the bias. Which rows a cell carries, and
-whether it stops at its goal, is read from its plan entry, which the
-assembled LP and the controller solved from it keep (CellController.entry):
-a saved controller names the rows it certifies and the landmarks it reads,
-so load_controllers checks it against the run's plan and environment.
+PMF entry P_l[j], and w itself on the bias. A cell's problem is stated once,
+as a CellProblem: the cell, its plan entry, the landmarks it reads and
+everything else the rows and the PMF set depend on. The assembled LP and the
+controller solved from it keep that problem. Which rows a cell carries, and
+whether it stops at its goal, is read from its plan entry. A saved
+controller names those rows and the landmarks it reads, so load_controllers
+checks it against the run's plan and environment.
 The LP maximizes the sum of the margins; a tiebreak pass then picks, among
 margin-optimal gains, the ones closest in l1 distance to a structured target
 so the synthesized fields stay interpretable. When every margin can reach
@@ -148,6 +150,44 @@ class LpColumns:
         self.lam_z = self.lam[..., 2 * d + 1:]
 
 
+class CellProblem:
+    """The robust CLF/CBF program of one cell: the cell, its plan entry, the
+    coordinates of the landmarks it reads (one per cell.landmark_ids), the
+    dynamics, the CLF and CBF rates alpha_v and alpha_h, the error bounds,
+    the measurement grid, the feature basis and v_floor, the progress floor
+    of a goal cell's stability row (None elsewhere). A cell that is not the
+    one its entry names, or whose landmark count is not the coordinates',
+    raises DimensionMismatch."""
+
+    def __init__(self, cell, entry, landmarks, dynamics, alpha_v, alpha_h,
+                 bounds, grid, basis, v_floor=None):
+        self.cell = cell
+        self.entry = entry
+        self.landmarks = [np.asarray(p, dtype=float) for p in landmarks]
+        self.dynamics = dynamics
+        self.alpha_v = float(alpha_v)
+        self.alpha_h = float(alpha_h)
+        self.bounds = bounds
+        self.grid = grid
+        self.basis = basis
+        self.v_floor = v_floor
+        if (cell.id != entry.cell_id
+                or len(self.landmarks) != len(cell.landmark_ids)):
+            raise DimensionMismatch("cell %s: entry, cell and landmarks "
+                                    "disagree" % cell.id)
+
+    def rows(self):
+        """The entry's rows and the region each must hold on
+        (clfcbf.build_cell_rows)."""
+        return build_cell_rows(self.cell.body, self.entry, self.dynamics,
+                               self.alpha_v, self.alpha_h, self.v_floor)
+
+    def features(self):
+        """The basis's feature maps R_i on the grid, each d x n_p."""
+        return self.basis.matrices(build_expectation_kernel(self.grid),
+                                   self.grid.width)
+
+
 def _fill_rows(cols, rows, regions, landmarks, bounds, points, maps):
     """Inequality rows of the vertex-form LP, per row k: the bound row at
     each vertex v of its region, then per landmark the dual-feasibility row
@@ -222,25 +262,15 @@ def _fill_rows(cols, rows, regions, landmarks, bounds, points, maps):
 
 
 class AssembledCellLp:
-    """The cell's margin LP, whose matrix every solve of the cell shares,
-    plus the ingredients needed for tiebreaking and extraction."""
+    """A cell problem's margin LP, whose matrix every solve of the cell
+    shares, with its columns and the rows and regions it was built from."""
 
-    def __init__(self, cell, entry, lp, cols, rows, regions, landmarks,
-                 bounds, basis, spec, dynamics, alpha_v, alpha_h, v_floor=None):
-        self.cell = cell
-        self.entry = entry
+    def __init__(self, problem, lp, cols, rows, regions):
+        self.problem = problem
         self.lp = lp
         self.cols = cols
         self.rows = rows
         self.regions = regions
-        self.landmarks = landmarks
-        self.bounds = bounds
-        self.basis = basis
-        self.spec = spec
-        self.dynamics = dynamics
-        self.alpha_v = alpha_v
-        self.alpha_h = alpha_h
-        self.v_floor = v_floor
 
 
 def _check_visibility(cell, landmarks, spec):
@@ -270,39 +300,34 @@ def _fill_goal(eq, cols, spec, maps, positions, goal):
     eq.add(at_u, cols.bias, 1.0)
 
 
-def assemble_robust_lp(cell, entry, dynamics, alpha_v, alpha_h, bounds, spec,
-                       positions, basis, v_floor=None):
-    """Build the per-cell LP for the plan entry: a CBF row per facet in
+def assemble_robust_lp(problem):
+    """Build the LP of a CellProblem: a CBF row per facet in
     entry.barriers and, for an entry without an exit facet, the equilibrium
-    equality for the observation snapped at its goal entry.o.
-
-    positions: landmark coordinates observed from this cell. v_floor, when
-    set, limits the stability row to the part of the cell where the progress
-    function is at least that value.
-    """
-    d = dynamics.d
-    if cell.body.dim != d:
+    equality for the observation snapped at its goal entry.o. v_floor, when
+    set, limits the stability row to the part of the cell where the
+    progress function is at least that value."""
+    p = problem
+    d = p.dynamics.d
+    if p.cell.body.dim != d:
         raise DimensionMismatch("cell dimension does not match dynamics")
-    landmarks = [np.asarray(l, dtype=float) for l in positions]
-    if any(l.shape != (spec.dim,) for l in landmarks):
+    if any(l.shape != (p.grid.dim,) for l in p.landmarks):
         raise DimensionMismatch("landmark dimension mismatch")
-    _check_visibility(cell, landmarks, spec)
-    bounds.warn_if_below_pitch(spec)
-    kernel = build_expectation_kernel(spec)
-    if not landmarks:
+    _check_visibility(p.cell, p.landmarks, p.grid)
+    p.bounds.warn_if_below_pitch(p.grid)
+    if not p.landmarks:
         raise DimensionMismatch("need at least one landmark")
-    maps = basis.matrices(kernel, spec.width)
-    rows, regions = build_cell_rows(cell.body, entry, dynamics, alpha_v, alpha_h,
-                                    v_floor)
+    maps = p.features()
+    rows, regions = p.rows()
 
-    cols = LpColumns(len(landmarks), basis.n_k, dynamics.n_u, d, len(rows))
-    ub, b_ub, lazy = _fill_rows(cols, rows, regions, landmarks, bounds,
-                                kernel.T, maps)
+    cols = LpColumns(len(p.landmarks), p.basis.n_k, p.dynamics.n_u, d,
+                     len(rows))
+    ub, b_ub, lazy = _fill_rows(cols, rows, regions, p.landmarks, p.bounds,
+                                p.grid.points(), maps)
     eq = _Coo()
     n_goal = 0
-    if entry.exit_face is None:
-        _fill_goal(eq, cols, spec, maps, positions, entry.o)
-        n_goal = dynamics.n_u
+    if p.entry.exit_face is None:
+        _fill_goal(eq, cols, p.grid, maps, p.landmarks, p.entry.o)
+        n_goal = p.dynamics.n_u
 
     c = np.zeros(cols.n_vars)
     c[cols.delta] = 1.0
@@ -315,9 +340,7 @@ def assemble_robust_lp(cell, entry, dynamics, alpha_v, alpha_h, bounds, spec,
                     A_ub=ub.matrix((b_ub.size, cols.n_vars)), b_ub=b_ub,
                     A_eq=eq.matrix((n_goal, cols.n_vars)), b_eq=np.zeros(n_goal),
                     lb=lb, ub=ub_bounds, lazy=lazy)
-    return AssembledCellLp(cell, entry, lp, cols, rows, regions, landmarks,
-                           bounds, basis, spec, dynamics, alpha_v, alpha_h,
-                           v_floor=v_floor)
+    return AssembledCellLp(p, lp, cols, rows, regions)
 
 
 def _tiebreak_lp(assembled, z, target):
@@ -337,59 +360,39 @@ def _tiebreak_lp(assembled, z, target):
 
 
 class CellController:
-    """Synthesized gains, the cell and plan entry they certify and
-    everything else needed to run and audit them.
+    """Gains synthesized for a CellProblem, with the problem they solve.
 
-    The gains, bias, basis and grid are fixed at construction, and so are
-    the per-landmark control matrices built from them: a controller is a
-    constant of the closed loop, so a different law is a new controller.
-    Synthesis raises before it could build a controller from any LP status
-    but Optimal, so that is every controller's status."""
+    The gains and bias are fixed at construction, and so are the
+    per-landmark control matrices built from them on the problem's feature
+    maps: a controller is a constant of the closed loop, so a different law
+    is a new controller. Synthesis raises before it could build a controller
+    from any LP status but Optimal, so that is every controller's status."""
 
     status = "Optimal"
 
-    def __init__(self, cell, entry, basis, gains, bias, margins, grid,
-                 bounds, alpha_v, alpha_h, landmarks, v_floor, dynamics,
-                 saturation=None):
-        self.cell = cell
-        self.entry = entry
-        self._basis = basis
-        self._grid = grid
+    def __init__(self, problem, gains, bias, margins, saturation=None):
+        self.problem = problem
         self._gains = tuple(tuple(_frozen(Ki) for Ki in per_l)
                             for per_l in gains)
         self._bias = _frozen(bias)
         self.margins = np.asarray(margins, dtype=float)
-        self.bounds = bounds
-        self.alpha_v = float(alpha_v)
-        self.alpha_h = float(alpha_h)
-        self.landmarks = [np.asarray(p, dtype=float) for p in landmarks]
-        self.v_floor = v_floor
-        self.dynamics = dynamics
         self.saturation = saturation
-        if (cell.id != entry.cell_id
-                or len(self.landmarks) != len(cell.landmark_ids)
-                or len(self._gains) != len(self.landmarks)
-                or any(len(per_l) != basis.n_k for per_l in self._gains)
-                or any(K.shape != (dynamics.n_u, dynamics.d)
-                       for per_l in self._gains for K in per_l)
-                or self._bias.shape != (dynamics.n_u,)
-                or len(self.margins) != 1 + len(entry.barriers)):
+        shape = (problem.dynamics.n_u, problem.dynamics.d)
+        if (len(self._gains) != len(problem.landmarks)
+                or any(len(per_l) != problem.basis.n_k
+                       for per_l in self._gains)
+                or any(K.shape != shape for per_l in self._gains
+                       for K in per_l)
+                or self._bias.shape != shape[:1]
+                or len(self.margins) != 1 + len(problem.entry.barriers)):
             raise DimensionMismatch(
-                "cell %s: entry, gains, bias, landmarks and rows disagree"
-                % cell.id)
-        features = basis.matrices(build_expectation_kernel(grid), grid.width)
+                "cell %s: gains, bias, landmarks and rows disagree"
+                % problem.cell.id)
+        features = problem.features()
         self._control = tuple(
             _frozen(sum(K @ R for K, R in zip(per_landmark, features)))
             for per_landmark in self._gains
         )
-
-    @property
-    def basis(self):
-        return self._basis
-
-    @property
-    def grid(self):
-        return self._grid
 
     @property
     def gains(self):
@@ -406,31 +409,33 @@ class CellController:
         return self._control
 
     def to_dict(self):
-        run = _run_fields(self.cell, self.entry, self.landmarks)
+        p = self.problem
+        run = _run_fields(p.cell, p.entry, p.landmarks)
         return {
             "id": run.pop("id"),
-            "basis": list(self.basis.names),
+            "basis": list(p.basis.names),
             "K": [[Ki.tolist() for Ki in per_l] for per_l in self.gains],
             "K_b": self.bias.tolist(),
             "delta": self.margins.tolist(),
-            "alpha_v": self.alpha_v,
-            "alpha_h": self.alpha_h,
-            "epsilon": self.bounds.epsilon,
-            "sigma_m": self.bounds.sigma_m,
-            "grid": {"n": list(self.grid.n), "width": list(self.grid.width)},
+            "alpha_v": p.alpha_v,
+            "alpha_h": p.alpha_h,
+            "epsilon": p.bounds.epsilon,
+            "sigma_m": p.bounds.sigma_m,
+            "grid": {"n": list(p.grid.n), "width": list(p.grid.width)},
             **run,
-            "v_floor": self.v_floor,
-            "dynamics": {"A": self.dynamics.A.tolist(), "B": self.dynamics.B.tolist()},
+            "v_floor": p.v_floor,
+            "dynamics": {"A": p.dynamics.A.tolist(), "B": p.dynamics.B.tolist()},
             "status": self.status,
             "saturation": self.saturation,
         }
 
     @classmethod
     def from_dict(cls, d, cell, entry, landmarks):
-        """The controller to_dict wrote as d, bound to the cell, plan entry
-        and landmark coordinates of a run whose run fields d has. A malformed
-        number, and a status other than the class's, raise ConfigError
-        naming its key (geometry.read)."""
+        """The controller to_dict wrote as d, its problem built from the
+        cell, plan entry and landmark coordinates of a run whose run fields
+        d has and from d's own fields. A malformed number, and a status
+        other than the class's, raise ConfigError naming its key
+        (geometry.read)."""
         def read(key, convert=geometry.reals, section=d, prefix=""):
             return geometry.read(section, key, convert, None, prefix)
 
@@ -444,27 +449,22 @@ class CellController:
         if saturation is not None:
             saturation = {"max_u_vertices": read(
                 "max_u_vertices", real, saturation, "saturation.")}
-        return cls(
-            cell=cell,
-            entry=entry,
-            basis=GainBasis(d["basis"]),
-            gains=read("K"),
-            bias=read("K_b"),
-            margins=read("delta"),
-            grid=measurement.GridSpec(
-                read("n", geometry.integers, grid, "grid."),
-                read("width", section=grid, prefix="grid.")),
-            bounds=measurement.UncertaintyBounds(read("epsilon", real),
-                                                 read("sigma_m", real)),
-            alpha_v=read("alpha_v", real),
-            alpha_h=read("alpha_h", real),
-            landmarks=landmarks,
-            v_floor=read("v_floor", lambda v: v if v is None else real(v)),
+        problem = CellProblem(
+            cell, entry, landmarks,
             dynamics=LinearDynamics(
                 read("A", section=dynamics, prefix="dynamics."),
                 read("B", section=dynamics, prefix="dynamics.")),
-            saturation=saturation,
+            alpha_v=read("alpha_v", real),
+            alpha_h=read("alpha_h", real),
+            bounds=measurement.UncertaintyBounds(read("epsilon", real),
+                                                 read("sigma_m", real)),
+            grid=measurement.GridSpec(
+                read("n", geometry.integers, grid, "grid."),
+                read("width", section=grid, prefix="grid.")),
+            basis=GainBasis(d["basis"]),
+            v_floor=read("v_floor", lambda v: v if v is None else real(v)),
         )
+        return cls(problem, read("K"), read("K_b"), read("delta"), saturation)
 
 
 def _run_fields(cell, entry, landmarks):
@@ -503,7 +503,7 @@ def _solve_cell(assembled):
     margin-pass gains. All three read the one matrix assembled for the
     cell. Each adds the lazy point rows as its optimum violates them, and
     returns an optimum of its whole LP, checked against every row."""
-    cell_id = assembled.cell.id
+    cell_id = assembled.problem.cell.id
     target = nominal_theta(assembled)
     cap_sum = float(np.sum(assembled.lp.ub[assembled.cols.delta]))
     sol = solve_lp(_tiebreak_lp(assembled, cap_sum, target))
@@ -532,21 +532,8 @@ def synthesize_cell_controller(assembled):
     """Solve the assembled LP (see _solve_cell) and wrap the result."""
     x = _solve_cell(assembled)
     cols = assembled.cols
-    ctrl = CellController(
-        cell=assembled.cell,
-        entry=assembled.entry,
-        basis=assembled.basis,
-        gains=x[cols.gain],
-        bias=x[cols.bias],
-        margins=x[cols.delta],
-        grid=assembled.spec,
-        bounds=assembled.bounds,
-        alpha_v=assembled.alpha_v,
-        alpha_h=assembled.alpha_h,
-        landmarks=assembled.landmarks,
-        v_floor=assembled.v_floor,
-        dynamics=assembled.dynamics,
-    )
+    ctrl = CellController(assembled.problem, x[cols.gain], x[cols.bias],
+                          x[cols.delta])
     ctrl.saturation = _saturation_report(ctrl)
     return ctrl
 
@@ -554,10 +541,11 @@ def synthesize_cell_controller(assembled):
 def _saturation_report(ctrl):
     """Worst control magnitude over its cell's vertices under exact sensing;
     the input set is not part of the LP, so report it instead."""
+    p = ctrl.problem
     worst = 0.0
-    for x in ctrl.cell.vertices:
-        u = control_input(ctrl, [make_delta_pmf(ctrl.grid, lm - x)
-                                 for lm in ctrl.landmarks])
+    for x in p.cell.vertices:
+        u = control_input(ctrl, [make_delta_pmf(p.grid, lm - x)
+                                 for lm in p.landmarks])
         worst = max(worst, float(np.max(np.abs(u))))
     return {"max_u_vertices": worst}
 
@@ -574,8 +562,8 @@ def nominal_theta(assembled):
     observation with gain 2.4, less a cross-axis shear of 0.25 in 2-D so
     quantization plateaus are crossed by sliding along the grid lines
     through the goal."""
-    cols, entry, spec = assembled.cols, assembled.entry, assembled.spec
-    positions = assembled.landmarks
+    p, cols = assembled.problem, assembled.cols
+    entry, spec, positions = p.entry, p.grid, p.landmarks
     out = np.zeros(cols.theta.size)
     d = cols.d
     if cols.bias.size != d:
@@ -592,14 +580,13 @@ def nominal_theta(assembled):
         v = entry.v
         proj = np.outer(v, v)
         M = 2.0 * proj + (np.eye(d) - proj)
-        push = (assembled.alpha_v
-                * (assembled.bounds.epsilon + max(spec.pitch))
+        push = (p.alpha_v * (p.bounds.epsilon + max(spec.pitch))
                 * np.sum(np.abs(v)) + DELTA_CAP["clf"] + 1.0)
         bias = -push * v
         ys = [pos - entry.o for pos in positions]
     L = len(positions)
     for l, y in enumerate(ys):
-        out[cols.gain[l, assembled.basis.names.index("mean")]] = M / L
+        out[cols.gain[l, p.basis.names.index("mean")]] = M / L
         bias = bias - (M / L) @ y
     out[cols.bias] = bias
     return out
@@ -622,15 +609,15 @@ def synthesize_environment(env, entries, dynamics, spec, bounds, basis,
     for cell_id in sorted(entries):
         entry = entries[cell_id]
         cell = env.cell_by_id(cell_id)
-        positions = [env.landmarks[j] for j in cell.landmark_ids]
         v_floor = (goal_v_floor(entry, bounds, spec)
                    if entry.exit_face is None else None)
+        problem = CellProblem(cell, entry,
+                              [env.landmarks[j] for j in cell.landmark_ids],
+                              dynamics, alpha_v, alpha_h, bounds, spec, basis,
+                              v_floor)
         try:
-            assembled = assemble_robust_lp(
-                cell, entry, dynamics, alpha_v, alpha_h, bounds, spec,
-                positions, basis, v_floor=v_floor,
-            )
-            controllers[cell_id] = synthesize_cell_controller(assembled)
+            controllers[cell_id] = synthesize_cell_controller(
+                assemble_robust_lp(problem))
         except (SynthesisInfeasible, SolverFailure) as exc:
             raise type(exc)("cell %d: %s" % (cell_id, exc)) from exc
     return controllers

@@ -23,7 +23,6 @@ import logging
 import numpy as np
 
 from . import geometry
-from .clfcbf import build_cell_rows
 from .errors import (
     DegenerateInput,
     InfeasibleMeasurementSet,
@@ -314,16 +313,15 @@ def _sample_states(cell, regions, count, seed):
 def verify_controller(controller, count=200, seed=0, raise_on_fail=True):
     """Sample the controller's cell and check every row of its plan entry
     against the direct adversary."""
-    cell = controller.cell
-    rows, regions = build_cell_rows(
-        cell.body, controller.entry, controller.dynamics, controller.alpha_v,
-        controller.alpha_h, controller.v_floor)
+    problem = controller.problem
+    cell = problem.cell
+    rows, regions = problem.rows()
     points = _sample_states(cell, regions, count, seed)
     pairs = [(k, x) for k in range(len(rows)) for x in points
              if regions[k].contains(x)]
     values, stats = worst_case_row_values(
         rows, controller.control_matrices(), controller.bias, pairs,
-        controller.grid, controller.bounds, controller.landmarks,
+        problem.grid, problem.bounds, problem.landmarks,
     )
     row_of = np.array([k for k, _ in pairs], dtype=int)
     skipped = int(np.isnan(values).sum())

@@ -44,12 +44,14 @@ class AffineBlocks:
 
 def affine_blocks(asm):
     """One AffineBlocks per landmark of an assembled cell."""
-    return [AffineBlocks(asm.spec, asm.bounds, l) for l in asm.landmarks]
+    p = asm.problem
+    return [AffineBlocks(p.grid, p.bounds, l) for l in p.landmarks]
 
 
 def feature_maps(asm):
     """The feature maps R_i of an assembled cell, on its grid."""
-    return asm.basis.matrices(build_expectation_kernel(asm.spec), asm.spec.width)
+    p = asm.problem
+    return p.basis.matrices(build_expectation_kernel(p.grid), p.grid.width)
 
 
 def gain_image(w, maps_per_landmark, cols):

@@ -79,12 +79,13 @@ def reference_trajectory(env, plan, controllers, config, x0=None):
             raise ConfigError("no controller for cell %d" % active_id,
                               field="controllers")
         cell = env.cell_by_id(active_id)
+        problem = ctrl.problem
         if active_id not in barriers:
             barriers[active_id] = _barriers(ctrl)
-        pmfs = [sense(ctrl.grid, lm - x) for lm in ctrl.landmarks]
+        pmfs = [sense(problem.grid, lm - x) for lm in problem.landmarks]
         u = control_input(ctrl, pmfs)
         min_h, facet = _barrier_values(barriers[active_id], x)
-        traj.append(t, x, u, active_id, ctrl.entry.progress(x), min_h)
+        traj.append(t, x, u, active_id, problem.entry.progress(x), min_h)
         if min_h < -SAFETY_TOL:
             raise SafetyViolation("barrier violated", t=t, x=x.copy(),
                                   cell_id=active_id, facet=facet,
@@ -95,14 +96,14 @@ def reference_trajectory(env, plan, controllers, config, x0=None):
                 return traj
         if t >= config.max_time - 1e-12:
             break
-        x = staged_step(ctrl.dynamics, x, u, config.dt)
+        x = staged_step(problem.dynamics, x, u, config.dt)
         t += config.dt
         inside = env.cells_containing(x)
         if not inside:
             raise LeftFreeSpace("left every cell", t=t, x=x.copy(),
                                 trajectory=traj)
         if plan.mode == "patrol":
-            if ctrl.entry.progress(x) <= 0.0:
+            if problem.entry.progress(x) <= 0.0:
                 active = (active + 1) % n_entries
                 planned = entries[active].cell_id
                 if planned not in {c.id for c in inside}:
@@ -112,8 +113,8 @@ def reference_trajectory(env, plan, controllers, config, x0=None):
                 traj.crossings += 1
             continue
         ids = {c.id for c in inside}
-        if (ctrl.entry.exit_face is not None
-                and ctrl.entry.progress(x) <= 0.0
+        if (problem.entry.exit_face is not None
+                and problem.entry.progress(x) <= 0.0
                 and ids - {active_id}):
             active_id = handover(ids - {active_id})
             traj.crossings += 1

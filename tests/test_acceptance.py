@@ -19,7 +19,7 @@ from safefield.measurement import (GridSpec, PmfGrid, UncertaintyBounds,
 from safefield.geometry import ConvexCell
 from safefield.planning import PlanEntry
 from safefield.simulation import SensorModel, SimConfig, control_input
-from safefield.synthesis import (assemble_robust_lp,
+from safefield.synthesis import (CellProblem, assemble_robust_lp,
                                  synthesize_cell_controller,
                                  synthesize_environment)
 from safefield.verification import adversarial_pmf, verify_controller
@@ -71,8 +71,8 @@ def test_random_cells_hold_margins_against_adversary():
     for k in range(20):
         cell, lm = random_cell(rng, cell_id=k)
         entry = transit_entry_for(cell, 0)
-        asm = assemble_robust_lp(cell, entry, dyn, 1.0, 100.0, bounds, spec,
-                                 [lm], basis)
+        asm = assemble_robust_lp(CellProblem(
+            cell, entry, [lm], dyn, 1.0, 100.0, bounds, spec, basis))
         ctrl = synthesize_cell_controller(asm)
         report = verify_controller(ctrl, count=200, seed=k)
         assert report.passed
@@ -100,8 +100,8 @@ def test_inner_duality_and_assembly_routes_agree():
     for k in range(20):
         cell, lm = random_cell(rng, cell_id=k)
         entry = transit_entry_for(cell, 0)
-        asm = assemble_robust_lp(cell, entry, dyn, 1.0, 100.0,
-                                 small_bounds, small, [lm], basis)
+        asm = assemble_robust_lp(CellProblem(
+            cell, entry, [lm], dyn, 1.0, 100.0, small_bounds, small, basis))
         objs = []
         for lp in (asm.lp, machine_lp(asm)):
             sol = solve_lp(lp)
@@ -126,9 +126,9 @@ def test_tighter_bounds_never_lower_the_optimum():
         lm = rng.uniform(-0.25, 0.25, size=2) * np.array([w, h])
         vals = []
         for eps, sig in ((2.0, 9.0), (8.0, 128.0)):
-            asm = assemble_robust_lp(cell, entry, dyn, 1.0, 100.0,
-                                     UncertaintyBounds(eps, sig), spec,
-                                     [lm], basis)
+            asm = assemble_robust_lp(CellProblem(
+                cell, entry, [lm], dyn, 1.0, 100.0,
+                UncertaintyBounds(eps, sig), spec, basis))
             sol = solve_lp(asm.lp)
             assert sol.status == "Optimal"
             vals.append(sol.objective)
@@ -142,14 +142,14 @@ def test_goal_cell_pins_the_goal(case_setup):
     env = case_setup["env"]
     goal = np.asarray(env.goal, dtype=float)
     ctrl = case_setup["controllers"][planning.goal_cell_id(env)]
+    grid, landmarks = ctrl.problem.grid, ctrl.problem.landmarks
     sense = SensorModel().make(0)
-    pmfs = [sense(ctrl.grid, lm - goal) for lm in ctrl.landmarks]
+    pmfs = [sense(grid, lm - goal) for lm in landmarks]
     assert np.max(np.abs(control_input(ctrl, pmfs))) <= 1e-8
     dyn = case_setup["dynamics"]
     dt, x = 0.01, goal.copy()
     for _ in range(int(round(10.0 / dt))):
-        u = control_input(ctrl, [sense(ctrl.grid, lm - x)
-                                 for lm in ctrl.landmarks])
+        u = control_input(ctrl, [sense(grid, lm - x) for lm in landmarks])
         x = x + dt * (dyn.A @ x + dyn.B @ u)
         assert np.linalg.norm(x - goal) <= GOAL_TOL
 

@@ -1,6 +1,7 @@
 import copy
 import json
 import os
+import shutil
 
 import numpy as np
 import pytest
@@ -511,6 +512,32 @@ def test_floats_must_be_json_numbers(tmp_path, edit, field):
         cli.load_config(path)
     assert info.value.field == field
     assert cli.main(["synth", "--config", path]) == 2
+
+
+def test_cell_without_landmarks_exits_config_code(tmp_path, capsys):
+    # a cell that reads no landmark has no controller to synthesize: the
+    # environment is refused where it loads, naming its file and the cell
+    data = os.path.join(os.path.dirname(cli.__file__), "data")
+    with open(os.path.join(data, "patrol2.json")) as fh:
+        env = json.load(fh)
+    env["cells"][0]["landmark_ids"] = []
+    env_path = tmp_path / "patrol2.json"
+    env_path.write_text(json.dumps(env))
+    cfg = shutil.copy(os.path.join(data, "patrol.json"), tmp_path)
+    assert cli.main(["synth", "--config", cfg]) == 2
+    err = capsys.readouterr().err
+    assert "(file %s, field environment.cells.0.landmark_ids)" % env_path in err
+
+
+def test_grid_too_narrow_for_a_landmark_exits_config_code(tmp_path, capsys):
+    # patrol2.json's landmarks lie 20 from the far corners of their cells,
+    # beyond the half-width 5 of a 10-wide grid
+    path = packaged_patrol(
+        tmp_path, lambda cfg, env: cfg["grid"].update(width=[10.0, 10.0]))
+    assert cli.main(["synth", "--config", path]) == 2
+    err = capsys.readouterr().err
+    assert "exceeds the grid half-width" in err
+    assert "(file %s, field grid.width)" % path in err
 
 
 def test_integers_read_as_floats(tmp_path):

@@ -33,7 +33,8 @@ from safefield.simulation import (
     sample_vector_field,
     save_field_csv,
 )
-from safefield.synthesis import CellController, GainBasis, synthesize_environment
+from safefield.synthesis import (CellController, CellProblem, GainBasis,
+                                 synthesize_environment)
 
 pytestmark = pytest.mark.filterwarnings("ignore:bounds")
 
@@ -65,19 +66,19 @@ def zero_gain_controller(n_landmarks=2, gains=None):
     landmarks = [[0.0, 0.0], [1.0, 0.0]][:n_landmarks]
     cell = ConvexCell(0, [[-1.0, -1.0], [1.0, -1.0], [1.0, 1.0], [-1.0, 1.0]],
                       range(n_landmarks))
-    return CellController(
-        cell=cell, entry=PlanEntry(0, None, [0.0, 1.0], [0.0, 0.0]),
-        basis=GainBasis(), gains=gains, bias=[1.5, -2.0], margins=[0.1],
-        grid=SPEC, bounds=BOUNDS, alpha_v=1.0, alpha_h=100.0,
-        landmarks=landmarks, v_floor=None,
-        dynamics=LinearDynamics.single_integrator(2))
+    problem = CellProblem(
+        cell, PlanEntry(0, None, [0.0, 1.0], [0.0, 0.0]), landmarks,
+        LinearDynamics.single_integrator(2), 1.0, 100.0, BOUNDS, SPEC,
+        GainBasis())
+    return CellController(problem, gains, bias=[1.5, -2.0], margins=[0.1])
 
 
 def uncached_input(ctrl, pmfs):
     """bias + sum_l (sum_k K_lk R_k) @ P_l, with the feature maps R_k built
     afresh from the controller's basis and grid."""
-    maps = GainBasis(ctrl.basis.names).matrices(
-        build_expectation_kernel(ctrl.grid), ctrl.grid.width)
+    grid = ctrl.problem.grid
+    maps = GainBasis(ctrl.problem.basis.names).matrices(
+        build_expectation_kernel(grid), grid.width)
     u = np.array(ctrl.bias)
     for per_landmark, pmf in zip(ctrl.gains, pmfs):
         u = u + sum(K @ R for K, R in zip(per_landmark, maps)) @ pmf.vector
@@ -91,7 +92,8 @@ def replay_matches_uncached(traj, ctrls, config):
     sense = config.sensor.make(config.seed)
     for x, u, cid in zip(traj.x, traj.u, traj.cell_id):
         ctrl = ctrls[cid]
-        pmfs = [sense(ctrl.grid, lm - x) for lm in ctrl.landmarks]
+        p = ctrl.problem
+        pmfs = [sense(p.grid, lm - x) for lm in p.landmarks]
         assert np.array_equal(u, uncached_input(ctrl, pmfs))
 
 
@@ -350,11 +352,12 @@ def test_control_input_equals_uncached_law(rig):
     gaussian = SensorModel("gaussian", 0.3, 0.05).make(11)
     for cell_id, ctrl in rig["ctrls"].items():
         cell = rig["env"].cell_by_id(cell_id)
+        p = ctrl.problem
         lo, hi = cell.vertices.min(axis=0), cell.vertices.max(axis=0)
         for _ in range(4):
             x = rng.uniform(lo, hi)
             for sense in (make_delta_pmf, gaussian):
-                pmfs = [sense(ctrl.grid, lm - x) for lm in ctrl.landmarks]
+                pmfs = [sense(p.grid, lm - x) for lm in p.landmarks]
                 assert np.array_equal(control_input(ctrl, pmfs),
                                       uncached_input(ctrl, pmfs))
 
@@ -362,7 +365,7 @@ def test_control_input_equals_uncached_law(rig):
 def test_controller_law_is_fixed(rig):
     ctrl = rig["ctrls"][0]
     with pytest.raises(AttributeError):
-        ctrl.gains = [[np.zeros((2, 2))] * 3] * len(ctrl.landmarks)
+        ctrl.gains = [[np.zeros((2, 2))] * 3] * len(ctrl.problem.landmarks)
     with pytest.raises(AttributeError):
         ctrl.bias = np.zeros(2)
     with pytest.raises(ValueError):
@@ -502,7 +505,7 @@ def test_field_samples_push_through_the_exit(rig):
     assert arr.shape[0] > 0
     for row in arr:
         assert cell.contains(row[:2])
-        assert float(ctrl.entry.v @ row[2:]) < 0.0
+        assert float(ctrl.problem.entry.v @ row[2:]) < 0.0
 
 
 def test_field_resolution_validation(rig):

@@ -1,5 +1,6 @@
 import copy
 import json
+import os
 
 import numpy as np
 import pytest
@@ -8,7 +9,7 @@ import scipy.sparse as sp
 from dual_form import (affine_blocks, bias_image, feature_maps, gain_image,
                        lift, machine_lp, violation)
 from helpers import check_candidates_against_lp, random_cell, transit_entry_for
-from safefield import synthesis, verification
+from safefield import cli, synthesis, verification
 from safefield.clfcbf import LinearDynamics
 from safefield.errors import (ConfigError, DimensionMismatch, GridMismatch,
                               LandmarkNotVisible, SynthesisInfeasible)
@@ -19,6 +20,7 @@ from safefield.measurement import (GridSpec, UncertaintyBounds,
 from safefield.planning import PlanEntry, build_graph, make_plan
 from safefield.synthesis import (
     DELTA_CAP,
+    CellProblem,
     GainBasis,
     LpColumns,
     assemble_robust_lp,
@@ -49,8 +51,8 @@ def assembled_random(rng, spec, bounds, basis, dyn, positions=None):
     entry = transit_entry_for(cell, 0)
     if positions is None:
         positions = [lm]
-    asm = assemble_robust_lp(cell, entry, dyn, ALPHA_V, ALPHA_H, bounds, spec,
-                             positions, basis)
+    asm = assemble_robust_lp(CellProblem(
+        cell, entry, positions, dyn, ALPHA_V, ALPHA_H, bounds, spec, basis))
     return asm, cell, entry, lm
 
 
@@ -58,9 +60,10 @@ def two_landmark_random(rng, spec, bounds, basis, dyn):
     """Random transit cell seeing its landmark and a second one offset by
     (1, -0.5)."""
     cell, lm = random_cell(rng)
-    return assemble_robust_lp(cell, transit_entry_for(cell, 0), dyn, ALPHA_V,
-                              ALPHA_H, bounds, spec,
-                              [lm, lm + np.array([1.0, -0.5])], basis)
+    cell = ConvexCell(cell.id, cell.vertices, [0, 1])
+    return assemble_robust_lp(CellProblem(
+        cell, transit_entry_for(cell, 0), [lm, lm + np.array([1.0, -0.5])],
+        dyn, ALPHA_V, ALPHA_H, bounds, spec, basis))
 
 
 def goal_square(spec, bounds, basis, dyn, goal_bounds=None, v_floor="auto"):
@@ -76,9 +79,9 @@ def goal_square(spec, bounds, basis, dyn, goal_bounds=None, v_floor="auto"):
     use_bounds = goal_bounds or bounds
     if v_floor == "auto":
         v_floor = goal_v_floor(entry, use_bounds, spec)
-    asm = assemble_robust_lp(cell, entry, dyn, ALPHA_V, ALPHA_H, use_bounds,
-                             spec, [np.array([2.0, 2.0])], basis,
-                             v_floor=v_floor)
+    asm = assemble_robust_lp(CellProblem(
+        cell, entry, [np.array([2.0, 2.0])], dyn, ALPHA_V, ALPHA_H, use_bounds,
+        spec, basis, v_floor))
     return asm, cell, entry, goal
 
 
@@ -129,8 +132,9 @@ def test_lp_dimensions_square():
     verts = np.array([[0.0, 0.0], [1.0, 0.0], [1.0, 1.0], [0.0, 1.0]])
     cell = ConvexCell(0, verts, [0])
     entry = transit_entry_for(cell, 0)
-    asm = assemble_robust_lp(cell, entry, dyn, ALPHA_V, ALPHA_H, bounds, spec,
-                             [np.array([0.5, 0.5])], basis)
+    asm = assemble_robust_lp(CellProblem(
+        cell, entry, [np.array([0.5, 0.5])], dyn, ALPHA_V, ALPHA_H, bounds,
+        spec, basis))
     # 4 rows (CLF + 3 CBF) over the unit square, n_p = 9, d = 2:
     # 14 gains + 4 margins + 4 * (1 + 2d + d) multipliers + 14 tiebreak
     # bounds t = 60 columns. Each row holds at the 4 vertices, and each grid
@@ -185,7 +189,7 @@ def test_gain_coefficients_match_the_oracle_image():
     for asm in oracle_cases():
         A = asm.lp.A_ub.toarray()
         theta = asm.cols.theta
-        maps = [feature_maps(asm)] * len(asm.landmarks)
+        maps = [feature_maps(asm)] * len(asm.problem.landmarks)
         n = 0
         for k, row in enumerate(asm.rows):
             n_v = region_points(asm.regions[k]).shape[0]
@@ -245,8 +249,8 @@ def test_hand_and_machine_optima_match():
     for _ in range(3):
         cell, lm = random_cell(rng)
         entry = transit_entry_for(cell, 0)
-        asm = assemble_robust_lp(cell, entry, dyn, ALPHA_V, ALPHA_H,
-                                 bounds, spec, [lm], basis)
+        asm = assemble_robust_lp(CellProblem(
+            cell, entry, [lm], dyn, ALPHA_V, ALPHA_H, bounds, spec, basis))
         objs = []
         for lp in (asm.lp, machine_lp(asm)):
             sol = solve_lp(lp)
@@ -284,7 +288,7 @@ def test_margins_within_caps_and_bookkeeping():
     rng = np.random.default_rng(17)
     asm, cell, entry, _ = assembled_random(rng, spec, bounds, basis, dyn)
     ctrl = synthesize_cell_controller(asm)
-    assert ctrl.entry is asm.entry
+    assert ctrl.problem.entry is asm.problem.entry
     kinds = ctrl.to_dict()["kinds"]
     assert kinds[0] == "clf" and all(k == "cbf" for k in kinds[1:])
     assert ctrl.to_dict()["facets"] == [None] + [
@@ -303,8 +307,9 @@ def test_tighter_bounds_cannot_lower_the_optimum():
     entry = transit_entry_for(cell, 0)
     objs = []
     for eps, sig in ((0.125, 0.5), (0.25, 1.0)):
-        asm = assemble_robust_lp(cell, entry, dyn, ALPHA_V, ALPHA_H,
-                                 UncertaintyBounds(eps, sig), spec, [lm], basis)
+        asm = assemble_robust_lp(CellProblem(
+            cell, entry, [lm], dyn, ALPHA_V, ALPHA_H,
+            UncertaintyBounds(eps, sig), spec, basis))
         sol = solve_lp(asm.lp)
         assert sol.status == "Optimal"
         objs.append(sol.objective)
@@ -319,8 +324,10 @@ def test_second_landmark_cannot_lower_the_optimum():
     entry = transit_entry_for(cell, 0)
     objs = []
     for positions in ([lm], [lm, lm + np.array([1.0, -0.5])]):
-        asm = assemble_robust_lp(cell, entry, dyn, ALPHA_V, ALPHA_H, bounds,
-                                 spec, positions, basis)
+        seen = ConvexCell(cell.id, cell.vertices, range(len(positions)))
+        asm = assemble_robust_lp(CellProblem(
+            seen, entry, positions, dyn, ALPHA_V, ALPHA_H, bounds, spec,
+            basis))
         sol = solve_lp(asm.lp)
         assert sol.status == "Optimal"
         objs.append(sol.objective)
@@ -332,7 +339,7 @@ def test_goal_observation_is_an_equilibrium():
     asm, cell, entry, goal = goal_square(spec, bounds, basis, dyn)
     ctrl = synthesize_cell_controller(asm)
     u = ctrl.bias.copy()
-    for mat, lm in zip(ctrl.control_matrices(), ctrl.landmarks):
+    for mat, lm in zip(ctrl.control_matrices(), ctrl.problem.landmarks):
         u = u + mat @ make_delta_pmf(spec, lm - goal).vector
     assert float(np.max(np.abs(u))) <= 1e-8
 
@@ -354,8 +361,9 @@ def test_landmark_not_visible():
     cell, _ = random_cell(rng)
     entry = transit_entry_for(cell, 0)
     with pytest.raises(LandmarkNotVisible):
-        assemble_robust_lp(cell, entry, dyn, ALPHA_V, ALPHA_H, bounds, spec,
-                           [np.array([100.0, 0.0])], basis)
+        assemble_robust_lp(CellProblem(
+            cell, entry, [np.array([100.0, 0.0])], dyn, ALPHA_V, ALPHA_H,
+            bounds, spec, basis))
 
 
 @pytest.mark.parametrize("n, width, landmark", [
@@ -367,8 +375,9 @@ def test_landmark_of_another_dimension_than_the_grid(n, width, landmark):
     cell, _ = random_cell(np.random.default_rng(29))
     entry = transit_entry_for(cell, 0)
     with pytest.raises(DimensionMismatch, match="landmark dimension"):
-        assemble_robust_lp(cell, entry, dyn, ALPHA_V, ALPHA_H, bounds,
-                           GridSpec(n, width), [np.array(landmark)], basis)
+        assemble_robust_lp(CellProblem(
+            cell, entry, [np.array(landmark)], dyn, ALPHA_V, ALPHA_H, bounds,
+            GridSpec(n, width), basis))
 
 
 def test_controller_json_roundtrip(case_setup, tmp_path):
@@ -387,10 +396,11 @@ def test_controller_json_roundtrip(case_setup, tmp_path):
     assert list(loaded) == list(ctrls) == sorted(plan.entries)
     for cell_id, back in loaded.items():
         ctrl = ctrls[cell_id]
-        assert back.cell is env.cell_by_id(cell_id)
-        assert back.entry is plan.entries[cell_id]
-        assert np.array_equal(back.landmarks,
-                              env.landmarks[back.cell.landmark_ids])
+        problem = back.problem
+        assert problem.cell is env.cell_by_id(cell_id)
+        assert problem.entry is plan.entries[cell_id]
+        assert np.array_equal(problem.landmarks,
+                              env.landmarks[problem.cell.landmark_ids])
         assert np.array_equal(back.bias, ctrl.bias)
         for a, b in zip(back.gains, ctrl.gains):
             for ai, bi in zip(a, b):
@@ -425,9 +435,10 @@ def test_margins_must_match_the_entry_rows():
     ctrl = synthesize_cell_controller(asm)
     data = ctrl.to_dict()
     data["delta"] = data["delta"][:-1]
+    p = ctrl.problem
     with pytest.raises(DimensionMismatch, match="rows disagree"):
-        synthesis.CellController.from_dict(data, ctrl.cell, ctrl.entry,
-                                           ctrl.landmarks)
+        synthesis.CellController.from_dict(data, p.cell, p.entry,
+                                           p.landmarks)
 
 
 @pytest.mark.parametrize("other", [
@@ -435,15 +446,17 @@ def test_margins_must_match_the_entry_rows():
     lambda cell: ConvexCell(cell.id, cell.vertices, cell.landmark_ids * 2),
 ], ids=["another-cell-id", "another-landmark-count"])
 def test_controller_refuses_a_cell_its_entry_does_not_name(other):
-    # a controller is paired with its cell where it is built: the cell must
-    # be the one its plan entry names, with one landmark per gain block
+    # a controller's problem pairs the cell with its plan entry and
+    # landmarks where it is built: the cell must be the one the entry
+    # names, with one landmark id per landmark coordinate
     spec, bounds, basis, dyn = setup()
     asm, _, _, _ = assembled_random(np.random.default_rng(31), spec, bounds,
                                     basis, dyn)
     ctrl = synthesize_cell_controller(asm)
-    with pytest.raises(DimensionMismatch, match="entry, gains, bias"):
-        synthesis.CellController.from_dict(ctrl.to_dict(), other(ctrl.cell),
-                                           ctrl.entry, ctrl.landmarks)
+    p = ctrl.problem
+    with pytest.raises(DimensionMismatch, match="entry, cell and landmarks"):
+        synthesis.CellController.from_dict(ctrl.to_dict(), other(p.cell),
+                                           p.entry, p.landmarks)
 
 
 def test_feature_matrices_grid_mismatch():
@@ -453,15 +466,16 @@ def test_feature_matrices_grid_mismatch():
     rng = np.random.default_rng(37)
     asm, cell, entry, _ = assembled_random(rng, spec, bounds, basis, dyn)
     ctrl = synthesize_cell_controller(asm)
-    assert ctrl.grid == spec
+    assert ctrl.problem.grid == spec
     n_p = int(np.prod(spec.n))
     assert all(m.shape[-1] == n_p for m in ctrl.control_matrices())
     y = np.zeros(2)
-    u = control_input(ctrl, [make_delta_pmf(spec, y) for _ in ctrl.landmarks])
+    landmarks = ctrl.problem.landmarks
+    u = control_input(ctrl, [make_delta_pmf(spec, y) for _ in landmarks])
     assert u.shape == ctrl.bias.shape
     other = GridSpec((10, 10), (12.0, 12.0))
     with pytest.raises(GridMismatch):
-        control_input(ctrl, [make_delta_pmf(other, y) for _ in ctrl.landmarks])
+        control_input(ctrl, [make_delta_pmf(other, y) for _ in landmarks])
 
 
 def packaged_cell(env, mode, cell_id, spec, bounds):
@@ -473,8 +487,9 @@ def packaged_cell(env, mode, cell_id, spec, bounds):
     positions = [env.landmarks[j] for j in cell.landmark_ids]
     v_floor = (goal_v_floor(entry, bounds, spec)
                if entry.exit_face is None else None)
-    asm = assemble_robust_lp(cell, entry, dyn, ALPHA_V, ALPHA_H, bounds, spec,
-                             positions, basis, v_floor=v_floor)
+    asm = assemble_robust_lp(CellProblem(
+        cell, entry, positions, dyn, ALPHA_V, ALPHA_H, bounds, spec, basis,
+        v_floor))
     return asm, cell, entry, nominal_theta(asm)
 
 
@@ -647,6 +662,33 @@ def test_tiebreak_lp_is_the_stacked_lp_on_the_assembled_matrix(
             tb = _tiebreak_lp(asm, z, nominal)
             assert tb.A_ub is asm.lp.A_ub and tb.A_eq is asm.lp.A_eq
             assert_same_lp(tb, stacked_tiebreak_lp(asm, z, nominal))
+
+
+def test_loaded_controller_reassembles_its_own_lp(tmp_path, monkeypatch):
+    # a saved controller carries its whole cell problem: the LP rebuilt
+    # from a loaded controller's problem is the one synthesis solved, array
+    # for array, on both cells of the packaged patrol
+    cfg = cli.load_config(os.path.join(os.path.dirname(cli.__file__), "data",
+                                       "patrol.json"))
+    env = cfg.environment
+    plan = make_plan(env, build_graph(env), cfg.mode)
+    solved = {}
+
+    def recorded(problem):
+        solved[problem.cell.id] = asm = assemble_robust_lp(problem)
+        return asm
+
+    monkeypatch.setattr(synthesis, "assemble_robust_lp", recorded)
+    ctrls = synthesis.synthesize_environment(
+        env, plan.entries, LinearDynamics.single_integrator(env.dimension),
+        cfg.grid, cfg.bounds, cfg.basis, cfg.alpha_v, cfg.alpha_h)
+    path = str(tmp_path / "controllers.json")
+    save_controllers(ctrls, path)
+    loaded = load_controllers(path, env, plan)
+    assert sorted(loaded) == sorted(solved) == [0, 1]
+    for cell_id, ctrl in loaded.items():
+        assert_same_lp(assemble_robust_lp(ctrl.problem).lp,
+                       solved[cell_id].lp)
 
 
 def full_solve(asm):

@@ -17,6 +17,7 @@ from safefield.measurement import (
 from safefield.planning import PlanEntry
 from safefield.synthesis import (
     CellController,
+    CellProblem,
     GainBasis,
     LpColumns,
     assemble_robust_lp,
@@ -41,8 +42,9 @@ def square_controller():
     cell = ConvexCell(0, verts, [0])
     entry = transit_entry_for(cell, 0)
     dyn = LinearDynamics.single_integrator(2)
-    asm = assemble_robust_lp(cell, entry, dyn, 1.0, 100.0, BOUNDS, SPEC,
-                             [np.zeros(2)], GainBasis())
+    asm = assemble_robust_lp(CellProblem(
+        cell, entry, [np.zeros(2)], dyn, 1.0, 100.0, BOUNDS, SPEC,
+        GainBasis()))
     return synthesize_cell_controller(asm)
 
 
@@ -299,14 +301,15 @@ def test_tampered_controller_fails():
     # gains and bias are fixed at construction, so the tampered law is a
     # new controller built from the edited serialized form
     synthesized = square_controller()
-    cell = synthesized.cell
+    problem = synthesized.problem
+    cell = problem.cell
     data = synthesized.to_dict()
-    wall = synthesized.entry.barriers[0]
+    wall = problem.entry.barriers[0]
     data["K"] = [[np.zeros_like(Ki).tolist() for Ki in per_l]
                  for per_l in synthesized.gains]
     data["K_b"] = cell.body.A[wall].tolist()
-    ctrl = CellController.from_dict(data, cell, synthesized.entry,
-                                    synthesized.landmarks)
+    ctrl = CellController.from_dict(data, cell, problem.entry,
+                                    problem.landmarks)
     with pytest.raises(VerificationFailed):
         verify_controller(ctrl, count=10, seed=1)
     report = verify_controller(ctrl, count=10, seed=1,
