@@ -216,6 +216,13 @@ def _parse_cells(arg):
                           field="cells")
 
 
+def _known_cells(cells, known):
+    """Refuse --cells ids outside known; the flag comes from no file."""
+    missing = [c for c in cells if c not in known]
+    if missing:
+        raise ConfigError("unknown cell ids %s" % missing, field="cells")
+
+
 def _controllers_path(cfg):
     return os.path.join(cfg.out, "controllers.json")
 
@@ -234,9 +241,7 @@ def cmd_synth(cfg, cells=None):
     env = cfg.environment
     entries = _plan(cfg).entries
     if cells is not None:
-        missing = [c for c in cells if c not in entries]
-        if missing:
-            raise ConfigError("unknown cell ids %s" % missing, field="cells")
+        _known_cells(cells, entries)
         entries = {c: entries[c] for c in cells}
     dynamics = LinearDynamics.single_integrator(env.dimension)
     try:
@@ -320,6 +325,8 @@ def cmd_simulate(cfg):
 
 def cmd_field(cfg, cells=None):
     env = cfg.environment
+    if cells is not None:
+        _known_cells(cells, {c.id for c in env.cells})
     controllers = synthesis.load_controllers(_controllers_path(cfg), env,
                                              _plan(cfg))
     wanted = cells if cells is not None else cfg.field_cells

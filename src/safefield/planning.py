@@ -163,6 +163,17 @@ def _transit_entry(env, graph, cell_id, next_id):
     return PlanEntry(cell_id, row, v, edge.midpoint, next_id, barriers)
 
 
+def _t_junction(cell, edge):
+    """An end of edge's shared segment that lies inside cell's facet on it
+    rather than at a facet end, or None when the facet is the segment."""
+    facet = _facet_segment(cell, edge.row_for(cell.id))
+    for point in edge.segment:
+        if min(np.linalg.norm(point - facet[0]),
+               np.linalg.norm(point - facet[1])) > OVERLAP_TOL:
+            return point
+    return None
+
+
 def goal_entry(env, graph, cell_id):
     """Terminal entry for the cell carrying the goal vertex: o is the goal,
     v points from the goal toward the vertex centroid, and the progress
@@ -202,7 +213,9 @@ def make_plan(env, graph, mode="stabilize"):
     goal cell (ties toward the smallest cell id; build_graph has checked
     that every cell reaches it); the goal cell stabilizes at the goal.
     patrol: the environment's patrol cycle, each cell exiting into the
-    next; a cycle must visit each cell once.
+    next; a cycle must visit each cell once, and each exit facet must be
+    exactly the segment its cell shares with the next, since the CLF row
+    promises only that the state leaves through the exit facet.
     """
     if mode == "patrol":
         cycle = env.patrol_cycle
@@ -221,6 +234,14 @@ def make_plan(env, graph, mode="stabilize"):
                 raise ConfigError(
                     "patrol cycle visits cell %r twice; a cell has one "
                     "exit facet" % cid, field="environment.patrol_cycle")
+            junction = _t_junction(env.cell_by_id(cid), graph.edge(cid, nxt))
+            if junction is not None:
+                raise ConfigError(
+                    "patrol cycle steps from cell %r to cell %r through an "
+                    "exit facet longer than the segment they share, which "
+                    "ends at the T-junction %s"
+                    % (cid, nxt, junction.tolist()),
+                    field="environment.patrol_cycle")
             entries[cid] = _transit_entry(env, graph, cid, nxt)
         return HighLevelPlan("patrol", entries)
     gid = goal_cell_id(env)

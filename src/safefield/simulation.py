@@ -36,32 +36,18 @@ class SensorModel:
                               field="sim.sensor")
 
     def make(self, seed):
-        """Seeded sensing closure (spec, true offset) -> PmfGrid.
+        """Seeded reading closure (spec, true offset) -> grid index.
 
-        A reading is one of n_points PMFs per grid, fixed by the cell it
-        lands on: the snapped cell for delta, and for gaussian the snapped
-        cell moved by the drift rounded to whole cells and clamped to the
-        grid, blurred. Each closure banks the PMFs it has built, keyed by
-        grid and cell, and hands the same read-only PmfGrid back when the
-        cell recurs. The gaussian drift direction is drawn at every reading,
-        so the random stream does not depend on the bank."""
-        bank = {}
-
-        def banked(spec, cell, build):
-            key = (spec.n, spec.width, cell)
-            pmf = bank.get(key)
-            if pmf is None:
-                pmf = bank[key] = build(spec, cell)
-            return pmf
-
+        A reading is the grid cell it lands on: the snapped cell for delta,
+        and for gaussian the snapped cell moved by the drift rounded to
+        whole cells and clamped to the grid. The gaussian drift direction
+        is drawn at every reading. The PMF of a reading is pmf(spec,
+        index)."""
         if self.kind == "delta":
-            return lambda spec, y: banked(spec, spec.snap(y), delta_pmf_at)
+            return lambda spec, y: spec.snap(y)
         rng = np.random.default_rng(seed)
 
-        def blurred(spec, cell):
-            return blur_cell(spec, cell, self.variance)
-
-        def sense(spec, y):
+        def read(spec, y):
             cell = spec.snap(y)
             direction = rng.standard_normal(spec.dim)
             norm = np.linalg.norm(direction)
@@ -71,10 +57,16 @@ class SensorModel:
                 norm = 1.0
             drift = [self.drift * v / norm for v in direction.tolist()]
             shift = drift_shift(spec, drift, cell, cell)
-            return banked(spec, tuple(c + s for c, s in zip(cell, shift)),
-                          blurred)
+            return tuple(c + s for c, s in zip(cell, shift))
 
-        return sense
+        return read
+
+    def pmf(self, spec, index):
+        """The PMF of a reading at grid index: all mass on that cell for
+        delta, and for gaussian that mass blurred."""
+        if self.kind == "delta":
+            return delta_pmf_at(spec, index)
+        return blur_cell(spec, index, self.variance)
 
 
 class SimConfig:
@@ -122,22 +114,29 @@ class Trajectory:
                 np.asarray(self.min_h))
 
     def to_csv(self, path):
-        """One line per recorded step, written as it is formatted; repr of
-        a Python float is the shortest string that reads back to it."""
+        """One line per recorded step: t, x1..xd, u1..u_{n_u}, cell_id, V,
+        min_h."""
         d = len(self.x[0]) if self.x else 0
         n_u = len(self.u[0]) if self.u else 0
-        header = (
-            ["t"]
-            + ["x%d" % (i + 1) for i in range(d)]
-            + ["u%d" % (i + 1) for i in range(n_u)]
-            + ["cell_id", "V", "min_h"]
-        )
-        with open(path, "w") as fh:
-            fh.write(",".join(header) + "\n")
+        header = ["t"] + _names("x", d) + _names("u", n_u)
+        _write_csv(path, header + ["cell_id", "V", "min_h"], (
+            [t] + x.tolist() + u.tolist() + [cid, V, mh]
             for t, x, u, cid, V, mh in zip(self.t, self.x, self.u,
-                                           self.cell_id, self.V, self.min_h):
-                cols = [t] + x.tolist() + u.tolist() + [cid, V, mh]
-                fh.write(",".join(map(repr, cols)) + "\n")
+                                           self.cell_id, self.V, self.min_h)))
+
+
+def _names(prefix, n):
+    return ["%s%d" % (prefix, i + 1) for i in range(n)]
+
+
+def _write_csv(path, header, rows):
+    """The header, then one line per row of Python floats and ints, written
+    as it is formatted; repr of a Python float is the shortest string that
+    reads back to it."""
+    with open(path, "w") as fh:
+        fh.write(",".join(header) + "\n")
+        for row in rows:
+            fh.write(",".join(map(repr, row)) + "\n")
 
 
 def control_input(controller, pmfs):
@@ -153,37 +152,30 @@ def control_input(controller, pmfs):
     for p in pmfs:
         if p.spec != problem.grid:
             raise GridMismatch("PMFs must lie on the controller's grid")
-    return _control_law(controller.bias, [
-        mat @ pmf.vector
-        for mat, pmf in zip(controller.control_matrices(), pmfs)])
-
-
-def _control_law(bias, terms):
-    """u = K_b + sum_l M_l P_l from the terms M_l P_l, added in landmark
-    order."""
-    u = bias.copy()
-    for term in terms:
-        u = u + term
+    u = controller.bias.copy()
+    for mat, pmf in zip(controller.control_matrices(), pmfs):
+        u = u + mat @ pmf.vector
     return u
 
 
-def _banked_terms(controller):
-    """The terms M_l P_l of one controller's readings, banked by the PMF they
-    come from. A sensing closure hands back the same read-only PmfGrid
-    whenever a grid cell recurs, so each term is computed once per cell a
-    landmark is read on."""
+def _law(controller, sensor):
+    """The controller's law on readings, one grid index per landmark:
+    control_input on the sensor's PMFs at those indices, added in the same
+    order. Each term M_l P_l is banked per landmark by index, so it is
+    computed once per cell a landmark is read on."""
+    grid = controller.problem.grid
     banks = [({}, mat) for mat in controller.control_matrices()]
 
-    def terms(pmfs):
-        out = []
-        for (bank, mat), pmf in zip(banks, pmfs):
-            term = bank.get(pmf)
+    def law(indices):
+        u = controller.bias.copy()
+        for (bank, mat), index in zip(banks, indices):
+            term = bank.get(index)
             if term is None:
-                term = bank[pmf] = mat @ pmf.vector
-            out.append(term)
-        return out
+                term = bank[index] = mat @ sensor.pmf(grid, index).vector
+            u = u + term
+        return u
 
-    return terms
+    return law
 
 
 def _barriers(controller):
@@ -245,12 +237,11 @@ def start_cell(env, mode, cell_ids, x):
 
 def run_trajectory(env, plan, controllers, config, x0=None):
     """Integrate under the plan with controllers, a dict keyed by cell id;
-    u is recomputed every step from freshly sensed PMFs (zero-order hold
-    within a step). What a controller's steps share is built at its first
-    step: its barrier rows and its bank of control terms. Every step adds
-    banked terms (_control_law): each step senses exactly the controller's
-    landmarks on its own grid, so the checks of control_input cannot fail
-    here.
+    u is recomputed every step from fresh readings (zero-order hold within
+    a step). What a controller's steps share is built at its first step:
+    its barrier rows and its law (_law), which banks the control terms of
+    the readings. Each step reads exactly the controller's landmarks on its
+    own grid, so the checks of control_input cannot fail here.
 
     The run begins in start_cell and follows the plan's exit map: crossing
     the active exit face hands over to the entry's next_id. In patrol mode
@@ -262,8 +253,8 @@ def run_trajectory(env, plan, controllers, config, x0=None):
     smallest-id cell that does, whose controller funnels it back toward
     the goal.
     """
-    loops = {}  # cell id -> (barrier rows, banked control terms)
-    sense = config.sensor.make(config.seed)
+    loops = {}  # cell id -> (barrier rows, law)
+    read = config.sensor.make(config.seed)
     x = np.asarray(env.start if x0 is None else x0, dtype=float).copy()
     traj = Trajectory(plan.mode)
     active_id = start_cell(env, plan.mode, plan.entries, x)
@@ -280,12 +271,13 @@ def run_trajectory(env, plan, controllers, config, x0=None):
             raise ConfigError("no controller for cell %d" % active_id,
                               field="controllers")
         problem = ctrl.problem
-        pmfs = [sense(problem.grid, lm - x) for lm in problem.landmarks]
+        indices = [read(problem.grid, lm - x) for lm in problem.landmarks]
         loop = loops.get(active_id)
         if loop is None:
-            loop = loops[active_id] = (_barriers(ctrl), _banked_terms(ctrl))
-        barriers, terms = loop
-        u = _control_law(ctrl.bias, terms(pmfs))
+            loop = loops[active_id] = (_barriers(ctrl),
+                                       _law(ctrl, config.sensor))
+        barriers, law = loop
+        u = law(indices)
         min_h, facet = _barrier_values(barriers, x)
         traj.append(t, x, u, active_id, problem.entry.progress(x), min_h)
         if min_h < -SAFETY_TOL:
@@ -340,7 +332,8 @@ def run_trajectory(env, plan, controllers, config, x0=None):
 
 
 def sample_vector_field(controller, resolution, sensor=None, seed=0):
-    """Control inputs on a lattice over the controller's cell; rows (x, u)."""
+    """Control inputs on a lattice over the controller's cell; rows (x, u),
+    u from the same law on readings as run_trajectory."""
     problem = controller.problem
     cell = problem.cell
     res = np.broadcast_to(np.asarray(resolution, dtype=int),
@@ -348,7 +341,8 @@ def sample_vector_field(controller, resolution, sensor=None, seed=0):
     if np.any(res < 2):
         raise ConfigError("resolution must be at least 2 per axis",
                           field="field.resolution")
-    sense = (sensor or SensorModel()).make(seed)
+    sensor = sensor or SensorModel()
+    read, law = sensor.make(seed), _law(controller, sensor)
     verts = cell.vertices
     lo, hi = verts.min(axis=0), verts.max(axis=0)
     axes = [np.linspace(lo[a], hi[a], res[a]) for a in range(len(res))]
@@ -358,8 +352,8 @@ def sample_vector_field(controller, resolution, sensor=None, seed=0):
     for x in points:
         if not cell.contains(x):
             continue
-        pmfs = [sense(problem.grid, lm - x) for lm in problem.landmarks]
-        rows.append(np.concatenate([x, control_input(controller, pmfs)]))
+        u = law([read(problem.grid, lm - x) for lm in problem.landmarks])
+        rows.append(np.concatenate([x, u]))
     if not rows:
         return np.zeros((0, 2 * cell.body.dim))
     return np.asarray(rows)
@@ -369,9 +363,4 @@ def save_field_csv(arr, d, path):
     """Vector-field CSV: x1..xd then u1..u_{n_u}."""
     arr = np.asarray(arr, dtype=float)
     n_u = arr.shape[1] - d if arr.size else d
-    header = ["x%d" % (i + 1) for i in range(d)]
-    header += ["u%d" % (i + 1) for i in range(n_u)]
-    with open(path, "w") as fh:
-        fh.write(",".join(header) + "\n")
-        for row in arr:
-            fh.write(",".join(repr(float(v)) for v in row) + "\n")
+    _write_csv(path, _names("x", d) + _names("u", n_u), arr.tolist())

@@ -2,9 +2,10 @@
 drift-aware loop of simulation.run_trajectory.
 
 Every step takes the four staged RK4 slopes A s + B u, calls
-control_input on freshly sensed PMFs, and evaluates the progress wherever
-it is needed. Patrol steps an index through the cycle. Stabilize hands over
-only along the start's own path to the goal, and to the smallest-id cell
+control_input on PMFs built afresh by unbanked_sensor (no grid index, no
+bank, no SensorModel.pmf), and evaluates the progress wherever it is
+needed. Patrol steps an index through the cycle. Stabilize hands over only
+along the start's own path to the goal, and to the smallest-id cell
 holding the state elsewhere, as when each start had a plan of its own. The
 simulator must log the same rows, bit for bit, and count the same
 crossings.
@@ -18,6 +19,7 @@ from safefield.errors import (
     OffPlanCrossing,
     SafetyViolation,
 )
+from safefield.measurement import blur_pmf, make_delta_pmf
 from safefield.simulation import (
     SAFETY_TOL,
     Trajectory,
@@ -25,6 +27,25 @@ from safefield.simulation import (
     _barriers,
     control_input,
 )
+
+
+def unbanked_sensor(model, seed):
+    """The sensor as a recipe with no bank and no grid index: a fresh delta
+    PMF per reading, blurred by blur_pmf along the same seeded stream of
+    directions as model's readings."""
+    if model.kind == "delta":
+        return make_delta_pmf
+    rng = np.random.default_rng(seed)
+
+    def sense(spec, y):
+        pmf = make_delta_pmf(spec, y)
+        direction = rng.standard_normal(spec.dim)
+        norm = np.linalg.norm(direction)
+        if norm < 1e-12:
+            direction, norm = np.array([1.0, 0.0]), 1.0
+        return blur_pmf(pmf, model.drift * direction / norm, model.variance)
+
+    return sense
 
 
 def staged_step(dynamics, x, u, dt):
@@ -46,7 +67,7 @@ def reference_trajectory(env, plan, controllers, config, x0=None):
     """run_trajectory's contract, one full sense, control and RK4 pass per
     step."""
     barriers = {}
-    sense = config.sensor.make(config.seed)
+    sense = unbanked_sensor(config.sensor, config.seed)
     x = np.asarray(env.start if x0 is None else x0, dtype=float).copy()
     traj = Trajectory(plan.mode)
     entries = list(plan.entries.values())

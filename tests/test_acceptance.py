@@ -3,15 +3,11 @@ eight-cell environment at the published operating point; the property tests
 pin the robustness claims (margin soundness, duality, conservatism
 monotonicity, measurement exactness) on randomized instances."""
 
-import json
-import os
-
 import numpy as np
 import pytest
 
 from safefield import planning, simulation
 from safefield.errors import OffPlanCrossing
-from safefield.geometry import environment_from_dict
 from safefield.lp_core import solve_lp
 from safefield.measurement import (GridSpec, PmfGrid, UncertaintyBounds,
                                    blur_pmf, build_expectation_kernel,
@@ -143,13 +139,13 @@ def test_goal_cell_pins_the_goal(case_setup):
     goal = np.asarray(env.goal, dtype=float)
     ctrl = case_setup["controllers"][planning.goal_cell_id(env)]
     grid, landmarks = ctrl.problem.grid, ctrl.problem.landmarks
-    sense = SensorModel().make(0)
-    pmfs = [sense(grid, lm - goal) for lm in landmarks]
+    pmfs = [make_delta_pmf(grid, lm - goal) for lm in landmarks]
     assert np.max(np.abs(control_input(ctrl, pmfs))) <= 1e-8
     dyn = case_setup["dynamics"]
     dt, x = 0.01, goal.copy()
     for _ in range(int(round(10.0 / dt))):
-        u = control_input(ctrl, [sense(grid, lm - x) for lm in landmarks])
+        u = control_input(ctrl, [make_delta_pmf(grid, lm - x)
+                                 for lm in landmarks])
         x = x + dt * (dyn.A @ x + dyn.B @ u)
         assert np.linalg.norm(x - goal) <= GOAL_TOL
 
@@ -276,14 +272,14 @@ def test_patrol_cycle_crosses_and_stays_safe(patrol_env, case_setup):
 def test_patrol_crossing_off_the_plan_fails(case_setup):
     # annulus8's cell 0 exits through x = 20, which it shares with cell 1
     # below y = 10 and with cell 2 above; on the second lap cell 0's
-    # controller crosses into cell 2 while the cycle plans cell 1
-    data = os.path.join(os.path.dirname(simulation.__file__), "data")
-    with open(os.path.join(data, "annulus8.json")) as fh:
-        raw = json.load(fh)
-    raw["patrol_cycle"] = [0, 1, 3, 4, 5, 6, 7]
-    env = environment_from_dict(raw)
-    graph = planning.build_graph(env)
-    plan = planning.make_plan(env, graph, mode="patrol")
+    # controller crosses into cell 2 while the cycle plans cell 1.
+    # make_plan refuses this cycle, so the plan is built entry by entry.
+    env = case_setup["env"]
+    graph = case_setup["graph"]
+    cycle = [0, 1, 3, 4, 5, 6, 7]
+    plan = planning.HighLevelPlan("patrol", {
+        cid: planning._transit_entry(env, graph, cid, nxt)
+        for cid, nxt in zip(cycle, cycle[1:] + cycle[:1])})
     ctrls = synthesize_environment(
         env, plan.entries,
         case_setup["dynamics"], case_setup["spec"], case_setup["bounds"],

@@ -181,7 +181,9 @@ def test_bad_environment_exits_config_code(tmp_path, capsys, env, field):
 @pytest.mark.parametrize("argv", [
     ["synth", "--cells", "9"],
     ["field", "--cells", "x"],
-], ids=["unknown-cell", "malformed-cells"])
+    # the environment has no cell 9: the flag is wrong, not controllers.json
+    ["field", "--cells", "9"],
+], ids=["unknown-cell", "malformed-cells", "field-unknown-cell"])
 def test_flag_error_names_no_file(tmp_path, capsys, argv):
     # a flag comes from no file: the message names only the field
     cfg = write_config(tmp_path)
@@ -221,7 +223,10 @@ def test_bad_patrol_cycle_exits_config_code(tmp_path, capsys, cells, cycle,
 @pytest.mark.parametrize("cycle, message", [
     ([0, 1, 0, 2], "visits cell 0 twice"),
     (None, "patrol mode requires a patrol cycle"),
-], ids=["revisited-cell", "no-cycle"])
+    # cell 2's facet y = 1 runs to x = 2, but cell 0 holds only x <= 1 of it
+    ([2, 0], "from cell 2 to cell 0 through an exit facet longer than the "
+             "segment they share, which ends at the T-junction [1.0, 1.0]"),
+], ids=["revisited-cell", "no-cycle", "t-junction"])
 def test_patrol_cycle_error_names_the_environment_file(tmp_path, capsys,
                                                        cycle, message):
     cfg = write_config(tmp_path, mode="patrol")

@@ -254,7 +254,7 @@ def test_patrol_plan(patrol_env):
     assert np.allclose(plan.entries[0].v, -plan.entries[1].v)
 
 
-@pytest.mark.parametrize("cycle", [[7, 6, 5, 4, 3, 1, 0], [3, 4, 5, 6, 7, 0, 1]])
+@pytest.mark.parametrize("cycle", [[0, 7], [7, 0]])
 def test_patrol_plan_follows_the_cycle_order(annulus_env, cycle):
     env = Environment(annulus_env.cells, annulus_env.landmarks,
                       annulus_env.start, annulus_env.goal, patrol_cycle=cycle)
@@ -268,9 +268,26 @@ def test_start_outside_free_space(annulus_env):
     # it needs a controller
     patrol = Environment(annulus_env.cells, annulus_env.landmarks,
                          annulus_env.start, annulus_env.goal,
-                         patrol_cycle=[0, 1, 3, 4, 5, 6, 7])
+                         patrol_cycle=[0, 7])
     for env, mode in ((annulus_env, "stabilize"), (patrol, "patrol")):
         plan = make_plan(env, build_graph(env), mode)
         with pytest.raises(ConfigError, match="lies in no cell") as err:
             run_trajectory(env, plan, [], SimConfig(), x0=[-5.0, -5.0])
         assert err.value.field == "starts"
+
+
+@pytest.mark.parametrize("cycle, pair, junction", [
+    # cell 0's facet x = 20 runs from y = 0 to 20, but cell 1 holds only
+    # y in [0, 10] of it; cell 7's facet x = 20 meets cell 6 above y = 40
+    ([0, 1, 3, 4, 5, 6, 7], (0, 1), [20.0, 10.0]),
+    ([7, 6, 5, 4, 3, 1, 0], (7, 6), [20.0, 40.0]),
+], ids=["cell-0-to-1", "cell-7-to-6"])
+def test_patrol_exit_must_be_the_shared_segment(annulus_env, cycle, pair,
+                                                junction):
+    env = Environment(annulus_env.cells, annulus_env.landmarks,
+                      annulus_env.start, annulus_env.goal, patrol_cycle=cycle)
+    with pytest.raises(ConfigError) as err:
+        make_plan(env, build_graph(env), mode="patrol")
+    assert err.value.field == "environment.patrol_cycle"
+    assert ("from cell %d to cell %d" % pair) in str(err.value)
+    assert ("T-junction %s" % junction) in str(err.value)

@@ -5,7 +5,7 @@ import numpy as np
 import pytest
 
 from helpers import three_cell_env
-from reference_loop import reference_trajectory, staged_step
+from reference_loop import reference_trajectory, staged_step, unbanked_sensor
 from safefield import cli
 from safefield.clfcbf import LinearDynamics
 from safefield.errors import (
@@ -87,9 +87,9 @@ def uncached_input(ctrl, pmfs):
 
 def replay_matches_uncached(traj, ctrls, config):
     """Every logged u equals the uncached law on the PMFs the run sensed:
-    the sensor is replayed with the run's seed, one reading per landmark
-    and logged row, in the run's order."""
-    sense = config.sensor.make(config.seed)
+    the unbanked sensor recipe is replayed with the run's seed, one reading
+    per landmark and logged row, in the run's order."""
+    sense = unbanked_sensor(config.sensor, config.seed)
     for x, u, cid in zip(traj.x, traj.u, traj.cell_id):
         ctrl = ctrls[cid]
         p = ctrl.problem
@@ -104,38 +104,28 @@ def test_sensor_validation_and_roundtrip():
         SensorModel("gaussian", drift=-1.0)
 
 
+def sensed(model, seed):
+    """model's readings turned into their PMFs: (spec, y) -> PmfGrid."""
+    read = model.make(seed)
+    return lambda spec, y: model.pmf(spec, read(spec, y))
+
+
 def test_delta_sensor_matches_snap():
-    sense = SensorModel().make(0)
+    model = SensorModel()
     y = np.array([0.7, -1.1])
-    assert np.array_equal(sense(SPEC, y).mass, make_delta_pmf(SPEC, y).mass)
+    assert model.make(0)(SPEC, y) == SPEC.snap(y)
+    assert np.array_equal(sensed(model, 0)(SPEC, y).mass,
+                          make_delta_pmf(SPEC, y).mass)
 
 
 def test_gaussian_sensor_is_seeded_and_normalized():
     model = SensorModel("gaussian", 0.5, 0.1)
     y = np.array([0.3, 0.4])
-    a = model.make(7)(SPEC, y)
-    b = model.make(7)(SPEC, y)
+    a = sensed(model, 7)(SPEC, y)
+    b = sensed(model, 7)(SPEC, y)
     assert np.array_equal(a.mass, b.mass)
     assert abs(a.mass.sum() - 1.0) <= 1e-12
     assert np.all(a.mass >= 0.0)
-
-
-def unbanked_sensor(model, seed):
-    """The sensor as a recipe with no bank: a fresh delta PMF per reading,
-    blurred by blur_pmf along the same seeded stream of directions."""
-    if model.kind == "delta":
-        return make_delta_pmf
-    rng = np.random.default_rng(seed)
-
-    def sense(spec, y):
-        pmf = make_delta_pmf(spec, y)
-        direction = rng.standard_normal(spec.dim)
-        norm = np.linalg.norm(direction)
-        if norm < 1e-12:
-            direction, norm = np.array([1.0, 0.0]), 1.0
-        return blur_pmf(pmf, model.drift * direction / norm, model.variance)
-
-    return sense
 
 
 @pytest.mark.parametrize("model", [
@@ -149,44 +139,77 @@ def test_banked_readings_equal_the_unbanked_recipe(model):
     # two grids read alternately by one closure, a third of the offsets in
     # the corner boxes, where the clamp and the clipped paste both bind
     grids = [SPEC, GridSpec((30, 30), (40.0, 40.0))]
-    sense, recipe = model.make(3), unbanked_sensor(model, 3)
+    read, recipe = model.make(3), unbanked_sensor(model, 3)
     rng = np.random.default_rng(17)
     readings = 0
-    built = {}
+    seen = set()
     for _ in range(1500):
         unit = rng.uniform(-1.0, 1.0, size=2)
         if rng.random() < 1.0 / 3.0:
             unit = np.sign(unit) * rng.uniform(0.85, 1.0, size=2)
         for spec in grids:
             y = unit * np.array(spec.width) / 2.0
-            got, want = sense(spec, y), recipe(spec, y)
+            index = read(spec, y)
+            got, want = model.pmf(spec, index), recipe(spec, y)
             assert got.spec == spec
             assert np.array_equal(got.mass, want.mass)
             readings += 1
-            built[id(got)] = got
-    # the bank holds at most one PMF per grid cell
-    assert len(built) <= sum(spec.n_points for spec in grids) < readings
+            seen.add((spec.n, index))
+    # a reading is one of the grids' cells, and the cells recur
+    assert len(seen) <= sum(spec.n_points for spec in grids) < readings
 
 
-def test_a_recurring_cell_returns_the_same_pmf():
-    # a drift under half a pitch rounds to no shift, so both offsets land
-    # on the same cell whatever direction is drawn
-    y, nearby = np.array([0.3, 0.4]), np.array([0.31, 0.41])
-    for model in (SensorModel(), SensorModel("gaussian", 0.1, 0.1)):
-        sense = model.make(0)
-        first = sense(SPEC, y)
-        assert sense(SPEC, nearby) is first
-        assert sense(GridSpec((8, 8), (6.0, 6.0)), y) is not first
-        # the bank belongs to the closure: a new closure builds its own
-        assert model.make(0)(SPEC, y) is not first
+def test_a_run_builds_one_pmf_per_landmark_and_index(rig, monkeypatch):
+    calls = []
+    pmf = SensorModel.pmf
+
+    def counted(model, spec, index):
+        calls.append(index)
+        return pmf(model, spec, index)
+
+    monkeypatch.setattr(SensorModel, "pmf", counted)
+    runs = [(rig["plan_p"], rig["ctrls_p"], SimConfig(dt=0.01, max_time=5.0),
+             [0.5, 0.5]),
+            (rig["plan"], rig["ctrls"],
+             SimConfig(dt=0.01, max_time=30.0, goal_tol=0.05,
+                       sensor=SensorModel("gaussian", 0.3, 0.05), seed=9),
+             None)]
+    for plan, ctrls, config, start in runs:
+        calls.clear()
+        traj = run_trajectory(rig["env"], plan, ctrls, config, x0=start)
+        # replay the readings: one per landmark and logged row, in order
+        read = config.sensor.make(config.seed)
+        terms = set()
+        for x, cid in zip(traj.x, traj.cell_id):
+            p = ctrls[cid].problem
+            terms.update((cid, l, read(p.grid, lm - x))
+                         for l, lm in enumerate(p.landmarks))
+        assert sorted(calls) == sorted(index for _, _, index in terms)
+        # readings recur, so the bank saves builds
+        assert len(terms) < len(traj.x)
+
+
+@pytest.mark.parametrize("model", [SensorModel(),
+                                   SensorModel("gaussian", 0.3, 0.05)],
+                         ids=["delta", "gaussian"])
+def test_field_rows_equal_control_input_on_the_sensed_pmfs(rig, model):
+    for cid, ctrl in rig["ctrls"].items():
+        p = ctrl.problem
+        arr = sample_vector_field(ctrl, (9, 9), sensor=model, seed=5)
+        sense = sensed(model, 5)
+        assert len(arr) > 20
+        for row in arr:
+            x = row[:2]
+            pmfs = [sense(p.grid, lm - x) for lm in p.landmarks]
+            assert np.array_equal(row[2:], control_input(ctrl, pmfs))
 
 
 def test_pmf_mass_is_read_only():
     y = np.array([0.3, -0.4])
     fresh = np.full(SPEC.n, 1.0 / SPEC.n_points)
     pmfs = [make_delta_pmf(SPEC, y), blur_pmf(make_delta_pmf(SPEC, y), y, 0.1),
-            SensorModel().make(0)(SPEC, y),
-            SensorModel("gaussian", 0.5, 0.1).make(0)(SPEC, y),
+            sensed(SensorModel(), 0)(SPEC, y),
+            sensed(SensorModel("gaussian", 0.5, 0.1), 0)(SPEC, y),
             PmfGrid(SPEC, fresh)]
     for pmf in pmfs:
         with pytest.raises(ValueError):
@@ -349,7 +372,7 @@ def test_control_input_rejects_mismatches():
 
 def test_control_input_equals_uncached_law(rig):
     rng = np.random.default_rng(4)
-    gaussian = SensorModel("gaussian", 0.3, 0.05).make(11)
+    gaussian = sensed(SensorModel("gaussian", 0.3, 0.05), 11)
     for cell_id, ctrl in rig["ctrls"].items():
         cell = rig["env"].cell_by_id(cell_id)
         p = ctrl.problem
