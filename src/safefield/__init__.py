@@ -4,7 +4,9 @@ The package synthesizes linear feedback over sensed landmark PMFs, cell by
 cell, so that a stability (exit-progress) certificate and safety (barrier)
 certificates hold for every measurement distribution consistent with the
 sensor's support and deviation bounds. Controllers are certified by LP
-duality at synthesis time and re-checked by an independent adversarial LP.
+duality at synthesis time and re-checked by an independent adversary: a
+batched NumPy simplex over the consistent PMFs, started from a consistent
+PMF in closed form, with a full LP (adversarial_pmf) as its test oracle.
 """
 
 from .clfcbf import (

@@ -137,10 +137,9 @@ class RunConfig:
             raise ConfigError("resolution must be at least 2 per axis",
                               path=path, field="field.resolution")
         self.field_cells = field.get("cells")
-        if self.field_cells is not None and not (
-                set(self.field_cells) <= {c.id for c in self.environment.cells}):
-            raise ConfigError("cells must be a list of the environment's cell ids",
-                              path=path, field="field.cells")
+        if self.field_cells is not None:
+            _plan_cells(self.field_cells, self.environment, self.mode,
+                        path=path, field="field.cells")
         self.out = raw.get("out", "out")
         if not isinstance(self.out, str):
             raise ConfigError("out must be a directory path",
@@ -216,11 +215,19 @@ def _parse_cells(arg):
                           field="cells")
 
 
-def _known_cells(cells, known):
-    """Refuse --cells ids outside known; the flag comes from no file."""
-    missing = [c for c in cells if c not in known]
+def _plan_cells(cells, env, mode, path=None, field="cells"):
+    """Refuse cells outside a run's plan: ids the environment lacks, and in
+    patrol mode cells off the cycle; a missing cycle is left to planning.
+    The --cells flag comes from no file."""
+    missing = [c for c in cells if c not in {cell.id for cell in env.cells}]
     if missing:
-        raise ConfigError("unknown cell ids %s" % missing, field="cells")
+        raise ConfigError("unknown cell ids %s" % missing,
+                          path=path, field=field)
+    cycle = env.patrol_cycle
+    off = [c for c in cells if mode == "patrol" and cycle and c not in cycle]
+    if off:
+        raise ConfigError("cell ids %s are not on the patrol cycle %s"
+                          % (off, cycle), path=path, field=field)
 
 
 def _controllers_path(cfg):
@@ -241,7 +248,7 @@ def cmd_synth(cfg, cells=None):
     env = cfg.environment
     entries = _plan(cfg).entries
     if cells is not None:
-        _known_cells(cells, entries)
+        _plan_cells(cells, env, cfg.mode)
         entries = {c: entries[c] for c in cells}
     dynamics = LinearDynamics.single_integrator(env.dimension)
     try:
@@ -326,7 +333,7 @@ def cmd_simulate(cfg):
 def cmd_field(cfg, cells=None):
     env = cfg.environment
     if cells is not None:
-        _known_cells(cells, {c.id for c in env.cells})
+        _plan_cells(cells, env, cfg.mode)
     controllers = synthesis.load_controllers(_controllers_path(cfg), env,
                                              _plan(cfg))
     wanted = cells if cells is not None else cfg.field_cells

@@ -38,7 +38,12 @@ class DimensionMismatch(SafeFieldError):
 
 
 class NumericalFailure(SafeFieldError):
-    """Solver returned an answer that fails basic sanity checks."""
+    """Solver returned an answer that fails basic sanity checks. Where one
+    instance of a batch failed, index names it."""
+
+    def __init__(self, message, index=None):
+        super().__init__(message)
+        self.index = index
 
 
 class SolverFailure(SafeFieldError):

@@ -11,10 +11,12 @@ matrices the simulator applies; the flat gain vector of the synthesis LP
 is never rebuilt here. Agreement validates the whole dual construction end
 to end.
 
-adversarial_pmf solves one inner maximization as a full LP. The verifier
-solves all of a controller's instances at once with a batched revised
-simplex in NumPy (inner_maxima), which prices every grid column before it
-accepts a value, and keeps adversarial_pmf as its fallback and test oracle.
+The verifier solves all of a controller's instances at once with a batched
+revised simplex in NumPy (inner_maxima). It starts each instance from a
+consistent PMF found in closed form, or marks it inconsistent, and prices
+every grid column before it accepts a value; it calls no LP solver.
+adversarial_pmf solves one inner maximization as a full HiGHS LP and serves
+only as the test oracle.
 """
 
 import itertools
@@ -34,11 +36,12 @@ from .measurement import PmfGrid
 
 SLACK_TOL = 1e-6
 # inner_maxima's simplex: price (and feasibility) tolerance relative to
-# 1 + |c|_inf (1 + |b|_inf), least pivot element, pivots per instance, and
+# 1 + |c|_inf (1 + |b|_inf), least pivot element, pivots per instance in
+# units of its columns (n_p grid points, 3d slacks and the start), and
 # degenerate pivots in a row before Dantzig's rule gives way to Bland's.
 PRICE_TOL = 1e-9
 PIVOT_TOL = 1e-9
-MAX_PIVOTS = 100
+PIVOTS_PER_COLUMN = 1
 STALL_PIVOTS = 10
 
 log = logging.getLogger("safefield")
@@ -57,7 +60,8 @@ class AdversaryResult:
 def adversarial_pmf(c_p, x, spec, bounds, landmark):
     """Maximize c_p over the PMFs consistent with observing the landmark
     from x: unit mass, mean within epsilon of the true offset, and mean
-    absolute deviation (computed against the true offset) within sigma_m."""
+    absolute deviation (computed against the true offset) within sigma_m.
+    One full HiGHS LP: the test oracle of inner_maxima, which verify uses."""
     c_p = np.asarray(c_p, dtype=float)
     x = np.asarray(x, dtype=float)
     y = np.asarray(landmark, dtype=float) - x
@@ -87,25 +91,62 @@ def adversarial_pmf(c_p, x, spec, bounds, landmark):
     return AdversaryResult(pmf, sol.objective, x, gap)
 
 
-def _stencil(spec, Y):
-    """Bilinear stencil of each offset Y[i]: the 2^d grid centers around the
-    point of the centers' hull nearest to Y[i], and the non-negative weights
-    whose mean is that point. Flat indices and weights are (m, 2^d)."""
+def _weight_interval(a, b, a_s, b_s, eps, sigma):
+    """The interval (lo, hi) of t in [0, 1] with |a + b t| <= eps and
+    a_s + b_s t <= sigma, for b > 0; lo > hi where it is empty."""
+    lo = np.maximum(0.0, (-eps - a) / b)
+    hi = np.minimum(1.0, (eps - a) / b)
+    r = sigma - a_s
+    # b_s = 0 leaves t free, or empties the interval when r < 0
+    t = np.divide(r, b_s, where=b_s != 0, out=np.where(r >= 0, np.inf, -np.inf))
+    return (np.where(b_s < 0, np.maximum(lo, t), lo),
+            np.where(b_s < 0, hi, np.minimum(hi, t)))
+
+
+def _stencil(spec, Y, bounds, tol):
+    """Consistent start of each offset Y[i]: the flat indices (m, 2^d) of
+    the grid centers around the point of the centers' hull nearest to Y[i],
+    their weights, a product of two-center marginals, and a mask of the
+    instances that have a consistent PMF at all.
+
+    The rows of axis q read only the q-marginal, so P is consistent iff
+    each marginal is. The points (c_j - y, |c_j - y|) lie on a convex
+    graph, so a mix of the two centers around y (past the hull, the edge
+    center) matches any marginal's mean error and MAD or beats both. Both
+    are affine in the weight t on the upper center, and the rows, with tol
+    (m,) added to epsilon and sigma_m, cut t to an interval; one empty on
+    any axis leaves no consistent PMF. t is the bilinear weight where that
+    is in the interval, so an in-bound stencil stays bit for bit; else that
+    weight clamped into the exact interval, or the middle of the tolerant
+    one where only that is non-empty."""
     m, d = Y.shape
-    lower, frac = [], []
-    for q in range(d):
-        s = (Y[:, q] - spec.centers(q)[0]) / spec.pitch[q]
-        j = np.clip(np.floor(s), 0, spec.n[q] - 2).astype(int)
-        lower.append(j)
-        frac.append(np.clip(s - j, 0.0, 1.0))
+    n, width = np.array(spec.n), np.array(spec.width)
+
+    def center(j):  # GridSpec.centers, on every axis at once
+        return width * (j + 0.5) / n - width / 2.0
+
+    s = (Y - center(0)) / (width / n)
+    j = np.clip(np.floor(s), 0, n - 2).astype(int)
+    f = np.clip(s - j, 0.0, 1.0)
+    # on each axis, mean error a + b t and MAD a_s + b_s t; the intervals
+    # with no tolerance and with tol stack on a leading axis
+    below, above = center(j), center(j + 1)
+    a = below - Y
+    a_s = np.abs(a)
+    tau = np.stack([np.zeros(m), tol])[:, :, None]
+    (lo, lo_t), (hi, hi_t) = _weight_interval(
+        a, above - below, a_s, np.abs(above - Y) - a_s,
+        bounds.epsilon + tau, bounds.sigma_m + tau)
+    lo, hi = np.where(lo <= hi, (lo, hi), 0.5 * (lo_t + hi_t))
+    keep = (lo_t <= f) & (f <= hi_t) | (lo_t > hi_t)
+    t = np.where(keep, f, np.clip(f, lo, hi))
     idx = np.empty((m, 2 ** d), dtype=int)
     w = np.ones((m, 2 ** d))
     for c, corner in enumerate(itertools.product((0, 1), repeat=d)):
-        idx[:, c] = np.ravel_multi_index(
-            [lower[q] + corner[q] for q in range(d)], spec.n)
+        idx[:, c] = np.ravel_multi_index((j + corner).T, spec.n)
         for q in range(d):
-            w[:, c] *= frac[q] if corner[q] else 1.0 - frac[q]
-    return idx, w
+            w[:, c] *= t[:, q] if corner[q] else 1.0 - t[:, q]
+    return idx, w, np.all(lo_t <= hi_t, axis=1)
 
 
 def inner_maxima(C, which, X, landmarks, spec, bounds):
@@ -114,36 +155,40 @@ def inner_maxima(C, which, X, landmarks, spec, bounds):
     from X[i], or NaN when no PMF is. Instances share the rows of C.
 
     A revised simplex on every instance's 3d + 1 rows in lockstep, started
-    from the 3d slacks and the bilinear stencil PMF around the true offset,
-    a convex combination of grid columns that is checked here against the
-    bounds. Each round inverts every open basis afresh and prices all grid
-    and slack columns at its duals pi. A value counts when no reduced cost
-    exceeds PRICE_TOL * (1 + |c_i|_inf), the basis is feasible and the
-    objective is within SLACK_TOL of the dual bound b.pi + max(0, max
-    reduced cost). Else the largest reduced cost enters, or after
-    STALL_PIVOTS degenerate pivots in a row the first improving column
-    (Bland 1977). Instances without an in-bound stencil, with no column to
-    enter, an unbounded ratio or MAX_PIVOTS pivots go to the full LP
-    (adversarial_pmf). Returns (values, stats)."""
+    from the 3d slacks and the consistent stencil PMF around the true
+    offset (_stencil), a convex combination of grid columns; an instance
+    without one is NaN and solves nothing. Each round inverts every open
+    basis afresh and prices all grid and slack columns at its duals pi. A
+    value counts when no reduced cost exceeds PRICE_TOL * (1 + |c_i|_inf),
+    the basis is feasible and the objective is within SLACK_TOL of the dual
+    bound b.pi + max(0, max reduced cost). Else the largest reduced cost
+    enters, or after STALL_PIVOTS degenerate pivots in a row the first
+    improving column (Bland 1977, which terminates). An instance with no
+    column to enter but no certificate, an unbounded ratio, or
+    PIVOTS_PER_COLUMN pivots per column raises NumericalFailure naming its
+    state, with the instance as its index. Returns (values, stats)."""
     C = np.asarray(C, dtype=float)
     X = np.asarray(X, dtype=float)
-    LM = np.asarray(landmarks, dtype=float)
-    Y = LM - X
+    Y = np.asarray(landmarks, dtype=float) - X
     m, n_p = X.shape[0], C.shape[1]
     points = spec.points()
     d = spec.dim
     n_r = 3 * d + 1
+    cap = PIVOTS_PER_COLUMN * (n_p + n_r)
     values = np.full(m, np.nan)
 
-    idx, w = _stencil(spec, Y)
-    A_s = np.sum(bounds.rows(points[idx], Y[:, None]) * w[:, :, None], axis=1)
     rhs = np.hstack([bounds.rhs(Y), np.ones((m, 1))])
-    seeded = np.all(A_s <= rhs[:, :-1], axis=1)
+    feas_tol = PRICE_TOL * (1.0 + np.abs(rhs).max(axis=1))
+    idx, w, consistent = _stencil(spec, Y, bounds, feas_tol)
+    A_s = np.sum(bounds.rows(points[idx], Y[:, None]) * w[:, :, None], axis=1)
     # one m x n_p buffer holds each round's grid reduced costs: a fresh
     # array of that size each round can be mapped, and page-faulted in, anew
     buf = np.empty((m, n_p))
     price_tol = PRICE_TOL * (1.0 + np.abs(C).max(axis=1))[which]
-    feas_tol = PRICE_TOL * (1.0 + np.abs(rhs).max(axis=1))
+
+    def failure(i, what):
+        return NumericalFailure("adversary simplex %s at x=%s"
+                                % (what, X[i].tolist()), index=int(i))
 
     B = np.tile(np.eye(n_r), (m, 1, 1))
     B[:, :-1, -1] = A_s
@@ -151,8 +196,7 @@ def inner_maxima(C, which, X, landmarks, spec, bounds):
     c_B = np.zeros((m, n_r))
     c_B[:, -1] = np.sum(C[which[:, None], idx] * w, axis=1)
     pivots, stall = np.zeros((2, m), dtype=int)
-    open_ = np.flatnonzero(seeded)
-    full_lp = list(np.flatnonzero(~seeded))
+    open_ = np.flatnonzero(consistent)
     rounds = n_pivots = 0
     while open_.size:
         rounds += 1
@@ -183,10 +227,14 @@ def inner_maxima(C, which, X, landmarks, spec, bounds):
         done = (~improving & (gap <= SLACK_TOL * np.maximum(1.0, np.abs(obj)))
                 & (x_B.min(axis=1) >= -feas_tol[open_]))
         values[open_[done]] = obj[done]
-        go = improving & (pivots[open_] < MAX_PIVOTS)
-        full_lp.extend(open_[~done & ~go])
-        live = np.flatnonzero(go)
+        stuck = open_[~done & ~improving]
+        if stuck.size:
+            raise failure(stuck[0], "found no entering column but no certificate")
+        live = np.flatnonzero(improving)
         ids = open_[live]
+        capped = ids[pivots[ids] >= cap]
+        if capped.size:
+            raise failure(capped[0], "reached its cap of %g pivots" % cap)
         bland = stall[ids] >= STALL_PIVOTS
         lb, enter = live[bland], enter[live]
         enter[bland] = np.argmax(np.hstack([R[lb], S[lb]]) > tol[lb, None], 1)
@@ -198,6 +246,9 @@ def inner_maxima(C, which, X, landmarks, spec, bounds):
         ratio = np.divide(np.maximum(x_B[live], 0.0), step, where=step > PIVOT_TOL,
                           out=np.full(step.shape, np.inf))
         theta = ratio.min(axis=1)
+        unbounded = ids[~np.isfinite(theta)]
+        if unbounded.size:
+            raise failure(unbounded[0], "found an unbounded ratio")
         tied = np.where(ratio == theta[:, None], basis[ids], n_p + n_r)
         leave = np.where(bland, tied.argmin(axis=1), ratio.argmin(axis=1))
         B[ids, :, leave] = col
@@ -206,20 +257,10 @@ def inner_maxima(C, which, X, landmarks, spec, bounds):
             grid, C[which[ids], np.minimum(enter, n_p - 1)], 0)
         stall[ids] = np.where(theta <= feas_tol[ids], stall[ids] + 1, 0)
         pivots[ids] += 1
-        # no row bounds an unbounded ratio test: the full LP takes over
-        ok = np.isfinite(theta)
-        full_lp.extend(ids[~ok])
-        open_ = ids[ok]
+        open_ = ids
         n_pivots += open_.size
 
-    for i in full_lp:
-        try:
-            values[i] = adversarial_pmf(C[which[i]], X[i], spec, bounds,
-                                        LM[i]).inner_value
-        except InfeasibleMeasurementSet:
-            pass
-    stats = {"instances": m, "pivots": n_pivots, "rounds": rounds,
-             "fallbacks": len(full_lp)}
+    stats = {"instances": m, "pivots": n_pivots, "rounds": rounds}
     return values, stats
 
 
@@ -228,7 +269,8 @@ def worst_case_row_values(rows, control, bias, pairs, spec, bounds, landmarks):
     measurements at x for the control law u = bias + sum_l control[l] P_l:
     c_x.x + w.bias + r plus, over landmarks l, the inner maximum of
     (w^T control[l]).P; NaN where some landmark admits no consistent PMF at
-    x. Every inner maximum is solved in one inner_maxima batch. Returns
+    x. Every inner maximum is solved in one inner_maxima batch; its
+    NumericalFailure is raised again with the index of the pair. Returns
     (values, stats)."""
     n_p = spec.n_points
     n_l = len(landmarks)
@@ -236,13 +278,17 @@ def worst_case_row_values(rows, control, bias, pairs, spec, bounds, landmarks):
     r = [float(row.w @ bias) + row.r for row in rows]
     k = np.array([j for j, _ in pairs], dtype=int)
     X = np.array([x for _, x in pairs], dtype=float).reshape(len(pairs), spec.dim)
-    # instance (pair j, landmark l) reads row k_j n_l + l of the flat c_p
-    inner, stats = inner_maxima(
-        c_p.reshape(-1, n_p), (k[:, None] * n_l + np.arange(n_l)).ravel(),
-        np.repeat(X, n_l, axis=0),
-        np.tile(np.asarray(landmarks, dtype=float), (len(pairs), 1)),
-        spec, bounds,
-    )
+    # instance (pair j, landmark l) is j n_l + l and reads row k_j n_l + l
+    # of the flat c_p
+    try:
+        inner, stats = inner_maxima(
+            c_p.reshape(-1, n_p), (k[:, None] * n_l + np.arange(n_l)).ravel(),
+            np.repeat(X, n_l, axis=0),
+            np.tile(np.asarray(landmarks, dtype=float), (len(pairs), 1)),
+            spec, bounds,
+        )
+    except NumericalFailure as exc:
+        raise NumericalFailure(str(exc), index=exc.index // n_l) from None
     values = np.array([float(rows[j].c_x @ x + r[j]) for j, x in zip(k, X)])
     for l in range(n_l):
         values += inner[l::n_l]
@@ -312,17 +358,23 @@ def _sample_states(cell, regions, count, seed):
 
 def verify_controller(controller, count=200, seed=0, raise_on_fail=True):
     """Sample the controller's cell and check every row of its plan entry
-    against the direct adversary."""
+    against the direct adversary. A simplex failure raises NumericalFailure
+    naming the cell, the row and the state."""
     problem = controller.problem
     cell = problem.cell
     rows, regions = problem.rows()
     points = _sample_states(cell, regions, count, seed)
     pairs = [(k, x) for k in range(len(rows)) for x in points
              if regions[k].contains(x)]
-    values, stats = worst_case_row_values(
-        rows, controller.control_matrices(), controller.bias, pairs,
-        problem.grid, problem.bounds, problem.landmarks,
-    )
+    try:
+        values, stats = worst_case_row_values(
+            rows, controller.control_matrices(), controller.bias, pairs,
+            problem.grid, problem.bounds, problem.landmarks,
+        )
+    except NumericalFailure as exc:
+        row = rows[pairs[exc.index][0]]
+        raise NumericalFailure("cell %d row (%s, facet %s): %s"
+                               % (cell.id, row.kind, row.facet, exc)) from None
     row_of = np.array([k for k, _ in pairs], dtype=int)
     skipped = int(np.isnan(values).sum())
     summaries = []
@@ -342,9 +394,9 @@ def verify_controller(controller, count=200, seed=0, raise_on_fail=True):
             "evaluated": int(scored.size),
         })
     log.info("verify cell %d: %d adversary instances, %d simplex pivots, "
-             "%d pricing rounds, %d full-LP fallbacks, %d skipped",
+             "%d pricing rounds, %d skipped",
              cell.id, stats["instances"], stats["pivots"], stats["rounds"],
-             stats["fallbacks"], skipped)
+             skipped)
     report = VerificationReport(cell.id, seed, len(points), SLACK_TOL,
                                 summaries, skipped)
     if raise_on_fail and not report.passed:

@@ -192,6 +192,32 @@ def test_flag_error_names_no_file(tmp_path, capsys, argv):
     assert "(field cells)" in err and "None" not in err
 
 
+def test_synth_of_a_cell_off_the_patrol_cycle_says_so(tmp_path, capsys):
+    # ENV has cells 0, 1 and 2; its patrol cycle is [0, 1]
+    cfg = write_config(tmp_path, mode="patrol")
+    assert cli.main(["synth", "--config", str(cfg), "--cells", "2"]) == 2
+    err = capsys.readouterr().err
+    assert ("cell ids [2] are not on the patrol cycle [0, 1] (field cells)"
+            in err)
+    assert not (tmp_path / "out" / "controllers.json").exists()
+
+
+def test_field_of_a_cell_off_the_patrol_cycle_says_so(tmp_path, capsys):
+    cfg = write_config(tmp_path, mode="patrol")
+    assert cli.main(["synth", "--config", str(cfg)]) == 0
+    capsys.readouterr()
+    assert cli.main(["field", "--config", str(cfg), "--cells", "2"]) == 2
+    err = capsys.readouterr().err
+    assert ("cell ids [2] are not on the patrol cycle [0, 1] (field cells)"
+            in err)
+    assert "controllers.json" not in err
+    # the same cell from the config's field.cells is refused at load
+    cfg = write_config(tmp_path, mode="patrol", field={"cells": [2]})
+    assert cli.main(["field", "--config", str(cfg)]) == 2
+    assert ("not on the patrol cycle [0, 1] (file %s, field field.cells)" % cfg
+            in capsys.readouterr().err)
+
+
 # a fourth cell right of cells 1 and 2, sharing no facet with cell 0
 FOUR_CELLS = ENV["cells"] + [
     {"id": 3, "vertices": [[2.0, 0.0], [3.0, 0.0], [3.0, 2.0], [2.0, 2.0]],

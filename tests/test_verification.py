@@ -5,9 +5,13 @@ import pytest
 
 from dual_form import bias_image, gain_image
 from helpers import transit_entry_for
-from safefield import verification
+from safefield import lp_core, verification
 from safefield.clfcbf import LinearDynamics, build_clf_row
-from safefield.errors import InfeasibleMeasurementSet, VerificationFailed
+from safefield.errors import (
+    InfeasibleMeasurementSet,
+    NumericalFailure,
+    VerificationFailed,
+)
 from safefield.geometry import ConvexCell
 from safefield.measurement import (
     GridSpec,
@@ -146,7 +150,6 @@ def test_batched_adversary_matches_full_lp(spec, bounds):
     X = rng.uniform(-3.0, 3.0, (m, 2))
     LM = X + rng.uniform(-reach, reach, (m, 2))
     values, stats = inner_maxima(C, np.arange(m), X, LM, spec, bounds)
-    assert stats["fallbacks"] == 0
     assert stats["rounds"] > 1
     for i in range(m):
         ref = adversarial_pmf(C[i], X[i], spec, bounds, LM[i]).inner_value
@@ -168,9 +171,9 @@ def test_batched_adversary_matches_full_lp(spec, bounds):
 
 
 def test_batch_mixes_seeded_unseeded_and_infeasible_instances():
-    # at a center fraction f the stencil's MAD is 2 f (1 - f) pitch, which
-    # breaks sigma 0.35 at f = 0.3, while the nearest center's delta PMF is
-    # in bounds: that instance can only go to the full LP
+    # at a center fraction f the bilinear stencil's MAD is 2 f (1 - f)
+    # pitch, which breaks sigma 0.35 at f = 0.3, while the nearest center's
+    # delta PMF is in bounds: that instance starts from the clamped weight
     bounds = UncertaintyBounds(0.35, 0.35)
     LM = np.array([
         [8.0, 0.0],      # unreachable: no consistent PMF
@@ -182,7 +185,6 @@ def test_batch_mixes_seeded_unseeded_and_infeasible_instances():
     X = np.zeros_like(LM)
     C = np.random.default_rng(17).standard_normal((len(LM), SPEC.n_points))
     values, stats = inner_maxima(C, np.arange(len(LM)), X, LM, SPEC, bounds)
-    assert stats["fallbacks"] == 2
     assert np.isnan(values[0])
     with pytest.raises(InfeasibleMeasurementSet):
         adversarial_pmf(C[0], X[0], SPEC, bounds, LM[0])
@@ -191,7 +193,6 @@ def test_batch_mixes_seeded_unseeded_and_infeasible_instances():
         assert abs(values[i] - ref) <= 1e-9 * max(1.0, abs(ref))
     alone, stats = inner_maxima(C[2:], np.arange(len(LM) - 2), X[2:], LM[2:],
                                 SPEC, bounds)
-    assert stats["fallbacks"] == 0
     assert np.allclose(alone, values[2:], rtol=1e-9, atol=1e-9)
 
 
@@ -213,8 +214,8 @@ def reachable_instances(spec, bounds, m, rng):
 def test_degenerate_payoffs_match_full_lp(spec, bounds, payoff, stall,
                                           monkeypatch):
     # ties everywhere: many optimal vertices and degenerate pivots; with
-    # no stall allowed, every pivot follows Bland's rule, which may need
-    # more than MAX_PIVOTS pivots and leave the value to the full LP
+    # no stall allowed, every pivot follows Bland's rule, which takes the
+    # most pivots but stays under the cap of one pivot per column
     monkeypatch.setattr(verification, "STALL_PIVOTS", stall)
     rng = np.random.default_rng(19)
     m = 30
@@ -228,14 +229,12 @@ def test_degenerate_payoffs_match_full_lp(spec, bounds, payoff, stall,
         C[np.arange(m), rng.integers(spec.n_points, size=m)] = 1.0
     values, stats = inner_maxima(C, np.arange(m), X, LM, spec, bounds)
     assert stats["instances"] == m
-    if stall:
-        assert stats["fallbacks"] == 0
     for i in range(m):
         ref = adversarial_pmf(C[i], X[i], spec, bounds, LM[i]).inner_value
         assert abs(values[i] - ref) <= 1e-9 * max(1.0, abs(ref))
 
 
-def test_pivot_cap_sends_longer_runs_to_full_lp(monkeypatch):
+def test_pivot_cap_and_unbounded_ratio_raise_naming_the_state(monkeypatch):
     spec = GridSpec((30, 30), (40.0, 40.0))
     bounds = UncertaintyBounds(4.0, 16.0)
     rng = np.random.default_rng(29)
@@ -248,19 +247,104 @@ def test_pivot_cap_sends_longer_runs_to_full_lp(monkeypatch):
                      bounds)[1]
         ["pivots"] for i in range(m)])
     assert 0 < np.sum(needed > 1) < m
-    monkeypatch.setattr(verification, "MAX_PIVOTS", 1)
-    values, stats = inner_maxima(C, np.arange(m), X, LM, spec, bounds)
-    assert stats["fallbacks"] == np.sum(needed > 1)
-    assert stats["pivots"] == np.sum(np.minimum(needed, 1))
+    first = int(np.argmax(needed > 1))
+    # a cap of one pivot: the first instance that needs a second one raises
+    n_cols = spec.n_points + 3 * spec.dim + 1
+    monkeypatch.setattr(verification, "PIVOTS_PER_COLUMN", 0.5 / n_cols)
+    with pytest.raises(NumericalFailure, match="cap") as exc:
+        inner_maxima(C, np.arange(m), X, LM, spec, bounds)
+    assert exc.value.index == first
+    assert "x=%s" % X[first].tolist() in str(exc.value)
+    # the instances that need no second pivot still solve under that cap
+    easy = np.flatnonzero(needed <= 1)
+    values, _ = inner_maxima(C[easy], np.arange(easy.size), X[easy], LM[easy],
+                             spec, bounds)
+    for value, i in zip(values, easy):
+        ref = adversarial_pmf(C[i], X[i], spec, bounds, LM[i]).inner_value
+        assert abs(value - ref) <= 1e-9 * max(1.0, abs(ref))
+    monkeypatch.undo()
     # no admissible pivot element: every ratio test is unbounded
     monkeypatch.setattr(verification, "PIVOT_TOL", np.inf)
-    unbounded, stats = inner_maxima(C, np.arange(m), X, LM, spec, bounds)
-    assert stats["fallbacks"] == np.sum(needed > 0)
+    first = int(np.argmax(needed > 0))
+    with pytest.raises(NumericalFailure, match="unbounded") as exc:
+        inner_maxima(C, np.arange(m), X, LM, spec, bounds)
+    assert exc.value.index == first
+    assert "x=%s" % X[first].tolist() in str(exc.value)
+
+
+def test_verify_names_the_cell_row_and_state_of_a_simplex_failure(
+        monkeypatch):
+    ctrl = square_controller()
+    monkeypatch.setattr(verification, "PIVOTS_PER_COLUMN", 0)
+    with pytest.raises(NumericalFailure,
+                       match=r"^cell 0 row \((clf|cbf), facet \w+\): "
+                             r"adversary simplex reached its cap of 0 pivots "
+                             r"at x=\[\S+, \S+\]$"):
+        verify_controller(ctrl, count=12, seed=2)
+
+
+def linprog_refused(*args, **kwargs):
+    raise AssertionError("the batched adversary called HiGHS")
+
+
+@pytest.mark.parametrize("bounds, offsets", [
+    # bounds below the pitch of 1 (centers at -4.5, ..., 4.5): at a center
+    # fraction f the bilinear stencil's MAD is 2 f (1 - f), above sigma_m at
+    # f = 0.3 and 0.7, where a PMF nearer one center is still in bounds
+    (UncertaintyBounds(0.35, 0.35),
+     [[0.8, 0.5], [0.6, 0.3], [0.0, 0.5], [-2.3, 1.7], [4.2, -0.1]]),
+    # epsilon keeps the weight within 0.125 of f: at f = 0.2 the MAD cut
+    # leaves [0.075, 1/6], a start on no center; at f = 0.3 nothing is left
+    (UncertaintyBounds(0.125, 0.3),
+     [[0.7, 0.5], [0.8, 0.5], [-2.3, 1.65], [3.15, 0.5], [0.35, 0.5]]),
+    # past the edge centers at +-4.5 by less than epsilon, and by more
+    (UncertaintyBounds(0.3, 2.0),
+     [[4.7, 0.0], [-4.75, 1.5], [4.9, 4.6], [-4.5, -4.85], [5.0, 0.0]]),
+    # past them by less than epsilon but more than sigma_m, and by less
+    (UncertaintyBounds(0.6, 0.2),
+     [[4.75, 0.5], [4.65, 0.5], [0.5, -4.95], [4.8, 4.6], [-4.6, 0.45]]),
+    # epsilon = sigma_m = 0: only the delta on a center is consistent, up
+    # to the rounding of landmark - x
+    (UncertaintyBounds(0.0, 0.0),
+     [[0.5, 0.5], [-4.5, 3.5], [4.5, -1.5], [0.5, 0.4], [1.0, 0.5]]),
+], ids=["mad-below-pitch", "eps-below-pitch", "past-hull-by-less-than-eps",
+        "past-hull-by-more-than-sigma", "pinned-to-centers"])
+def test_consistent_start_matches_the_oracle_without_highs(monkeypatch,
+                                                           bounds, offsets):
+    rng = np.random.default_rng(37)
+    Y = np.array(offsets)
+    X = rng.uniform(-3.0, 3.0, Y.shape)
+    LM = X + Y
+    C = rng.standard_normal((len(Y), SPEC.n_points))
+    monkeypatch.setattr(lp_core, "linprog", linprog_refused)
+    values, stats = inner_maxima(C, np.arange(len(Y)), X, LM, SPEC, bounds)
+    monkeypatch.undo()
+    assert stats["instances"] == len(Y)
+    for i in range(len(Y)):
+        try:
+            ref = adversarial_pmf(C[i], X[i], SPEC, bounds, LM[i]).inner_value
+        except InfeasibleMeasurementSet:
+            assert np.isnan(values[i]), i
+            continue
+        assert abs(values[i] - ref) <= 1e-9 * max(1.0, abs(ref)), i
+    # every case mixes consistent and inconsistent instances
+    assert 0 < np.isnan(values).sum() < len(Y)
+    # a constant payoff is optimal at every consistent PMF, so each start
+    # must be accepted as it is: an out-of-bound one would have no
+    # certificate and raise
+    monkeypatch.setattr(lp_core, "linprog", linprog_refused)
+    flat, stats = inner_maxima(np.full((1, SPEC.n_points), 2.5),
+                               np.zeros(len(Y), dtype=int), X, LM, SPEC, bounds)
     assert stats["pivots"] == 0
-    for i in range(m):
-        ref = adversarial_pmf(C[i], X[i], spec, bounds, LM[i]).inner_value
-        assert abs(values[i] - ref) <= 1e-9 * max(1.0, abs(ref))
-        assert abs(unbounded[i] - ref) <= 1e-9 * max(1.0, abs(ref))
+    assert np.array_equal(np.isnan(flat), np.isnan(values))
+    assert np.allclose(flat[~np.isnan(flat)], 2.5, rtol=1e-12, atol=0)
+
+
+def test_verify_makes_no_lp_call(monkeypatch):
+    ctrl = square_controller()
+    expected = verify_controller(ctrl, count=20, seed=4).to_dict()
+    monkeypatch.setattr(lp_core, "linprog", linprog_refused)
+    assert verify_controller(ctrl, count=20, seed=4).to_dict() == expected
 
 
 def test_verify_logs_the_simplex_counts(caplog):
@@ -272,14 +356,13 @@ def test_verify_logs_the_simplex_counts(caplog):
     assert len(lines) == 1
     match = re.fullmatch(
         r"verify cell 0: (\d+) adversary instances, (\d+) simplex pivots, "
-        r"(\d+) pricing rounds, (\d+) full-LP fallbacks, (\d+) skipped",
-        lines[0])
+        r"(\d+) pricing rounds, (\d+) skipped", lines[0])
     assert match, lines[0]
-    instances, pivots, rounds, fallbacks, skipped = map(int, match.groups())
+    instances, pivots, rounds, skipped = map(int, match.groups())
     evaluated = sum(r["evaluated"] for r in report.rows)
     assert instances == evaluated + report.skipped
     assert skipped == report.skipped
-    assert pivots > 0 and rounds > 1 and fallbacks == 0
+    assert pivots > 0 and rounds > 1
 
 
 def test_synthesized_controller_verifies():
