@@ -29,6 +29,7 @@ from .errors import (
     LeftFreeSpace,
     NonConvexInput,
     NumericalFailure,
+    OffGridReading,
     OffPlanCrossing,
     SafeFieldError,
     SafetyViolation,

@@ -1,8 +1,9 @@
 """Command-line front end.
 
 Subcommands: synth (controllers.json), verify (report.json, exit 1 on a
-failed certificate), simulate (trajectory CSVs, exit 1 on a safety
-violation), field (vector-field CSVs), pipeline (all four in order).
+failed certificate), simulate (trajectory CSVs, exit 1 when a start fails
+in closed loop or misses the goal), field (vector-field CSVs), pipeline
+(all four in order).
 Outputs are deterministic for a fixed config and seed.
 """
 
@@ -21,6 +22,7 @@ from .errors import (
     LandmarkNotVisible,
     LeftFreeSpace,
     NumericalFailure,
+    OffGridReading,
     OffPlanCrossing,
     SafeFieldError,
     SafetyViolation,
@@ -313,7 +315,8 @@ def cmd_simulate(cfg):
             source = (_controllers_path(cfg) if exc.field == "controllers"
                       else cfg.path)
             raise ConfigError(exc.reason, path=source, field=exc.field) from None
-        except (SafetyViolation, LeftFreeSpace, OffPlanCrossing) as exc:
+        except (SafetyViolation, LeftFreeSpace, OffPlanCrossing,
+                OffGridReading) as exc:
             if exc.trajectory is not None:
                 exc.trajectory.to_csv(path)
             print("start %d: FAIL (%s)" % (k, exc))

@@ -99,6 +99,21 @@ class LeftFreeSpace(SafeFieldError):
         self.trajectory = trajectory
 
 
+class OffGridReading(SafeFieldError):
+    """In closed loop, the active controller read a landmark past the edge
+    of its measurement grid: the state had drifted out of the controller's
+    cell (through a shared face, by less than one step) to where the
+    landmark is out of view. The cell's certificate does not cover that
+    state."""
+
+    def __init__(self, message, t=None, x=None, cell_id=None, trajectory=None):
+        super().__init__(message)
+        self.t = t
+        self.x = x
+        self.cell_id = cell_id
+        self.trajectory = trajectory
+
+
 class OffPlanCrossing(SafeFieldError):
     """Simulated patrol crossed its exit facet into a cell other than the
     planned successor."""

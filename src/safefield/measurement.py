@@ -30,6 +30,10 @@ class GridSpec:
             raise DimensionMismatch("need at least 2 cells per axis")
         if any(w <= 0 for w in self.width):
             raise DimensionMismatch("grid widths must be positive")
+        # per axis, what snap reads: cell count, width, half-width and the
+        # farthest offset that still snaps onto the grid
+        self._snap_axes = tuple((n, w, w / 2.0, w / 2.0 + SNAP_TIE_TOL)
+                                for n, w in zip(self.n, self.width))
 
     @property
     def dim(self):
@@ -57,26 +61,23 @@ class GridSpec:
         return int(np.ravel_multi_index(tuple(int(i) for i in multi), self.n, order="C"))
 
     def snap(self, y):
-        """Grid index of the cell center nearest to y, ties to the lower index."""
-        y = np.asarray(y, dtype=float)
+        """Grid index of the cell center nearest to y, a sequence of floats
+        (one per axis), ties to the lower index."""
         # Python floats: the same IEEE double arithmetic, without a NumPy
         # call per scalar
-        ys = y.tolist()
+        if isinstance(y, np.ndarray):
+            y = y.tolist()
         idx = []
-        for q, (n, w) in enumerate(zip(self.n, self.width)):
-            v = ys[q]
-            if abs(v) > w / 2.0 + SNAP_TIE_TOL:
+        for v, (n, w, half, reach) in zip(y, self._snap_axes):
+            if abs(v) > reach:
                 raise LandmarkOutOfView(
-                    "offset %r outside grid support +-%.6g on axis %d" % (y, w / 2.0, q)
-                )
+                    "offset %r outside grid support +-%.6g on axis %d"
+                    % (y, half, len(idx)))
             # boundary coordinate: cell j spans s in [j, j+1)
-            s = (v + w / 2.0) * n / w
+            s = (v + half) * n / w
             r = round(s)
-            if abs(s - r) <= SNAP_TIE_TOL:
-                j = r - 1
-            else:
-                j = math.floor(s)
-            idx.append(min(max(j, 0), n - 1))
+            j = r - 1 if abs(s - r) <= SNAP_TIE_TOL else math.floor(s)
+            idx.append(0 if j < 0 else j if j < n else n - 1)
         return tuple(idx)
 
     def __eq__(self, other):

@@ -2,17 +2,21 @@
 feedback, switch controllers along the plan when the exit face is crossed,
 and record the stability/safety values for auditing."""
 
+from operator import add, sub
+
 import numpy as np
 
 from .errors import (
     ConfigError,
     DimensionMismatch,
     GridMismatch,
+    LandmarkOutOfView,
     LeftFreeSpace,
+    OffGridReading,
     OffPlanCrossing,
     SafetyViolation,
 )
-from .measurement import blur_cell, delta_pmf_at, drift_shift
+from .measurement import GridSpec, blur_cell, delta_pmf_at, drift_shift
 # not called here: perfbench/tracing.py wraps simulation.blur_pmf by name
 from .measurement import blur_pmf  # noqa: F401
 
@@ -36,15 +40,16 @@ class SensorModel:
                               field="sim.sensor")
 
     def make(self, seed):
-        """Seeded reading closure (spec, true offset) -> grid index.
+        """Seeded reading function (spec, true offset) -> grid index.
 
-        A reading is the grid cell it lands on: the snapped cell for delta,
+        A reading is the grid cell it lands on: the snapped cell for delta
+        (GridSpec.snap itself, which reads the offset as Python floats),
         and for gaussian the snapped cell moved by the drift rounded to
         whole cells and clamped to the grid. The gaussian drift direction
         is drawn at every reading. The PMF of a reading is pmf(spec,
         index)."""
         if self.kind == "delta":
-            return lambda spec, y: spec.snap(y)
+            return GridSpec.snap
         rng = np.random.default_rng(seed)
 
         def read(spec, y):
@@ -87,7 +92,9 @@ class SimConfig:
 
 class Trajectory:
     """Row-per-step record; the final state is appended with the control the
-    active cell would apply there."""
+    active cell would apply there. A row is kept as Python numbers: floats,
+    x and u as lists of them, and the cell id an int. arrays() returns each
+    column as a NumPy array."""
 
     def __init__(self, mode):
         self.mode = mode
@@ -102,8 +109,8 @@ class Trajectory:
 
     def append(self, t, x, u, cell_id, V, min_h):
         self.t.append(float(t))
-        self.x.append(np.asarray(x, dtype=float).copy())
-        self.u.append(np.asarray(u, dtype=float).copy())
+        self.x.append([float(v) for v in x])
+        self.u.append([float(v) for v in u])
         self.cell_id.append(int(cell_id))
         self.V.append(float(V))
         self.min_h.append(float(min_h))
@@ -120,7 +127,7 @@ class Trajectory:
         n_u = len(self.u[0]) if self.u else 0
         header = ["t"] + _names("x", d) + _names("u", n_u)
         _write_csv(path, header + ["cell_id", "V", "min_h"], (
-            [t] + x.tolist() + u.tolist() + [cid, V, mh]
+            (t, *x, *u, cid, V, mh)
             for t, x, u, cid, V, mh in zip(self.t, self.x, self.u,
                                            self.cell_id, self.V, self.min_h)))
 
@@ -130,13 +137,15 @@ def _names(prefix, n):
 
 
 def _write_csv(path, header, rows):
-    """The header, then one line per row of Python floats and ints, written
-    as it is formatted; repr of a Python float is the shortest string that
-    reads back to it."""
+    """The header, then one line per row of Python floats and ints, one
+    entry per column, each written as its repr: for a Python float that is
+    the shortest string that reads back to it. The lines are formatted as
+    the file is written, one row at a time, so the text is never held
+    whole."""
+    line = ",".join(["%r"] * len(header)) + "\n"
     with open(path, "w") as fh:
         fh.write(",".join(header) + "\n")
-        for row in rows:
-            fh.write(",".join(map(repr, row)) + "\n")
+        fh.writelines(line % tuple(row) for row in rows)
 
 
 def control_input(controller, pmfs):
@@ -161,21 +170,58 @@ def control_input(controller, pmfs):
 def _law(controller, sensor):
     """The controller's law on readings, one grid index per landmark:
     control_input on the sensor's PMFs at those indices, added in the same
-    order. Each term M_l P_l is banked per landmark by index, so it is
-    computed once per cell a landmark is read on."""
+    order, as a list of Python floats. Each term M_l P_l is banked per
+    landmark by index, so it is computed (by BLAS) once per cell a landmark
+    is read on; the sum is elementwise, so Python floats round it as NumPy
+    does."""
     grid = controller.problem.grid
+    bias = controller.bias.tolist()
     banks = [({}, mat) for mat in controller.control_matrices()]
 
     def law(indices):
-        u = controller.bias.copy()
+        u = bias
         for (bank, mat), index in zip(banks, indices):
             term = bank.get(index)
             if term is None:
-                term = bank[index] = mat @ sensor.pmf(grid, index).vector
-            u = u + term
+                term = bank[index] = (
+                    mat @ sensor.pmf(grid, index).vector).tolist()
+            u = list(map(add, u, term))
         return u
 
     return law
+
+
+class _StepPlan:
+    """What every closed-loop step under one controller reads, built once:
+    its grid, its landmarks as Python floats, its barrier rows, plan entry,
+    dynamics and cell body, and its banked law (_law). The input held over
+    a step is a function of the readings, so it is banked by them together
+    with its slope term B u: the law's sum and the product are computed
+    once per set of readings, as the law's terms are once per reading."""
+
+    def __init__(self, controller, sensor):
+        problem = controller.problem
+        self.grid = problem.grid
+        self.landmarks = [lm.tolist() for lm in problem.landmarks]
+        self.barriers = _barriers(controller)
+        self.entry = problem.entry
+        self.dynamics = problem.dynamics
+        self.body = problem.cell.body
+        self.law = _law(controller, sensor)
+        self.held = {}  # readings -> (u, B u)
+
+    def control(self, read, xs):
+        """The input u at the state xs, a list of Python floats, and B u:
+        one reading per landmark at its offset lm - x (subtracted
+        elementwise, as NumPy would), then the law."""
+        grid = self.grid
+        readings = tuple([read(grid, list(map(sub, lm, xs)))
+                          for lm in self.landmarks])
+        held = self.held.get(readings)
+        if held is None:
+            u = self.law(readings)
+            held = self.held[readings] = (u, self.dynamics.B @ u)
+        return held
 
 
 def _barriers(controller):
@@ -186,23 +232,27 @@ def _barriers(controller):
 
 
 def _barrier_values(barriers, x):
+    """The smallest barrier value -(a x + b) over the barrier rows, and the
+    first facet that attains it (inf and None without barriers). The rows
+    are one BLAS product; negating and picking the first extreme are exact,
+    so they take Python floats."""
     facets, A, b = barriers
     if not facets:
         return np.inf, None
-    vals = -(A @ x + b)
-    j = int(vals.argmin())
-    return float(vals[j]), facets[j]
+    vals = (A @ x + b).tolist()
+    worst = max(vals)
+    return -worst, facets[vals.index(worst)]
 
 
-def _step(dynamics, x, u, dt):
-    """One classical Runge-Kutta (RK4) step under the held input u.
+def _step(dynamics, x, Bu, dt):
+    """One classical Runge-Kutta (RK4) step under a held input u, given by
+    its slope term Bu = B u.
 
     Without drift every stage slope A s + B u is B u, so the step takes
     that one slope through RK4's own operations, on Python floats (cheaper
     than NumPy calls for a few entries, and rounded the same): the staged
     step bit for bit. A zero entry of B u is the exception, since the
     staged slope takes its sign from A s there; such a step is staged."""
-    Bu = dynamics.B @ u
     if dynamics.drift_free:
         slope = Bu.tolist()
         if all(slope):
@@ -238,10 +288,21 @@ def start_cell(env, mode, cell_ids, x):
 def run_trajectory(env, plan, controllers, config, x0=None):
     """Integrate under the plan with controllers, a dict keyed by cell id;
     u is recomputed every step from fresh readings (zero-order hold within
-    a step). What a controller's steps share is built at its first step:
-    its barrier rows and its law (_law), which banks the control terms of
-    the readings. Each step reads exactly the controller's landmarks on its
-    own grid, so the checks of control_input cannot fail here.
+    a step). Each step reads exactly the controller's landmarks on its own
+    grid, so the checks of control_input cannot fail here.
+
+    What a controller's steps share is built at its first step, as a step
+    plan (_StepPlan): its grid, landmarks, barrier rows, entry, dynamics
+    and law, which banks the control terms of the readings. The plan banks
+    the held input u and its slope term B u by the readings as well. A
+    step keeps the state both as an array and as Python floats. Arithmetic that IEEE
+    rounds the same either way takes the floats: the landmark offsets, the
+    law's sum, the barrier minimum, the drift-free RK4 update and the
+    record. Every product and norm that BLAS computes stays a NumPy call,
+    since BLAS may round it otherwise (fused multiply-adds): the barrier
+    rows a x + b, the progress v . (x - o), the containment rows, B u and
+    the goal and depth norms. The progress that the crossing test takes
+    after a step is the next row's V while the controller stays.
 
     The run begins in start_cell and follows the plan's exit map: crossing
     the active exit face hands over to the entry's next_id. In patrol mode
@@ -251,35 +312,47 @@ def run_trajectory(env, plan, controllers, config, x0=None):
     shared non-exit face (legal, since shared faces carry no barrier),
     hands over to next_id if it holds the state and otherwise to the
     smallest-id cell that does, whose controller funnels it back toward
-    the goal.
+    the goal. The active controller is kept for up to |u| dt past such a
+    face; a reading it takes there beyond its grid is an OffGridReading.
     """
-    loops = {}  # cell id -> (barrier rows, law)
+    steps = {}  # cell id -> _StepPlan
     read = config.sensor.make(config.seed)
     x = np.asarray(env.start if x0 is None else x0, dtype=float).copy()
+    xs = x.tolist()
     traj = Trajectory(plan.mode)
     active_id = start_cell(env, plan.mode, plan.entries, x)
     t = 0.0
-    n_steps = int(round(config.max_time / config.dt))
+    dt = config.dt
+    n_steps = int(round(config.max_time / dt))
+    patrol = plan.mode == "patrol"
+    goal = plan.goal if plan.mode == "stabilize" else None
+    V = None  # the active entry's progress at x, once known
 
     def handover(ids):
         nxt = plan.entries[active_id].next_id
         return nxt if nxt in ids else min(ids)
 
     for _ in range(n_steps + 1):
-        ctrl = controllers.get(active_id)
-        if ctrl is None:
-            raise ConfigError("no controller for cell %d" % active_id,
-                              field="controllers")
-        problem = ctrl.problem
-        indices = [read(problem.grid, lm - x) for lm in problem.landmarks]
-        loop = loops.get(active_id)
-        if loop is None:
-            loop = loops[active_id] = (_barriers(ctrl),
-                                       _law(ctrl, config.sensor))
-        barriers, law = loop
-        u = law(indices)
-        min_h, facet = _barrier_values(barriers, x)
-        traj.append(t, x, u, active_id, problem.entry.progress(x), min_h)
+        step = steps.get(active_id)
+        if step is None:
+            ctrl = controllers.get(active_id)
+            if ctrl is None:
+                raise ConfigError("no controller for cell %d" % active_id,
+                                  field="controllers")
+            step = steps[active_id] = _StepPlan(ctrl, config.sensor)
+        try:
+            u, Bu = step.control(read, xs)
+        except LandmarkOutOfView as exc:
+            raise OffGridReading(
+                "cell %d read a landmark off its grid at x=%s, t=%.3f: %s"
+                % (active_id, xs, t, exc),
+                t=t, x=x.copy(), cell_id=active_id, trajectory=traj,
+            ) from exc
+        entry = step.entry
+        min_h, facet = _barrier_values(step.barriers, x)
+        if V is None:
+            V = entry.progress(x)
+        traj.append(t, xs, u, active_id, V, min_h)
         if min_h < -SAFETY_TOL:
             raise SafetyViolation(
                 "barrier %s of cell %d reached %.3g at t=%.3f"
@@ -287,22 +360,23 @@ def run_trajectory(env, plan, controllers, config, x0=None):
                 t=t, x=x.copy(), cell_id=active_id, facet=facet,
                 trajectory=traj,
             )
-        if plan.mode == "stabilize" and plan.goal is not None:
-            if np.linalg.norm(x - plan.goal) <= config.goal_tol:
-                traj.reached = True
-                return traj
+        if goal is not None and np.linalg.norm(x - goal) <= config.goal_tol:
+            traj.reached = True
+            return traj
         if t >= config.max_time - 1e-12:
             break
-        x = _step(problem.dynamics, x, u, config.dt)
-        t += config.dt
+        x = _step(step.dynamics, x, Bu, dt)
+        xs = x.tolist()
+        t += dt
         inside = env.cells_containing(x)
         if not inside:
             raise LeftFreeSpace(
-                "state %s left every cell at t=%.3f" % (x.tolist(), t),
+                "state %s left every cell at t=%.3f" % (xs, t),
                 t=t, x=x.copy(), trajectory=traj,
             )
-        if plan.mode == "patrol":
-            if problem.entry.progress(x) <= 0.0:
+        if patrol:
+            V = entry.progress(x)
+            if V <= 0.0:
                 planned = plan.entries[active_id].next_id
                 ids = {c.id for c in inside}
                 if planned not in ids:
@@ -312,28 +386,28 @@ def run_trajectory(env, plan, controllers, config, x0=None):
                         t=t, x=x.copy(), cell_id=active_id, planned=planned,
                         trajectory=traj,
                     )
-                active_id = planned
+                active_id, V = planned, None
                 traj.crossings += 1
             continue
         ids = {c.id for c in inside}
-        if (problem.entry.exit_face is not None
-                and problem.entry.progress(x) <= 0.0 and ids - {active_id}):
-            active_id = handover(ids - {active_id})
+        V = entry.progress(x) if entry.exit_face is not None else None
+        if V is not None and V <= 0.0 and ids - {active_id}:
+            active_id, V = handover(ids - {active_id}), None
             traj.crossings += 1
         elif active_id not in ids:
             # one integration step can overshoot a barrier-free shared
             # face by at most |u| dt; only a deeper excursion counts as
             # having left the cell
-            depth = float(np.max(problem.cell.body.values(x)))
-            if depth > np.linalg.norm(u) * config.dt + 1e-9:
-                active_id = handover(ids)
+            depth = float(np.max(step.body.values(x)))
+            if depth > np.linalg.norm(u) * dt + 1e-9:
+                active_id, V = handover(ids), None
     traj.reached = False if plan.mode == "stabilize" else None
     return traj
 
 
 def sample_vector_field(controller, resolution, sensor=None, seed=0):
     """Control inputs on a lattice over the controller's cell; rows (x, u),
-    u from the same law on readings as run_trajectory."""
+    u from the same step plan as run_trajectory's."""
     problem = controller.problem
     cell = problem.cell
     res = np.broadcast_to(np.asarray(resolution, dtype=int),
@@ -342,7 +416,7 @@ def sample_vector_field(controller, resolution, sensor=None, seed=0):
         raise ConfigError("resolution must be at least 2 per axis",
                           field="field.resolution")
     sensor = sensor or SensorModel()
-    read, law = sensor.make(seed), _law(controller, sensor)
+    read, step = sensor.make(seed), _StepPlan(controller, sensor)
     verts = cell.vertices
     lo, hi = verts.min(axis=0), verts.max(axis=0)
     axes = [np.linspace(lo[a], hi[a], res[a]) for a in range(len(res))]
@@ -352,8 +426,9 @@ def sample_vector_field(controller, resolution, sensor=None, seed=0):
     for x in points:
         if not cell.contains(x):
             continue
-        u = law([read(problem.grid, lm - x) for lm in problem.landmarks])
-        rows.append(np.concatenate([x, u]))
+        xs = x.tolist()
+        u, _ = step.control(read, xs)
+        rows.append(xs + u)
     if not rows:
         return np.zeros((0, 2 * cell.body.dim))
     return np.asarray(rows)

@@ -7,7 +7,7 @@ from safefield.geometry import ConvexCell, Environment, deviation_candidates
 from safefield.lp_core import StandardLp, solve_lp
 from safefield.measurement import GridSpec, UncertaintyBounds
 from safefield.planning import PlanEntry
-from safefield.synthesis import GainBasis
+from safefield.synthesis import CellController, CellProblem, GainBasis
 
 
 def random_convex_polygon(rng, n_min=4, n_max=7, radius=3.0, center=(0.0, 0.0)):
@@ -89,3 +89,34 @@ def three_cell_env():
     ]
     return Environment(cells, [[1.0, 1.0], [1.5, 0.5], [1.0, 1.5]],
                        [0.4, 1.6], [1.0, 1.0], patrol_cycle=[0, 1])
+
+
+# Cell 0 = [0, 3]^2 reads its landmark at (0, 0): the far vertex (3, 3) sees
+# it at exactly the half-width of a 6-wide grid, as annulus8.json's cell 0
+# sees its landmark at the half-width of a 40-wide one. Cell 0 is the goal
+# cell, so its face x = 3, shared with cell 1, carries no barrier.
+OFF_GRID_ENV = {
+    "cells": [
+        {"id": 0, "vertices": [[0.0, 0.0], [3.0, 0.0], [3.0, 3.0], [0.0, 3.0]],
+         "landmark_ids": [0]},
+        {"id": 1, "vertices": [[3.0, 0.0], [6.0, 0.0], [6.0, 3.0], [3.0, 3.0]],
+         "landmark_ids": [1]},
+    ],
+    "landmarks": [[0.0, 0.0], [6.0, 0.0]],
+    "start": [1.0, 1.5],
+    "goal": [0.0, 0.0],
+}
+
+
+def pushing_controller(env, plan, grid, bounds, basis):
+    """Cell 0's controller with zero gains and a bias that pushes along +x,
+    through the barrier-free face x = 3 of OFF_GRID_ENV. The loop keeps it
+    for up to |u| dt past that face, where its landmark is off the grid."""
+    cell = env.cell_by_id(0)
+    entry = plan.entries[0]
+    problem = CellProblem(
+        cell, entry, [env.landmarks[j] for j in cell.landmark_ids],
+        LinearDynamics.single_integrator(2), 1.0, 100.0, bounds, grid, basis)
+    gains = [[np.zeros((2, 2)) for _ in range(basis.n_k)]]
+    return CellController(problem, gains, bias=[1.5, 0.0],
+                          margins=np.full(1 + len(entry.barriers), 0.1))

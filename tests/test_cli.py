@@ -6,7 +6,10 @@ import shutil
 import numpy as np
 import pytest
 
+from helpers import OFF_GRID_ENV, pushing_controller
 from safefield import cli
+from safefield.planning import build_graph, make_plan
+from safefield.synthesis import save_controllers
 
 pytestmark = pytest.mark.filterwarnings("ignore:bounds")
 
@@ -598,6 +601,30 @@ def test_integral_floats_read_as_integers(tmp_path):
     assert cfg.environment.patrol_cycle == [0, 1]
     assert all(type(v) is int
                for v in cfg.grid.n + (cfg.environment.cells[1].id,))
+
+
+def test_an_off_grid_reading_fails_its_start_and_writes_its_csv(
+        tmp_path, capsys):
+    # start 0 crosses cell 0's barrier-free face at t = 1.34 and reads its
+    # landmark off the grid; start 1 runs out of time before the face
+    cfg_path = write_config(
+        tmp_path, environment=OFF_GRID_ENV, starts=[[1.0, 1.5], [0.5, 1.5]],
+        sim={"dt": 0.01, "max_time": 1.5, "goal_tol": 0.05})
+    cfg = cli.load_config(str(cfg_path))
+    env = cfg.environment
+    plan = make_plan(env, build_graph(env), cfg.mode)
+    out = tmp_path / "out"
+    out.mkdir()
+    save_controllers({0: pushing_controller(env, plan, cfg.grid, cfg.bounds,
+                                            cfg.basis)},
+                     str(out / "controllers.json"))
+    assert cli.main(["simulate", "--config", str(cfg_path)]) == 1
+    printed = capsys.readouterr().out
+    assert "start 0: FAIL (cell 0 read a landmark off its grid" in printed
+    assert "start 1: reached=False" in printed
+    rows = np.loadtxt(out / "trajectory_0.csv", delimiter=",", skiprows=1)
+    assert rows.shape == (134, 8)
+    assert (out / "trajectory_1.csv").exists()
 
 
 def test_pipeline_outputs(pipeline_dir):

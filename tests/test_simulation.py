@@ -4,7 +4,7 @@ import tracemalloc
 import numpy as np
 import pytest
 
-from helpers import three_cell_env
+from helpers import OFF_GRID_ENV, pushing_controller, three_cell_env
 from reference_loop import reference_trajectory, staged_step, unbanked_sensor
 from safefield import cli
 from safefield.clfcbf import LinearDynamics
@@ -12,6 +12,8 @@ from safefield.errors import (
     ConfigError,
     DimensionMismatch,
     GridMismatch,
+    LandmarkOutOfView,
+    OffGridReading,
 )
 from safefield.measurement import (
     GridSpec,
@@ -21,7 +23,7 @@ from safefield.measurement import (
     build_expectation_kernel,
     make_delta_pmf,
 )
-from safefield.geometry import ConvexCell, Environment
+from safefield.geometry import ConvexCell, Environment, environment_from_dict
 from safefield.planning import PlanEntry, build_graph, make_plan
 from safefield.simulation import (
     SensorModel,
@@ -233,7 +235,7 @@ def test_step_matches_closed_form():
     u = np.array([0.25, 0.5])
     dt = 0.05
     exact = 2 * u + (x0 - 2 * u) * np.exp(-dt / 2.0)
-    rk4 = _step(dyn, x0, u, dt)
+    rk4 = _step(dyn, x0, dyn.B @ u, dt)
     assert float(np.max(np.abs(rk4 - exact))) <= 1e-9
 
 
@@ -260,7 +262,8 @@ def test_drift_free_step_equals_the_staged_step():
             v[rng.random(v.shape) < 0.3] = 0.0
             v[rng.random(v.shape) < 0.3] = -0.0
         dt = float(rng.choice([0.01, 0.05, rng.uniform(1e-4, 1.0)]))
-        assert same_bits(_step(dyn, x, u, dt), staged_step(dyn, x, u, dt))
+        assert same_bits(_step(dyn, x, dyn.B @ u, dt),
+                         staged_step(dyn, x, u, dt))
         if (dyn.B @ u).all():
             closed += 1
         else:
@@ -277,7 +280,8 @@ def test_dynamics_are_read_only():
         dyn.B[0, 0] = 2.0
 
 
-def packaged_patrol_run():
+def packaged_patrol_run(max_time=None):
+    """patrol.json as shipped, or at another horizon max_time."""
     data = os.path.join(os.path.dirname(cli.__file__), "data")
     cfg = cli.load_config(os.path.join(data, "patrol.json"))
     env = cfg.environment
@@ -286,7 +290,11 @@ def packaged_patrol_run():
     ctrls = synthesize_environment(
         env, plan.entries, LinearDynamics.single_integrator(2), cfg.grid,
         cfg.bounds, cfg.basis, cfg.alpha_v, cfg.alpha_h)
-    return env, plan, ctrls, cfg.sim, cfg.starts[0]
+    sim = cfg.sim
+    if max_time is not None:
+        sim = SimConfig(dt=sim.dt, max_time=max_time, goal_tol=sim.goal_tol,
+                        sensor=sim.sensor, seed=sim.seed)
+    return env, plan, ctrls, sim, cfg.starts[0]
 
 
 def case_study_run(case_setup, sensor, start):
@@ -313,11 +321,15 @@ def two_landmark_run():
     return env, plan, ctrls, cfg, None
 
 
-@pytest.mark.parametrize("run", ["patrol", "case-study", "gaussian",
-                                 "two-landmarks"])
+@pytest.mark.parametrize("run", ["patrol", "patrol-150s", "case-study",
+                                 "gaussian", "two-landmarks"])
 def test_the_loop_logs_the_reference_loop(run, case_setup):
     if run == "patrol":
         args = packaged_patrol_run()
+    elif run == "patrol-150s":
+        # the benchmark's patrol_long horizon: 15,001 rows, and a handover
+        # on almost every step
+        args = packaged_patrol_run(max_time=150.0)
     elif run == "case-study":
         args = case_study_run(case_setup, SensorModel(), [10.0, 50.0])
     elif run == "gaussian":
@@ -332,7 +344,9 @@ def test_the_loop_logs_the_reference_loop(run, case_setup):
     assert (traj.crossings, traj.reached) == (ref.crossings, ref.reached)
     # the runs switch controllers: thousands of patrol crossings, and
     # stabilize runs handing over between cells
-    assert traj.crossings >= (2000 if run == "patrol" else 3)
+    assert traj.crossings >= {"patrol": 2000, "patrol-150s": 14000}.get(run, 3)
+    if run == "patrol-150s":
+        assert len(traj.t) == 15001
 
 
 def test_control_input_zero_gains_returns_bias():
@@ -462,6 +476,29 @@ def test_start_outside_cells_is_a_violation(rig):
         assert err.value.field == "starts"
 
 
+def test_a_reading_off_the_grid_fails_the_run_with_its_trajectory():
+    # cell 0's controller is kept for up to |u| dt past its shared face;
+    # there its landmark lies past the grid's half-width
+    env = environment_from_dict(OFF_GRID_ENV)
+    plan = make_plan(env, build_graph(env))
+    ctrls = {0: pushing_controller(env, plan, SPEC, BOUNDS, GainBasis())}
+    cfg = SimConfig(dt=0.01, max_time=10.0)
+    with pytest.raises(OffGridReading) as err:
+        run_trajectory(env, plan, ctrls, cfg)
+    exc = err.value
+    assert isinstance(exc.__cause__, LandmarkOutOfView)
+    assert exc.cell_id == 0
+    # the state is in cell 1 alone, less than one step past the face
+    assert [c.id for c in env.cells_containing(exc.x)] == [1]
+    assert 3.0 < exc.x[0] <= 3.0 + 1.5 * cfg.dt
+    # the trajectory holds every step before the reading, all in cell 0
+    traj = exc.trajectory
+    assert len(traj.t) == round(exc.t / cfg.dt) > 100
+    assert set(traj.cell_id) == {0}
+    assert traj.x[-1][0] <= 3.0
+    assert min(traj.min_h) > 0.0
+
+
 def test_trajectory_csv_roundtrip(tmp_path):
     traj = Trajectory("stabilize")
     traj.append(0.0, [0.25, 0.5], [1.0, -1.0], 0, 0.75, 0.25)
@@ -496,11 +533,27 @@ def test_trajectory_csv_reads_back_the_recorded_floats(tmp_path):
         cols = line.split(",")
         assert int(cols[5]) == traj.cell_id[k]
         got = [float(v) for v in cols[:5] + cols[6:]]
-        want = ([traj.t[k]] + traj.x[k].tolist() + traj.u[k].tolist()
+        want = ([traj.t[k]] + traj.x[k] + traj.u[k]
                 + [traj.V[k], traj.min_h[k]])
         # bit for bit, the sign of zero included
         assert np.array_equal(np.array(got).view(np.int64),
                               np.array(want).view(np.int64))
+        # and the text is the repr of each value, the cell id an int
+        row = want[:5] + [traj.cell_id[k]] + want[5:]
+        assert line == ",".join(map(repr, row))
+
+
+def test_field_csv_text_is_the_repr_of_each_value(tmp_path):
+    # the field writer is the trajectory writer: the same awkward values
+    # come out as their repr
+    awkward = [1.0 / 3.0, -0.0, 5e-324, 1e300, -2.5e-17, 0.1 + 0.2, np.inf,
+               -np.inf]
+    rng = np.random.default_rng(5)
+    arr = np.array([rng.permutation(awkward)[:4] for _ in range(50)])
+    path = tmp_path / "field.csv"
+    save_field_csv(arr, 2, str(path))
+    want = ["x1,x2,u1,u2"] + [",".join(map(repr, row)) for row in arr.tolist()]
+    assert path.read_text() == "\n".join(want) + "\n"
 
 
 def test_trajectory_csv_is_written_row_by_row(tmp_path):
