@@ -16,6 +16,7 @@ from .clfcbf import (
     build_clf_row,
 )
 from .errors import (
+    ClosedLoopFailure,
     ConfigError,
     DegenerateInput,
     DimensionMismatch,
@@ -33,6 +34,7 @@ from .errors import (
     OffPlanCrossing,
     SafeFieldError,
     SafetyViolation,
+    SolverError,
     SolverFailure,
     SynthesisInfeasible,
     UnboundedPolytope,

@@ -16,18 +16,13 @@ import sys
 from . import planning, simulation, synthesis, verification
 from .clfcbf import LinearDynamics
 from .errors import (
+    ClosedLoopFailure,
     ConfigError,
     DimensionMismatch,
     GoalObservationOffGrid,
     LandmarkNotVisible,
-    LeftFreeSpace,
-    NumericalFailure,
-    OffGridReading,
-    OffPlanCrossing,
     SafeFieldError,
-    SafetyViolation,
-    SolverFailure,
-    SynthesisInfeasible,
+    SolverError,
     VerificationFailed,
 )
 from .geometry import (
@@ -211,10 +206,13 @@ def _parse_cells(arg):
     if arg is None:
         return None
     try:
-        return [int(tok) for tok in arg.split(",") if tok.strip() != ""]
+        cells = [int(tok) for tok in arg.split(",") if tok.strip() != ""]
     except ValueError:
         raise ConfigError("cells must be a comma-separated id list",
                           field="cells")
+    if not cells:
+        raise ConfigError("cells names no cell id", field="cells")
+    return cells
 
 
 def _plan_cells(cells, env, mode, path=None, field="cells"):
@@ -315,8 +313,7 @@ def cmd_simulate(cfg):
             source = (_controllers_path(cfg) if exc.field == "controllers"
                       else cfg.path)
             raise ConfigError(exc.reason, path=source, field=exc.field) from None
-        except (SafetyViolation, LeftFreeSpace, OffPlanCrossing,
-                OffGridReading) as exc:
+        except ClosedLoopFailure as exc:
             if exc.trajectory is not None:
                 exc.trajectory.to_csv(path)
             print("start %d: FAIL (%s)" % (k, exc))
@@ -428,10 +425,10 @@ def main(argv=None):
     except ConfigError as exc:
         print("config error: %s" % exc, file=sys.stderr)
         return EXIT_CONFIG
-    except (SynthesisInfeasible, SolverFailure, NumericalFailure) as exc:
+    except SolverError as exc:
         print("solver error: %s" % exc, file=sys.stderr)
         return EXIT_SOLVER
-    except (VerificationFailed, SafetyViolation, LeftFreeSpace) as exc:
+    except (VerificationFailed, ClosedLoopFailure) as exc:
         print("failure: %s" % exc, file=sys.stderr)
         return EXIT_FAIL
     except SafeFieldError as exc:

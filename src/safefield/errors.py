@@ -37,7 +37,12 @@ class DimensionMismatch(SafeFieldError):
     """Inconsistent dimensions between coupled inputs."""
 
 
-class NumericalFailure(SafeFieldError):
+class SolverError(SafeFieldError):
+    """An LP solve failed: no usable answer, an infeasible cell or an answer
+    that fails its checks. The CLI exits 3 on any of them."""
+
+
+class NumericalFailure(SolverError):
     """Solver returned an answer that fails basic sanity checks. Where one
     instance of a batch failed, index names it."""
 
@@ -46,11 +51,11 @@ class NumericalFailure(SafeFieldError):
         self.index = index
 
 
-class SolverFailure(SafeFieldError):
+class SolverFailure(SolverError):
     """LP solver stopped without a usable status."""
 
 
-class SynthesisInfeasible(SafeFieldError):
+class SynthesisInfeasible(SolverError):
     """No gain matrix satisfies the robust constraints for this cell."""
 
 
@@ -77,34 +82,10 @@ class GridMismatch(SafeFieldError):
     """Measurement grid is incompatible with the controller's grid."""
 
 
-class SafetyViolation(SafeFieldError):
-    """Simulated state crossed an obstacle facet."""
-
-    def __init__(self, message, t=None, x=None, cell_id=None, facet=None, trajectory=None):
-        super().__init__(message)
-        self.t = t
-        self.x = x
-        self.cell_id = cell_id
-        self.facet = facet
-        self.trajectory = trajectory
-
-
-class LeftFreeSpace(SafeFieldError):
-    """Simulated state left the union of all cells."""
-
-    def __init__(self, message, t=None, x=None, trajectory=None):
-        super().__init__(message)
-        self.t = t
-        self.x = x
-        self.trajectory = trajectory
-
-
-class OffGridReading(SafeFieldError):
-    """In closed loop, the active controller read a landmark past the edge
-    of its measurement grid: the state had drifted out of the controller's
-    cell (through a shared face, by less than one step) to where the
-    landmark is out of view. The cell's certificate does not cover that
-    state."""
+class ClosedLoopFailure(SafeFieldError):
+    """A simulated run failed at time t in state x, with cell_id's
+    controller active; trajectory holds the run up to that step. The CLI
+    writes that trajectory, fails the start and exits 1."""
 
     def __init__(self, message, t=None, x=None, cell_id=None, trajectory=None):
         super().__init__(message)
@@ -114,18 +95,33 @@ class OffGridReading(SafeFieldError):
         self.trajectory = trajectory
 
 
-class OffPlanCrossing(SafeFieldError):
+class SafetyViolation(ClosedLoopFailure):
+    """Simulated state crossed an obstacle facet."""
+
+    def __init__(self, message, facet=None, **run):
+        super().__init__(message, **run)
+        self.facet = facet
+
+
+class LeftFreeSpace(ClosedLoopFailure):
+    """Simulated state left the union of all cells."""
+
+
+class OffGridReading(ClosedLoopFailure):
+    """In closed loop, the active controller read a landmark past the edge
+    of its measurement grid: the state had drifted out of the controller's
+    cell (through a shared face, by less than one step) to where the
+    landmark is out of view. The cell's certificate does not cover that
+    state."""
+
+
+class OffPlanCrossing(ClosedLoopFailure):
     """Simulated patrol crossed its exit facet into a cell other than the
     planned successor."""
 
-    def __init__(self, message, t=None, x=None, cell_id=None, planned=None,
-                 trajectory=None):
-        super().__init__(message)
-        self.t = t
-        self.x = x
-        self.cell_id = cell_id
+    def __init__(self, message, planned=None, **run):
+        super().__init__(message, **run)
         self.planned = planned
-        self.trajectory = trajectory
 
 
 class ConfigError(SafeFieldError):

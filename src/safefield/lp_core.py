@@ -94,9 +94,10 @@ def _scale(lp, x):
 
 def _validate(lp, x, duals_ub):
     scale = _scale(lp, x)
+    r = lp.A_ub @ x - lp.b_ub  # the slack is -r, bit for bit
     feas = 0.0
     if lp.b_ub.size:
-        feas = max(feas, float(np.max(lp.A_ub @ x - lp.b_ub)))
+        feas = max(feas, float(np.max(r)))
     if lp.b_eq.size:
         feas = max(feas, float(np.max(np.abs(lp.A_eq @ x - lp.b_eq))))
     lo = np.where(np.isfinite(lp.lb), lp.lb - x, 0.0)
@@ -105,8 +106,7 @@ def _validate(lp, x, duals_ub):
     if feas > FEAS_TOL * scale:
         raise NumericalFailure("primal feasibility residual %.3g exceeds tolerance" % feas)
     if lp.b_ub.size:
-        slack = lp.b_ub - lp.A_ub @ x
-        compl = float(np.max(np.abs(duals_ub * slack)))
+        compl = float(np.max(np.abs(duals_ub * -r)))
         dual_scale = 1.0 + float(np.max(np.abs(duals_ub)))
         if compl > COMPL_TOL * scale * dual_scale:
             raise NumericalFailure("complementary slackness residual %.3g" % compl)

@@ -372,7 +372,7 @@ def run_trajectory(env, plan, controllers, config, x0=None):
         if not inside:
             raise LeftFreeSpace(
                 "state %s left every cell at t=%.3f" % (xs, t),
-                t=t, x=x.copy(), trajectory=traj,
+                t=t, x=x.copy(), cell_id=active_id, trajectory=traj,
             )
         if patrol:
             V = entry.progress(x)

@@ -47,6 +47,7 @@ from .errors import (
     GoalObservationOffGrid,
     LandmarkNotVisible,
     LandmarkOutOfView,
+    SolverError,
     SolverFailure,
     SynthesisInfeasible,
 )
@@ -604,7 +605,7 @@ def synthesize_environment(env, entries, dynamics, spec, bounds, basis,
     """One controller per plan entry (a dict keyed by cell id, as in
     HighLevelPlan.entries), each certifying what its entry asks, keyed by
     cell id in id order; the goal cell, whose entry has no exit facet, also
-    gets a floored stability region."""
+    gets a floored stability region. A SolverError names its cell."""
     controllers = {}
     for cell_id in sorted(entries):
         entry = entries[cell_id]
@@ -618,8 +619,9 @@ def synthesize_environment(env, entries, dynamics, spec, bounds, basis,
         try:
             controllers[cell_id] = synthesize_cell_controller(
                 assemble_robust_lp(problem))
-        except (SynthesisInfeasible, SolverFailure) as exc:
-            raise type(exc)("cell %d: %s" % (cell_id, exc)) from exc
+        except SolverError as exc:
+            exc.args = ("cell %d: %s" % (cell_id, exc),)
+            raise
     return controllers
 
 

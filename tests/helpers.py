@@ -108,15 +108,34 @@ OFF_GRID_ENV = {
 }
 
 
-def pushing_controller(env, plan, grid, bounds, basis):
-    """Cell 0's controller with zero gains and a bias that pushes along +x,
-    through the barrier-free face x = 3 of OFF_GRID_ENV. The loop keeps it
-    for up to |u| dt past that face, where its landmark is off the grid."""
-    cell = env.cell_by_id(0)
-    entry = plan.entries[0]
+def pushing_controller(env, plan, grid, bounds, basis, cell_id=0,
+                       bias=(1.5, 0.0)):
+    """The controller of cell_id with zero gains and a constant input bias.
+    By default it pushes cell 0 of OFF_GRID_ENV along +x, through the
+    barrier-free face x = 3; the loop keeps it for up to |u| dt past that
+    face, where its landmark is off the grid."""
+    cell = env.cell_by_id(cell_id)
+    entry = plan.entries[cell_id]
     problem = CellProblem(
         cell, entry, [env.landmarks[j] for j in cell.landmark_ids],
         LinearDynamics.single_integrator(2), 1.0, 100.0, bounds, grid, basis)
     gains = [[np.zeros((2, 2)) for _ in range(basis.n_k)]]
-    return CellController(problem, gains, bias=[1.5, 0.0],
+    return CellController(problem, gains, bias=list(bias),
                           margins=np.full(1 + len(entry.barriers), 0.1))
+
+
+# Two triangles that share the diagonal x + y = 40, so each patrol exit is
+# oblique: v = (+-1, +-1) / sqrt(2), where BLAS may round v . (x - o) unlike
+# the scalar sum. Run with patrol.json's settings.
+OBLIQUE_PATROL_ENV = {
+    "cells": [
+        {"id": 0, "vertices": [[0.0, 0.0], [40.0, 0.0], [0.0, 40.0]],
+         "landmark_ids": [0]},
+        {"id": 1, "vertices": [[40.0, 0.0], [40.0, 40.0], [0.0, 40.0]],
+         "landmark_ids": [1]},
+    ],
+    "landmarks": [[13.0, 13.0], [27.0, 27.0]],
+    "start": [10.0, 10.0],
+    "goal": [40.0, 0.0],
+    "patrol_cycle": [0, 1],
+}

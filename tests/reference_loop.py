@@ -122,7 +122,7 @@ def reference_trajectory(env, plan, controllers, config, x0=None):
         inside = env.cells_containing(x)
         if not inside:
             raise LeftFreeSpace("left every cell", t=t, x=x.copy(),
-                                trajectory=traj)
+                                cell_id=active_id, trajectory=traj)
         if plan.mode == "patrol":
             if problem.entry.progress(x) <= 0.0:
                 active = (active + 1) % n_entries

@@ -6,8 +6,10 @@ import shutil
 import numpy as np
 import pytest
 
+import safefield
 from helpers import OFF_GRID_ENV, pushing_controller
-from safefield import cli
+from safefield import cli, synthesis
+from safefield.errors import NumericalFailure, SafeFieldError
 from safefield.planning import build_graph, make_plan
 from safefield.synthesis import save_controllers
 
@@ -603,21 +605,31 @@ def test_integral_floats_read_as_integers(tmp_path):
                for v in cfg.grid.n + (cfg.environment.cells[1].id,))
 
 
-def test_an_off_grid_reading_fails_its_start_and_writes_its_csv(
-        tmp_path, capsys):
-    # start 0 crosses cell 0's barrier-free face at t = 1.34 and reads its
-    # landmark off the grid; start 1 runs out of time before the face
-    cfg_path = write_config(
-        tmp_path, environment=OFF_GRID_ENV, starts=[[1.0, 1.5], [0.5, 1.5]],
-        sim={"dt": 0.01, "max_time": 1.5, "goal_tol": 0.05})
+def pushed_run(tmp_path, cell_id, bias, **extra):
+    """A run config (written as write_config writes it, with extra) whose
+    controllers.json holds only helpers.pushing_controller for cell_id,
+    pushing with bias; returns the config's path."""
+    cfg_path = write_config(tmp_path, **extra)
     cfg = cli.load_config(str(cfg_path))
     env = cfg.environment
     plan = make_plan(env, build_graph(env), cfg.mode)
     out = tmp_path / "out"
     out.mkdir()
-    save_controllers({0: pushing_controller(env, plan, cfg.grid, cfg.bounds,
-                                            cfg.basis)},
-                     str(out / "controllers.json"))
+    save_controllers({cell_id: pushing_controller(
+        env, plan, cfg.grid, cfg.bounds, cfg.basis, cell_id, bias)},
+        str(out / "controllers.json"))
+    return cfg_path
+
+
+def test_an_off_grid_reading_fails_its_start_and_writes_its_csv(
+        tmp_path, capsys):
+    # start 0 crosses cell 0's barrier-free face at t = 1.34 and reads its
+    # landmark off the grid; start 1 runs out of time before the face
+    cfg_path = pushed_run(
+        tmp_path, 0, (1.5, 0.0), environment=OFF_GRID_ENV,
+        starts=[[1.0, 1.5], [0.5, 1.5]],
+        sim={"dt": 0.01, "max_time": 1.5, "goal_tol": 0.05})
+    out = tmp_path / "out"
     assert cli.main(["simulate", "--config", str(cfg_path)]) == 1
     printed = capsys.readouterr().out
     assert "start 0: FAIL (cell 0 read a landmark off its grid" in printed
@@ -625,6 +637,103 @@ def test_an_off_grid_reading_fails_its_start_and_writes_its_csv(
     rows = np.loadtxt(out / "trajectory_0.csv", delimiter=",", skiprows=1)
     assert rows.shape == (134, 8)
     assert (out / "trajectory_1.csv").exists()
+
+
+@pytest.mark.parametrize("bias, starts, failure, rows", [
+    # up through y = 1, the face that cell 1 shares with cell 2 and one of
+    # its entry's barriers: the state is in cell 2 and cell 1's controller
+    # is kept, so the barrier reads below zero at the row of t = 0.34
+    ((0.0, 1.5), [[1.5, 0.5], [1.5, 0.05]], "barrier 2 of cell 1 reached",
+     35),
+    # down through the wall y = 0, out of every cell after the row of
+    # t = 0.33
+    ((0.0, -1.5), [[1.5, 0.5], [1.5, 0.95]], "state [1.5, -0.01", 34),
+], ids=["SafetyViolation", "LeftFreeSpace"])
+def test_a_closed_loop_failure_fails_its_start_and_writes_its_csv(
+        tmp_path, capsys, bias, starts, failure, rows):
+    # start 0 is 0.5 from the face and crosses it at t = 0.34; start 1 is
+    # 0.95 from it and runs out of time first
+    cfg_path = pushed_run(tmp_path, 1, bias, starts=starts,
+                          sim={"dt": 0.01, "max_time": 0.5, "goal_tol": 0.05})
+    out = tmp_path / "out"
+    assert cli.main(["simulate", "--config", str(cfg_path)]) == 1
+    printed = capsys.readouterr().out
+    assert "start 0: FAIL (%s" % failure in printed
+    assert "at t=0.340)" in printed
+    assert "start 1: reached=False" in printed
+    assert len((out / "trajectory_0.csv").read_text().splitlines()) == 1 + rows
+    assert (out / "trajectory_1.csv").exists()
+
+
+# the exit code and stderr prefix of cli.main for each error that the
+# package exports, raised out of a command
+EXITS = dict(
+    ConfigError=(2, "config error: "),
+    SolverError=(3, "solver error: "),
+    SolverFailure=(3, "solver error: "),
+    SynthesisInfeasible=(3, "solver error: "),
+    NumericalFailure=(3, "solver error: "),
+    VerificationFailed=(1, "failure: "),
+    ClosedLoopFailure=(1, "failure: "),
+    SafetyViolation=(1, "failure: "),
+    LeftFreeSpace=(1, "failure: "),
+    OffGridReading=(1, "failure: "),
+    OffPlanCrossing=(1, "failure: "),
+    **{name: (2, "error: ") for name in (
+        "SafeFieldError", "NonConvexInput", "DegenerateInput",
+        "UnboundedPolytope", "DisconnectedFreeSpace", "GoalNotVertex",
+        "LandmarkOutOfView", "LandmarkNotVisible", "DimensionMismatch",
+        "GoalObservationOffGrid", "InfeasibleMeasurementSet",
+        "GridMismatch")})
+
+
+def test_each_error_has_its_exit_code_and_prefix(tmp_path, capsys,
+                                                 monkeypatch):
+    cfg = write_config(tmp_path)
+    exits = {}
+    for name, kind in vars(safefield).items():
+        if isinstance(kind, type) and issubclass(kind, SafeFieldError):
+            def raise_it(cfg, kind=kind):
+                raise kind("raised")
+            monkeypatch.setattr(cli, "cmd_verify", raise_it)
+            code = cli.main(["verify", "--config", str(cfg)])
+            err = capsys.readouterr().err
+            assert err.endswith("raised\n"), name
+            exits[name] = (code, err[:-len("raised\n")])
+    assert exits == EXITS
+
+
+def test_a_solver_error_in_synthesis_names_its_cell(tmp_path, capsys,
+                                                   monkeypatch):
+    cfg = write_config(tmp_path)
+    synthesize = synthesis.synthesize_cell_controller
+
+    def failing(assembled):
+        if assembled.problem.cell.id == 1:
+            raise NumericalFailure("primal feasibility residual 1 exceeds "
+                                   "tolerance")
+        return synthesize(assembled)
+
+    monkeypatch.setattr(synthesis, "synthesize_cell_controller", failing)
+    assert cli.main(["synth", "--config", str(cfg)]) == 3
+    assert capsys.readouterr().err == (
+        "solver error: cell 1: primal feasibility residual 1 exceeds "
+        "tolerance\n")
+    assert not (tmp_path / "out" / "controllers.json").exists()
+
+
+def test_an_empty_cell_list_exits_2_and_writes_nothing(tmp_path, capsys):
+    cfg = write_config(tmp_path)
+    out = tmp_path / "out"
+    assert cli.main(["synth", "--config", str(cfg)]) == 0
+    saved = (out / "controllers.json").read_bytes()
+    for command in ("synth", "field", "pipeline"):
+        capsys.readouterr()
+        assert cli.main([command, "--config", str(cfg), "--cells", ","]) == 2
+        assert capsys.readouterr().err == (
+            "config error: cells names no cell id (field cells)\n")
+    assert (out / "controllers.json").read_bytes() == saved
+    assert sorted(p.name for p in out.iterdir()) == ["controllers.json"]
 
 
 def test_pipeline_outputs(pipeline_dir):

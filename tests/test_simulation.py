@@ -4,15 +4,18 @@ import tracemalloc
 import numpy as np
 import pytest
 
-from helpers import OFF_GRID_ENV, pushing_controller, three_cell_env
+from helpers import (OBLIQUE_PATROL_ENV, OFF_GRID_ENV, pushing_controller,
+                     three_cell_env)
 from reference_loop import reference_trajectory, staged_step, unbanked_sensor
 from safefield import cli
 from safefield.clfcbf import LinearDynamics
 from safefield.errors import (
+    ClosedLoopFailure,
     ConfigError,
     DimensionMismatch,
     GridMismatch,
     LandmarkOutOfView,
+    LeftFreeSpace,
     OffGridReading,
 )
 from safefield.measurement import (
@@ -280,21 +283,18 @@ def test_dynamics_are_read_only():
         dyn.B[0, 0] = 2.0
 
 
-def packaged_patrol_run(max_time=None):
-    """patrol.json as shipped, or at another horizon max_time."""
+def packaged_patrol_run(overrides=()):
+    """patrol.json as shipped, with each (dotted key, value) of overrides
+    set as cli.load_config sets a flag's."""
     data = os.path.join(os.path.dirname(cli.__file__), "data")
-    cfg = cli.load_config(os.path.join(data, "patrol.json"))
+    cfg = cli.load_config(os.path.join(data, "patrol.json"), overrides)
     env = cfg.environment
     graph = build_graph(env)
     plan = make_plan(env, graph, mode="patrol")
     ctrls = synthesize_environment(
         env, plan.entries, LinearDynamics.single_integrator(2), cfg.grid,
         cfg.bounds, cfg.basis, cfg.alpha_v, cfg.alpha_h)
-    sim = cfg.sim
-    if max_time is not None:
-        sim = SimConfig(dt=sim.dt, max_time=max_time, goal_tol=sim.goal_tol,
-                        sensor=sim.sensor, seed=sim.seed)
-    return env, plan, ctrls, sim, cfg.starts[0]
+    return env, plan, ctrls, cfg.sim, cfg.starts[0]
 
 
 def case_study_run(case_setup, sensor, start):
@@ -321,15 +321,20 @@ def two_landmark_run():
     return env, plan, ctrls, cfg, None
 
 
-@pytest.mark.parametrize("run", ["patrol", "patrol-150s", "case-study",
-                                 "gaussian", "two-landmarks"])
+@pytest.mark.parametrize("run", ["patrol", "patrol-150s", "oblique-patrol",
+                                 "case-study", "gaussian", "two-landmarks"])
 def test_the_loop_logs_the_reference_loop(run, case_setup):
     if run == "patrol":
         args = packaged_patrol_run()
     elif run == "patrol-150s":
         # the benchmark's patrol_long horizon: 15,001 rows, and a handover
         # on almost every step
-        args = packaged_patrol_run(max_time=150.0)
+        args = packaged_patrol_run([("sim.max_time", 150.0)])
+    elif run == "oblique-patrol":
+        # exits on the diagonal, where the loop's progress v . (x - o) is
+        # rounded as BLAS rounds it
+        args = packaged_patrol_run([("environment", OBLIQUE_PATROL_ENV),
+                                    ("sim.max_time", 5.0)])
     elif run == "case-study":
         args = case_study_run(case_setup, SensorModel(), [10.0, 50.0])
     elif run == "gaussian":
@@ -344,7 +349,8 @@ def test_the_loop_logs_the_reference_loop(run, case_setup):
     assert (traj.crossings, traj.reached) == (ref.crossings, ref.reached)
     # the runs switch controllers: thousands of patrol crossings, and
     # stabilize runs handing over between cells
-    assert traj.crossings >= {"patrol": 2000, "patrol-150s": 14000}.get(run, 3)
+    assert traj.crossings >= {"patrol": 2000, "patrol-150s": 14000,
+                              "oblique-patrol": 400}.get(run, 3)
     if run == "patrol-150s":
         assert len(traj.t) == 15001
 
@@ -497,6 +503,24 @@ def test_a_reading_off_the_grid_fails_the_run_with_its_trajectory():
     assert set(traj.cell_id) == {0}
     assert traj.x[-1][0] <= 3.0
     assert min(traj.min_h) > 0.0
+
+
+def test_leaving_free_space_names_the_active_cell():
+    # pushed along -x, through cell 0's wall x = 0, out of every cell
+    env = environment_from_dict(OFF_GRID_ENV)
+    plan = make_plan(env, build_graph(env))
+    ctrls = {0: pushing_controller(env, plan, SPEC, BOUNDS, GainBasis(),
+                                   bias=(-1.5, 0.0))}
+    cfg = SimConfig(dt=0.01, max_time=10.0)
+    with pytest.raises(LeftFreeSpace) as err:
+        run_trajectory(env, plan, ctrls, cfg)
+    exc = err.value
+    assert isinstance(exc, ClosedLoopFailure)
+    assert exc.cell_id == 0
+    assert -1.5 * cfg.dt <= exc.x[0] < 0.0
+    assert not env.cells_containing(exc.x)
+    assert len(exc.trajectory.t) == round(exc.t / cfg.dt)
+    assert set(exc.trajectory.cell_id) == {0}
 
 
 def test_trajectory_csv_roundtrip(tmp_path):
