@@ -8,6 +8,7 @@ Outputs are deterministic for a fixed config and seed.
 """
 
 import argparse
+import functools
 import json
 import logging
 import os
@@ -121,7 +122,6 @@ class RunConfig:
         to_point = point(dim)
         self.starts = read(raw, "starts", lambda v: [to_point(s) for s in v],
                            path, "", [self.environment.start])
-        self._check_starts()
         field = _arguments(
             raw, "field", path, cells=integers, resolution=lambda value:
             integers(value if isinstance(value, list) else [value] * dim))
@@ -134,32 +134,34 @@ class RunConfig:
             raise ConfigError("resolution must be at least 2 per axis",
                               path=path, field="field.resolution")
         self.field_cells = field.get("cells")
-        if self.field_cells is not None:
-            _plan_cells(self.field_cells, self.environment, self.mode,
-                        path=path, field="field.cells")
         self.out = raw.get("out", "out")
         if not isinstance(self.out, str):
             raise ConfigError("out must be a directory path",
                               path=path, field="out")
 
-    def _check_starts(self):
-        """A run begins in a plan cell that holds its start: any cell in
-        stabilize mode, a cycle cell in patrol mode. So a start in none is
-        rejected before any synthesis. A missing cycle, or one that names
-        an unknown cell, is left to planning to report."""
+    @functools.cached_property
+    def plan(self):
+        """The run's one plan, made when a command first reads it (loading
+        a config builds no graph), before it writes a file. A planning
+        refusal names the environment file; a start in no plan cell, or a
+        field.cells id that the plan lacks, names this config."""
         env = self.environment
-        cell_ids = [c.id for c in env.cells]
-        if self.mode == "patrol":
-            cycle = env.patrol_cycle
-            if not cycle or not set(cycle) <= set(cell_ids):
-                return
-            cell_ids = cycle
+        try:
+            plan = planning.make_plan(env, planning.build_graph(env),
+                                      self.mode)
+        except ConfigError as exc:
+            raise ConfigError(exc.reason, path=self.environment_path,
+                              field=exc.field) from None
         for k, start in enumerate(self.starts):
             try:
-                simulation.start_cell(env, self.mode, cell_ids, start)
+                simulation.start_cell(env, plan, start)
             except ConfigError as exc:
                 raise ConfigError("%s (start %d)" % (exc.reason, k),
                                   path=self.path, field="starts") from None
+        if self.field_cells is not None:
+            _plan_cells(self.field_cells, env, plan, path=self.path,
+                        field="field.cells")
+        return plan
 
     @property
     def bounds(self):
@@ -215,40 +217,29 @@ def _parse_cells(arg):
     return cells
 
 
-def _plan_cells(cells, env, mode, path=None, field="cells"):
-    """Refuse cells outside a run's plan: ids the environment lacks, and in
-    patrol mode cells off the cycle; a missing cycle is left to planning.
-    The --cells flag comes from no file."""
+def _plan_cells(cells, env, plan, path=None, field="cells"):
+    """Refuse cells outside plan: ids the environment lacks, and cells it
+    has that plan does not hold, which only a patrol plan leaves out. The
+    --cells flag comes from no file."""
     missing = [c for c in cells if c not in {cell.id for cell in env.cells}]
     if missing:
         raise ConfigError("unknown cell ids %s" % missing,
                           path=path, field=field)
-    cycle = env.patrol_cycle
-    off = [c for c in cells if mode == "patrol" and cycle and c not in cycle]
+    off = [c for c in cells if c not in plan.entries]
     if off:
         raise ConfigError("cell ids %s are not on the patrol cycle %s"
-                          % (off, cycle), path=path, field=field)
+                          % (off, list(plan.entries)), path=path, field=field)
 
 
 def _controllers_path(cfg):
     return os.path.join(cfg.out, "controllers.json")
 
 
-def _plan(cfg):
-    """The run's plan; a plan error names the environment file."""
-    env = cfg.environment
-    try:
-        return planning.make_plan(env, planning.build_graph(env), cfg.mode)
-    except ConfigError as exc:
-        raise ConfigError(exc.reason, path=cfg.environment_path,
-                          field=exc.field) from None
-
-
 def cmd_synth(cfg, cells=None):
     env = cfg.environment
-    entries = _plan(cfg).entries
+    entries = cfg.plan.entries
     if cells is not None:
-        _plan_cells(cells, env, cfg.mode)
+        _plan_cells(cells, env, cfg.plan)
         entries = {c: entries[c] for c in cells}
     dynamics = LinearDynamics.single_integrator(env.dimension)
     try:
@@ -271,9 +262,8 @@ def cmd_synth(cfg, cells=None):
 
 
 def cmd_verify(cfg):
-    env = cfg.environment
-    controllers = synthesis.load_controllers(_controllers_path(cfg), env,
-                                             _plan(cfg))
+    controllers = synthesis.load_controllers(
+        _controllers_path(cfg), cfg.environment, cfg.plan)
     reports = verification.verify_environment(
         controllers, count=cfg.verify_count, seed=cfg.seed,
         raise_on_fail=False,
@@ -297,8 +287,7 @@ def cmd_verify(cfg):
 
 
 def cmd_simulate(cfg):
-    env = cfg.environment
-    plan = _plan(cfg)
+    env, plan = cfg.environment, cfg.plan
     controllers = synthesis.load_controllers(_controllers_path(cfg), env, plan)
     os.makedirs(cfg.out, exist_ok=True)
     code = EXIT_OK
@@ -308,11 +297,10 @@ def cmd_simulate(cfg):
             traj = simulation.run_trajectory(env, plan, controllers, cfg.sim,
                                              x0=start)
         except ConfigError as exc:
-            # the simulator names a cell without a controller or a start in
-            # no plan cell; the file they came from is known only here
-            source = (_controllers_path(cfg) if exc.field == "controllers"
-                      else cfg.path)
-            raise ConfigError(exc.reason, path=source, field=exc.field) from None
+            # the simulator names a cell without a controller; the file it
+            # came from is known only here (cfg.plan has checked the starts)
+            raise ConfigError(exc.reason, path=_controllers_path(cfg),
+                              field=exc.field) from None
         except ClosedLoopFailure as exc:
             if exc.trajectory is not None:
                 exc.trajectory.to_csv(path)
@@ -333,9 +321,9 @@ def cmd_simulate(cfg):
 def cmd_field(cfg, cells=None):
     env = cfg.environment
     if cells is not None:
-        _plan_cells(cells, env, cfg.mode)
+        _plan_cells(cells, env, cfg.plan)
     controllers = synthesis.load_controllers(_controllers_path(cfg), env,
-                                             _plan(cfg))
+                                             cfg.plan)
     wanted = cells if cells is not None else cfg.field_cells
     if wanted is None:
         wanted = sorted(controllers)

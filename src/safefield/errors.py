@@ -17,12 +17,28 @@ class UnboundedPolytope(SafeFieldError):
     """Halfspace set does not bound a finite region."""
 
 
-class DisconnectedFreeSpace(SafeFieldError):
-    """Cell adjacency graph is not connected."""
+class ConfigError(SafeFieldError):
+    """Bad or missing field in a run configuration. The message names the
+    file and the field, each where it is known."""
+
+    def __init__(self, message, path=None, field=None):
+        self.reason = message
+        where = ", ".join("%s %s" % (part, value) for part, value
+                          in (("file", path), ("field", field))
+                          if value is not None)
+        if where:
+            message = "%s (%s)" % (message, where)
+        super().__init__(message)
+        self.path = path
+        self.field = field
 
 
-class GoalNotVertex(SafeFieldError):
-    """Goal point is not placed on the cell decomposition as required."""
+class DisconnectedFreeSpace(ConfigError):
+    """Cell adjacency graph is not connected: a fault of environment.cells."""
+
+
+class GoalNotVertex(ConfigError):
+    """Goal point is not placed as required: a fault of environment.goal."""
 
 
 class LandmarkOutOfView(SafeFieldError):
@@ -122,19 +138,3 @@ class OffPlanCrossing(ClosedLoopFailure):
     def __init__(self, message, planned=None, **run):
         super().__init__(message, **run)
         self.planned = planned
-
-
-class ConfigError(SafeFieldError):
-    """Bad or missing field in a run configuration. The message names the
-    file and the field, each where it is known."""
-
-    def __init__(self, message, path=None, field=None):
-        self.reason = message
-        where = ", ".join("%s %s" % (part, value) for part, value
-                          in (("file", path), ("field", field))
-                          if value is not None)
-        if where:
-            message = "%s (%s)" % (message, where)
-        super().__init__(message)
-        self.path = path
-        self.field = field

@@ -196,7 +196,8 @@ class Environment:
         if not any(
             np.linalg.norm(v - self.goal) <= 1e-9 for c in self.cells for v in c.vertices
         ):
-            raise GoalNotVertex("goal does not coincide with any cell vertex")
+            raise GoalNotVertex("goal does not coincide with any cell vertex",
+                                field="environment.goal")
         # every cell's halfspaces in one stack; cell k owns the rows from
         # _first_row[k] up to the next cell's first row
         self._A = np.vstack([c.body.A for c in self.cells])
@@ -346,5 +347,5 @@ def environment_from_dict(obj, path=None):
                  if not set(c.landmark_ids) <= set(range(n_l)))
         reason, field = str(exc), "cells.%d.landmark_ids" % i
     except GoalNotVertex as exc:
-        reason, field = str(exc), "goal"
+        reason, field = exc.reason, "goal"
     raise ConfigError(reason, path=path, field=prefix + field)

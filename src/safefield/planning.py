@@ -110,7 +110,8 @@ def build_graph(env):
         seen = _bfs_distances(graph, graph.cell_ids[0])
         if len(seen) != len(graph.cell_ids):
             missing = sorted(set(graph.cell_ids) - set(seen))
-            raise DisconnectedFreeSpace("cells %s unreachable from cell %d" % (missing, graph.cell_ids[0]))
+            raise DisconnectedFreeSpace("cells %s unreachable from cell %d" % (
+                missing, graph.cell_ids[0]), field="environment.cells")
     return graph
 
 
@@ -184,7 +185,8 @@ def goal_entry(env, graph, cell_id):
     v = verts.mean(axis=0) - env.goal
     nv = np.linalg.norm(v)
     if nv < GOAL_TOL:
-        raise GoalNotVertex("goal coincides with the centroid of cell %d" % cell_id)
+        raise GoalNotVertex("goal coincides with the centroid of cell %d"
+                            % cell_id, field="environment.goal")
     shared = {graph.edge(cell_id, nb).row_for(cell_id)
               for nb in graph.neighbors(cell_id)}
     barriers = [j for j in range(cell.body.n_rows) if j not in shared]
@@ -192,8 +194,8 @@ def goal_entry(env, graph, cell_id):
     worst = min(entry.progress(vx) for vx in verts)
     if worst < -GOAL_TOL:
         raise GoalNotVertex(
-            "progress function dips to %.3g at a vertex of goal cell %d" % (worst, cell_id)
-        )
+            "progress function dips to %.3g at a vertex of goal cell %d"
+            % (worst, cell_id), field="environment.goal")
     return entry
 
 
@@ -201,7 +203,8 @@ def goal_cell_id(env):
     """Smallest-id cell containing the goal."""
     ids = [c.id for c in env.cells if c.contains(env.goal)]
     if not ids:
-        raise GoalNotVertex("goal is not inside any cell")
+        raise GoalNotVertex("goal is not inside any cell",
+                            field="environment.goal")
     return min(ids)
 
 

@@ -270,16 +270,16 @@ def _step(dynamics, x, Bu, dt):
     return x + (dt / 6.0) * (k1 + 2.0 * k2 + 2.0 * k3 + k4)
 
 
-def start_cell(env, mode, cell_ids, x):
-    """The cell a run from x begins in: the first of the plan's cells
-    cell_ids, in plan order, that contains x. Stabilize mode plans every
-    cell in id order, so there it is the smallest-id cell that holds x. A
-    start in none of them is a ConfigError with field starts."""
-    for cid in cell_ids:
+def start_cell(env, plan, x):
+    """The cell a run from x begins in: the first of plan's cells, in plan
+    order, that contains x. A stabilize plan holds every cell in id order,
+    so there it is the smallest-id cell that holds x. A start in none of
+    them is a ConfigError with field starts."""
+    for cid in plan.entries:
         if env.cell_by_id(cid).contains(x):
             return cid
-    where = (" of the patrol cycle %s" % list(cell_ids)
-             if mode == "patrol" else "")
+    where = (" of the patrol cycle %s" % list(plan.entries)
+             if plan.mode == "patrol" else "")
     raise ConfigError("start %s lies in no cell%s"
                       % (np.asarray(x, dtype=float).tolist(), where),
                       field="starts")
@@ -320,7 +320,7 @@ def run_trajectory(env, plan, controllers, config, x0=None):
     x = np.asarray(env.start if x0 is None else x0, dtype=float).copy()
     xs = x.tolist()
     traj = Trajectory(plan.mode)
-    active_id = start_cell(env, plan.mode, plan.entries, x)
+    active_id = start_cell(env, plan, x)
     t = 0.0
     dt = config.dt
     n_steps = int(round(config.max_time / dt))

@@ -62,7 +62,8 @@ TIEBREAK_TOL = 1e-9
 class GainBasis:
     """Feature maps turning a vectorized PMF into d-vector features: each map
     R_i is a d x n_p matrix. The mean map is required so plain mean-feedback
-    controllers stay representable; the others enrich the gain space."""
+    controllers stay representable; the others enrich the gain space. A map
+    named twice would add only redundant gain columns."""
 
     KNOWN = ("mean", "quadratic", "cosine")
 
@@ -76,6 +77,9 @@ class GainBasis:
             raise DimensionMismatch("unknown feature maps %r" % bad)
         if "mean" not in names:
             raise DimensionMismatch("the mean map is required")
+        repeated = sorted({n for n in names if names.count(n) > 1})
+        if repeated:
+            raise DimensionMismatch("repeated feature maps %r" % repeated)
         self.names = names
 
     @property

@@ -364,8 +364,11 @@ def verify_controller(controller, count=200, seed=0, raise_on_fail=True):
     cell = problem.cell
     rows, regions = problem.rows()
     points = _sample_states(cell, regions, count, seed)
-    pairs = [(k, x) for k in range(len(rows)) for x in points
-             if regions[k].contains(x)]
+    # rows share their region (the cell body) except a floored CLF row
+    distinct = {id(region): region for region in regions}
+    inside = {i: [r.contains(x) for x in points] for i, r in distinct.items()}
+    pairs = [(k, x) for k in range(len(rows))
+             for x, ok in zip(points, inside[id(regions[k])]) if ok]
     try:
         values, stats = worst_case_row_values(
             rows, controller.control_matrices(), controller.bias, pairs,

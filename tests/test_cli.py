@@ -8,9 +8,8 @@ import pytest
 
 import safefield
 from helpers import OFF_GRID_ENV, pushing_controller
-from safefield import cli, synthesis
+from safefield import cli, planning, synthesis
 from safefield.errors import NumericalFailure, SafeFieldError
-from safefield.planning import build_graph, make_plan
 from safefield.synthesis import save_controllers
 
 pytestmark = pytest.mark.filterwarnings("ignore:bounds")
@@ -273,6 +272,45 @@ def test_patrol_cycle_error_names_the_environment_file(tmp_path, capsys,
     assert not (tmp_path / "out" / "controllers.json").exists()
 
 
+# two unit squares that share no facet
+APART = [ENV["cells"][0], dict(ENV["cells"][1], vertices=[
+    [2.0, 0.0], [3.0, 0.0], [3.0, 1.0], [2.0, 1.0]])]
+# the progress function from the goal (0, 0) toward the vertex centroid
+# is negative at the vertex (-1, 1)
+SLANTED = [{"id": 0, "vertices": [[0.0, 0.0], [10.0, 0.0], [10.0, 1.0],
+                                  [-1.0, 1.0]], "landmark_ids": [0]}]
+
+
+@pytest.mark.parametrize("cells, goal, message", [
+    (APART, [1.0, 1.0],
+     "cells [1] unreachable from cell 0 (file %s, field environment.cells)"),
+    (SLANTED, [0.0, 0.0],
+     "progress function dips to -0.89 at a vertex of goal cell 0 "
+     "(file %s, field environment.goal)"),
+], ids=["disconnected", "goal-progress-dips"])
+def test_planning_error_names_the_environment_file(tmp_path, capsys, cells,
+                                                   goal, message):
+    cfg = write_config(tmp_path, starts=[[0.5, 0.5]])
+    env = tmp_path / "env.json"
+    env.write_text(json.dumps(dict(ENV, cells=cells, goal=goal)))
+    assert cli.main(["pipeline", "--config", str(cfg)]) == 2
+    assert capsys.readouterr().err == "config error: %s\n" % (message % env)
+    assert not (tmp_path / "out").exists()
+
+
+def test_a_run_makes_its_plan_once(tmp_path, monkeypatch):
+    # loading a config builds no graph; the commands of a pipeline share
+    # the plan that the first of them makes
+    made = []
+    make_plan = planning.make_plan
+    monkeypatch.setattr(planning, "make_plan",
+                        lambda *args: made.append(args) or make_plan(*args))
+    cfg = cli.load_config(str(write_config(tmp_path)))
+    assert made == []
+    assert cli.cmd_pipeline(cfg) == 0
+    assert len(made) == 1
+
+
 @pytest.mark.parametrize("extra, field", [
     ({"omega": {"clf": 2.0}}, "omega"),
     ({"delta_cap": {"cbf": 1.0}}, "delta_cap"),
@@ -355,6 +393,8 @@ def moved_landmark(env, ctrls):
     (unknown_cell, "controllers.2", "the run's plan has no cell 42"),
     (repeated_cell, "controllers.3", "cell 2 is listed twice"),
     (moved_landmark, "controllers.0", "(landmarks differ)"),
+    (lambda env, ctrls: ctrls[0].update(basis=["mean", "mean", "quadratic"]),
+     "controllers.0", "repeated feature maps ['mean']"),
     # a saved number must be a JSON number, and a count integral
     (lambda env, ctrls: ctrls[0].update(K_b=[str(v) for v in ctrls[0]["K_b"]]),
      "controllers.0.K_b", "malformed entry"),
@@ -370,7 +410,7 @@ def moved_landmark(env, ctrls):
     (lambda env, ctrls: ctrls[0]["saturation"].update(max_u_vertices="3"),
      "controllers.0.saturation.max_u_vertices", "malformed entry"),
 ], ids=["moved-goal", "unknown-barrier", "unknown-cell", "repeated-cell",
-        "moved-landmark", "string-K_b", "boolean-alpha_v",
+        "moved-landmark", "repeated-basis-name", "string-K_b", "boolean-alpha_v",
         "non-integral-grid.n", "string-epsilon", "numeric-status",
         "string-max_u_vertices"])
 def test_controllers_of_another_plan_exit_config_code(
@@ -399,7 +439,10 @@ def test_controllers_of_another_plan_exit_config_code(
     ("mean", "must be a list of names"),
     (["mean", 3], "unknown feature maps [3]"),
     (["quadratic"], "the mean map is required"),
-], ids=["number", "string", "non-string-name", "without-mean"])
+    # a second mean block would only add redundant LP columns
+    (["mean", "mean", "quadratic"], "repeated feature maps ['mean']"),
+], ids=["number", "string", "non-string-name", "without-mean",
+        "repeated-name"])
 def test_bad_basis_exits_config_code(tmp_path, capsys, basis, message):
     cfg = write_config(tmp_path, basis=basis)
     assert cli.main(["synth", "--config", str(cfg)]) == 2
@@ -483,7 +526,8 @@ def test_packaged_run_configs_load():
     for name in sorted(os.listdir(data)):
         with open(os.path.join(data, name)) as fh:
             if "environment" in json.load(fh):
-                cli.load_config(os.path.join(data, name))
+                # the plan checks the starts and field.cells
+                assert cli.load_config(os.path.join(data, name)).plan.entries
                 loaded.append(name)
     assert {"case_study.json", "patrol.json"} <= set(loaded)
 
@@ -611,12 +655,10 @@ def pushed_run(tmp_path, cell_id, bias, **extra):
     pushing with bias; returns the config's path."""
     cfg_path = write_config(tmp_path, **extra)
     cfg = cli.load_config(str(cfg_path))
-    env = cfg.environment
-    plan = make_plan(env, build_graph(env), cfg.mode)
     out = tmp_path / "out"
     out.mkdir()
     save_controllers({cell_id: pushing_controller(
-        env, plan, cfg.grid, cfg.bounds, cfg.basis, cell_id, bias)},
+        cfg.environment, cfg.plan, cfg.grid, cfg.bounds, cfg.basis, cell_id, bias)},
         str(out / "controllers.json"))
     return cfg_path
 
@@ -669,6 +711,8 @@ def test_a_closed_loop_failure_fails_its_start_and_writes_its_csv(
 # package exports, raised out of a command
 EXITS = dict(
     ConfigError=(2, "config error: "),
+    DisconnectedFreeSpace=(2, "config error: "),
+    GoalNotVertex=(2, "config error: "),
     SolverError=(3, "solver error: "),
     SolverFailure=(3, "solver error: "),
     SynthesisInfeasible=(3, "solver error: "),
@@ -681,10 +725,9 @@ EXITS = dict(
     OffPlanCrossing=(1, "failure: "),
     **{name: (2, "error: ") for name in (
         "SafeFieldError", "NonConvexInput", "DegenerateInput",
-        "UnboundedPolytope", "DisconnectedFreeSpace", "GoalNotVertex",
-        "LandmarkOutOfView", "LandmarkNotVisible", "DimensionMismatch",
-        "GoalObservationOffGrid", "InfeasibleMeasurementSet",
-        "GridMismatch")})
+        "UnboundedPolytope", "LandmarkOutOfView", "LandmarkNotVisible",
+        "DimensionMismatch", "GoalObservationOffGrid",
+        "InfeasibleMeasurementSet", "GridMismatch")})
 
 
 def test_each_error_has_its_exit_code_and_prefix(tmp_path, capsys,
@@ -800,3 +843,40 @@ def test_patrol_pipeline(tmp_path):
     rows = (tmp_path / "out" / "trajectory_0.csv").read_text().splitlines()
     cells_seen = {row.split(",")[5] for row in rows[1:]}
     assert cells_seen == {"0", "1"}
+
+
+def test_pipeline_stops_at_its_first_failing_stage(tmp_path):
+    # 0.05 s is too short to reach the goal: simulate exits 1, and the
+    # field stage never runs
+    cfg = write_config(tmp_path, sim={"dt": 0.01, "max_time": 0.05,
+                                      "goal_tol": 0.05})
+    assert cli.main(["pipeline", "--config", str(cfg)]) == 1
+    assert sorted(p.name for p in (tmp_path / "out").iterdir()) == [
+        "controllers.json", "report.json", "trajectory_0.csv"]
+
+
+def test_field_without_cells_samples_every_controller(pipeline_dir, tmp_path):
+    cfg = write_config(tmp_path, field={"resolution": [5, 5]})
+    out = tmp_path / "out"
+    out.mkdir()
+    shutil.copy(pipeline_dir / "out" / "controllers.json", out)
+    assert cli.main(["field", "--config", str(cfg)]) == 0
+    assert sorted(p.name for p in out.glob("field_cell*.csv")) == [
+        "field_cell0.csv", "field_cell1.csv", "field_cell2.csv"]
+
+
+@pytest.mark.parametrize("edit, message", [
+    (lambda raw: [raw], "a run config must be a JSON object (file %s)"),
+    (lambda raw: {k: v for k, v in raw.items() if k != "environment"},
+     "missing environment (file %s, field environment)"),
+    (lambda raw: dict(raw, grid={"n": [16, 16]}),
+     "grid must give n and width (file %s, field grid)"),
+    (lambda raw: dict(raw, mode="orbit"),
+     "mode must be stabilize or patrol (file %s, field mode)"),
+], ids=["not-an-object", "no-environment", "grid-without-width",
+        "unknown-mode"])
+def test_refused_run_config_names_its_file(tmp_path, capsys, edit, message):
+    path = write_config(tmp_path)
+    path.write_text(json.dumps(edit(json.loads(path.read_text()))))
+    assert cli.main(["synth", "--config", str(path)]) == 2
+    assert capsys.readouterr().err == "config error: %s\n" % (message % path)

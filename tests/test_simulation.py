@@ -288,9 +288,7 @@ def packaged_patrol_run(overrides=()):
     set as cli.load_config sets a flag's."""
     data = os.path.join(os.path.dirname(cli.__file__), "data")
     cfg = cli.load_config(os.path.join(data, "patrol.json"), overrides)
-    env = cfg.environment
-    graph = build_graph(env)
-    plan = make_plan(env, graph, mode="patrol")
+    env, plan = cfg.environment, cfg.plan
     ctrls = synthesize_environment(
         env, plan.entries, LinearDynamics.single_integrator(2), cfg.grid,
         cfg.bounds, cfg.basis, cfg.alpha_v, cfg.alpha_h)

@@ -670,8 +670,7 @@ def test_loaded_controller_reassembles_its_own_lp(tmp_path, monkeypatch):
     # for array, on both cells of the packaged patrol
     cfg = cli.load_config(os.path.join(os.path.dirname(cli.__file__), "data",
                                        "patrol.json"))
-    env = cfg.environment
-    plan = make_plan(env, build_graph(env), cfg.mode)
+    env, plan = cfg.environment, cfg.plan
     solved = {}
 
     def recorded(problem):
