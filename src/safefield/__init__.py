@@ -9,12 +9,16 @@ batched NumPy simplex over the consistent PMFs, started from a consistent
 PMF in closed form, with a full LP (adversarial_pmf) as its test oracle.
 """
 
+import importlib
+
 from .clfcbf import (
     ConstraintRow,
     LinearDynamics,
     build_cbf_rows,
     build_clf_row,
 )
+from .controller import (CellController, CellProblem, GainBasis,
+                         load_controllers, save_controllers)
 from .errors import (
     ClosedLoopFailure,
     ConfigError,
@@ -48,7 +52,6 @@ from .geometry import (
     environment_from_dict,
     polygon_to_halfspaces,
 )
-from .lp_core import LpSolution, StandardLp, solve_lp
 from .measurement import (
     GridSpec,
     PmfGrid,
@@ -73,22 +76,21 @@ from .simulation import (
     run_trajectory,
     sample_vector_field,
 )
-from .synthesis import (
-    CellController,
-    CellProblem,
-    GainBasis,
-    assemble_robust_lp,
-    load_controllers,
-    save_controllers,
-    synthesize_cell_controller,
-    synthesize_environment,
-)
-from .verification import (
-    VerificationReport,
-    adversarial_pmf,
-    verify_controller,
-    verify_environment,
-    worst_case_row_values,
-)
 
 __version__ = "0.1.0"
+
+# the LP modules load SciPy, so they and their names load on first read
+_LAZY = {"lp_core": ("LpSolution", "StandardLp", "solve_lp"),
+         "synthesis": ("assemble_robust_lp", "synthesize_cell_controller",
+                       "synthesize_environment"),
+         "verification": ("VerificationReport", "adversarial_pmf",
+                          "verify_controller", "verify_environment",
+                          "worst_case_row_values")}
+
+
+def __getattr__(name):
+    for module, names in _LAZY.items():
+        if name == module or name in names:
+            found = importlib.import_module("." + module, __name__)
+            return found if name == module else getattr(found, name)
+    raise AttributeError("module %r has no attribute %r" % (__name__, name))

@@ -14,8 +14,9 @@ import logging
 import os
 import sys
 
-from . import planning, simulation, synthesis, verification
+from . import planning, simulation
 from .clfcbf import LinearDynamics
+from .controller import GainBasis, load_controllers, save_controllers
 from .errors import (
     ClosedLoopFailure,
     ConfigError,
@@ -39,9 +40,6 @@ from .geometry import (
 )
 from .measurement import GridSpec, UncertaintyBounds
 from .simulation import SensorModel, SimConfig
-from .synthesis import GainBasis
-
-log = logging.getLogger("safefield")
 
 EXIT_OK = 0
 EXIT_FAIL = 1
@@ -122,6 +120,9 @@ class RunConfig:
         to_point = point(dim)
         self.starts = read(raw, "starts", lambda v: [to_point(s) for s in v],
                            path, "", [self.environment.start])
+        if not self.starts:
+            raise ConfigError("starts names no start", path=path,
+                              field="starts")
         field = _arguments(
             raw, "field", path, cells=integers, resolution=lambda value:
             integers(value if isinstance(value, list) else [value] * dim))
@@ -218,9 +219,13 @@ def _parse_cells(arg):
 
 
 def _plan_cells(cells, env, plan, path=None, field="cells"):
-    """Refuse cells outside plan: ids the environment lacks, and cells it
-    has that plan does not hold, which only a patrol plan leaves out. The
-    --cells flag comes from no file."""
+    """Refuse a repeated id and cells outside plan: ids the environment
+    lacks, and cells it has that plan does not hold, which only a patrol
+    plan leaves out. The --cells flag comes from no file."""
+    repeated = sorted({c for c in cells if cells.count(c) > 1})
+    if repeated:
+        raise ConfigError("repeated cell ids %s" % repeated,
+                          path=path, field=field)
     missing = [c for c in cells if c not in {cell.id for cell in env.cells}]
     if missing:
         raise ConfigError("unknown cell ids %s" % missing,
@@ -236,6 +241,8 @@ def _controllers_path(cfg):
 
 
 def cmd_synth(cfg, cells=None):
+    from . import synthesis
+
     env = cfg.environment
     entries = cfg.plan.entries
     if cells is not None:
@@ -252,7 +259,7 @@ def cmd_synth(cfg, cells=None):
         # some point of its cell or from the goal
         raise ConfigError(str(exc), path=cfg.path, field="grid.width") from None
     os.makedirs(cfg.out, exist_ok=True)
-    synthesis.save_controllers(controllers, _controllers_path(cfg))
+    save_controllers(controllers, _controllers_path(cfg))
     for cell_id, ctrl in controllers.items():
         print("cell %d: %s, min margin %.6g, max |u| %.6g"
               % (cell_id, ctrl.status, ctrl.margins.min(),
@@ -262,8 +269,10 @@ def cmd_synth(cfg, cells=None):
 
 
 def cmd_verify(cfg):
-    controllers = synthesis.load_controllers(
-        _controllers_path(cfg), cfg.environment, cfg.plan)
+    from . import verification
+
+    controllers = load_controllers(_controllers_path(cfg), cfg.environment,
+                                   cfg.plan)
     reports = verification.verify_environment(
         controllers, count=cfg.verify_count, seed=cfg.seed,
         raise_on_fail=False,
@@ -288,7 +297,7 @@ def cmd_verify(cfg):
 
 def cmd_simulate(cfg):
     env, plan = cfg.environment, cfg.plan
-    controllers = synthesis.load_controllers(_controllers_path(cfg), env, plan)
+    controllers = load_controllers(_controllers_path(cfg), env, plan)
     os.makedirs(cfg.out, exist_ok=True)
     code = EXIT_OK
     for k, start in enumerate(cfg.starts):
@@ -322,8 +331,7 @@ def cmd_field(cfg, cells=None):
     env = cfg.environment
     if cells is not None:
         _plan_cells(cells, env, cfg.plan)
-    controllers = synthesis.load_controllers(_controllers_path(cfg), env,
-                                             cfg.plan)
+    controllers = load_controllers(_controllers_path(cfg), env, cfg.plan)
     wanted = cells if cells is not None else cfg.field_cells
     if wanted is None:
         wanted = sorted(controllers)

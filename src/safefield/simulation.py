@@ -96,8 +96,7 @@ class Trajectory:
     x and u as lists of them, and the cell id an int. arrays() returns each
     column as a NumPy array."""
 
-    def __init__(self, mode):
-        self.mode = mode
+    def __init__(self):
         self.t = []
         self.x = []
         self.u = []
@@ -319,7 +318,7 @@ def run_trajectory(env, plan, controllers, config, x0=None):
     read = config.sensor.make(config.seed)
     x = np.asarray(env.start if x0 is None else x0, dtype=float).copy()
     xs = x.tolist()
-    traj = Trajectory(plan.mode)
+    traj = Trajectory()
     active_id = start_cell(env, plan, x)
     t = 0.0
     dt = config.dt

@@ -12,13 +12,9 @@ it, so it is written once per deviation candidate of the point
 over the gains, the margins and those multipliers. This module alone knows
 the columns of that LP (LpColumns): each row's control coefficient w is
 expanded over the gains here, as w[m] R_i[s, j] on gain K_{l,i}[m, s] and
-PMF entry P_l[j], and w itself on the bias. A cell's problem is stated once,
-as a CellProblem: the cell, its plan entry, the landmarks it reads and
-everything else the rows and the PMF set depend on. The assembled LP and the
-controller solved from it keep that problem. Which rows a cell carries, and
-whether it stops at its goal, is read from its plan entry. A saved
-controller names those rows and the landmarks it reads, so load_controllers
-checks it against the run's plan and environment.
+PMF entry P_l[j], and w itself on the bias. The LP is assembled from a
+controller.CellProblem, and the assembled LP and the CellController solved
+from it keep that problem.
 The LP maximizes the sum of the margins; a tiebreak pass then picks, among
 margin-optimal gains, the ones closest in l1 distance to a structured target
 so the synthesized fields stay interpretable. When every margin can reach
@@ -33,16 +29,14 @@ violates until none is (lp_core.solve_lp). Each solve's result is optimal
 for its whole LP.
 """
 
-import json
 import warnings
 
 import numpy as np
 import scipy.sparse as sp
 
-from . import geometry, measurement
-from .clfcbf import LinearDynamics, build_cell_rows
+from . import geometry
+from .controller import CellController, CellProblem
 from .errors import (
-    ConfigError,
     DimensionMismatch,
     GoalObservationOffGrid,
     LandmarkNotVisible,
@@ -52,56 +46,11 @@ from .errors import (
     SynthesisInfeasible,
 )
 from .lp_core import StandardLp, solve_lp
-from .measurement import build_expectation_kernel, make_delta_pmf
+from .measurement import make_delta_pmf
 from .simulation import control_input
 
 DELTA_CAP = {"clf": 0.25, "cbf": 4.0}
 TIEBREAK_TOL = 1e-9
-
-
-class GainBasis:
-    """Feature maps turning a vectorized PMF into d-vector features: each map
-    R_i is a d x n_p matrix. The mean map is required so plain mean-feedback
-    controllers stay representable; the others enrich the gain space. A map
-    named twice would add only redundant gain columns."""
-
-    KNOWN = ("mean", "quadratic", "cosine")
-
-    def __init__(self, names=("mean", "quadratic", "cosine")):
-        if not isinstance(names, (list, tuple)):
-            raise DimensionMismatch("feature maps must be a list of names, "
-                                    "not %r" % (names,))
-        names = tuple(names)
-        bad = [n for n in names if n not in self.KNOWN]
-        if bad:
-            raise DimensionMismatch("unknown feature maps %r" % bad)
-        if "mean" not in names:
-            raise DimensionMismatch("the mean map is required")
-        repeated = sorted({n for n in names if names.count(n) > 1})
-        if repeated:
-            raise DimensionMismatch("repeated feature maps %r" % repeated)
-        self.names = names
-
-    @property
-    def n_k(self):
-        return len(self.names)
-
-    def matrices(self, kernel, width):
-        """Evaluate every map on the grid behind kernel."""
-        U = np.asarray(kernel, dtype=float)
-        half = np.asarray(width, dtype=float)[:, None] / 2.0
-        out = []
-        for name in self.names:
-            if name == "mean":
-                out.append(U.copy())
-            elif name == "quadratic":
-                out.append(U * U)
-            else:
-                R = np.cos(np.pi * U / half)
-                # cos(+-pi/2) rounds to 6.1e-17: store the exact zeros
-                R[np.abs(R) <= 1e-15] = 0.0
-                out.append(R)
-        return out
 
 
 class _Coo:
@@ -153,44 +102,6 @@ class LpColumns:
         self.lam_s = self.lam[..., 0]
         self.lam_p = self.lam[..., 1:2 * d + 1]
         self.lam_z = self.lam[..., 2 * d + 1:]
-
-
-class CellProblem:
-    """The robust CLF/CBF program of one cell: the cell, its plan entry, the
-    coordinates of the landmarks it reads (one per cell.landmark_ids), the
-    dynamics, the CLF and CBF rates alpha_v and alpha_h, the error bounds,
-    the measurement grid, the feature basis and v_floor, the progress floor
-    of a goal cell's stability row (None elsewhere). A cell that is not the
-    one its entry names, or whose landmark count is not the coordinates',
-    raises DimensionMismatch."""
-
-    def __init__(self, cell, entry, landmarks, dynamics, alpha_v, alpha_h,
-                 bounds, grid, basis, v_floor=None):
-        self.cell = cell
-        self.entry = entry
-        self.landmarks = [np.asarray(p, dtype=float) for p in landmarks]
-        self.dynamics = dynamics
-        self.alpha_v = float(alpha_v)
-        self.alpha_h = float(alpha_h)
-        self.bounds = bounds
-        self.grid = grid
-        self.basis = basis
-        self.v_floor = v_floor
-        if (cell.id != entry.cell_id
-                or len(self.landmarks) != len(cell.landmark_ids)):
-            raise DimensionMismatch("cell %s: entry, cell and landmarks "
-                                    "disagree" % cell.id)
-
-    def rows(self):
-        """The entry's rows and the region each must hold on
-        (clfcbf.build_cell_rows)."""
-        return build_cell_rows(self.cell.body, self.entry, self.dynamics,
-                               self.alpha_v, self.alpha_h, self.v_floor)
-
-    def features(self):
-        """The basis's feature maps R_i on the grid, each d x n_p."""
-        return self.basis.matrices(build_expectation_kernel(self.grid),
-                                   self.grid.width)
 
 
 def _fill_rows(cols, rows, regions, landmarks, bounds, points, maps):
@@ -364,136 +275,6 @@ def _tiebreak_lp(assembled, z, target):
                       b_eq=lp.b_eq, lb=lp.lb, ub=lp.ub, lazy=lp.lazy)
 
 
-class CellController:
-    """Gains synthesized for a CellProblem, with the problem they solve.
-
-    The gains and bias are fixed at construction, and so are the
-    per-landmark control matrices built from them on the problem's feature
-    maps: a controller is a constant of the closed loop, so a different law
-    is a new controller. Synthesis raises before it could build a controller
-    from any LP status but Optimal, so that is every controller's status."""
-
-    status = "Optimal"
-
-    def __init__(self, problem, gains, bias, margins, saturation=None):
-        self.problem = problem
-        self._gains = tuple(tuple(_frozen(Ki) for Ki in per_l)
-                            for per_l in gains)
-        self._bias = _frozen(bias)
-        self.margins = np.asarray(margins, dtype=float)
-        self.saturation = saturation
-        shape = (problem.dynamics.n_u, problem.dynamics.d)
-        if (len(self._gains) != len(problem.landmarks)
-                or any(len(per_l) != problem.basis.n_k
-                       for per_l in self._gains)
-                or any(K.shape != shape for per_l in self._gains
-                       for K in per_l)
-                or self._bias.shape != shape[:1]
-                or len(self.margins) != 1 + len(problem.entry.barriers)):
-            raise DimensionMismatch(
-                "cell %s: gains, bias, landmarks and rows disagree"
-                % problem.cell.id)
-        features = problem.features()
-        self._control = tuple(
-            _frozen(sum(K @ R for K, R in zip(per_landmark, features)))
-            for per_landmark in self._gains
-        )
-
-    @property
-    def gains(self):
-        """gains[l][i]: the n_u x d gain of landmark l on feature map i."""
-        return self._gains
-
-    @property
-    def bias(self):
-        return self._bias
-
-    def control_matrices(self):
-        """Per-landmark n_u x n_p matrices sum_i K_li R_i acting on the
-        vectorized PMF."""
-        return self._control
-
-    def to_dict(self):
-        p = self.problem
-        run = _run_fields(p.cell, p.entry, p.landmarks)
-        return {
-            "id": run.pop("id"),
-            "basis": list(p.basis.names),
-            "K": [[Ki.tolist() for Ki in per_l] for per_l in self.gains],
-            "K_b": self.bias.tolist(),
-            "delta": self.margins.tolist(),
-            "alpha_v": p.alpha_v,
-            "alpha_h": p.alpha_h,
-            "epsilon": p.bounds.epsilon,
-            "sigma_m": p.bounds.sigma_m,
-            "grid": {"n": list(p.grid.n), "width": list(p.grid.width)},
-            **run,
-            "v_floor": p.v_floor,
-            "dynamics": {"A": p.dynamics.A.tolist(), "B": p.dynamics.B.tolist()},
-            "status": self.status,
-            "saturation": self.saturation,
-        }
-
-    @classmethod
-    def from_dict(cls, d, cell, entry, landmarks):
-        """The controller to_dict wrote as d, its problem built from the
-        cell, plan entry and landmark coordinates of a run whose run fields
-        d has and from d's own fields. A malformed number, and a status
-        other than the class's, raise ConfigError naming its key
-        (geometry.read)."""
-        def read(key, convert=geometry.reals, section=d, prefix=""):
-            return geometry.read(section, key, convert, None, prefix)
-
-        def status(value):
-            if value != cls.status:
-                raise ValueError("%r is not %r" % (value, cls.status))
-
-        real = geometry.real
-        read("status", status)
-        grid, dynamics, saturation = d["grid"], d["dynamics"], d["saturation"]
-        if saturation is not None:
-            saturation = {"max_u_vertices": read(
-                "max_u_vertices", real, saturation, "saturation.")}
-        problem = CellProblem(
-            cell, entry, landmarks,
-            dynamics=LinearDynamics(
-                read("A", section=dynamics, prefix="dynamics."),
-                read("B", section=dynamics, prefix="dynamics.")),
-            alpha_v=read("alpha_v", real),
-            alpha_h=read("alpha_h", real),
-            bounds=measurement.UncertaintyBounds(read("epsilon", real),
-                                                 read("sigma_m", real)),
-            grid=measurement.GridSpec(
-                read("n", geometry.integers, grid, "grid."),
-                read("width", section=grid, prefix="grid.")),
-            basis=GainBasis(d["basis"]),
-            v_floor=read("v_floor", lambda v: v if v is None else real(v)),
-        )
-        return cls(problem, read("K"), read("K_b"), read("delta"), saturation)
-
-
-def _run_fields(cell, entry, landmarks):
-    """The fields of a saved controller that its run decides: its cell's
-    plan entry and landmarks. to_dict writes id first, the rest after grid."""
-    return {
-        "id": cell.id,
-        "landmark_ids": list(cell.landmark_ids),
-        "landmarks": [p.tolist() for p in landmarks],
-        "kinds": ["clf"] + ["cbf"] * len(entry.barriers),
-        "facets": [None] + entry.barriers,
-        "v": entry.v.tolist(),
-        "o": entry.o.tolist(),
-        "exit_face": entry.exit_face,
-    }
-
-
-def _frozen(a):
-    """A read-only float copy of a."""
-    out = np.array(a, dtype=float)
-    out.setflags(write=False)
-    return out
-
-
 def _solve_cell(assembled):
     """The solution of the cell's LP that the controller is read from: the
     gains nearest nominal_theta(assembled) among margin-optimal ones.
@@ -626,55 +407,4 @@ def synthesize_environment(env, entries, dynamics, spec, bounds, basis,
         except SolverError as exc:
             exc.args = ("cell %d: %s" % (cell_id, exc),)
             raise
-    return controllers
-
-
-def save_controllers(controllers, path):
-    with open(path, "w") as fh:
-        json.dump([c.to_dict() for c in controllers.values()], fh, indent=2)
-        fh.write("\n")
-
-
-def load_controllers(path, env, plan):
-    """The controllers save_controllers wrote to path, keyed by cell id in
-    file order, each carrying its cell of env, that cell's entry of plan
-    and its landmarks of env.
-    A file that is not such a list, a cell that plan lacks or that the file
-    lists twice, a run field (_run_fields) that differs from the run's and
-    a malformed entry raise ConfigError naming the file and the controller
-    (controllers.<k>, or controllers.<k>.<key> for a malformed number)."""
-    data = geometry.load_json(path, "controllers")
-    if not isinstance(data, list):
-        raise ConfigError("controllers must be a list", path=path,
-                          field="controllers")
-    controllers = {}
-    for k, saved in enumerate(data):
-        field = "controllers.%d" % k
-        try:
-            cell_id = saved["id"]
-            entry = plan.entries.get(cell_id)
-            if entry is None:
-                reason = "the run's plan has no cell %r" % (cell_id,)
-            elif cell_id in controllers:
-                reason = "cell %d is listed twice" % cell_id
-            else:
-                cell = env.cell_by_id(cell_id)
-                landmarks = [env.landmarks[j] for j in cell.landmark_ids]
-                differ = [key for key, value
-                          in _run_fields(cell, entry, landmarks).items()
-                          if saved[key] != value]
-                if not differ:
-                    controllers[cell_id] = CellController.from_dict(
-                        saved, cell, entry, landmarks)
-                    continue
-                reason = ("cell %d was synthesized for another plan or "
-                          "environment (%s differ); run synth again"
-                          % (cell_id, ", ".join(differ)))
-        except ConfigError as exc:
-            reason, field = exc.reason, "%s.%s" % (field, exc.field)
-        except KeyError as exc:
-            reason = "controller lacks key %s" % exc
-        except (TypeError, ValueError, DimensionMismatch) as exc:
-            reason = "malformed controller: %s" % exc
-        raise ConfigError(reason, path=path, field=field)
     return controllers

@@ -9,7 +9,7 @@ from safefield import planning, synthesis
 from safefield.clfcbf import LinearDynamics
 from safefield.geometry import environment_from_dict
 from safefield.measurement import GridSpec, UncertaintyBounds
-from safefield.synthesis import GainBasis
+from safefield.controller import GainBasis
 
 DATA_DIR = os.path.join(os.path.dirname(safefield.__file__), "data")
 

@@ -7,7 +7,7 @@ from safefield.geometry import ConvexCell, Environment, deviation_candidates
 from safefield.lp_core import StandardLp, solve_lp
 from safefield.measurement import GridSpec, UncertaintyBounds
 from safefield.planning import PlanEntry
-from safefield.synthesis import CellController, CellProblem, GainBasis
+from safefield.controller import CellController, CellProblem, GainBasis
 
 
 def random_convex_polygon(rng, n_min=4, n_max=7, radius=3.0, center=(0.0, 0.0)):

@@ -69,7 +69,7 @@ def reference_trajectory(env, plan, controllers, config, x0=None):
     barriers = {}
     sense = unbanked_sensor(config.sensor, config.seed)
     x = np.asarray(env.start if x0 is None else x0, dtype=float).copy()
-    traj = Trajectory(plan.mode)
+    traj = Trajectory()
     entries = list(plan.entries.values())
     n_entries = len(entries)
     on_plan = [i for i, e in enumerate(entries)

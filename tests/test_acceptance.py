@@ -15,7 +15,8 @@ from safefield.measurement import (GridSpec, PmfGrid, UncertaintyBounds,
 from safefield.geometry import ConvexCell
 from safefield.planning import PlanEntry
 from safefield.simulation import SensorModel, SimConfig, control_input
-from safefield.synthesis import (CellProblem, assemble_robust_lp,
+from safefield.controller import CellProblem
+from safefield.synthesis import (assemble_robust_lp,
                                  synthesize_cell_controller,
                                  synthesize_environment)
 from safefield.verification import adversarial_pmf, verify_controller

@@ -2,6 +2,8 @@ import copy
 import json
 import os
 import shutil
+import subprocess
+import sys
 
 import numpy as np
 import pytest
@@ -10,7 +12,7 @@ import safefield
 from helpers import OFF_GRID_ENV, pushing_controller
 from safefield import cli, planning, synthesis
 from safefield.errors import NumericalFailure, SafeFieldError
-from safefield.synthesis import save_controllers
+from safefield.controller import save_controllers
 
 pytestmark = pytest.mark.filterwarnings("ignore:bounds")
 
@@ -113,6 +115,8 @@ def test_negative_verify_count_exits_config_code(tmp_path):
     ({"starts": [["a", 1]]}, [], "starts"),
     ({"starts": [0.4, 1.6]}, [], "starts"),
     ({"starts": [[0.4, 1.6, 0.0]]}, [], "starts"),
+    # a run that checks no start would pass without a word
+    ({"starts": []}, [], "starts"),
     ({"out": 5}, [], "out"),
     # a section that is not an object, and a bad value a constructor finds
     ({"sim": 0}, [], "sim"),
@@ -128,6 +132,7 @@ def test_negative_verify_count_exits_config_code(tmp_path):
         "field.resolution-below-2",
         "non-numeric-starts",
         "starts-not-a-list-of-points", "start-of-wrong-dimension",
+        "empty-starts",
         "non-string-out", "falsy-sim-section", "unknown-sensor-kind"])
 def test_bad_number_exits_config_code(tmp_path, capsys, extra, flags, field):
     cfg = write_config(tmp_path, **extra)
@@ -779,6 +784,25 @@ def test_an_empty_cell_list_exits_2_and_writes_nothing(tmp_path, capsys):
     assert sorted(p.name for p in out.iterdir()) == ["controllers.json"]
 
 
+@pytest.mark.parametrize("argv, field_cells, message", [
+    (["synth", "--cells", "0,0"], [0], "repeated cell ids [0] (field cells)"),
+    (["field", "--cells", "1,0,1"], [0], "repeated cell ids [1] (field cells)"),
+    (["field"], [0, 0], "repeated cell ids [0] (file {}, field field.cells)"),
+], ids=["synth-flag", "field-flag", "field.cells"])
+def test_a_repeated_cell_id_exits_2_and_writes_nothing(
+        pipeline_dir, tmp_path, capsys, argv, field_cells, message):
+    cfg = write_config(tmp_path, field={"resolution": [5, 5],
+                                        "cells": field_cells})
+    out = tmp_path / "out"
+    out.mkdir()
+    shutil.copy(pipeline_dir / "out" / "controllers.json", out)
+    saved = (out / "controllers.json").read_bytes()
+    assert cli.main(argv[:1] + ["--config", str(cfg)] + argv[1:]) == 2
+    assert capsys.readouterr().err == "config error: %s\n" % message.format(cfg)
+    assert (out / "controllers.json").read_bytes() == saved
+    assert sorted(p.name for p in out.iterdir()) == ["controllers.json"]
+
+
 def test_pipeline_outputs(pipeline_dir):
     out = pipeline_dir / "out"
     for name in ("controllers.json", "report.json", "trajectory_0.csv",
@@ -880,3 +904,58 @@ def test_refused_run_config_names_its_file(tmp_path, capsys, edit, message):
     path.write_text(json.dumps(edit(json.loads(path.read_text()))))
     assert cli.main(["synth", "--config", str(path)]) == 2
     assert capsys.readouterr().err == "config error: %s\n" % (message % path)
+
+
+# every name the package exported when it imported each module eagerly
+PACKAGE_NAMES = (
+    "CellController", "CellGraph", "CellProblem", "ClosedLoopFailure",
+    "ConfigError", "ConstraintRow", "ConvexCell", "DegenerateInput",
+    "DimensionMismatch", "DisconnectedFreeSpace", "Environment", "GainBasis",
+    "GoalNotVertex", "GoalObservationOffGrid", "GridMismatch", "GridSpec",
+    "HalfspaceSet", "HighLevelPlan", "InfeasibleMeasurementSet",
+    "LandmarkNotVisible", "LandmarkOutOfView", "LeftFreeSpace",
+    "LinearDynamics", "LpSolution", "NonConvexInput", "NumericalFailure",
+    "OffGridReading", "OffPlanCrossing", "PlanEntry", "PmfGrid",
+    "SafeFieldError", "SafetyViolation", "SensorModel", "SimConfig",
+    "SolverError", "SolverFailure", "StandardLp", "SynthesisInfeasible",
+    "Trajectory", "UnboundedPolytope", "UncertaintyBounds",
+    "VerificationFailed", "VerificationReport", "adversarial_pmf",
+    "assemble_robust_lp", "blur_pmf", "build_cbf_rows", "build_clf_row",
+    "build_expectation_kernel", "build_graph", "cell_vertices",
+    "control_input", "environment_from_dict", "goal_cell_id",
+    "load_controllers", "make_delta_pmf", "make_plan",
+    "polygon_to_halfspaces", "run_trajectory", "sample_vector_field",
+    "save_controllers", "solve_lp", "synthesize_cell_controller",
+    "synthesize_environment", "verify_controller", "verify_environment",
+    "worst_case_row_values", "__version__", "clfcbf", "errors", "geometry",
+    "lp_core", "measurement", "planning", "simulation", "synthesis",
+    "verification",
+)
+
+
+def test_every_name_the_package_exported_still_resolves():
+    for name in PACKAGE_NAMES:
+        getattr(safefield, name)
+    with pytest.raises(AttributeError):
+        safefield.no_such_name
+
+
+@pytest.mark.parametrize("head, commands", [
+    ("import safefield", ()),
+    ("from safefield import cli", ("simulate", "field")),
+], ids=["bare-import", "simulate-and-field"])
+def test_the_closed_loop_loads_no_scipy(pipeline_dir, tmp_path, head,
+                                        commands):
+    # a fresh interpreter: this one has loaded SciPy to synthesize
+    cfg = write_config(tmp_path)
+    (tmp_path / "out").mkdir()
+    shutil.copy(pipeline_dir / "out" / "controllers.json", tmp_path / "out")
+    lines = ["import sys", head] + [
+        "assert cli.main([%r, '--config', %r]) == 0" % (command, str(cfg))
+        for command in commands] + [
+        "print(sorted(m for m in sys.modules if m.split('.')[0] == 'scipy'))"]
+    env = dict(os.environ, PYTHONPATH=os.path.dirname(
+        os.path.dirname(safefield.__file__)))
+    run = subprocess.run([sys.executable, "-c", "\n".join(lines)], env=env,
+                         capture_output=True, text=True, check=True)
+    assert run.stdout.splitlines()[-1] == "[]"

@@ -38,8 +38,8 @@ from safefield.simulation import (
     sample_vector_field,
     save_field_csv,
 )
-from safefield.synthesis import (CellController, CellProblem, GainBasis,
-                                 synthesize_environment)
+from safefield.controller import CellController, CellProblem, GainBasis
+from safefield.synthesis import synthesize_environment
 
 pytestmark = pytest.mark.filterwarnings("ignore:bounds")
 
@@ -522,7 +522,7 @@ def test_leaving_free_space_names_the_active_cell():
 
 
 def test_trajectory_csv_roundtrip(tmp_path):
-    traj = Trajectory("stabilize")
+    traj = Trajectory()
     traj.append(0.0, [0.25, 0.5], [1.0, -1.0], 0, 0.75, 0.25)
     traj.append(0.01, [0.26, 0.49], [0.9, -0.8], 1, 0.7, 0.24)
     path = tmp_path / "traj.csv"
@@ -539,7 +539,7 @@ def test_trajectory_csv_roundtrip(tmp_path):
 
 def test_trajectory_csv_reads_back_the_recorded_floats(tmp_path):
     rng = np.random.default_rng(2)
-    traj = Trajectory("patrol")
+    traj = Trajectory()
     awkward = [1.0 / 3.0, -0.0, 5e-324, 1e300, -2.5e-17, 0.1 + 0.2]
     for k in range(300):
         x = rng.standard_normal(2) * 10.0 ** rng.integers(-20, 20)
@@ -579,7 +579,7 @@ def test_field_csv_text_is_the_repr_of_each_value(tmp_path):
 
 
 def test_trajectory_csv_is_written_row_by_row(tmp_path):
-    traj = Trajectory("patrol")
+    traj = Trajectory()
     for k in range(20000):
         traj.append(k * 0.01, [k / 7.0, -k / 3.0], [1.0 / (k + 1), 2.0], 0,
                     k / 11.0, -k / 13.0)

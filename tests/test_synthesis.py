@@ -18,17 +18,20 @@ from safefield.lp_core import LpSolution, StandardLp, solve_lp
 from safefield.measurement import (GridSpec, UncertaintyBounds,
                                    build_expectation_kernel, make_delta_pmf)
 from safefield.planning import PlanEntry, build_graph, make_plan
-from safefield.synthesis import (
-    DELTA_CAP,
+from safefield.controller import (
+    CellController,
     CellProblem,
     GainBasis,
+    load_controllers,
+    save_controllers,
+)
+from safefield.synthesis import (
+    DELTA_CAP,
     LpColumns,
     assemble_robust_lp,
     _tiebreak_lp,
     goal_v_floor,
-    load_controllers,
     nominal_theta,
-    save_controllers,
     synthesize_cell_controller,
 )
 from safefield.simulation import control_input
@@ -437,7 +440,7 @@ def test_margins_must_match_the_entry_rows():
     data["delta"] = data["delta"][:-1]
     p = ctrl.problem
     with pytest.raises(DimensionMismatch, match="rows disagree"):
-        synthesis.CellController.from_dict(data, p.cell, p.entry,
+        CellController.from_dict(data, p.cell, p.entry,
                                            p.landmarks)
 
 
@@ -455,7 +458,7 @@ def test_controller_refuses_a_cell_its_entry_does_not_name(other):
     ctrl = synthesize_cell_controller(asm)
     p = ctrl.problem
     with pytest.raises(DimensionMismatch, match="entry, cell and landmarks"):
-        synthesis.CellController.from_dict(ctrl.to_dict(), other(p.cell),
+        CellController.from_dict(ctrl.to_dict(), other(p.cell),
                                            p.entry, p.landmarks)
 
 

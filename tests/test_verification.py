@@ -19,10 +19,8 @@ from safefield.measurement import (
     build_expectation_kernel,
 )
 from safefield.planning import PlanEntry
+from safefield.controller import CellController, CellProblem, GainBasis
 from safefield.synthesis import (
-    CellController,
-    CellProblem,
-    GainBasis,
     LpColumns,
     assemble_robust_lp,
     synthesize_cell_controller,
