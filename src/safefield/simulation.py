@@ -2,7 +2,7 @@
 feedback, switch controllers along the plan when the exit face is crossed,
 and record the stability/safety values for auditing."""
 
-from operator import add, sub
+from operator import sub
 
 import numpy as np
 
@@ -166,60 +166,37 @@ def control_input(controller, pmfs):
     return u
 
 
-def _law(controller, sensor):
-    """The controller's law on readings, one grid index per landmark:
-    control_input on the sensor's PMFs at those indices, added in the same
-    order, as a list of Python floats. Each term M_l P_l is banked per
-    landmark by index, so it is computed (by BLAS) once per cell a landmark
-    is read on; the sum is elementwise, so Python floats round it as NumPy
-    does."""
-    grid = controller.problem.grid
-    bias = controller.bias.tolist()
-    banks = [({}, mat) for mat in controller.control_matrices()]
-
-    def law(indices):
-        u = bias
-        for (bank, mat), index in zip(banks, indices):
-            term = bank.get(index)
-            if term is None:
-                term = bank[index] = (
-                    mat @ sensor.pmf(grid, index).vector).tolist()
-            u = list(map(add, u, term))
-        return u
-
-    return law
-
-
 class _StepPlan:
     """What every closed-loop step under one controller reads, built once:
     its grid, its landmarks as Python floats, its barrier rows, plan entry,
-    dynamics and cell body, and its banked law (_law). The input held over
-    a step is a function of the readings, so it is banked by them together
-    with its slope term B u: the law's sum and the product are computed
-    once per set of readings, as the law's terms are once per reading."""
+    dynamics and cell body. The input held over a step is a function of the
+    readings, so it is banked by them together with its slope term B u:
+    control_input and the product are computed once per set of readings."""
 
     def __init__(self, controller, sensor):
         problem = controller.problem
+        self.controller = controller
+        self.sensor = sensor
         self.grid = problem.grid
         self.landmarks = [lm.tolist() for lm in problem.landmarks]
         self.barriers = _barriers(controller)
         self.entry = problem.entry
         self.dynamics = problem.dynamics
         self.body = problem.cell.body
-        self.law = _law(controller, sensor)
         self.held = {}  # readings -> (u, B u)
 
     def control(self, read, xs):
         """The input u at the state xs, a list of Python floats, and B u:
         one reading per landmark at its offset lm - x (subtracted
-        elementwise, as NumPy would), then the law."""
+        elementwise, as NumPy would), then control_input on their PMFs."""
         grid = self.grid
         readings = tuple([read(grid, list(map(sub, lm, xs)))
                           for lm in self.landmarks])
         held = self.held.get(readings)
         if held is None:
-            u = self.law(readings)
-            held = self.held[readings] = (u, self.dynamics.B @ u)
+            u = control_input(self.controller,
+                              [self.sensor.pmf(grid, i) for i in readings])
+            held = self.held[readings] = (u.tolist(), self.dynamics.B @ u)
         return held
 
 
@@ -291,17 +268,19 @@ def run_trajectory(env, plan, controllers, config, x0=None):
     grid, so the checks of control_input cannot fail here.
 
     What a controller's steps share is built at its first step, as a step
-    plan (_StepPlan): its grid, landmarks, barrier rows, entry, dynamics
-    and law, which banks the control terms of the readings. The plan banks
-    the held input u and its slope term B u by the readings as well. A
-    step keeps the state both as an array and as Python floats. Arithmetic that IEEE
-    rounds the same either way takes the floats: the landmark offsets, the
-    law's sum, the barrier minimum, the drift-free RK4 update and the
-    record. Every product and norm that BLAS computes stays a NumPy call,
-    since BLAS may round it otherwise (fused multiply-adds): the barrier
-    rows a x + b, the progress v . (x - o), the containment rows, B u and
-    the goal and depth norms. The progress that the crossing test takes
-    after a step is the next row's V while the controller stays.
+    plan (_StepPlan): its grid, landmarks, barrier rows, entry and
+    dynamics. The plan banks the held input u, as control_input returns it,
+    and its slope term B u by the readings. A step keeps the state both as
+    an array and as Python floats. Arithmetic that IEEE rounds the same
+    either way takes the floats: the landmark offsets, the barrier minimum,
+    the drift-free RK4 update and the record. Every product and norm that
+    BLAS computes stays a NumPy call, since BLAS may round it otherwise
+    (fused multiply-adds): the barrier rows a x + b, the progress
+    v . (x - o), the containment rows, B u and the goal and depth norms.
+    The progress that the crossing test takes after a step is the next
+    row's V while the controller stays. A run takes at most
+    round(max_time / dt) steps, each adding dt to t, and records one row
+    more.
 
     The run begins in start_cell and follows the plan's exit map: crossing
     the active exit face hands over to the entry's next_id. In patrol mode
@@ -331,7 +310,7 @@ def run_trajectory(env, plan, controllers, config, x0=None):
         nxt = plan.entries[active_id].next_id
         return nxt if nxt in ids else min(ids)
 
-    for _ in range(n_steps + 1):
+    for k in range(n_steps + 1):
         step = steps.get(active_id)
         if step is None:
             ctrl = controllers.get(active_id)
@@ -362,7 +341,7 @@ def run_trajectory(env, plan, controllers, config, x0=None):
         if goal is not None and np.linalg.norm(x - goal) <= config.goal_tol:
             traj.reached = True
             return traj
-        if t >= config.max_time - 1e-12:
+        if k == n_steps:
             break
         x = _step(step.dynamics, x, Bu, dt)
         xs = x.tolist()

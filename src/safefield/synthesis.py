@@ -46,7 +46,7 @@ from .errors import (
     SynthesisInfeasible,
 )
 from .lp_core import StandardLp, solve_lp
-from .measurement import make_delta_pmf
+from .measurement import SNAP_TIE_TOL, make_delta_pmf
 from .simulation import control_input
 
 DELTA_CAP = {"clf": 0.25, "cbf": 4.0}
@@ -193,7 +193,7 @@ def _check_visibility(cell, landmarks, spec):
     half = np.asarray(spec.width) / 2.0
     for l in landmarks:
         worst = np.max(np.abs(np.asarray(l)[None, :] - cell.vertices), axis=0)
-        if np.any(worst > half + 1e-9):
+        if np.any(worst > half + SNAP_TIE_TOL):
             raise LandmarkNotVisible(
                 "landmark %s exceeds the grid half-width %s somewhere in cell %d"
                 % (np.asarray(l).tolist(), half.tolist(), cell.id)

@@ -92,7 +92,7 @@ def reference_trajectory(env, plan, controllers, config, x0=None):
         nxt = next_on_path.get(active_id)
         return nxt if nxt in ids else min(ids)
 
-    for _ in range(n_steps + 1):
+    for k in range(n_steps + 1):
         if plan.mode == "patrol":
             active_id = entries[active].cell_id
         ctrl = controllers.get(active_id)
@@ -115,7 +115,7 @@ def reference_trajectory(env, plan, controllers, config, x0=None):
             if np.linalg.norm(x - plan.goal) <= config.goal_tol:
                 traj.reached = True
                 return traj
-        if t >= config.max_time - 1e-12:
+        if k == n_steps:
             break
         x = staged_step(problem.dynamics, x, u, config.dt)
         t += config.dt

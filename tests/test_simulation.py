@@ -6,8 +6,9 @@ import pytest
 
 from helpers import (OBLIQUE_PATROL_ENV, OFF_GRID_ENV, pushing_controller,
                      three_cell_env)
+import reference_loop
 from reference_loop import reference_trajectory, staged_step, unbanked_sensor
-from safefield import cli
+from safefield import cli, simulation
 from safefield.clfcbf import LinearDynamics
 from safefield.errors import (
     ClosedLoopFailure,
@@ -209,6 +210,64 @@ def test_field_rows_equal_control_input_on_the_sensed_pmfs(rig, model):
             assert np.array_equal(row[2:], control_input(ctrl, pmfs))
 
 
+def counted_law(monkeypatch):
+    """simulation.control_input wrapped to log each (controller, u) that it
+    returns."""
+    calls = []
+    law = simulation.control_input
+
+    def counted(controller, pmfs):
+        u = law(controller, pmfs)
+        calls.append((controller, u))
+        return u
+
+    monkeypatch.setattr(simulation, "control_input", counted)
+    return calls
+
+
+def test_runs_bank_what_control_input_returns(rig, monkeypatch):
+    calls = counted_law(monkeypatch)
+    runs = [(rig["plan_p"], rig["ctrls_p"], SimConfig(dt=0.01, max_time=5.0),
+             [0.5, 0.5]),
+            (rig["plan"], rig["ctrls"],
+             SimConfig(dt=0.01, max_time=30.0, goal_tol=0.05,
+                       sensor=SensorModel("gaussian", 0.3, 0.05), seed=9),
+             None)]
+    for plan, ctrls, config, start in runs:
+        calls.clear()
+        traj = run_trajectory(rig["env"], plan, ctrls, config, x0=start)
+        # replay the readings: the law runs once per controller and new
+        # readings tuple, in the order the run first reads them
+        read = config.sensor.make(config.seed)
+        keys = [(cid, tuple(read(ctrls[cid].problem.grid, lm - x)
+                            for lm in ctrls[cid].problem.landmarks))
+                for x, cid in zip(traj.x, traj.cell_id)]
+        new = list(dict.fromkeys(keys))
+        assert [c for c, _ in calls] == [ctrls[cid] for cid, _ in new]
+        returned = dict(zip(new, (u for _, u in calls)))
+        assert all(u == returned[key].tolist()
+                   for key, u in zip(keys, traj.u))
+        assert len(new) < len(keys)
+
+
+@pytest.mark.parametrize("model", [SensorModel(),
+                                   SensorModel("gaussian", 0.3, 0.05)],
+                         ids=["delta", "gaussian"])
+def test_field_rows_bank_what_control_input_returns(rig, model, monkeypatch):
+    calls = counted_law(monkeypatch)
+    for ctrl in rig["ctrls"].values():
+        calls.clear()
+        arr = sample_vector_field(ctrl, (9, 9), sensor=model, seed=5)
+        read, p = model.make(5), ctrl.problem
+        keys = [tuple(read(p.grid, lm - row[:2]) for lm in p.landmarks)
+                for row in arr]
+        new = list(dict.fromkeys(keys))
+        assert [c for c, _ in calls] == [ctrl] * len(new)
+        returned = dict(zip(new, (u for _, u in calls)))
+        assert all(np.array_equal(row[2:], returned[key])
+                   for key, row in zip(keys, arr))
+
+
 def test_pmf_mass_is_read_only():
     y = np.array([0.3, -0.4])
     fresh = np.full(SPEC.n, 1.0 / SPEC.n_points)
@@ -351,6 +410,28 @@ def test_the_loop_logs_the_reference_loop(run, case_setup):
                               "oblique-patrol": 400}.get(run, 3)
     if run == "patrol-150s":
         assert len(traj.t) == 15001
+
+
+@pytest.mark.parametrize("max_time", [30.0, 60.0, 0.024])
+def test_a_run_steps_once_between_recorded_rows(max_time, monkeypatch):
+    # a horizon that dt does not sum to exactly (60 s sums to
+    # 59.99999999999663) takes no step past the last recorded row
+    env, plan, ctrls, cfg, start = packaged_patrol_run(
+        [("sim.max_time", max_time)])
+    steps = []
+    for module, name in ((simulation, "_step"),
+                         (reference_loop, "staged_step")):
+        def counted(*args, _step=getattr(module, name)):
+            steps.append(name)
+            return _step(*args)
+        monkeypatch.setattr(module, name, counted)
+    for run, name in ((run_trajectory, "_step"),
+                      (reference_trajectory, "staged_step")):
+        steps.clear()
+        traj = run(env, plan, ctrls, cfg, x0=start)
+        assert traj.reached is None
+        assert steps.count(name) == len(traj.t) - 1
+        assert len(traj.t) == round(max_time / cfg.dt) + 1
 
 
 def test_control_input_zero_gains_returns_bias():

@@ -12,10 +12,11 @@ from helpers import check_candidates_against_lp, random_cell, transit_entry_for
 from safefield import cli, synthesis, verification
 from safefield.clfcbf import LinearDynamics
 from safefield.errors import (ConfigError, DimensionMismatch, GridMismatch,
-                              LandmarkNotVisible, SynthesisInfeasible)
+                              LandmarkNotVisible, LandmarkOutOfView,
+                              SynthesisInfeasible)
 from safefield.geometry import ConvexCell, deviation_candidates, region_points
 from safefield.lp_core import LpSolution, StandardLp, solve_lp
-from safefield.measurement import (GridSpec, UncertaintyBounds,
+from safefield.measurement import (SNAP_TIE_TOL, GridSpec, UncertaintyBounds,
                                    build_expectation_kernel, make_delta_pmf)
 from safefield.planning import PlanEntry, build_graph, make_plan
 from safefield.controller import (
@@ -367,6 +368,22 @@ def test_landmark_not_visible():
         assemble_robust_lp(CellProblem(
             cell, entry, [np.array([100.0, 0.0])], dyn, ALPHA_V, ALPHA_H,
             bounds, spec, basis))
+
+
+def test_visibility_and_snap_share_one_reach():
+    # the landmark's farthest offset, from the vertices at x = 0, is the
+    # half-width 5 plus a fraction of the snap tolerance: synthesis accepts
+    # the cell exactly when every state in it snaps onto the grid
+    spec = setup()[0]
+    cell = ConvexCell(0, [[0.0, 0.0], [1.0, 0.0], [1.0, 1.0], [0.0, 1.0]], [0])
+    near = np.array([5.0 + 0.5 * SNAP_TIE_TOL, 0.5])
+    synthesis._check_visibility(cell, [near], spec)
+    spec.snap(near - cell.vertices[0])
+    beyond = np.array([5.0 + 2.0 * SNAP_TIE_TOL, 0.5])
+    with pytest.raises(LandmarkNotVisible):
+        synthesis._check_visibility(cell, [beyond], spec)
+    with pytest.raises(LandmarkOutOfView):
+        spec.snap(beyond - cell.vertices[0])
 
 
 @pytest.mark.parametrize("n, width, landmark", [
