@@ -13,6 +13,7 @@ import json
 import logging
 import os
 import sys
+import warnings
 
 from . import planning, simulation
 from .clfcbf import LinearDynamics
@@ -117,6 +118,13 @@ class RunConfig:
             self.sim = SimConfig(sensor=SensorModel(**sensor), **sim)
         except ConfigError as exc:  # it knows the field, not the file
             raise ConfigError(exc.reason, path=path, field=exc.field) from None
+        # the loop holds u for a step, so h_{k+1} >= (1 - alpha_h dt) h_k
+        # + delta dt: the barrier rows carry over only while alpha_h dt <= 1
+        if self.alpha_h * self.sim.dt > 1:
+            warnings.warn(
+                "alpha_h * sim.dt = %g * %g = %g exceeds 1: the barrier rows "
+                "hold in the sampled loop only when alpha_h * sim.dt <= 1"
+                % (self.alpha_h, self.sim.dt, self.alpha_h * self.sim.dt))
         to_point = point(dim)
         self.starts = read(raw, "starts", lambda v: [to_point(s) for s in v],
                            path, "", [self.environment.start])

@@ -1,14 +1,17 @@
 """Standard-form linear programs: the container and a HiGHS solver with dual
 extraction and solution validation.
 
-An LP may mark some inequality rows lazy: rows of which few bind at the
-optimum, as in a discretized semi-infinite program. solve_lp then solves it
-by row generation (Hettich & Kortanek, SIAM Review 35(3), 1993): HiGHS sees
-the other rows and a fixed seed of the lazy ones, and each round adds the
-lazy rows that its optimum violates most, until it violates none by more
-than LAZY_TOL of the residual scale. That optimum is feasible for the whole
-LP and optimal for a relaxation of it, so it is optimal for the whole LP;
-rows never added get dual 0."""
+Some inequality rows of an LP may be held as a separation instead of as
+matrix entries: point rows, of which few bind at the optimum, as in a
+discretized semi-infinite program. solve_lp then solves it by row
+generation, a cutting-plane method (Kelley, J. SIAM 8(4), 1960; Hettich &
+Kortanek, SIAM Review 35(3), 1993): HiGHS sees the matrix rows and a fixed
+seed of the point rows, and each round adds the point rows that its
+optimum violates most, until it violates none by more than LAZY_TOL of the
+residual scale. That optimum is feasible for the whole LP and optimal for a
+relaxation of it, so it is optimal for the whole LP; rows never added get
+dual 0. solve_lp writes as matrix rows only the point rows that a HiGHS
+call reads."""
 
 import numpy as np
 import scipy.sparse as sp
@@ -34,36 +37,75 @@ def _as_matrix(M, n_vars):
 
 class StandardLp:
     """min or max c^T x subject to A_ub x <= b_ub, A_eq x = b_eq,
-    lb <= x <= ub. Matrices may be dense or scipy.sparse. lazy, when given,
-    is a boolean mask over the inequality rows that solve_lp may leave out
-    of HiGHS until the optimum violates them."""
+    lb <= x <= ub. Matrices may be dense or scipy.sparse.
+
+    points, when given, holds more inequality rows as a separation (see
+    synthesis.PointRows):
+      - points.at, the numbers of its rows among all inequality rows,
+        ascending;
+      - points.b, their right-hand sides;
+      - points.deficits(x), A x - b on each of them;
+      - points.rows(selected), the CSR of the rows at the ascending
+        indices selected into points.at.
+    The A_ub and b_ub passed in are then the other rows, in order, kept as
+    A_kept and b_kept; the attributes A_ub and b_ub always read the whole
+    system, and with points A_ub is built on each read. solve_lp reads
+    neither."""
 
     def __init__(self, sense, c, A_ub=None, b_ub=None, A_eq=None, b_eq=None,
-                 lb=None, ub=None, lazy=None):
+                 lb=None, ub=None, points=None):
         if sense not in ("min", "max"):
             raise DimensionMismatch("sense must be 'min' or 'max'")
         self.sense = sense
         self.c = np.asarray(c, dtype=float).ravel()
         n = self.c.shape[0]
-        self.A_ub = _as_matrix(A_ub, n)
-        self.b_ub = np.zeros(0) if b_ub is None else np.asarray(b_ub, dtype=float).ravel()
+        self.A_kept = _as_matrix(A_ub, n)
+        self.b_kept = np.zeros(0) if b_ub is None else np.asarray(b_ub, dtype=float).ravel()
         self.A_eq = _as_matrix(A_eq, n)
         self.b_eq = np.zeros(0) if b_eq is None else np.asarray(b_eq, dtype=float).ravel()
         self.lb = np.full(n, -np.inf) if lb is None else np.asarray(lb, dtype=float).ravel()
         self.ub = np.full(n, np.inf) if ub is None else np.asarray(ub, dtype=float).ravel()
-        if self.A_ub.shape != (self.b_ub.shape[0], n):
+        if self.A_kept.shape != (self.b_kept.shape[0], n):
             raise DimensionMismatch("inequality block shape mismatch")
         if self.A_eq.shape != (self.b_eq.shape[0], n):
             raise DimensionMismatch("equality block shape mismatch")
         if self.lb.shape[0] != n or self.ub.shape[0] != n:
             raise DimensionMismatch("bound length mismatch")
-        self.lazy = None if lazy is None else np.asarray(lazy, dtype=bool).ravel()
-        if self.lazy is not None and self.lazy.shape != self.b_ub.shape:
-            raise DimensionMismatch("lazy mask length mismatch")
+        self.points = points
+        self.kept_at = np.arange(self.b_kept.size)
+        if points is not None:
+            at = np.asarray(points.at)
+            if (np.shape(points.b) != at.shape or np.any(np.diff(at) <= 0)
+                    or np.any((at < 0) | (at >= self.n_ub))):
+                raise DimensionMismatch("point rows mismatch")
+            kept = np.ones(self.n_ub, dtype=bool)
+            kept[at] = False
+            self.kept_at = np.flatnonzero(kept)
 
     @property
     def n_vars(self):
         return self.c.shape[0]
+
+    @property
+    def n_ub(self):
+        """The number of inequality rows, point rows included."""
+        extra = 0 if self.points is None else len(self.points.at)
+        return self.b_kept.shape[0] + extra
+
+    @property
+    def A_ub(self):
+        if self.points is None:
+            return self.A_kept
+        return _inequalities(self, np.ones(len(self.points.at), dtype=bool))[0]
+
+    @property
+    def b_ub(self):
+        if self.points is None:
+            return self.b_kept
+        b = np.empty(self.n_ub)
+        b[self.kept_at] = self.b_kept
+        b[self.points.at] = self.points.b
+        return b
 
 
 class LpSolution:
@@ -72,31 +114,40 @@ class LpSolution:
     duals_ub and duals_eq equal d(objective)/d(rhs) for a max problem and
     the negation of that for a min problem, so duals_ub >= 0 in both senses.
     For a max problem, objective = b_ub.duals_ub + b_eq.duals_eq + bound
-    terms (strong duality).
+    terms (strong duality). highs_calls counts the HiGHS calls of the
+    solve, and point_rows the point rows that its last one read.
     """
 
-    def __init__(self, status, x, objective, duals_ub, duals_eq):
+    def __init__(self, status, x, objective, duals_ub, duals_eq,
+                 highs_calls=0, point_rows=0):
         self.status = status
         self.x = x
         self.objective = objective
         self.duals_ub = duals_ub
         self.duals_eq = duals_eq
+        self.highs_calls = highs_calls
+        self.point_rows = point_rows
 
 
 def _scale(lp, x):
     """The magnitude that the residuals at x are measured against."""
-    return 1.0 + max(
-        float(np.max(np.abs(lp.b_ub))) if lp.b_ub.size else 0.0,
-        float(np.max(np.abs(lp.b_eq))) if lp.b_eq.size else 0.0,
-        float(np.max(np.abs(x))),
-    )
+    parts = [lp.b_kept, lp.b_eq, x]
+    if lp.points is not None:
+        parts.append(lp.points.b)
+    return 1.0 + max(float(np.max(np.abs(v), initial=0.0)) for v in parts)
 
 
-def _validate(lp, x, duals_ub):
+def _validate(lp, x, duals_ub, deficits=None):
+    """Check x against every row; deficits, when given, are the point
+    rows' at x."""
     scale = _scale(lp, x)
-    r = lp.A_ub @ x - lp.b_ub  # the slack is -r, bit for bit
+    r = np.empty(lp.n_ub)  # the slack is -r, bit for bit
+    r[lp.kept_at] = lp.A_kept @ x - lp.b_kept
+    if lp.points is not None:
+        r[lp.points.at] = (lp.points.deficits(x) if deficits is None
+                           else deficits)
     feas = 0.0
-    if lp.b_ub.size:
+    if r.size:
         feas = max(feas, float(np.max(r)))
     if lp.b_eq.size:
         feas = max(feas, float(np.max(np.abs(lp.A_eq @ x - lp.b_eq))))
@@ -105,70 +156,93 @@ def _validate(lp, x, duals_ub):
     feas = max(feas, float(np.max(lo, initial=0.0)), float(np.max(hi, initial=0.0)))
     if feas > FEAS_TOL * scale:
         raise NumericalFailure("primal feasibility residual %.3g exceeds tolerance" % feas)
-    if lp.b_ub.size:
+    if r.size:
         compl = float(np.max(np.abs(duals_ub * -r)))
         dual_scale = 1.0 + float(np.max(np.abs(duals_ub)))
         if compl > COMPL_TOL * scale * dual_scale:
             raise NumericalFailure("complementary slackness residual %.3g" % compl)
 
 
-def _highs(lp, rows):
-    """HiGHS on lp restricted to the inequality rows in the mask rows."""
+def _inequalities(lp, chosen):
+    """The matrix rows and the point rows in the mask chosen, in row order:
+    their matrix, right-hand sides and row numbers."""
+    if lp.points is None:
+        return lp.A_kept, lp.b_kept, lp.kept_at
+    picked = np.flatnonzero(chosen)
+    at = np.concatenate([lp.kept_at, lp.points.at[picked]])
+    order = np.argsort(at, kind="stable")
+    # the rows of both matrices stacked, then taken in order
+    parts = (lp.A_kept, lp.points.rows(picked))
+    starts = np.concatenate([parts[0].indptr[:-1],
+                             parts[1].indptr[:-1] + parts[0].nnz])[order]
+    counts = np.concatenate([np.diff(A.indptr) for A in parts])[order]
+    indptr = np.concatenate([[0], np.cumsum(counts)])
+    take = np.repeat(starts - indptr[:-1], counts) + np.arange(indptr[-1])
+    A = sp.csr_matrix((np.concatenate([A.data for A in parts])[take],
+                       np.concatenate([A.indices for A in parts])[take],
+                       indptr), shape=(order.size, lp.n_vars))
+    b = np.concatenate([lp.b_kept, lp.points.b[picked]])[order]
+    return A, b, at[order]
+
+
+def _highs(lp, chosen):
+    """HiGHS on lp restricted to its matrix rows and the point rows in the
+    mask chosen; its result, and the numbers of the rows it read."""
+    A_ub, b_ub, at = _inequalities(lp, chosen)
     c = lp.c if lp.sense == "min" else -lp.c
-    A_ub = lp.A_ub if rows.all() else lp.A_ub[rows]
-    return linprog(
+    res = linprog(
         c,
         A_ub=A_ub if A_ub.shape[0] else None,
-        b_ub=lp.b_ub[rows] if A_ub.shape[0] else None,
+        b_ub=b_ub if A_ub.shape[0] else None,
         A_eq=lp.A_eq if lp.b_eq.size else None,
         b_eq=lp.b_eq if lp.b_eq.size else None,
         bounds=np.column_stack([lp.lb, lp.ub]),
         method="highs",
     )
-
-
-def _initial_rows(lp):
-    """The rows HiGHS sees first: every row that is not lazy, and every
-    LAZY_SEED_STRIDE-th lazy row."""
-    if lp.lazy is None:
-        return np.ones(lp.b_ub.shape, dtype=bool)
-    rows = ~lp.lazy
-    rows[np.flatnonzero(lp.lazy)[::LAZY_SEED_STRIDE]] = True
-    return rows
+    return res, at
 
 
 def solve_lp(lp):
     """Solve with the HiGHS backend; deterministic for fixed inputs. An LP
-    with lazy rows is solved by row generation (see the module docstring);
-    the x returned is validated against every row either way. An infeasible
-    relaxation proves the LP infeasible; an unbounded one does not, so the
-    rest of the rows are added at once."""
-    rows = _initial_rows(lp)
+    with point rows is solved by row generation (see the module docstring)
+    from every LAZY_SEED_STRIDE-th point row; the x returned is validated
+    against every row either way. An infeasible relaxation proves the LP
+    infeasible; an unbounded one does not, so the rest of the rows are
+    added at once."""
+    chosen = np.zeros(0, dtype=bool)
+    if lp.points is not None:
+        chosen = np.zeros(len(lp.points.at), dtype=bool)
+        chosen[::LAZY_SEED_STRIDE] = True
+    calls = 0
     while True:
-        res = _highs(lp, rows)
-        if rows.all() or res.status not in (0, 3):
+        res, at = _highs(lp, chosen)
+        calls += 1
+        excess = None
+        if chosen.all() or res.status not in (0, 3):
             break
         if res.status == 3:
-            rows[:] = True
+            chosen[:] = True
             continue
-        excess = lp.A_ub @ res.x - lp.b_ub
+        excess = lp.points.deficits(res.x)
         violated = np.flatnonzero(
-            ~rows & (excess > LAZY_TOL * _scale(lp, res.x)))
+            ~chosen & (excess > LAZY_TOL * _scale(lp, res.x)))
         if not violated.size:
             break
         worst = np.argsort(-excess[violated], kind="stable")[:LAZY_ROUND]
-        rows[violated[worst]] = True
+        chosen[violated[worst]] = True
+    stats = dict(highs_calls=calls, point_rows=int(chosen.sum()))
     if res.status == 2:
-        return LpSolution("Infeasible", None, None, None, None)
+        return LpSolution("Infeasible", None, None, None, None, **stats)
     if res.status == 3:
-        return LpSolution("Unbounded", None, None, None, None)
+        return LpSolution("Unbounded", None, None, None, None, **stats)
     if res.status != 0:
         raise NumericalFailure("solver stopped with status %d: %s" % (res.status, res.message))
     sign = 1.0 if lp.sense == "min" else -1.0
     x = np.asarray(res.x, dtype=float)
-    duals_ub = np.zeros(lp.b_ub.shape)
-    if rows.any():
-        duals_ub[rows] = -np.asarray(res.ineqlin.marginals)
+    duals_ub = np.zeros(lp.n_ub)
+    if at.size:
+        duals_ub[at] = -np.asarray(res.ineqlin.marginals)
     duals_eq = -np.asarray(res.eqlin.marginals) if lp.b_eq.size else np.zeros(0)
-    _validate(lp, x, duals_ub)
-    return LpSolution("Optimal", x, sign * float(res.fun), duals_ub, duals_eq)
+    _validate(lp, x, duals_ub, excess)
+    return LpSolution("Optimal", x, sign * float(res.fun), duals_ub, duals_eq,
+                      **stats)

@@ -22,13 +22,17 @@ its cap, the tiebreak floored at the sum of the caps is the only solve;
 otherwise the margin pass runs first and floors the tiebreak at its optimum.
 These solves share one matrix, assembled once with the tiebreak's rows and
 columns in it, and differ only in sense, cost and right-hand side.
-Only a few of the thousands of point rows bind, so they are marked lazy:
-each solve hands HiGHS the bound rows, the goal equalities, the tiebreak
-rows and a seed of point rows, and adds the point rows that its optimum
-violates until none is (lp_core.solve_lp). Each solve's result is optimal
-for its whole LP.
+Only a few of the thousands of point rows bind, so they are not written
+into the matrix: PointRows holds them per cell as candidates, gaps and gain
+images, and gives their deficits at a solution and the matrix rows of any
+subset. Each solve hands HiGHS the bound rows, the goal equalities, the
+tiebreak rows and a seed of point rows, and adds the point rows that its
+optimum violates until none is (lp_core.solve_lp). Each solve's result is
+optimal for its whole LP, and no solve writes the point rows it never
+reads.
 """
 
+import logging
 import warnings
 
 import numpy as np
@@ -51,6 +55,8 @@ from .simulation import control_input
 
 DELTA_CAP = {"clf": 0.25, "cbf": 4.0}
 TIEBREAK_TOL = 1e-9
+
+log = logging.getLogger("safefield")
 
 
 class _Coo:
@@ -104,6 +110,69 @@ class LpColumns:
         self.lam_z = self.lam[..., 2 * d + 1:]
 
 
+class PointRows:
+    """The point rows of a cell LP (see _fill_rows) as data, not as matrix
+    entries: per row k and landmark l, in row order, a block of the
+    deviation candidates (grid point i, gap g) of the row's region. Every
+    point row of a block has the same columns, the gains gain[l] on which
+    the row's gain image is not 0 everywhere, then lam[k, l], and its
+    coefficients on them are
+        (image[:, i], -1, -u_i, u_i, -g)
+    for the grid point u_i. It is the separation that lp_core.solve_lp
+    reads (see StandardLp): at, the rows' numbers among the LP's inequality
+    rows; b, their right-hand sides (all 0); deficits(x) and
+    rows(selected).
+
+    deficits sums each row in the order of its columns, as a CSR mat-vec
+    does, so at a finite x it returns that mat-vec's values bit for bit (a
+    coefficient 0, which the matrix drops, adds at most a zero's sign)."""
+
+    def __init__(self, n_vars, points, blocks):
+        """blocks: per (k, l) in row order, (first row number, columns, the
+        gain image's rows on those columns over the grid points, candidate
+        point indices, gaps)."""
+        self._sizes = np.array([block[3].size for block in blocks])
+        self._block = np.repeat(np.arange(len(blocks)), self._sizes)
+        self.at = np.concatenate([first + np.arange(idx.size)
+                                  for first, _, _, idx, _ in blocks])
+        self.b = np.zeros(self.at.size)
+        self._n_vars = n_vars
+        # per block its columns, and per row (one column here) the
+        # coefficients on them, padded to one width with coefficient 0 on
+        # column 0
+        width = max(block[1].size for block in blocks)
+        self._cols = np.zeros((len(blocks), width), dtype=np.int64)
+        self._coef = np.zeros((width, self.at.size))
+        end = 0
+        for b, (_, columns, image, idx, gap) in enumerate(blocks):
+            start, end = end, end + idx.size
+            self._cols[b, :columns.size] = columns
+            coef = self._coef[:columns.size, start:end]
+            g = image.shape[0]
+            coef[:g] = image[:, idx]
+            coef[g] = -1.0
+            coef[g + 1:] = np.vstack([-points[idx].T, points[idx].T, -gap.T])
+
+    def deficits(self, x):
+        """A x - b on every point row, in row order."""
+        terms = np.repeat(x[self._cols].T, self._sizes, axis=1)
+        terms *= self._coef
+        out = terms[0].copy()
+        for term in terms[1:]:
+            out += term
+        return out
+
+    def rows(self, selected):
+        """The CSR of the point rows at the ascending indices selected into
+        at, with sorted indices and no stored zeros."""
+        values = self._coef[:, selected].T
+        keep = values != 0
+        indptr = np.concatenate([[0], np.cumsum(keep.sum(axis=1))])
+        return sp.csr_matrix(
+            (values[keep], self._cols[self._block[selected]][keep], indptr),
+            shape=(values.shape[0], self._n_vars))
+
+
 def _fill_rows(cols, rows, regions, landmarks, bounds, points, maps):
     """Inequality rows of the vertex-form LP, per row k: the bound row at
     each vertex v of its region, then per landmark the dual-feasibility row
@@ -127,54 +196,51 @@ def _fill_rows(cols, rows, regions, landmarks, bounds, points, maps):
     <= -z and +-theta - t <= +-target, at right-hand side 0, where it
     constrains nothing (delta >= 0, t is free above); _tiebreak_lp sets it.
 
-    Returns the rows, their right-hand sides and the lazy mask: few of the
-    point rows bind at the optimum, so they enter the solve only when
-    violated (lp_core.solve_lp); the other rows are always in."""
+    Returns the bound and tiebreak rows, their right-hand sides and the
+    point rows (PointRows), which few of bind at the optimum, so that a
+    solve writes only those it needs as matrix rows (lp_core.solve_lp)."""
     features = np.stack(maps)
     ub = _Coo()
     b_ub = []
-    lazy = []
-    n = 0
-    # rows share their region (the cell body) except a floored CLF row
-    candidates = {}
+    blocks = []
+    n = kept = 0  # rows so far, and bound rows among them
+    # rows share their region (the cell body) except a floored CLF row:
+    # per region its vertices and, per landmark, its deviation candidates
+    shared = {}
     for region in regions:
-        if id(region) not in candidates:
-            candidates[id(region)] = [geometry.deviation_candidates(
-                region, landmark - points) for landmark in landmarks]
+        if id(region) not in shared:
+            shared[id(region)] = (geometry.region_points(region), [
+                geometry.deviation_candidates(region, landmark - points)
+                for landmark in landmarks])
     for k, row in enumerate(rows):
-        V = geometry.region_points(regions[k])
-        at_v = n + np.arange(V.shape[0])[:, None]
+        V, candidates = shared[id(regions[k])]
+        at_v = kept + np.arange(V.shape[0])[:, None]
         ub.add(at_v, cols.bias, row.w)
         ub.add(at_v, cols.delta[k], 1.0)
         for l, landmark in enumerate(landmarks):
             ub.add(at_v, cols.lam_s[k, l], 1.0)
             ub.add(at_v, cols.lam[k, l, 1:], bounds.rhs(landmark - V))
         b_ub.append(-row.r - V @ row.c_x)
-        lazy.append(np.zeros(V.shape[0], dtype=bool))
         n += V.shape[0]
+        kept += V.shape[0]
         # image[(i n_u + m) d + s, j] = w[m] R_i[s, j]: the coefficient of
-        # K_{l,i}[m, s] on P_l[j], laid out as cols.gain[l].ravel()
+        # K_{l,i}[m, s] on P_l[j], laid out as cols.gain[l].ravel(); a gain
+        # with coefficient 0 at every grid point is in no point row
         image = (row.w[None, :, None, None] * features[:, None]).reshape(
             -1, features.shape[2])
-        for l in range(len(landmarks)):
-            idx, gap = candidates[id(regions[k])][l]
-            at_i = n + np.arange(idx.size)[:, None]
-            ub.add(at_i, cols.lam_s[k, l], -1.0)
-            ub.add(at_i, cols.lam_p[k, l],
-                   np.hstack([-points[idx], points[idx]]))
-            ub.add(at_i, cols.lam_z[k, l], -gap)
-            ub.add(at_i, cols.gain[l].ravel(), image[:, idx].T)
-            b_ub.append(np.zeros(idx.size))
-            lazy.append(np.ones(idx.size, dtype=bool))
+        live = image.any(axis=1)
+        image = image[live]
+        for l, (idx, gap) in enumerate(candidates):
+            blocks.append((n, np.r_[cols.gain[l].ravel()[live],
+                                    cols.lam[k, l]], image, idx, gap))
             n += idx.size
     G = cols.t.size
-    ub.add(n, cols.delta, -1.0)
-    at_t = n + 1 + np.arange(2 * G)
+    ub.add(kept, cols.delta, -1.0)
+    at_t = kept + 1 + np.arange(2 * G)
     ub.add(at_t, np.tile(cols.theta, 2), np.repeat([1.0, -1.0], G))
     ub.add(at_t, np.tile(cols.t, 2), -1.0)
     b_ub.append(np.zeros(1 + 2 * G))
-    lazy.append(np.zeros(1 + 2 * G, dtype=bool))
-    return ub, np.concatenate(b_ub), np.concatenate(lazy)
+    return ub, np.concatenate(b_ub), PointRows(cols.n_vars, points, blocks)
 
 
 class AssembledCellLp:
@@ -237,8 +303,8 @@ def assemble_robust_lp(problem):
 
     cols = LpColumns(len(p.landmarks), p.basis.n_k, p.dynamics.n_u, d,
                      len(rows))
-    ub, b_ub, lazy = _fill_rows(cols, rows, regions, p.landmarks, p.bounds,
-                                p.grid.points(), maps)
+    ub, b_ub, point_rows = _fill_rows(cols, rows, regions, p.landmarks,
+                                      p.bounds, p.grid.points(), maps)
     eq = _Coo()
     n_goal = 0
     if p.entry.exit_face is None:
@@ -255,7 +321,7 @@ def assemble_robust_lp(problem):
     lp = StandardLp("max", c,
                     A_ub=ub.matrix((b_ub.size, cols.n_vars)), b_ub=b_ub,
                     A_eq=eq.matrix((n_goal, cols.n_vars)), b_eq=np.zeros(n_goal),
-                    lb=lb, ub=ub_bounds, lazy=lazy)
+                    lb=lb, ub=ub_bounds, points=point_rows)
     return AssembledCellLp(p, lp, cols, rows, regions)
 
 
@@ -264,15 +330,15 @@ def _tiebreak_lp(assembled, z, target):
     TIEBREAK_TOL), minimize the l1 distance sum(t) of theta to target. It is
     the margin LP with cost 1 on t and the tiebreak block's right-hand sides
     set (see _fill_rows): no matrix is built, and the matrices, bounds and
-    lazy mask are the margin LP's own."""
+    point rows are the margin LP's own."""
     lp, cols = assembled.lp, assembled.cols
     c = np.zeros(lp.n_vars)
     c[cols.t] = 1.0
     tol = TIEBREAK_TOL * max(1.0, abs(z))
-    b_ub = lp.b_ub.copy()
+    b_ub = lp.b_kept.copy()
     b_ub[-(1 + 2 * cols.t.size):] = np.r_[-(z - tol), target, -target]
-    return StandardLp("min", c, A_ub=lp.A_ub, b_ub=b_ub, A_eq=lp.A_eq,
-                      b_eq=lp.b_eq, lb=lp.lb, ub=lp.ub, lazy=lp.lazy)
+    return StandardLp("min", c, A_ub=lp.A_kept, b_ub=b_ub, A_eq=lp.A_eq,
+                      b_eq=lp.b_eq, lb=lp.lb, ub=lp.ub, points=lp.points)
 
 
 def _solve_cell(assembled):
@@ -287,15 +353,22 @@ def _solve_cell(assembled):
     floor that path's tiebreak differently.) Otherwise the margin pass runs
     and the tiebreak from z* follows; a failed tiebreak keeps the
     margin-pass gains. All three read the one matrix assembled for the
-    cell. Each adds the lazy point rows as its optimum violates them, and
-    returns an optimum of its whole LP, checked against every row."""
+    cell. Each adds the point rows as its optimum violates them, and
+    returns an optimum of its whole LP, checked against every row.
+    Returns that solution and the LpSolution of each solve."""
     cell_id = assembled.problem.cell.id
     target = nominal_theta(assembled)
     cap_sum = float(np.sum(assembled.lp.ub[assembled.cols.delta]))
-    sol = solve_lp(_tiebreak_lp(assembled, cap_sum, target))
+    solves = []
+
+    def solve(lp):
+        solves.append(solve_lp(lp))
+        return solves[-1]
+
+    sol = solve(_tiebreak_lp(assembled, cap_sum, target))
     if sol.status == "Optimal":
-        return sol.x
-    sol = solve_lp(assembled.lp)
+        return sol.x, solves
+    sol = solve(assembled.lp)
     if sol.status == "Infeasible":
         raise SynthesisInfeasible(
             "no stabilizing safe gains for cell %d under these bounds" % cell_id
@@ -304,19 +377,26 @@ def _solve_cell(assembled):
         raise SolverFailure(
             "margin program for cell %d is unbounded; margin caps missing" % cell_id
         )
-    tiebreak = solve_lp(_tiebreak_lp(assembled, sol.objective, target))
+    tiebreak = solve(_tiebreak_lp(assembled, sol.objective, target))
     if tiebreak.status == "Optimal":
-        return tiebreak.x
+        return tiebreak.x, solves
     warnings.warn(
         "tiebreak pass returned %s for cell %d; keeping the margin-pass gains"
         % (tiebreak.status, cell_id)
     )
-    return sol.x
+    return sol.x, solves
 
 
 def synthesize_cell_controller(assembled):
-    """Solve the assembled LP (see _solve_cell) and wrap the result."""
-    x = _solve_cell(assembled)
+    """Solve the assembled LP (see _solve_cell) and wrap the result. Logs
+    at INFO how many point rows the LP has, the most that one HiGHS call
+    read, and the HiGHS and solve_lp calls it took."""
+    x, solves = _solve_cell(assembled)
+    log.info("synth cell %d: %d point rows, at most %d in one HiGHS call, "
+             "%d HiGHS calls, %d solve_lp calls", assembled.problem.cell.id,
+             assembled.lp.n_ub - assembled.lp.b_kept.size,
+             max(sol.point_rows for sol in solves),
+             sum(sol.highs_calls for sol in solves), len(solves))
     cols = assembled.cols
     ctrl = CellController(assembled.problem, x[cols.gain], x[cols.bias],
                           x[cols.delta])

@@ -1,0 +1,103 @@
+"""The vertex-form LP with every point row written into the matrix: the
+independent oracle of synthesis.PointRows, and a separation that reads a
+materialized matrix, to stand in for PointRows in lp_core.solve_lp.
+
+fill_rows writes the rows entry by entry into a COO list, as the assembly
+did before the point rows became data; materialized(asm) runs it on an
+assembled cell LP's problem."""
+
+import numpy as np
+
+from safefield import geometry
+from safefield.lp_core import StandardLp
+from safefield.synthesis import _Coo
+
+
+def fill_rows(cols, rows, regions, landmarks, bounds, points, maps):
+    """Inequality rows of the vertex-form LP, per row k: the bound row at
+    each vertex of its region, then per landmark the dual-feasibility row of
+    each grid point at each of its deviation candidates; last the tiebreak
+    block (see synthesis._fill_rows). Returns the rows as a _Coo, their
+    right-hand sides and the mask of point rows."""
+    features = np.stack(maps)
+    ub = _Coo()
+    b_ub = []
+    lazy = []
+    n = 0
+    for k, row in enumerate(rows):
+        V = geometry.region_points(regions[k])
+        at_v = n + np.arange(V.shape[0])[:, None]
+        ub.add(at_v, cols.bias, row.w)
+        ub.add(at_v, cols.delta[k], 1.0)
+        for l, landmark in enumerate(landmarks):
+            ub.add(at_v, cols.lam_s[k, l], 1.0)
+            ub.add(at_v, cols.lam[k, l, 1:], bounds.rhs(landmark - V))
+        b_ub.append(-row.r - V @ row.c_x)
+        lazy.append(np.zeros(V.shape[0], dtype=bool))
+        n += V.shape[0]
+        image = (row.w[None, :, None, None] * features[:, None]).reshape(
+            -1, features.shape[2])
+        for l, landmark in enumerate(landmarks):
+            idx, gap = geometry.deviation_candidates(regions[k],
+                                                     landmark - points)
+            at_i = n + np.arange(idx.size)[:, None]
+            ub.add(at_i, cols.lam_s[k, l], -1.0)
+            ub.add(at_i, cols.lam_p[k, l],
+                   np.hstack([-points[idx], points[idx]]))
+            ub.add(at_i, cols.lam_z[k, l], -gap)
+            ub.add(at_i, cols.gain[l].ravel(), image[:, idx].T)
+            b_ub.append(np.zeros(idx.size))
+            lazy.append(np.ones(idx.size, dtype=bool))
+            n += idx.size
+    G = cols.t.size
+    ub.add(n, cols.delta, -1.0)
+    at_t = n + 1 + np.arange(2 * G)
+    ub.add(at_t, np.tile(cols.theta, 2), np.repeat([1.0, -1.0], G))
+    ub.add(at_t, np.tile(cols.t, 2), -1.0)
+    b_ub.append(np.zeros(1 + 2 * G))
+    lazy.append(np.zeros(1 + 2 * G, dtype=bool))
+    return ub, np.concatenate(b_ub), np.concatenate(lazy)
+
+
+def materialized(asm):
+    """The inequality rows of the assembled cell LP asm, every point row
+    written out: the CSR matrix, the right-hand sides and the point-row
+    mask."""
+    p = asm.problem
+    ub, b_ub, lazy = fill_rows(asm.cols, asm.rows, asm.regions, p.landmarks,
+                               p.bounds, p.grid.points(), p.features())
+    return ub.matrix((b_ub.size, asm.cols.n_vars)), b_ub, lazy
+
+
+class MatrixRows:
+    """The separation of the rows in the mask lazy of A x <= b, read from
+    the matrix: what lp_core.solve_lp reads of synthesis.PointRows."""
+
+    def __init__(self, A, b, lazy):
+        self.A = A.tocsr()
+        self.b_all = np.asarray(b, dtype=float)
+        self.at = np.flatnonzero(lazy)
+        self.b = self.b_all[self.at]
+
+    def deficits(self, x):
+        return (self.A @ x - self.b_all)[self.at]
+
+    def rows(self, selected):
+        return self.A[self.at[selected]]
+
+
+def lp_with_rows(sense, c, A_ub, b_ub, lazy, **rest):
+    """The LP over A_ub x <= b_ub (and rest) whose rows in the mask lazy
+    are held as a MatrixRows separation."""
+    A_ub = A_ub.tocsr()
+    return StandardLp(sense, c, A_ub=A_ub[~lazy], b_ub=b_ub[~lazy],
+                      points=MatrixRows(A_ub, b_ub, lazy), **rest)
+
+
+def oracle_lp(asm):
+    """asm's margin LP with its inequality rows read from materialized(asm)
+    through MatrixRows, and everything else its own."""
+    lp = asm.lp
+    A_ub, b_ub, lazy = materialized(asm)
+    return lp_with_rows(lp.sense, lp.c, A_ub, b_ub, lazy, A_eq=lp.A_eq,
+                        b_eq=lp.b_eq, lb=lp.lb, ub=lp.ub)

@@ -631,13 +631,32 @@ def test_integers_read_as_floats(tmp_path):
         cfg["sim"]["dt"] = 1
         cfg["grid"]["width"] = [60, 60.0]
 
-    cfg = cli.load_config(packaged_patrol(tmp_path, edit))
+    # alpha_h = 100 at dt = 1 leaves the sampled-data condition
+    with pytest.warns(UserWarning, match="alpha_h"):
+        cfg = cli.load_config(packaged_patrol(tmp_path, edit))
     assert (cfg.epsilon, cfg.alpha_v, cfg.sim.dt) == (4.0, 1.0, 1.0)
     assert cfg.grid.width == (60.0, 60.0)
     assert np.array_equal(cfg.starts, [[10.0, 10.0]])
     assert all(type(v) is float for v in (cfg.epsilon, cfg.alpha_v)
                + cfg.grid.width)
     assert cfg.starts[0].dtype == float
+
+
+def test_sampled_data_condition_at_one_is_silent(tmp_path):
+    # the packaged configs sit at alpha_h * sim.dt = 100 * 0.01 = 1.0; any
+    # warning would fail here, as warnings are errors in the suite
+    cfg = cli.load_config(packaged_patrol(tmp_path, lambda cfg, env: None))
+    assert cfg.alpha_h * cfg.sim.dt == 1.0
+
+
+def test_sampled_data_condition_above_one_warns(tmp_path):
+    path = packaged_patrol(tmp_path,
+                           lambda cfg, env: cfg.update(alpha_h=101.0))
+    with pytest.warns(UserWarning) as caught:
+        cli.load_config(path)
+    assert len(caught) == 1
+    assert "alpha_h * sim.dt = 101 * 0.01 = 1.01 exceeds 1" in str(
+        caught[0].message)
 
 
 def test_integral_floats_read_as_integers(tmp_path):

@@ -1,6 +1,8 @@
 import numpy as np
 import pytest
+import scipy.sparse as sp
 
+from materialized import MatrixRows, lp_with_rows
 from safefield import lp_core
 from safefield.errors import DimensionMismatch
 from safefield.lp_core import FEAS_TOL, StandardLp, solve_lp
@@ -68,13 +70,12 @@ def test_determinism():
 
 def tall_lp(rng, m=2000, n=6):
     """Box-bounded max over m random rows through an interior point; every
-    row past the first n is lazy."""
+    row past the first n is a point row."""
     A = rng.standard_normal((m, n))
     x0 = rng.uniform(1.0, 3.0, size=n)
     b = A @ x0 + rng.uniform(0.5, 2.0, size=m)
-    return StandardLp("max", rng.standard_normal(n), A_ub=A, b_ub=b,
-                      lb=np.zeros(n), ub=np.full(n, 10.0),
-                      lazy=np.arange(m) >= n)
+    return lp_with_rows("max", rng.standard_normal(n), sp.csr_matrix(A), b,
+                        np.arange(m) >= n, lb=np.zeros(n), ub=np.full(n, 10.0))
 
 
 def without_mask(lp):
@@ -83,15 +84,17 @@ def without_mask(lp):
 
 
 def recorded_rows(monkeypatch):
-    """The inequality-row masks that solve_lp hands HiGHS, call by call,
-    each with the status HiGHS returned."""
+    """The inequality rows that solve_lp hands HiGHS, call by call, as a
+    mask over every row, each with the status HiGHS returned."""
     calls = []
     highs = lp_core._highs
 
-    def record(lp, rows):
-        res = highs(lp, rows)
-        calls.append((rows.copy(), res.status))
-        return res
+    def record(lp, chosen):
+        res, at = highs(lp, chosen)
+        seen = np.zeros(lp.n_ub, dtype=bool)
+        seen[at] = True
+        calls.append((seen, res.status))
+        return res, at
 
     monkeypatch.setattr(lp_core, "_highs", record)
     return calls
@@ -111,33 +114,34 @@ def test_lazy_rows_reach_the_full_optimum(monkeypatch):
         scale = 1.0 + max(np.max(np.abs(lp.b_ub)), np.max(np.abs(sol.x)))
         assert np.max(lp.A_ub @ sol.x - lp.b_ub) <= FEAS_TOL * scale
         seen = calls[-1][0]
-        # HiGHS saw every kept row and a small share of the lazy ones
-        assert seen[~lp.lazy].all() and seen.sum() < lp.b_ub.size // 4
+        # HiGHS saw every matrix row and a small share of the point rows
+        assert seen[lp.kept_at].all() and seen.sum() < lp.b_ub.size // 4
         assert np.all(sol.duals_ub[~seen] == 0.0)
         assert sol.duals_ub.shape == lp.b_ub.shape
 
 
 def test_infeasible_through_a_lazy_row():
-    # x0 >= 11 against the box x0 <= 10: only the lazy last row says so
+    # x0 >= 11 against the box x0 <= 10: only the last point row says so
     lp = tall_lp(np.random.default_rng(41))
-    A = np.vstack([lp.A_ub.toarray(), -np.eye(lp.n_vars)[:1]])
+    A = sp.vstack([lp.A_ub, -np.eye(lp.n_vars)[:1]])
     b = np.concatenate([lp.b_ub, [-11.0]])
-    bad = StandardLp("max", lp.c, A_ub=A, b_ub=b, lb=lp.lb, ub=lp.ub,
-                     lazy=np.concatenate([lp.lazy, [True]]))
+    lazy = np.ones(lp.n_ub + 1, dtype=bool)
+    lazy[lp.kept_at] = False
+    bad = lp_with_rows("max", lp.c, A, b, lazy, lb=lp.lb, ub=lp.ub)
     assert solve_lp(lp).status == "Optimal"
     assert solve_lp(bad).status == "Infeasible"
 
 
 def test_unbounded_seed_rows_fall_back_to_every_row(monkeypatch):
-    # max x0 over free x: every row but the lazy row 1 (x0 <= 5) lets x0
+    # max x0 over free x: every row but the point row 1 (x0 <= 5) lets x0
     # grow, and no seed holds row 1, so the first subset is unbounded
     rng = np.random.default_rng(43)
     A = np.column_stack([-np.ones(500), rng.standard_normal(500)])
     A[1] = [1.0, 0.0]
     b = rng.uniform(0.5, 2.0, size=500)
     b[1] = 5.0
-    lp = StandardLp("max", [1.0, 0.0], A_ub=A, b_ub=b,
-                    lazy=np.ones(500, dtype=bool))
+    lp = lp_with_rows("max", [1.0, 0.0], sp.csr_matrix(A), b,
+                      np.ones(500, dtype=bool))
     calls = recorded_rows(monkeypatch)
     sol = solve_lp(lp)
     assert [status for _, status in calls] == [3, 0]
@@ -160,4 +164,7 @@ def test_shape_validation():
     with pytest.raises(DimensionMismatch):
         StandardLp("mid", [1.0])
     with pytest.raises(DimensionMismatch):
-        StandardLp("min", [1.0], A_ub=[[1.0]], b_ub=[1.0], lazy=[True, False])
+        # the point row is row 2 of 3, but with one matrix row there are 2
+        StandardLp("min", [1.0], A_ub=[[1.0]], b_ub=[1.0],
+                   points=MatrixRows(sp.csr_matrix([[1.0], [2.0], [3.0]]),
+                                     [1.0, 2.0, 3.0], [False, False, True]))

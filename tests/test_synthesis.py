@@ -1,6 +1,7 @@
 import copy
 import json
 import os
+import re
 
 import numpy as np
 import pytest
@@ -9,7 +10,8 @@ import scipy.sparse as sp
 from dual_form import (affine_blocks, bias_image, feature_maps, gain_image,
                        lift, machine_lp, violation)
 from helpers import check_candidates_against_lp, random_cell, transit_entry_for
-from safefield import cli, synthesis, verification
+from materialized import lp_with_rows, materialized, oracle_lp
+from safefield import cli, lp_core, synthesis, verification
 from safefield.clfcbf import LinearDynamics
 from safefield.errors import (ConfigError, DimensionMismatch, GridMismatch,
                               LandmarkNotVisible, LandmarkOutOfView,
@@ -148,7 +150,10 @@ def test_lp_dimensions_square():
     # No equality.
     assert asm.cols.theta.size == 14
     assert asm.cols.n_vars == 60
-    assert asm.lp.A_ub.shape == (81, 60)
+    A_ub, _, lazy = materialized(asm)
+    assert A_ub.shape == (81, 60) and asm.lp.n_ub == 81
+    # 36 point rows: the LP's own and the oracle's
+    assert lazy.sum() == asm.lp.points.at.size == 36
     assert asm.lp.A_eq.shape == (0, 60)
 
 
@@ -605,13 +610,14 @@ def test_failed_tiebreak_warns_and_keeps_the_margin_gains(patrol_env,
 
 
 def margin_only(asm):
-    """asm's margin LP without the tiebreak block: its last 1 + 2G
-    inequality rows and its G columns t sliced off."""
+    """asm's margin LP without the tiebreak block, read from the oracle:
+    its last 1 + 2G inequality rows and its G columns t sliced off."""
     lp, G = asm.lp, asm.cols.t.size
-    n, m = lp.n_vars - G, lp.b_ub.size - (1 + 2 * G)
-    return StandardLp(lp.sense, lp.c[:n], A_ub=lp.A_ub[:m, :n],
-                      b_ub=lp.b_ub[:m], A_eq=lp.A_eq[:, :n], b_eq=lp.b_eq,
-                      lb=lp.lb[:n], ub=lp.ub[:n], lazy=lp.lazy[:m])
+    A_ub, b_ub, lazy = materialized(asm)
+    n, m = lp.n_vars - G, b_ub.size - (1 + 2 * G)
+    return lp_with_rows(lp.sense, lp.c[:n], A_ub[:m, :n], b_ub[:m], lazy[:m],
+                        A_eq=lp.A_eq[:, :n], b_eq=lp.b_eq, lb=lp.lb[:n],
+                        ub=lp.ub[:n])
 
 
 def stacked_tiebreak_lp(asm, z_star, nominal):
@@ -640,15 +646,18 @@ def stacked_tiebreak_lp(asm, z_star, nominal):
     c[n:] = 1.0
     lb = np.concatenate([lp.lb, np.zeros(G)])
     ub = np.concatenate([lp.ub, np.full(G, np.inf)])
-    lazy = np.concatenate([lp.lazy, np.zeros(1 + 2 * G, dtype=bool)])
-    return StandardLp("min", c, A_ub=A_ub, b_ub=b_ub, A_eq=A_eq, b_eq=lp.b_eq,
-                      lb=lb, ub=ub, lazy=lazy)
+    lazy = np.zeros(b_ub.size, dtype=bool)
+    lazy[lp.points.at] = True
+    return lp_with_rows("min", c, A_ub, b_ub, lazy, A_eq=A_eq, b_eq=lp.b_eq,
+                        lb=lb, ub=ub)
 
 
 def assert_same_lp(a, b):
-    """a and b are the same LP, array for array, down to the CSR layout."""
+    """a and b are the same LP, array for array, down to the CSR layout,
+    with the same rows held as point rows."""
     assert a.sense == b.sense
-    for name in ("c", "b_ub", "b_eq", "lb", "ub", "lazy"):
+    assert np.array_equal(a.points.at, b.points.at)
+    for name in ("c", "b_ub", "b_eq", "lb", "ub"):
         assert np.array_equal(getattr(a, name), getattr(b, name)), name
     for name in ("A_ub", "A_eq"):
         A, B = getattr(a, name), getattr(b, name)
@@ -680,7 +689,8 @@ def test_tiebreak_lp_is_the_stacked_lp_on_the_assembled_matrix(
             floors.append(margin)
         for z in floors:
             tb = _tiebreak_lp(asm, z, nominal)
-            assert tb.A_ub is asm.lp.A_ub and tb.A_eq is asm.lp.A_eq
+            assert tb.A_kept is asm.lp.A_kept and tb.A_eq is asm.lp.A_eq
+            assert tb.points is asm.lp.points
             assert_same_lp(tb, stacked_tiebreak_lp(asm, z, nominal))
 
 
@@ -711,10 +721,13 @@ def test_loaded_controller_reassembles_its_own_lp(tmp_path, monkeypatch):
 
 
 def full_solve(asm):
-    """asm with no row lazy, so HiGHS sees every row at once."""
+    """asm with every row written into the matrix by the oracle and none
+    held as a point row, so HiGHS sees every row at once."""
+    lp = asm.lp
+    A_ub, b_ub, _ = materialized(asm)
     out = copy.copy(asm)
-    out.lp = copy.copy(asm.lp)
-    out.lp.lazy = np.zeros_like(asm.lp.lazy)
+    out.lp = StandardLp(lp.sense, lp.c, A_ub=A_ub, b_ub=b_ub, A_eq=lp.A_eq,
+                        b_eq=lp.b_eq, lb=lp.lb, ub=lp.ub)
     return out
 
 
@@ -724,7 +737,7 @@ def lazy_and_full(env, mode, spec, bounds):
     out = {}
     for cell in env.cells:
         asm = packaged_cell(env, mode, cell.id, spec, bounds)[0]
-        assert asm.lp.lazy.any()
+        assert asm.lp.points.at.size
         out[cell.id] = tuple(
             synthesize_cell_controller(lp) for lp in (asm, full_solve(asm)))
     return out
@@ -759,3 +772,140 @@ def test_lazy_rows_match_the_full_solve_where_caps_are_missed(annulus_env):
         {cell_id: lazy for cell_id, (lazy, _) in pairs.items()},
         count=50, seed=0, raise_on_fail=False)
     assert len(reports) == 8 and all(r.passed for r in reports)
+
+
+PACKAGED = pytest.mark.parametrize("name, eps, highs_calls", [
+    ("case_study.json", None, 16),
+    ("case_study.json", 12.0, 34),
+    ("patrol.json", None, 3),
+], ids=["case-study", "case-study-eps-12", "patrol"])
+
+
+def packaged_synthesis(monkeypatch, name, eps, oracle=False):
+    """Synthesize the packaged config name (at epsilon eps when given).
+    Returns each cell's assembled LP with the solutions of its solves, and
+    the arguments of every HiGHS call in order. With oracle, each cell LP
+    reads its rows from the materialized matrix instead (oracle_lp)."""
+    overrides = () if eps is None else (("epsilon", eps),)
+    cfg = cli.load_config(os.path.join(os.path.dirname(cli.__file__), "data",
+                                       name), overrides)
+    cells, highs = [], []
+    assemble, solve, linprog = (synthesis.assemble_robust_lp,
+                                synthesis.solve_lp, lp_core.linprog)
+
+    def assemble_recorded(problem):
+        asm = assemble(problem)
+        if oracle:
+            asm.lp = oracle_lp(asm)
+        cells.append((asm, []))
+        return asm
+
+    def solve_recorded(lp):
+        cells[-1][1].append(solve(lp))
+        return cells[-1][1][-1]
+
+    def linprog_recorded(c, **kwargs):
+        highs.append(dict(kwargs, c=c))
+        return linprog(c, **kwargs)
+
+    monkeypatch.setattr(synthesis, "assemble_robust_lp", assemble_recorded)
+    monkeypatch.setattr(synthesis, "solve_lp", solve_recorded)
+    monkeypatch.setattr(lp_core, "linprog", linprog_recorded)
+    synthesis.synthesize_environment(
+        cfg.environment, cfg.plan.entries,
+        LinearDynamics.single_integrator(cfg.environment.dimension),
+        cfg.grid, cfg.bounds, cfg.basis, cfg.alpha_v, cfg.alpha_h)
+    monkeypatch.undo()
+    return cells, highs
+
+
+def assert_same_csr(A, B):
+    assert A.shape == B.shape
+    for part in ("indptr", "indices", "data"):
+        assert np.array_equal(getattr(A, part), getattr(B, part)), part
+
+
+def assert_oracle_rows(asm, xs):
+    """asm's matrix rows, its point rows written out and their deficits at
+    each x of xs are, bit for bit, those of the matrix that the oracle
+    writes entry by entry."""
+    A_ub, b_ub, lazy = materialized(asm)
+    lp, points = asm.lp, asm.lp.points
+    assert np.array_equal(points.at, np.flatnonzero(lazy))
+    assert np.array_equal(points.b, b_ub[lazy])
+    assert_same_csr(lp.A_kept, A_ub[~lazy])
+    assert np.array_equal(lp.b_kept, b_ub[~lazy])
+    assert_same_csr(points.rows(np.arange(points.at.size)), A_ub[lazy])
+    assert_same_csr(points.rows(np.arange(points.at.size)[::7]),
+                    A_ub[np.flatnonzero(lazy)[::7]])
+    assert_same_csr(lp.A_ub, A_ub)
+    assert np.array_equal(lp.b_ub, b_ub)
+    for x in xs:
+        assert np.array_equal(points.deficits(x), (A_ub @ x - b_ub)[lazy])
+
+
+@PACKAGED
+def test_point_rows_are_the_oracle_rows(monkeypatch, name, eps, highs_calls):
+    # at each solve's optimum and at random points
+    cells, _ = packaged_synthesis(monkeypatch, name, eps)
+    rng = np.random.default_rng(5)
+    for asm, solutions in cells:
+        optima = [sol.x for sol in solutions if sol.status == "Optimal"]
+        assert optima
+        assert_oracle_rows(asm, optima + list(
+            10.0 * rng.standard_normal((3, asm.lp.n_vars))))
+
+
+def test_point_rows_are_the_oracle_rows_on_random_cells():
+    # random transit cells, a goal cell with a floored CLF region and a
+    # cell that reads two landmarks
+    rng = np.random.default_rng(7)
+    for asm in oracle_cases():
+        assert_oracle_rows(asm, [solve_lp(asm.lp).x] + list(
+            10.0 * rng.standard_normal((3, asm.lp.n_vars))))
+
+
+@PACKAGED
+def test_highs_reads_the_oracle_rows(monkeypatch, name, eps, highs_calls):
+    # every HiGHS call of synthesis gets, array for array, what it gets
+    # when the same solves read the point rows from the oracle's matrix
+    _, mine = packaged_synthesis(monkeypatch, name, eps)
+    _, theirs = packaged_synthesis(monkeypatch, name, eps, oracle=True)
+    assert len(mine) == len(theirs) == highs_calls
+    for a, b in zip(mine, theirs):
+        assert a.keys() == b.keys()
+        for key in a:
+            if sp.issparse(a[key]):
+                assert_same_csr(a[key], b[key])
+            elif isinstance(a[key], np.ndarray):
+                assert np.array_equal(a[key], b[key]), key
+            else:
+                assert a[key] == b[key], key
+
+
+def test_synthesis_logs_its_point_rows(patrol_env, monkeypatch, caplog):
+    spec = GridSpec((20, 20), (60.0, 60.0))
+    asm = packaged_cell(patrol_env, "patrol", 0, spec,
+                        UncertaintyBounds(4.0, 16.0))[0]
+    calls = recorded_solves(monkeypatch)
+    seen = []
+    linprog = lp_core.linprog
+
+    def counted(c, **kwargs):
+        seen.append(kwargs["A_ub"].shape[0] - asm.lp.b_kept.size)
+        return linprog(c, **kwargs)
+
+    monkeypatch.setattr(lp_core, "linprog", counted)
+    with caplog.at_level("INFO", logger="safefield"):
+        synthesize_cell_controller(asm)
+    lines = [r.getMessage() for r in caplog.records
+             if r.getMessage().startswith("synth cell 0:")]
+    assert len(lines) == 1
+    match = re.fullmatch(
+        r"synth cell 0: (\d+) point rows, at most (\d+) in one HiGHS call, "
+        r"(\d+) HiGHS calls, (\d+) solve_lp calls", lines[0])
+    assert match, lines[0]
+    rows, most, highs, solves = map(int, match.groups())
+    assert rows == asm.lp.points.at.size
+    assert most == max(seen) and 0 < most < rows
+    assert highs == len(seen) and solves == len(calls) == 1
