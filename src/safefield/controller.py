@@ -25,7 +25,7 @@ class GainBasis:
 
     KNOWN = ("mean", "quadratic", "cosine")
 
-    def __init__(self, names=("mean", "quadratic", "cosine")):
+    def __init__(self, names=KNOWN):
         if not isinstance(names, (list, tuple)):
             raise DimensionMismatch("feature maps must be a list of names, "
                                     "not %r" % (names,))

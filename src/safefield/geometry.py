@@ -5,6 +5,7 @@ so -(A[j] x + b[j]) is the signed distance of x to facet j (positive inside).
 """
 
 import json
+import math
 import numbers
 
 import numpy as np
@@ -218,13 +219,17 @@ class Environment:
 
 
 def real(value):
-    """float(value) for a number. float alone also reads numeric strings
-    and booleans, which are refused here."""
+    """float(value) for a finite number. float alone also reads numeric
+    strings and booleans, which are refused here, and JSON's NaN and
+    Infinity, which are refused too."""
     kind = type(value)
     if kind is not float and kind is not int and (
             kind is bool or not isinstance(value, numbers.Real)):
         raise TypeError("%r is not a number" % (value,))
-    return float(value)
+    out = float(value)
+    if not math.isfinite(out):
+        raise ValueError("%r is not finite" % (value,))
+    return out
 
 
 def integral(value):
@@ -243,12 +248,17 @@ def integers(value):
 
 def reals(value):
     """A number, or lists of them nested to any depth, as one float array;
-    each entry must be a number (see real), checked in one pass by type."""
+    each entry must be a finite number (see real), checked in one pass by
+    type and one by value."""
     entries = np.array(value, dtype=object)
     if not set(map(type, entries.flat)) <= {float, int}:
         for entry in entries.flat:
             real(entry)
-    return entries.astype(float)
+    out = entries.astype(float)
+    bad = out[~np.isfinite(out)]
+    if bad.size:
+        raise ValueError("%r is not finite" % (float(bad[0]),))
+    return out
 
 
 def point(dim):

@@ -11,7 +11,11 @@ optimum violates most, until it violates none by more than LAZY_TOL of the
 residual scale. That optimum is feasible for the whole LP and optimal for a
 relaxation of it, so it is optimal for the whole LP; rows never added get
 dual 0. solve_lp writes as matrix rows only the point rows that a HiGHS
-call reads."""
+call reads.
+
+An LP's inequality rows are the rows of the A_ub it was given, followed by
+its point rows in their own order. A_ub, b_ub, n_ub, duals_ub and every
+matrix handed to HiGHS list the rows in that order."""
 
 import numpy as np
 import scipy.sparse as sp
@@ -41,16 +45,14 @@ class StandardLp:
 
     points, when given, holds more inequality rows as a separation (see
     synthesis.PointRows):
-      - points.at, the numbers of its rows among all inequality rows,
-        ascending;
       - points.b, their right-hand sides;
       - points.deficits(x), A x - b on each of them;
       - points.rows(selected), the CSR of the rows at the ascending
-        indices selected into points.at.
-    The A_ub and b_ub passed in are then the other rows, in order, kept as
-    A_kept and b_kept; the attributes A_ub and b_ub always read the whole
-    system, and with points A_ub is built on each read. solve_lp reads
-    neither."""
+        indices selected into points.b.
+    The A_ub and b_ub passed in are then the matrix rows, kept as A_kept
+    and b_kept, and the point rows follow them (see the module docstring).
+    The attributes A_ub and b_ub always read the whole system, and with
+    points A_ub is built on each read. solve_lp reads neither."""
 
     def __init__(self, sense, c, A_ub=None, b_ub=None, A_eq=None, b_eq=None,
                  lb=None, ub=None, points=None):
@@ -72,15 +74,6 @@ class StandardLp:
         if self.lb.shape[0] != n or self.ub.shape[0] != n:
             raise DimensionMismatch("bound length mismatch")
         self.points = points
-        self.kept_at = np.arange(self.b_kept.size)
-        if points is not None:
-            at = np.asarray(points.at)
-            if (np.shape(points.b) != at.shape or np.any(np.diff(at) <= 0)
-                    or np.any((at < 0) | (at >= self.n_ub))):
-                raise DimensionMismatch("point rows mismatch")
-            kept = np.ones(self.n_ub, dtype=bool)
-            kept[at] = False
-            self.kept_at = np.flatnonzero(kept)
 
     @property
     def n_vars(self):
@@ -89,23 +82,20 @@ class StandardLp:
     @property
     def n_ub(self):
         """The number of inequality rows, point rows included."""
-        extra = 0 if self.points is None else len(self.points.at)
+        extra = 0 if self.points is None else self.points.b.size
         return self.b_kept.shape[0] + extra
 
     @property
     def A_ub(self):
         if self.points is None:
             return self.A_kept
-        return _inequalities(self, np.ones(len(self.points.at), dtype=bool))[0]
+        return _inequalities(self, np.ones(self.points.b.size, dtype=bool))[0]
 
     @property
     def b_ub(self):
         if self.points is None:
             return self.b_kept
-        b = np.empty(self.n_ub)
-        b[self.kept_at] = self.b_kept
-        b[self.points.at] = self.points.b
-        return b
+        return np.concatenate([self.b_kept, self.points.b])
 
 
 class LpSolution:
@@ -141,11 +131,10 @@ def _validate(lp, x, duals_ub, deficits=None):
     """Check x against every row; deficits, when given, are the point
     rows' at x."""
     scale = _scale(lp, x)
-    r = np.empty(lp.n_ub)  # the slack is -r, bit for bit
-    r[lp.kept_at] = lp.A_kept @ x - lp.b_kept
+    r = lp.A_kept @ x - lp.b_kept  # the slack is -r, bit for bit
     if lp.points is not None:
-        r[lp.points.at] = (lp.points.deficits(x) if deficits is None
-                           else deficits)
+        r = np.concatenate([r, lp.points.deficits(x) if deficits is None
+                            else deficits])
     feas = 0.0
     if r.size:
         feas = max(feas, float(np.max(r)))
@@ -164,33 +153,21 @@ def _validate(lp, x, duals_ub, deficits=None):
 
 
 def _inequalities(lp, chosen):
-    """The matrix rows and the point rows in the mask chosen, in row order:
-    their matrix, right-hand sides and row numbers."""
+    """The matrix rows, then the point rows in the mask chosen: their
+    matrix and right-hand sides."""
     if lp.points is None:
-        return lp.A_kept, lp.b_kept, lp.kept_at
+        return lp.A_kept, lp.b_kept
     picked = np.flatnonzero(chosen)
-    at = np.concatenate([lp.kept_at, lp.points.at[picked]])
-    order = np.argsort(at, kind="stable")
-    # the rows of both matrices stacked, then taken in order
-    parts = (lp.A_kept, lp.points.rows(picked))
-    starts = np.concatenate([parts[0].indptr[:-1],
-                             parts[1].indptr[:-1] + parts[0].nnz])[order]
-    counts = np.concatenate([np.diff(A.indptr) for A in parts])[order]
-    indptr = np.concatenate([[0], np.cumsum(counts)])
-    take = np.repeat(starts - indptr[:-1], counts) + np.arange(indptr[-1])
-    A = sp.csr_matrix((np.concatenate([A.data for A in parts])[take],
-                       np.concatenate([A.indices for A in parts])[take],
-                       indptr), shape=(order.size, lp.n_vars))
-    b = np.concatenate([lp.b_kept, lp.points.b[picked]])[order]
-    return A, b, at[order]
+    return (sp.vstack([lp.A_kept, lp.points.rows(picked)], format="csr"),
+            np.concatenate([lp.b_kept, lp.points.b[picked]]))
 
 
 def _highs(lp, chosen):
     """HiGHS on lp restricted to its matrix rows and the point rows in the
-    mask chosen; its result, and the numbers of the rows it read."""
-    A_ub, b_ub, at = _inequalities(lp, chosen)
+    mask chosen."""
+    A_ub, b_ub = _inequalities(lp, chosen)
     c = lp.c if lp.sense == "min" else -lp.c
-    res = linprog(
+    return linprog(
         c,
         A_ub=A_ub if A_ub.shape[0] else None,
         b_ub=b_ub if A_ub.shape[0] else None,
@@ -199,7 +176,6 @@ def _highs(lp, chosen):
         bounds=np.column_stack([lp.lb, lp.ub]),
         method="highs",
     )
-    return res, at
 
 
 def solve_lp(lp):
@@ -211,11 +187,11 @@ def solve_lp(lp):
     added at once."""
     chosen = np.zeros(0, dtype=bool)
     if lp.points is not None:
-        chosen = np.zeros(len(lp.points.at), dtype=bool)
+        chosen = np.zeros(lp.points.b.size, dtype=bool)
         chosen[::LAZY_SEED_STRIDE] = True
     calls = 0
     while True:
-        res, at = _highs(lp, chosen)
+        res = _highs(lp, chosen)
         calls += 1
         excess = None
         if chosen.all() or res.status not in (0, 3):
@@ -240,8 +216,8 @@ def solve_lp(lp):
     sign = 1.0 if lp.sense == "min" else -1.0
     x = np.asarray(res.x, dtype=float)
     duals_ub = np.zeros(lp.n_ub)
-    if at.size:
-        duals_ub[at] = -np.asarray(res.ineqlin.marginals)
+    seen = np.concatenate([np.ones(lp.b_kept.size, dtype=bool), chosen])
+    duals_ub[seen] = -np.asarray(res.ineqlin.marginals)
     duals_eq = -np.asarray(res.eqlin.marginals) if lp.b_eq.size else np.zeros(0)
     _validate(lp, x, duals_ub, excess)
     return LpSolution("Optimal", x, sign * float(res.fun), duals_ub, duals_eq,

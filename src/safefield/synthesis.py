@@ -25,11 +25,12 @@ columns in it, and differ only in sense, cost and right-hand side.
 Only a few of the thousands of point rows bind, so they are not written
 into the matrix: PointRows holds them per cell as candidates, gaps and gain
 images, and gives their deficits at a solution and the matrix rows of any
-subset. Each solve hands HiGHS the bound rows, the goal equalities, the
-tiebreak rows and a seed of point rows, and adds the point rows that its
-optimum violates until none is (lp_core.solve_lp). Each solve's result is
-optimal for its whole LP, and no solve writes the point rows it never
-reads.
+subset. The LP's inequality rows are its matrix rows (the bound rows, then
+the tiebreak rows), followed by its point rows (lp_core). Each solve hands
+HiGHS the matrix rows, the goal equalities and a seed of point rows, and
+adds the point rows that its optimum violates until none is
+(lp_core.solve_lp). Each solve's result is optimal for its whole LP, and no
+solve writes the point rows it never reads.
 """
 
 import logging
@@ -112,15 +113,15 @@ class LpColumns:
 
 class PointRows:
     """The point rows of a cell LP (see _fill_rows) as data, not as matrix
-    entries: per row k and landmark l, in row order, a block of the
+    entries: per row k and landmark l, in that order, a block of the
     deviation candidates (grid point i, gap g) of the row's region. Every
     point row of a block has the same columns, the gains gain[l] on which
     the row's gain image is not 0 everywhere, then lam[k, l], and its
     coefficients on them are
         (image[:, i], -1, -u_i, u_i, -g)
     for the grid point u_i. It is the separation that lp_core.solve_lp
-    reads (see StandardLp): at, the rows' numbers among the LP's inequality
-    rows; b, their right-hand sides (all 0); deficits(x) and
+    reads (see StandardLp), whose point rows follow its matrix rows in
+    block order: b, their right-hand sides (all 0); deficits(x) and
     rows(selected).
 
     deficits sums each row in the order of its columns, as a CSR mat-vec
@@ -128,23 +129,21 @@ class PointRows:
     coefficient 0, which the matrix drops, adds at most a zero's sign)."""
 
     def __init__(self, n_vars, points, blocks):
-        """blocks: per (k, l) in row order, (first row number, columns, the
-        gain image's rows on those columns over the grid points, candidate
-        point indices, gaps)."""
-        self._sizes = np.array([block[3].size for block in blocks])
+        """blocks: per (k, l) in order, (columns, the gain image's rows on
+        those columns over the grid points, candidate point indices,
+        gaps)."""
+        self._sizes = np.array([block[2].size for block in blocks])
         self._block = np.repeat(np.arange(len(blocks)), self._sizes)
-        self.at = np.concatenate([first + np.arange(idx.size)
-                                  for first, _, _, idx, _ in blocks])
-        self.b = np.zeros(self.at.size)
+        self.b = np.zeros(self._sizes.sum())
         self._n_vars = n_vars
         # per block its columns, and per row (one column here) the
         # coefficients on them, padded to one width with coefficient 0 on
         # column 0
-        width = max(block[1].size for block in blocks)
+        width = max(block[0].size for block in blocks)
         self._cols = np.zeros((len(blocks), width), dtype=np.int64)
-        self._coef = np.zeros((width, self.at.size))
+        self._coef = np.zeros((width, self.b.size))
         end = 0
-        for b, (_, columns, image, idx, gap) in enumerate(blocks):
+        for b, (columns, image, idx, gap) in enumerate(blocks):
             start, end = end, end + idx.size
             self._cols[b, :columns.size] = columns
             coef = self._coef[:columns.size, start:end]
@@ -154,7 +153,7 @@ class PointRows:
             coef[g + 1:] = np.vstack([-points[idx].T, points[idx].T, -gap.T])
 
     def deficits(self, x):
-        """A x - b on every point row, in row order."""
+        """A x - b on every point row, in block order."""
         terms = np.repeat(x[self._cols].T, self._sizes, axis=1)
         terms *= self._coef
         out = terms[0].copy()
@@ -164,7 +163,7 @@ class PointRows:
 
     def rows(self, selected):
         """The CSR of the point rows at the ascending indices selected into
-        at, with sorted indices and no stored zeros."""
+        b, with sorted indices and no stored zeros."""
         values = self._coef[:, selected].T
         keep = values != 0
         indptr = np.concatenate([[0], np.cumsum(keep.sum(axis=1))])
@@ -175,7 +174,7 @@ class PointRows:
 
 def _fill_rows(cols, rows, regions, landmarks, bounds, points, maps):
     """Inequality rows of the vertex-form LP, per row k: the bound row at
-    each vertex v of its region, then per landmark the dual-feasibility row
+    each vertex v of its region and per landmark the dual-feasibility row
     of each grid point i at each of its deviation candidates.
 
     Row k reads c_x.x + w.u + r <= -delta_k, and u = K_b + sum_l M_l P_l
@@ -192,18 +191,20 @@ def _fill_rows(cols, rows, regions, landmarks, bounds, points, maps):
     [u_i, -u_i] on lam_p and the deviation |x - a_i| on lam_z, a_i =
     landmark - u_i, whose minimum over the region is attained at one of
     geometry.deviation_candidates. An empty region has neither, so its row
-    constrains nothing. Last comes the tiebreak block, the floor -sum(delta)
-    <= -z and +-theta - t <= +-target, at right-hand side 0, where it
-    constrains nothing (delta >= 0, t is free above); _tiebreak_lp sets it.
+    constrains nothing. After the bound rows comes the tiebreak block, the
+    floor -sum(delta) <= -z and +-theta - t <= +-target, at right-hand side
+    0, where it constrains nothing (delta >= 0, t is free above);
+    _tiebreak_lp sets it.
 
     Returns the bound and tiebreak rows, their right-hand sides and the
-    point rows (PointRows), which few of bind at the optimum, so that a
-    solve writes only those it needs as matrix rows (lp_core.solve_lp)."""
+    point rows (PointRows, one block per row k and landmark), which few of
+    bind at the optimum, so that a solve writes only those it needs as
+    matrix rows (lp_core.solve_lp)."""
     features = np.stack(maps)
     ub = _Coo()
     b_ub = []
     blocks = []
-    n = kept = 0  # rows so far, and bound rows among them
+    kept = 0  # bound rows so far
     # rows share their region (the cell body) except a floored CLF row:
     # per region its vertices and, per landmark, its deviation candidates
     shared = {}
@@ -221,7 +222,6 @@ def _fill_rows(cols, rows, regions, landmarks, bounds, points, maps):
             ub.add(at_v, cols.lam_s[k, l], 1.0)
             ub.add(at_v, cols.lam[k, l, 1:], bounds.rhs(landmark - V))
         b_ub.append(-row.r - V @ row.c_x)
-        n += V.shape[0]
         kept += V.shape[0]
         # image[(i n_u + m) d + s, j] = w[m] R_i[s, j]: the coefficient of
         # K_{l,i}[m, s] on P_l[j], laid out as cols.gain[l].ravel(); a gain
@@ -231,9 +231,8 @@ def _fill_rows(cols, rows, regions, landmarks, bounds, points, maps):
         live = image.any(axis=1)
         image = image[live]
         for l, (idx, gap) in enumerate(candidates):
-            blocks.append((n, np.r_[cols.gain[l].ravel()[live],
-                                    cols.lam[k, l]], image, idx, gap))
-            n += idx.size
+            blocks.append((np.r_[cols.gain[l].ravel()[live], cols.lam[k, l]],
+                           image, idx, gap))
     G = cols.t.size
     ub.add(kept, cols.delta, -1.0)
     at_t = kept + 1 + np.arange(2 * G)

@@ -121,11 +121,12 @@ def _stencil(spec, Y, bounds, tol):
     one where only that is non-empty."""
     m, d = Y.shape
     n, width = np.array(spec.n), np.array(spec.width)
+    axes = [spec.centers(q) for q in range(d)]
 
-    def center(j):  # GridSpec.centers, on every axis at once
-        return width * (j + 0.5) / n - width / 2.0
+    def center(j):  # the grid centers at the indices j, axis by axis
+        return np.column_stack([axis[j[:, q]] for q, axis in enumerate(axes)])
 
-    s = (Y - center(0)) / (width / n)
+    s = (Y - [axis[0] for axis in axes]) / (width / n)
     j = np.clip(np.floor(s), 0, n - 2).astype(int)
     f = np.clip(s - j, 0.0, 1.0)
     # on each axis, mean error a + b t and MAD a_s + b_s t; the intervals

@@ -3,8 +3,9 @@ independent oracle of synthesis.PointRows, and a separation that reads a
 materialized matrix, to stand in for PointRows in lp_core.solve_lp.
 
 fill_rows writes the rows entry by entry into a COO list, as the assembly
-did before the point rows became data; materialized(asm) runs it on an
-assembled cell LP's problem."""
+did before the point rows became data, each point row among the bound rows
+of its constraint; materialized(asm) runs it on an assembled cell LP's
+problem and lists its rows in the LP's order."""
 
 import numpy as np
 
@@ -62,11 +63,14 @@ def fill_rows(cols, rows, regions, landmarks, bounds, points, maps):
 def materialized(asm):
     """The inequality rows of the assembled cell LP asm, every point row
     written out: the CSR matrix, the right-hand sides and the point-row
-    mask."""
+    mask, in the LP's order (lp_core): the matrix rows, then the point
+    rows, each in the order fill_rows writes them."""
     p = asm.problem
     ub, b_ub, lazy = fill_rows(asm.cols, asm.rows, asm.regions, p.landmarks,
                                p.bounds, p.grid.points(), p.features())
-    return ub.matrix((b_ub.size, asm.cols.n_vars)), b_ub, lazy
+    A_ub = ub.matrix((b_ub.size, asm.cols.n_vars))
+    order = np.argsort(lazy, kind="stable")
+    return A_ub[order], b_ub[order], lazy[order]
 
 
 class MatrixRows:
@@ -76,19 +80,20 @@ class MatrixRows:
     def __init__(self, A, b, lazy):
         self.A = A.tocsr()
         self.b_all = np.asarray(b, dtype=float)
-        self.at = np.flatnonzero(lazy)
-        self.b = self.b_all[self.at]
+        self._at = np.flatnonzero(lazy)
+        self.b = self.b_all[self._at]
 
     def deficits(self, x):
-        return (self.A @ x - self.b_all)[self.at]
+        return (self.A @ x - self.b_all)[self._at]
 
     def rows(self, selected):
-        return self.A[self.at[selected]]
+        return self.A[self._at[selected]]
 
 
 def lp_with_rows(sense, c, A_ub, b_ub, lazy, **rest):
     """The LP over A_ub x <= b_ub (and rest) whose rows in the mask lazy
-    are held as a MatrixRows separation."""
+    are held as a MatrixRows separation: its rows are those not in lazy,
+    then those in lazy, each in their order in A_ub."""
     A_ub = A_ub.tocsr()
     return StandardLp(sense, c, A_ub=A_ub[~lazy], b_ub=b_ub[~lazy],
                       points=MatrixRows(A_ub, b_ub, lazy), **rest)

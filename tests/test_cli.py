@@ -373,6 +373,10 @@ def move_goal(env, ctrls):
     env["goal"] = [2.0, 2.0]
 
 
+def nan_gain(env, ctrls):
+    ctrls[0]["K"][0][0][0][0] = float("nan")
+
+
 def unknown_barrier(env, ctrls):
     ctrls[1]["facets"][1] = 99
 
@@ -414,10 +418,12 @@ def moved_landmark(env, ctrls):
      "controllers.0.status", "malformed entry"),
     (lambda env, ctrls: ctrls[0]["saturation"].update(max_u_vertices="3"),
      "controllers.0.saturation.max_u_vertices", "malformed entry"),
+    # json.load reads NaN as a float
+    (nan_gain, "controllers.0.K", "nan is not finite"),
 ], ids=["moved-goal", "unknown-barrier", "unknown-cell", "repeated-cell",
         "moved-landmark", "repeated-basis-name", "string-K_b", "boolean-alpha_v",
         "non-integral-grid.n", "string-epsilon", "numeric-status",
-        "string-max_u_vertices"])
+        "string-max_u_vertices", "nan-K"])
 def test_controllers_of_another_plan_exit_config_code(
         pipeline_dir, tmp_path, capsys, tamper, field, message):
     # each reader checks every controller against its cell's plan entry and
@@ -597,6 +603,37 @@ def test_floats_must_be_json_numbers(tmp_path, edit, field):
         cli.load_config(path)
     assert info.value.field == field
     assert cli.main(["synth", "--config", path]) == 2
+
+
+def nan_landmark(cfg, env):
+    env["landmarks"][1] = [float("nan"), 0.5]
+
+
+@pytest.mark.parametrize("command, edit, name, field", [
+    ("simulate", lambda cfg, env: cfg["sim"].update(dt=float("nan")),
+     "run.json", "sim.dt"),
+    ("simulate", lambda cfg, env: cfg["sim"].update(max_time=float("inf")),
+     "run.json", "sim.max_time"),
+    ("synth", lambda cfg, env: cfg["grid"].update(width=[float("nan"), 6.0]),
+     "run.json", "grid.width"),
+    ("synth", nan_landmark, "env.json", "environment.landmarks"),
+], ids=["nan-sim.dt", "infinite-sim.max_time", "nan-grid.width",
+        "nan-landmark"])
+def test_non_finite_number_exits_config_code(pipeline_dir, tmp_path, capsys,
+                                             command, edit, name, field):
+    # json.load reads NaN and Infinity as floats; the config refuses them
+    # when it loads, before the command that would trip on them runs
+    path = write_config(tmp_path)
+    cfg, env = json.loads(path.read_text()), copy.deepcopy(ENV)
+    edit(cfg, env)
+    path.write_text(json.dumps(cfg))
+    (tmp_path / "env.json").write_text(json.dumps(env))
+    (tmp_path / "out").mkdir()
+    shutil.copy(pipeline_dir / "out" / "controllers.json", tmp_path / "out")
+    assert cli.main([command, "--config", str(path)]) == 2
+    err = capsys.readouterr().err
+    assert "is not finite" in err
+    assert "(file %s, field %s)" % (tmp_path / name, field) in err
 
 
 def test_cell_without_landmarks_exits_config_code(tmp_path, capsys):

@@ -2,7 +2,7 @@ import numpy as np
 import pytest
 import scipy.sparse as sp
 
-from materialized import MatrixRows, lp_with_rows
+from materialized import lp_with_rows
 from safefield import lp_core
 from safefield.errors import DimensionMismatch
 from safefield.lp_core import FEAS_TOL, StandardLp, solve_lp
@@ -85,18 +85,27 @@ def without_mask(lp):
 
 def recorded_rows(monkeypatch):
     """The inequality rows that solve_lp hands HiGHS, call by call, as a
-    mask over every row, each with the status HiGHS returned."""
-    calls = []
-    highs = lp_core._highs
+    mask over every row (the matrix rows and the point rows chosen), each
+    with the status HiGHS returned. Each call must get exactly the rows of
+    A_ub and b_ub in that mask, in their order."""
+    calls, given = [], []
+    highs, linprog = lp_core._highs, lp_core.linprog
 
     def record(lp, chosen):
-        res, at = highs(lp, chosen)
-        seen = np.zeros(lp.n_ub, dtype=bool)
-        seen[at] = True
+        res = highs(lp, chosen)
+        seen = np.concatenate([np.ones(lp.b_kept.size, dtype=bool), chosen])
+        A_ub, b_ub = given.pop()
+        assert np.array_equal(A_ub.toarray(), lp.A_ub[seen].toarray())
+        assert np.array_equal(b_ub, lp.b_ub[seen])
         calls.append((seen, res.status))
-        return res, at
+        return res
+
+    def linprog_recorded(c, A_ub, b_ub, **kwargs):
+        given.append((A_ub, b_ub))
+        return linprog(c, A_ub=A_ub, b_ub=b_ub, **kwargs)
 
     monkeypatch.setattr(lp_core, "_highs", record)
+    monkeypatch.setattr(lp_core, "linprog", linprog_recorded)
     return calls
 
 
@@ -114,10 +123,39 @@ def test_lazy_rows_reach_the_full_optimum(monkeypatch):
         scale = 1.0 + max(np.max(np.abs(lp.b_ub)), np.max(np.abs(sol.x)))
         assert np.max(lp.A_ub @ sol.x - lp.b_ub) <= FEAS_TOL * scale
         seen = calls[-1][0]
-        # HiGHS saw every matrix row and a small share of the point rows
-        assert seen[lp.kept_at].all() and seen.sum() < lp.b_ub.size // 4
+        # HiGHS saw the matrix rows and a small share of the point rows
+        assert seen.sum() < lp.b_ub.size // 4
         assert np.all(sol.duals_ub[~seen] == 0.0)
         assert sol.duals_ub.shape == lp.b_ub.shape
+
+
+def test_matrix_rows_come_first_then_point_rows(monkeypatch):
+    # the box rows sit among the point rows of the matrix given; the LP
+    # lists them first, then the point rows, each in the order given
+    rng = np.random.default_rng(53)
+    n, m = 4, 600
+    box = np.vstack([np.eye(n), -np.eye(n)])
+    A = rng.standard_normal((m, n))
+    b = A @ rng.uniform(1.0, 3.0, size=n) + rng.uniform(0.5, 2.0, size=m)
+    lazy = np.ones(m + 2 * n, dtype=bool)
+    lazy[rng.choice(m + 2 * n, size=2 * n, replace=False)] = False
+    A_given, b_given = np.empty((m + 2 * n, n)), np.empty(m + 2 * n)
+    A_given[~lazy], b_given[~lazy] = box, 10.0
+    A_given[lazy], b_given[lazy] = A, b
+    lp = lp_with_rows("max", rng.standard_normal(n), sp.csr_matrix(A_given),
+                      b_given, lazy)
+    assert lp.n_ub == m + 2 * n
+    assert np.array_equal(lp.A_ub.toarray(), np.vstack([box, A]))
+    assert np.array_equal(lp.b_ub, np.r_[np.full(2 * n, 10.0), b])
+    calls = recorded_rows(monkeypatch)
+    sol = solve_lp(lp)
+    seen = calls[-1][0]
+    assert sol.status == "Optimal" and not seen.all()
+    assert sol.duals_ub.shape == (m + 2 * n,)
+    assert np.all(sol.duals_ub[~seen] == 0.0)
+    # x is free, so the duals in this order price out the cost exactly:
+    # A_ub^T duals_ub = c
+    assert np.allclose(lp.A_ub.T @ sol.duals_ub, lp.c, atol=1e-9)
 
 
 def test_infeasible_through_a_lazy_row():
@@ -126,7 +164,7 @@ def test_infeasible_through_a_lazy_row():
     A = sp.vstack([lp.A_ub, -np.eye(lp.n_vars)[:1]])
     b = np.concatenate([lp.b_ub, [-11.0]])
     lazy = np.ones(lp.n_ub + 1, dtype=bool)
-    lazy[lp.kept_at] = False
+    lazy[:lp.b_kept.size] = False
     bad = lp_with_rows("max", lp.c, A, b, lazy, lb=lp.lb, ub=lp.ub)
     assert solve_lp(lp).status == "Optimal"
     assert solve_lp(bad).status == "Infeasible"
@@ -163,8 +201,3 @@ def test_shape_validation():
         StandardLp("min", [1.0, 2.0], A_ub=[[1.0]], b_ub=[1.0])
     with pytest.raises(DimensionMismatch):
         StandardLp("mid", [1.0])
-    with pytest.raises(DimensionMismatch):
-        # the point row is row 2 of 3, but with one matrix row there are 2
-        StandardLp("min", [1.0], A_ub=[[1.0]], b_ub=[1.0],
-                   points=MatrixRows(sp.csr_matrix([[1.0], [2.0], [3.0]]),
-                                     [1.0, 2.0, 3.0], [False, False, True]))

@@ -153,7 +153,7 @@ def test_lp_dimensions_square():
     A_ub, _, lazy = materialized(asm)
     assert A_ub.shape == (81, 60) and asm.lp.n_ub == 81
     # 36 point rows: the LP's own and the oracle's
-    assert lazy.sum() == asm.lp.points.at.size == 36
+    assert lazy.sum() == asm.lp.points.b.size == 36
     assert asm.lp.A_eq.shape == (0, 60)
 
 
@@ -191,15 +191,16 @@ def oracle_cases():
 
 def test_gain_coefficients_match_the_oracle_image():
     """Every row's gain coefficients in the assembled LP are, bit for bit,
-    the oracle's dense Kronecker image of its w: at each point row the
-    image's row for that grid point, at each bound row w on the bias. The
-    last 1 + 2G rows are the tiebreak block: the floor -sum(delta), then
-    theta - t and -theta - t."""
+    the oracle's dense Kronecker image of its w: at each bound row w on the
+    bias, at each point row the image's row for that grid point. The
+    matrix rows come first: the bound rows, then the 1 + 2G rows of the
+    tiebreak block, the floor -sum(delta), then theta - t and -theta - t.
+    The point rows follow, in the same order of rows and landmarks."""
     for asm in oracle_cases():
         A = asm.lp.A_ub.toarray()
         theta = asm.cols.theta
         maps = [feature_maps(asm)] * len(asm.problem.landmarks)
-        n = 0
+        n, p = 0, asm.lp.b_kept.size  # the next bound row and point row
         for k, row in enumerate(asm.rows):
             n_v = region_points(asm.regions[k]).shape[0]
             bias = bias_image(row.w, asm.cols)
@@ -211,17 +212,18 @@ def test_gain_coefficients_match_the_oracle_image():
             for blk in affine_blocks(asm):
                 idx, _ = deviation_candidates(asm.regions[k],
                                               (blk.landmark[:, None] - blk.U).T)
-                assert np.array_equal(A[n:n + idx.size, theta],
+                assert np.array_equal(A[p:p + idx.size, theta],
                                       image[off + idx])
-                n += idx.size
+                p += idx.size
                 off += blk.n_points
+        assert p == asm.lp.n_ub
         G = theta.size
         block = np.zeros((1 + 2 * G, asm.cols.n_vars))
         block[0, asm.cols.delta] = -1.0
         at_t = 1 + np.arange(2 * G)
         block[at_t, np.tile(theta, 2)] = np.repeat([1.0, -1.0], G)
         block[at_t, np.tile(asm.cols.t, 2)] = -1.0
-        assert np.array_equal(A[n:], block)
+        assert np.array_equal(A[n:asm.lp.b_kept.size], block)
 
 
 def uncapped(asm):
@@ -611,20 +613,22 @@ def test_failed_tiebreak_warns_and_keeps_the_margin_gains(patrol_env,
 
 def margin_only(asm):
     """asm's margin LP without the tiebreak block, read from the oracle:
-    its last 1 + 2G inequality rows and its G columns t sliced off."""
+    its last 1 + 2G matrix rows and its G columns t sliced off."""
     lp, G = asm.lp, asm.cols.t.size
     A_ub, b_ub, lazy = materialized(asm)
-    n, m = lp.n_vars - G, b_ub.size - (1 + 2 * G)
-    return lp_with_rows(lp.sense, lp.c[:n], A_ub[:m, :n], b_ub[:m], lazy[:m],
-                        A_eq=lp.A_eq[:, :n], b_eq=lp.b_eq, lb=lp.lb[:n],
-                        ub=lp.ub[:n])
+    n = lp.n_vars - G
+    keep = np.ones(b_ub.size, dtype=bool)
+    keep[np.flatnonzero(~lazy)[-(1 + 2 * G):]] = False
+    return lp_with_rows(lp.sense, lp.c[:n], A_ub[keep][:, :n], b_ub[keep],
+                        lazy[keep], A_eq=lp.A_eq[:, :n], b_eq=lp.b_eq,
+                        lb=lp.lb[:n], ub=lp.ub[:n])
 
 
 def stacked_tiebreak_lp(asm, z_star, nominal):
     """Oracle for _tiebreak_lp: the tiebreak LP stacked onto margin_only(asm)
     by sparse hstack and vstack, new columns t >= |theta - target| and,
     below the margin rows, the objective floor and +-theta - t <=
-    +-target."""
+    +-target, which join the matrix rows."""
     lp = margin_only(asm)
     theta = asm.cols.theta
     G = theta.size
@@ -647,7 +651,7 @@ def stacked_tiebreak_lp(asm, z_star, nominal):
     lb = np.concatenate([lp.lb, np.zeros(G)])
     ub = np.concatenate([lp.ub, np.full(G, np.inf)])
     lazy = np.zeros(b_ub.size, dtype=bool)
-    lazy[lp.points.at] = True
+    lazy[lp.b_kept.size:lp.n_ub] = True
     return lp_with_rows("min", c, A_ub, b_ub, lazy, A_eq=A_eq, b_eq=lp.b_eq,
                         lb=lb, ub=ub)
 
@@ -656,7 +660,7 @@ def assert_same_lp(a, b):
     """a and b are the same LP, array for array, down to the CSR layout,
     with the same rows held as point rows."""
     assert a.sense == b.sense
-    assert np.array_equal(a.points.at, b.points.at)
+    assert a.b_kept.size == b.b_kept.size
     for name in ("c", "b_ub", "b_eq", "lb", "ub"):
         assert np.array_equal(getattr(a, name), getattr(b, name)), name
     for name in ("A_ub", "A_eq"):
@@ -722,12 +726,14 @@ def test_loaded_controller_reassembles_its_own_lp(tmp_path, monkeypatch):
 
 def full_solve(asm):
     """asm with every row written into the matrix by the oracle and none
-    held as a point row, so HiGHS sees every row at once."""
+    held as a point row, so HiGHS sees every row at once. The point rows
+    come first, so that the tiebreak block stays last (see _tiebreak_lp)."""
     lp = asm.lp
-    A_ub, b_ub, _ = materialized(asm)
+    A_ub, b_ub, lazy = materialized(asm)
+    order = np.argsort(~lazy, kind="stable")
     out = copy.copy(asm)
-    out.lp = StandardLp(lp.sense, lp.c, A_ub=A_ub, b_ub=b_ub, A_eq=lp.A_eq,
-                        b_eq=lp.b_eq, lb=lp.lb, ub=lp.ub)
+    out.lp = StandardLp(lp.sense, lp.c, A_ub=A_ub[order], b_ub=b_ub[order],
+                        A_eq=lp.A_eq, b_eq=lp.b_eq, lb=lp.lb, ub=lp.ub)
     return out
 
 
@@ -737,7 +743,7 @@ def lazy_and_full(env, mode, spec, bounds):
     out = {}
     for cell in env.cells:
         asm = packaged_cell(env, mode, cell.id, spec, bounds)[0]
-        assert asm.lp.points.at.size
+        assert asm.lp.points.b.size
         out[cell.id] = tuple(
             synthesize_cell_controller(lp) for lp in (asm, full_solve(asm)))
     return out
@@ -831,12 +837,12 @@ def assert_oracle_rows(asm, xs):
     writes entry by entry."""
     A_ub, b_ub, lazy = materialized(asm)
     lp, points = asm.lp, asm.lp.points
-    assert np.array_equal(points.at, np.flatnonzero(lazy))
+    assert np.array_equal(lazy, np.arange(lp.n_ub) >= lp.b_kept.size)
     assert np.array_equal(points.b, b_ub[lazy])
     assert_same_csr(lp.A_kept, A_ub[~lazy])
     assert np.array_equal(lp.b_kept, b_ub[~lazy])
-    assert_same_csr(points.rows(np.arange(points.at.size)), A_ub[lazy])
-    assert_same_csr(points.rows(np.arange(points.at.size)[::7]),
+    assert_same_csr(points.rows(np.arange(points.b.size)), A_ub[lazy])
+    assert_same_csr(points.rows(np.arange(points.b.size)[::7]),
                     A_ub[np.flatnonzero(lazy)[::7]])
     assert_same_csr(lp.A_ub, A_ub)
     assert np.array_equal(lp.b_ub, b_ub)
@@ -906,6 +912,6 @@ def test_synthesis_logs_its_point_rows(patrol_env, monkeypatch, caplog):
         r"(\d+) HiGHS calls, (\d+) solve_lp calls", lines[0])
     assert match, lines[0]
     rows, most, highs, solves = map(int, match.groups())
-    assert rows == asm.lp.points.at.size
+    assert rows == asm.lp.points.b.size
     assert most == max(seen) and 0 < most < rows
     assert highs == len(seen) and solves == len(calls) == 1
