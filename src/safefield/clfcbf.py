@@ -45,11 +45,12 @@ class LinearDynamics:
 
 class ConstraintRow:
     """One row c_x^T x + w^T u + r <= 0; k=0 is the stability row, the rest
-    are safety rows, one per obstacle facet."""
+    are safety rows, one per obstacle facet. region: see build_cell_rows."""
 
     def __init__(self, kind, facet, c_x, w, r):
         self.kind = kind
         self.facet = facet
+        self.region = None
         self.c_x = np.asarray(c_x, dtype=float)
         self.w = np.asarray(w, dtype=float)
         self.r = float(r)
@@ -85,24 +86,25 @@ def build_cbf_rows(A_h, b_h, dynamics, alpha_h):
 
 
 def build_cell_rows(body, entry, dynamics, alpha_v, alpha_h, v_floor=None):
-    """The rows of one cell and the state region each must hold over.
-
-    Row 0 is the CLF row of the plan entry, then one CBF row per facet of
-    body in entry.barriers, tagged with that facet. Every region is body
-    itself, except that v_floor, when set, limits the CLF row to where the
-    progress v.(x - o) is at least v_floor."""
+    """The rows of one cell and the distinct state regions they hold on:
+    body, then, when v_floor is set, the part of body where the progress
+    v.(x - o) is at least v_floor. Row 0 is the CLF row of the plan entry,
+    on the last region; then one CBF row per facet of body in
+    entry.barriers, tagged with that facet, on body. Each row names its
+    region by its index in that list (row.region)."""
+    regions = [body]
+    if v_floor is not None:
+        regions.append(HalfspaceSet(
+            np.vstack([body.A, -entry.v[None, :]]),
+            np.concatenate([body.b, [float(entry.v @ entry.o) + float(v_floor)]]),
+        ))
     rows = [build_clf_row(entry, dynamics, alpha_v)]
+    rows[0].region = len(regions) - 1
     barriers = entry.barriers
     if barriers:
         cbf = build_cbf_rows(-body.A[barriers], -body.b[barriers],
                              dynamics, alpha_h)
         for facet, row in zip(barriers, cbf):
-            row.facet = facet
+            row.facet, row.region = facet, 0
         rows.extend(cbf)
-    regions = [body for _ in rows]
-    if v_floor is not None:
-        regions[0] = HalfspaceSet(
-            np.vstack([body.A, -entry.v[None, :]]),
-            np.concatenate([body.b, [float(entry.v @ entry.o) + float(v_floor)]]),
-        )
     return rows, regions

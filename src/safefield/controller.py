@@ -67,9 +67,9 @@ class CellProblem:
     coordinates of the landmarks it reads (one per cell.landmark_ids), the
     dynamics, the CLF and CBF rates alpha_v and alpha_h, the error bounds,
     the measurement grid, the feature basis and v_floor, the progress floor
-    of a goal cell's stability row (None elsewhere). A cell that is not the
-    one its entry names, or whose landmark count is not the coordinates',
-    raises DimensionMismatch."""
+    of a goal cell's stability row (None elsewhere). Parts that disagree
+    (the cell's id and the entry's, landmark counts, cell and dynamics or
+    landmark and grid dimensions) and no landmark raise DimensionMismatch."""
 
     def __init__(self, cell, entry, landmarks, dynamics, alpha_v, alpha_h,
                  bounds, grid, basis, v_floor=None):
@@ -87,9 +87,15 @@ class CellProblem:
                 or len(self.landmarks) != len(cell.landmark_ids)):
             raise DimensionMismatch("cell %s: entry, cell and landmarks "
                                     "disagree" % cell.id)
+        if cell.body.dim != dynamics.d:
+            raise DimensionMismatch("cell dimension does not match dynamics")
+        if any(l.shape != (grid.dim,) for l in self.landmarks):
+            raise DimensionMismatch("landmark dimension mismatch")
+        if not self.landmarks:
+            raise DimensionMismatch("need at least one landmark")
 
     def rows(self):
-        """The entry's rows and the region each must hold on
+        """The entry's rows and the distinct regions they hold on
         (clfcbf.build_cell_rows)."""
         return build_cell_rows(self.cell.body, self.entry, self.dynamics,
                                self.alpha_v, self.alpha_h, self.v_floor)

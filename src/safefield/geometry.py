@@ -119,9 +119,10 @@ def cell_vertices(hs):
     return V[order]
 
 
-def deviation_candidates(hs, a):
+def deviation_candidates(hs, V, a):
     """Per point a[i] of a (n, 2) array, the distinct Pareto-minimal gaps
-    |x - a[i]| over the states x of the region hs.
+    |x - a[i]| over the states x of the region hs, whose vertices are V
+    (region_points(hs), enumerated once by the caller for every a).
 
     For every lam >= 0, sum_q lam_q |x_q - a[i, q]| is linear on each piece
     of the region cut by the lines x_q = a[i, q], so its minimum over the
@@ -133,7 +134,6 @@ def deviation_candidates(hs, a):
     a = np.atleast_2d(np.asarray(a, dtype=float))
     n = a.shape[0]
     A, b = hs.A, hs.b
-    V = region_points(hs)
     parts = [np.broadcast_to(V, (n,) + V.shape)]
     for q in range(2):
         o = 1 - q

@@ -42,7 +42,6 @@ import scipy.sparse as sp
 from . import geometry
 from .controller import CellController, CellProblem
 from .errors import (
-    DimensionMismatch,
     GoalObservationOffGrid,
     LandmarkNotVisible,
     LandmarkOutOfView,
@@ -190,31 +189,29 @@ def _fill_rows(cols, rows, regions, landmarks, bounds, points, maps):
     its vertices suffice. In a point row, rows splits into the mean part
     [u_i, -u_i] on lam_p and the deviation |x - a_i| on lam_z, a_i =
     landmark - u_i, whose minimum over the region is attained at one of
-    geometry.deviation_candidates. An empty region has neither, so its row
-    constrains nothing. After the bound rows comes the tiebreak block, the
-    floor -sum(delta) <= -z and +-theta - t <= +-target, at right-hand side
-    0, where it constrains nothing (delta >= 0, t is free above);
-    _tiebreak_lp sets it.
+    geometry.deviation_candidates, found once per region (row.region
+    indexes regions). An empty region has neither, so its row constrains
+    nothing. After the bound rows comes the tiebreak block, the floor
+    -sum(delta) <= -z and +-theta - t <= +-target, at right-hand side 0,
+    where it constrains nothing (delta >= 0, t is free above); _tiebreak_lp
+    sets it.
 
-    Returns the bound and tiebreak rows, their right-hand sides and the
-    point rows (PointRows, one block per row k and landmark), which few of
-    bind at the optimum, so that a solve writes only those it needs as
-    matrix rows (lp_core.solve_lp)."""
+    Returns the bound and tiebreak rows, their right-hand sides, the
+    tiebreak block's slice of them and the point rows (PointRows, one block
+    per row k and landmark), which few of bind at the optimum, so that a
+    solve writes only those it needs as matrix rows (lp_core.solve_lp)."""
     features = np.stack(maps)
     ub = _Coo()
     b_ub = []
     blocks = []
     kept = 0  # bound rows so far
-    # rows share their region (the cell body) except a floored CLF row:
     # per region its vertices and, per landmark, its deviation candidates
-    shared = {}
-    for region in regions:
-        if id(region) not in shared:
-            shared[id(region)] = (geometry.region_points(region), [
-                geometry.deviation_candidates(region, landmark - points)
-                for landmark in landmarks])
+    vertices = [geometry.region_points(region) for region in regions]
+    candidates = [[geometry.deviation_candidates(region, V, landmark - points)
+                   for landmark in landmarks]
+                  for region, V in zip(regions, vertices)]
     for k, row in enumerate(rows):
-        V, candidates = shared[id(regions[k])]
+        V = vertices[row.region]
         at_v = kept + np.arange(V.shape[0])[:, None]
         ub.add(at_v, cols.bias, row.w)
         ub.add(at_v, cols.delta[k], 1.0)
@@ -230,28 +227,30 @@ def _fill_rows(cols, rows, regions, landmarks, bounds, points, maps):
             -1, features.shape[2])
         live = image.any(axis=1)
         image = image[live]
-        for l, (idx, gap) in enumerate(candidates):
+        for l, (idx, gap) in enumerate(candidates[row.region]):
             blocks.append((np.r_[cols.gain[l].ravel()[live], cols.lam[k, l]],
                            image, idx, gap))
     G = cols.t.size
+    tiebreak = slice(kept, kept + 1 + 2 * G)
     ub.add(kept, cols.delta, -1.0)
     at_t = kept + 1 + np.arange(2 * G)
     ub.add(at_t, np.tile(cols.theta, 2), np.repeat([1.0, -1.0], G))
     ub.add(at_t, np.tile(cols.t, 2), -1.0)
     b_ub.append(np.zeros(1 + 2 * G))
-    return ub, np.concatenate(b_ub), PointRows(cols.n_vars, points, blocks)
+    return (ub, np.concatenate(b_ub), tiebreak,
+            PointRows(cols.n_vars, points, blocks))
 
 
 class AssembledCellLp:
     """A cell problem's margin LP, whose matrix every solve of the cell
-    shares, with its columns and the rows and regions it was built from."""
+    shares, with its columns and tiebreak, the slice of its matrix rows
+    (lp.b_kept) that holds the tiebreak block (see _fill_rows)."""
 
-    def __init__(self, problem, lp, cols, rows, regions):
+    def __init__(self, problem, lp, cols, tiebreak):
         self.problem = problem
         self.lp = lp
         self.cols = cols
-        self.rows = rows
-        self.regions = regions
+        self.tiebreak = tiebreak
 
 
 def _check_visibility(cell, landmarks, spec):
@@ -288,22 +287,15 @@ def assemble_robust_lp(problem):
     set, limits the stability row to the part of the cell where the
     progress function is at least that value."""
     p = problem
-    d = p.dynamics.d
-    if p.cell.body.dim != d:
-        raise DimensionMismatch("cell dimension does not match dynamics")
-    if any(l.shape != (p.grid.dim,) for l in p.landmarks):
-        raise DimensionMismatch("landmark dimension mismatch")
     _check_visibility(p.cell, p.landmarks, p.grid)
     p.bounds.warn_if_below_pitch(p.grid)
-    if not p.landmarks:
-        raise DimensionMismatch("need at least one landmark")
     maps = p.features()
     rows, regions = p.rows()
 
-    cols = LpColumns(len(p.landmarks), p.basis.n_k, p.dynamics.n_u, d,
-                     len(rows))
-    ub, b_ub, point_rows = _fill_rows(cols, rows, regions, p.landmarks,
-                                      p.bounds, p.grid.points(), maps)
+    cols = LpColumns(len(p.landmarks), p.basis.n_k, p.dynamics.n_u,
+                     p.dynamics.d, len(rows))
+    ub, b_ub, tiebreak, point_rows = _fill_rows(
+        cols, rows, regions, p.landmarks, p.bounds, p.grid.points(), maps)
     eq = _Coo()
     n_goal = 0
     if p.entry.exit_face is None:
@@ -321,21 +313,22 @@ def assemble_robust_lp(problem):
                     A_ub=ub.matrix((b_ub.size, cols.n_vars)), b_ub=b_ub,
                     A_eq=eq.matrix((n_goal, cols.n_vars)), b_eq=np.zeros(n_goal),
                     lb=lb, ub=ub_bounds, points=point_rows)
-    return AssembledCellLp(p, lp, cols, rows, regions)
+    return AssembledCellLp(p, lp, cols, tiebreak)
 
 
 def _tiebreak_lp(assembled, z, target):
     """Among solutions whose margins sum to at least z (less a relative
     TIEBREAK_TOL), minimize the l1 distance sum(t) of theta to target. It is
-    the margin LP with cost 1 on t and the tiebreak block's right-hand sides
-    set (see _fill_rows): no matrix is built, and the matrices, bounds and
-    point rows are the margin LP's own."""
+    the margin LP with cost 1 on t and the right-hand sides in
+    assembled.tiebreak set to the floor -(z - tol), then target and -target
+    (see _fill_rows): no matrix is built, and the matrices, bounds and point
+    rows are the margin LP's own."""
     lp, cols = assembled.lp, assembled.cols
     c = np.zeros(lp.n_vars)
     c[cols.t] = 1.0
     tol = TIEBREAK_TOL * max(1.0, abs(z))
     b_ub = lp.b_kept.copy()
-    b_ub[-(1 + 2 * cols.t.size):] = np.r_[-(z - tol), target, -target]
+    b_ub[assembled.tiebreak] = np.r_[-(z - tol), target, -target]
     return StandardLp("min", c, A_ub=lp.A_kept, b_ub=b_ub, A_eq=lp.A_eq,
                       b_eq=lp.b_eq, lb=lp.lb, ub=lp.ub, points=lp.points)
 

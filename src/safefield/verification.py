@@ -335,12 +335,11 @@ class VerificationReport:
 
 def _sample_states(cell, regions, count, seed):
     points = [v for v in cell.vertices]
-    for region in regions:
-        if region is not cell.body:
-            try:
-                points.extend(geometry.cell_vertices(region))
-            except DegenerateInput:
-                pass  # empty restriction: the row holds vacuously there
+    for region in regions[1:]:  # regions[0] is the cell body
+        try:
+            points.extend(geometry.cell_vertices(region))
+        except DegenerateInput:
+            pass  # empty restriction: the row holds vacuously there
     rng = np.random.default_rng(seed)
     verts = cell.vertices
     lo, hi = verts.min(axis=0), verts.max(axis=0)
@@ -365,11 +364,9 @@ def verify_controller(controller, count=200, seed=0, raise_on_fail=True):
     cell = problem.cell
     rows, regions = problem.rows()
     points = _sample_states(cell, regions, count, seed)
-    # rows share their region (the cell body) except a floored CLF row
-    distinct = {id(region): region for region in regions}
-    inside = {i: [r.contains(x) for x in points] for i, r in distinct.items()}
-    pairs = [(k, x) for k in range(len(rows))
-             for x, ok in zip(points, inside[id(regions[k])]) if ok]
+    inside = [[region.contains(x) for x in points] for region in regions]
+    pairs = [(k, x) for k, row in enumerate(rows)
+             for x, ok in zip(points, inside[row.region]) if ok]
     try:
         values, stats = worst_case_row_values(
             rows, controller.control_matrices(), controller.bias, pairs,

@@ -287,9 +287,15 @@ def machine_fill(meta, rows, regions, blocks, maps):
     return ub, b_ub, eq, b_eq
 
 
+def rows_and_regions(asm):
+    """The rows of an assembled cell and, per row, the region it holds on."""
+    rows, regions = asm.problem.rows()
+    return rows, [regions[row.region] for row in rows]
+
+
 def dual_meta(asm):
     return DualFormMeta(asm.cols, asm.cols.delta.size,
-                        [reg.n_rows for reg in asm.regions],
+                        [reg.n_rows for reg in rows_and_regions(asm)[1]],
                         [blk.n_points for blk in affine_blocks(asm)],
                         n_goal_rows=asm.lp.b_eq.shape[0])
 
@@ -300,7 +306,7 @@ def machine_lp(asm):
     dualization; its rows touch theta alone and are copied from the
     assembled LP."""
     meta, lp = dual_meta(asm), asm.lp
-    ub, b_ub, eq, b_eq = machine_fill(meta, asm.rows, asm.regions,
+    ub, b_ub, eq, b_eq = machine_fill(meta, *rows_and_regions(asm),
                                       affine_blocks(asm), feature_maps(asm))
     g0 = meta.n_eq - meta.n_goal_rows
     G = meta.cols.theta.size
@@ -332,8 +338,8 @@ def lift(asm, x):
     n_head = cols.theta.size + cols.delta.size
     out[:n_head] = x[:n_head]
     blocks = affine_blocks(asm)
-    for k, row in enumerate(asm.rows):
-        A, b = asm.regions[k].A, asm.regions[k].b
+    for k, (row, region) in enumerate(zip(*rows_and_regions(asm))):
+        A, b = region.A, region.b
         n_reg = b.shape[0]
         target = row.c_x.copy()
         for l, blk in enumerate(blocks):

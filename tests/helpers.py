@@ -3,7 +3,8 @@
 import numpy as np
 
 from safefield.clfcbf import LinearDynamics
-from safefield.geometry import ConvexCell, Environment, deviation_candidates
+from safefield.geometry import (ConvexCell, Environment, deviation_candidates,
+                                region_points)
 from safefield.lp_core import StandardLp, solve_lp
 from safefield.measurement import GridSpec, UncertaintyBounds
 from safefield.planning import PlanEntry
@@ -50,7 +51,7 @@ def check_candidates_against_lp(hs, a, rng):
     lam.|x - a[i]| over deviation_candidates equals the LP minimum over x in
     hs, with t >= |x - a[i]|; an empty hs has no candidates and an
     infeasible LP. Returns how many a[i] lie in hs."""
-    idx, gap = deviation_candidates(hs, a)
+    idx, gap = deviation_candidates(hs, region_points(hs), a)
     inside = 0
     for i, ai in enumerate(a):
         lam = rng.uniform(0.0, 1.0, size=2) * (rng.uniform(size=2) > 0.2)

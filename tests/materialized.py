@@ -5,7 +5,8 @@ materialized matrix, to stand in for PointRows in lp_core.solve_lp.
 fill_rows writes the rows entry by entry into a COO list, as the assembly
 did before the point rows became data, each point row among the bound rows
 of its constraint; materialized(asm) runs it on an assembled cell LP's
-problem and lists its rows in the LP's order."""
+problem and lists its rows in the LP's order. It finds each row's region
+vertices and deviation candidates anew, shared with no other row."""
 
 import numpy as np
 
@@ -16,17 +17,19 @@ from safefield.synthesis import _Coo
 
 def fill_rows(cols, rows, regions, landmarks, bounds, points, maps):
     """Inequality rows of the vertex-form LP, per row k: the bound row at
-    each vertex of its region, then per landmark the dual-feasibility row of
-    each grid point at each of its deviation candidates; last the tiebreak
-    block (see synthesis._fill_rows). Returns the rows as a _Coo, their
-    right-hand sides and the mask of point rows."""
+    each vertex of its region regions[row.region], then per landmark the
+    dual-feasibility row of each grid point at each of its deviation
+    candidates; last the tiebreak block (see synthesis._fill_rows). Returns
+    the rows as a _Coo, their right-hand sides and the mask of point
+    rows."""
     features = np.stack(maps)
     ub = _Coo()
     b_ub = []
     lazy = []
     n = 0
     for k, row in enumerate(rows):
-        V = geometry.region_points(regions[k])
+        region = regions[row.region]
+        V = geometry.region_points(region)
         at_v = n + np.arange(V.shape[0])[:, None]
         ub.add(at_v, cols.bias, row.w)
         ub.add(at_v, cols.delta[k], 1.0)
@@ -39,8 +42,8 @@ def fill_rows(cols, rows, regions, landmarks, bounds, points, maps):
         image = (row.w[None, :, None, None] * features[:, None]).reshape(
             -1, features.shape[2])
         for l, landmark in enumerate(landmarks):
-            idx, gap = geometry.deviation_candidates(regions[k],
-                                                     landmark - points)
+            idx, gap = geometry.deviation_candidates(
+                region, geometry.region_points(region), landmark - points)
             at_i = n + np.arange(idx.size)[:, None]
             ub.add(at_i, cols.lam_s[k, l], -1.0)
             ub.add(at_i, cols.lam_p[k, l],
@@ -66,7 +69,8 @@ def materialized(asm):
     mask, in the LP's order (lp_core): the matrix rows, then the point
     rows, each in the order fill_rows writes them."""
     p = asm.problem
-    ub, b_ub, lazy = fill_rows(asm.cols, asm.rows, asm.regions, p.landmarks,
+    rows, regions = p.rows()
+    ub, b_ub, lazy = fill_rows(asm.cols, rows, regions, p.landmarks,
                                p.bounds, p.grid.points(), p.features())
     A_ub = ub.matrix((b_ub.size, asm.cols.n_vars))
     order = np.argsort(lazy, kind="stable")

@@ -357,7 +357,8 @@ def test_flag_the_subcommand_does_not_read_exits_2(tmp_path, capsys, argv):
 @pytest.mark.parametrize("text, field", [
     (json.dumps([{"id": 0}]), "controllers.0"),
     ('[{"id": 0, "basis": ["mean"', "controllers"),
-], ids=["entry-without-basis", "truncated"])
+    (json.dumps({"id": 0}), "controllers"),
+], ids=["entry-without-basis", "truncated", "object-not-list"])
 def test_malformed_controllers_exit_config_code(tmp_path, capsys, text, field):
     cfg = write_config(tmp_path)
     path = tmp_path / "out" / "controllers.json"
@@ -905,6 +906,20 @@ def test_synth_cell_subset(tmp_path):
     ctrls = json.loads((out / "controllers.json").read_text())
     assert [c["id"] for c in ctrls] == [0, 1]
     assert cli.main(["synth", "--config", str(cfg), "--cells", "9"]) == 2
+
+
+def test_an_override_into_an_absent_section_creates_it(tmp_path):
+    # --sensor writes sim.sensor.kind: on a config without sim it makes sim
+    # and sim.sensor, and sim's other entries keep their defaults
+    path = write_config(tmp_path)
+    raw = json.loads(path.read_text())
+    del raw["sim"]
+    path.write_text(json.dumps(raw))
+    cfg = cli.load_config(str(path), [("sim.sensor.kind", "gaussian")])
+    assert cfg.sim.sensor.kind == "gaussian"
+    default = cli.load_config(str(path)).sim
+    assert default.sensor.kind == "delta"
+    assert (cfg.sim.dt, cfg.sim.max_time) == (default.dt, default.max_time)
 
 
 def test_bound_overrides_are_recorded(tmp_path):

@@ -11,6 +11,7 @@ from safefield.geometry import (
     cell_vertices,
     deviation_candidates,
     polygon_to_halfspaces,
+    region_points,
 )
 
 TRIANGLE = np.array([[0.0, 0.0], [1.0, 0.0], [0.0, 1.0]])
@@ -99,7 +100,7 @@ def test_deviation_candidates_attain_the_lp_minimum():
 def test_deviation_candidates_of_a_box_are_the_clamp():
     hs = polygon_to_halfspaces([[0.0, 0.0], [2.0, 0.0], [2.0, 1.0], [0.0, 1.0]])
     a = np.array([[1.0, 0.5], [3.0, 0.5], [-1.0, 4.0], [2.0, 1.0]])
-    idx, gap = deviation_candidates(hs, a)
+    idx, gap = deviation_candidates(hs, region_points(hs), a)
     assert idx.tolist() == [0, 1, 2, 3]
     assert np.allclose(gap, [[0.0, 0.0], [1.0, 0.0], [1.0, 3.0], [0.0, 0.0]])
 

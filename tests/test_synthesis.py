@@ -2,6 +2,7 @@ import copy
 import json
 import os
 import re
+import warnings
 
 import numpy as np
 import pytest
@@ -11,7 +12,7 @@ from dual_form import (affine_blocks, bias_image, feature_maps, gain_image,
                        lift, machine_lp, violation)
 from helpers import check_candidates_against_lp, random_cell, transit_entry_for
 from materialized import lp_with_rows, materialized, oracle_lp
-from safefield import cli, lp_core, synthesis, verification
+from safefield import cli, geometry, lp_core, synthesis, verification
 from safefield.clfcbf import LinearDynamics
 from safefield.errors import (ConfigError, DimensionMismatch, GridMismatch,
                               LandmarkNotVisible, LandmarkOutOfView,
@@ -201,8 +202,11 @@ def test_gain_coefficients_match_the_oracle_image():
         theta = asm.cols.theta
         maps = [feature_maps(asm)] * len(asm.problem.landmarks)
         n, p = 0, asm.lp.b_kept.size  # the next bound row and point row
-        for k, row in enumerate(asm.rows):
-            n_v = region_points(asm.regions[k]).shape[0]
+        rows, regions = asm.problem.rows()
+        for row in rows:
+            region = regions[row.region]
+            V = region_points(region)
+            n_v = V.shape[0]
             bias = bias_image(row.w, asm.cols)
             assert np.array_equal(A[n:n + n_v, theta],
                                   np.tile(bias, (n_v, 1)))
@@ -210,8 +214,8 @@ def test_gain_coefficients_match_the_oracle_image():
             image = gain_image(row.w, maps, asm.cols)
             off = 0
             for blk in affine_blocks(asm):
-                idx, _ = deviation_candidates(asm.regions[k],
-                                              (blk.landmark[:, None] - blk.U).T)
+                idx, _ = deviation_candidates(
+                    region, V, (blk.landmark[:, None] - blk.U).T)
                 assert np.array_equal(A[p:p + idx.size, theta],
                                       image[off + idx])
                 p += idx.size
@@ -279,7 +283,9 @@ def test_deviation_candidates_on_goal_regions():
     rng = np.random.default_rng(3)
     a = rng.uniform(-2.0, 6.0, size=(30, 2))
     for v_floor, n_points in (("auto", 3), (top, 1), (100.0, 0)):
-        region = goal_square(spec, bounds, basis, dyn, v_floor=v_floor)[0].regions[0]
+        asm = goal_square(spec, bounds, basis, dyn, v_floor=v_floor)[0]
+        rows, regions = asm.problem.rows()
+        region = regions[rows[0].region]
         assert region_points(region).shape[0] == n_points
         check_candidates_against_lp(region, a, rng)
 
@@ -405,6 +411,26 @@ def test_landmark_of_another_dimension_than_the_grid(n, width, landmark):
         assemble_robust_lp(CellProblem(
             cell, entry, [np.array(landmark)], dyn, ALPHA_V, ALPHA_H, bounds,
             GridSpec(n, width), basis))
+
+
+@pytest.mark.parametrize("dyn, landmark_ids, landmarks, message", [
+    (LinearDynamics.single_integrator(3), [0], [[2.0, 2.0]],
+     "cell dimension"),
+    (LinearDynamics.single_integrator(2), [], [], "at least one landmark"),
+], ids=["3-D-dynamics-on-a-2-D-cell", "no-landmark"])
+def test_cell_problem_refuses_an_inconsistent_problem(dyn, landmark_ids,
+                                                      landmarks, message):
+    # the problem refuses itself where it is built, before assembly could
+    # warn that these bounds are below the grid pitch
+    spec, bounds, basis, _ = setup()
+    cell, _ = random_cell(np.random.default_rng(29))
+    cell = ConvexCell(cell.id, cell.vertices, landmark_ids)
+    with warnings.catch_warnings():
+        warnings.simplefilter("error")
+        with pytest.raises(DimensionMismatch, match=message):
+            CellProblem(cell, transit_entry_for(cell, 0),
+                        [np.array(l) for l in landmarks], dyn, ALPHA_V,
+                        ALPHA_H, bounds, spec, basis)
 
 
 def test_controller_json_roundtrip(case_setup, tmp_path):
@@ -611,14 +637,29 @@ def test_failed_tiebreak_warns_and_keeps_the_margin_gains(patrol_env,
     assert_read_from(ctrl, asm, margin)
 
 
+def test_tiebreak_lp_sets_only_its_block():
+    # the tiebreak LP's matrix right-hand sides are the margin LP's except
+    # in asm.tiebreak, which reads the floor -(z - tol), target and -target
+    for asm in oracle_cases():
+        target = nominal_theta(asm)
+        for z in (0.0, 2.5, float(np.sum(asm.lp.ub[asm.cols.delta]))):
+            b_kept = _tiebreak_lp(asm, z, target).b_kept
+            outside = np.ones(b_kept.size, dtype=bool)
+            outside[asm.tiebreak] = False
+            assert np.array_equal(b_kept[outside], asm.lp.b_kept[outside])
+            tol = synthesis.TIEBREAK_TOL * max(1.0, abs(z))
+            assert np.array_equal(b_kept[asm.tiebreak],
+                                  np.r_[-(z - tol), target, -target])
+
+
 def margin_only(asm):
     """asm's margin LP without the tiebreak block, read from the oracle:
-    its last 1 + 2G matrix rows and its G columns t sliced off."""
+    its matrix rows in asm.tiebreak and its G columns t sliced off."""
     lp, G = asm.lp, asm.cols.t.size
     A_ub, b_ub, lazy = materialized(asm)
     n = lp.n_vars - G
     keep = np.ones(b_ub.size, dtype=bool)
-    keep[np.flatnonzero(~lazy)[-(1 + 2 * G):]] = False
+    keep[np.flatnonzero(~lazy)[asm.tiebreak]] = False
     return lp_with_rows(lp.sense, lp.c[:n], A_ub[keep][:, :n], b_ub[keep],
                         lazy[keep], A_eq=lp.A_eq[:, :n], b_eq=lp.b_eq,
                         lb=lp.lb[:n], ub=lp.ub[:n])
@@ -727,13 +768,15 @@ def test_loaded_controller_reassembles_its_own_lp(tmp_path, monkeypatch):
 def full_solve(asm):
     """asm with every row written into the matrix by the oracle and none
     held as a point row, so HiGHS sees every row at once. The point rows
-    come first, so that the tiebreak block stays last (see _tiebreak_lp)."""
+    come first, and the tiebreak slice moves down past them."""
     lp = asm.lp
     A_ub, b_ub, lazy = materialized(asm)
     order = np.argsort(~lazy, kind="stable")
     out = copy.copy(asm)
     out.lp = StandardLp(lp.sense, lp.c, A_ub=A_ub[order], b_ub=b_ub[order],
                         A_eq=lp.A_eq, b_eq=lp.b_eq, lb=lp.lb, ub=lp.ub)
+    shift = int(lazy.sum())
+    out.tiebreak = slice(asm.tiebreak.start + shift, asm.tiebreak.stop + shift)
     return out
 
 
@@ -823,6 +866,25 @@ def packaged_synthesis(monkeypatch, name, eps, oracle=False):
         cfg.grid, cfg.bounds, cfg.basis, cfg.alpha_v, cfg.alpha_h)
     monkeypatch.undo()
     return cells, highs
+
+
+def test_each_region_has_its_vertices_found_once(monkeypatch):
+    # the case study's 8 cells hold 9 distinct regions, each cell's body
+    # and the goal cell's floored CLF region: each assembly enumerates the
+    # vertices of each of its regions once, for its bound rows and for the
+    # deviation candidates of every landmark
+    found = []
+    region_points = geometry.region_points
+
+    def counted(hs):
+        found.append(hs)
+        return region_points(hs)
+
+    monkeypatch.setattr(geometry, "region_points", counted)
+    cells, _ = packaged_synthesis(monkeypatch, "case_study.json", None)
+    regions = [region for asm, _ in cells for region in asm.problem.rows()[1]]
+    assert len(regions) == len(found) == 9
+    assert len({id(hs) for hs in found}) == 9
 
 
 def assert_same_csr(A, B):
