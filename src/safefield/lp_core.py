@@ -1,6 +1,14 @@
 """Standard-form linear programs: the container and a HiGHS solver with dual
 extraction and solution validation.
 
+Each HiGHS call goes through linprog below: it hands the model straight to
+the HiGHS binding that SciPy bundles (scipy.optimize._highspy._core), with
+the options that scipy.optimize.linprog(method="highs") sets, so HiGHS
+solves the model that linprog would hand it, by dual simplex (Huangfu &
+Hall, Math. Prog. Comp. 10(1), 2018), without linprog's input checks and
+result packing. The binding is private to SciPy; the tests compare every
+call against scipy.optimize.linprog bit for bit.
+
 Some inequality rows of an LP may be held as a separation instead of as
 matrix entries: point rows, of which few bind at the optimum, as in a
 discretized semi-infinite program. solve_lp then solves it by row
@@ -17,9 +25,11 @@ An LP's inequality rows are the rows of the A_ub it was given, followed by
 its point rows in their own order. A_ub, b_ub, n_ub, duals_ub and every
 matrix handed to HiGHS list the rows in that order."""
 
+from collections import namedtuple
+
 import numpy as np
 import scipy.sparse as sp
-from scipy.optimize import linprog
+from scipy.optimize._highspy import _core
 
 from .errors import DimensionMismatch, NumericalFailure
 
@@ -28,6 +38,21 @@ COMPL_TOL = 1e-6
 LAZY_TOL = 1e-9
 LAZY_SEED_STRIDE = 25
 LAZY_ROUND = 64
+
+# the options that scipy.optimize.linprog(method="highs") sets; every
+# other option keeps its HiGHS default
+_OPTIONS = _core.HighsOptions()
+_OPTIONS.presolve = "on"
+_OPTIONS.simplex_strategy = _core.simplex_constants.SimplexStrategy.kSimplexStrategyDual
+_OPTIONS.output_flag = False
+_OPTIONS.log_to_console = False
+_OPTIONS.highs_debug_level = _core.HighsDebugLevel.kHighsDebugLevelNone
+
+# HiGHS model statuses by scipy.optimize.linprog's numbers; any other
+# status, kUnboundedOrInfeasible included, is 4
+_STATUS = {_core.HighsModelStatus.kOptimal: 0,
+           _core.HighsModelStatus.kInfeasible: 2,
+           _core.HighsModelStatus.kUnbounded: 3}
 
 
 def _as_matrix(M, n_vars):
@@ -89,7 +114,8 @@ class StandardLp:
     def A_ub(self):
         if self.points is None:
             return self.A_kept
-        return _inequalities(self, np.ones(self.points.b.size, dtype=bool))[0]
+        blocks = _inequalities(self, np.ones(self.points.b.size, dtype=bool))[0]
+        return sp.vstack(blocks, format="csr")
 
     @property
     def b_ub(self):
@@ -105,11 +131,12 @@ class LpSolution:
     the negation of that for a min problem, so duals_ub >= 0 in both senses.
     For a max problem, objective = b_ub.duals_ub + b_eq.duals_eq + bound
     terms (strong duality). highs_calls counts the HiGHS calls of the
-    solve, and point_rows the point rows that its last one read.
+    solve, iterations the simplex iterations they took together, and
+    point_rows the point rows that its last one read.
     """
 
     def __init__(self, status, x, objective, duals_ub, duals_eq,
-                 highs_calls=0, point_rows=0):
+                 highs_calls=0, point_rows=0, iterations=0):
         self.status = status
         self.x = x
         self.objective = objective
@@ -117,6 +144,7 @@ class LpSolution:
         self.duals_eq = duals_eq
         self.highs_calls = highs_calls
         self.point_rows = point_rows
+        self.iterations = iterations
 
 
 def _scale(lp, x):
@@ -127,23 +155,24 @@ def _scale(lp, x):
     return 1.0 + max(float(np.max(np.abs(v), initial=0.0)) for v in parts)
 
 
-def _validate(lp, x, duals_ub, deficits=None):
-    """Check x against every row; deficits, when given, are the point
-    rows' at x."""
+def _validate(lp, x, objective, duals_ub, duals_eq, deficits=None):
+    """Check a solution: every number finite, x within every row and bound,
+    complementary slackness on the inequality rows. deficits, when given,
+    are the point rows' at x."""
+    if not all(np.all(np.isfinite(v)) for v in (x, objective, duals_ub,
+                                                 duals_eq)):
+        raise NumericalFailure("solver returned a non-finite solution or dual")
     scale = _scale(lp, x)
     r = lp.A_kept @ x - lp.b_kept  # the slack is -r, bit for bit
     if lp.points is not None:
         r = np.concatenate([r, lp.points.deficits(x) if deficits is None
                             else deficits])
-    feas = 0.0
-    if r.size:
-        feas = max(feas, float(np.max(r)))
-    if lp.b_eq.size:
-        feas = max(feas, float(np.max(np.abs(lp.A_eq @ x - lp.b_eq))))
+    eq = np.abs(lp.A_eq @ x - lp.b_eq)
     lo = np.where(np.isfinite(lp.lb), lp.lb - x, 0.0)
     hi = np.where(np.isfinite(lp.ub), x - lp.ub, 0.0)
-    feas = max(feas, float(np.max(lo, initial=0.0)), float(np.max(hi, initial=0.0)))
-    if feas > FEAS_TOL * scale:
+    # np.max keeps a NaN residual, which then fails the test below
+    feas = float(np.max([np.max(v, initial=0.0) for v in (r, eq, lo, hi)]))
+    if not feas <= FEAS_TOL * scale:
         raise NumericalFailure("primal feasibility residual %.3g exceeds tolerance" % feas)
     if r.size:
         compl = float(np.max(np.abs(duals_ub * -r)))
@@ -154,28 +183,82 @@ def _validate(lp, x, duals_ub, deficits=None):
 
 def _inequalities(lp, chosen):
     """The matrix rows, then the point rows in the mask chosen: their
-    matrix and right-hand sides."""
+    matrix blocks and right-hand sides."""
     if lp.points is None:
-        return lp.A_kept, lp.b_kept
+        return [lp.A_kept], lp.b_kept
     picked = np.flatnonzero(chosen)
-    return (sp.vstack([lp.A_kept, lp.points.rows(picked)], format="csr"),
+    return ([lp.A_kept, lp.points.rows(picked)],
             np.concatenate([lp.b_kept, lp.points.b[picked]]))
+
+
+class HighsResult(namedtuple("HighsResult", "status message x fun duals nit")):
+    """What one HiGHS call returns. status is 0 (optimal), 2 (infeasible),
+    3 (unbounded) or 4 (anything else), and message names HiGHS's model
+    status. x, fun (the objective) and duals (the row duals, d fun / d b,
+    which scipy.optimize.linprog calls marginals) are None unless the
+    status is 0. nit is the simplex iteration count."""
+
+    __slots__ = ()
+
+
+def linprog(c, A, b, n_ub, lb, ub):
+    """min c^T x subject to A[:n_ub] x <= b[:n_ub], A[n_ub:] x = b[n_ub:]
+    and lb <= x <= ub, by HiGHS, on the model and with the options that
+    scipy.optimize.linprog(method="highs") would give it; A is CSC. A
+    fresh HiGHS instance per call, so no call sees another's basis.
+
+    Every HiGHS call of the package is a call to this name, looked up at
+    call time, so a caller (a tracer, a test) may wrap it."""
+    # HiGHS refuses a NaN bound or right-hand side, but solves on with a
+    # NaN cost or matrix entry
+    if not (np.all(np.isfinite(c)) and np.all(np.isfinite(A.data))):
+        return HighsResult(4, "non-finite cost or matrix entry", None, None,
+                           None, 0)
+    lower = b.copy()
+    lower[:n_ub] = -np.inf
+    # each field is copied into a std::vector element by element, which
+    # is about twice as fast from a list as from an array
+    model = _core.HighsLp()
+    model.num_row_, model.num_col_ = A.shape
+    model.col_cost_ = c.tolist()
+    model.col_lower_ = lb.tolist()
+    model.col_upper_ = ub.tolist()
+    model.row_lower_ = lower.tolist()
+    model.row_upper_ = b.tolist()
+    matrix = model.a_matrix_
+    matrix.format_ = _core.MatrixFormat.kColwise
+    matrix.num_row_, matrix.num_col_ = A.shape
+    matrix.start_ = A.indptr.tolist()
+    matrix.index_ = A.indices.tolist()
+    matrix.value_ = A.data.tolist()
+    highs = _core._Highs()
+    highs.passOptions(_OPTIONS)
+    if highs.passModel(model) == _core.HighsStatus.kError:
+        return HighsResult(4, "HiGHS refused the model", None, None, None, 0)
+    highs.run()
+    status = highs.getModelStatus()
+    info = highs.getInfo()
+    message = highs.modelStatusToString(status)
+    if status != _core.HighsModelStatus.kOptimal:
+        return HighsResult(_STATUS.get(status, 4), message, None, None, None,
+                           info.simplex_iteration_count)
+    solution = highs.getSolution()
+    return HighsResult(0, message, np.array(solution.col_value),
+                       info.objective_function_value,
+                       np.array(solution.row_dual),
+                       info.simplex_iteration_count)
 
 
 def _highs(lp, chosen):
     """HiGHS on lp restricted to its matrix rows and the point rows in the
     mask chosen."""
-    A_ub, b_ub = _inequalities(lp, chosen)
+    blocks, b_ub = _inequalities(lp, chosen)
     c = lp.c if lp.sense == "min" else -lp.c
-    return linprog(
-        c,
-        A_ub=A_ub if A_ub.shape[0] else None,
-        b_ub=b_ub if A_ub.shape[0] else None,
-        A_eq=lp.A_eq if lp.b_eq.size else None,
-        b_eq=lp.b_eq if lp.b_eq.size else None,
-        bounds=np.column_stack([lp.lb, lp.ub]),
-        method="highs",
-    )
+    # vstack joins CSR blocks fast only into a CSR; one conversion then
+    # gives the CSC that HiGHS reads
+    A = sp.vstack(blocks + [lp.A_eq], format="csr").tocsc()
+    return linprog(c, A, np.concatenate([b_ub, lp.b_eq]), b_ub.size,
+                   lp.lb, lp.ub)
 
 
 def solve_lp(lp):
@@ -189,10 +272,11 @@ def solve_lp(lp):
     if lp.points is not None:
         chosen = np.zeros(lp.points.b.size, dtype=bool)
         chosen[::LAZY_SEED_STRIDE] = True
-    calls = 0
+    calls = iterations = 0
     while True:
         res = _highs(lp, chosen)
         calls += 1
+        iterations += res.nit
         excess = None
         if chosen.all() or res.status not in (0, 3):
             break
@@ -206,7 +290,8 @@ def solve_lp(lp):
             break
         worst = np.argsort(-excess[violated], kind="stable")[:LAZY_ROUND]
         chosen[violated[worst]] = True
-    stats = dict(highs_calls=calls, point_rows=int(chosen.sum()))
+    stats = dict(highs_calls=calls, point_rows=int(chosen.sum()),
+                 iterations=iterations)
     if res.status == 2:
         return LpSolution("Infeasible", None, None, None, None, **stats)
     if res.status == 3:
@@ -214,11 +299,12 @@ def solve_lp(lp):
     if res.status != 0:
         raise NumericalFailure("solver stopped with status %d: %s" % (res.status, res.message))
     sign = 1.0 if lp.sense == "min" else -1.0
-    x = np.asarray(res.x, dtype=float)
-    duals_ub = np.zeros(lp.n_ub)
     seen = np.concatenate([np.ones(lp.b_kept.size, dtype=bool), chosen])
-    duals_ub[seen] = -np.asarray(res.ineqlin.marginals)
-    duals_eq = -np.asarray(res.eqlin.marginals) if lp.b_eq.size else np.zeros(0)
-    _validate(lp, x, duals_ub, excess)
-    return LpSolution("Optimal", x, sign * float(res.fun), duals_ub, duals_eq,
+    n_seen = np.count_nonzero(seen)
+    duals_ub = np.zeros(lp.n_ub)
+    duals_ub[seen] = -res.duals[:n_seen]
+    duals_eq = -res.duals[n_seen:]
+    objective = sign * float(res.fun)
+    _validate(lp, res.x, objective, duals_ub, duals_eq, excess)
+    return LpSolution("Optimal", res.x, objective, duals_ub, duals_eq,
                       **stats)

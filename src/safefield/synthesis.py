@@ -382,13 +382,16 @@ def _solve_cell(assembled):
 def synthesize_cell_controller(assembled):
     """Solve the assembled LP (see _solve_cell) and wrap the result. Logs
     at INFO how many point rows the LP has, the most that one HiGHS call
-    read, and the HiGHS and solve_lp calls it took."""
+    read, the HiGHS calls and their simplex iterations, and the solve_lp
+    calls it took."""
     x, solves = _solve_cell(assembled)
     log.info("synth cell %d: %d point rows, at most %d in one HiGHS call, "
-             "%d HiGHS calls, %d solve_lp calls", assembled.problem.cell.id,
+             "%d HiGHS calls, %d simplex iterations, %d solve_lp calls",
+             assembled.problem.cell.id,
              assembled.lp.n_ub - assembled.lp.b_kept.size,
              max(sol.point_rows for sol in solves),
-             sum(sol.highs_calls for sol in solves), len(solves))
+             sum(sol.highs_calls for sol in solves),
+             sum(sol.iterations for sol in solves), len(solves))
     cols = assembled.cols
     ctrl = CellController(assembled.problem, x[cols.gain], x[cols.bias],
                           x[cols.delta])

@@ -1,7 +1,9 @@
 """Shared builders for randomized test cells and small synthesis setups."""
 
 import numpy as np
+from scipy.optimize import linprog as scipy_linprog
 
+from safefield import lp_core
 from safefield.clfcbf import LinearDynamics
 from safefield.geometry import (ConvexCell, Environment, deviation_candidates,
                                 region_points)
@@ -140,3 +142,37 @@ OBLIQUE_PATROL_ENV = {
     "goal": [40.0, 0.0],
     "patrol_cycle": [0, 1],
 }
+
+
+def same_bits(a, b):
+    """a and b are both None, or arrays (or floats) of equal shape, dtype
+    and bytes: signed zeros and NaN payloads included."""
+    if a is None or b is None:
+        return a is None and b is None
+    a, b = np.asarray(a), np.asarray(b)
+    return a.shape == b.shape and a.dtype == b.dtype and a.tobytes() == b.tobytes()
+
+
+def assert_highs_matches_linprog(c, A, b, n_ub, lb, ub):
+    """lp_core.linprog on this model returns, bit for bit, what SciPy's
+    public linprog(method="highs") returns for the same LP given as A_ub,
+    b_ub, A_eq, b_eq and bounds: the status, x, the objective, the
+    inequality and equality marginals and the simplex iterations. Returns
+    the status."""
+    mine = lp_core.linprog(c, A, b, n_ub, lb, ub)
+    A = A.tocsr()
+    n_eq = A.shape[0] - n_ub
+    theirs = scipy_linprog(
+        c, A_ub=A[:n_ub] if n_ub else None, b_ub=b[:n_ub] if n_ub else None,
+        A_eq=A[n_ub:] if n_eq else None, b_eq=b[n_ub:] if n_eq else None,
+        bounds=np.column_stack([lb, ub]), method="highs")
+    assert mine.status == theirs.status, (mine.message, theirs.message)
+    assert mine.nit == theirs.nit
+    assert same_bits(mine.x, theirs.x)
+    assert same_bits(mine.fun, theirs.fun)
+    if mine.status == 0:
+        assert same_bits(mine.duals[:n_ub], theirs.ineqlin.marginals)
+        assert same_bits(mine.duals[n_ub:], theirs.eqlin.marginals)
+    else:
+        assert mine.duals is None
+    return mine.status

@@ -2,10 +2,11 @@ import numpy as np
 import pytest
 import scipy.sparse as sp
 
+from helpers import assert_highs_matches_linprog
 from materialized import lp_with_rows
 from safefield import lp_core
-from safefield.errors import DimensionMismatch
-from safefield.lp_core import FEAS_TOL, StandardLp, solve_lp
+from safefield.errors import DimensionMismatch, NumericalFailure
+from safefield.lp_core import FEAS_TOL, HighsResult, StandardLp, solve_lp
 
 
 def random_bounded_lp(rng):
@@ -94,15 +95,15 @@ def recorded_rows(monkeypatch):
     def record(lp, chosen):
         res = highs(lp, chosen)
         seen = np.concatenate([np.ones(lp.b_kept.size, dtype=bool), chosen])
-        A_ub, b_ub = given.pop()
-        assert np.array_equal(A_ub.toarray(), lp.A_ub[seen].toarray())
-        assert np.array_equal(b_ub, lp.b_ub[seen])
+        A, b, n_ub = given.pop()
+        assert np.array_equal(A[:n_ub].toarray(), lp.A_ub[seen].toarray())
+        assert np.array_equal(b[:n_ub], lp.b_ub[seen])
         calls.append((seen, res.status))
         return res
 
-    def linprog_recorded(c, A_ub, b_ub, **kwargs):
-        given.append((A_ub, b_ub))
-        return linprog(c, A_ub=A_ub, b_ub=b_ub, **kwargs)
+    def linprog_recorded(c, A, b, n_ub, lb, ub):
+        given.append((A, b, n_ub))
+        return linprog(c, A, b, n_ub, lb, ub)
 
     monkeypatch.setattr(lp_core, "_highs", record)
     monkeypatch.setattr(lp_core, "linprog", linprog_recorded)
@@ -201,3 +202,115 @@ def test_shape_validation():
         StandardLp("min", [1.0, 2.0], A_ub=[[1.0]], b_ub=[1.0])
     with pytest.raises(DimensionMismatch):
         StandardLp("mid", [1.0])
+
+
+INF = np.inf
+
+
+@pytest.mark.parametrize("c, rows, b, n_ub, lb, ub, status", [
+    # max x1 + x2 under two rows, as in test_known_optimum
+    ([-1.0, -1.0], [[1.0, 2.0], [3.0, 1.0]], [4.0, 6.0], 2, [0.0, 0.0],
+     [INF, INF], 0),
+    # inequality and equality rows with free columns
+    ([1.0, -2.0, 0.5], [[1.0, 1.0, 1.0], [1.0, -1.0, 0.0], [0.0, 1.0, 2.0]],
+     [3.0, 1.0, 2.0], 2, [0.0, -INF, -1.0], [INF, 5.0, INF], 0),
+    # equalities only
+    ([1.0, 1.0], [[1.0, 1.0], [1.0, -1.0]], [2.0, 0.0], 0, [-INF, -INF],
+     [INF, INF], 0),
+    # no rows at all: bounds alone
+    ([2.0, -3.0], np.zeros((0, 2)), [], 0, [1.0, -1.0], [5.0, 5.0], 0),
+    # infeasible rows
+    ([1.0], [[1.0], [-1.0]], [-1.0, -1.0], 2, [-INF], [INF], 2),
+    # infeasible and unbounded in both directions: HiGHS proves infeasible
+    ([-1.0, -1.0], [[1.0, -1.0], [-1.0, 1.0]], [-1.0, -1.0], 2, [0.0, 0.0],
+     [INF, INF], 2),
+    # unbounded with a row, and with none
+    ([1.0], [[1.0]], [1.0], 1, [-INF], [INF], 3),
+    ([-1.0, 2.0], np.zeros((0, 2)), [], 0, [0.0, -1.0], [INF, 1.0], 3),
+], ids=["inequalities", "mixed", "equalities-only", "no-rows", "infeasible",
+        "primal-and-dual-infeasible", "unbounded", "unbounded-no-rows"])
+def test_highs_call_matches_scipy_linprog(c, rows, b, n_ub, lb, ub, status):
+    c, b, lb, ub = (np.asarray(v, dtype=float) for v in (c, b, lb, ub))
+    A = sp.csc_matrix(np.asarray(rows, dtype=float))
+    assert assert_highs_matches_linprog(c, A, b, n_ub, lb, ub) == status
+
+
+def test_highs_calls_of_random_lps_match_scipy_linprog(monkeypatch):
+    # every HiGHS call of row generation on tall LPs, and of plain ones;
+    # each solution counts its calls and their simplex iterations
+    given = []
+    linprog = lp_core.linprog
+
+    def recorded(*args):
+        given.append((args, linprog(*args)))
+        return given[-1][1]
+
+    monkeypatch.setattr(lp_core, "linprog", recorded)
+    rng = np.random.default_rng(59)
+    for _ in range(3):
+        for lp in (tall_lp(rng, m=500), random_bounded_lp(rng)):
+            first = len(given)
+            sol = solve_lp(lp)
+            assert sol.highs_calls == len(given) - first
+            assert sol.iterations == sum(res.nit for _, res in given[first:])
+    monkeypatch.undo()
+    assert len(given) > 6
+    for args, _ in given:
+        assert assert_highs_matches_linprog(*args) == 0
+
+
+@pytest.mark.parametrize("part", ["x", "objective", "duals_ub", "duals_eq"])
+def test_a_non_finite_solution_is_refused(part):
+    # the box and rows of test_known_optimum, with one equality row, at
+    # its optimum: valid until one number is not finite
+    lp = StandardLp("max", [1.0, 1.0], A_ub=[[1.0, 2.0], [3.0, 1.0]],
+                    b_ub=[4.0, 6.0], A_eq=[[1.0, -1.0]], b_eq=[0.4],
+                    lb=[0.0, 0.0])
+    sol = dict(x=np.array([1.6, 1.2]), objective=2.8,
+               duals_ub=np.array([0.4, 0.2]), duals_eq=np.array([0.0]))
+    lp_core._validate(lp, **sol)
+    sol[part] = sol[part] * np.nan
+    with pytest.raises(NumericalFailure, match="non-finite"):
+        lp_core._validate(lp, **sol)
+
+
+def test_a_nan_point_row_is_refused():
+    # point row 140 is not in the seed, and a NaN row is never violated,
+    # so HiGHS never reads it; only the check against every row sees it
+    rng = np.random.default_rng(67)
+    A = rng.standard_normal((200, 3))
+    b = A @ np.ones(3) + 1.0
+    b[150] = np.nan
+    lp = lp_with_rows("max", rng.standard_normal(3), sp.csr_matrix(A), b,
+                      np.arange(200) >= 10, lb=np.zeros(3), ub=np.full(3, 10.0))
+    with pytest.raises(NumericalFailure, match="primal feasibility residual nan"):
+        solve_lp(lp)
+
+
+def test_a_status_highs_cannot_settle_is_a_numerical_failure(monkeypatch):
+    # what linprog returns for kUnboundedOrInfeasible, which SciPy also
+    # numbers 4
+    def undecided(*args):
+        return HighsResult(4, "Primal infeasible or unbounded", None, None,
+                           None, 3)
+
+    monkeypatch.setattr(lp_core, "linprog", undecided)
+    with pytest.raises(NumericalFailure,
+                       match="status 4: Primal infeasible or unbounded"):
+        solve_lp(StandardLp("max", [1.0], lb=[0.0], ub=[1.0]))
+
+
+@pytest.mark.parametrize("where", ["cost", "matrix", "rhs", "bound"])
+def test_a_non_finite_model_is_a_numerical_failure(where):
+    # HiGHS itself refuses only the NaN bound and right-hand side
+    c, A, b, lb = [1.0, 1.0], np.array([[1.0, 2.0]]), [4.0], [0.0, 0.0]
+    if where == "cost":
+        c = [np.nan, 1.0]
+    elif where == "matrix":
+        A = np.array([[np.nan, 2.0]])
+    elif where == "rhs":
+        b = [np.nan]
+    else:
+        lb = [np.nan, 0.0]
+    with pytest.raises(NumericalFailure, match="status 4"):
+        solve_lp(StandardLp("max", c, A_ub=A, b_ub=b, lb=lb))

@@ -10,7 +10,8 @@ import scipy.sparse as sp
 
 from dual_form import (affine_blocks, bias_image, feature_maps, gain_image,
                        lift, machine_lp, violation)
-from helpers import check_candidates_against_lp, random_cell, transit_entry_for
+from helpers import (assert_highs_matches_linprog, check_candidates_against_lp,
+                     random_cell, transit_entry_for)
 from materialized import lp_with_rows, materialized, oracle_lp
 from safefield import cli, geometry, lp_core, synthesis, verification
 from safefield.clfcbf import LinearDynamics
@@ -853,9 +854,9 @@ def packaged_synthesis(monkeypatch, name, eps, oracle=False):
         cells[-1][1].append(solve(lp))
         return cells[-1][1][-1]
 
-    def linprog_recorded(c, **kwargs):
-        highs.append(dict(kwargs, c=c))
-        return linprog(c, **kwargs)
+    def linprog_recorded(c, A, b, n_ub, lb, ub):
+        highs.append(dict(c=c, A=A, b=b, n_ub=n_ub, lb=lb, ub=ub))
+        return linprog(c, A, b, n_ub, lb, ub)
 
     monkeypatch.setattr(synthesis, "assemble_robust_lp", assemble_recorded)
     monkeypatch.setattr(synthesis, "solve_lp", solve_recorded)
@@ -888,6 +889,7 @@ def test_each_region_has_its_vertices_found_once(monkeypatch):
 
 
 def assert_same_csr(A, B):
+    """A and B hold the same compressed arrays (CSR, or CSC)."""
     assert A.shape == B.shape
     for part in ("indptr", "indices", "data"):
         assert np.array_equal(getattr(A, part), getattr(B, part)), part
@@ -951,17 +953,30 @@ def test_highs_reads_the_oracle_rows(monkeypatch, name, eps, highs_calls):
                 assert a[key] == b[key], key
 
 
+@PACKAGED
+def test_highs_calls_match_scipy_linprog(monkeypatch, name, eps, highs_calls):
+    # every HiGHS call of synthesis returns, bit for bit, what SciPy's
+    # public linprog returns for the same LP; at eps 12 the cap-floor
+    # solves are infeasible
+    _, calls = packaged_synthesis(monkeypatch, name, eps)
+    assert len(calls) == highs_calls
+    statuses = [assert_highs_matches_linprog(**call) for call in calls]
+    assert set(statuses) == ({0, 2} if eps == 12.0 else {0})
+
+
 def test_synthesis_logs_its_point_rows(patrol_env, monkeypatch, caplog):
     spec = GridSpec((20, 20), (60.0, 60.0))
     asm = packaged_cell(patrol_env, "patrol", 0, spec,
                         UncertaintyBounds(4.0, 16.0))[0]
     calls = recorded_solves(monkeypatch)
-    seen = []
+    seen, nits = [], []
     linprog = lp_core.linprog
 
-    def counted(c, **kwargs):
-        seen.append(kwargs["A_ub"].shape[0] - asm.lp.b_kept.size)
-        return linprog(c, **kwargs)
+    def counted(c, A, b, n_ub, lb, ub):
+        seen.append(n_ub - asm.lp.b_kept.size)
+        res = linprog(c, A, b, n_ub, lb, ub)
+        nits.append(res.nit)
+        return res
 
     monkeypatch.setattr(lp_core, "linprog", counted)
     with caplog.at_level("INFO", logger="safefield"):
@@ -971,9 +986,11 @@ def test_synthesis_logs_its_point_rows(patrol_env, monkeypatch, caplog):
     assert len(lines) == 1
     match = re.fullmatch(
         r"synth cell 0: (\d+) point rows, at most (\d+) in one HiGHS call, "
-        r"(\d+) HiGHS calls, (\d+) solve_lp calls", lines[0])
+        r"(\d+) HiGHS calls, (\d+) simplex iterations, (\d+) solve_lp calls",
+        lines[0])
     assert match, lines[0]
-    rows, most, highs, solves = map(int, match.groups())
+    rows, most, highs, iterations, solves = map(int, match.groups())
     assert rows == asm.lp.points.b.size
     assert most == max(seen) and 0 < most < rows
     assert highs == len(seen) and solves == len(calls) == 1
+    assert iterations == sum(nits) > 0
