@@ -296,9 +296,13 @@ def cmd_verify(cfg):
         fh.write("\n")
     for rep in reports:
         worst = rep.worst()
-        print("cell %d: %s (worst slack %s)"
+        vacuous = [r["kind"] if r["facet"] is None
+                   else "%s facet %d" % (r["kind"], r["facet"])
+                   for r in rep.rows if r["vacuous"]]
+        print("cell %d: %s (worst slack %s)%s"
               % (rep.cell_id, "pass" if rep.passed else "FAIL",
-                 "none" if worst is None else "%.3g" % worst["worst_slack"]))
+                 "none" if worst is None else "%.3g" % worst["worst_slack"],
+                 ", vacuous rows: " + ", ".join(vacuous) if vacuous else ""))
     print("wrote %s" % path)
     return EXIT_OK if payload["pass"] else EXIT_FAIL
 
@@ -308,11 +312,14 @@ def cmd_simulate(cfg):
     controllers = load_controllers(_controllers_path(cfg), env, plan)
     os.makedirs(cfg.out, exist_ok=True)
     code = EXIT_OK
+    # one set of step plans, and so one input bank, for all the starts:
+    # a start reuses the inputs that earlier starts banked
+    steps = {}
     for k, start in enumerate(cfg.starts):
         path = os.path.join(cfg.out, "trajectory_%d.csv" % k)
         try:
             traj = simulation.run_trajectory(env, plan, controllers, cfg.sim,
-                                             x0=start)
+                                             x0=start, steps=steps)
         except ConfigError as exc:
             # the simulator names a cell without a controller; the file it
             # came from is known only here (cfg.plan has checked the starts)

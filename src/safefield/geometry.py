@@ -114,6 +114,12 @@ def cell_vertices(hs):
         raise DegenerateInput("halfspace intersection has no vertices")
     if V.shape[0] < 3:
         raise DegenerateInput("halfspace intersection is lower-dimensional")
+    return counterclockwise(V)
+
+
+def counterclockwise(V):
+    """The vertices V of a 2-D convex polygon, three or more, in
+    counterclockwise order about their mean."""
     center = V.mean(axis=0)
     order = np.argsort(np.arctan2(V[:, 1] - center[1], V[:, 0] - center[0]))
     return V[order]
@@ -127,29 +133,38 @@ def deviation_candidates(hs, V, a):
     For every lam >= 0, sum_q lam_q |x_q - a[i, q]| is linear on each piece
     of the region cut by the lines x_q = a[i, q], so its minimum over the
     region lies at a vertex of the region, where an edge crosses one of
-    those lines, or at a[i] when a[i] lies in the region. A candidate whose
-    gap another candidate matches or beats on every axis cannot be the only
-    minimizer and is dropped. Returns (point index, gap) as (m,) and (m, 2)
-    arrays; an empty region yields none."""
+    those lines, or at a[i] when a[i] lies in the region. The crossings
+    with x_q = a[i, q], and whether each lies in the region, depend on
+    a[i, q] alone, so they are found once per distinct value; the vertices
+    lie in the region by definition. A candidate whose gap another
+    candidate matches or beats on every axis cannot be the only minimizer
+    and is dropped. Returns (point index, gap) as (m,) and (m, 2) arrays;
+    an empty region yields none."""
     a = np.atleast_2d(np.asarray(a, dtype=float))
-    n = a.shape[0]
+    n, n_v, R = a.shape[0], V.shape[0], hs.n_rows
     A, b = hs.A, hs.b
-    parts = [np.broadcast_to(V, (n,) + V.shape)]
+
+    def inside(C):  # C (..., 2) in the region, within ABS_TOL (1 + |C|)
+        tol = ABS_TOL * (1.0 + np.linalg.norm(C, axis=-1))
+        return np.all(C @ A.T + b <= tol[..., None], axis=-1)
+
+    # candidate columns: the vertices, the crossings with x_0 = a[i, 0] and
+    # with x_1 = a[i, 1] (one per edge line), then a[i]
+    gap = np.empty((n, n_v + 2 * R + 1, 2))
+    gap[:, :n_v] = np.abs(V - a[:, None, :])
     for q in range(2):
         o = 1 - q
-        # edge line A[j].x + b[j] = 0 at x_q = a[i, q], for every (i, j)
-        cross = np.empty((n, hs.n_rows, 2))
-        cross[:, :, q] = a[:, q, None]
+        values, at = np.unique(a[:, q], return_inverse=True)
+        # edge line A[j].x + b[j] = 0 at x_q = value, for every (value, j)
+        cross = np.empty((values.size, R, 2))
+        cross[:, :, q] = values[:, None]
         with np.errstate(divide="ignore", invalid="ignore"):
-            cross[:, :, o] = -(b + A[:, q] * a[:, q, None]) / A[:, o]
+            cross[:, :, o] = -(b + A[:, q] * values[:, None]) / A[:, o]
         cross[:, np.abs(A[:, o]) < ABS_TOL] = np.nan
-        parts.append(cross)
-    parts.append(a[:, None, :])
-    C = np.concatenate(parts, axis=1)
-    tol = ABS_TOL * (1.0 + np.linalg.norm(C, axis=2))
-    inside = np.all(C @ A.T + b[None, None, :] <= tol[:, :, None], axis=2)
-    inside[:, :V.shape[0]] = True
-    gap = np.where(inside[:, :, None], np.abs(C - a[:, None, :]), np.inf)
+        cols = slice(n_v + q * R, n_v + (q + 1) * R)
+        gap[:, cols] = np.where(inside(cross)[at, :, None],
+                                np.abs(cross[at] - a[:, None, :]), np.inf)
+    gap[:, -1] = np.where(inside(a)[:, None], 0.0, np.inf)
     # in order of (gap_0, gap_1), a candidate is Pareto-minimal when its
     # gap_1 is below every gap_1 before it; exact repeats keep the first
     order = np.lexsort((gap[:, :, 1], gap[:, :, 0]), axis=-1)

@@ -2,6 +2,7 @@
 feedback, switch controllers along the plan when the exit face is crossed,
 and record the stability/safety values for auditing."""
 
+import math
 from operator import sub
 
 import numpy as np
@@ -55,7 +56,8 @@ class SensorModel:
         def read(spec, y):
             cell = spec.snap(y)
             direction = rng.standard_normal(spec.dim)
-            norm = np.linalg.norm(direction)
+            # np.linalg.norm of a 1-D real vector, without its dispatch
+            norm = math.sqrt(direction.dot(direction))
             if norm < 1e-12:
                 direction = np.zeros(spec.dim)
                 direction[0] = 1.0
@@ -261,26 +263,31 @@ def start_cell(env, plan, x):
                       field="starts")
 
 
-def run_trajectory(env, plan, controllers, config, x0=None):
+def run_trajectory(env, plan, controllers, config, x0=None, steps=None):
     """Integrate under the plan with controllers, a dict keyed by cell id;
     u is recomputed every step from fresh readings (zero-order hold within
     a step). Each step reads exactly the controller's landmarks on its own
     grid, so the checks of control_input cannot fail here.
 
     What a controller's steps share is built at its first step, as a step
-    plan (_StepPlan): its grid, landmarks, barrier rows, entry and
-    dynamics. The plan banks the held input u, as control_input returns it,
-    and its slope term B u by the readings. A step keeps the state both as
-    an array and as Python floats. Arithmetic that IEEE rounds the same
-    either way takes the floats: the landmark offsets, the barrier minimum,
-    the drift-free RK4 update and the record. Every product and norm that
-    BLAS computes stays a NumPy call, since BLAS may round it otherwise
-    (fused multiply-adds): the barrier rows a x + b, the progress
-    v . (x - o), the containment rows, B u and the goal and depth norms.
-    The progress that the crossing test takes after a step is the next
-    row's V while the controller stays. A run takes at most
-    round(max_time / dt) steps, each adding dt to t, and records one row
-    more.
+    plan (_StepPlan): its grid, landmarks, barrier rows, entry and dynamics.
+    The plan banks the held input u, as control_input returns it, and its
+    slope term B u by the readings. steps, a dict cell id -> _StepPlan,
+    carries the plans and their banks from run to run: cli.cmd_simulate
+    passes one to every start of a command. A banked input is a function of
+    the controller, the sensor model and the readings alone, so sharing it
+    changes no output; runs that share steps must share controllers and
+    config.sensor, and a plan built for another controller or sensor is a
+    ValueError. Without steps a run builds its own. A step keeps the state
+    both as an array and as Python floats. Arithmetic that IEEE rounds the
+    same either way takes the floats: the landmark offsets, the barrier
+    minimum, the drift-free RK4 update and the record. Every product and
+    norm that BLAS computes stays a NumPy call, since BLAS may round it
+    otherwise (fused multiply-adds): the barrier rows a x + b, the progress
+    v . (x - o), the containment rows, B u and the goal and depth norms. The
+    progress that the crossing test takes after a step is the next row's V
+    while the controller stays. A run takes at most round(max_time / dt)
+    steps, each adding dt to t, and records one row more.
 
     The run begins in start_cell and follows the plan's exit map: crossing
     the active exit face hands over to the entry's next_id. In patrol mode
@@ -293,7 +300,13 @@ def run_trajectory(env, plan, controllers, config, x0=None):
     the goal. The active controller is kept for up to |u| dt past such a
     face; a reading it takes there beyond its grid is an OffGridReading.
     """
-    steps = {}  # cell id -> _StepPlan
+    if steps is None:
+        steps = {}  # cell id -> _StepPlan
+    for cid, step in steps.items():
+        if (step.controller is not controllers.get(cid)
+                or step.sensor is not config.sensor):
+            raise ValueError("the step plan of cell %d serves another "
+                             "controller or sensor" % cid)
     read = config.sensor.make(config.seed)
     x = np.asarray(env.start if x0 is None else x0, dtype=float).copy()
     xs = x.tolist()
@@ -338,9 +351,11 @@ def run_trajectory(env, plan, controllers, config, x0=None):
                 t=t, x=x.copy(), cell_id=active_id, facet=facet,
                 trajectory=traj,
             )
-        if goal is not None and np.linalg.norm(x - goal) <= config.goal_tol:
-            traj.reached = True
-            return traj
+        if goal is not None:
+            gap = x - goal
+            if math.sqrt(gap.dot(gap)) <= config.goal_tol:
+                traj.reached = True
+                return traj
         if k == n_steps:
             break
         x = _step(step.dynamics, x, Bu, dt)

@@ -26,7 +26,6 @@ import numpy as np
 
 from . import geometry
 from .errors import (
-    DegenerateInput,
     InfeasibleMeasurementSet,
     NumericalFailure,
     VerificationFailed,
@@ -334,12 +333,19 @@ class VerificationReport:
 
 
 def _sample_states(cell, regions, count, seed):
+    """The states verify_controller checks: the cell's vertices, the
+    vertices of every other region with an interior, then count uniform
+    states that cell.contains accepts. Returns them, how many of them are
+    vertices, and per region whether geometry.region_points finds no point
+    in it: the rows on such a region hold vacuously."""
     points = [v for v in cell.vertices]
-    for region in regions[1:]:  # regions[0] is the cell body
-        try:
-            points.extend(geometry.cell_vertices(region))
-        except DegenerateInput:
-            pass  # empty restriction: the row holds vacuously there
+    vacuous = [False]  # regions[0] is the cell body
+    for region in regions[1:]:
+        V = geometry.region_points(region)
+        vacuous.append(V.shape[0] == 0)
+        if V.shape[0] >= 3:  # a point or a segment adds none
+            points.extend(geometry.counterclockwise(V))
+    n_vertices = len(points)
     rng = np.random.default_rng(seed)
     verts = cell.vertices
     lo, hi = verts.min(axis=0), verts.max(axis=0)
@@ -353,18 +359,24 @@ def _sample_states(cell, regions, count, seed):
         if cell.contains(x):
             points.append(x)
             found += 1
-    return points
+    return points, n_vertices, vacuous
 
 
 def verify_controller(controller, count=200, seed=0, raise_on_fail=True):
     """Sample the controller's cell and check every row of its plan entry
     against the direct adversary. A simplex failure raises NumericalFailure
-    naming the cell, the row and the state."""
+    naming the cell, the row and the state. A row whose region holds no
+    point is reported vacuous; it passes, since it evaluates no state."""
     problem = controller.problem
     cell = problem.cell
     rows, regions = problem.rows()
-    points = _sample_states(cell, regions, count, seed)
-    inside = [[region.contains(x) for x in points] for region in regions]
+    points, n_vertices, vacuous = _sample_states(cell, regions, count, seed)
+    # the cell body is regions[0], and the states after the vertices passed
+    # its own test in cell.contains; a vertex of another region may lie up
+    # to ABS_TOL (1 + |x|) outside it
+    inside = [[regions[0].contains(x) for x in points[:n_vertices]]
+              + [True] * count]
+    inside += [[region.contains(x) for x in points] for region in regions[1:]]
     pairs = [(k, x) for k, row in enumerate(rows)
              for x, ok in zip(points, inside[row.region]) if ok]
     try:
@@ -393,6 +405,7 @@ def verify_controller(controller, count=200, seed=0, raise_on_fail=True):
             "worst_x": None if worst is None
             else np.asarray(pairs[scored[worst]][1], dtype=float).tolist(),
             "evaluated": int(scored.size),
+            "vacuous": vacuous[row.region],
         })
     log.info("verify cell %d: %d adversary instances, %d simplex pivots, "
              "%d pricing rounds, %d skipped",

@@ -3,10 +3,10 @@
 import numpy as np
 from scipy.optimize import linprog as scipy_linprog
 
-from safefield import lp_core
+from safefield import lp_core, simulation
 from safefield.clfcbf import LinearDynamics
-from safefield.geometry import (ConvexCell, Environment, deviation_candidates,
-                                region_points)
+from safefield.geometry import (ABS_TOL, ConvexCell, Environment,
+                                deviation_candidates, region_points)
 from safefield.lp_core import StandardLp, solve_lp
 from safefield.measurement import GridSpec, UncertaintyBounds
 from safefield.planning import PlanEntry
@@ -69,6 +69,38 @@ def check_candidates_against_lp(hs, a, rng):
         assert abs(mine.min() - sol.objective) <= 1e-9
         inside += hs.contains(ai)
     return inside
+
+
+def reference_deviation_candidates(hs, V, a):
+    """geometry.deviation_candidates as it computed each point's crossings
+    and their containment tests anew, on one (n, candidates, 2) array: the
+    oracle of the version that finds them once per grid-axis value."""
+    a = np.atleast_2d(np.asarray(a, dtype=float))
+    n = a.shape[0]
+    A, b = hs.A, hs.b
+    parts = [np.broadcast_to(V, (n,) + V.shape)]
+    for q in range(2):
+        o = 1 - q
+        cross = np.empty((n, hs.n_rows, 2))
+        cross[:, :, q] = a[:, q, None]
+        with np.errstate(divide="ignore", invalid="ignore"):
+            cross[:, :, o] = -(b + A[:, q] * a[:, q, None]) / A[:, o]
+        cross[:, np.abs(A[:, o]) < ABS_TOL] = np.nan
+        parts.append(cross)
+    parts.append(a[:, None, :])
+    C = np.concatenate(parts, axis=1)
+    tol = ABS_TOL * (1.0 + np.linalg.norm(C, axis=2))
+    inside = np.all(C @ A.T + b[None, None, :] <= tol[:, :, None], axis=2)
+    inside[:, :V.shape[0]] = True
+    gap = np.where(inside[:, :, None], np.abs(C - a[:, None, :]), np.inf)
+    order = np.lexsort((gap[:, :, 1], gap[:, :, 0]), axis=-1)
+    g1 = np.take_along_axis(gap[:, :, 1], order, axis=1)
+    before = np.minimum.accumulate(g1, axis=1)[:, :-1]
+    minimal = np.c_[np.isfinite(g1[:, 0]), g1[:, 1:] < before]
+    keep = np.zeros(g1.shape, dtype=bool)
+    np.put_along_axis(keep, order, minimal, axis=1)
+    idx, c = np.nonzero(keep)
+    return idx, gap[idx, c]
 
 
 def small_setup(n=(6, 6), width=(16.0, 16.0), epsilon=2.0, sigma_m=8.0):
@@ -142,6 +174,21 @@ OBLIQUE_PATROL_ENV = {
     "goal": [40.0, 0.0],
     "patrol_cycle": [0, 1],
 }
+
+
+def counted_law(monkeypatch):
+    """simulation.control_input wrapped to log each (controller, u) that it
+    returns."""
+    calls = []
+    law = simulation.control_input
+
+    def counted(controller, pmfs):
+        u = law(controller, pmfs)
+        calls.append((controller, u))
+        return u
+
+    monkeypatch.setattr(simulation, "control_input", counted)
+    return calls
 
 
 def same_bits(a, b):

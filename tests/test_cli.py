@@ -9,10 +9,10 @@ import numpy as np
 import pytest
 
 import safefield
-from helpers import OFF_GRID_ENV, pushing_controller
-from safefield import cli, planning, synthesis
-from safefield.errors import NumericalFailure, SafeFieldError
-from safefield.controller import save_controllers
+from helpers import OFF_GRID_ENV, counted_law, pushing_controller
+from safefield import cli, planning, simulation, synthesis
+from safefield.errors import ClosedLoopFailure, NumericalFailure, SafeFieldError
+from safefield.controller import load_controllers, save_controllers
 
 pytestmark = pytest.mark.filterwarnings("ignore:bounds")
 
@@ -769,6 +769,117 @@ def test_a_closed_loop_failure_fails_its_start_and_writes_its_csv(
     assert (out / "trajectory_1.csv").exists()
 
 
+def gaussian_case_study(tmp_path, case_setup, starts):
+    """case_study.json under the benchmark's Gaussian sensor (drift 3,
+    variance 12, sensor seed 1) at a 60 s horizon, from starts, with
+    case_setup's controllers saved where it reads them; returns the
+    config's path."""
+    data = os.path.join(os.path.dirname(cli.__file__), "data")
+    with open(os.path.join(data, "case_study.json")) as fh:
+        raw = json.load(fh)
+    raw["environment"] = os.path.join(data, raw["environment"])
+    raw["sim"].update(sensor={"kind": "gaussian", "drift": 3.0,
+                              "variance": 12.0}, seed=1, max_time=60.0)
+    raw["starts"] = starts
+    raw["out"] = str(tmp_path / "out")
+    (tmp_path / "out").mkdir()
+    save_controllers(case_setup["controllers"],
+                     str(tmp_path / "out" / "controllers.json"))
+    path = tmp_path / "run.json"
+    path.write_text(json.dumps(raw))
+    return path
+
+
+def assert_each_start_runs_as_if_alone(cfg_path, tmp_path, capsys):
+    """simulate's CSV and printed outcome of each start are, bit for bit,
+    those of run_trajectory on that start alone, on controllers loaded
+    afresh: no step plan, bank or sensor stream of another start is read.
+    Returns the exit code and each start's outcome."""
+    code = cli.main(["simulate", "--config", str(cfg_path)])
+    printed = capsys.readouterr().out.splitlines()
+    cfg = cli.load_config(str(cfg_path))
+    outcomes = []
+    for k, start in enumerate(cfg.starts):
+        ctrls = load_controllers(os.path.join(cfg.out, "controllers.json"),
+                                 cfg.environment, cfg.plan)
+        try:
+            traj = simulation.run_trajectory(cfg.environment, cfg.plan, ctrls,
+                                             cfg.sim, x0=start)
+            outcome = "reached=%s," % traj.reached
+        except ClosedLoopFailure as exc:
+            traj, outcome = exc.trajectory, "FAIL (%s)" % exc
+        traj.to_csv(str(tmp_path / "alone.csv"))
+        shared = os.path.join(cfg.out, "trajectory_%d.csv" % k)
+        with open(shared, "rb") as fh:
+            assert fh.read() == (tmp_path / "alone.csv").read_bytes(), k
+        assert printed[k].startswith("start %d: %s" % (k, outcome))
+        outcomes.append(outcome)
+    return code, outcomes
+
+
+def test_gaussian_starts_run_as_if_alone(tmp_path, case_setup, capsys):
+    # the last start repeats the first, which reads only inputs already
+    # banked, from a sensor stream of its own
+    cfg_path = gaussian_case_study(
+        tmp_path, case_setup, [[10.0, 50.0], [30.0, 50.0], [50.0, 50.0],
+                               [10.0, 50.0]])
+    code, outcomes = assert_each_start_runs_as_if_alone(cfg_path, tmp_path,
+                                                         capsys)
+    assert code == 0
+    assert outcomes == ["reached=True,"] * 4
+
+
+def test_starts_after_a_failed_start_run_as_if_alone(tmp_path, capsys):
+    # start 1 reads its landmark off the grid at t = 1.34 (see
+    # test_an_off_grid_reading_fails_its_start_and_writes_its_csv); the
+    # starts around it run out of time before the face
+    cfg_path = pushed_run(
+        tmp_path, 0, (1.5, 0.0), environment=OFF_GRID_ENV,
+        starts=[[0.5, 1.5], [1.0, 1.5], [0.5, 1.5]],
+        sim={"dt": 0.01, "max_time": 1.5, "goal_tol": 0.05,
+             "sensor": {"kind": "gaussian", "drift": 0.3, "variance": 0.05}})
+    code, outcomes = assert_each_start_runs_as_if_alone(cfg_path, tmp_path,
+                                                         capsys)
+    assert code == 1
+    assert outcomes[0] == outcomes[2] == "reached=False,"
+    assert outcomes[1].startswith("FAIL (cell 0 read a landmark off its grid")
+
+
+def test_a_command_banks_each_input_once_and_no_longer(tmp_path, case_setup,
+                                                       monkeypatch):
+    calls = counted_law(monkeypatch)
+    cfg_path = gaussian_case_study(
+        tmp_path, case_setup, [[10.0, 50.0], [30.0, 50.0], [50.0, 50.0]])
+    assert cli.main(["simulate", "--config", str(cfg_path)]) == 0
+    first = list(calls)
+    # replay each start's readings from its CSV, with a sensor stream of
+    # its own: control_input ran once per controller and readings new to
+    # the command, in the order the starts first read them
+    cfg = cli.load_config(str(cfg_path))
+    problems = {c.problem.cell.id: c.problem for c, _ in first}
+    keys, per_start = [], 0
+    for k in range(len(cfg.starts)):
+        read = cfg.sim.sensor.make(cfg.sim.seed)
+        with open(os.path.join(cfg.out, "trajectory_%d.csv" % k)) as fh:
+            lines = fh.read().splitlines()[1:]
+        start_keys = []
+        for line in lines:
+            row = [float(v) for v in line.split(",")]
+            cid, p = int(row[-3]), problems[int(row[-3])]
+            start_keys.append((cid, tuple(read(p.grid, lm - np.array(row[1:3]))
+                                          for lm in p.landmarks)))
+        keys += start_keys
+        per_start += len(set(start_keys))
+    new = list(dict.fromkeys(keys))
+    assert [c.problem.cell.id for c, _ in first] == [cid for cid, _ in new]
+    # a bank per start would have re-sensed what earlier starts banked
+    assert len(new) < per_start
+    # the next command starts from an empty bank
+    calls.clear()
+    assert cli.main(["simulate", "--config", str(cfg_path)]) == 0
+    assert len(calls) == len(first)
+
+
 # the exit code and stderr prefix of cli.main for each error that the
 # package exports, raised out of a command
 EXITS = dict(
@@ -882,6 +993,31 @@ def test_verify_is_deterministic(pipeline_dir):
     cfg = pipeline_dir / "run.json"
     assert cli.main(["verify", "--config", str(cfg)]) == 0
     assert report.read_bytes() == first
+
+
+@pytest.mark.parametrize("eps, vacuous", [
+    (4.0, []), (6.5, []), (7.5, [(1, "clf")]), (12.0, [(1, "clf")]),
+], ids=["eps-4", "eps-6.5", "eps-7.5", "eps-12"])
+def test_verify_names_the_vacuous_rows(tmp_path, capsys, eps, vacuous):
+    # the goal cell's CLF row holds where V >= v_floor, which grows with
+    # eps past the cell's largest V near eps 7: there its region is empty
+    data = os.path.join(os.path.dirname(cli.__file__), "data")
+    argv = ["--config", os.path.join(data, "case_study.json"),
+            "--out", str(tmp_path)]
+    assert cli.main(["synth", "--eps", str(eps)] + argv) == 0
+    capsys.readouterr()
+    assert cli.main(["verify"] + argv) == 0
+    printed = capsys.readouterr().out.splitlines()
+    report = json.loads((tmp_path / "report.json").read_text())
+    marked = [(cell["cell"], row["kind"]) for cell in report["cells"]
+              for row in cell["rows"] if row["vacuous"]]
+    assert marked == vacuous
+    for cell in report["cells"]:
+        assert all(row["evaluated"] == 0 for row in cell["rows"]
+                   if row["vacuous"])
+        line = next(p for p in printed if p.startswith("cell %d:" % cell["cell"]))
+        assert line.endswith(", vacuous rows: clf") == ((cell["cell"], "clf")
+                                                         in vacuous)
 
 
 def test_tampered_controllers_fail_verify(pipeline_dir, tmp_path):

@@ -1,8 +1,10 @@
 import numpy as np
 import pytest
 
-from helpers import check_candidates_against_lp, random_convex_polygon
+from helpers import (check_candidates_against_lp, random_convex_polygon,
+                     reference_deviation_candidates, same_bits)
 from safefield.errors import DegenerateInput, GoalNotVertex, NonConvexInput
+from safefield.measurement import GridSpec
 from safefield.geometry import (
     ABS_TOL,
     ConvexCell,
@@ -103,6 +105,51 @@ def test_deviation_candidates_of_a_box_are_the_clamp():
     idx, gap = deviation_candidates(hs, region_points(hs), a)
     assert idx.tolist() == [0, 1, 2, 3]
     assert np.allclose(gap, [[0.0, 0.0], [1.0, 0.0], [1.0, 3.0], [0.0, 0.0]])
+
+
+def random_region(rng):
+    """A random cell body, a box on a fifth of draws (whose axis-parallel
+    edges cross no line of their own axis), cut on half of the draws as
+    synthesis cuts a goal cell's CLF region: by v.(x - o) >= floor for a
+    unit v, with the floor between the body's extremes of progress, at its
+    top (one vertex, or one edge) or above it (empty)."""
+    if rng.random() < 0.2:
+        lo = rng.uniform(-20.0, 0.0, size=2)
+        hi = lo + rng.uniform(5.0, 20.0, size=2)
+        verts = [lo, [hi[0], lo[1]], hi, [lo[0], hi[1]]]
+    else:
+        verts = random_convex_polygon(rng, radius=20.0)
+    body = polygon_to_halfspaces(verts)
+    if rng.random() < 0.5:
+        return body, np.asarray(verts, dtype=float)
+    v = rng.normal(size=2) if rng.random() < 0.7 else np.eye(2)[rng.integers(2)]
+    v /= np.linalg.norm(v)
+    progress = np.asarray(verts) @ v
+    floor = rng.choice([rng.uniform(progress.min(), progress.max()),
+                        progress.max(), progress.max() + 1.0])
+    cut = HalfspaceSet(np.vstack([body.A, -v]), np.r_[body.b, floor])
+    return cut, np.asarray(verts, dtype=float)
+
+
+def test_deviation_candidates_equal_the_per_point_reference():
+    # a = landmark - grid points, as synthesis builds it: few distinct
+    # values per axis; the landmark at a vertex of the body on half of the
+    # draws, where crossings and candidates coincide
+    rng = np.random.default_rng(11)
+    spec = GridSpec((30, 30), (40.0, 40.0))
+    kinds = set()
+    for _ in range(120):
+        hs, verts = random_region(rng)
+        V = region_points(hs)
+        kinds.add(min(V.shape[0], 3))
+        landmark = (verts[rng.integers(len(verts))] if rng.random() < 0.5
+                    else verts.mean(axis=0) + rng.uniform(-5.0, 5.0, size=2))
+        a = landmark - spec.points()
+        idx, gap = deviation_candidates(hs, V, a)
+        want_idx, want_gap = reference_deviation_candidates(hs, V, a)
+        assert same_bits(idx, want_idx)
+        assert same_bits(gap, want_gap)
+    assert {0, 1, 3} <= kinds  # empty, a point and a polygon all drawn
 
 
 def test_environment_ingest(annulus_env):

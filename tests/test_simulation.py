@@ -4,8 +4,8 @@ import tracemalloc
 import numpy as np
 import pytest
 
-from helpers import (OBLIQUE_PATROL_ENV, OFF_GRID_ENV, pushing_controller,
-                     three_cell_env)
+from helpers import (OBLIQUE_PATROL_ENV, OFF_GRID_ENV, counted_law,
+                     pushing_controller, three_cell_env)
 import reference_loop
 from reference_loop import reference_trajectory, staged_step, unbanked_sensor
 from safefield import cli, simulation
@@ -210,21 +210,6 @@ def test_field_rows_equal_control_input_on_the_sensed_pmfs(rig, model):
             assert np.array_equal(row[2:], control_input(ctrl, pmfs))
 
 
-def counted_law(monkeypatch):
-    """simulation.control_input wrapped to log each (controller, u) that it
-    returns."""
-    calls = []
-    law = simulation.control_input
-
-    def counted(controller, pmfs):
-        u = law(controller, pmfs)
-        calls.append((controller, u))
-        return u
-
-    monkeypatch.setattr(simulation, "control_input", counted)
-    return calls
-
-
 def test_runs_bank_what_control_input_returns(rig, monkeypatch):
     calls = counted_law(monkeypatch)
     runs = [(rig["plan_p"], rig["ctrls_p"], SimConfig(dt=0.01, max_time=5.0),
@@ -248,6 +233,21 @@ def test_runs_bank_what_control_input_returns(rig, monkeypatch):
         assert all(u == returned[key].tolist()
                    for key, u in zip(keys, traj.u))
         assert len(new) < len(keys)
+
+
+def test_shared_step_plans_serve_only_their_controllers_and_sensor(rig):
+    env, plan, ctrls = rig["env"], rig["plan"], rig["ctrls"]
+    config = SimConfig(dt=0.01, max_time=0.05)
+    steps = {}
+    run_trajectory(env, plan, ctrls, config, x0=[0.5, 0.5], steps=steps)
+    assert list(steps) == [0] and steps[0].controller is ctrls[0]
+    # cell 0's patrol controller, or a sensor model of its own
+    for controllers, sensor in (({**ctrls, **rig["ctrls_p"]}, config.sensor),
+                                (ctrls, SensorModel())):
+        with pytest.raises(ValueError, match="another controller or sensor"):
+            run_trajectory(env, plan, controllers,
+                           SimConfig(dt=0.01, max_time=0.05, sensor=sensor),
+                           x0=[0.5, 0.5], steps=steps)
 
 
 @pytest.mark.parametrize("model", [SensorModel(),

@@ -363,6 +363,21 @@ def test_verify_logs_the_simplex_counts(caplog):
     assert pivots > 0 and rounds > 1
 
 
+def test_each_row_is_evaluated_at_every_sampled_state_of_its_region(
+        case_setup):
+    # the body test runs on the vertices only: every other sampled state
+    # passed cell.contains, the body's own test, so no state is lost
+    for ctrl in case_setup["controllers"].values():
+        report = verify_controller(ctrl, count=50, seed=0)
+        rows, regions = ctrl.problem.rows()
+        points, n_vertices, _ = verification._sample_states(
+            ctrl.problem.cell, regions, 50, 0)
+        assert len(points) == n_vertices + 50
+        inside = sum(regions[row.region].contains(x)
+                     for row in rows for x in points)
+        assert sum(r["evaluated"] for r in report.rows) + report.skipped == inside
+
+
 def test_synthesized_controller_verifies():
     ctrl = square_controller()
     report = verify_controller(ctrl, count=30, seed=1)
