@@ -7,7 +7,10 @@ the options that scipy.optimize.linprog(method="highs") sets, so HiGHS
 solves the model that linprog would hand it, by dual simplex (Huangfu &
 Hall, Math. Prog. Comp. 10(1), 2018), without linprog's input checks and
 result packing. The binding is private to SciPy; the tests compare every
-call against scipy.optimize.linprog bit for bit.
+call against scipy.optimize.linprog bit for bit. HiGHS reads the matrix as
+CSR rows and builds its column-wise copy itself. This module alone turns
+rows into matrices: callers hand it dense arrays, SciPy matrices or, for
+point rows, plain CSR arrays.
 
 Some inequality rows of an LP may be held as a separation instead of as
 matrix entries: point rows, of which few bind at the optimum, as in a
@@ -56,6 +59,7 @@ _STATUS = {_core.HighsModelStatus.kOptimal: 0,
 
 
 def _as_matrix(M, n_vars):
+    """M as CSR, without the zeros of a dense M."""
     if M is None:
         return sp.csr_matrix((0, n_vars))
     if sp.issparse(M):
@@ -66,14 +70,15 @@ def _as_matrix(M, n_vars):
 
 class StandardLp:
     """min or max c^T x subject to A_ub x <= b_ub, A_eq x = b_eq,
-    lb <= x <= ub. Matrices may be dense or scipy.sparse.
+    lb <= x <= ub. Matrices may be dense or scipy.sparse; A_kept, A_eq and
+    A_ub are held as CSR, the rows that HiGHS reads.
 
     points, when given, holds more inequality rows as a separation (see
     synthesis.PointRows):
       - points.b, their right-hand sides;
       - points.deficits(x), A x - b on each of them;
-      - points.rows(selected), the CSR of the rows at the ascending
-        indices selected into points.b.
+      - points.rows(selected), the CSR arrays (data, indices, indptr) of
+        the rows at the ascending indices selected into points.b.
     The A_ub and b_ub passed in are then the matrix rows, kept as A_kept
     and b_kept, and the point rows follow them (see the module docstring).
     The attributes A_ub and b_ub always read the whole system, and with
@@ -187,7 +192,9 @@ def _inequalities(lp, chosen):
     if lp.points is None:
         return [lp.A_kept], lp.b_kept
     picked = np.flatnonzero(chosen)
-    return ([lp.A_kept, lp.points.rows(picked)],
+    rows = sp.csr_matrix(lp.points.rows(picked),
+                         shape=(picked.size, lp.n_vars))
+    return ([lp.A_kept, rows],
             np.concatenate([lp.b_kept, lp.points.b[picked]]))
 
 
@@ -204,11 +211,14 @@ class HighsResult(namedtuple("HighsResult", "status message x fun duals nit")):
 def linprog(c, A, b, n_ub, lb, ub):
     """min c^T x subject to A[:n_ub] x <= b[:n_ub], A[n_ub:] x = b[n_ub:]
     and lb <= x <= ub, by HiGHS, on the model and with the options that
-    scipy.optimize.linprog(method="highs") would give it; A is CSC. A
-    fresh HiGHS instance per call, so no call sees another's basis.
+    scipy.optimize.linprog(method="highs") would give it. A is a SciPy
+    matrix, handed to HiGHS as CSR rows (a CSR is taken as it is, any
+    other format converted). A fresh HiGHS instance per call, so no call
+    sees another's basis.
 
     Every HiGHS call of the package is a call to this name, looked up at
     call time, so a caller (a tracer, a test) may wrap it."""
+    A = A.tocsr()
     # HiGHS refuses a NaN bound or right-hand side, but solves on with a
     # NaN cost or matrix entry
     if not (np.all(np.isfinite(c)) and np.all(np.isfinite(A.data))):
@@ -226,7 +236,7 @@ def linprog(c, A, b, n_ub, lb, ub):
     model.row_lower_ = lower.tolist()
     model.row_upper_ = b.tolist()
     matrix = model.a_matrix_
-    matrix.format_ = _core.MatrixFormat.kColwise
+    matrix.format_ = _core.MatrixFormat.kRowwise
     matrix.num_row_, matrix.num_col_ = A.shape
     matrix.start_ = A.indptr.tolist()
     matrix.index_ = A.indices.tolist()
@@ -254,9 +264,7 @@ def _highs(lp, chosen):
     mask chosen."""
     blocks, b_ub = _inequalities(lp, chosen)
     c = lp.c if lp.sense == "min" else -lp.c
-    # vstack joins CSR blocks fast only into a CSR; one conversion then
-    # gives the CSC that HiGHS reads
-    A = sp.vstack(blocks + [lp.A_eq], format="csr").tocsc()
+    A = sp.vstack(blocks + [lp.A_eq], format="csr")
     return linprog(c, A, np.concatenate([b_ub, lp.b_eq]), b_ub.size,
                    lp.lb, lp.ub)
 

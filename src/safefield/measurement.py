@@ -28,8 +28,8 @@ class GridSpec:
             raise DimensionMismatch("n and width length differ")
         if any(v < 2 for v in self.n):
             raise DimensionMismatch("need at least 2 cells per axis")
-        if any(w <= 0 for w in self.width):
-            raise DimensionMismatch("grid widths must be positive")
+        if not all(0 < w < math.inf for w in self.width):
+            raise DimensionMismatch("grid widths must be positive and finite")
         # per axis, what snap reads: cell count, width, half-width and the
         # farthest offset that still snaps onto the grid
         self._snap_axes = tuple((n, w, w / 2.0, w / 2.0 + SNAP_TIE_TOL)
@@ -206,8 +206,8 @@ class UncertaintyBounds:
     against it, each through these two methods."""
 
     def __init__(self, epsilon, sigma_m):
-        if epsilon < 0 or sigma_m < 0:
-            raise ValueError("bounds must be non-negative")
+        if not (0 <= epsilon < math.inf and 0 <= sigma_m < math.inf):
+            raise ValueError("bounds must be non-negative and finite")
         self.epsilon = float(epsilon)
         self.sigma_m = float(sigma_m)
 

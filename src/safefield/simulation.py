@@ -36,9 +36,10 @@ class SensorModel:
         self.kind = kind
         self.drift = float(drift)
         self.variance = float(variance)
-        if self.kind == "gaussian" and (self.drift < 0 or self.variance < 0):
-            raise ConfigError("drift and variance must be non-negative",
-                              field="sim.sensor")
+        if self.kind == "gaussian" and not (0 <= self.drift < math.inf
+                                            and 0 <= self.variance < math.inf):
+            raise ConfigError("drift and variance must be non-negative and "
+                              "finite", field="sim.sensor")
 
     def make(self, seed):
         """Seeded reading function (spec, true offset) -> grid index.
@@ -84,12 +85,10 @@ class SimConfig:
         self.goal_tol = float(goal_tol)
         self.sensor = sensor if sensor is not None else SensorModel()
         self.seed = int(seed)
-        if self.dt <= 0:
-            raise ConfigError("dt must be positive", field="sim.dt")
-        if self.max_time <= 0:
-            raise ConfigError("max_time must be positive", field="sim.max_time")
-        if self.goal_tol <= 0:
-            raise ConfigError("goal_tol must be positive", field="sim.goal_tol")
+        for key in ("dt", "max_time", "goal_tol"):
+            if not 0 < getattr(self, key) < math.inf:
+                raise ConfigError("%s must be positive and finite" % key,
+                                  field="sim." + key)
 
 
 class Trajectory:

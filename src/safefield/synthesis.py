@@ -37,7 +37,6 @@ import logging
 import warnings
 
 import numpy as np
-import scipy.sparse as sp
 
 from . import geometry
 from .controller import CellController, CellProblem
@@ -57,32 +56,6 @@ DELTA_CAP = {"clf": 0.25, "cbf": 4.0}
 TIEBREAK_TOL = 1e-9
 
 log = logging.getLogger("safefield")
-
-
-class _Coo:
-    def __init__(self):
-        self.r, self.c, self.v = [], [], []
-
-    def add(self, rows, cols, vals):
-        rows, cols, vals = np.broadcast_arrays(
-            np.atleast_1d(np.asarray(rows, dtype=np.int64)),
-            np.atleast_1d(np.asarray(cols, dtype=np.int64)),
-            np.atleast_1d(np.asarray(vals, dtype=float)),
-        )
-        self.r.append(rows.ravel())
-        self.c.append(cols.ravel())
-        self.v.append(vals.ravel())
-
-    def matrix(self, shape):
-        """The summed entries as CSR, without stored zeros."""
-        if not self.r:
-            return sp.csr_matrix(shape)
-        out = sp.coo_matrix(
-            (np.concatenate(self.v), (np.concatenate(self.r), np.concatenate(self.c))),
-            shape=shape,
-        ).tocsr()
-        out.eliminate_zeros()
-        return out
 
 
 class LpColumns:
@@ -121,20 +94,20 @@ class PointRows:
     for the grid point u_i. It is the separation that lp_core.solve_lp
     reads (see StandardLp), whose point rows follow its matrix rows in
     block order: b, their right-hand sides (all 0); deficits(x) and
-    rows(selected).
+    rows(selected), the CSR arrays of a subset, which lp_core stacks under
+    the matrix rows for HiGHS to read row by row.
 
     deficits sums each row in the order of its columns, as a CSR mat-vec
     does, so at a finite x it returns that mat-vec's values bit for bit (a
     coefficient 0, which the matrix drops, adds at most a zero's sign)."""
 
-    def __init__(self, n_vars, points, blocks):
+    def __init__(self, points, blocks):
         """blocks: per (k, l) in order, (columns, the gain image's rows on
         those columns over the grid points, candidate point indices,
         gaps)."""
         self._sizes = np.array([block[2].size for block in blocks])
         self._block = np.repeat(np.arange(len(blocks)), self._sizes)
         self.b = np.zeros(self._sizes.sum())
-        self._n_vars = n_vars
         # per block its columns, and per row (one column here) the
         # coefficients on them, padded to one width with coefficient 0 on
         # column 0
@@ -161,14 +134,14 @@ class PointRows:
         return out
 
     def rows(self, selected):
-        """The CSR of the point rows at the ascending indices selected into
-        b, with sorted indices and no stored zeros."""
+        """The CSR arrays (data, indices, indptr) of the point rows at the
+        ascending indices selected into b, with sorted indices and no
+        stored zeros."""
         values = self._coef[:, selected].T
         keep = values != 0
         indptr = np.concatenate([[0], np.cumsum(keep.sum(axis=1))])
-        return sp.csr_matrix(
-            (values[keep], self._cols[self._block[selected]][keep], indptr),
-            shape=(values.shape[0], self._n_vars))
+        return (values[keep], self._cols[self._block[selected]][keep],
+                indptr)
 
 
 def _fill_rows(cols, rows, regions, landmarks, bounds, points, maps):
@@ -196,29 +169,33 @@ def _fill_rows(cols, rows, regions, landmarks, bounds, points, maps):
     where it constrains nothing (delta >= 0, t is free above); _tiebreak_lp
     sets it.
 
-    Returns the bound and tiebreak rows, their right-hand sides, the
-    tiebreak block's slice of them and the point rows (PointRows, one block
-    per row k and landmark), which few of bind at the optimum, so that a
-    solve writes only those it needs as matrix rows (lp_core.solve_lp)."""
+    Returns the bound and tiebreak rows as one dense array, their
+    right-hand sides, the tiebreak block's slice of them and the point rows
+    (PointRows, one block per row k and landmark), which few of bind at the
+    optimum, so that a solve writes only those it needs as matrix rows
+    (lp_core.solve_lp)."""
     features = np.stack(maps)
-    ub = _Coo()
-    b_ub = []
     blocks = []
-    kept = 0  # bound rows so far
     # per region its vertices and, per landmark, its deviation candidates
     vertices = [geometry.region_points(region) for region in regions]
     candidates = [[geometry.deviation_candidates(region, V, landmark - points)
                    for landmark in landmarks]
                   for region, V in zip(regions, vertices)]
+    G = cols.t.size
+    n_bound = sum(vertices[row.region].shape[0] for row in rows)
+    A_ub = np.zeros((n_bound + 1 + 2 * G, cols.n_vars))
+    b_ub = np.zeros(A_ub.shape[0])
+    kept = 0  # bound rows so far
     for k, row in enumerate(rows):
         V = vertices[row.region]
-        at_v = kept + np.arange(V.shape[0])[:, None]
-        ub.add(at_v, cols.bias, row.w)
-        ub.add(at_v, cols.delta[k], 1.0)
+        at_v = slice(kept, kept + V.shape[0])
+        A_v = A_ub[at_v]
+        A_v[:, cols.bias] = row.w
+        A_v[:, cols.delta[k]] = 1.0
+        A_v[:, cols.lam_s[k]] = 1.0
         for l, landmark in enumerate(landmarks):
-            ub.add(at_v, cols.lam_s[k, l], 1.0)
-            ub.add(at_v, cols.lam[k, l, 1:], bounds.rhs(landmark - V))
-        b_ub.append(-row.r - V @ row.c_x)
+            A_v[:, cols.lam[k, l, 1:]] = bounds.rhs(landmark - V)
+        b_ub[at_v] = -row.r - V @ row.c_x
         kept += V.shape[0]
         # image[(i n_u + m) d + s, j] = w[m] R_i[s, j]: the coefficient of
         # K_{l,i}[m, s] on P_l[j], laid out as cols.gain[l].ravel(); a gain
@@ -230,15 +207,12 @@ def _fill_rows(cols, rows, regions, landmarks, bounds, points, maps):
         for l, (idx, gap) in enumerate(candidates[row.region]):
             blocks.append((np.r_[cols.gain[l].ravel()[live], cols.lam[k, l]],
                            image, idx, gap))
-    G = cols.t.size
-    tiebreak = slice(kept, kept + 1 + 2 * G)
-    ub.add(kept, cols.delta, -1.0)
-    at_t = kept + 1 + np.arange(2 * G)
-    ub.add(at_t, np.tile(cols.theta, 2), np.repeat([1.0, -1.0], G))
-    ub.add(at_t, np.tile(cols.t, 2), -1.0)
-    b_ub.append(np.zeros(1 + 2 * G))
-    return (ub, np.concatenate(b_ub), tiebreak,
-            PointRows(cols.n_vars, points, blocks))
+    tiebreak = slice(n_bound, n_bound + 1 + 2 * G)
+    A_ub[n_bound, cols.delta] = -1.0
+    at_t = n_bound + 1 + np.arange(2 * G)
+    A_ub[at_t, np.tile(cols.theta, 2)] = np.repeat([1.0, -1.0], G)
+    A_ub[at_t, np.tile(cols.t, 2)] = -1.0
+    return A_ub, b_ub, tiebreak, PointRows(points, blocks)
 
 
 class AssembledCellLp:
@@ -264,9 +238,11 @@ def _check_visibility(cell, landmarks, spec):
             )
 
 
-def _fill_goal(eq, cols, spec, maps, positions, goal):
-    """Equilibrium equality u = 0 for the observation snapped at the goal."""
+def _fill_goal(cols, spec, maps, positions, goal):
+    """Equilibrium equality u = 0 for the observation snapped at the goal,
+    one dense row per input."""
     at_u = np.arange(cols.bias.size)
+    A_eq = np.zeros((at_u.size, cols.n_vars))
     for l, pos in enumerate(positions):
         y = np.asarray(pos, dtype=float) - np.asarray(goal, dtype=float)
         try:
@@ -276,8 +252,9 @@ def _fill_goal(eq, cols, spec, maps, positions, goal):
                 "goal observation of landmark %d leaves the grid: %s" % (l, exc)
             ) from None
         for i, R in enumerate(maps):
-            eq.add(at_u[:, None], cols.gain[l, i], R @ pmf.vector)
-    eq.add(at_u, cols.bias, 1.0)
+            A_eq[at_u[:, None], cols.gain[l, i]] = R @ pmf.vector
+    A_eq[at_u, cols.bias] = 1.0
+    return A_eq
 
 
 def assemble_robust_lp(problem):
@@ -294,13 +271,11 @@ def assemble_robust_lp(problem):
 
     cols = LpColumns(len(p.landmarks), p.basis.n_k, p.dynamics.n_u,
                      p.dynamics.d, len(rows))
-    ub, b_ub, tiebreak, point_rows = _fill_rows(
+    A_ub, b_ub, tiebreak, point_rows = _fill_rows(
         cols, rows, regions, p.landmarks, p.bounds, p.grid.points(), maps)
-    eq = _Coo()
-    n_goal = 0
+    A_eq = np.zeros((0, cols.n_vars))
     if p.entry.exit_face is None:
-        _fill_goal(eq, cols, p.grid, maps, p.landmarks, p.entry.o)
-        n_goal = p.dynamics.n_u
+        A_eq = _fill_goal(cols, p.grid, maps, p.landmarks, p.entry.o)
 
     c = np.zeros(cols.n_vars)
     c[cols.delta] = 1.0
@@ -309,10 +284,9 @@ def assemble_robust_lp(problem):
     lb[cols.theta] = -np.inf
     ub_bounds[cols.delta] = [DELTA_CAP[r.kind] for r in rows]
     lb[cols.lam_s] = -np.inf
-    lp = StandardLp("max", c,
-                    A_ub=ub.matrix((b_ub.size, cols.n_vars)), b_ub=b_ub,
-                    A_eq=eq.matrix((n_goal, cols.n_vars)), b_eq=np.zeros(n_goal),
-                    lb=lb, ub=ub_bounds, points=point_rows)
+    lp = StandardLp("max", c, A_ub=A_ub, b_ub=b_ub, A_eq=A_eq,
+                    b_eq=np.zeros(A_eq.shape[0]), lb=lb, ub=ub_bounds,
+                    points=point_rows)
     return AssembledCellLp(p, lp, cols, tiebreak)
 
 

@@ -16,9 +16,9 @@ Kronecker product per feature map (gain_image).
 import numpy as np
 import scipy.sparse as sp
 
+from helpers import Coo
 from safefield.lp_core import StandardLp, solve_lp
 from safefield.measurement import build_expectation_kernel
-from safefield.synthesis import _Coo
 
 
 class AffineBlocks:
@@ -198,7 +198,7 @@ def machine_fill(meta, rows, regions, blocks, maps):
     """
     d = meta.cols.d
     G = meta.cols.theta.size
-    ub, eq = _Coo(), _Coo()
+    ub, eq = Coo(), Coo()
     b_ub = np.zeros(meta.n_ub)
     b_eq = np.zeros(meta.n_eq)
     theta0, _ = meta.var("theta")

@@ -1,9 +1,13 @@
 """Shared builders for randomized test cells and small synthesis setups."""
 
+import json
+import os
+
 import numpy as np
+import scipy.sparse as sp
 from scipy.optimize import linprog as scipy_linprog
 
-from safefield import lp_core, simulation
+from safefield import cli, lp_core, simulation, synthesis
 from safefield.clfcbf import LinearDynamics
 from safefield.geometry import (ABS_TOL, ConvexCell, Environment,
                                 deviation_candidates, region_points)
@@ -11,6 +15,36 @@ from safefield.lp_core import StandardLp, solve_lp
 from safefield.measurement import GridSpec, UncertaintyBounds
 from safefield.planning import PlanEntry
 from safefield.controller import CellController, CellProblem, GainBasis
+
+
+class Coo:
+    """The oracles' own matrix writer: entries added as broadcast (rows,
+    cols, vals) triplets, an entry added twice summed, as scipy.sparse
+    sums a COO's duplicates."""
+
+    def __init__(self):
+        self.r, self.c, self.v = [], [], []
+
+    def add(self, rows, cols, vals):
+        rows, cols, vals = np.broadcast_arrays(
+            np.atleast_1d(np.asarray(rows, dtype=np.int64)),
+            np.atleast_1d(np.asarray(cols, dtype=np.int64)),
+            np.atleast_1d(np.asarray(vals, dtype=float)),
+        )
+        self.r.append(rows.ravel())
+        self.c.append(cols.ravel())
+        self.v.append(vals.ravel())
+
+    def matrix(self, shape):
+        """The summed entries as CSR, without stored zeros."""
+        if not self.r:
+            return sp.csr_matrix(shape)
+        out = sp.coo_matrix(
+            (np.concatenate(self.v), (np.concatenate(self.r), np.concatenate(self.c))),
+            shape=shape,
+        ).tocsr()
+        out.eliminate_zeros()
+        return out
 
 
 def random_convex_polygon(rng, n_min=4, n_max=7, radius=3.0, center=(0.0, 0.0)):
@@ -223,3 +257,38 @@ def assert_highs_matches_linprog(c, A, b, n_ub, lb, ub):
     else:
         assert mine.duals is None
     return mine.status
+
+
+# the packaged configs whose gains tests/data/packaged_gains.json pins: the
+# case study at its own epsilon and at 12, and the patrol
+PACKAGED_GAINS = os.path.join(os.path.dirname(__file__), "data",
+                              "packaged_gains.json")
+PACKAGED_RUNS = [("case_study.json", None), ("case_study.json", 12.0),
+                 ("patrol.json", None)]
+
+
+def packaged_gains(path=None):
+    """K, K_b and delta of every cell that synthesis gives each of
+    PACKAGED_RUNS, as {"<config>@eps=<epsilon or default>": {"<cell id>":
+    {"K": ..., "K_b": ..., "delta": ...}}}. With path, also writes them
+    there as JSON: rewriting PACKAGED_GAINS changes what the gains are
+    pinned to."""
+    out = {}
+    for name, eps in PACKAGED_RUNS:
+        overrides = () if eps is None else (("epsilon", eps),)
+        cfg = cli.load_config(os.path.join(os.path.dirname(cli.__file__),
+                                           "data", name), overrides)
+        controllers = synthesis.synthesize_environment(
+            cfg.environment, cfg.plan.entries,
+            LinearDynamics.single_integrator(cfg.environment.dimension),
+            cfg.grid, cfg.bounds, cfg.basis, cfg.alpha_v, cfg.alpha_h)
+        out["%s@eps=%s" % (name, "default" if eps is None else eps)] = {
+            str(cell_id): {key: ctrl.to_dict()[key]
+                           for key in ("K", "K_b", "delta")}
+            for cell_id, ctrl in controllers.items()}
+    if path is not None:
+        os.makedirs(os.path.dirname(path), exist_ok=True)
+        with open(path, "w") as fh:
+            json.dump(out, fh, indent=1, sort_keys=True)
+            fh.write("\n")
+    return out

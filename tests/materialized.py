@@ -2,17 +2,18 @@
 independent oracle of synthesis.PointRows, and a separation that reads a
 materialized matrix, to stand in for PointRows in lp_core.solve_lp.
 
-fill_rows writes the rows entry by entry into a COO list, as the assembly
-did before the point rows became data, each point row among the bound rows
-of its constraint; materialized(asm) runs it on an assembled cell LP's
-problem and lists its rows in the LP's order. It finds each row's region
-vertices and deviation candidates anew, shared with no other row."""
+fill_rows writes the rows entry by entry with the oracles' own COO writer
+(helpers.Coo), which sums where an entry is written twice, each point row
+among the bound rows of its constraint; materialized(asm) runs it on an
+assembled cell LP's problem and lists its rows in the LP's order. It finds
+each row's region vertices and deviation candidates anew, shared with no
+other row."""
 
 import numpy as np
 
+from helpers import Coo
 from safefield import geometry
 from safefield.lp_core import StandardLp
-from safefield.synthesis import _Coo
 
 
 def fill_rows(cols, rows, regions, landmarks, bounds, points, maps):
@@ -20,10 +21,10 @@ def fill_rows(cols, rows, regions, landmarks, bounds, points, maps):
     each vertex of its region regions[row.region], then per landmark the
     dual-feasibility row of each grid point at each of its deviation
     candidates; last the tiebreak block (see synthesis._fill_rows). Returns
-    the rows as a _Coo, their right-hand sides and the mask of point
+    the rows as a Coo, their right-hand sides and the mask of point
     rows."""
     features = np.stack(maps)
-    ub = _Coo()
+    ub = Coo()
     b_ub = []
     lazy = []
     n = 0
@@ -91,7 +92,8 @@ class MatrixRows:
         return (self.A @ x - self.b_all)[self._at]
 
     def rows(self, selected):
-        return self.A[self._at[selected]]
+        rows = self.A[self._at[selected]]
+        return rows.data, rows.indices, rows.indptr
 
 
 def lp_with_rows(sense, c, A_ub, b_ub, lazy, **rest):

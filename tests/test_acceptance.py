@@ -3,6 +3,8 @@ eight-cell environment at the published operating point; the property tests
 pin the robustness claims (margin soundness, duality, conservatism
 monotonicity, measurement exactness) on randomized instances."""
 
+import json
+
 import numpy as np
 import pytest
 
@@ -22,7 +24,8 @@ from safefield.synthesis import (assemble_robust_lp,
 from safefield.verification import adversarial_pmf, verify_controller
 
 from dual_form import machine_lp
-from helpers import random_cell, small_setup, transit_entry_for
+from helpers import (PACKAGED_GAINS, packaged_gains, random_cell,
+                     small_setup, transit_entry_for)
 
 pytestmark = pytest.mark.filterwarnings("ignore:bounds")
 
@@ -58,6 +61,25 @@ def test_case_study_reaches_goal_from_all_starts(case_setup, delta_runs):
         assert traj.reached
         assert np.linalg.norm(traj.x[-1] - env.goal) <= GOAL_TOL
         assert min(traj.min_h) >= -1e-6
+
+
+def test_packaged_gains_are_the_pinned_ones():
+    # K, K_b and delta of every cell of the case study at eps 4 and 12 and
+    # of the patrol, within 1e-8 of each array's largest entry; rewriting
+    # the file (packaged_gains(PACKAGED_GAINS)) changes what is pinned
+    with open(PACKAGED_GAINS) as fh:
+        pinned = json.load(fh)
+    mine = packaged_gains()
+    assert mine.keys() == pinned.keys()
+    for run, cells in pinned.items():
+        assert mine[run].keys() == cells.keys(), run
+        for cell_id, gains in cells.items():
+            for key, want in gains.items():
+                got, want = np.asarray(mine[run][cell_id][key]), np.asarray(want)
+                scale = float(np.max(np.abs(want), initial=0.0))
+                assert got.shape == want.shape, (run, cell_id, key)
+                assert np.allclose(got, want, rtol=1e-8, atol=1e-8 * scale), (
+                    run, cell_id, key)
 
 
 def test_random_cells_hold_margins_against_adversary():

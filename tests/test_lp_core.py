@@ -230,9 +230,11 @@ INF = np.inf
 ], ids=["inequalities", "mixed", "equalities-only", "no-rows", "infeasible",
         "primal-and-dual-infeasible", "unbounded", "unbounded-no-rows"])
 def test_highs_call_matches_scipy_linprog(c, rows, b, n_ub, lb, ub, status):
+    # linprog hands HiGHS CSR rows; a CSC is converted, not read as rows
     c, b, lb, ub = (np.asarray(v, dtype=float) for v in (c, b, lb, ub))
-    A = sp.csc_matrix(np.asarray(rows, dtype=float))
-    assert assert_highs_matches_linprog(c, A, b, n_ub, lb, ub) == status
+    for fmt in (sp.csr_matrix, sp.csc_matrix):
+        A = fmt(np.asarray(rows, dtype=float))
+        assert assert_highs_matches_linprog(c, A, b, n_ub, lb, ub) == status
 
 
 def test_highs_calls_of_random_lps_match_scipy_linprog(monkeypatch):

@@ -103,6 +103,26 @@ def replay_matches_uncached(traj, ctrls, config):
         assert np.array_equal(u, uncached_input(ctrl, pmfs))
 
 
+@pytest.mark.parametrize("value", [np.nan, np.inf, -np.inf],
+                         ids=["nan", "inf", "-inf"])
+@pytest.mark.parametrize("error, build", [
+    (ConfigError, lambda v: SimConfig(dt=v)),
+    (ConfigError, lambda v: SimConfig(max_time=v)),
+    (ConfigError, lambda v: SimConfig(goal_tol=v)),
+    (ConfigError, lambda v: SensorModel("gaussian", drift=v)),
+    (ConfigError, lambda v: SensorModel("gaussian", variance=v)),
+    (ValueError, lambda v: UncertaintyBounds(v, 1.0)),
+    (ValueError, lambda v: UncertaintyBounds(1.0, v)),
+    (DimensionMismatch, lambda v: GridSpec((4, 4), (v, 1.0))),
+    (DimensionMismatch, lambda v: GridSpec((4, 4), (1.0, v))),
+], ids=["dt", "max_time", "goal_tol", "drift", "variance", "epsilon",
+        "sigma_m", "width-0", "width-1"])
+def test_non_finite_inputs_are_refused_at_construction(error, build, value):
+    # each with the error a negative value gets, not later in a run
+    with pytest.raises(error, match="finite"):
+        build(value)
+
+
 def test_sensor_validation_and_roundtrip():
     with pytest.raises(ConfigError):
         SensorModel("lidar")

@@ -10,8 +10,9 @@ import scipy.sparse as sp
 
 from dual_form import (affine_blocks, bias_image, feature_maps, gain_image,
                        lift, machine_lp, violation)
-from helpers import (assert_highs_matches_linprog, check_candidates_against_lp,
-                     random_cell, transit_entry_for)
+from helpers import (Coo, assert_highs_matches_linprog,
+                     check_candidates_against_lp, random_cell,
+                     transit_entry_for)
 from materialized import lp_with_rows, materialized, oracle_lp
 from safefield import cli, geometry, lp_core, synthesis, verification
 from safefield.clfcbf import LinearDynamics
@@ -677,7 +678,7 @@ def stacked_tiebreak_lp(asm, z_star, nominal):
     n = lp.n_vars
     pad_ub = sp.hstack([lp.A_ub, sp.csr_matrix((lp.b_ub.shape[0], G))])
     obj_cols = np.nonzero(lp.c)[0]
-    extra = synthesis._Coo()
+    extra = Coo()
     extra.add(0, obj_cols, -lp.c[obj_cols])
     rows = 1 + np.arange(2 * G)
     extra.add(rows, np.tile(theta, 2), np.repeat([1.0, -1.0], G))
@@ -889,10 +890,15 @@ def test_each_region_has_its_vertices_found_once(monkeypatch):
 
 
 def assert_same_csr(A, B):
-    """A and B hold the same compressed arrays (CSR, or CSC)."""
-    assert A.shape == B.shape
-    for part in ("indptr", "indices", "data"):
-        assert np.array_equal(getattr(A, part), getattr(B, part)), part
+    """A and B hold the same CSR rows, the arrays that HiGHS reads: A a
+    CSR matrix or the (data, indices, indptr) of PointRows.rows, B a CSR
+    matrix."""
+    assert B.format == "csr"
+    if sp.issparse(A):
+        assert A.format == "csr" and A.shape == B.shape
+        A = A.data, A.indices, A.indptr
+    for part, a in zip(("data", "indices", "indptr"), A):
+        assert np.array_equal(a, getattr(B, part)), part
 
 
 def assert_oracle_rows(asm, xs):
