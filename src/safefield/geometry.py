@@ -219,12 +219,14 @@ class Environment:
         self._A = np.vstack([c.body.A for c in self.cells])
         self._b = np.concatenate([c.body.b for c in self.cells])
         self._first_row = np.cumsum([0] + [c.body.n_rows for c in self.cells[:-1]])
+        self._ids = [c.id for c in self.cells]
 
-    def cells_containing(self, x, tol=ABS_TOL):
-        """The cells whose every row value is at most tol at x, in order."""
-        values = self._A @ np.asarray(x, dtype=float) + self._b
+    def cell_ids_containing(self, x, tol=ABS_TOL):
+        """The ids of the cells whose every row value is at most tol at x, a
+        sequence of numbers, in cell order."""
+        values = self._A.dot(x) + self._b
         worst = np.maximum.reduceat(values, self._first_row)
-        return [c for c, v in zip(self.cells, worst.tolist()) if v <= tol]
+        return [i for i, v in zip(self._ids, worst.tolist()) if v <= tol]
 
     def cell_by_id(self, cell_id):
         for c in self.cells:

@@ -13,6 +13,7 @@ import warnings
 import numpy as np
 
 from .errors import DimensionMismatch, LandmarkOutOfView
+from .geometry import integers
 
 SNAP_TIE_TOL = 1e-9
 
@@ -22,7 +23,11 @@ class GridSpec:
     [-w_q/2, w_q/2], cell j centered at w_q*(j+0.5)/n_q - w_q/2."""
 
     def __init__(self, n, width):
-        self.n = tuple(int(v) for v in n)
+        try:
+            self.n = tuple(integers(n))
+        except (TypeError, ValueError) as exc:
+            raise DimensionMismatch("cell counts must be integral numbers "
+                                    "(%s)" % exc) from None
         self.width = tuple(float(v) for v in width)
         if len(self.n) != len(self.width):
             raise DimensionMismatch("n and width length differ")
@@ -30,22 +35,17 @@ class GridSpec:
             raise DimensionMismatch("need at least 2 cells per axis")
         if not all(0 < w < math.inf for w in self.width):
             raise DimensionMismatch("grid widths must be positive and finite")
+        # fixed here, as every Gaussian reading's drift_shift reads them
+        self.dim = len(self.n)
+        self.pitch = tuple(w / k for w, k in zip(self.width, self.n))
         # per axis, what snap reads: cell count, width, half-width and the
         # farthest offset that still snaps onto the grid
         self._snap_axes = tuple((n, w, w / 2.0, w / 2.0 + SNAP_TIE_TOL)
                                 for n, w in zip(self.n, self.width))
 
     @property
-    def dim(self):
-        return len(self.n)
-
-    @property
     def n_points(self):
         return int(np.prod(self.n))
-
-    @property
-    def pitch(self):
-        return tuple(w / k for w, k in zip(self.width, self.n))
 
     def centers(self, axis):
         j = np.arange(self.n[axis])
@@ -174,9 +174,11 @@ def drift_shift(spec, drift, lo, hi):
     if spec.dim != 2:
         raise DimensionMismatch("blur implemented for 2-D grids")
     # Python floats, as in snap: the same IEEE double arithmetic
-    return tuple(min(max(math.floor(float(drift[q]) / (w / n) + 0.5), -lo[q]),
-                     n - 1 - hi[q])
-                 for q, (n, w) in enumerate(zip(spec.n, spec.width)))
+    (n0, n1), (p0, p1) = spec.n, spec.pitch
+    return (min(max(math.floor(float(drift[0]) / p0 + 0.5), -lo[0]),
+                n0 - 1 - hi[0]),
+            min(max(math.floor(float(drift[1]) / p1 + 0.5), -lo[1]),
+                n1 - 1 - hi[1]))
 
 
 def _paste(spec, centers, weights, variance):

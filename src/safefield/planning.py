@@ -141,7 +141,9 @@ class PlanEntry:
         self.barriers = list(barriers)
 
     def progress(self, x):
-        return float(self.v @ (np.asarray(x, dtype=float) - self.o))
+        """V(x) = v . (x - o) as a Python float, for x a sequence of
+        numbers."""
+        return float(self.v.dot(x - self.o))
 
 
 class HighLevelPlan:

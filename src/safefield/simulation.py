@@ -17,6 +17,7 @@ from .errors import (
     OffPlanCrossing,
     SafetyViolation,
 )
+from .geometry import integral, integers, read as read_entry
 from .measurement import GridSpec, blur_cell, delta_pmf_at, drift_shift
 # not called here: perfbench/tracing.py wraps simulation.blur_pmf by name
 from .measurement import blur_pmf  # noqa: F401
@@ -84,7 +85,7 @@ class SimConfig:
         self.max_time = float(max_time)
         self.goal_tol = float(goal_tol)
         self.sensor = sensor if sensor is not None else SensorModel()
-        self.seed = int(seed)
+        self.seed = read_entry({"seed": seed}, "seed", integral, None, "sim.")
         for key in ("dt", "max_time", "goal_tol"):
             if not 0 < getattr(self, key) < math.inf:
                 raise ConfigError("%s must be positive and finite" % key,
@@ -93,9 +94,10 @@ class SimConfig:
 
 class Trajectory:
     """Row-per-step record; the final state is appended with the control the
-    active cell would apply there. A row is kept as Python numbers: floats,
-    x and u as lists of them, and the cell id an int. arrays() returns each
-    column as a NumPy array."""
+    active cell would apply there. append takes a row as Python numbers (t,
+    V and min_h floats, x and u lists of floats, the cell id an int) and
+    keeps them as given, neither converted nor copied: rows share the
+    banked lists u. arrays() returns each column as a NumPy array."""
 
     def __init__(self):
         self.t = []
@@ -108,12 +110,12 @@ class Trajectory:
         self.crossings = 0
 
     def append(self, t, x, u, cell_id, V, min_h):
-        self.t.append(float(t))
-        self.x.append([float(v) for v in x])
-        self.u.append([float(v) for v in u])
-        self.cell_id.append(int(cell_id))
-        self.V.append(float(V))
-        self.min_h.append(float(min_h))
+        self.t.append(t)
+        self.x.append(x)
+        self.u.append(u)
+        self.cell_id.append(cell_id)
+        self.V.append(V)
+        self.min_h.append(min_h)
 
     def arrays(self):
         return (np.asarray(self.t), np.asarray(self.x), np.asarray(self.u),
@@ -169,9 +171,10 @@ def control_input(controller, pmfs):
 
 class _StepPlan:
     """What every closed-loop step under one controller reads, built once:
-    its grid, its landmarks as Python floats, its barrier rows, plan entry,
-    dynamics and cell body. The input held over a step is a function of the
-    readings, so it is banked by them together with its slope term B u:
+    its grid, its landmarks as Python floats, its barrier facets with their
+    rows of the cell body, plan entry, dynamics and cell body. The input
+    held over a step is a function of the readings, so it is banked by them
+    together with its slope term B u and the slope that _step takes:
     control_input and the product are computed once per set of readings."""
 
     def __init__(self, controller, sensor):
@@ -180,14 +183,15 @@ class _StepPlan:
         self.sensor = sensor
         self.grid = problem.grid
         self.landmarks = [lm.tolist() for lm in problem.landmarks]
-        self.barriers = _barriers(controller)
         self.entry = problem.entry
-        self.dynamics = problem.dynamics
         self.body = problem.cell.body
-        self.held = {}  # readings -> (u, B u)
+        self.facets = facets = self.entry.barriers
+        self.A_h, self.b_h = self.body.A[facets], self.body.b[facets]
+        self.dynamics = problem.dynamics
+        self.held = {}  # readings -> (u, B u, slope)
 
     def control(self, read, xs):
-        """The input u at the state xs, a list of Python floats, and B u:
+        """(u, B u, _slope's slope) at the state xs, a list of Python floats:
         one reading per landmark at its offset lm - x (subtracted
         elementwise, as NumPy would), then control_input on their PMFs."""
         grid = self.grid
@@ -197,45 +201,34 @@ class _StepPlan:
         if held is None:
             u = control_input(self.controller,
                               [self.sensor.pmf(grid, i) for i in readings])
-            held = self.held[readings] = (u.tolist(), self.dynamics.B @ u)
+            Bu = self.dynamics.B @ u
+            held = self.held[readings] = (u.tolist(), Bu,
+                                          _slope(self.dynamics, Bu))
         return held
 
 
-def _barriers(controller):
-    """The controller's barrier facets with their rows of its cell body."""
-    facets = controller.problem.entry.barriers
-    body = controller.problem.cell.body
-    return facets, body.A[facets], body.b[facets]
-
-
-def _barrier_values(barriers, x):
-    """The smallest barrier value -(a x + b) over the barrier rows, and the
-    first facet that attains it (inf and None without barriers). The rows
-    are one BLAS product; negating and picking the first extreme are exact,
-    so they take Python floats."""
-    facets, A, b = barriers
-    if not facets:
-        return np.inf, None
-    vals = (A @ x + b).tolist()
-    worst = max(vals)
-    return -worst, facets[vals.index(worst)]
-
-
-def _step(dynamics, x, Bu, dt):
-    """One classical Runge-Kutta (RK4) step under a held input u, given by
-    its slope term Bu = B u.
-
-    Without drift every stage slope A s + B u is B u, so the step takes
-    that one slope through RK4's own operations, on Python floats (cheaper
-    than NumPy calls for a few entries, and rounded the same): the staged
-    step bit for bit. A zero entry of B u is the exception, since the
-    staged slope takes its sign from A s there; such a step is staged."""
+def _slope(dynamics, Bu):
+    """Bu = B u as Python floats when _step may take it as its one slope,
+    else None. Without drift every stage slope A s + B u is B u, except at
+    a zero entry of B u, where the staged slope takes its sign from A s."""
     if dynamics.drift_free:
         slope = Bu.tolist()
         if all(slope):
-            h = dt / 6.0
-            return np.array([xi + h * (k + 2.0 * k + 2.0 * k + k)
-                             for xi, k in zip(x.tolist(), slope)])
+            return slope
+    return None
+
+
+def _step(dynamics, x, xs, Bu, slope, dt):
+    """One classical Runge-Kutta (RK4) step under a held input u, given by
+    Bu = B u and slope = _slope(dynamics, Bu), from the state as an array x
+    and as Python floats xs; returns the next state both ways. A slope goes
+    through RK4's own operations on the floats (cheaper than NumPy calls
+    for a few entries, and rounded the same): the staged step bit for
+    bit. Without one the step is staged."""
+    if slope is not None:
+        h = dt / 6.0
+        xs = [xi + h * (k + 2.0 * k + 2.0 * k + k) for xi, k in zip(xs, slope)]
+        return np.array(xs), xs
 
     def f(state):
         return dynamics.A @ state + Bu
@@ -244,7 +237,8 @@ def _step(dynamics, x, Bu, dt):
     k2 = f(x + 0.5 * dt * k1)
     k3 = f(x + 0.5 * dt * k2)
     k4 = f(x + dt * k3)
-    return x + (dt / 6.0) * (k1 + 2.0 * k2 + 2.0 * k3 + k4)
+    x = x + (dt / 6.0) * (k1 + 2.0 * k2 + 2.0 * k3 + k4)
+    return x, x.tolist()
 
 
 def start_cell(env, plan, x):
@@ -270,23 +264,31 @@ def run_trajectory(env, plan, controllers, config, x0=None, steps=None):
 
     What a controller's steps share is built at its first step, as a step
     plan (_StepPlan): its grid, landmarks, barrier rows, entry and dynamics.
-    The plan banks the held input u, as control_input returns it, and its
-    slope term B u by the readings. steps, a dict cell id -> _StepPlan,
-    carries the plans and their banks from run to run: cli.cmd_simulate
-    passes one to every start of a command. A banked input is a function of
-    the controller, the sensor model and the readings alone, so sharing it
-    changes no output; runs that share steps must share controllers and
-    config.sensor, and a plan built for another controller or sensor is a
-    ValueError. Without steps a run builds its own. A step keeps the state
-    both as an array and as Python floats. Arithmetic that IEEE rounds the
-    same either way takes the floats: the landmark offsets, the barrier
-    minimum, the drift-free RK4 update and the record. Every product and
-    norm that BLAS computes stays a NumPy call, since BLAS may round it
-    otherwise (fused multiply-adds): the barrier rows a x + b, the progress
-    v . (x - o), the containment rows, B u and the goal and depth norms. The
-    progress that the crossing test takes after a step is the next row's V
-    while the controller stays. A run takes at most round(max_time / dt)
-    steps, each adding dt to t, and records one row more.
+    The plan banks the held input u, as control_input returns it, with its
+    slope term B u and its RK4 slope by the readings. steps, a dict cell id
+    -> _StepPlan, carries the plans and their banks from run to run:
+    cli.cmd_simulate passes one to every start of a command. A banked input
+    is a function of the controller, the sensor model and the readings
+    alone, so sharing it changes no output; runs that share steps must
+    share controllers and config.sensor, and a plan built for another
+    controller or sensor is a ValueError. Without steps a run builds its
+    own.
+
+    A step computes what fixes its row and the next state, and no more: the
+    readings (or the bank's entry for readings seen before), the barrier
+    rows, the progress where it is not yet known, one RK4 step and the
+    containment rows. It keeps the state both as an array and as Python
+    floats. Arithmetic that IEEE rounds the same either way takes the
+    floats: the landmark offsets, the barrier minimum, the drift-free RK4
+    update and the record. Every product and norm that BLAS computes stays
+    a NumPy call, since BLAS may round it otherwise (fused multiply-adds):
+    the barrier rows a x + b, the progress v . (x - o), the containment
+    rows, B u and the goal and depth norms. The per-step products call
+    ndarray.dot, which reaches the same BLAS routine as @ without the
+    matmul dispatch. The progress that the crossing test takes after a step
+    is the next row's V while the controller stays. A run takes at most
+    round(max_time / dt) steps, each adding dt to t, and records one row
+    more.
 
     The run begins in start_cell and follows the plan's exit map: crossing
     the active exit face hands over to the entry's next_id. In patrol mode
@@ -331,7 +333,7 @@ def run_trajectory(env, plan, controllers, config, x0=None, steps=None):
                                   field="controllers")
             step = steps[active_id] = _StepPlan(ctrl, config.sensor)
         try:
-            u, Bu = step.control(read, xs)
+            u, Bu, slope = step.control(read, xs)
         except LandmarkOutOfView as exc:
             raise OffGridReading(
                 "cell %d read a landmark off its grid at x=%s, t=%.3f: %s"
@@ -339,11 +341,15 @@ def run_trajectory(env, plan, controllers, config, x0=None, steps=None):
                 t=t, x=x.copy(), cell_id=active_id, trajectory=traj,
             ) from exc
         entry = step.entry
-        min_h, facet = _barrier_values(step.barriers, x)
+        # the smallest barrier value -(a x + b), inf without barriers
+        h = (step.A_h.dot(x) + step.b_h).tolist()
+        worst = max(h, default=-math.inf)
+        min_h = -worst
         if V is None:
             V = entry.progress(x)
         traj.append(t, xs, u, active_id, V, min_h)
         if min_h < -SAFETY_TOL:
+            facet = step.facets[h.index(worst)]
             raise SafetyViolation(
                 "barrier %s of cell %d reached %.3g at t=%.3f"
                 % (facet, active_id, min_h, t),
@@ -357,11 +363,10 @@ def run_trajectory(env, plan, controllers, config, x0=None, steps=None):
                 return traj
         if k == n_steps:
             break
-        x = _step(step.dynamics, x, Bu, dt)
-        xs = x.tolist()
+        x, xs = _step(step.dynamics, x, xs, Bu, slope, dt)
         t += dt
-        inside = env.cells_containing(x)
-        if not inside:
+        ids = env.cell_ids_containing(x)
+        if not ids:
             raise LeftFreeSpace(
                 "state %s left every cell at t=%.3f" % (xs, t),
                 t=t, x=x.copy(), cell_id=active_id, trajectory=traj,
@@ -370,21 +375,21 @@ def run_trajectory(env, plan, controllers, config, x0=None, steps=None):
             V = entry.progress(x)
             if V <= 0.0:
                 planned = plan.entries[active_id].next_id
-                ids = {c.id for c in inside}
                 if planned not in ids:
                     raise OffPlanCrossing(
                         "left cell %d for %s, not planned cell %d at t=%.3f"
-                        % (active_id, sorted(ids - {active_id}), planned, t),
+                        % (active_id, sorted(set(ids) - {active_id}),
+                           planned, t),
                         t=t, x=x.copy(), cell_id=active_id, planned=planned,
                         trajectory=traj,
                     )
                 active_id, V = planned, None
                 traj.crossings += 1
             continue
-        ids = {c.id for c in inside}
+        others = [i for i in ids if i != active_id]
         V = entry.progress(x) if entry.exit_face is not None else None
-        if V is not None and V <= 0.0 and ids - {active_id}:
-            active_id, V = handover(ids - {active_id}), None
+        if V is not None and V <= 0.0 and others:
+            active_id, V = handover(others), None
             traj.crossings += 1
         elif active_id not in ids:
             # one integration step can overshoot a barrier-free shared
@@ -402,9 +407,11 @@ def sample_vector_field(controller, resolution, sensor=None, seed=0):
     u from the same step plan as run_trajectory's."""
     problem = controller.problem
     cell = problem.cell
-    res = np.broadcast_to(np.asarray(resolution, dtype=int),
-                          (cell.body.dim,)).copy()
-    if np.any(res < 2):
+    shape = (cell.body.dim,)
+    res = read_entry({"resolution": resolution}, "resolution", lambda v:
+                     integers(np.broadcast_to(np.array(v, object), shape)),
+                     None, "field.")
+    if min(res) < 2:
         raise ConfigError("resolution must be at least 2 per axis",
                           field="field.resolution")
     sensor = sensor or SensorModel()
@@ -419,8 +426,7 @@ def sample_vector_field(controller, resolution, sensor=None, seed=0):
         if not cell.contains(x):
             continue
         xs = x.tolist()
-        u, _ = step.control(read, xs)
-        rows.append(xs + u)
+        rows.append(xs + step.control(read, xs)[0])
     if not rows:
         return np.zeros((0, 2 * cell.body.dim))
     return np.asarray(rows)

@@ -210,6 +210,26 @@ OBLIQUE_PATROL_ENV = {
 }
 
 
+# OBLIQUE_PATROL_ENV turned 30 degrees about (20, 20), coordinates rounded
+# to 6 decimals: every facet is oblique, the barriers too, so BLAS may round
+# the barrier rows a x + b unlike the scalar sums. Run with patrol.json's
+# settings.
+ROTATED_PATROL_ENV = {
+    "cells": [
+        {"id": 0, "vertices": [[12.679492, -7.320508], [47.320508, 12.679492],
+                               [-7.320508, 27.320508]],
+         "landmark_ids": [0]},
+        {"id": 1, "vertices": [[47.320508, 12.679492], [27.320508, 47.320508],
+                               [-7.320508, 27.320508]],
+         "landmark_ids": [1]},
+    ],
+    "landmarks": [[17.437822, 10.437822], [22.562178, 29.562178]],
+    "start": [16.339746, 6.339746],
+    "goal": [47.320508, 12.679492],
+    "patrol_cycle": [0, 1],
+}
+
+
 def counted_law(monkeypatch):
     """simulation.control_input wrapped to log each (controller, u) that it
     returns."""

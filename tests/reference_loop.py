@@ -9,6 +9,10 @@ along the start's own path to the goal, and to the smallest-id cell
 holding the state elsewhere, as when each start had a plan of its own. The
 simulator must log the same rows, bit for bit, and count the same
 crossings.
+
+The oracle shares no per-step helper with the simulator: its barrier
+values, progress, containment test and RK4 step are its own, and each
+product in them is a matmul (@), as the plain formula reads.
 """
 
 import numpy as np
@@ -19,14 +23,9 @@ from safefield.errors import (
     OffPlanCrossing,
     SafetyViolation,
 )
+from safefield.geometry import ABS_TOL
 from safefield.measurement import blur_pmf, make_delta_pmf
-from safefield.simulation import (
-    SAFETY_TOL,
-    Trajectory,
-    _barrier_values,
-    _barriers,
-    control_input,
-)
+from safefield.simulation import SAFETY_TOL, Trajectory, control_input
 
 
 def unbanked_sensor(model, seed):
@@ -48,6 +47,48 @@ def unbanked_sensor(model, seed):
     return sense
 
 
+def barrier_rows(ctrl):
+    """The controller's barrier facets with their rows of its cell body."""
+    facets = ctrl.problem.entry.barriers
+    body = ctrl.problem.cell.body
+    return facets, body.A[facets], body.b[facets]
+
+
+def barrier_values(rows, x):
+    """The smallest barrier value -(a x + b) over barrier_rows' rows, and
+    the first facet that attains it (inf and None without barriers)."""
+    facets, A, b = rows
+    if not facets:
+        return np.inf, None
+    values = A @ x + b
+    j = int(np.argmax(values))
+    return -float(values[j]), facets[j]
+
+
+def progress(entry, x):
+    """The plan entry's progress V(x) = v . (x - o)."""
+    return float(entry.v @ (x - entry.o))
+
+
+def holding(env):
+    """A function x -> the set of ids of env's cells that hold x: every
+    cell's rows A x + b, stacked in cell order, in one product, and a cell
+    holds x when its largest value is at most ABS_TOL. The rows are stacked
+    as the environment stacks them, since a row computed alone may round
+    otherwise."""
+    A = np.vstack([c.body.A for c in env.cells])
+    b = np.concatenate([c.body.b for c in env.cells])
+    ends = np.cumsum([c.body.n_rows for c in env.cells]).tolist()
+    spans = [(c.id, end - c.body.n_rows, end)
+             for c, end in zip(env.cells, ends)]
+
+    def ids(x):
+        values = A @ x + b
+        return {i for i, lo, hi in spans if values[lo:hi].max() <= ABS_TOL}
+
+    return ids
+
+
 def staged_step(dynamics, x, u, dt):
     """One classical Runge-Kutta (RK4) step under the held input u, every
     stage slope evaluated in full."""
@@ -67,6 +108,7 @@ def reference_trajectory(env, plan, controllers, config, x0=None):
     """run_trajectory's contract, one full sense, control and RK4 pass per
     step."""
     barriers = {}
+    holding_x = holding(env)
     sense = unbanked_sensor(config.sensor, config.seed)
     x = np.asarray(env.start if x0 is None else x0, dtype=float).copy()
     traj = Trajectory()
@@ -102,11 +144,12 @@ def reference_trajectory(env, plan, controllers, config, x0=None):
         cell = env.cell_by_id(active_id)
         problem = ctrl.problem
         if active_id not in barriers:
-            barriers[active_id] = _barriers(ctrl)
+            barriers[active_id] = barrier_rows(ctrl)
         pmfs = [sense(problem.grid, lm - x) for lm in problem.landmarks]
         u = control_input(ctrl, pmfs)
-        min_h, facet = _barrier_values(barriers[active_id], x)
-        traj.append(t, x, u, active_id, problem.entry.progress(x), min_h)
+        min_h, facet = barrier_values(barriers[active_id], x)
+        traj.append(t, x.tolist(), u.tolist(), active_id,
+                    progress(problem.entry, x), min_h)
         if min_h < -SAFETY_TOL:
             raise SafetyViolation("barrier violated", t=t, x=x.copy(),
                                   cell_id=active_id, facet=facet,
@@ -119,23 +162,22 @@ def reference_trajectory(env, plan, controllers, config, x0=None):
             break
         x = staged_step(problem.dynamics, x, u, config.dt)
         t += config.dt
-        inside = env.cells_containing(x)
-        if not inside:
+        ids = holding_x(x)
+        if not ids:
             raise LeftFreeSpace("left every cell", t=t, x=x.copy(),
                                 cell_id=active_id, trajectory=traj)
         if plan.mode == "patrol":
-            if problem.entry.progress(x) <= 0.0:
+            if progress(problem.entry, x) <= 0.0:
                 active = (active + 1) % n_entries
                 planned = entries[active].cell_id
-                if planned not in {c.id for c in inside}:
+                if planned not in ids:
                     raise OffPlanCrossing("off the plan", t=t, x=x.copy(),
                                           cell_id=active_id, planned=planned,
                                           trajectory=traj)
                 traj.crossings += 1
             continue
-        ids = {c.id for c in inside}
         if (problem.entry.exit_face is not None
-                and problem.entry.progress(x) <= 0.0
+                and progress(problem.entry, x) <= 0.0
                 and ids - {active_id}):
             active_id = handover(ids - {active_id})
             traj.crossings += 1

@@ -9,6 +9,7 @@ from safefield.measurement import (
     blur_pmf,
     build_expectation_kernel,
     check_pmf_feasible,
+    drift_shift,
     gaussian_kernel,
     make_delta_pmf,
 )
@@ -49,6 +50,31 @@ def test_grid_validation():
         GridSpec((4, 4), (2.0,))
     with pytest.raises(DimensionMismatch):
         GridSpec((4, 4), (2.0, -1.0))
+
+
+@pytest.mark.parametrize("n", [(2.7, 4), (4, float("nan")), ("3", 4),
+                               (True, 4), 4],
+                         ids=["fraction", "nan", "string", "bool", "scalar"])
+def test_grid_counts_must_be_integral_numbers(n):
+    # an integral float is a count; truncating 2.7 to 2 is not
+    assert GridSpec((3.0, 4), (2.0, 2.0)).n == (3, 4)
+    with pytest.raises(DimensionMismatch):
+        GridSpec(n, (2.0, 2.0))
+
+
+def test_drift_shift_reads_each_axis_pitch():
+    # a grid whose axes differ in count, width and pitch: each axis rounds
+    # its drift to its own whole cells and clamps to its own edges
+    spec = GridSpec((30, 7), (40.0, 13.0))
+    rng = np.random.default_rng(4)
+    for _ in range(2000):
+        drift = rng.uniform(-25.0, 25.0, size=2).tolist()
+        lo = [int(rng.integers(0, n)) for n in spec.n]
+        hi = [int(rng.integers(a, n)) for a, n in zip(lo, spec.n)]
+        want = tuple(
+            int(np.clip(np.floor(d / (w / n) + 0.5), -a, n - 1 - b))
+            for d, w, n, a, b in zip(drift, spec.width, spec.n, lo, hi))
+        assert drift_shift(spec, drift, lo, hi) == want
 
 
 def test_delta_kernel_consistency_every_index():

@@ -4,8 +4,9 @@ import tracemalloc
 import numpy as np
 import pytest
 
-from helpers import (OBLIQUE_PATROL_ENV, OFF_GRID_ENV, counted_law,
-                     pushing_controller, three_cell_env)
+from helpers import (OBLIQUE_PATROL_ENV, OFF_GRID_ENV, ROTATED_PATROL_ENV,
+                     counted_law, pushing_controller, same_bits,
+                     three_cell_env)
 import reference_loop
 from reference_loop import reference_trajectory, staged_step, unbanked_sensor
 from safefield import cli, simulation
@@ -33,6 +34,7 @@ from safefield.simulation import (
     SensorModel,
     SimConfig,
     Trajectory,
+    _slope,
     _step,
     control_input,
     run_trajectory,
@@ -304,6 +306,29 @@ def test_pmf_mass_is_read_only():
     assert fresh.flags.writeable
 
 
+@pytest.mark.parametrize("seed", [1.7, True, "3", np.nan],
+                         ids=["fraction", "bool", "string", "nan"])
+def test_a_seed_must_be_an_integral_number(seed):
+    # an integral float is a seed; truncating 1.7 to 1 is not
+    assert SimConfig(seed=2.0).seed == 2
+    with pytest.raises(ConfigError) as err:
+        SimConfig(seed=seed)
+    assert err.value.field == "sim.seed"
+
+
+@pytest.mark.parametrize("resolution", [2.9, (8, 2.9), "3", True, np.nan,
+                                        (8, 8, 8)],
+                         ids=["fraction", "fraction-entry", "string", "bool",
+                              "nan", "three-axes"])
+def test_a_field_resolution_must_be_integral_per_axis(rig, resolution):
+    ctrl = rig["ctrls"][2]
+    assert same_bits(sample_vector_field(ctrl, 3.0),
+                     sample_vector_field(ctrl, (3, 3)))
+    with pytest.raises(ConfigError) as err:
+        sample_vector_field(ctrl, resolution)
+    assert err.value.field == "field.resolution"
+
+
 def test_sim_config_validation_and_roundtrip():
     for bad in (dict(dt=0.0), dict(max_time=0.0), dict(goal_tol=-1.0)):
         with pytest.raises(ConfigError):
@@ -317,14 +342,10 @@ def test_step_matches_closed_form():
     u = np.array([0.25, 0.5])
     dt = 0.05
     exact = 2 * u + (x0 - 2 * u) * np.exp(-dt / 2.0)
-    rk4 = _step(dyn, x0, dyn.B @ u, dt)
+    Bu = dyn.B @ u
+    rk4, rk4s = _step(dyn, x0, x0.tolist(), Bu, _slope(dyn, Bu), dt)
     assert float(np.max(np.abs(rk4 - exact))) <= 1e-9
-
-
-def same_bits(a, b):
-    a, b = np.asarray(a), np.asarray(b)
-    return (a.dtype == b.dtype and a.shape == b.shape
-            and a.tobytes() == b.tobytes())
+    assert rk4s == rk4.tolist()
 
 
 def test_drift_free_step_equals_the_staged_step():
@@ -344,9 +365,12 @@ def test_drift_free_step_equals_the_staged_step():
             v[rng.random(v.shape) < 0.3] = 0.0
             v[rng.random(v.shape) < 0.3] = -0.0
         dt = float(rng.choice([0.01, 0.05, rng.uniform(1e-4, 1.0)]))
-        assert same_bits(_step(dyn, x, dyn.B @ u, dt),
-                         staged_step(dyn, x, u, dt))
-        if (dyn.B @ u).all():
+        Bu = dyn.B @ u
+        slope = _slope(dyn, Bu)
+        x_next, xs_next = _step(dyn, x, x.tolist(), Bu, slope, dt)
+        assert same_bits(x_next, staged_step(dyn, x, u, dt))
+        assert xs_next == x_next.tolist()
+        if slope is not None:
             closed += 1
         else:
             staged += 1
@@ -398,28 +422,37 @@ def two_landmark_run():
     return env, plan, ctrls, cfg, None
 
 
-@pytest.mark.parametrize("run", ["patrol", "patrol-150s", "oblique-patrol",
-                                 "case-study", "gaussian", "two-landmarks"])
-def test_the_loop_logs_the_reference_loop(run, case_setup):
+def loop_run(run, case_setup):
+    """(env, plan, controllers, config, start) of one named run."""
     if run == "patrol":
-        args = packaged_patrol_run()
-    elif run == "patrol-150s":
+        return packaged_patrol_run()
+    if run == "patrol-150s":
         # the benchmark's patrol_long horizon: 15,001 rows, and a handover
         # on almost every step
-        args = packaged_patrol_run([("sim.max_time", 150.0)])
-    elif run == "oblique-patrol":
+        return packaged_patrol_run([("sim.max_time", 150.0)])
+    if run == "oblique-patrol":
         # exits on the diagonal, where the loop's progress v . (x - o) is
         # rounded as BLAS rounds it
-        args = packaged_patrol_run([("environment", OBLIQUE_PATROL_ENV),
+        return packaged_patrol_run([("environment", OBLIQUE_PATROL_ENV),
                                     ("sim.max_time", 5.0)])
-    elif run == "case-study":
-        args = case_study_run(case_setup, SensorModel(), [10.0, 50.0])
-    elif run == "gaussian":
-        args = case_study_run(case_setup, SensorModel("gaussian", 3.0, 12.0),
-                              [50.0, 50.0])
-    else:
-        args = two_landmark_run()
-    env, plan, ctrls, cfg, start = args
+    if run == "rotated-patrol":
+        # every facet oblique: the barrier rows a x + b, too, are rounded as
+        # BLAS rounds them
+        return packaged_patrol_run([("environment", ROTATED_PATROL_ENV),
+                                    ("sim.max_time", 5.0)])
+    if run == "case-study":
+        return case_study_run(case_setup, SensorModel(), [10.0, 50.0])
+    if run == "gaussian":
+        return case_study_run(case_setup,
+                              SensorModel("gaussian", 3.0, 12.0), [50.0, 50.0])
+    return two_landmark_run()
+
+
+@pytest.mark.parametrize("run", ["patrol", "patrol-150s", "oblique-patrol",
+                                 "rotated-patrol", "case-study", "gaussian",
+                                 "two-landmarks"])
+def test_the_loop_logs_the_reference_loop(run, case_setup):
+    env, plan, ctrls, cfg, start = loop_run(run, case_setup)
     traj = run_trajectory(env, plan, ctrls, cfg, x0=start)
     ref = reference_trajectory(env, plan, ctrls, cfg, x0=start)
     assert all(same_bits(a, b) for a, b in zip(traj.arrays(), ref.arrays()))
@@ -427,9 +460,34 @@ def test_the_loop_logs_the_reference_loop(run, case_setup):
     # the runs switch controllers: thousands of patrol crossings, and
     # stabilize runs handing over between cells
     assert traj.crossings >= {"patrol": 2000, "patrol-150s": 14000,
-                              "oblique-patrol": 400}.get(run, 3)
+                              "oblique-patrol": 400,
+                              "rotated-patrol": 400}.get(run, 3)
     if run == "patrol-150s":
         assert len(traj.t) == 15001
+
+
+@pytest.mark.parametrize("run", ["patrol-150s", "case-study", "gaussian"])
+def test_the_loop_writes_the_reference_loop_csv(run, case_setup, tmp_path):
+    # the CSV text pins the record's contract: a row holds Python numbers,
+    # where a NumPy scalar would print as np.float64(...)
+    env, plan, ctrls, cfg, start = loop_run(run, case_setup)
+    traj = run_trajectory(env, plan, ctrls, cfg, x0=start)
+    ref = reference_trajectory(env, plan, ctrls, cfg, x0=start)
+    mine, theirs = tmp_path / "loop.csv", tmp_path / "reference.csv"
+    traj.to_csv(str(mine))
+    ref.to_csv(str(theirs))
+    text = mine.read_bytes()
+    assert text == theirs.read_bytes()
+    assert b"np." not in text
+    rows = np.loadtxt(str(mine), delimiter=",", skiprows=1, ndmin=2)
+    t, x, u, cell_id, V, min_h = traj.arrays()
+    d, n_u = x.shape[1], u.shape[1]
+    assert same_bits(rows[:, 0], t)
+    assert same_bits(rows[:, 1:1 + d], x)
+    assert same_bits(rows[:, 1 + d:1 + d + n_u], u)
+    assert np.array_equal(rows[:, -3], cell_id) and cell_id.dtype.kind == "i"
+    assert same_bits(rows[:, -2], V)
+    assert same_bits(rows[:, -1], min_h)
 
 
 @pytest.mark.parametrize("max_time", [30.0, 60.0, 0.024])
@@ -594,7 +652,7 @@ def test_a_reading_off_the_grid_fails_the_run_with_its_trajectory():
     assert isinstance(exc.__cause__, LandmarkOutOfView)
     assert exc.cell_id == 0
     # the state is in cell 1 alone, less than one step past the face
-    assert [c.id for c in env.cells_containing(exc.x)] == [1]
+    assert env.cell_ids_containing(exc.x) == [1]
     assert 3.0 < exc.x[0] <= 3.0 + 1.5 * cfg.dt
     # the trajectory holds every step before the reading, all in cell 0
     traj = exc.trajectory
@@ -617,7 +675,7 @@ def test_leaving_free_space_names_the_active_cell():
     assert isinstance(exc, ClosedLoopFailure)
     assert exc.cell_id == 0
     assert -1.5 * cfg.dt <= exc.x[0] < 0.0
-    assert not env.cells_containing(exc.x)
+    assert not env.cell_ids_containing(exc.x)
     assert len(exc.trajectory.t) == round(exc.t / cfg.dt)
     assert set(exc.trajectory.cell_id) == {0}
 
@@ -645,7 +703,7 @@ def test_trajectory_csv_reads_back_the_recorded_floats(tmp_path):
     for k in range(300):
         x = rng.standard_normal(2) * 10.0 ** rng.integers(-20, 20)
         u = [awkward[k % 6], rng.standard_normal()]
-        traj.append(k * 0.01, x, u, k % 3, rng.random(),
+        traj.append(k * 0.01, x.tolist(), u, k % 3, rng.random(),
                     np.inf if k == 7 else -rng.random())
     path = tmp_path / "traj.csv"
     traj.to_csv(str(path))
