@@ -13,7 +13,7 @@ import warnings
 import numpy as np
 
 from .errors import DimensionMismatch, LandmarkOutOfView
-from .geometry import integers
+from .geometry import integers, real
 
 SNAP_TIE_TOL = 1e-9
 
@@ -28,12 +28,16 @@ class GridSpec:
         except (TypeError, ValueError) as exc:
             raise DimensionMismatch("cell counts must be integral numbers "
                                     "(%s)" % exc) from None
-        self.width = tuple(float(v) for v in width)
+        try:
+            self.width = tuple(real(v) for v in width)
+        except (TypeError, ValueError) as exc:
+            raise DimensionMismatch("grid widths must be numbers (%s)"
+                                    % exc) from None
         if len(self.n) != len(self.width):
             raise DimensionMismatch("n and width length differ")
         if any(v < 2 for v in self.n):
             raise DimensionMismatch("need at least 2 cells per axis")
-        if not all(0 < w < math.inf for w in self.width):
+        if not all(w > 0 for w in self.width):
             raise DimensionMismatch("grid widths must be positive and finite")
         # fixed here, as every Gaussian reading's drift_shift reads them
         self.dim = len(self.n)
@@ -208,10 +212,12 @@ class UncertaintyBounds:
     against it, each through these two methods."""
 
     def __init__(self, epsilon, sigma_m):
-        if not (0 <= epsilon < math.inf and 0 <= sigma_m < math.inf):
+        try:
+            self.epsilon, self.sigma_m = real(epsilon), real(sigma_m)
+        except TypeError as exc:
+            raise ValueError("bounds must be numbers (%s)" % exc) from None
+        if not (self.epsilon >= 0 and self.sigma_m >= 0):
             raise ValueError("bounds must be non-negative and finite")
-        self.epsilon = float(epsilon)
-        self.sigma_m = float(sigma_m)
 
     @staticmethod
     def rows(u, y):

@@ -17,7 +17,7 @@ from .errors import (
     OffPlanCrossing,
     SafetyViolation,
 )
-from .geometry import integral, integers, read as read_entry
+from .geometry import integral, integers, read as read_entry, real
 from .measurement import GridSpec, blur_cell, delta_pmf_at, drift_shift
 # not called here: perfbench/tracing.py wraps simulation.blur_pmf by name
 from .measurement import blur_pmf  # noqa: F401
@@ -35,10 +35,12 @@ class SensorModel:
         if kind not in ("delta", "gaussian"):
             raise ConfigError("unknown sensor kind %r" % kind, field="sim.sensor.kind")
         self.kind = kind
-        self.drift = float(drift)
-        self.variance = float(variance)
-        if self.kind == "gaussian" and not (0 <= self.drift < math.inf
-                                            and 0 <= self.variance < math.inf):
+        self.drift = read_entry({"drift": drift}, "drift", real, None,
+                                "sim.sensor.")
+        self.variance = read_entry({"variance": variance}, "variance", real,
+                                   None, "sim.sensor.")
+        if self.kind == "gaussian" and not (self.drift >= 0
+                                            and self.variance >= 0):
             raise ConfigError("drift and variance must be non-negative and "
                               "finite", field="sim.sensor")
 
@@ -81,15 +83,15 @@ class SensorModel:
 class SimConfig:
     def __init__(self, dt=0.01, max_time=600.0, goal_tol=0.05, sensor=None,
                  seed=0):
-        self.dt = float(dt)
-        self.max_time = float(max_time)
-        self.goal_tol = float(goal_tol)
         self.sensor = sensor if sensor is not None else SensorModel()
         self.seed = read_entry({"seed": seed}, "seed", integral, None, "sim.")
-        for key in ("dt", "max_time", "goal_tol"):
-            if not 0 < getattr(self, key) < math.inf:
+        for key, value in (("dt", dt), ("max_time", max_time),
+                           ("goal_tol", goal_tol)):
+            value = read_entry({key: value}, key, real, None, "sim.")
+            if not value > 0:
                 raise ConfigError("%s must be positive and finite" % key,
                                   field="sim." + key)
+            setattr(self, key, value)
 
 
 class Trajectory:

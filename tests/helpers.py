@@ -9,8 +9,10 @@ from scipy.optimize import linprog as scipy_linprog
 
 from safefield import cli, lp_core, simulation, synthesis
 from safefield.clfcbf import LinearDynamics
+from safefield.errors import NumericalFailure
 from safefield.geometry import (ABS_TOL, ConvexCell, Environment,
-                                deviation_candidates, region_points)
+                                counterclockwise, deviation_candidates,
+                                region_points)
 from safefield.lp_core import StandardLp, solve_lp
 from safefield.measurement import GridSpec, UncertaintyBounds
 from safefield.planning import PlanEntry
@@ -135,6 +137,33 @@ def reference_deviation_candidates(hs, V, a):
     np.put_along_axis(keep, order, minimal, axis=1)
     idx, c = np.nonzero(keep)
     return idx, gap[idx, c]
+
+
+def reference_sample_states(cell, regions, count, seed):
+    """verification._sample_states one draw at a time, each tested with
+    cell.contains and the cap of 10000 count tries counted per draw: the
+    oracle of the sampler that draws and tests its states in blocks."""
+    points = [v for v in cell.vertices]
+    vacuous = [False]
+    for region in regions[1:]:
+        V = region_points(region)
+        vacuous.append(V.shape[0] == 0)
+        if V.shape[0] >= 3:
+            points.extend(counterclockwise(V))
+    n_vertices = len(points)
+    rng = np.random.default_rng(seed)
+    lo, hi = cell.vertices.min(axis=0), cell.vertices.max(axis=0)
+    tries = 0
+    found = 0
+    while found < count:
+        x = rng.uniform(lo, hi)
+        tries += 1
+        if tries > 10000 * max(count, 1):
+            raise NumericalFailure("interior sampling failed to hit the cell")
+        if cell.contains(x):
+            points.append(x)
+            found += 1
+    return points, n_vertices, vacuous
 
 
 def small_setup(n=(6, 6), width=(16.0, 16.0), epsilon=2.0, sigma_m=8.0):

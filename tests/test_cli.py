@@ -1,6 +1,7 @@
 import copy
 import json
 import os
+import re
 import shutil
 import subprocess
 import sys
@@ -10,7 +11,7 @@ import pytest
 
 import safefield
 from helpers import OFF_GRID_ENV, counted_law, pushing_controller
-from safefield import cli, planning, simulation, synthesis
+from safefield import cli, planning, simulation, synthesis, verification
 from safefield.errors import ClosedLoopFailure, NumericalFailure, SafeFieldError
 from safefield.controller import load_controllers, save_controllers
 
@@ -1018,6 +1019,47 @@ def test_verify_names_the_vacuous_rows(tmp_path, capsys, eps, vacuous):
         line = next(p for p in printed if p.startswith("cell %d:" % cell["cell"]))
         assert line.endswith(", vacuous rows: clf") == ((cell["cell"], "clf")
                                                          in vacuous)
+
+
+def test_a_simplex_failure_in_a_later_cell_names_it(tmp_path, capsys, caplog,
+                                                   monkeypatch):
+    # verify solves every case-study cell in one batch. Under a pivot cap
+    # that the first cell never reaches, the first cell with an instance
+    # past it fails the command, naming the row and state it names alone
+    config = os.path.join(os.path.dirname(cli.__file__), "data",
+                          "case_study.json")
+    argv = ["--config", config, "--out", str(tmp_path)]
+    assert cli.main(["synth"] + argv) == 0
+    with caplog.at_level("INFO", logger="safefield"):
+        assert cli.main(["verify"] + argv) == 0
+    rounds = [tuple(map(int, re.fullmatch(
+        r"verify cell (\d+): \d+ adversary instances, \d+ simplex pivots, "
+        r"(\d+) pricing rounds, \d+ skipped", r.getMessage()).groups()))
+        for r in caplog.records if r.getMessage().startswith("verify cell")]
+    # a cell solved alone pivots one round less than it prices, and an
+    # instance raises once its pivots reach the cap: at a cap of the first
+    # cell's rounds less a half, a cell fails from two rounds more
+    first = rounds[0][1]
+    later = next(cell for cell, n in rounds if n >= first + 2)
+    cfg = cli.load_config(config, [("out", str(tmp_path))])
+    n_cols = cfg.grid.n_points + 3 * cfg.grid.dim + 1
+    monkeypatch.setattr(verification, "PIVOTS_PER_COLUMN",
+                        (first - 0.5) / n_cols)
+    (tmp_path / "report.json").unlink()
+    capsys.readouterr()
+    assert cli.main(["verify"] + argv) == 3
+    err = capsys.readouterr().err
+    ctrls = load_controllers(str(tmp_path / "controllers.json"),
+                             cfg.environment, cfg.plan)
+    with pytest.raises(NumericalFailure) as alone:
+        verification.verify_controller(ctrls[later], count=cfg.verify_count,
+                                       seed=cfg.seed)
+    assert re.match(r"cell %d row \((clf|cbf), facet \w+\): adversary "
+                    r"simplex reached its cap of \S+ pivots at x=\[\S+, \S+\]$"
+                    % later, str(alone.value))
+    assert err == "solver error: %s\n" % alone.value
+    assert later != rounds[0][0]
+    assert not (tmp_path / "report.json").exists()
 
 
 def test_tampered_controllers_fail_verify(pipeline_dir, tmp_path):

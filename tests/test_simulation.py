@@ -105,8 +105,12 @@ def replay_matches_uncached(traj, ctrls, config):
         assert np.array_equal(u, uncached_input(ctrl, pmfs))
 
 
-@pytest.mark.parametrize("value", [np.nan, np.inf, -np.inf],
-                         ids=["nan", "inf", "-inf"])
+# a numeric string or a boolean is no number either, although float() reads
+# "3" as 3.0 and True as 1.0
+@pytest.mark.parametrize("value, reason", [
+    (np.nan, "finite"), (np.inf, "finite"), (-np.inf, "finite"),
+    ("3", "not a number"), (True, "not a number"),
+], ids=["nan", "inf", "-inf", "string", "bool"])
 @pytest.mark.parametrize("error, build", [
     (ConfigError, lambda v: SimConfig(dt=v)),
     (ConfigError, lambda v: SimConfig(max_time=v)),
@@ -119,9 +123,10 @@ def replay_matches_uncached(traj, ctrls, config):
     (DimensionMismatch, lambda v: GridSpec((4, 4), (1.0, v))),
 ], ids=["dt", "max_time", "goal_tol", "drift", "variance", "epsilon",
         "sigma_m", "width-0", "width-1"])
-def test_non_finite_inputs_are_refused_at_construction(error, build, value):
+def test_non_finite_inputs_are_refused_at_construction(error, build, value,
+                                                       reason):
     # each with the error a negative value gets, not later in a run
-    with pytest.raises(error, match="finite"):
+    with pytest.raises(error, match=reason):
         build(value)
 
 

@@ -1,10 +1,11 @@
+import json
 import re
 
 import numpy as np
 import pytest
 
 from dual_form import bias_image, gain_image
-from helpers import transit_entry_for
+from helpers import random_cell, reference_sample_states, transit_entry_for
 from safefield import lp_core, verification
 from safefield.clfcbf import LinearDynamics, build_clf_row
 from safefield.errors import (
@@ -133,6 +134,18 @@ def test_row_value_decomposes_per_landmark():
     assert stats["instances"] == 2
 
 
+def test_rows_without_a_consistent_pmf_solve_nothing():
+    rng = np.random.default_rng(23)
+    row, control, bias, _, _ = two_landmark_law(SPEC, rng)
+    # the landmarks are farther than the grid reaches from either state
+    pairs = [(0, np.zeros(2)), (0, np.array([0.5, -0.5]))]
+    values, stats = worst_case_row_values(
+        [row], control, bias, pairs, SPEC, BOUNDS,
+        [np.array([8.0, 0.0]), np.array([0.0, -9.0])])
+    assert np.isnan(values).all()
+    assert stats == {"instances": 4, "pivots": 0, "rounds": 0}
+
+
 @pytest.mark.parametrize("spec, bounds", [
     # the case study's grid and bounds
     (GridSpec((30, 30), (40.0, 40.0)), UncertaintyBounds(4.0, 16.0)),
@@ -147,8 +160,8 @@ def test_batched_adversary_matches_full_lp(spec, bounds):
     C = rng.standard_normal((m, spec.n_points)) * rng.uniform(0.1, 100.0, (m, 1))
     X = rng.uniform(-3.0, 3.0, (m, 2))
     LM = X + rng.uniform(-reach, reach, (m, 2))
-    values, stats = inner_maxima(C, np.arange(m), X, LM, spec, bounds)
-    assert stats["rounds"] > 1
+    values, pivots = inner_maxima(C, np.arange(m), X, LM, spec, bounds)
+    assert pivots.max() > 0
     for i in range(m):
         ref = adversarial_pmf(C[i], X[i], spec, bounds, LM[i]).inner_value
         assert abs(values[i] - ref) <= 1e-9 * max(1.0, abs(ref))
@@ -182,14 +195,14 @@ def test_batch_mixes_seeded_unseeded_and_infeasible_instances():
     ])
     X = np.zeros_like(LM)
     C = np.random.default_rng(17).standard_normal((len(LM), SPEC.n_points))
-    values, stats = inner_maxima(C, np.arange(len(LM)), X, LM, SPEC, bounds)
+    values, _ = inner_maxima(C, np.arange(len(LM)), X, LM, SPEC, bounds)
     assert np.isnan(values[0])
     with pytest.raises(InfeasibleMeasurementSet):
         adversarial_pmf(C[0], X[0], SPEC, bounds, LM[0])
     for i in range(1, len(LM)):
         ref = adversarial_pmf(C[i], X[i], SPEC, bounds, LM[i]).inner_value
         assert abs(values[i] - ref) <= 1e-9 * max(1.0, abs(ref))
-    alone, stats = inner_maxima(C[2:], np.arange(len(LM) - 2), X[2:], LM[2:],
+    alone, _ = inner_maxima(C[2:], np.arange(len(LM) - 2), X[2:], LM[2:],
                                 SPEC, bounds)
     assert np.allclose(alone, values[2:], rtol=1e-9, atol=1e-9)
 
@@ -225,11 +238,33 @@ def test_degenerate_payoffs_match_full_lp(spec, bounds, payoff, stall,
     else:
         C = np.zeros((m, spec.n_points))
         C[np.arange(m), rng.integers(spec.n_points, size=m)] = 1.0
-    values, stats = inner_maxima(C, np.arange(m), X, LM, spec, bounds)
-    assert stats["instances"] == m
+    values, pivots = inner_maxima(C, np.arange(m), X, LM, spec, bounds)
+    assert pivots.shape == (m,)
     for i in range(m):
         ref = adversarial_pmf(C[i], X[i], spec, bounds, LM[i]).inner_value
         assert abs(values[i] - ref) <= 1e-9 * max(1.0, abs(ref))
+
+
+@pytest.mark.parametrize("stall", [verification.STALL_PIVOTS, 0],
+                         ids=["dantzig-then-bland", "bland"])
+def test_pricing_in_blocks_moves_no_bit(monkeypatch, stall):
+    # payoffs over nine orders of magnitude, so that each instance has its
+    # own price tolerance: priced a few instances at a time, every
+    # instance takes the same columns and reaches the same bits
+    monkeypatch.setattr(verification, "STALL_PIVOTS", stall)
+    spec = GridSpec((30, 30), (40.0, 40.0))
+    bounds = UncertaintyBounds(4.0, 16.0)
+    rng = np.random.default_rng(31)
+    m = 40
+    X, LM = reachable_instances(spec, bounds, m, rng)
+    C = (rng.standard_normal((m, spec.n_points))
+         * rng.permutation(np.logspace(-3.0, 6.0, m))[:, None])
+    values, pivots = inner_maxima(C, np.arange(m), X, LM, spec, bounds)
+    for block in (1, 7, m - 1):
+        blocked, blocked_pivots = inner_maxima(C, np.arange(m), X, LM, spec,
+                                               bounds, block=block)
+        assert blocked.tobytes() == values.tobytes()
+        assert np.array_equal(blocked_pivots, pivots)
 
 
 def test_pivot_cap_and_unbounded_ratio_raise_naming_the_state(monkeypatch):
@@ -242,8 +277,7 @@ def test_pivot_cap_and_unbounded_ratio_raise_naming_the_state(monkeypatch):
     C[:4] = 1.0  # optimal at the start: no pivot
     needed = np.array([
         inner_maxima(C[i:i + 1], np.arange(1), X[i:i + 1], LM[i:i + 1], spec,
-                     bounds)[1]
-        ["pivots"] for i in range(m)])
+                     bounds)[1][0] for i in range(m)])
     assert 0 < np.sum(needed > 1) < m
     first = int(np.argmax(needed > 1))
     # a cap of one pivot: the first instance that needs a second one raises
@@ -315,9 +349,9 @@ def test_consistent_start_matches_the_oracle_without_highs(monkeypatch,
     LM = X + Y
     C = rng.standard_normal((len(Y), SPEC.n_points))
     monkeypatch.setattr(lp_core, "linprog", linprog_refused)
-    values, stats = inner_maxima(C, np.arange(len(Y)), X, LM, SPEC, bounds)
+    values, pivots = inner_maxima(C, np.arange(len(Y)), X, LM, SPEC, bounds)
     monkeypatch.undo()
-    assert stats["instances"] == len(Y)
+    assert pivots.shape == (len(Y),)
     for i in range(len(Y)):
         try:
             ref = adversarial_pmf(C[i], X[i], SPEC, bounds, LM[i]).inner_value
@@ -331,9 +365,9 @@ def test_consistent_start_matches_the_oracle_without_highs(monkeypatch,
     # must be accepted as it is: an out-of-bound one would have no
     # certificate and raise
     monkeypatch.setattr(lp_core, "linprog", linprog_refused)
-    flat, stats = inner_maxima(np.full((1, SPEC.n_points), 2.5),
-                               np.zeros(len(Y), dtype=int), X, LM, SPEC, bounds)
-    assert stats["pivots"] == 0
+    flat, pivots = inner_maxima(np.full((1, SPEC.n_points), 2.5),
+                                np.zeros(len(Y), dtype=int), X, LM, SPEC, bounds)
+    assert not pivots.any()
     assert np.array_equal(np.isnan(flat), np.isnan(values))
     assert np.allclose(flat[~np.isnan(flat)], 2.5, rtol=1e-12, atol=0)
 
@@ -378,6 +412,118 @@ def test_each_row_is_evaluated_at_every_sampled_state_of_its_region(
         assert sum(r["evaluated"] for r in report.rows) + report.skipped == inside
 
 
+def verify_logged(caplog, verify):
+    """The reports verify() returns, as JSON text, and the INFO lines it
+    logs."""
+    caplog.clear()
+    with caplog.at_level("INFO", logger="safefield"):
+        reports = verify()
+    return ([json.dumps(r.to_dict()) for r in reports],
+            [r.getMessage() for r in caplog.records
+             if r.getMessage().startswith("verify cell")])
+
+
+def test_one_batch_gives_each_cell_its_own_report(case_setup, caplog,
+                                                  monkeypatch):
+    # every cell's instances share one inner_maxima batch, priced in blocks
+    # of the largest cell's count; each report and INFO line must be the
+    # one the cell gives alone, bit for bit, a tampered cell's too
+    controllers = dict(case_setup["controllers"])
+    tampered = next(cid for cid in list(controllers)[3:]
+                    if controllers[cid].problem.entry.barriers)
+    controllers[tampered] = pushed_out(controllers[tampered])
+    calls = []
+
+    def spy(C, which, X, landmarks, spec, bounds, block=None):
+        calls.append((len(X), block))
+        return inner_maxima(C, which, X, landmarks, spec, bounds, block)
+
+    monkeypatch.setattr(verification, "inner_maxima", spy)
+    joint, lines = verify_logged(caplog, lambda: verification.verify_environment(
+        controllers, count=50, seed=0, raise_on_fail=False))
+    assert len(joint) == len(lines) == len(controllers)
+    instances = [int(line.split()[3]) for line in lines]
+    assert calls == [(sum(instances), max(instances))]
+    for k, ctrl in enumerate(controllers.values()):
+        alone = verify_logged(caplog, lambda: [verify_controller(
+            ctrl, count=50, seed=0, raise_on_fail=False)])
+        assert alone == ([joint[k]], [lines[k]])
+    assert [json.loads(r)["pass"] for r in joint] == [
+        cid != tampered for cid in controllers]
+    with pytest.raises(VerificationFailed, match="^cell %d row" % tampered):
+        verification.verify_environment(controllers, count=50, seed=0)
+
+
+def packaged_cells(case_setup, patrol_env):
+    """Each packaged cell with the regions its rows hold on: the case
+    study's from its controllers, the patrol's its body alone."""
+    for ctrl in case_setup["controllers"].values():
+        yield ctrl.problem.cell, ctrl.problem.rows()[1]
+    for cell in patrol_env.cells:
+        yield cell, [cell.body]
+
+
+@pytest.mark.parametrize("count, seed", [(0, 0), (1, 3), (50, 0), (200, 7)])
+def test_block_sampler_matches_one_draw_at_a_time(case_setup, patrol_env,
+                                                  count, seed):
+    rng = np.random.default_rng(41)
+    cells = list(packaged_cells(case_setup, patrol_env))
+    cells += [(cell, [cell.body]) for cell, _ in
+              (random_cell(rng, n_min=3, n_max=8) for _ in range(12))]
+    for cell, regions in cells:
+        points, n_vertices, vacuous = verification._sample_states(
+            cell, regions, count, seed)
+        ref, ref_vertices, ref_vacuous = reference_sample_states(
+            cell, regions, count, seed)
+        assert (n_vertices, vacuous) == (ref_vertices, ref_vacuous)
+        assert len(points) == len(ref) == n_vertices + count
+        assert np.array(points).tobytes() == np.array(ref).tobytes()
+
+
+class CountedRng:
+    """A seeded generator that counts the states uniform draws."""
+
+    make = staticmethod(np.random.default_rng)
+
+    def __init__(self, seed):
+        self.rng = self.make(seed)
+        self.draws = 0
+
+    def uniform(self, lo, hi, size=None):
+        out = self.rng.uniform(lo, hi, size)
+        self.draws += out.size // len(lo)
+        return out
+
+
+@pytest.mark.parametrize("width, count, hits", [
+    (1e-7, 1, False),  # 5e-10 of the box: no draw of 10000 lands
+    (0.2, 5, True),    # 1e-3 of the box: about 50 draws of 50000 land
+], ids=["sliver", "thin"])
+def test_sampling_stops_at_its_cap_of_draws(monkeypatch, width, count, hits):
+    # a triangle along the diagonal of its bounding box: the sampler must
+    # raise exactly when the first 10000 count draws hold fewer than count
+    # states in the cell, as the one-draw sampler does
+    cell = ConvexCell(0, [[0.0, 0.0], [100.0, 100.0], [100.0 - width, 100.0]],
+                      [0])
+    rngs = []
+    monkeypatch.setattr(verification.np.random, "default_rng",
+                        lambda seed: rngs.append(CountedRng(seed)) or rngs[-1])
+    if hits:
+        points, n_vertices, _ = verification._sample_states(
+            cell, [cell.body], count, 1)
+        monkeypatch.undo()
+        ref = reference_sample_states(cell, [cell.body], count, 1)[0]
+        assert np.array(points).tobytes() == np.array(ref).tobytes()
+        assert rngs[0].draws <= 10000 * count
+        return
+    with pytest.raises(NumericalFailure, match="failed to hit the cell"):
+        verification._sample_states(cell, [cell.body], count, 1)
+    assert rngs[0].draws == 10000 * count
+    monkeypatch.undo()
+    with pytest.raises(NumericalFailure, match="failed to hit the cell"):
+        reference_sample_states(cell, [cell.body], count, 1)
+
+
 def test_synthesized_controller_verifies():
     ctrl = square_controller()
     report = verify_controller(ctrl, count=30, seed=1)
@@ -392,20 +538,22 @@ def test_synthesized_controller_verifies():
     assert len(d["rows"]) == len(ctrl.margins)
 
 
-def test_tampered_controller_fails():
-    # constant push out through a barrier facet, no measurement feedback
-    # gains and bias are fixed at construction, so the tampered law is a
-    # new controller built from the edited serialized form
-    synthesized = square_controller()
+def pushed_out(synthesized):
+    """The controller's cell under a constant push out through its first
+    barrier facet, without measurement feedback: gains and bias are fixed
+    at construction, so the tampered law is a new controller built from
+    the edited serialized form."""
     problem = synthesized.problem
-    cell = problem.cell
     data = synthesized.to_dict()
-    wall = problem.entry.barriers[0]
     data["K"] = [[np.zeros_like(Ki).tolist() for Ki in per_l]
                  for per_l in synthesized.gains]
-    data["K_b"] = cell.body.A[wall].tolist()
-    ctrl = CellController.from_dict(data, cell, problem.entry,
+    data["K_b"] = problem.cell.body.A[problem.entry.barriers[0]].tolist()
+    return CellController.from_dict(data, problem.cell, problem.entry,
                                     problem.landmarks)
+
+
+def test_tampered_controller_fails():
+    ctrl = pushed_out(square_controller())
     with pytest.raises(VerificationFailed):
         verify_controller(ctrl, count=10, seed=1)
     report = verify_controller(ctrl, count=10, seed=1,
