@@ -66,13 +66,13 @@ class CellProblem:
     """The robust CLF/CBF program of one cell: the cell, its plan entry, the
     coordinates of the landmarks it reads (one per cell.landmark_ids), the
     dynamics, the CLF and CBF rates alpha_v and alpha_h, the error bounds,
-    the measurement grid, the feature basis and v_floor, the progress floor
-    of a goal cell's stability row (None elsewhere). Parts that disagree
-    (the cell's id and the entry's, landmark counts, cell and dynamics or
+    the measurement grid, the feature basis and, from these, v_floor, the
+    goal cell's progress floor (None elsewhere). Parts that disagree (the
+    cell's id and the entry's, landmark counts, cell and dynamics or
     landmark and grid dimensions) and no landmark raise DimensionMismatch."""
 
     def __init__(self, cell, entry, landmarks, dynamics, alpha_v, alpha_h,
-                 bounds, grid, basis, v_floor=None):
+                 bounds, grid, basis):
         self.cell = cell
         self.entry = entry
         self.landmarks = [np.asarray(p, dtype=float) for p in landmarks]
@@ -82,7 +82,8 @@ class CellProblem:
         self.bounds = bounds
         self.grid = grid
         self.basis = basis
-        self.v_floor = v_floor
+        self.v_floor = (goal_v_floor(entry, bounds, grid)
+                        if entry.exit_face is None else None)
         if (cell.id != entry.cell_id
                 or len(self.landmarks) != len(cell.landmark_ids)):
             raise DimensionMismatch("cell %s: entry, cell and landmarks "
@@ -104,6 +105,13 @@ class CellProblem:
         """The basis's feature maps R_i on the grid, each d x n_p."""
         return self.basis.matrices(build_expectation_kernel(self.grid),
                                    self.grid.width)
+
+
+def goal_v_floor(entry, bounds, spec):
+    """Stability is only enforced where the progress function clears the
+    worst-case sensing error, leaving the terminal plateau to the
+    equilibrium equality."""
+    return 2.0 * np.sum(np.abs(entry.v)) * (bounds.epsilon + max(spec.pitch))
 
 
 class CellController:
@@ -180,9 +188,9 @@ class CellController:
     def from_dict(cls, d, cell, entry, landmarks):
         """The controller to_dict wrote as d, its problem built from the
         cell, plan entry and landmark coordinates of a run whose run fields
-        d has and from d's own fields. A malformed number, and a status
-        other than the class's, raise ConfigError naming its key
-        (geometry.read)."""
+        d has and from d's own fields. A malformed number, a status other
+        than the class's and a v_floor other than the one the problem works
+        out raise ConfigError naming its key (geometry.read)."""
         def read(key, convert=geometry.reals, section=d, prefix=""):
             return geometry.read(section, key, convert, None, prefix)
 
@@ -209,8 +217,11 @@ class CellController:
                 read("n", geometry.integers, grid, "grid."),
                 read("width", section=grid, prefix="grid.")),
             basis=GainBasis(d["basis"]),
-            v_floor=read("v_floor", lambda v: v if v is None else real(v)),
         )
+        saved = read("v_floor", lambda v: v if v is None else real(v))
+        if saved != problem.v_floor:
+            raise ConfigError("%s is not %s, the goal floor epsilon and grid give"
+                              % (saved, problem.v_floor), field="v_floor")
         return cls(problem, read("K"), read("K_b"), read("delta"), saturation)
 
 
@@ -246,14 +257,14 @@ def load_controllers(path, env, plan):
     """The controllers save_controllers wrote to path, keyed by cell id in
     file order, each carrying its cell of env, that cell's entry of plan
     and its landmarks of env.
-    A file that is not such a list, a cell that plan lacks or that the file
-    lists twice, a run field (_run_fields) that differs from the run's and
-    a malformed entry raise ConfigError naming the file and the controller
-    (controllers.<k>, or controllers.<k>.<key> for a malformed number)."""
+    An empty list or anything but such a list, a cell that plan lacks or
+    that the file lists twice, a run field (_run_fields) that differs from
+    the run's and a malformed entry raise ConfigError naming the file and
+    the controller (controllers.<k>, or controllers.<k>.<key>)."""
     data = geometry.load_json(path, "controllers")
-    if not isinstance(data, list):
-        raise ConfigError("controllers must be a list", path=path,
-                          field="controllers")
+    if not isinstance(data, list) or not data:
+        raise ConfigError("controllers must be a list of at least one "
+                          "controller", path=path, field="controllers")
     controllers = {}
     for k, saved in enumerate(data):
         field = "controllers.%d" % k

@@ -42,7 +42,7 @@ class GoalNotVertex(ConfigError):
 
 
 class LandmarkOutOfView(SafeFieldError):
-    """A cell references a landmark it cannot see."""
+    """A landmark out of view: an unknown id, or an offset off the grid."""
 
 
 class LandmarkNotVisible(SafeFieldError):

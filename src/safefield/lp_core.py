@@ -68,21 +68,33 @@ def _as_matrix(M, n_vars):
     return sp.csr_matrix(M)
 
 
+class _NoPointRows:
+    """The point rows of an LP given none: an empty separation."""
+
+    b = np.zeros(0)
+
+    def deficits(self, x):
+        return self.b
+
+    def rows(self, selected):
+        return self.b, np.zeros(0, dtype=np.int64), np.zeros(1, dtype=np.int64)
+
+
 class StandardLp:
     """min or max c^T x subject to A_ub x <= b_ub, A_eq x = b_eq,
     lb <= x <= ub. Matrices may be dense or scipy.sparse; A_kept, A_eq and
     A_ub are held as CSR, the rows that HiGHS reads.
 
-    points, when given, holds more inequality rows as a separation (see
-    synthesis.PointRows):
+    points holds more inequality rows as a separation (see
+    synthesis.PointRows; none when not given):
       - points.b, their right-hand sides;
       - points.deficits(x), A x - b on each of them;
       - points.rows(selected), the CSR arrays (data, indices, indptr) of
         the rows at the ascending indices selected into points.b.
-    The A_ub and b_ub passed in are then the matrix rows, kept as A_kept
-    and b_kept, and the point rows follow them (see the module docstring).
-    The attributes A_ub and b_ub always read the whole system, and with
-    points A_ub is built on each read. solve_lp reads neither."""
+    The A_ub and b_ub passed in are the matrix rows, kept as A_kept and
+    b_kept, and the point rows follow them (see the module docstring).
+    The attributes A_ub and b_ub read the whole system, built on each
+    read. solve_lp reads neither."""
 
     def __init__(self, sense, c, A_ub=None, b_ub=None, A_eq=None, b_eq=None,
                  lb=None, ub=None, points=None):
@@ -103,7 +115,7 @@ class StandardLp:
             raise DimensionMismatch("equality block shape mismatch")
         if self.lb.shape[0] != n or self.ub.shape[0] != n:
             raise DimensionMismatch("bound length mismatch")
-        self.points = points
+        self.points = _NoPointRows() if points is None else points
 
     @property
     def n_vars(self):
@@ -112,20 +124,15 @@ class StandardLp:
     @property
     def n_ub(self):
         """The number of inequality rows, point rows included."""
-        extra = 0 if self.points is None else self.points.b.size
-        return self.b_kept.shape[0] + extra
+        return self.b_kept.shape[0] + self.points.b.size
 
     @property
     def A_ub(self):
-        if self.points is None:
-            return self.A_kept
         blocks = _inequalities(self, np.ones(self.points.b.size, dtype=bool))[0]
         return sp.vstack(blocks, format="csr")
 
     @property
     def b_ub(self):
-        if self.points is None:
-            return self.b_kept
         return np.concatenate([self.b_kept, self.points.b])
 
 
@@ -154,9 +161,7 @@ class LpSolution:
 
 def _scale(lp, x):
     """The magnitude that the residuals at x are measured against."""
-    parts = [lp.b_kept, lp.b_eq, x]
-    if lp.points is not None:
-        parts.append(lp.points.b)
+    parts = [lp.b_kept, lp.b_eq, x, lp.points.b]
     return 1.0 + max(float(np.max(np.abs(v), initial=0.0)) for v in parts)
 
 
@@ -169,9 +174,8 @@ def _validate(lp, x, objective, duals_ub, duals_eq, deficits=None):
         raise NumericalFailure("solver returned a non-finite solution or dual")
     scale = _scale(lp, x)
     r = lp.A_kept @ x - lp.b_kept  # the slack is -r, bit for bit
-    if lp.points is not None:
-        r = np.concatenate([r, lp.points.deficits(x) if deficits is None
-                            else deficits])
+    r = np.concatenate([r, lp.points.deficits(x) if deficits is None
+                        else deficits])
     eq = np.abs(lp.A_eq @ x - lp.b_eq)
     lo = np.where(np.isfinite(lp.lb), lp.lb - x, 0.0)
     hi = np.where(np.isfinite(lp.ub), x - lp.ub, 0.0)
@@ -189,8 +193,6 @@ def _validate(lp, x, objective, duals_ub, duals_eq, deficits=None):
 def _inequalities(lp, chosen):
     """The matrix rows, then the point rows in the mask chosen: their
     matrix blocks and right-hand sides."""
-    if lp.points is None:
-        return [lp.A_kept], lp.b_kept
     picked = np.flatnonzero(chosen)
     rows = sp.csr_matrix(lp.points.rows(picked),
                          shape=(picked.size, lp.n_vars))
@@ -276,10 +278,8 @@ def solve_lp(lp):
     against every row either way. An infeasible relaxation proves the LP
     infeasible; an unbounded one does not, so the rest of the rows are
     added at once."""
-    chosen = np.zeros(0, dtype=bool)
-    if lp.points is not None:
-        chosen = np.zeros(lp.points.b.size, dtype=bool)
-        chosen[::LAZY_SEED_STRIDE] = True
+    chosen = np.zeros(lp.points.b.size, dtype=bool)
+    chosen[::LAZY_SEED_STRIDE] = True
     calls = iterations = 0
     while True:
         res = _highs(lp, chosen)

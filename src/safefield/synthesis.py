@@ -49,7 +49,7 @@ from .errors import (
     SynthesisInfeasible,
 )
 from .lp_core import StandardLp, solve_lp
-from .measurement import SNAP_TIE_TOL, make_delta_pmf
+from .measurement import make_delta_pmf
 from .simulation import control_input
 
 DELTA_CAP = {"clf": 0.25, "cbf": 4.0}
@@ -228,14 +228,15 @@ class AssembledCellLp:
 
 
 def _check_visibility(cell, landmarks, spec):
-    half = np.asarray(spec.width) / 2.0
     for l in landmarks:
-        worst = np.max(np.abs(np.asarray(l)[None, :] - cell.vertices), axis=0)
-        if np.any(worst > half + SNAP_TIE_TOL):
+        try:
+            for v in cell.vertices:
+                spec.snap(l - v)
+        except LandmarkOutOfView:
             raise LandmarkNotVisible(
                 "landmark %s exceeds the grid half-width %s somewhere in cell %d"
-                % (np.asarray(l).tolist(), half.tolist(), cell.id)
-            )
+                % (l.tolist(), [w / 2.0 for w in spec.width], cell.id)
+            ) from None
 
 
 def _fill_goal(cols, spec, maps, positions, goal):
@@ -244,9 +245,8 @@ def _fill_goal(cols, spec, maps, positions, goal):
     at_u = np.arange(cols.bias.size)
     A_eq = np.zeros((at_u.size, cols.n_vars))
     for l, pos in enumerate(positions):
-        y = np.asarray(pos, dtype=float) - np.asarray(goal, dtype=float)
         try:
-            pmf = make_delta_pmf(spec, y)
+            pmf = make_delta_pmf(spec, pos - goal)
         except LandmarkOutOfView as exc:
             raise GoalObservationOffGrid(
                 "goal observation of landmark %d leaves the grid: %s" % (l, exc)
@@ -260,9 +260,9 @@ def _fill_goal(cols, spec, maps, positions, goal):
 def assemble_robust_lp(problem):
     """Build the LP of a CellProblem: a CBF row per facet in
     entry.barriers and, for an entry without an exit facet, the equilibrium
-    equality for the observation snapped at its goal entry.o. v_floor, when
-    set, limits the stability row to the part of the cell where the
-    progress function is at least that value."""
+    equality for the observation snapped at its goal entry.o. The
+    problem's v_floor, when set, limits the stability row to the part of
+    the cell where the progress function is at least that value."""
     p = problem
     _check_visibility(p.cell, p.landmarks, p.grid)
     p.bounds.warn_if_below_pitch(p.grid)
@@ -427,13 +427,6 @@ def nominal_theta(assembled):
     return out
 
 
-def goal_v_floor(entry, bounds, spec):
-    """Stability is only enforced where the progress function clears the
-    worst-case sensing error, leaving the terminal plateau to the
-    equilibrium equality."""
-    return 2.0 * np.sum(np.abs(entry.v)) * (bounds.epsilon + max(spec.pitch))
-
-
 def synthesize_environment(env, entries, dynamics, spec, bounds, basis,
                            alpha_v, alpha_h):
     """One controller per plan entry (a dict keyed by cell id, as in
@@ -444,12 +437,8 @@ def synthesize_environment(env, entries, dynamics, spec, bounds, basis,
     for cell_id in sorted(entries):
         entry = entries[cell_id]
         cell = env.cell_by_id(cell_id)
-        v_floor = (goal_v_floor(entry, bounds, spec)
-                   if entry.exit_face is None else None)
-        problem = CellProblem(cell, entry,
-                              [env.landmarks[j] for j in cell.landmark_ids],
-                              dynamics, alpha_v, alpha_h, bounds, spec, basis,
-                              v_floor)
+        problem = CellProblem(cell, entry, env.landmarks[cell.landmark_ids],
+                              dynamics, alpha_v, alpha_h, bounds, spec, basis)
         try:
             controllers[cell_id] = synthesize_cell_controller(
                 assemble_robust_lp(problem))

@@ -359,7 +359,10 @@ def test_flag_the_subcommand_does_not_read_exits_2(tmp_path, capsys, argv):
     (json.dumps([{"id": 0}]), "controllers.0"),
     ('[{"id": 0, "basis": ["mean"', "controllers"),
     (json.dumps({"id": 0}), "controllers"),
-], ids=["entry-without-basis", "truncated", "object-not-list"])
+    # verify would pass a report of no cell, and simulate and field would
+    # refuse the file only on reaching a cell
+    ("[]", "controllers"),
+], ids=["entry-without-basis", "truncated", "object-not-list", "empty-list"])
 def test_malformed_controllers_exit_config_code(tmp_path, capsys, text, field):
     cfg = write_config(tmp_path)
     path = tmp_path / "out" / "controllers.json"
@@ -368,6 +371,29 @@ def test_malformed_controllers_exit_config_code(tmp_path, capsys, text, field):
     for command in ("verify", "simulate", "field"):
         assert cli.main([command, "--config", str(cfg)]) == 2
         assert "(file %s, field %s)" % (path, field) in capsys.readouterr().err
+        assert os.listdir(path.parent) == ["controllers.json"]
+
+
+def test_an_edited_goal_floor_exits_2_and_writes_nothing(tmp_path, capsys,
+                                                         case_setup):
+    # the case study's goal cell certifies its CLF row where V >= v_floor;
+    # a floor of 1e9 would leave that row no state to be audited on
+    config = os.path.join(os.path.dirname(cli.__file__), "data",
+                          "case_study.json")
+    out = tmp_path / "out"
+    out.mkdir()
+    path = out / "controllers.json"
+    save_controllers(case_setup["controllers"], str(path))
+    ctrls = json.loads(path.read_text())
+    assert ctrls[1]["id"] == 1 and ctrls[1]["exit_face"] is None
+    ctrls[1]["v_floor"] = 1e9
+    path.write_text(json.dumps(ctrls))
+    for command in ("verify", "simulate", "field"):
+        assert cli.main([command, "--config", config, "--out", str(out)]) == 2
+        err = capsys.readouterr().err
+        assert "1000000000.0 is not 14.310835055998654" in err
+        assert "(file %s, field controllers.1.v_floor)" % path in err
+        assert os.listdir(out) == ["controllers.json"]
 
 
 def move_goal(env, ctrls):

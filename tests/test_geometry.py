@@ -3,7 +3,8 @@ import pytest
 
 from helpers import (check_candidates_against_lp, random_convex_polygon,
                      reference_deviation_candidates, same_bits)
-from safefield.errors import DegenerateInput, GoalNotVertex, NonConvexInput
+from safefield.errors import (DegenerateInput, GoalNotVertex, NonConvexInput,
+                              UnboundedPolytope)
 from safefield.measurement import GridSpec
 from safefield.geometry import (
     ABS_TOL,
@@ -80,6 +81,17 @@ def test_empty_intersection_raises():
     # x1 >= 1 and x1 <= -1 cannot hold together
     with pytest.raises(DegenerateInput):
         cell_vertices(hs)
+
+
+@pytest.mark.parametrize("A, b", [
+    ([[1.0, 0.0], [0.0, 1.0]], [-1.0, -1.0]),
+    ([[1.0, 0.0], [-1.0, 0.0], [0.0, 1.0]], [-1.0, -1.0, -1.0]),
+], ids=["quadrant", "half-strip"])
+def test_region_points_refuses_an_unbounded_region(A, b):
+    # x <= 1 and y <= 1 leave the direction (-1, -1) open; a strip closed
+    # above leaves (0, -1) open, at a gap of exactly pi between normals
+    with pytest.raises(UnboundedPolytope, match="open direction"):
+        region_points(HalfspaceSet(np.array(A), np.array(b)))
 
 
 def test_nonconvex_polygon_rejected():

@@ -202,6 +202,27 @@ def test_shape_validation():
         StandardLp("min", [1.0, 2.0], A_ub=[[1.0]], b_ub=[1.0])
     with pytest.raises(DimensionMismatch):
         StandardLp("mid", [1.0])
+    for kwargs, message in ((dict(A_eq=[[1.0, 0.0]], b_eq=[1.0, 2.0]),
+                             "equality block"),
+                            (dict(A_eq=[[1.0]], b_eq=[1.0]), "equality block"),
+                            (dict(lb=[0.0]), "bound length"),
+                            (dict(ub=[1.0, 1.0, 1.0]), "bound length")):
+        with pytest.raises(DimensionMismatch, match=message):
+            StandardLp("min", [1.0, 2.0], **kwargs)
+
+
+def test_an_lp_given_no_point_rows_holds_none():
+    # its inequality rows are the rows given, and the point-row interface
+    # solve_lp reads (right-hand sides, deficits, CSR arrays) is empty
+    lp = StandardLp("max", [1.0, 1.0], A_ub=[[1.0, 2.0], [3.0, 1.0]],
+                    b_ub=[4.0, 6.0], lb=[0.0, 0.0])
+    assert lp.n_ub == 2 and lp.points.b.size == 0
+    assert np.array_equal(lp.A_ub.toarray(), [[1.0, 2.0], [3.0, 1.0]])
+    assert np.array_equal(lp.b_ub, [4.0, 6.0])
+    assert lp.points.deficits(np.ones(2)).size == 0
+    rows = sp.csr_matrix(lp.points.rows(np.zeros(0, dtype=int)),
+                         shape=(0, lp.n_vars))
+    assert rows.nnz == 0
 
 
 INF = np.inf

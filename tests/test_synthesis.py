@@ -28,6 +28,7 @@ from safefield.controller import (
     CellController,
     CellProblem,
     GainBasis,
+    goal_v_floor,
     load_controllers,
     save_controllers,
 )
@@ -36,7 +37,6 @@ from safefield.synthesis import (
     LpColumns,
     assemble_robust_lp,
     _tiebreak_lp,
-    goal_v_floor,
     nominal_theta,
     synthesize_cell_controller,
 )
@@ -77,7 +77,8 @@ def two_landmark_random(rng, spec, bounds, basis, dyn):
 
 def goal_square(spec, bounds, basis, dyn, goal_bounds=None, v_floor="auto"):
     """Square cell with the goal at a vertex; barriers on the facets away
-    from the goal, matching how a planner treats a goal-vertex cell."""
+    from the goal, matching how a planner treats a goal-vertex cell. A
+    v_floor other than "auto" replaces the one the problem works out."""
     verts = np.array([[0.0, 0.0], [4.0, 0.0], [4.0, 4.0], [0.0, 4.0]])
     cell = ConvexCell(9, verts, [0])
     goal = np.array([0.0, 0.0])
@@ -85,13 +86,11 @@ def goal_square(spec, bounds, basis, dyn, goal_bounds=None, v_floor="auto"):
     walls = [j for j in range(cell.body.n_rows)
              if abs(cell.body.A[j] @ goal + cell.body.b[j]) > 1e-9]
     entry = PlanEntry(9, None, v / np.linalg.norm(v), goal, barriers=walls)
-    use_bounds = goal_bounds or bounds
-    if v_floor == "auto":
-        v_floor = goal_v_floor(entry, use_bounds, spec)
-    asm = assemble_robust_lp(CellProblem(
-        cell, entry, [np.array([2.0, 2.0])], dyn, ALPHA_V, ALPHA_H, use_bounds,
-        spec, basis, v_floor))
-    return asm, cell, entry, goal
+    problem = CellProblem(cell, entry, [np.array([2.0, 2.0])], dyn, ALPHA_V,
+                          ALPHA_H, goal_bounds or bounds, spec, basis)
+    if v_floor != "auto":
+        problem.v_floor = v_floor
+    return assemble_robust_lp(problem), cell, entry, goal
 
 
 def test_cosine_map_stores_exact_zeros():
@@ -483,6 +482,41 @@ def test_load_refuses_rows_other_than_the_entry(case_setup, tmp_path, key,
     assert "(%s differ)" % key in str(info.value)
 
 
+def test_the_problem_works_out_its_goal_floor(case_setup):
+    # only the goal entry, which has no exit facet, floors its CLF row, at
+    # 2 |v|_1 (eps + max pitch), and the saved controller carries that floor
+    floors = {}
+    for cell_id, ctrl in case_setup["controllers"].items():
+        p = ctrl.problem
+        assert ctrl.to_dict()["v_floor"] == p.v_floor
+        if p.entry.exit_face is None:
+            assert p.v_floor == goal_v_floor(p.entry, p.bounds, p.grid)
+            floors[cell_id] = p.v_floor
+        else:
+            assert p.v_floor is None
+    assert floors == {1: pytest.approx(14.3108, abs=1e-4)}
+
+
+@pytest.mark.parametrize("cell_id, saved, message", [
+    (1, 1e9, "1000000000.0 is not 14.310835055998654"),
+    (1, None, "None is not 14.310835055998654"),
+    (0, 14.310835055998654, "14.310835055998654 is not None"),
+], ids=["raised-goal-floor", "goal-without-floor", "transit-with-floor"])
+def test_load_refuses_a_floor_other_than_the_problems(case_setup, tmp_path,
+                                                      cell_id, saved, message):
+    # the floor decides where verify audits the goal's CLF row, so a saved
+    # one must be the floor its saved epsilon and grid give
+    data = [c.to_dict() for c in case_setup["controllers"].values()]
+    data[cell_id]["v_floor"] = saved
+    path = tmp_path / "controllers.json"
+    path.write_text(json.dumps(data))
+    with pytest.raises(ConfigError) as info:
+        load_controllers(str(path), case_setup["env"], case_setup["plan"])
+    assert info.value.field == "controllers.%d.v_floor" % cell_id
+    assert message + ", the goal floor epsilon and grid give" in str(
+        info.value)
+
+
 def test_margins_must_match_the_entry_rows():
     spec, bounds, basis, dyn = setup()
     asm, _, _, _ = assembled_random(np.random.default_rng(31), spec, bounds,
@@ -540,11 +574,8 @@ def packaged_cell(env, mode, cell_id, spec, bounds):
     entry = make_plan(env, build_graph(env), mode).entries[cell_id]
     cell = env.cell_by_id(cell_id)
     positions = [env.landmarks[j] for j in cell.landmark_ids]
-    v_floor = (goal_v_floor(entry, bounds, spec)
-               if entry.exit_face is None else None)
     asm = assemble_robust_lp(CellProblem(
-        cell, entry, positions, dyn, ALPHA_V, ALPHA_H, bounds, spec, basis,
-        v_floor))
+        cell, entry, positions, dyn, ALPHA_V, ALPHA_H, bounds, spec, basis))
     return asm, cell, entry, nominal_theta(asm)
 
 

@@ -304,6 +304,34 @@ def test_pivot_cap_and_unbounded_ratio_raise_naming_the_state(monkeypatch):
     assert "x=%s" % X[first].tolist() in str(exc.value)
 
 
+def test_row_values_name_the_pair_of_a_simplex_failure(monkeypatch):
+    # two landmarks, so pair j owns instances 2j and 2j + 1; pair 0's state
+    # sees neither landmark and solves nothing, so the first instance that
+    # pivots, and fails at a cap of 0 pivots, is one of pair 1's
+    rng = np.random.default_rng(11)
+    row, control, bias, _, _ = two_landmark_law(SPEC, rng)
+    landmarks = [np.array([0.5, 0.5]), np.array([-1.0, 0.25])]
+    pairs = [(0, np.array([20.0, 20.0])), (0, np.array([0.25, -0.5])),
+             (0, np.array([-0.5, 0.75]))]
+    failed = []
+
+    def recorded(*args, **kwargs):
+        try:
+            return inner_maxima(*args, **kwargs)
+        except NumericalFailure as exc:
+            failed.append(exc.index)
+            raise
+
+    monkeypatch.setattr(verification, "inner_maxima", recorded)
+    monkeypatch.setattr(verification, "PIVOTS_PER_COLUMN", 0)
+    with pytest.raises(NumericalFailure, match="cap of 0 pivots") as exc:
+        worst_case_row_values([row], control, bias, pairs, SPEC, BOUNDS,
+                              landmarks)
+    assert failed[0] in (2, 3)
+    assert exc.value.index == 1
+    assert "x=%s" % pairs[1][1].tolist() in str(exc.value)
+
+
 def test_verify_names_the_cell_row_and_state_of_a_simplex_failure(
         monkeypatch):
     ctrl = square_controller()
